@@ -16,13 +16,11 @@ from .order import (
     check_partial_order,
     grid_space,
     integer_grid,
-    product_poset,
     tolerant,
 )
 from .leontief import (
     Box,
     BoxAxis,
-    ClassicalLeontief,
     DecompositionError,
     DomainError,
     DualDomainError,
@@ -39,11 +37,7 @@ from .leontief import (
     UtilityError,
     affine_transform,
     classical_leontief,
-    closure_map,
     constant_utility,
-    dual,
-    evaluate,
-    interior,
     min_decompose,
     min_pointwise,
     min_product,

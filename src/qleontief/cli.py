@@ -356,21 +356,19 @@ def _suite_triangle(seed: int, n: int, inject: bool) -> List[dict]:
         if not cert.ok:
             failures.append({"instance": i, "property": cert.prop, "detail": cert.detail})
             continue
-        base = oracle.certify_quasi_leontief(u)
-        if base.ok:
-            reg = oracle.certify_regular(base.utility)
-            if reg.ok:
-                table = dict(reg.dual_table)
-                if fault_pending and table:
-                    lam = sorted(table)[-1]
-                    alt = next(e for e in poset.elements if e != table[lam])
-                    table[lam] = alt
-                    fault_pending = False
-                gal = oracle.verify_galois(reg.utility, table)
-                if not gal.ok:
-                    failures.append(
-                        {"instance": i, "property": gal.prop, "detail": gal.detail}
-                    )
+        reg = oracle.certify_regular(u)
+        if reg.ok:
+            table = dict(reg.dual_table)
+            if fault_pending and table:
+                lam = sorted(table)[-1]
+                alt = next(e for e in poset.elements if e != table[lam])
+                table[lam] = alt
+                fault_pending = False
+            gal = oracle.verify_galois(reg.utility, table)
+            if not gal.ok:
+                failures.append(
+                    {"instance": i, "property": gal.prop, "detail": gal.detail}
+                )
     return failures
 
 

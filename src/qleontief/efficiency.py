@@ -301,33 +301,3 @@ def efficiency_report(u: TabulatedUtility, x) -> dict:
         "witness": encode_elem(witness) if witness is not None else None,
         "pu_cardinality": res.cardinality,
     }
-
-
-class PartialDualCache:
-    """Shared (axis, level) -> dual-point table for one globally certified utility.
-
-    Partial duals along one axis agree wherever defined, so entries may be
-    shared; an insert that disagrees with an existing entry is reported as an
-    inconsistency instead of being overwritten.
-    """
-
-    def __init__(self, u: TabulatedUtility):
-        if not u.certified:
-            raise UtilityError("partial dual cache needs a certified utility")
-        self.u = u
-        self._table: Dict[Tuple[int, object], Element] = {}
-
-    def record(self, axis: int, lam, point: Element) -> Element:
-        key = (axis, lam)
-        if key in self._table:
-            if self._table[key] != point:
-                raise InconsistencyError(
-                    f"partial dual mismatch on axis {axis} at level {lam!r}: "
-                    f"{self._table[key]!r} vs {point!r}"
-                )
-            return self._table[key]
-        self._table[key] = point
-        return point
-
-    def lookup(self, axis: int, lam) -> Optional[Element]:
-        return self._table.get((axis, lam))

@@ -213,17 +213,14 @@ def utility_from_json(obj, *, base_dir: str = "."):
 def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     space = poset_from_json(obj["poset"], base_dir=base_dir)
     raw_values = obj["values"]
-    values = {}
+    if not isinstance(raw_values, dict):
+        raise InputError("tabulated 'values' must be an object")
+    values = {
+        resolve_element(space, key): parse_rational(val) for key, val in raw_values.items()
+    }
     if isinstance(space, ProductSpace):
-        poset = space.as_poset()
-        for key, val in raw_values.items():
-            values[resolve_element(space, key)] = parse_rational(val)
-        u = TabulatedUtility(poset, values, space=space)
-    else:
-        for key, val in raw_values.items():
-            values[resolve_element(space, key)] = parse_rational(val)
-        u = TabulatedUtility(space, values)
-    return u
+        return TabulatedUtility(space.as_poset(), values, space=space)
+    return TabulatedUtility(space, values)
 
 
 def point_from_json(obj, space):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, tolerant
+from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, tolerant
 
 
 class UtilityError(ValueError):
@@ -79,7 +79,31 @@ class MinFormError(UtilityError):
 # ---------------------------------------------------------------------------
 
 
-class TabulatedUtility:
+class _Closure:
+    def closure(self, lam):
+        """The closure map value(dual(lam)); extensive, isotone, idempotent."""
+        d = self.dual(lam)
+        if d is None:
+            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
+        return self.value(d)
+
+
+class LevelSet(NamedTuple):
+    """The upper level set {x : u(x) >= lam} of a tabulated utility.
+
+    ``mask`` marks its members by element index and ``least`` is its least
+    element, if it has one.  ``detail`` is empty exactly when the set is
+    empty or equals up(least); otherwise it says why not, and ``witnesses``
+    replay it.
+    """
+
+    mask: int
+    least: Optional[Element]
+    witnesses: Tuple = ()
+    detail: str = ""
+
+
+class TabulatedUtility(_Closure):
     """Utility given by an explicit value table on a finite poset.
 
     The table must assign exactly one value to every element.  Interior and
@@ -107,13 +131,15 @@ class TabulatedUtility:
         self.space = space
         self.certified = False
         self._interior: Optional[Dict[Element, Element]] = None
-        self._dual_cache: Dict[Any, Optional[Element]] = {}
+        self._levels: Dict[Any, LevelSet] = {}
         self._image: Optional[Tuple] = None
 
     def _certified_copy(self, interior_table: Dict[Element, Element]) -> "TabulatedUtility":
         new = TabulatedUtility(self.poset, self.values, scale=self.scale, space=self.space)
         new.certified = True
         new._interior = dict(interior_table)
+        # same poset, values and scale: every level set carries over
+        new._levels = self._levels
         return new
 
     def _norm(self, x: Element) -> Element:
@@ -138,11 +164,62 @@ class TabulatedUtility:
             self._image = tuple(sorted(set(self.values.values())))
         return self._image
 
-    def level_set(self, lam) -> Tuple[Element, ...]:
-        """Elements with value >= lam, in element order."""
-        return tuple(
-            x for x in self.poset.elements if self.scale.le(lam, self.values[x])
-        )
+    def probe_levels(self, extra: Iterable = ()) -> List:
+        """Attained values plus midpoints between consecutive distinct values,
+        merged with ``extra``.
+
+        On a finite domain level sets only change at these thresholds; scales
+        without arithmetic (any totally ordered values work) probe the attained
+        values alone, which already decides every verdict.
+        """
+        img = self.image()
+        probes = list(img)
+        for a, b in zip(img, img[1:]):
+            try:
+                probes.append((a + b) / 2)
+            except TypeError:
+                break
+        probes.extend(extra)
+        return sorted(set(probes))
+
+    def level_set(self, lam) -> LevelSet:
+        """The level set at ``lam``, built on first use and cached."""
+        rec = self._levels.get(lam)
+        if rec is None:
+            rec = self._levels[lam] = self._build_level_set(lam)
+        return rec
+
+    def _build_level_set(self, lam) -> LevelSet:
+        # The defining relation is the set equality u^-1(up(lam)) = up(m), not
+        # bare least-element existence: a level set of a non-isotone table can
+        # have a least element without being upward closed.
+        poset, le = self.poset, self.scale.le
+        mask = 0
+        for i, v in enumerate(self.values.values()):
+            if le(lam, v):
+                mask |= 1 << i
+        if not mask:
+            return LevelSet(0, None)
+        up = poset._up
+        least = next((i for i in _bits(mask) if mask & ~up[i] == 0), None)
+        if least is None:
+            sdown = poset._sdown
+            mins = [poset.elements[i] for i in _bits(mask) if mask & sdown[i] == 0]
+            return LevelSet(
+                mask, None, tuple(mins[:2]), f"level set at {lam!r} has no least element"
+            )
+        m = poset.elements[least]
+        outside = up[least] & ~mask
+        if outside:
+            y = poset.elements[(outside & -outside).bit_length() - 1]
+            return LevelSet(
+                mask,
+                m,
+                (m, y),
+                f"level set at {lam!r} is not the up-set of {m!r}: "
+                f"{y!r} lies above it with a smaller value",
+            )
+        return LevelSet(mask, m)
 
     def interior(self, x: Element) -> Element:
         if not self.certified:
@@ -157,45 +234,18 @@ class TabulatedUtility:
         """
         if not self.certified:
             raise NotCertifiedError("dual requires a certified utility")
-        if lam in self._dual_cache:
-            return self._dual_cache[lam]
-        level = self.level_set(lam)
-        if not level:
-            self._dual_cache[lam] = None
-            return None
-        least = self.poset.least(level)
-        if least is None:
-            mins = self.poset.minimal(level)
-            raise LeastlessLevelSetError(lam, mins[:2])
-        self._dual_cache[lam] = least
-        return least
-
-    def closure(self, lam):
-        """The closure map value(dual(lam)); extensive, isotone, idempotent."""
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.values[d]
+        rec = self.level_set(lam)
+        if rec.mask and rec.least is None:
+            raise LeastlessLevelSetError(lam, rec.witnesses)
+        return rec.least
 
     def admissible_levels(self, extra: Iterable = ()) -> Tuple:
-        """Attained values, midpoints between consecutive ones, and ``extra``,
-        filtered to levels where the dual is defined."""
-        img = self.image()
-        candidates = list(img)
-        for a, b in zip(img, img[1:]):
-            try:
-                candidates.append((a + b) / 2)
-            except TypeError:
-                break
-        candidates.extend(extra)
-        out = []
-        for lam in sorted(set(candidates)):
-            try:
-                if self.dual(lam) is not None:
-                    out.append(lam)
-            except LeastlessLevelSetError:
-                pass
-        return tuple(out)
+        """Probe levels (see ``probe_levels``) where the dual is defined."""
+        if not self.certified:
+            raise NotCertifiedError("dual requires a certified utility")
+        return tuple(
+            lam for lam in self.probe_levels(extra) if self.level_set(lam).least is not None
+        )
 
     def __repr__(self) -> str:
         tag = "certified" if self.certified else "uncertified"
@@ -304,63 +354,17 @@ def _infer_scale(*numbers) -> Scale:
 # ---------------------------------------------------------------------------
 
 
-class ClassicalLeontief:
-    """u(x) = min_i a_i x_i on a box, all a_i > 0.
+_ORTHANT = "power form needs a domain in the nonnegative orthant"
 
-    Interior and dual are in closed form: the level set at lam is the product
-    of the per-axis intervals [max(lo_j, lam / a_j), hi_j].
+
+class PowerLeontief(_Closure):
+    """u(x) = min_i a_i x_i^alpha_i on a box, all a_i, alpha_i > 0.
+
+    The box must lie in the nonnegative orthant unless every alpha_i is 1 (the
+    classical form min_i a_i x_i).  Interior and dual are in closed form: the
+    level set at lam is the product of the per-axis intervals
+    [max(lo_j, (lam / a_j)^(1/alpha_j)), hi_j].
     """
-
-    def __init__(self, a: Sequence, box: Box, *, scale: Optional[Scale] = None):
-        self.a = tuple(a)
-        if len(self.a) != box.n_axes:
-            raise UtilityError("coefficient count does not match box arity")
-        if any(c <= 0 for c in self.a):
-            raise UtilityError("coefficients must be strictly positive")
-        self.box = box
-        self.scale = scale if scale is not None else _infer_scale(*self.a)
-        self.certified = True
-
-    def _check(self, x: Sequence) -> Tuple:
-        x = tuple(x)
-        if not self.box.contains(x, self.scale):
-            raise DomainError(f"point {x!r} outside box {self.box!r}")
-        return x
-
-    def value(self, x: Sequence):
-        x = self._check(x)
-        return min(c * t for c, t in zip(self.a, x))
-
-    def interior(self, x: Sequence) -> Tuple:
-        v = self.value(x)
-        return tuple(max(ax.lo, v / c) for ax, c in zip(self.box.axes, self.a))
-
-    def dual(self, lam) -> Optional[Tuple]:
-        if not self.scale.le(lam, self.value(self.box.top())):
-            return None
-        return tuple(max(ax.lo, lam / c) for ax, c in zip(self.box.axes, self.a))
-
-    def closure(self, lam):
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.value(d)
-
-    def on_efficiency_locus(self, x: Sequence) -> bool:
-        """True iff a_i x_i = a_j x_j for all i, j."""
-        x = self._check(x)
-        terms = [c * t for c, t in zip(self.a, x)]
-        return all(self.scale.eq(terms[0], t) for t in terms[1:])
-
-    def leq_points(self, x: Sequence, y: Sequence) -> bool:
-        return _leq_pointwise(self.scale, self._check(x), self._check(y))
-
-    def __repr__(self) -> str:
-        return f"ClassicalLeontief(a={self.a})"
-
-
-class PowerLeontief:
-    """u(x) = min_i a_i x_i^alpha_i on a box in the nonnegative orthant."""
 
     def __init__(
         self, a: Sequence, alpha: Sequence, box: Box, *, scale: Optional[Scale] = None
@@ -371,8 +375,8 @@ class PowerLeontief:
             raise UtilityError("parameter counts do not match box arity")
         if any(c <= 0 for c in self.a) or any(e <= 0 for e in self.alpha):
             raise UtilityError("coefficients and exponents must be strictly positive")
-        if any(ax.lo < 0 for ax in box.axes):
-            raise UtilityError("power form needs a domain in the nonnegative orthant")
+        if any(ax.lo < 0 for ax in box.axes) and any(e != 1 for e in self.alpha):
+            raise UtilityError(_ORTHANT)
         self.box = box
         self.scale = scale if scale is not None else tolerant()
         self.certified = True
@@ -417,12 +421,6 @@ class PowerLeontief:
             for ax, c, e in zip(self.box.axes, self.a, self.alpha)
         )
 
-    def closure(self, lam):
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.value(d)
-
     def on_efficiency_locus(self, x: Sequence) -> bool:
         x = self._check(x)
         terms = [c * self._pow(t, e) for c, t, e in zip(self.a, x, self.alpha)]
@@ -435,7 +433,7 @@ class PowerLeontief:
         return f"PowerLeontief(a={self.a}, alpha={self.alpha})"
 
 
-class PriceMatrixLeontief:
+class PriceMatrixLeontief(_Closure):
     """u(x) = min_i p_i . x for linearly independent nonnegative price rows.
 
     The domain is R^n ordered by x <=_P y iff P x <= P y componentwise.
@@ -483,9 +481,6 @@ class PriceMatrixLeontief:
     def dual(self, lam) -> Tuple:
         return tuple(float(lam) * t for t in self.x_P)
 
-    def closure(self, lam) -> float:
-        return self.value(self.dual(lam))
-
     def leq_points(self, x: Sequence, y: Sequence) -> bool:
         px = self.P @ self._check(x)
         py = self.P @ self._check(y)
@@ -495,7 +490,7 @@ class PriceMatrixLeontief:
         return f"PriceMatrixLeontief(n={self.n_axes})"
 
 
-class AffineUtility:
+class AffineUtility(_Closure):
     """a * u + b with a > 0; shares the interior map of the base utility."""
 
     def __init__(self, base, a, b):
@@ -516,12 +511,6 @@ class AffineUtility:
     def dual(self, lam):
         return self.base.dual((lam - self.b) / self.a)
 
-    def closure(self, lam):
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.value(d)
-
     def leq_points(self, x, y):
         return self.base.leq_points(x, y)
 
@@ -529,7 +518,7 @@ class AffineUtility:
         return f"AffineUtility({self.a} * {self.base!r} + {self.b})"
 
 
-class MinProductUtility:
+class MinProductUtility(_Closure):
     """u(x_1..x_n) = min_i u_i(x_i) over the product of the factor domains.
 
     All factors must be regular on their own domains; the dual is the tuple
@@ -579,12 +568,6 @@ class MinProductUtility:
         assert d is not None
         return d
 
-    def closure(self, lam):
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.value(d)
-
     def tabulate(self) -> TabulatedUtility:
         """Explicit table on the product poset (factors must be tabulated)."""
         if self.space is None:
@@ -596,7 +579,7 @@ class MinProductUtility:
         return f"MinProductUtility({len(self.factors)} factors)"
 
 
-class MinPointwiseUtility:
+class MinPointwiseUtility(_Closure):
     """min_i u_i(x) for utilities on one common domain with binary joins.
 
     The dual is the join of the factor duals; a missing join is an error.
@@ -651,12 +634,6 @@ class MinPointwiseUtility:
         assert d is not None
         return d
 
-    def closure(self, lam):
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.value(d)
-
     def tabulate(self) -> TabulatedUtility:
         if self.poset is None:
             raise UtilityError("only tabulated parts can be tabulated")
@@ -667,7 +644,7 @@ class MinPointwiseUtility:
         return f"MinPointwiseUtility({len(self.parts)} parts)"
 
 
-class RestrictedUtility:
+class RestrictedUtility(_Closure):
     """Restriction of a closed-form utility to a generated comprehensive subset."""
 
     def __init__(self, base, generators: Sequence):
@@ -696,12 +673,6 @@ class RestrictedUtility:
             return None
         return d
 
-    def closure(self, lam):
-        d = self.dual(lam)
-        if d is None:
-            raise DualDomainError(f"level {lam!r} outside the admissible dual domain")
-        return self.base.value(d)
-
     def __repr__(self) -> str:
         return f"RestrictedUtility({self.base!r}, {len(self.generators)} generators)"
 
@@ -711,14 +682,23 @@ class RestrictedUtility:
 # ---------------------------------------------------------------------------
 
 
-def classical_leontief(a: Sequence, box: Box, *, scale: Optional[Scale] = None) -> ClassicalLeontief:
-    return ClassicalLeontief(a, box, scale=scale)
+def classical_leontief(a: Sequence, box: Box, *, scale: Optional[Scale] = None) -> PowerLeontief:
+    """u(x) = min_i a_i x_i: the power form with every exponent 1.  The scale
+    is exact unless a coefficient is a float."""
+    a = tuple(a)
+    if scale is None:
+        scale = _infer_scale(*a)
+    return PowerLeontief(a, (1,) * len(a), box, scale=scale)
 
 
 def power_leontief(
     a: Sequence, alpha: Sequence, box: Box, *, scale: Optional[Scale] = None
 ) -> PowerLeontief:
-    return PowerLeontief(a, alpha, box, scale=scale)
+    """The power form on a box in the nonnegative orthant, whatever the exponents."""
+    u = PowerLeontief(a, alpha, box, scale=scale)
+    if any(ax.lo < 0 for ax in box.axes):
+        raise UtilityError(_ORTHANT)
+    return u
 
 
 def price_matrix_leontief(P: Sequence[Sequence[float]], *, scale: Optional[Scale] = None) -> PriceMatrixLeontief:
@@ -874,22 +854,3 @@ def recover_leontief_coefficients(
         if not sc.eq(expected, got):
             raise MinFormError(x, coeffs, expected, got)
     return tuple(coeffs)
-
-
-# thin operation aliases matching the functional surface
-
-
-def evaluate(u, x):
-    return u.value(x)
-
-
-def interior(u, x):
-    return u.interior(x)
-
-
-def dual(u, lam):
-    return u.dual(lam)
-
-
-def closure_map(u, lam):
-    return u.closure(lam)

@@ -11,10 +11,10 @@ meet-homomorphism identity u(x ^ y) = min(u(x), u(y)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .leontief import TabulatedUtility
-from .order import Element, OrderError
+from .order import Element, OrderError, _bits
 
 
 class InconsistencyError(AssertionError):
@@ -72,57 +72,6 @@ class Certificate:
         return out
 
 
-def _level_set(u: TabulatedUtility, lam) -> Tuple[Element, ...]:
-    return tuple(x for x in u.poset.elements if u.scale.le(lam, u.values[x]))
-
-
-def _least_of_upper_set(u: TabulatedUtility, lam):
-    """Least element m with level set exactly the up-set of m, else a failure.
-
-    The defining relation is the set equality u^-1(up(lam)) = up(m), not bare
-    least-element existence: a level set of a non-isotone table can have a
-    least element without being upward closed.  Returns (m, None) on success
-    and (None, Certificate-args) on failure; an empty level set gives
-    (None, None).
-    """
-    poset = u.poset
-    level = _level_set(u, lam)
-    if not level:
-        return None, None
-    least = poset.least(level)
-    if least is None:
-        mins = poset.minimal(level)
-        return None, (mins[:2], f"level set at {lam!r} has no least element")
-    level_mask = poset._mask(level)
-    extra = poset._up[poset.index_of(least)] & ~level_mask
-    if extra:
-        y = poset.elements[(extra & -extra).bit_length() - 1]
-        return None, (
-            (least, y),
-            f"level set at {lam!r} is not the up-set of {least!r}: "
-            f"{y!r} lies above it with a smaller value",
-        )
-    return least, None
-
-
-def _probe_levels(u: TabulatedUtility, extra: Iterable = ()) -> List:
-    """Attained values plus midpoints between consecutive distinct values.
-
-    On a finite domain level sets only change at these thresholds; scales
-    without arithmetic (any totally ordered values work) probe the attained
-    values alone, which already decides every verdict.
-    """
-    img = u.image()
-    probes = list(img)
-    for a, b in zip(img, img[1:]):
-        try:
-            probes.append((a + b) / 2)
-        except TypeError:
-            break
-    probes.extend(extra)
-    return sorted(set(probes))
-
-
 def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
     """Check that every upper level set u^-1(up(u(x))) is the up-set of a
     single point (its least element).
@@ -130,25 +79,17 @@ def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
     On pass the certificate carries a certified copy of the utility with the
     interior table filled in.
     """
-    poset = u.poset
     interior_table: Dict[Element, Element] = {}
-    level_cache: Dict[Any, Tuple] = {}
-    for x in poset.elements:
-        lam = u.values[x]
-        if lam in level_cache:
-            least, failure = level_cache[lam]
-        else:
-            least, failure = _least_of_upper_set(u, lam)
-            level_cache[lam] = (least, failure)
-        if least is None:
-            witnesses, detail = failure
+    for x, lam in u.values.items():
+        level = u.level_set(lam)
+        if level.detail:
             return Certificate(
                 False,
                 "quasi-leontief",
-                witnesses=witnesses,
-                detail=f"for {x!r}: {detail}",
+                witnesses=level.witnesses,
+                detail=f"for {x!r}: {level.detail}",
             )
-        interior_table[x] = least
+        interior_table[x] = level.least
     return Certificate(
         True, "quasi-leontief", utility=u._certified_copy(interior_table)
     )
@@ -166,22 +107,23 @@ def certify_regular(
     subsumes the quasi-Leontief property and the interior table falls out of
     the dual table.
     """
-    poset = u.poset
     table: Dict[Any, Element] = {}
-    for lam in _probe_levels(u, probe_levels):
-        least, failure = _least_of_upper_set(u, lam)
-        if least is None:
-            if failure is None:
-                continue
-            witnesses, detail = failure
-            return Certificate(False, "regular", witnesses=witnesses, detail=detail)
-        table[lam] = least
+    for lam in u.probe_levels(probe_levels):
+        level = u.level_set(lam)
+        if level.detail:
+            return Certificate(False, "regular", witnesses=level.witnesses, detail=level.detail)
+        if level.least is not None:
+            table[lam] = level.least
     if u.certified:
         out = u._certified_copy(u._interior)
     else:
-        out = u._certified_copy({x: table[u.values[x]] for x in poset.elements})
-    out._dual_cache.update(table)
+        out = u._certified_copy({x: table[v] for x, v in u.values.items()})
     return Certificate(True, "regular", dual_table=table, utility=out)
+
+
+def _is_regular(u: TabulatedUtility) -> bool:
+    """``certify_regular(u).ok``, read from the cached level sets."""
+    return not any(u.level_set(lam).detail for lam in u.probe_levels())
 
 
 def check_isotone(u: TabulatedUtility) -> Certificate:
@@ -234,8 +176,8 @@ def check_lower_bounded_level_sets(
 ) -> Certificate:
     """Every nonempty upper level set has a common lower bound in the domain."""
     poset = u.poset
-    for lam in _probe_levels(u, probe_levels):
-        idxs = [poset.index_of(x) for x in _level_set(u, lam)]
+    for lam in u.probe_levels(probe_levels):
+        idxs = list(_bits(u.level_set(lam).mask))
         if not idxs:
             continue
         m = poset._down[idxs[0]]
@@ -253,6 +195,20 @@ def check_lower_bounded_level_sets(
     return Certificate(True, "lower-bounded-level-sets")
 
 
+def _meet_failure(u: TabulatedUtility):
+    """The first pair (x, y) with u(x ^ y) != min(u(x), u(y)), as
+    (x, y, u(x ^ y), min(u(x), u(y))); None when the identity holds.  Needs a
+    total meet."""
+    poset = u.poset
+    for i, x in enumerate(poset.elements):
+        for y in poset.elements[i:]:
+            got = u.values[poset.meet(x, y)]
+            want = min(u.values[x], u.values[y])
+            if not u.scale.eq(got, want):
+                return x, y, got, want
+    return None
+
+
 def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:
     """u(x ^ y) = min(u(x), u(y)) for all pairs; needs a total meet.
 
@@ -260,40 +216,25 @@ def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:
     quasi-Leontief certification; the equivalence is asserted and a mismatch
     raises InconsistencyError (a bug, never a verdict).
     """
-    poset = u.poset
-    if not poset.is_inf_semilattice():
+    if not u.poset.is_inf_semilattice():
         raise OrderError("meet-homomorphism check needs a total meet")
-    verdict: Optional[Certificate] = None
-    for i, x in enumerate(poset.elements):
-        for y in poset.elements[i:]:
-            m = poset.meet(x, y)
-            want = min(u.values[x], u.values[y])
-            if not u.scale.eq(u.values[m], want):
-                verdict = Certificate(
-                    False,
-                    "meet-homomorphism",
-                    witnesses=(x, y),
-                    detail=f"u({x!r} ^ {y!r})={u.values[m]!r} != {want!r}",
-                )
-                break
-        if verdict is not None:
-            break
-    if verdict is None:
+    failure = _meet_failure(u)
+    if failure is None:
         verdict = Certificate(True, "meet-homomorphism")
-
-    regular_side = _regular_by_definition(u)
+    else:
+        x, y, got, want = failure
+        verdict = Certificate(
+            False,
+            "meet-homomorphism",
+            witnesses=(x, y),
+            detail=f"u({x!r} ^ {y!r})={got!r} != {want!r}",
+        )
+    regular_side = _is_regular(u)
     if regular_side != verdict.ok:
         raise InconsistencyError(
             f"meet-homomorphism={verdict.ok} but regular-certification={regular_side}"
         )
     return verdict
-
-
-def _regular_by_definition(u: TabulatedUtility) -> bool:
-    base = certify_quasi_leontief(u)
-    if not base.ok:
-        return False
-    return certify_regular(base.utility).ok
 
 
 def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
@@ -304,7 +245,7 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
     Side C (only when meets are total): the meet-homomorphism identity.
     The certificate passes iff all computed sides agree.
     """
-    side_a = _regular_by_definition(u)
+    side_a = _is_regular(u)
     iso = check_isotone(u)
     phi = check_property_phi(u)
     lbd = check_lower_bounded_level_sets(u)
@@ -312,15 +253,7 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
     sides = {"definition": side_a, "isotone+phi+lower-bounded": side_b}
     ok = side_a == side_b
     if u.poset.is_inf_semilattice():
-        side_c = True
-        for i, x in enumerate(u.poset.elements):
-            if not side_c:
-                break
-            for y in u.poset.elements[i:]:
-                m = u.poset.meet(x, y)
-                if not u.scale.eq(u.values[m], min(u.values[x], u.values[y])):
-                    side_c = False
-                    break
+        side_c = _meet_failure(u) is None
         sides["meet-homomorphism"] = side_c
         ok = ok and side_a == side_c
     detail = ", ".join(f"{k}={v}" for k, v in sides.items())
@@ -344,16 +277,18 @@ def verify_galois(
         dual_table = cert.dual_table
     poset = u.poset
     for lam, d in dual_table.items():
-        for x in poset.elements:
-            lhs = poset.leq(d, x)
-            rhs = u.scale.le(lam, u.values[x])
-            if lhs != rhs:
-                return Certificate(
-                    False,
-                    "galois-adjunction",
-                    witnesses=(x, lam),
-                    detail=f"x>=u#({lam!r}) is {lhs} but u(x)>={lam!r} is {rhs}",
-                )
+        up = poset._up[poset.index_of(d)]
+        differ = up ^ u.level_set(lam).mask
+        if differ:
+            i = (differ & -differ).bit_length() - 1
+            x = poset.elements[i]
+            lhs = bool(up >> i & 1)
+            return Certificate(
+                False,
+                "galois-adjunction",
+                witnesses=(x, lam),
+                detail=f"x>=u#({lam!r}) is {lhs} but u(x)>={lam!r} is {not lhs}",
+            )
     return Certificate(True, "galois-adjunction", dual_table=dict(dual_table))
 
 

@@ -329,17 +329,6 @@ class FinitePoset:
             )
         return self._meet_total
 
-    def meet_table(self) -> Optional[Dict[Tuple[Element, Element], Element]]:
-        """Full meet table when the poset is an inf-semilattice, else None."""
-        table = {}
-        for x in self.elements:
-            for y in self.elements:
-                m = self.meet(x, y)
-                if m is None:
-                    return None
-                table[(x, y)] = m
-        return table
-
     # -- chains and filtering ------------------------------------------------
 
     def is_chain(self, subset: Iterable[Element]) -> bool:
@@ -457,11 +446,6 @@ class ProductSpace:
 
     def __repr__(self) -> str:
         return f"ProductSpace({'x'.join(str(len(f)) for f in self.factors)})"
-
-
-def product_poset(factors: Sequence[FinitePoset]) -> ProductSpace:
-    """Product of posets with the coordinatewise order."""
-    return ProductSpace(factors)
 
 
 def grid_space(*ranges: Sequence[Element]) -> ProductSpace:

@@ -53,6 +53,11 @@ class TestCheck:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    def test_list_values_is_input_error(self, tmp_path, capsys):
+        bad = write(tmp_path, "list.json", {"poset": chain_json(2), "values": ["1", "2"]})
+        assert main(["check", bad]) == 2
+        assert "error: tabulated 'values' must be an object" in capsys.readouterr().err
+
     def test_json_report_structure(self, min_grid_utility, capsys):
         assert main(["check", "--json", min_grid_utility]) == 0
         report = json.loads(capsys.readouterr().out)

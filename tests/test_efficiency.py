@@ -130,14 +130,6 @@ class TestPartialDualConsistency:
         cert = q.partial_dual_consistency(cu, lam, (0,), (3,), 1)
         assert cert.ok and not cert.detail
 
-    def test_cache_rejects_conflicting_entries(self, min_on_4x4):
-        cache = q.efficiency.PartialDualCache(min_on_4x4)
-        cache.record(0, F(2), 2)
-        assert cache.lookup(0, F(2)) == 2
-        cache.record(0, F(2), 2)
-        with pytest.raises(q.InconsistencyError):
-            cache.record(0, F(2), 3)
-
 
 class TestPuMap:
     def test_strictly_increasing_axes_make_everything_efficient(self):
@@ -157,7 +149,7 @@ class TestPuMap:
 
     def test_single_axis_product_reduces_to_efficient_set(self):
         chain = q.FinitePoset.chain(range(4))
-        space = q.product_poset([chain])
+        space = q.ProductSpace([chain])
         u = certified(
             q.TabulatedUtility(
                 space.as_poset(), {(t,): F(min(t, 2)) for t in range(4)}, space=space

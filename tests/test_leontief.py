@@ -404,7 +404,7 @@ class TestMinDecompose:
 
     def test_single_factor(self):
         u = identity_chain_utility(4)
-        space = q.product_poset([u.poset])
+        space = q.ProductSpace([u.poset])
         tab = certified(
             q.TabulatedUtility(
                 space.as_poset(), {(t,): F(t) for t in range(4)}, space=space

@@ -210,7 +210,7 @@ class TestEfficientRefinement:
             ["bot", "a", "b", "top"],
             [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
         )
-        space = q.product_poset([diamond, diamond])
+        space = q.ProductSpace([diamond, diamond])
         poset = space.as_poset()
         # upper level sets are up-sets of the points of an ascending chain,
         # so the table is quasi-Leontief by construction
@@ -238,7 +238,7 @@ class TestEfficientRefinement:
             [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
         )
         chain = q.FinitePoset.chain(range(2))
-        space = q.product_poset([diamond, chain])
+        space = q.ProductSpace([diamond, chain])
         poset = space.as_poset()
         rank = {"bot": 0, "a": 1, "b": 1, "top": 2}
         values = {p: F(rank[p[0]]) for p in poset.elements}

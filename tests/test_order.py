@@ -140,10 +140,6 @@ class TestMeet:
             for y in big.elements:
                 assert big.meet(x, y) == (min(x[0], y[0]), min(x[1], y[1]))
 
-    def test_meet_table_none_without_meets(self):
-        p = FinitePoset.antichain(["a", "b"])
-        assert p.meet_table() is None
-
 
 class TestChainsAndFiltering:
     def test_diagonal_is_chain(self, grid22):
@@ -207,7 +203,7 @@ class TestProductSpace:
 
     def test_empty_factor_list_rejected(self):
         with pytest.raises(q.OrderError):
-            q.product_poset([])
+            q.ProductSpace([])
 
     def test_as_poset_matches_componentwise(self):
         space = q.grid_space(range(3), range(2))
