@@ -2,8 +2,8 @@
 
 Subcommands: check, efficient, maximize, refine, decompose, corpus.
 Exit codes: 0 pass, 1 mathematical failure (with witness), 2 input or usage
-error.  Reports are deterministic: identical config and seed give
-byte-identical JSON.
+error, 3 internal inconsistency (a library bug).  Reports are deterministic:
+identical config and seed give byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -404,7 +404,7 @@ def _suite_localization(seed: int, n: int) -> List[dict]:
         mm = maximal_argmax(cu, S)
         if not cu.scale.eq(cu.value(mm), res.value):
             problems.append("maximal maximizer misses the maximum value")
-        if any(y != mm and y in S.members() for y in poset.up_set(mm)):
+        if any(y != mm and y in S for y in poset.up_set(mm)):
             problems.append("maximal maximizer is not maximal in S")
         for p in problems:
             failures.append({"instance": i, "property": "maximization", "detail": p})
@@ -493,6 +493,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InputError, OrderError, UtilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -104,17 +104,29 @@ def poset_from_json(obj, *, base_dir: str = ".") -> Union[FinitePoset, ProductSp
                 raise InputError("product factors must be plain posets")
             factors.append(p)
         return ProductSpace(factors)
-    if "elements" not in obj:
-        raise InputError("poset needs an 'elements' list")
-    elements = list(obj["elements"])
+    elements = obj.get("elements")
+    if not _ids(elements):
+        raise InputError("poset needs an 'elements' list of strings or numbers")
     try:
         if "covers" in obj:
-            return FinitePoset.from_covers(elements, [tuple(p) for p in obj["covers"]])
+            return FinitePoset.from_covers(elements, _pairs(obj, "covers"))
         if "leq" in obj:
-            return FinitePoset.from_leq(elements, [tuple(p) for p in obj["leq"]])
+            return FinitePoset.from_leq(elements, _pairs(obj, "leq"))
     except OrderError as exc:
         raise InputError(f"invalid poset: {exc}") from exc
     raise InputError("poset needs 'covers' or 'leq'")
+
+
+def _ids(raw, n=None) -> bool:  # JSON arrays and objects are unhashable, so not ids
+    return isinstance(raw, list) and (n is None or len(raw) == n) and not any(
+        isinstance(e, (list, dict)) for e in raw)
+
+
+def _pairs(obj, field: str) -> list:
+    pairs = obj[field]
+    if not isinstance(pairs, list) or not all(_ids(p, 2) for p in pairs):
+        raise InputError(f"poset '{field}' must be a list of element pairs")
+    return [tuple(p) for p in pairs]
 
 
 def resolve_element(space: Union[FinitePoset, ProductSpace], raw):
@@ -181,7 +193,10 @@ def utility_from_json(obj, *, base_dir: str = "."):
             alpha = [parse_number(c) for c in obj["alpha"]]
             return power_leontief(a, alpha, _box_from_json(obj["box"]))
         if kind == "price_matrix":
-            return price_matrix_leontief(obj["P"])
+            P = obj["P"]
+            if not isinstance(P, list) or not all(isinstance(r, list) and len(r) == len(P) for r in P):
+                raise InputError("price matrix 'P' must be a square list of rows")
+            return price_matrix_leontief([[parse_number(c) for c in row] for row in P])
         if kind == "affine":
             base = utility_from_json(obj["base"], base_dir=base_dir)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))

@@ -745,16 +745,9 @@ def restrict(u, downset: Union[DownSet, Sequence]):
     if isinstance(u, TabulatedUtility):
         if not isinstance(downset, DownSet):
             raise UtilityError("tabulated restriction needs a DownSet")
-        if isinstance(downset.space, ProductSpace):
-            members = downset.members()
-            parent = downset.space.as_poset()
-            if u.poset != parent:
-                raise UtilityError("down-set lives in a different space")
-        else:
-            if downset.space != u.poset:
-                raise UtilityError("down-set lives in a different poset")
-            members = downset.members()
-        sub = u.poset.induced(sorted(members, key=u.poset.index_of))
+        if downset.space != u.poset:
+            raise UtilityError("down-set lives in a different poset")
+        sub = u.poset.induced(downset.sorted_members())
         new = TabulatedUtility(
             sub, {e: u.values[e] for e in sub.elements}, scale=u.scale
         )

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .efficiency import certified_partial, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
 from .oracle import Certificate, InconsistencyError
-from .order import DownSet, Element, FinitePoset, OrderError, ProductSpace
+from .order import DownSet, Element, OrderError, ProductSpace, product_mask
 
 
 class PreconditionError(UtilityError):
@@ -47,26 +47,19 @@ class ArgmaxResult:
         }
 
 
-def _downset_poset(S: DownSet) -> FinitePoset:
-    if isinstance(S.space, ProductSpace):
-        return S.space.as_poset()
-    return S.space
-
-
 def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     """Maximize a certified utility over a nonempty comprehensive set.
 
     Returns the full maximizer set together with the largest efficient point
     of the set, which lower-bounds every maximizer.
     """
-    poset = _downset_poset(S)
     members = S.sorted_members()
     if not members:
         raise OrderError("empty down-set")
     best = max(u.value(x) for x in members)
     maximizers = tuple(x for x in members if u.scale.eq(u.value(x), best))
     eff_in_s = [x for x in members if u.interior(x) == u._norm(x)]
-    xbar = poset.greatest(eff_in_s)
+    xbar = S.space.greatest(eff_in_s)
     if xbar is None:
         raise InconsistencyError(
             "no largest efficient point inside a nonempty finite comprehensive set"
@@ -95,44 +88,40 @@ def maximal_argmax(u: TabulatedUtility, S: DownSet) -> Element:
     Existence is guaranteed on finite comprehensive sets; ties are broken by
     the string form of the element id for reproducibility.
     """
-    poset = _downset_poset(S)
+    poset = S.space
     res = argmax_over_downset(u, S)
-    member_set = S.members()
-    out = []
-    for x in res.maximizers:
-        if all(y == x for y in poset.up_set(x) if y in member_set):
-            out.append(x)
+    out = [x for x in res.maximizers if not poset._sup[poset.index_of(x)] & S.mask]
     if not out:
         raise InconsistencyError("no maximizer is maximal in the down-set")
     return sorted(out, key=str)[0]
 
 
 def check_argmax_localization(u: TabulatedUtility, S: DownSet) -> Certificate:
-    """Direct enumeration of the localized argmax equivalences on a
-    comprehensive set: nonempty argmax globally, above some point, and above
-    every interior point."""
-    poset = _downset_poset(S)
+    """The finite localization identity on a comprehensive set S: for x^ the
+    first member attaining max_S u exactly and d = u°(x^), (a) d lies in S,
+    (b) d is the largest efficient point of S, and (c) argmax_S u = S ∩ up(d).
+    A wrong interior entry at x^ fails (a) or (c); x^ and d are the witnesses."""
+    poset = S.space
+    if poset != u.poset:
+        raise OrderError("down-set lives in a different poset")
     members = S.sorted_members()
     if not members:
         raise OrderError("empty down-set")
-
-    def argmax_nonempty(pool) -> bool:
-        return len(pool) > 0  # finite pools always attain their max
-
-    a = argmax_nonempty(members)
-    b = any(
-        argmax_nonempty([y for y in members if poset.leq(x0, y)]) for x0 in members
-    )
-    c = all(
-        argmax_nonempty([y for y in members if poset.leq(u.interior(x), y)])
-        for x in members
-    )
-    ok = a == b == c
+    best = max(u.value(x) for x in members)
+    x_hat = next(x for x in members if u.value(x) == best)
+    d = u.interior(x_hat)
+    i = poset.index_of(d)
+    efficient = poset._mask(x for x in members if u.interior(x) == x)
+    a = bool(S.mask >> i & 1)
+    b = bool(efficient >> i & 1) and efficient & ~poset._down[i] == 0
+    c = S.mask & u.level_set(best).mask == S.mask & poset._up[i]
+    ok = a and b and c
     return Certificate(
         ok,
         "argmax-localization",
-        witnesses=() if ok else tuple(members[:1]),
-        detail=f"(a)={a}, (b)={b}, (c)={c}",
+        witnesses=() if ok else (x_hat, d),
+        detail=f"d = interior of the first exact maximizer; (a) d in S: {a}, "
+        f"(b) d is the largest efficient point of S: {b}, (c) argmax = S & up(d): {c}",
         data={"a": a, "b": b, "c": c},
     )
 
@@ -184,10 +173,13 @@ def product_downset(space: ProductSpace, factor_sets: Sequence[DownSet]) -> Down
     """The product of per-factor comprehensive sets as one comprehensive set."""
     if len(factor_sets) != space.n_axes:
         raise OrderError("one factor set per axis is required")
-    from itertools import product as _iproduct
-
-    members = frozenset(_iproduct(*(s.sorted_members() for s in factor_sets)))
-    return DownSet(space, members)
+    for axis, (s, f) in enumerate(zip(factor_sets, space.factors)):
+        if s.space != f:
+            raise OrderError(f"factor set {axis} lives in the wrong poset")
+    mask = factor_sets[0].mask
+    for s in factor_sets[1:]:
+        mask = product_mask(mask, s.mask, len(s.space))
+    return DownSet(space.as_poset(), mask)
 
 
 def efficient_refinement(
@@ -212,16 +204,11 @@ def efficient_refinement(
     if space is None:
         raise UtilityError("refinement needs a product-domain utility")
     n = space.n_axes
-    if len(factor_sets) != n:
-        raise OrderError("one comprehensive set per axis is required")
-    for axis, s in enumerate(factor_sets):
-        if s.space != space.factors[axis]:
-            raise OrderError(f"factor set {axis} lives in the wrong poset")
+    S = product_downset(space, factor_sets)
     x_star = space._check_point(x_star)
-    if any(x_star[i] not in factor_sets[i] for i in range(n)):
+    if x_star not in S:
         raise PreconditionError(f"start {x_star!r} is outside the feasible product")
 
-    S = product_downset(space, factor_sets)
     members = S.sorted_members()
     opt = max(u.value(x) for x in members)
     if not u.scale.eq(u.value(x_star), opt):

@@ -244,11 +244,14 @@ class FinitePoset:
             m |= self._up[self.index_of(x)]
         return frozenset(self._unmask(m))
 
-    def down_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
+    def _down_mask(self, subset: Iterable[Element]) -> int:
         m = 0
         for x in subset:
             m |= self._down[self.index_of(x)]
-        return frozenset(self._unmask(m))
+        return m
+
+    def down_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
+        return frozenset(self._unmask(self._down_mask(subset)))
 
     def comprehensive_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
         return self.down_closure(subset)
@@ -421,31 +424,31 @@ class ProductSpace:
     def as_poset(self) -> FinitePoset:
         """Explicit FinitePoset on all product points (cached).
 
-        Masks are folded factor by factor: with points enumerated last factor
-        fastest, the up-mask of (prefix, c) is the union of the factor's
-        up-mask shifted to every prefix position above the current one.
+        Masks are folded factor by factor (see ``product_mask``): the up-set
+        of (prefix, c) is up(prefix) x up(c).
         """
         if self._poset is None:
             masks = list(self.factors[0]._up)
             for f in self.factors[1:]:
                 n = len(f)
-                folded = []
-                for prefix_mask in masks:
-                    for j in range(n):
-                        mj = f._up[j]
-                        m = 0
-                        rest = prefix_mask
-                        while rest:
-                            low = rest & -rest
-                            m |= mj << ((low.bit_length() - 1) * n)
-                            rest ^= low
-                        folded.append(m)
-                masks = folded
+                masks = [product_mask(prefix, mj, n) for prefix in masks for mj in f._up]
             self._poset = FinitePoset(list(self.points()), masks)
         return self._poset
 
     def __repr__(self) -> str:
         return f"ProductSpace({'x'.join(str(len(f)) for f in self.factors)})"
+
+
+def product_mask(outer: int, inner: int, n_inner: int) -> int:
+    """Mask of the product of two subsets, ``outer`` over a poset P and
+    ``inner`` over a poset Q of ``n_inner`` elements, indexed over P x Q with
+    the Q coordinate fastest (the order of ``ProductSpace.points``)."""
+    m = 0
+    while outer:
+        low = outer & -outer
+        m |= inner << ((low.bit_length() - 1) * n_inner)
+        outer ^= low
+    return m
 
 
 def grid_space(*ranges: Sequence[Element]) -> ProductSpace:
@@ -457,16 +460,24 @@ def integer_grid(n_axes: int, lo: int = 0, hi: int = 3) -> ProductSpace:
     return grid_space(*(range(lo, hi + 1) for _ in range(n_axes)))
 
 
-class DownSet:
-    """A comprehensive (downward closed) subset of a poset or product space.
+def _point(x):
+    # product points may arrive as lists
+    return tuple(x) if isinstance(x, list) else x
 
-    Explicit mode validates downward closure; generated mode takes the
-    downward closure of finitely many generators.
+
+class DownSet:
+    """A comprehensive (downward closed) subset of a finite poset.
+
+    ``mask`` marks the members by element index of ``space``.  A
+    ``ProductSpace`` given to the constructors is read through its cached
+    ``as_poset()``, so ``space`` is always a ``FinitePoset``.  Explicit mode
+    validates downward closure; generated mode takes the downward closure of
+    finitely many generators.
     """
 
-    def __init__(self, space, members: FrozenSet, generators: Optional[Tuple] = None):
+    def __init__(self, space: FinitePoset, mask: int, generators: Optional[Tuple] = None):
         self.space = space
-        self._members = frozenset(members)
+        self.mask = mask
         self.generators = generators
         self._sorted: Optional[Tuple] = None
 
@@ -474,62 +485,45 @@ class DownSet:
     def mode(self) -> str:
         return "generated" if self.generators is not None else "explicit"
 
+    @staticmethod
+    def _poset(space) -> FinitePoset:
+        return space.as_poset() if isinstance(space, ProductSpace) else space
+
     @classmethod
     def from_members(cls, space, members: Iterable) -> "DownSet":
-        members = frozenset(members)
-        if isinstance(space, FinitePoset):
-            closure = space.down_closure(members)
-            if closure != members:
-                bad = sorted(closure - members, key=space.index_of)[0]
-                raise OrderError(f"not comprehensive: {bad!r} is below a member but missing")
-        else:
-            members_t = {space._check_point(m) for m in members}
-            for m in members_t:
-                for p in space.points():
-                    if space.leq(p, m) and p not in members_t:
-                        raise OrderError(
-                            f"not comprehensive: {p!r} is below {m!r} but missing"
-                        )
-            members = frozenset(members_t)
-        return cls(space, members)
+        poset = cls._poset(space)
+        members = tuple(map(_point, members))
+        mask = poset._mask(members)
+        missing = poset._down_mask(members) & ~mask
+        if missing:
+            bad = poset.elements[(missing & -missing).bit_length() - 1]
+            raise OrderError(f"not comprehensive: {bad!r} is below a member but missing")
+        return cls(poset, mask)
 
     @classmethod
     def from_generators(cls, space, generators: Iterable) -> "DownSet":
-        gens = tuple(generators)
-        if isinstance(space, FinitePoset):
-            members = space.down_closure(gens)
-        else:
-            gens = tuple(space._check_point(g) for g in gens)
-            members = frozenset(
-                p for p in space.points() if any(space.leq(p, g) for g in gens)
-            )
-        return cls(space, members, gens)
+        poset = cls._poset(space)
+        gens = tuple(map(_point, generators))
+        return cls(poset, poset._down_mask(gens), gens)
 
     def members(self) -> FrozenSet:
-        return self._members
+        return frozenset(self.sorted_members())
 
     def sorted_members(self) -> Tuple:
         """Members in the ambient enumeration order (deterministic)."""
         if self._sorted is None:
-            if isinstance(self.space, FinitePoset):
-                self._sorted = tuple(
-                    sorted(self._members, key=self.space.index_of)
-                )
-            else:
-                key = {p: i for i, p in enumerate(self.space.points())}
-                self._sorted = tuple(sorted(self._members, key=key.__getitem__))
+            self._sorted = self.space._unmask(self.mask)
         return self._sorted
 
     def contains(self, x) -> bool:
-        if isinstance(self.space, ProductSpace):
-            x = tuple(x)
-        return x in self._members
+        i = self.space._index.get(_point(x))
+        return i is not None and bool(self.mask >> i & 1)
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator:
         return iter(self.sorted_members())

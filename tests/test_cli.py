@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qleontief import cli, oracle
 from qleontief.cli import main
 
 
@@ -57,6 +58,18 @@ class TestCheck:
         bad = write(tmp_path, "list.json", {"poset": chain_json(2), "values": ["1", "2"]})
         assert main(["check", bad]) == 2
         assert "error: tabulated 'values' must be an object" in capsys.readouterr().err
+
+    def test_list_poset_element_is_input_error(self, tmp_path, capsys):
+        poset = {"elements": [["0"], "1"], "covers": [[["0"], "1"]]}
+        bad = write(tmp_path, "elem.json", {"poset": poset, "values": {"0": "0", "1": "1"}})
+        assert main(["check", bad]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: poset needs an 'elements' list of strings or numbers\n"
+
+    def test_non_numeric_price_entry_is_input_error(self, tmp_path, capsys):
+        bad = write(tmp_path, "price.json", {"type": "price_matrix", "P": [["1", "x"], ["0", "1"]]})
+        assert main(["check", bad]) == 2
+        assert capsys.readouterr().err == "error: not a rational: 'x'\n"
 
     def test_json_report_structure(self, min_grid_utility, capsys):
         assert main(["check", "--json", min_grid_utility]) == 0
@@ -292,6 +305,39 @@ class TestCertificationFailureExitCodes:
         s = write(tmp_path, "s.json", {"generators": ["1,1"]})
         assert main(["maximize", sum_utility, "--downset", s]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def disagree(*args, **kwargs):
+    raise oracle.InconsistencyError("certifiers disagree")
+
+
+class TestInternalInconsistencyExitCode:
+    @pytest.fixture
+    def broken_certifiers(self, monkeypatch):
+        monkeypatch.setattr(oracle, "certify_quasi_leontief", disagree)
+        monkeypatch.setattr(oracle, "check_characterization_equivalence", disagree)
+
+    @pytest.mark.parametrize("command", ["check", "efficient", "maximize", "corpus"])
+    def test_exits_three(self, command, broken_certifiers, min_grid_utility, tmp_path, capsys):
+        s = write(tmp_path, "s.json", {"generators": ["1,1"]})
+        argv = {
+            "check": ["check", min_grid_utility],
+            "efficient": ["efficient", min_grid_utility],
+            "maximize": ["maximize", min_grid_utility, "--downset", s],
+            "corpus": ["corpus", "--n", "1"],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: certifiers disagree\n"
+        assert captured.out == ""
+
+    def test_refine_keeps_its_failure_report(self, monkeypatch, min_grid_utility, tmp_path, capsys):
+        monkeypatch.setattr(cli, "efficient_refinement", disagree)
+        s1 = write(tmp_path, "s1.json", {"members": ["0", "1"]})
+        s2 = write(tmp_path, "s2.json", {"members": ["0", "1"]})
+        assert main(["refine", "--json", min_grid_utility, "--sets", s1, s2]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False and report["error"] == "certifiers disagree"
 
 
 class TestClosedFormCheck:

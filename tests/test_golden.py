@@ -1,9 +1,13 @@
 """CLI reports pinned byte for byte.
 
 Each ``*.out`` file under ``tests/data`` is the stdout the CLI printed for
-the listed command before the certifiers were moved onto the shared
-level-set record; the inputs sit next to it.  Commands run from inside
-``tests/data`` so the ``input`` field of a report is the bare file name.
+the listed command before a refactor of the code under it (the certifiers'
+shared level-set record for ``check`` and ``corpus``, the down-set member
+masks for the ``product3`` reports); the inputs sit next to it.  In the two
+``maximize`` reports the ``localization`` certificate alone was re-captured,
+when the vacuous localization check became one that can fail.  Commands run
+from inside ``tests/data`` so the ``input`` field of a report is the bare
+file name.
 """
 from __future__ import annotations
 
@@ -26,6 +30,24 @@ CASES = {
     "corpus_n6_seed7_fault.out": (
         ["corpus", "--json", "--n", "6", "--seed", "7", "--inject-fault"],
         1,
+    ),
+    "product3.maximize_generators.out": (
+        ["maximize", "--json", "product3.json", "--downset", "product3_generators.json"],
+        0,
+    ),
+    "product3.maximize_members.out": (
+        ["maximize", "--json", "product3.json", "--downset", "product3_members.json"],
+        0,
+    ),
+    "product3.efficient_subset.out": (
+        ["efficient", "--json", "product3.json", "--subset", "product3_members.json"],
+        0,
+    ),
+    "product3.refine.out": (
+        ["refine", "--json", "product3.json", "--sets", "product3_axis1.json",
+         "product3_axis2.json", "product3_axis3.json", "--start", "product3_start.json",
+         "--order", "3,1,2"],
+        0,
     ),
 }
 

@@ -47,6 +47,11 @@ class TestPosetFiles:
                 }
             )
 
+    @pytest.mark.parametrize("covers", [[["a", ["b"]]], [["a", "b", "c"]], [{"a": "b"}], "ab"])
+    def test_malformed_pairs_are_input_errors(self, covers):
+        with pytest.raises(io.InputError, match="'covers' must be a list of element pairs"):
+            io.poset_from_json({"elements": ["a", "b", "c"], "covers": covers})
+
     def test_product_form(self):
         space = io.poset_from_json(
             {

@@ -141,6 +141,38 @@ class TestArgmaxLocalization:
             s = corpus.random_downset(rng, poset)
             assert q.check_argmax_localization(u, s).ok
 
+    def test_wrong_interior_entry_fails(self, min_on_4x4):
+        s = downset(min_on_4x4.poset, [(2, 3)])
+        table = {x: min_on_4x4.interior(x) for x in min_on_4x4.poset}
+        table[(2, 2)] = (2, 3)  # (2, 2) is the first exact maximizer in s
+        cert = q.check_argmax_localization(min_on_4x4._certified_copy(table), s)
+        assert not cert.ok
+        assert cert.witnesses == ((2, 2), (2, 3))
+        assert cert.data == {"a": True, "b": False, "c": False}
+
+    def test_every_wrong_interior_at_the_maximizer_fails(self):
+        for i in range(30):
+            rng = corpus.derive_rng(37, "localization-fault", i)
+            poset = corpus.random_poset(rng, 10, with_bottom=True)
+            u = certified(corpus.random_quasileontief_utility(rng, poset))
+            s = corpus.random_downset(rng, poset)
+            members = s.sorted_members()
+            best = max(u.value(x) for x in members)
+            x_hat = next(x for x in members if u.value(x) == best)
+            for wrong in poset.elements:
+                if wrong == u.interior(x_hat):
+                    continue
+                table = {x: u.interior(x) for x in poset}
+                table[x_hat] = wrong
+                cert = q.check_argmax_localization(u._certified_copy(table), s)
+                assert not cert.ok
+                assert cert.witnesses == (x_hat, wrong)
+
+    def test_downset_in_another_poset_rejected(self, min_on_4x4):
+        other = q.grid_space(range(4), range(5)).as_poset()
+        with pytest.raises(q.OrderError, match="different poset"):
+            q.check_argmax_localization(min_on_4x4, downset(other, [(0, 0)]))
+
 
 class TestEfficientRefinement:
     def test_grid_walkthrough(self, min_on_4x4):
