@@ -213,7 +213,7 @@ def cmd_maximize(args) -> int:
     space = u.space if u.space is not None else u.poset
     S = downset_from_json(load_json(args.downset), space)
     res = argmax_over_downset(u, S)
-    mm = maximal_argmax(u, S)
+    mm = maximal_argmax(u, S, res)
     loc = check_argmax_localization(u, S)
     res_json = res.to_json()
     res_json["maximal_maximizer"] = encode_elem(mm)
@@ -401,7 +401,7 @@ def _suite_localization(seed: int, n: int) -> List[dict]:
             problems.append("largest efficient point is not a maximizer")
         if not all(poset.leq(res.largest_efficient, x) for x in res.maximizers):
             problems.append("a maximizer fails to dominate the largest efficient point")
-        mm = maximal_argmax(cu, S)
+        mm = maximal_argmax(cu, S, res)
         if not cu.scale.eq(cu.value(mm), res.value):
             problems.append("maximal maximizer misses the maximum value")
         if any(y != mm and y in S for y in poset.up_set(mm)):

@@ -9,7 +9,9 @@ Utility:   tabulated {"poset": <poset-or-path>, "values": {"e1": "3/2", ...}}
 
 Rationals are "p/q" strings.  Product points appear either as arrays of
 factor ids or as comma-joined strings ("2,3"); value-map keys always use the
-comma-joined form.
+comma-joined form.  A token names the element equal to it, else the one
+element whose string form is the token stripped of surrounding blanks; two
+such elements make the token ambiguous, which is an input error.
 """
 from __future__ import annotations
 
@@ -143,10 +145,18 @@ def resolve_element(space: Union[FinitePoset, ProductSpace], raw):
         return tuple(
             resolve_element(f, c) for f, c in zip(space.factors, parts)
         )
-    for e in space.elements:
-        if e == raw or str(e) == str(raw).strip():
-            return e
-    raise InputError(f"unknown element {raw!r}")
+    try:
+        i = space._index.get(raw)
+    except TypeError:  # JSON arrays are unhashable, so never ids
+        i = None
+    if i is not None:
+        return space.elements[i]
+    found = space._by_str().get(str(raw).strip(), ())
+    if len(found) > 1:
+        raise InputError(f"ambiguous element {raw!r}: matches {', '.join(map(repr, found))}")
+    if not found:
+        raise InputError(f"unknown element {raw!r}")
+    return found[0]
 
 
 def downset_from_json(obj, space) -> DownSet:
@@ -165,15 +175,19 @@ def downset_from_json(obj, space) -> DownSet:
 
 
 def _box_from_json(obj) -> Box:
-    axes = []
-    for ax in obj.get("axes", []):
-        lo = parse_number(ax["lo"])
-        hi = parse_number(ax["hi"])
-        step = parse_number(ax["step"]) if "step" in ax else None
-        axes.append(BoxAxis(lo, hi, step))
-    if not axes:
+    axes = obj.get("axes") if isinstance(obj, dict) else None
+    if not isinstance(axes, list) or not axes:
         raise InputError("box needs a nonempty 'axes' list")
-    return Box(axes)
+    if not all(isinstance(ax, dict) for ax in axes):
+        raise InputError("box 'axes' must be a list of objects")
+    return Box([
+        BoxAxis(
+            parse_number(ax["lo"]),
+            parse_number(ax["hi"]),
+            parse_number(ax["step"]) if "step" in ax else None,
+        )
+        for ax in axes
+    ])
 
 
 def utility_from_json(obj, *, base_dir: str = "."):

@@ -82,14 +82,18 @@ def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:
     return ArgmaxResult(best, tuple(winners))
 
 
-def maximal_argmax(u: TabulatedUtility, S: DownSet) -> Element:
+def maximal_argmax(
+    u: TabulatedUtility, S: DownSet, res: Optional[ArgmaxResult] = None
+) -> Element:
     """A point that is simultaneously maximal in S and a maximizer of u on S.
 
+    ``res`` is ``argmax_over_downset(u, S)`` when the caller already has it.
     Existence is guaranteed on finite comprehensive sets; ties are broken by
     the string form of the element id for reproducibility.
     """
     poset = S.space
-    res = argmax_over_downset(u, S)
+    if res is None:
+        res = argmax_over_downset(u, S)
     out = [x for x in res.maximizers if not poset._sup[poset.index_of(x)] & S.mask]
     if not out:
         raise InconsistencyError("no maximizer is maximal in the down-set")

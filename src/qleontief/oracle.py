@@ -10,8 +10,9 @@ meet-homomorphism identity u(x ^ y) = min(u(x), u(y)).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .leontief import TabulatedUtility
 from .order import Element, OrderError, _bits
@@ -127,41 +128,65 @@ def _is_regular(u: TabulatedUtility) -> bool:
 
 
 def check_isotone(u: TabulatedUtility) -> Certificate:
-    """Monotonicity over all comparable pairs."""
+    """Monotonicity over all comparable pairs: up(x) lies inside the level set
+    at u(x).  The witness y is the first element of up(x) outside it."""
     poset = u.poset
-    for x in poset.elements:
-        vx = u.values[x]
-        for y in poset.up_set(x):
-            if not u.scale.le(vx, u.values[y]):
-                return Certificate(
-                    False,
-                    "isotone",
-                    witnesses=(x, y),
-                    detail=f"u({x!r})={vx!r} > u({y!r})={u.values[y]!r}",
-                )
+    for i, (x, vx) in enumerate(u.values.items()):
+        above = poset._up[i] & ~u.level_set(vx).mask
+        if above:
+            y = poset.elements[(above & -above).bit_length() - 1]
+            return Certificate(
+                False,
+                "isotone",
+                witnesses=(x, y),
+                detail=f"u({x!r})={vx!r} > u({y!r})={u.values[y]!r}",
+            )
     return Certificate(True, "isotone")
 
 
+def _value_bands(u: TabulatedUtility) -> Tuple[List[int], List[int]]:
+    """Per element index, the rank of its value in ``u.image()``; per rank r,
+    the mask of the elements whose value the scale counts equal to image[r].
+
+    Ranks order values like the values do, so min(u(x), u(y)) has rank
+    min(rank(x), rank(y)).  On the exact scale a band is one value class.  On a
+    tolerant scale |v - t| <= tol holds on an interval of v, so the band of t
+    is a run of consecutive ranks, found by bisection.
+    """
+    img = u.image()
+    rank_of = {v: r for r, v in enumerate(img)}
+    ranks = [rank_of[v] for v in u.values.values()]
+    classes = [0] * len(img)
+    for i, r in enumerate(ranks):
+        classes[r] |= 1 << i
+    if u.scale.kind == "exact":
+        return ranks, classes
+    eq = u.scale.eq
+    prefix = [0]
+    for c in classes:
+        prefix.append(prefix[-1] | c)
+    bands = []
+    for r, t in enumerate(img):
+        lo = bisect_left(range(r), True, key=lambda s: eq(img[s], t))
+        hi = r + bisect_left(range(r, len(img)), True, key=lambda s: not eq(img[s], t))
+        bands.append(prefix[hi] ^ prefix[lo])
+    return ranks, bands
+
+
 def check_property_phi(u: TabulatedUtility) -> Certificate:
-    """Every pair has a common lower bound attaining the min of their values."""
+    """Every pair has a common lower bound attaining the min of their values:
+    down(x) & down(y) meets the band of min(u(x), u(y))."""
     poset = u.poset
-    n = len(poset.elements)
+    down = poset._down
+    ranks, bands = _value_bands(u)
+    n = len(ranks)
     for i in range(n):
-        x = poset.elements[i]
+        ri, di = ranks[i], down[i]
         for j in range(i, n):
-            y = poset.elements[j]
-            target = min(u.values[x], u.values[y])
-            lows = poset._down[i] & poset._down[j]
-            ok = False
-            m = lows
-            while m:
-                low = m & -m
-                k = low.bit_length() - 1
-                if u.scale.eq(u.values[poset.elements[k]], target):
-                    ok = True
-                    break
-                m ^= low
-            if not ok:
+            rj = ranks[j]
+            if not di & down[j] & bands[rj if rj < ri else ri]:
+                x, y = poset.elements[i], poset.elements[j]
+                target = min(u.values[x], u.values[y])
                 return Certificate(
                     False,
                     "property-phi",
@@ -200,12 +225,17 @@ def _meet_failure(u: TabulatedUtility):
     (x, y, u(x ^ y), min(u(x), u(y))); None when the identity holds.  Needs a
     total meet."""
     poset = u.poset
-    for i, x in enumerate(poset.elements):
-        for y in poset.elements[i:]:
-            got = u.values[poset.meet(x, y)]
-            want = min(u.values[x], u.values[y])
-            if not u.scale.eq(got, want):
-                return x, y, got, want
+    meet = poset._meet_index
+    ranks, bands = _value_bands(u)
+    n = len(ranks)
+    for i in range(n):
+        ri = ranks[i]
+        for j in range(i, n):
+            rj = ranks[j]
+            m = meet(i, j)
+            if not bands[rj if rj < ri else ri] >> m & 1:
+                x, y = poset.elements[i], poset.elements[j]
+                return x, y, u.values[poset.elements[m]], min(u.values[x], u.values[y])
     return None
 
 

@@ -2,8 +2,11 @@
 
 Elements are opaque hashable ids.  A poset stores the full relation as
 per-element bitmasks over element indices, so comparability queries are O(1)
-and subset sweeps (least, minimal, meet, ...) stay cheap at desk scale
-(|X| up to a few thousand elements).
+and least, minimal and maximal elements of a subset are one mask test per
+member.  A meet is a constant number of big-int operations: along a linear
+extension the meet of x and y, when it exists, is the highest-numbered common
+lower bound (see ``FinitePoset._meet_index``), so the pairwise sweeps over
+meets run in O(N^2) mask operations.
 """
 from __future__ import annotations
 
@@ -89,7 +92,10 @@ class FinitePoset:
     cycles (``from_covers``).
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_sup", "_sdown", "_meet_total")
+    __slots__ = (
+        "elements", "_index", "_up", "_down", "_sup", "_sdown", "_meet_total", "_meet_frame",
+        "_names",
+    )
 
     def __init__(self, elements: Sequence[Element], up_masks: Sequence[int]):
         self.elements: Tuple[Element, ...] = tuple(elements)
@@ -106,6 +112,8 @@ class FinitePoset:
         self._sup: List[int] = [self._up[i] & ~(1 << i) for i in range(n)]
         self._sdown: List[int] = [self._down[i] & ~(1 << i) for i in range(n)]
         self._meet_total: Optional[bool] = None
+        self._meet_frame: Optional[Tuple[List[int], Optional[List[int]]]] = None
+        self._names: Optional[Dict[str, List[Element]]] = None
 
     # -- construction ----------------------------------------------------
 
@@ -210,6 +218,15 @@ class FinitePoset:
         except KeyError:
             raise OrderError(f"unknown element {x!r}") from None
 
+    def _by_str(self) -> Dict[str, List[Element]]:
+        """Elements grouped by their string form, in element order (cached)."""
+        if self._names is None:
+            names: Dict[str, List[Element]] = {}
+            for e in self.elements:
+                names.setdefault(str(e), []).append(e)
+            self._names = names
+        return self._names
+
     def _mask(self, subset: Iterable[Element]) -> int:
         m = 0
         for x in subset:
@@ -303,15 +320,54 @@ class FinitePoset:
 
     # -- meets and joins -----------------------------------------------------
 
+    def _meet_masks(self) -> Tuple[List[int], Optional[List[int]]]:
+        """Down masks renumbered along a linear extension (cached).
+
+        Returns ``(down, order)``: ``down[i]`` is the down-set of element i
+        with each member j at bit ``label[j]``, and ``order[label]`` is the
+        element index of a label.  When the index order already is a linear
+        extension (no element has a larger index below it) the labels are the
+        indices, ``down`` is ``_down`` and ``order`` is None.
+        """
+        if self._meet_frame is None:
+            down = self._down
+            if all(d >> (i + 1) == 0 for i, d in enumerate(down)):
+                self._meet_frame = (down, None)
+            else:
+                order = self._extension_order()
+                label = [0] * len(order)
+                for k, i in enumerate(order):
+                    label[i] = k
+                renumbered = []
+                for d in down:
+                    m = 0
+                    for j in _bits(d):
+                        m |= 1 << label[j]
+                    renumbered.append(m)
+                self._meet_frame = (renumbered, order)
+        return self._meet_frame
+
+    def _meet_index(self, i: int, j: int) -> Optional[int]:
+        """Element index of the meet of elements i and j, or None.
+
+        Along a linear extension every element below m carries a smaller label
+        than m.  So the meet, when it exists, is the common lower bound with the
+        highest label, and that candidate is the meet iff every common lower
+        bound lies below it.
+        """
+        down, order = self._meet_masks()
+        lows = down[i] & down[j]
+        if not lows:
+            return None
+        m = lows.bit_length() - 1
+        if order is not None:
+            m = order[m]
+        return m if lows & ~down[m] == 0 else None
+
     def meet(self, x: Element, y: Element) -> Optional[Element]:
         """Greatest lower bound of {x, y}, or None when it does not exist."""
-        lows = self._down[self.index_of(x)] & self._down[self.index_of(y)]
-        if lows == 0:
-            return None
-        for i in _bits(lows):
-            if lows & ~self._down[i] == 0:
-                return self.elements[i]
-        return None
+        m = self._meet_index(self.index_of(x), self.index_of(y))
+        return None if m is None else self.elements[m]
 
     def join(self, x: Element, y: Element) -> Optional[Element]:
         ups = self._up[self.index_of(x)] & self._up[self.index_of(y)]
@@ -325,10 +381,10 @@ class FinitePoset:
     def is_inf_semilattice(self) -> bool:
         """True iff every pair has a meet."""
         if self._meet_total is None:
+            n = len(self.elements)
+            meet = self._meet_index
             self._meet_total = all(
-                self.meet(x, y) is not None
-                for i, x in enumerate(self.elements)
-                for y in self.elements[i + 1 :]
+                meet(i, j) is not None for i in range(n) for j in range(i + 1, n)
             )
         return self._meet_total
 
@@ -354,8 +410,11 @@ class FinitePoset:
 
     def linear_extension(self) -> Tuple[Element, ...]:
         """Elements in an order-compatible sequence (below comes before above)."""
-        order = sorted(range(len(self.elements)), key=lambda i: (self._down[i].bit_count(), i))
-        return tuple(self.elements[i] for i in order)
+        return tuple(self.elements[i] for i in self._extension_order())
+
+    def _extension_order(self) -> List[int]:
+        # a strictly smaller element has a strictly smaller down-set
+        return sorted(range(len(self.elements)), key=lambda i: (self._down[i].bit_count(), i))
 
 
 class ProductSpace:

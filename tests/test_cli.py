@@ -71,6 +71,17 @@ class TestCheck:
         assert main(["check", bad]) == 2
         assert capsys.readouterr().err == "error: not a rational: 'x'\n"
 
+    @pytest.mark.parametrize("box", [{"axes": "x"}, []])
+    def test_malformed_box_is_input_error(self, box, tmp_path, capsys):
+        bad = write(tmp_path, "box.json", {"type": "classical", "a": ["1"], "box": box})
+        assert main(["check", bad]) == 2
+        assert capsys.readouterr().err == "error: box needs a nonempty 'axes' list\n"
+
+    def test_box_axis_not_an_object_is_input_error(self, tmp_path, capsys):
+        bad = write(tmp_path, "box.json", {"type": "classical", "a": ["1"], "box": {"axes": ["0"]}})
+        assert main(["check", bad]) == 2
+        assert capsys.readouterr().err == "error: box 'axes' must be a list of objects\n"
+
     def test_json_report_structure(self, min_grid_utility, capsys):
         assert main(["check", "--json", min_grid_utility]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -118,6 +129,22 @@ class TestMaximize:
         assert res["largest_efficient"] == ["2", "2"]
         assert res["maximal_maximizer"] == ["2", "3"]
         assert report["localization"]["verdict"] == "pass"
+
+    def test_argmax_computed_once(self, min_grid_utility, tmp_path, capsys, monkeypatch):
+        from qleontief import maximize
+
+        calls = []
+        original = maximize.argmax_over_downset
+
+        def counted(u, S):
+            calls.append(S)
+            return original(u, S)
+
+        monkeypatch.setattr(cli, "argmax_over_downset", counted)
+        monkeypatch.setattr(maximize, "argmax_over_downset", counted)
+        s = write(tmp_path, "s.json", {"generators": [["2", "3"]]})
+        assert main(["maximize", "--json", min_grid_utility, "--downset", s]) == 0
+        assert len(calls) == 1
 
 
 class TestMaximizeClosedForm:

@@ -91,6 +91,18 @@ class TestDownsetAndPoints:
         with pytest.raises(io.InputError, match="comprehensive"):
             io.downset_from_json({"members": ["2,2"]}, self.space)
 
+    def test_exact_id_wins_over_string_form(self):
+        poset = io.poset_from_json({"elements": ["1", 1, "b"], "covers": []})
+        assert io.resolve_element(poset, 1) == 1 and io.resolve_element(poset, "1") == "1"
+        assert io.resolve_element(poset, " b ") == "b"
+
+    def test_shared_string_form_is_ambiguous(self):
+        poset = io.poset_from_json({"elements": ["1", 1], "covers": []})
+        with pytest.raises(io.InputError, match=r"^ambiguous element ' 1': matches '1', 1$"):
+            io.resolve_element(poset, " 1")
+        with pytest.raises(io.InputError, match=r"^unknown element \['1'\]$"):
+            io.resolve_element(poset, ["1"])
+
     def test_point_forms(self):
         assert io.point_from_json({"point": ["1", "2"]}, self.space) == ("1", "2")
         assert io.point_from_json({"point": "1,2"}, self.space) == ("1", "2")

@@ -1,0 +1,231 @@
+"""The pairwise certifiers and meets against the O(N^3) loops they replaced.
+
+Each reference visits every pair (x, y) in element order and, for each pair,
+every common lower bound or every element above x.  The library answers the
+same questions with a few big-int operations per pair: a meet is the highest
+common lower bound along a linear extension, and property Phi and the meet
+identity test one value band per pair.  Verdicts, witnesses and detail texts
+must agree exactly.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+import qleontief as q
+from qleontief import corpus
+from qleontief.oracle import _meet_failure
+from qleontief.order import _bits
+
+
+# -- references -------------------------------------------------------------------
+
+
+def ref_meet(poset, x, y):
+    lows = poset._down[poset.index_of(x)] & poset._down[poset.index_of(y)]
+    for i in _bits(lows):
+        if lows & ~poset._down[i] == 0:
+            return poset.elements[i]
+    return None
+
+
+def ref_is_inf_semilattice(poset):
+    els = poset.elements
+    return all(ref_meet(poset, x, y) is not None for i, x in enumerate(els) for y in els[i + 1:])
+
+
+def ref_property_phi(u):
+    """(ok, witnesses, detail) of property Phi by scanning every common lower bound."""
+    poset = u.poset
+    n = len(poset.elements)
+    for i in range(n):
+        x = poset.elements[i]
+        for j in range(i, n):
+            y = poset.elements[j]
+            target = min(u.values[x], u.values[y])
+            lows = poset._down[i] & poset._down[j]
+            if not any(u.scale.eq(u.values[poset.elements[k]], target) for k in _bits(lows)):
+                return False, (x, y), f"no common lower bound attains {target!r}"
+    return True, (), ""
+
+
+def ref_meet_failure(u):
+    poset = u.poset
+    for i, x in enumerate(poset.elements):
+        for y in poset.elements[i:]:
+            got = u.values[ref_meet(poset, x, y)]
+            want = min(u.values[x], u.values[y])
+            if not u.scale.eq(got, want):
+                return x, y, got, want
+    return None
+
+
+def ref_isotone(u):
+    """(ok, witnesses, detail); the witness y is the first element above x, in
+    element order, with a smaller value."""
+    poset = u.poset
+    for x in poset.elements:
+        vx = u.values[x]
+        for y in poset.elements:
+            if poset.leq(x, y) and not u.scale.le(vx, u.values[y]):
+                return False, (x, y), f"u({x!r})={vx!r} > u({y!r})={u.values[y]!r}"
+    return True, (), ""
+
+
+# -- inputs -----------------------------------------------------------------------
+
+
+def shuffled(rng, poset):
+    """The same order with the elements listed in a random sequence, so that the
+    index order is in general not a linear extension."""
+    els = list(poset.elements)
+    rng.shuffle(els)
+    return q.FinitePoset.from_leq(els, [(a, b) for a in els for b in els if poset.leq(a, b)])
+
+
+def make_poset(rng, shape, size=12):
+    if shape == "chains":
+        return corpus.random_product_of_chains(rng).as_poset()
+    poset = corpus.random_poset(rng, size, with_bottom=shape.endswith("bottom"))
+    return shuffled(rng, poset) if shape.startswith("shuffled") else poset
+
+
+def make_table(rng, poset, table):
+    if table == "regular" and poset.bottom() is not None:
+        return corpus.random_quasileontief_utility(rng, poset).values
+    if table in ("regular", "isotone"):
+        return corpus.random_isotone_utility(rng, poset).values
+    return {e: F(rng.randint(0, 3), 2) for e in poset.elements}
+
+
+# Float offsets and tolerances chosen so that bands overlap without being
+# transitive (tolerance 1/2 on steps of 1/2) and so that sums such as 0.1 + 0.2
+# land on either side of a band's edge.
+JITTER = (0.0, 0.0, 1e-12, 0.1, 0.2, 0.30000000000000004)
+TOLERANCES = (1e-9, 0.1, 0.25, 0.5)
+
+
+def make_utility(seed, shape, table, scale, size=12):
+    rng = corpus.derive_rng(seed, "pairwise", shape, table, scale)
+    poset = make_poset(rng, shape, size)
+    values = make_table(rng, poset, table)
+    if scale == "exact":
+        return q.TabulatedUtility(poset, values)
+    values = {e: float(v) + rng.choice(JITTER) for e, v in values.items()}
+    return q.TabulatedUtility(poset, values, scale=q.tolerant(rng.choice(TOLERANCES)))
+
+
+SHAPES = ("bottom", "plain", "shuffled-bottom", "shuffled", "chains")
+utilities = st.builds(
+    make_utility,
+    st.integers(0, 2**32),
+    st.sampled_from(SHAPES),
+    st.sampled_from(("regular", "isotone", "arbitrary")),
+    st.sampled_from(("exact", "tolerant")),
+)
+
+
+def outcome(cert):
+    return cert.ok, cert.witnesses, cert.detail
+
+
+# -- differential tests -------------------------------------------------------------
+
+
+def assert_meets_match(poset):
+    for x in poset.elements:
+        for y in poset.elements:
+            assert poset.meet(x, y) == ref_meet(poset, x, y)
+    assert poset.is_inf_semilattice() == ref_is_inf_semilattice(poset)
+
+
+@given(st.integers(0, 2**32), st.sampled_from(SHAPES))
+def test_meets_match_reference(seed, shape):
+    assert_meets_match(make_poset(corpus.derive_rng(seed, "pairwise-meet"), shape))
+
+
+@given(utilities)
+def test_property_phi_matches_reference(u):
+    assert outcome(q.check_property_phi(u)) == ref_property_phi(u)
+
+
+@given(utilities)
+def test_isotone_matches_reference(u):
+    assert outcome(q.check_isotone(u)) == ref_isotone(u)
+
+
+@given(utilities)
+def test_meet_failure_matches_reference(u):
+    if ref_is_inf_semilattice(u.poset):
+        assert _meet_failure(u) == ref_meet_failure(u)
+
+
+@given(st.integers(0, 2**32), st.sampled_from(SHAPES), st.sampled_from(("regular", "arbitrary")))
+def test_meet_homomorphism_matches_reference(seed, shape, table):
+    u = make_utility(seed, shape, table, "exact")
+    if not ref_is_inf_semilattice(u.poset):
+        with pytest.raises(q.OrderError, match="needs a total meet"):
+            q.check_meet_homomorphism(u)
+        return
+    failure = ref_meet_failure(u)
+    cert = q.check_meet_homomorphism(u)
+    if failure is None:
+        assert outcome(cert) == (True, (), "")
+    else:
+        x, y, got, want = failure
+        assert outcome(cert) == (False, (x, y), f"u({x!r} ^ {y!r})={got!r} != {want!r}")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", ["bottom", "shuffled-bottom"])
+def test_wide_posets_match_reference(seed, shape):
+    """Posets of up to 70 elements, so masks span more than one machine word."""
+    for table in ("regular", "arbitrary"):
+        u = make_utility(seed, shape, table, "exact", size=70)
+        assert_meets_match(u.poset)
+        assert outcome(q.check_property_phi(u)) == ref_property_phi(u)
+        assert outcome(q.check_isotone(u)) == ref_isotone(u)
+        if ref_is_inf_semilattice(u.poset):
+            assert _meet_failure(u) == ref_meet_failure(u)
+
+
+def test_renumbering_only_when_index_order_is_not_an_extension():
+    rng = corpus.derive_rng(0, "pairwise-frame")
+    assert q.grid_space(range(3), range(4)).as_poset()._meet_masks()[1] is None
+    assert corpus.random_poset(rng, 12, with_bottom=True)._meet_masks()[1] is None
+    diamond = q.FinitePoset.from_covers(
+        ["top", "a", "b", "bot"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+    )
+    down, order = diamond._meet_masks()
+    assert [diamond.elements[i] for i in order] == list(diamond.linear_extension())
+    assert diamond.meet("top", "a") == "a" and diamond.meet("a", "b") == "bot"
+    assert_meets_match(diamond)
+
+
+# -- witnesses do not depend on hashing -----------------------------------------------
+
+_STAR = """
+import qleontief as q
+p = q.FinitePoset.from_covers(list("abcde"), [("a", y) for y in "bcde"])
+u = q.TabulatedUtility(p, {"a": 2, "b": 1, "c": 1, "d": 1, "e": 1})
+print(q.check_isotone(u).witnesses)
+"""
+
+
+def test_isotone_witness_independent_of_hash_seed():
+    src = str(Path(q.__file__).resolve().parents[1])
+    texts = set()
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _STAR], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        texts.add(run.stdout)
+    assert texts == {"('a', 'b')\n"}
