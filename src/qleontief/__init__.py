@@ -81,11 +81,11 @@ from .maximize import (
     PreconditionError,
     RefinementStep,
     RefinementTrace,
+    argmax_members,
     argmax_over_downset,
     argmax_via_generators,
     check_argmax_localization,
     efficient_refinement,
-    maximal_argmax,
     product_downset,
 )
 

@@ -22,6 +22,7 @@ from .io import (
     elem_key,
     encode_elem,
     encode_value,
+    generators_from_json,
     load_json,
     point_from_json,
     utility_from_json,
@@ -29,10 +30,11 @@ from .io import (
 from .leontief import TabulatedUtility, UtilityError, min_decompose, tabulate
 from .maximize import (
     PreconditionError,
+    argmax_members,
     argmax_over_downset,
+    argmax_via_generators,
     check_argmax_localization,
     efficient_refinement,
-    maximal_argmax,
     product_downset,
 )
 from .oracle import InconsistencyError
@@ -190,13 +192,9 @@ def cmd_maximize(args) -> int:
     if not isinstance(loaded, TabulatedUtility) and (box is None or not box.is_grid()):
         # continuous closed form: isotonicity pushes the maximum to the
         # generators, so a generated down-set is enough
-        obj = load_json(args.downset)
-        if "generators" not in obj:
-            raise InputError("closed-form maximize needs a generated down-set")
-        from .io import parse_number
-        from .maximize import argmax_via_generators
-
-        gens = [tuple(parse_number(c) for c in g) for g in obj["generators"]]
+        gens = generators_from_json(
+            load_json(args.downset), "closed-form maximize needs a generated down-set"
+        )
         res = argmax_via_generators(loaded, gens)
         report = {
             "schema": SCHEMA,
@@ -213,15 +211,12 @@ def cmd_maximize(args) -> int:
     space = u.space if u.space is not None else u.poset
     S = downset_from_json(load_json(args.downset), space)
     res = argmax_over_downset(u, S)
-    mm = maximal_argmax(u, S, res)
     loc = check_argmax_localization(u, S)
-    res_json = res.to_json()
-    res_json["maximal_maximizer"] = encode_elem(mm)
     report = {
         "schema": SCHEMA,
         "command": "maximize",
         "input": args.utility,
-        "result": res_json,
+        "result": res.to_json(),
         "localization": loc.to_json(),
         "ok": loc.ok,
     }
@@ -229,7 +224,7 @@ def cmd_maximize(args) -> int:
         f"value {encode_value(res.value)}",
         f"maximizers {[encode_elem(x) for x in res.maximizers]}",
         f"largest efficient {encode_elem(res.largest_efficient)}",
-        f"maximal maximizer {encode_elem(mm)}",
+        f"maximal maximizer {encode_elem(res.maximal_maximizer)}",
         ("PASS" if loc.ok else "FAIL") + " argmax-localization",
     ]
     _emit(report, args, lines)
@@ -263,12 +258,10 @@ def cmd_refine(args) -> int:
     if args.start is not None:
         x_star = point_from_json(load_json(args.start), space)
     else:
-        members = S.sorted_members()
-        best = max(u.value(x) for x in members)
-        x_star = next(x for x in members if u.scale.eq(u.value(x), best))
+        x_star = argmax_members(u, S)[1][0]
     order = _parse_order(args.order, space.n_axes) if args.order is not None else None
     try:
-        trace = efficient_refinement(cu, sets, x_star, order=order)
+        trace = efficient_refinement(cu, S, x_star, order=order)
     except (PreconditionError, UtilityError, InconsistencyError) as exc:
         report = {
             "schema": SCHEMA,
@@ -401,11 +394,6 @@ def _suite_localization(seed: int, n: int) -> List[dict]:
             problems.append("largest efficient point is not a maximizer")
         if not all(poset.leq(res.largest_efficient, x) for x in res.maximizers):
             problems.append("a maximizer fails to dominate the largest efficient point")
-        mm = maximal_argmax(cu, S, res)
-        if not cu.scale.eq(cu.value(mm), res.value):
-            problems.append("maximal maximizer misses the maximum value")
-        if any(y != mm and y in S for y in poset.up_set(mm)):
-            problems.append("maximal maximizer is not maximal in S")
         for p in problems:
             failures.append({"instance": i, "property": "maximization", "detail": p})
     return failures
@@ -419,12 +407,9 @@ def _suite_refinement(seed: int, n: int) -> List[dict]:
         u = corpus_mod.random_isotone_on_product(rng, space)
         sets = corpus_mod.random_prefix_downsets(rng, space)
         S = product_downset(space, sets)
-        members = S.sorted_members()
-        best = max(u.value(x) for x in members)
-        maximizers = [x for x in members if u.scale.eq(u.value(x), best)]
-        for x_star in maximizers:
+        for x_star in argmax_members(u, S)[1]:
             try:
-                efficient_refinement(u, sets, x_star)
+                efficient_refinement(u, S, x_star)
             except (InconsistencyError, UtilityError) as exc:
                 failures.append(
                     {"instance": i, "property": "refinement", "detail": str(exc)}

@@ -143,13 +143,13 @@ def is_efficient_minimal(u: TabulatedUtility, x) -> bool:
 
 
 def minimality_witness(u: TabulatedUtility, x) -> Optional[Element]:
-    """A point strictly below x with value >= u(x), or None when x is minimal."""
+    """The lowest-index point strictly below x with value >= u(x), or None
+    when x is minimal."""
     x = u._norm(x)
-    lam = u.values[x]
-    for y in u.poset.down_set(x):
-        if y != x and u.scale.le(lam, u.values[y]):
-            return y
-    return None
+    poset = u.poset
+    i = poset.index_of(x)
+    below = poset._down[i] & ~(1 << i) & u.level_set(u.values[x]).mask
+    return poset.elements[(below & -below).bit_length() - 1] if below else None
 
 
 @dataclass(frozen=True)

@@ -162,16 +162,29 @@ def resolve_element(space: Union[FinitePoset, ProductSpace], raw):
 def downset_from_json(obj, space) -> DownSet:
     if isinstance(obj, str):
         raise InputError("down-set must be inline JSON here")
-    try:
-        if "generators" in obj:
-            gens = [resolve_element(space, g) for g in obj["generators"]]
-            return DownSet.from_generators(space, gens)
-        if "members" in obj:
-            members = [resolve_element(space, m) for m in obj["members"]]
-            return DownSet.from_members(space, members)
-    except OrderError as exc:
-        raise InputError(f"invalid down-set: {exc}") from exc
+    if isinstance(obj, dict):
+        try:
+            if "generators" in obj:
+                gens = [resolve_element(space, g) for g in _list(obj, "generators")]
+                return DownSet.from_generators(space, gens)
+            if "members" in obj:
+                members = [resolve_element(space, m) for m in _list(obj, "members")]
+                return DownSet.from_members(space, members)
+        except OrderError as exc:
+            raise InputError(f"invalid down-set: {exc}") from exc
     raise InputError("down-set needs 'generators' or 'members'")
+
+
+def generators_from_json(obj, missing: str) -> list:
+    """The points of a closed-form generated down-set, ``{"generators":
+    [[x1, ...], ...]}``, as tuples of numbers; ``missing`` is the error text
+    when ``obj`` has no generators."""
+    gens = obj.get("generators") if isinstance(obj, dict) else None
+    if gens is None:
+        raise InputError(missing)
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise InputError("down-set 'generators' must be a list of points")
+    return [tuple(parse_number(c) for c in g) for g in gens]
 
 
 def _box_from_json(obj) -> Box:
@@ -200,11 +213,11 @@ def utility_from_json(obj, *, base_dir: str = "."):
         if kind == "tabulated":
             return _tabulated_from_json(obj, base_dir)
         if kind == "classical":
-            a = [parse_number(c) for c in obj["a"]]
+            a = [parse_number(c) for c in _list(obj, "a")]
             return classical_leontief(a, _box_from_json(obj["box"]))
         if kind == "power":
-            a = [parse_number(c) for c in obj["a"]]
-            alpha = [parse_number(c) for c in obj["alpha"]]
+            a = [parse_number(c) for c in _list(obj, "a")]
+            alpha = [parse_number(c) for c in _list(obj, "alpha")]
             return power_leontief(a, alpha, _box_from_json(obj["box"]))
         if kind == "price_matrix":
             P = obj["P"]
@@ -215,7 +228,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
             base = utility_from_json(obj["base"], base_dir=base_dir)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))
         if kind == "min_product":
-            factors = [utility_from_json(f, base_dir=base_dir) for f in obj["factors"]]
+            factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
             from .oracle import require_certified
 
             factors = [
@@ -228,15 +241,23 @@ def utility_from_json(obj, *, base_dir: str = "."):
             if isinstance(base, TabulatedUtility):
                 space = base.space if base.space is not None else base.poset
                 return restrict(base, downset_from_json(obj["downset"], space))
-            gens = obj["downset"].get("generators")
-            if gens is None:
-                raise InputError("closed-form restriction needs generators")
-            return restrict(base, [tuple(parse_number(c) for c in g) for g in gens])
+            gens = generators_from_json(
+                obj["downset"], "closed-form restriction needs generators"
+            )
+            return restrict(base, gens)
     except KeyError as exc:
         raise InputError(f"utility object is missing field {exc}") from None
     except (OrderError, UtilityError) as exc:
         raise InputError(f"invalid utility: {exc}") from exc
     raise InputError(f"unknown utility type {kind!r}")
+
+
+def _list(obj: dict, field: str) -> list:
+    """``obj[field]``, which must be a JSON array."""
+    raw = obj[field]
+    if not isinstance(raw, list):
+        raise InputError(f"'{field}' must be a list")
+    return raw
 
 
 def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:

@@ -203,8 +203,8 @@ class TabulatedUtility(_Closure):
         up = poset._up
         least = next((i for i in _bits(mask) if mask & ~up[i] == 0), None)
         if least is None:
-            sdown = poset._sdown
-            mins = [poset.elements[i] for i in _bits(mask) if mask & sdown[i] == 0]
+            down = poset._down
+            mins = [poset.elements[i] for i in _bits(mask) if mask & down[i] == 1 << i]
             return LevelSet(
                 mask, None, tuple(mins[:2]), f"level set at {lam!r} has no least element"
             )

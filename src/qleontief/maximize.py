@@ -5,7 +5,8 @@ largest efficient point inside the set, every maximizer dominates that point,
 and some maximizer is simultaneously maximal in the set.  The refinement
 sweep walks the axes of a product domain, replacing each coordinate of a
 maximizer by its partial interior, and lands on an efficient maximizer below
-the starting one.
+the starting one.  ``argmax_members`` is the one walk over the members of a
+comprehensive set; maximization, localization and refinement all read it.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .efficiency import certified_partial, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
 from .oracle import Certificate, InconsistencyError
-from .order import DownSet, Element, OrderError, ProductSpace, product_mask
+from .order import DownSet, Element, OrderError, ProductSpace, _bits, product_mask
 
 
 class PreconditionError(UtilityError):
@@ -29,6 +30,7 @@ class ArgmaxResult:
     ``largest_efficient`` is the largest efficient point inside the set; it
     is itself a maximizer and every maximizer dominates it.
     ``maximal_maximizer`` is a maximizer that is maximal in the set.
+    ``argmax_over_downset`` fills both; ``argmax_via_generators`` neither.
     """
 
     value: Any
@@ -47,24 +49,44 @@ class ArgmaxResult:
         }
 
 
-def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
-    """Maximize a certified utility over a nonempty comprehensive set.
+def argmax_members(u: TabulatedUtility, S: DownSet) -> Tuple[Any, Tuple]:
+    """The maximum of u over a nonempty comprehensive set and the members
+    that attain it on ``u.scale``, in member order.
 
-    Returns the full maximizer set together with the largest efficient point
-    of the set, which lower-bounds every maximizer.
+    Reads values only, so ``u`` need not be certified.
     """
     members = S.sorted_members()
     if not members:
         raise OrderError("empty down-set")
-    best = max(u.value(x) for x in members)
-    maximizers = tuple(x for x in members if u.scale.eq(u.value(x), best))
-    eff_in_s = [x for x in members if u.interior(x) == u._norm(x)]
-    xbar = S.space.greatest(eff_in_s)
-    if xbar is None:
-        raise InconsistencyError(
-            "no largest efficient point inside a nonempty finite comprehensive set"
-        )
-    return ArgmaxResult(best, maximizers, largest_efficient=xbar)
+    values = [u.value(x) for x in members]
+    best = max(values)
+    return best, tuple(x for x, v in zip(members, values) if u.scale.eq(v, best))
+
+
+def _largest_efficient(u: TabulatedUtility, S: DownSet) -> Optional[int]:
+    """Index of the greatest member of S fixed by the interior map, or None."""
+    poset = S.space
+    efficient = poset._mask(x for x in S.sorted_members() if u.interior(x) == x)
+    return next((i for i in _bits(efficient) if efficient & ~poset._down[i] == 0), None)
+
+
+def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
+    """Maximize a certified utility over a nonempty comprehensive set.
+
+    Returns the full maximizer set, the largest efficient point of the set,
+    which lower-bounds every maximizer, and the maximizer that is maximal in
+    the set (nothing else of S lies above it), ties broken by string form.
+    """
+    best, maximizers = argmax_members(u, S)
+    poset = S.space
+    k = _largest_efficient(u, S)
+    if k is None:
+        raise InconsistencyError("no largest efficient point inside a nonempty finite comprehensive set")
+    tops = [poset.elements[i] for i in map(poset.index_of, maximizers)
+            if S.mask & poset._up[i] == 1 << i]
+    if not tops:
+        raise InconsistencyError("no maximizer is maximal in the down-set")
+    return ArgmaxResult(best, maximizers, poset.elements[k], min(tops, key=str))
 
 
 def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:
@@ -82,24 +104,6 @@ def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:
     return ArgmaxResult(best, tuple(winners))
 
 
-def maximal_argmax(
-    u: TabulatedUtility, S: DownSet, res: Optional[ArgmaxResult] = None
-) -> Element:
-    """A point that is simultaneously maximal in S and a maximizer of u on S.
-
-    ``res`` is ``argmax_over_downset(u, S)`` when the caller already has it.
-    Existence is guaranteed on finite comprehensive sets; ties are broken by
-    the string form of the element id for reproducibility.
-    """
-    poset = S.space
-    if res is None:
-        res = argmax_over_downset(u, S)
-    out = [x for x in res.maximizers if not poset._sup[poset.index_of(x)] & S.mask]
-    if not out:
-        raise InconsistencyError("no maximizer is maximal in the down-set")
-    return sorted(out, key=str)[0]
-
-
 def check_argmax_localization(u: TabulatedUtility, S: DownSet) -> Certificate:
     """The finite localization identity on a comprehensive set S: for x^ the
     first member attaining max_S u exactly and d = u°(x^), (a) d lies in S,
@@ -108,16 +112,12 @@ def check_argmax_localization(u: TabulatedUtility, S: DownSet) -> Certificate:
     poset = S.space
     if poset != u.poset:
         raise OrderError("down-set lives in a different poset")
-    members = S.sorted_members()
-    if not members:
-        raise OrderError("empty down-set")
-    best = max(u.value(x) for x in members)
-    x_hat = next(x for x in members if u.value(x) == best)
+    best, maximizers = argmax_members(u, S)
+    x_hat = next(x for x in maximizers if u.value(x) == best)
     d = u.interior(x_hat)
     i = poset.index_of(d)
-    efficient = poset._mask(x for x in members if u.interior(x) == x)
     a = bool(S.mask >> i & 1)
-    b = bool(efficient >> i & 1) and efficient & ~poset._down[i] == 0
+    b = _largest_efficient(u, S) == i
     c = S.mask & u.level_set(best).mask == S.mask & poset._up[i]
     ok = a and b and c
     return Certificate(
@@ -135,7 +135,6 @@ class RefinementStep:
     axis: int
     before: Element
     after: Element
-    point: Tuple
 
     def to_json(self) -> dict:
         from .io import encode_elem
@@ -188,33 +187,33 @@ def product_downset(space: ProductSpace, factor_sets: Sequence[DownSet]) -> Down
 
 def efficient_refinement(
     u: TabulatedUtility,
-    factor_sets: Sequence[DownSet],
+    S: DownSet,
     x_star: Sequence,
     *,
     order: Optional[Sequence[int]] = None,
 ) -> RefinementTrace:
-    """Refine a maximizer over a product of comprehensive sets into an
-    efficient maximizer below it.
+    """Refine a maximizer over a comprehensive set of a product domain (such
+    as a ``product_downset``) into an efficient maximizer below it.
 
     The sweep visits the axes in ``order`` (default ascending); at each step
     the current coordinate is replaced by the interior of the one-axis
     partial utility frozen at the rest of the current point.  Invariants are
-    re-verified after every step: the point stays a maximizer, every visited
-    coordinate stays axis-efficient inside its factor set, and the start
-    dominates the point.  The final point is additionally checked to be
-    minimally efficient; any violation raises InconsistencyError.
+    re-verified after every step: the point stays a maximizer, the start
+    dominates it (so it stays in S), and every visited coordinate stays
+    axis-efficient.  The final point is additionally checked to be minimally
+    efficient; any violation raises InconsistencyError.
     """
     space = u.space
     if space is None:
         raise UtilityError("refinement needs a product-domain utility")
+    if S.space != u.poset:
+        raise OrderError("down-set lives in a different poset")
     n = space.n_axes
-    S = product_downset(space, factor_sets)
     x_star = space._check_point(x_star)
     if x_star not in S:
         raise PreconditionError(f"start {x_star!r} is outside the feasible product")
 
-    members = S.sorted_members()
-    opt = max(u.value(x) for x in members)
+    opt, _ = argmax_members(u, S)
     if not u.scale.eq(u.value(x_star), opt):
         raise PreconditionError(
             f"start {x_star!r} attains {u.value(x_star)!r}, maximum is {opt!r}"
@@ -229,42 +228,24 @@ def efficient_refinement(
 
     cur = x_star
     steps: List[RefinementStep] = []
-    visited: List[int] = []
-    for axis in order:
+    for k, axis in enumerate(order):
         before = cur[axis]
         rest = space.delete(cur, axis)
         partial = certified_partial(u, rest, axis)
         target = partial.utility.interior(before)
         cur = space.substitute(rest, axis, target)
-        steps.append(RefinementStep(axis, before, target, cur))
-        visited.append(axis)
-        _verify_invariants(u, space, factor_sets, x_star, cur, visited, opt)
+        steps.append(RefinementStep(axis, before, target))
+        if not u.scale.eq(u.value(cur), opt):
+            raise InconsistencyError(f"{cur!r} left the argmax during refinement")
+        if not space.leq(cur, x_star):
+            raise InconsistencyError(f"{cur!r} is not dominated by the start {x_star!r}")
+        for a in order[: k + 1]:
+            # the axis just refined keeps its rest, so its slice is reused
+            p = partial if a == axis else certified_partial(u, space.delete(cur, a), a)
+            if p.utility.interior(cur[a]) != cur[a]:
+                raise InconsistencyError(f"coordinate {a} of {cur!r} is not axis-efficient")
 
     if not is_efficient_minimal(u, cur):
         raise InconsistencyError(f"refined point {cur!r} is not minimally efficient")
     checks = {"argmax": True, "dominated": True, "efficient": True}
     return RefinementTrace(x_star, tuple(steps), cur, tuple(order), checks)
-
-
-def _verify_invariants(
-    u: TabulatedUtility,
-    space: ProductSpace,
-    factor_sets: Sequence[DownSet],
-    x_star: Tuple,
-    cur: Tuple,
-    visited: Sequence[int],
-    opt,
-) -> None:
-    if not u.scale.eq(u.value(cur), opt):
-        raise InconsistencyError(f"{cur!r} left the argmax during refinement")
-    if not space.leq(cur, x_star):
-        raise InconsistencyError(f"{cur!r} is not dominated by the start {x_star!r}")
-    for axis in visited:
-        if cur[axis] not in factor_sets[axis]:
-            raise InconsistencyError(f"coordinate {axis} of {cur!r} left its factor set")
-        rest = space.delete(cur, axis)
-        partial = certified_partial(u, rest, axis)
-        if partial.utility.interior(cur[axis]) != cur[axis]:
-            raise InconsistencyError(
-                f"coordinate {axis} of {cur!r} is not axis-efficient"
-            )

@@ -93,8 +93,7 @@ class FinitePoset:
     """
 
     __slots__ = (
-        "elements", "_index", "_up", "_down", "_sup", "_sdown", "_meet_total", "_meet_frame",
-        "_names",
+        "elements", "_index", "_up", "_down", "_meet_total", "_meet_frame", "_names",
     )
 
     def __init__(self, elements: Sequence[Element], up_masks: Sequence[int]):
@@ -109,8 +108,6 @@ class FinitePoset:
             for j in _bits(self._up[i]):
                 down[j] |= 1 << i
         self._down: List[int] = down
-        self._sup: List[int] = [self._up[i] & ~(1 << i) for i in range(n)]
-        self._sdown: List[int] = [self._down[i] & ~(1 << i) for i in range(n)]
         self._meet_total: Optional[bool] = None
         self._meet_frame: Optional[Tuple[List[int], Optional[List[int]]]] = None
         self._names: Optional[Dict[str, List[Element]]] = None
@@ -306,11 +303,11 @@ class FinitePoset:
     def minimal(self, subset: Iterable[Element]) -> Tuple[Element, ...]:
         """Minimal members of ``subset``, in element order; empty only for empty input."""
         m = self._mask(subset)
-        return tuple(self.elements[i] for i in _bits(m) if m & self._sdown[i] == 0)
+        return tuple(self.elements[i] for i in _bits(m) if m & self._down[i] == 1 << i)
 
     def maximal(self, subset: Iterable[Element]) -> Tuple[Element, ...]:
         m = self._mask(subset)
-        return tuple(self.elements[i] for i in _bits(m) if m & self._sup[i] == 0)
+        return tuple(self.elements[i] for i in _bits(m) if m & self._up[i] == 1 << i)
 
     def bottom(self) -> Optional[Element]:
         return self.least(self.elements)

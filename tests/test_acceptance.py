@@ -181,7 +181,7 @@ class TestAcceptance:
                 for x_star in members:
                     if u.value(x_star) != best:
                         continue
-                    trace = q.efficient_refinement(u, sets, x_star)
+                    trace = q.efficient_refinement(u, S, x_star)
                     assert u.value(trace.result) == best
                     assert space.leq(trace.result, x_star)
                     assert q.is_efficient_minimal(u, trace.result)
@@ -200,7 +200,7 @@ class TestAcceptance:
                 assert res.largest_efficient in res.maximizers
                 for x in res.maximizers:
                     assert poset.leq(res.largest_efficient, x)
-                mm = q.maximal_argmax(cu, S)
+                mm = res.maximal_maximizer
                 assert cu.value(mm) == res.value
                 assert mm in res.maximizers
                 assert all(

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qleontief import cli, oracle
+from qleontief import cli, maximize, oracle
 from qleontief.cli import main
 
 
@@ -238,6 +243,21 @@ class TestRefine:
         report = json.loads(capsys.readouterr().out)
         assert report["trace"]["result"] == ["2", "2"]
 
+    def test_product_downset_built_once(self, min_grid_utility, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = maximize.product_downset
+
+        def counted(space, sets):
+            calls.append(sets)
+            return original(space, sets)
+
+        monkeypatch.setattr(cli, "product_downset", counted)
+        monkeypatch.setattr(maximize, "product_downset", counted)
+        s1 = write(tmp_path, "s1.json", {"members": ["0", "1", "2"]})
+        s2 = write(tmp_path, "s2.json", {"members": ["0", "1", "2", "3"]})
+        assert main(["refine", "--json", min_grid_utility, "--sets", s1, s2]) == 0
+        assert len(calls) == 1
+
 
 class TestDecompose:
     def test_min_identity_on_subset(self, min_grid_utility, tmp_path, capsys):
@@ -442,3 +462,99 @@ class TestThreeFactorWalkthrough:
             x = [int(c) for c in report["trace"]["result"]]
             assert min(x[0] * x[2], x[1]) == 3
             assert report["trace"]["checks"]["efficient"] is True
+
+
+GRID_BOX = {"axes": [{"lo": "0", "hi": "2", "step": "1"}] * 2}
+CONTINUOUS_BOX = {"axes": [{"lo": "0", "hi": "2"}] * 2}
+
+
+class TestHostileShapes:
+    """JSON values of the wrong shape are input errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize("utility, err", [
+        ({"type": "classical", "a": 5, "box": GRID_BOX}, "'a' must be a list"),
+        ({"type": "power", "a": ["1", "1"], "alpha": 2, "box": GRID_BOX},
+         "'alpha' must be a list"),
+        ({"type": "restrict", "downset": {"generators": 5},
+          "base": {"type": "classical", "a": ["1", "1"], "box": CONTINUOUS_BOX}},
+         "down-set 'generators' must be a list of points"),
+        ({"type": "restrict", "downset": 7,
+          "base": {"type": "classical", "a": ["1", "1"], "box": CONTINUOUS_BOX}},
+         "closed-form restriction needs generators"),
+        ({"type": "min_product", "factors": 5}, "'factors' must be a list"),
+    ])
+    def test_utility_field(self, utility, err, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "u.json", utility)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("box", [GRID_BOX, CONTINUOUS_BOX])
+    @pytest.mark.parametrize("downset", [7, {"generators": 5}, {"members": 5}])
+    def test_downset_file(self, box, downset, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "classical", "a": ["1", "1"], "box": box})
+        s = write(tmp_path, "s.json", downset)
+        assert main(["maximize", u, "--downset", s]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_feasible_set_without_start(self, min_grid_utility, tmp_path, capsys):
+        s = write(tmp_path, "s.json", {"members": []})
+        assert main(["refine", min_grid_utility, "--sets", s, s]) == 2
+        assert capsys.readouterr().err == "error: empty down-set\n"
+
+
+# Small JSON values: bounded numbers and a few tokens, so that no drawn
+# exponent or coefficient can make a value table expensive to build.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from(["0", "1", "2", "1/2", "-1", "x", "0,1", "2,2", "1,2,0", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["generators", "members", "point", "a"]), inner,
+                      max_size=2),
+    max_leaves=6,
+)
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestFuzzedFields:
+    """Arbitrary small JSON values in one field of a fixed 3x3 problem keep
+    the exit-code contract; an uncaught exception fails the test."""
+
+    @staticmethod
+    def files(root, **objs):
+        paths = {}
+        for name, obj in objs.items():
+            paths[name] = os.path.join(root, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        return paths
+
+    @given(st.sampled_from(["classical-a", "power-a", "power-alpha"]), json_values)
+    @settings(max_examples=150)
+    def test_coefficients(self, field, value):
+        kind, name = field.split("-")
+        utility = {"type": kind, "a": ["1", "2"], "box": GRID_BOX}
+        if kind == "power":
+            utility["alpha"] = ["1", "2"]
+        utility[name] = value
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u=utility)
+            assert run_quietly(["check", p["u"]]) in (0, 1, 2)
+
+    @given(st.sampled_from([GRID_BOX, CONTINUOUS_BOX]), json_values)
+    @settings(max_examples=150)
+    def test_downset_file(self, box, value):
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u={"type": "classical", "a": ["1", "2"], "box": box}, s=value)
+            assert run_quietly(["maximize", p["u"], "--downset", p["s"]]) in (0, 1, 2)
+
+    @given(json_values)
+    @settings(max_examples=150)
+    def test_point_file(self, value):
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u={"type": "classical", "a": ["1", "2"], "box": GRID_BOX},
+                           s={"members": ["0", "1"]}, x=value)
+            argv = ["refine", p["u"], "--sets", p["s"], p["s"], "--start", p["x"]]
+            assert run_quietly(argv) in (0, 1, 2)

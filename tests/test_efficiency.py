@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,38 @@ class TestIsEfficientMinimal:
             level = [p for p in pts if u.value(p) >= u.value(x)]
             minimal = x in brute_minimal(level, tuple_leq)
             assert q.is_efficient_minimal(u, x) == minimal
+
+    def test_witness_is_the_lowest_index_one(self):
+        for i in range(30):
+            rng = corpus.derive_rng(43, "minimality-witness", i)
+            poset = corpus.random_poset(rng, 12, with_bottom=i % 2 == 0)
+            u = corpus.random_isotone_utility(rng, poset)
+            for x in poset.elements:
+                below = [
+                    y for y in poset.elements
+                    if y != x and poset.leq(y, x) and u.value(y) >= u.value(x)
+                ]
+                assert q.minimality_witness(u, x) == (below[0] if below else None)
+
+    def test_witness_independent_of_hash_seed(self):
+        # star b < p, q, r, s < t: every middle point below t keeps its value
+        script = (
+            "import qleontief as q\n"
+            "p = q.FinitePoset.from_covers(list('bpqrst'), [('b', y) for y in 'pqrs']"
+            " + [(y, 't') for y in 'pqrs'])\n"
+            "u = q.TabulatedUtility(p, {e: int(e != 'b') for e in p.elements})\n"
+            "print(q.minimality_witness(u, 't'))\n"
+        )
+        src = str(Path(q.__file__).resolve().parents[1])
+        texts = set()
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=60, check=True,
+            )
+            texts.add(run.stdout)
+        assert texts == {"p\n"}
 
 
 class TestCheckCharpar:

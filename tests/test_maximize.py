@@ -5,18 +5,31 @@ import pytest
 import qleontief as q
 from qleontief import corpus
 
-from conftest import certified
+from conftest import certified, grid_utility
 
 
 def downset(poset, gens):
     return q.DownSet.from_generators(poset, gens)
 
 
-def prefix_sets(space, *lengths):
-    return [
+def prefix_set(space, *lengths):
+    """The product of the first ``lengths[i]`` elements of each factor."""
+    return q.product_downset(space, [
         q.DownSet.from_members(f, f.elements[:k])
         for f, k in zip(space.factors, lengths)
+    ])
+
+
+def ref_maximal_maximizer(u, s):
+    """The maximizers with no other member of s above them, least by string form."""
+    members = s.sorted_members()
+    best = max(u.value(x) for x in members)
+    tops = [
+        x for x in members
+        if u.scale.eq(u.value(x), best)
+        and not any(y != x and y in s for y in u.poset.up_set(x))
     ]
+    return sorted(tops, key=str)[0]
 
 
 def min_x1x3_x2_grid():
@@ -102,21 +115,38 @@ class TestArgmaxViaGenerators:
 class TestMaximalArgmax:
     def test_grid_example(self, min_on_4x4):
         s = downset(min_on_4x4.poset, [(2, 3), (3, 1)])
-        got = q.maximal_argmax(min_on_4x4, s)
+        res = q.argmax_over_downset(min_on_4x4, s)
+        got = res.maximal_maximizer
         assert got == (2, 3)
         maximal_points = set(min_on_4x4.poset.maximal(s.sorted_members()))
         assert got in maximal_points
-        assert min_on_4x4.value(got) == q.argmax_over_downset(min_on_4x4, s).value
+        assert min_on_4x4.value(got) == res.value
 
     def test_unique_top(self, min_on_4x4):
         s = downset(min_on_4x4.poset, [(2, 2)])
-        assert q.maximal_argmax(min_on_4x4, s) == (2, 2)
+        assert q.argmax_over_downset(min_on_4x4, s).maximal_maximizer == (2, 2)
 
     def test_tie_broken_by_element_id_order(self, min_on_4x4):
         s = downset(min_on_4x4.poset, [(1, 3), (3, 1)])
         # both generators attain the same value; the string-lexicographic
         # smaller id wins
-        assert q.maximal_argmax(min_on_4x4, s) == (1, 3)
+        assert q.argmax_over_downset(min_on_4x4, s).maximal_maximizer == (1, 3)
+
+    def test_tie_broken_by_string_form_not_index(self):
+        u = certified(grid_utility(lambda a, b: F(min(a, b)), range(8, 12), range(8, 12)))
+        s = downset(u.poset, [(9, 11), (11, 9)])
+        # (9, 11) comes first in the enumeration, "(11, 9)" first as a string
+        assert q.argmax_over_downset(u, s).maximal_maximizer == (11, 9)
+        assert ref_maximal_maximizer(u, s) == (11, 9)
+
+    def test_matches_reference_on_random_downsets(self):
+        for i in range(60):
+            rng = corpus.derive_rng(41, "maximal-maximizer", i)
+            poset = corpus.random_poset(rng, 12, with_bottom=True)
+            u = certified(corpus.random_quasileontief_utility(rng, poset))
+            s = corpus.random_downset(rng, poset)
+            res = q.argmax_over_downset(u, s)
+            assert res.maximal_maximizer == ref_maximal_maximizer(u, s)
 
 
 class TestArgmaxLocalization:
@@ -176,8 +206,8 @@ class TestArgmaxLocalization:
 
 class TestEfficientRefinement:
     def test_grid_walkthrough(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
-        trace = q.efficient_refinement(min_on_4x4, sets, (2, 3))
+        S = prefix_set(min_on_4x4.space, 3, 4)
+        trace = q.efficient_refinement(min_on_4x4, S, (2, 3))
         assert trace.result == (2, 2)
         assert len(trace.steps) == 2
         assert trace.steps[0].before == 2 and trace.steps[0].after == 2
@@ -187,46 +217,52 @@ class TestEfficientRefinement:
         assert q.is_efficient_minimal(min_on_4x4, trace.result)
 
     def test_already_efficient_start_is_fixed(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
-        trace = q.efficient_refinement(min_on_4x4, sets, (2, 2))
+        S = prefix_set(min_on_4x4.space, 3, 4)
+        trace = q.efficient_refinement(min_on_4x4, S, (2, 2))
         assert trace.result == (2, 2)
         assert trace.changed_axes == ()
 
     def test_three_factor_positive_grid(self):
         u = min_x1x3_x2_grid()
-        sets = prefix_sets(u.space, 3, 3, 3)
-        trace = q.efficient_refinement(u, sets, (3, 3, 3))
+        S = prefix_set(u.space, 3, 3, 3)
+        trace = q.efficient_refinement(u, S, (3, 3, 3))
         assert u.value(trace.result) == u.value((3, 3, 3)) == 3
         assert u.space.leq(trace.result, (3, 3, 3))
         assert q.is_efficient_minimal(u, trace.result)
         assert trace.result[0] * trace.result[2] == trace.result[1]
 
     def test_order_permutation_keeps_postconditions(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
-        trace = q.efficient_refinement(min_on_4x4, sets, (2, 3), order=(1, 0))
+        S = prefix_set(min_on_4x4.space, 3, 4)
+        trace = q.efficient_refinement(min_on_4x4, S, (2, 3), order=(1, 0))
         assert trace.order == (1, 0)
         assert q.is_efficient_minimal(min_on_4x4, trace.result)
         assert min_on_4x4.value(trace.result) == 2
         assert min_on_4x4.space.leq(trace.result, (2, 3))
 
     def test_non_maximizer_start_rejected(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
+        S = prefix_set(min_on_4x4.space, 3, 4)
         with pytest.raises(q.PreconditionError):
-            q.efficient_refinement(min_on_4x4, sets, (1, 1))
+            q.efficient_refinement(min_on_4x4, S, (1, 1))
 
     def test_start_outside_feasible_set_rejected(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
+        S = prefix_set(min_on_4x4.space, 3, 4)
         with pytest.raises(q.PreconditionError):
-            q.efficient_refinement(min_on_4x4, sets, (3, 3))
+            q.efficient_refinement(min_on_4x4, S, (3, 3))
+
+    def test_downset_in_another_poset_rejected(self, min_on_4x4):
+        other = q.grid_space(range(3), range(4))
+        S = q.DownSet.from_generators(other, [(2, 3)])
+        with pytest.raises(q.OrderError, match="different poset"):
+            q.efficient_refinement(min_on_4x4, S, (2, 3))
 
     def test_bad_order_rejected(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
+        S = prefix_set(min_on_4x4.space, 3, 4)
         with pytest.raises(q.OrderError):
-            q.efficient_refinement(min_on_4x4, sets, (2, 3), order=(0, 0))
+            q.efficient_refinement(min_on_4x4, S, (2, 3), order=(0, 0))
 
     def test_trace_json_schema(self, min_on_4x4):
-        sets = prefix_sets(min_on_4x4.space, 3, 4)
-        obj = q.efficient_refinement(min_on_4x4, sets, (2, 3)).to_json()
+        S = prefix_set(min_on_4x4.space, 3, 4)
+        obj = q.efficient_refinement(min_on_4x4, S, (2, 3)).to_json()
         assert obj["start"] == [2, 3]
         assert obj["result"] == [2, 2]
         assert obj["steps"] == [
@@ -253,11 +289,11 @@ class TestEfficientRefinement:
             for p in poset.elements
         }
         u = certified(q.TabulatedUtility(poset, values, space=space))
-        sets = [
+        S = q.product_downset(space, [
             q.DownSet.from_generators(diamond, ["a"]),
             q.DownSet.from_generators(diamond, ["top"]),
-        ]
-        trace = q.efficient_refinement(u, sets, ("a", "top"))
+        ])
+        trace = q.efficient_refinement(u, S, ("a", "top"))
         assert u.value(trace.result) == 2
         assert space.leq(trace.result, ("a", "top"))
         assert q.is_efficient_minimal(u, trace.result)
@@ -275,12 +311,12 @@ class TestEfficientRefinement:
         rank = {"bot": 0, "a": 1, "b": 1, "top": 2}
         values = {p: F(rank[p[0]]) for p in poset.elements}
         u = q.TabulatedUtility(poset, values, space=space)
-        sets = [
+        S = q.product_downset(space, [
             q.DownSet.from_members(diamond, diamond.elements),
             q.DownSet.from_members(chain, chain.elements),
-        ]
+        ])
         with pytest.raises(q.UtilityError, match="not quasi-Leontief"):
-            q.efficient_refinement(u, sets, ("top", 1))
+            q.efficient_refinement(u, S, ("top", 1))
 
     def test_every_maximizer_refines_on_random_instances(self):
         for i in range(30):
@@ -294,7 +330,7 @@ class TestEfficientRefinement:
             for x_star in members:
                 if u.value(x_star) != best:
                     continue
-                trace = q.efficient_refinement(u, sets, x_star)
+                trace = q.efficient_refinement(u, S, x_star)
                 assert u.value(trace.result) == best
                 assert space.leq(trace.result, x_star)
                 assert q.is_efficient_minimal(u, trace.result)

@@ -106,7 +106,7 @@ def test_refinement_steps_never_increase_coordinates(seed):
     members = S.sorted_members()
     best = max(u.value(x) for x in members)
     x_star = next(x for x in members if u.value(x) == best)
-    trace = q.efficient_refinement(u, sets, x_star)
+    trace = q.efficient_refinement(u, S, x_star)
     for step in trace.steps:
         factor = space.factors[step.axis]
         assert factor.leq(step.after, step.before)
@@ -190,7 +190,7 @@ def test_refinement_postconditions_hold_under_every_axis_order(seed):
     best = max(u.value(x) for x in members)
     x_star = next(x for x in members if u.value(x) == best)
     for order in permutations(range(space.n_axes)):
-        trace = q.efficient_refinement(u, sets, x_star, order=order)
+        trace = q.efficient_refinement(u, S, x_star, order=order)
         assert u.value(trace.result) == best
         assert space.leq(trace.result, x_star)
         assert q.is_efficient_minimal(u, trace.result)
@@ -219,6 +219,6 @@ def test_maximal_argmax_is_maximal_and_optimal(seed):
     u = q.require_certified(corpus.random_quasileontief_utility(rng, poset))
     s = corpus.random_downset(rng, poset)
     res = q.argmax_over_downset(u, s)
-    mm = q.maximal_argmax(u, s)
+    mm = res.maximal_maximizer
     assert u.value(mm) == res.value
     assert all(y == mm for y in poset.up_set(mm) if y in s.members())
