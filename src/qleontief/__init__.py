@@ -67,7 +67,6 @@ from .efficiency import (
     PuResult,
     certified_partial,
     check_charpar,
-    efficiency_report,
     efficient_set,
     is_efficient_global,
     is_efficient_minimal,

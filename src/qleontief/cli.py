@@ -168,8 +168,7 @@ def cmd_efficient(args) -> int:
     if isinstance(u, TabulatedUtility):
         u = oracle.require_certified(u)
         if args.subset is not None:
-            space = u.space if u.space is not None else u.poset
-            subset = downset_from_json(load_json(args.subset), space).sorted_members()
+            subset = downset_from_json(load_json(args.subset), u.poset).sorted_members()
     elif args.subset is not None:
         raise InputError("--subset needs a tabulated utility")
     eff = efficient_set(u, subset)
@@ -208,8 +207,7 @@ def cmd_maximize(args) -> int:
         return 0
     u = _as_tabulated(loaded)
     u = oracle.require_certified(u)
-    space = u.space if u.space is not None else u.poset
-    S = downset_from_json(load_json(args.downset), space)
+    S = downset_from_json(load_json(args.downset), u.poset)
     res = argmax_over_downset(u, S)
     loc = check_argmax_localization(u, S)
     report = {
@@ -370,7 +368,7 @@ def _suite_charpar(seed: int, n: int) -> List[dict]:
     for i in range(n):
         rng = corpus_mod.derive_rng(seed, "charpar", i)
         space = corpus_mod.random_product_of_chains(rng)
-        u = corpus_mod.random_isotone_on_product(rng, space)
+        u = corpus_mod.random_isotone_utility(rng, space)
         cert = check_charpar(u)
         if not cert.ok:
             failures.append({"instance": i, "property": cert.prop, "detail": cert.detail})
@@ -404,7 +402,7 @@ def _suite_refinement(seed: int, n: int) -> List[dict]:
     for i in range(n):
         rng = corpus_mod.derive_rng(seed, "refinement", i)
         space = corpus_mod.random_product_of_chains(rng)
-        u = corpus_mod.random_isotone_on_product(rng, space)
+        u = corpus_mod.random_isotone_utility(rng, space)
         sets = corpus_mod.random_prefix_downsets(rng, space)
         S = product_downset(space, sets)
         for x_star in argmax_members(u, S)[1]:

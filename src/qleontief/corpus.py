@@ -61,7 +61,8 @@ _VALUE_STEPS = (
 
 def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedUtility:
     """Random isotone table: a sweep along a linear extension keeps every value
-    at or above the values strictly below (ties are frequent on purpose)."""
+    at or above the values strictly below (ties are frequent on purpose).  On
+    a product of chains every such table is individually quasi-Leontief."""
     values: Dict[Element, Fraction] = {}
     for x in poset.linear_extension():
         below = [values[y] for y in poset.down_set(x) if y != x]
@@ -116,16 +117,6 @@ def random_product_of_chains(
     return ProductSpace(
         [FinitePoset.chain(range(rng.randint(2, max_len))) for _ in range(n)]
     )
-
-
-def random_isotone_on_product(
-    rng: random.Random, space: ProductSpace
-) -> TabulatedUtility:
-    """Random isotone table on a product; on products of chains every such
-    table is individually quasi-Leontief."""
-    poset = space.as_poset()
-    u = random_isotone_utility(rng, poset)
-    return TabulatedUtility(poset, u.values, scale=u.scale, space=space)
 
 
 def random_prefix_downsets(

@@ -170,15 +170,6 @@ class PuResult:
             n *= len(s)
         return n
 
-    def to_json(self) -> dict:
-        from .io import encode_elem
-
-        return {
-            "point": encode_elem(self.point),
-            "axis_sets": [[encode_elem(p) for p in s.points] for s in self.axis_sets],
-            "cardinality": self.cardinality,
-        }
-
 
 def _axis_efficient_set(
     u: TabulatedUtility,
@@ -278,26 +269,3 @@ def partial_dual_consistency(
         witnesses=(da, db, proj),
         detail=f"partial duals {da!r}, {db!r} vs projection {proj!r} at level {lam!r}",
     )
-
-
-def efficiency_report(u: TabulatedUtility, x) -> dict:
-    """JSON-ready efficiency report for one point of a product domain.
-
-    Carries the brute-force verdict, per-axis membership in the axis-wise
-    efficient sets, a dominating witness when the point is not minimal, and
-    the cardinality of the coordinatewise set (which can be large; it is
-    surfaced, not pruned).
-    """
-    from .io import encode_elem
-
-    space = _require_space(u)
-    x = space._check_point(x)
-    res = pu_map(u, x)
-    witness = minimality_witness(u, x)
-    return {
-        "point": encode_elem(x),
-        "efficient": witness is None,
-        "axis_membership": [c in s for c, s in zip(x, res.axis_sets)],
-        "witness": encode_elem(witness) if witness is not None else None,
-        "pu_cardinality": res.cardinality,
-    }

@@ -93,7 +93,7 @@ def elem_key(e) -> str:
     return str(e)
 
 
-def poset_from_json(obj, *, base_dir: str = ".") -> Union[FinitePoset, ProductSpace]:
+def poset_from_json(obj, *, base_dir: str = ".") -> FinitePoset:
     if isinstance(obj, str):
         return poset_from_json(load_json(os.path.join(base_dir, obj)), base_dir=base_dir)
     if not isinstance(obj, dict):
@@ -102,7 +102,7 @@ def poset_from_json(obj, *, base_dir: str = ".") -> Union[FinitePoset, ProductSp
         factors = []
         for sub in obj["product"]:
             p = poset_from_json(sub, base_dir=base_dir)
-            if not isinstance(p, FinitePoset):
+            if isinstance(p, ProductSpace):
                 raise InputError("product factors must be plain posets")
             factors.append(p)
         return ProductSpace(factors)
@@ -131,7 +131,7 @@ def _pairs(obj, field: str) -> list:
     return [tuple(p) for p in pairs]
 
 
-def resolve_element(space: Union[FinitePoset, ProductSpace], raw):
+def resolve_element(space: FinitePoset, raw):
     """Match a raw JSON token (string, number, or array) to a domain element."""
     if isinstance(space, ProductSpace):
         if isinstance(raw, str):
@@ -239,8 +239,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
         if kind == "restrict":
             base = utility_from_json(obj["base"], base_dir=base_dir)
             if isinstance(base, TabulatedUtility):
-                space = base.space if base.space is not None else base.poset
-                return restrict(base, downset_from_json(obj["downset"], space))
+                return restrict(base, downset_from_json(obj["downset"], base.poset))
             gens = generators_from_json(
                 obj["downset"], "closed-form restriction needs generators"
             )
@@ -268,8 +267,6 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     values = {
         resolve_element(space, key): parse_rational(val) for key, val in raw_values.items()
     }
-    if isinstance(space, ProductSpace):
-        return TabulatedUtility(space.as_poset(), values, space=space)
     return TabulatedUtility(space, values)
 
 

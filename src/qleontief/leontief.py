@@ -9,11 +9,12 @@ brute-force certification (see the oracle module).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, tolerant
+from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, check_size, tolerant
 
 
 class UtilityError(ValueError):
@@ -106,9 +107,10 @@ class LevelSet(NamedTuple):
 class TabulatedUtility(_Closure):
     """Utility given by an explicit value table on a finite poset.
 
-    The table must assign exactly one value to every element.  Interior and
-    dual queries require certification; the oracle module produces certified
-    copies, it never mutates.
+    The table must assign exactly one value to every element of ``poset``, a
+    ``ProductSpace`` for a product domain (``space``, if given, must be it).
+    Interior and dual queries require certification; the oracle module
+    produces certified copies, it never mutates.
     """
 
     def __init__(
@@ -119,6 +121,8 @@ class TabulatedUtility(_Closure):
         scale: Scale = EXACT,
         space: Optional[ProductSpace] = None,
     ):
+        if space is not None and space is not poset:
+            raise UtilityError("space must be the domain poset itself")
         missing = [e for e in poset.elements if e not in values]
         if missing:
             raise UtilityError(f"no value for element {missing[0]!r}")
@@ -128,14 +132,18 @@ class TabulatedUtility(_Closure):
         self.poset = poset
         self.values = {e: values[e] for e in poset.elements}
         self.scale = scale
-        self.space = space
         self.certified = False
         self._interior: Optional[Dict[Element, Element]] = None
         self._levels: Dict[Any, LevelSet] = {}
         self._image: Optional[Tuple] = None
 
+    @property
+    def space(self) -> Optional[ProductSpace]:
+        """The domain when it is a product, else None."""
+        return self.poset if isinstance(self.poset, ProductSpace) else None
+
     def _certified_copy(self, interior_table: Dict[Element, Element]) -> "TabulatedUtility":
-        new = TabulatedUtility(self.poset, self.values, scale=self.scale, space=self.space)
+        new = TabulatedUtility(self.poset, self.values, scale=self.scale)
         new.certified = True
         new._interior = dict(interior_table)
         # same poset, values and scale: every level set carries over
@@ -278,15 +286,21 @@ class BoxAxis:
         self.hi = hi
         self.step = step
 
-    def points(self) -> Tuple:
+    def count(self) -> int:
+        """Number of grid points, from ``lo``, ``hi`` and ``step`` alone."""
         if self.step is None:
             raise UtilityError("axis has no grid step")
         span = (self.hi - self.lo) / self.step
-        # index arithmetic avoids float accumulation drift
+        if isinstance(span, float) and not math.isfinite(span):
+            raise UtilityError(f"axis {self!r} has no finite number of grid points")
         n = int(round(span)) if isinstance(span, float) else int(span)
         while self.lo + n * self.step > self.hi:
             n -= 1
-        return tuple(self.lo + i * self.step for i in range(n + 1))
+        return n + 1
+
+    def points(self) -> Tuple:
+        # index arithmetic avoids float accumulation drift
+        return tuple(self.lo + i * self.step for i in range(check_size(self.count())))
 
     def __repr__(self) -> str:
         if self.step is None:
@@ -329,6 +343,7 @@ class Box:
         return all(a.step is not None for a in self.axes)
 
     def grid_points(self) -> Iterable[Tuple]:
+        check_size(math.prod(a.count() for a in self.axes))
         return _iproduct(*(a.points() for a in self.axes))
 
     def grid_space(self) -> ProductSpace:
@@ -355,6 +370,11 @@ def _infer_scale(*numbers) -> Scale:
 
 
 _ORTHANT = "power form needs a domain in the nonnegative orthant"
+
+MAX_POWER_BITS = 4096
+"""The largest exact power x^alpha (integral alpha > 1) that is computed, in
+bits, estimated as alpha * log2 of the larger of x's numerator and denominator;
+exact powers grow linearly in alpha, and every value comparison reads them."""
 
 
 class PowerLeontief(_Closure):
@@ -390,12 +410,28 @@ class PowerLeontief(_Closure):
     @staticmethod
     def _pow(base, exp):
         if isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1):
-            return base ** int(exp)
+            e = int(exp)
+            if e > 1 and not isinstance(base, float):
+                b = Fraction(base)
+                bits = e * (max(abs(b.numerator), b.denominator).bit_length() - 1)
+                if bits > MAX_POWER_BITS:
+                    raise UtilityError(f"exact power {base}^{e} has about {bits} bits, "
+                                       f"over the limit of {MAX_POWER_BITS}")
+            return base ** e
         return float(base) ** float(exp)
 
-    def value(self, x: Sequence):
+    def _terms(self, x: Sequence) -> List:
         x = self._check(x)
-        return min(c * self._pow(t, e) for c, t, e in zip(self.a, x, self.alpha))
+        try:
+            terms = [c * self._pow(t, e) for c, t, e in zip(self.a, x, self.alpha)]
+            if self.scale.kind == "tolerant":
+                float(min(terms))  # the scale adds a float tolerance to every value
+            return terms
+        except OverflowError:
+            raise UtilityError(f"the power form at {x!r} overflows a float") from None
+
+    def value(self, x: Sequence):
+        return min(self._terms(x))
 
     def _root(self, v, exp):
         if v == 0:
@@ -404,7 +440,10 @@ class PowerLeontief(_Closure):
             e = int(exp)
             if e == 1:
                 return v
-        return float(v) ** (1.0 / float(exp))
+        try:
+            return float(v) ** (1.0 / float(exp))
+        except OverflowError:
+            raise UtilityError("a root of a level overflows a float") from None
 
     def interior(self, x: Sequence) -> Tuple:
         v = self.value(x)
@@ -422,8 +461,7 @@ class PowerLeontief(_Closure):
         )
 
     def on_efficiency_locus(self, x: Sequence) -> bool:
-        x = self._check(x)
-        terms = [c * self._pow(t, e) for c, t, e in zip(self.a, x, self.alpha)]
+        terms = self._terms(x)
         return all(self.scale.eq(terms[0], t) for t in terms[1:])
 
     def leq_points(self, x: Sequence, y: Sequence) -> bool:
@@ -536,12 +574,8 @@ class MinProductUtility(_Closure):
         for f in self.factors:
             if isinstance(f, TabulatedUtility) and not f.certified:
                 raise UtilityError("min-product factors must be certified")
-        if all(isinstance(f, TabulatedUtility) for f in self.factors):
-            self.space: Optional[ProductSpace] = ProductSpace(
-                [f.poset for f in self.factors]
-            )
-        else:
-            self.space = None
+        tabulated = all(isinstance(f, TabulatedUtility) for f in self.factors)
+        self.space = ProductSpace([f.poset for f in self.factors]) if tabulated else None
         self.certified = True
 
     def _check(self, x) -> Tuple:
@@ -573,7 +607,7 @@ class MinProductUtility(_Closure):
         if self.space is None:
             raise UtilityError("only tabulated factors can be tabulated")
         vals = {p: self.value(p) for p in self.space.points()}
-        return TabulatedUtility(self.space.as_poset(), vals, scale=self.scale, space=self.space)
+        return TabulatedUtility(self.space, vals, scale=self.scale)
 
     def __repr__(self) -> str:
         return f"MinProductUtility({len(self.factors)} factors)"
@@ -726,7 +760,6 @@ def affine_transform(u, a, b):
             u.poset,
             {e: a * v + b for e, v in u.values.items()},
             scale=u.scale,
-            space=u.space,
         )
         if u.certified:
             new.certified = True
@@ -765,7 +798,7 @@ def tabulate(u, box: Optional[Box] = None) -> TabulatedUtility:
         raise UtilityError("tabulation needs a fully gridded box")
     space = box.grid_space()
     vals = {p: u.value(p) for p in space.points()}
-    return TabulatedUtility(space.as_poset(), vals, scale=u.scale, space=space)
+    return TabulatedUtility(space, vals, scale=u.scale)
 
 
 def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List[TabulatedUtility]:

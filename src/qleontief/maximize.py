@@ -182,7 +182,7 @@ def product_downset(space: ProductSpace, factor_sets: Sequence[DownSet]) -> Down
     mask = factor_sets[0].mask
     for s in factor_sets[1:]:
         mask = product_mask(mask, s.mask, len(s.space))
-    return DownSet(space.as_poset(), mask)
+    return DownSet(space, mask)
 
 
 def efficient_refinement(

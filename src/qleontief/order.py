@@ -7,9 +7,13 @@ member.  A meet is a constant number of big-int operations: along a linear
 extension the meet of x and y, when it exists, is the highest-numbered common
 lower bound (see ``FinitePoset._meet_index``), so the pairwise sweeps over
 meets run in O(N^2) mask operations.
+
+A ``ProductSpace`` is the product poset itself; it builds its tables only when
+a query needs them.  No domain larger than ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -75,6 +79,18 @@ def check_partial_order(
                 if (a, c) not in rel:
                     return OrderReport(False, "transitivity", (a, b, c))
     return OrderReport(True)
+
+
+MAX_POINTS = 2 ** 16
+"""The most points a grid or product may have (16^4): each point of a product
+poset carries two N-bit masks, so larger domains are refused before enumeration."""
+
+
+def check_size(n: int) -> int:
+    """``n``, a domain's point count, if it is at most ``MAX_POINTS``."""
+    if n > MAX_POINTS:
+        raise OrderError(f"domain has {n} points, over the limit of {MAX_POINTS}")
+    return n
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -252,12 +268,6 @@ class FinitePoset:
         """All elements below x (inclusive)."""
         return frozenset(self._unmask(self._down[self.index_of(x)]))
 
-    def up_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
-        m = 0
-        for x in subset:
-            m |= self._up[self.index_of(x)]
-        return frozenset(self._unmask(m))
-
     def _down_mask(self, subset: Iterable[Element]) -> int:
         m = 0
         for x in subset:
@@ -266,13 +276,6 @@ class FinitePoset:
 
     def down_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
         return frozenset(self._unmask(self._down_mask(subset)))
-
-    def comprehensive_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
-        return self.down_closure(subset)
-
-    def is_comprehensive(self, subset: Iterable[Element]) -> bool:
-        sub = frozenset(subset)
-        return self.down_closure(sub) == sub
 
     def interval(self, lo: Element, hi: Element) -> FrozenSet[Element]:
         """The set of x with lo <= x <= hi; empty when lo and hi are not so ordered."""
@@ -414,36 +417,52 @@ class FinitePoset:
         return sorted(range(len(self.elements)), key=lambda i: (self._down[i].bit_count(), i))
 
 
-class ProductSpace:
-    """Finite product of posets with the coordinatewise order.
+class ProductSpace(FinitePoset):
+    """Finite product of posets with the coordinatewise order; itself the
+    poset on all product points.
 
-    Points are tuples of factor elements.  ``delete`` and ``substitute``
-    implement the one-axis calculus used for partial utilities.
+    Points are tuples of factor elements, enumerated with the last coordinate
+    fastest.  ``factors``, ``len``, ``points``, ``leq`` and the one-axis
+    calculus ``delete``/``substitute`` used for partial utilities are answered
+    factor by factor.  Every other ``FinitePoset`` query reads the element
+    tuple and the mask tables, which ``as_poset`` builds once, on first use.
     """
+
+    __slots__ = ("factors",)
 
     def __init__(self, factors: Sequence[FinitePoset]):
         if not factors:
             raise OrderError("empty factor list")
         self.factors: Tuple[FinitePoset, ...] = tuple(factors)
-        self._poset: Optional[FinitePoset] = None
+        self.__class__ = _UnbuiltProduct
+
+    def as_poset(self) -> "ProductSpace":
+        """The product itself, with its element tuple and mask tables built
+        on first use.
+
+        Up masks are folded factor by factor (see ``product_mask``): the
+        up-set of (prefix, c) is up(prefix) x up(c).
+        """
+        if isinstance(self, _UnbuiltProduct):
+            points = list(self.points())
+            masks = list(self.factors[0]._up)
+            for f in self.factors[1:]:
+                n = len(f)
+                masks = [product_mask(prefix, mj, n) for prefix in masks for mj in f._up]
+            super().__init__(points, masks)
+            self.__class__ = ProductSpace
+        return self
 
     @property
     def n_axes(self) -> int:
         return len(self.factors)
 
-    def size(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= len(f)
-        return n
+    def __len__(self) -> int:
+        return math.prod(len(f) for f in self.factors)
 
     def points(self) -> Iterator[Tuple[Element, ...]]:
+        check_size(len(self))
         return _iproduct(*(f.elements for f in self.factors))
-
-    def contains(self, x: Sequence[Element]) -> bool:
-        return len(x) == len(self.factors) and all(
-            c in f for c, f in zip(x, self.factors)
-        )
 
     def _check_point(self, x: Sequence[Element]) -> Tuple[Element, ...]:
         x = tuple(x)
@@ -477,22 +496,22 @@ class ProductSpace:
         if not 0 <= axis < len(self.factors):
             raise OrderError(f"axis {axis} out of range for {len(self.factors)} factors")
 
-    def as_poset(self) -> FinitePoset:
-        """Explicit FinitePoset on all product points (cached).
-
-        Masks are folded factor by factor (see ``product_mask``): the up-set
-        of (prefix, c) is up(prefix) x up(c).
-        """
-        if self._poset is None:
-            masks = list(self.factors[0]._up)
-            for f in self.factors[1:]:
-                n = len(f)
-                masks = [product_mask(prefix, mj, n) for prefix in masks for mj in f._up]
-            self._poset = FinitePoset(list(self.points()), masks)
-        return self._poset
-
     def __repr__(self) -> str:
         return f"ProductSpace({'x'.join(str(len(f)) for f in self.factors)})"
+
+
+class _UnbuiltProduct(ProductSpace):
+    """A ``ProductSpace`` whose tables are not built yet.  Reading one builds
+    them and makes the object a plain ``ProductSpace``: with ``__getattr__`` on
+    its class, every attribute read, once per pair in the O(N^2) sweeps, is slower."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot
+        if name in FinitePoset.__slots__:
+            return getattr(self.as_poset(), name)
+        raise AttributeError(f"'ProductSpace' object has no attribute {name!r}")
 
 
 def product_mask(outer: int, inner: int, n_inner: int) -> int:
@@ -524,11 +543,10 @@ def _point(x):
 class DownSet:
     """A comprehensive (downward closed) subset of a finite poset.
 
-    ``mask`` marks the members by element index of ``space``.  A
-    ``ProductSpace`` given to the constructors is read through its cached
-    ``as_poset()``, so ``space`` is always a ``FinitePoset``.  Explicit mode
-    validates downward closure; generated mode takes the downward closure of
-    finitely many generators.
+    ``mask`` marks the members by element index of ``space``, a
+    ``FinitePoset`` or a ``ProductSpace``.  Explicit mode validates downward
+    closure; generated mode takes the downward closure of finitely many
+    generators.
     """
 
     def __init__(self, space: FinitePoset, mask: int, generators: Optional[Tuple] = None):
@@ -541,26 +559,20 @@ class DownSet:
     def mode(self) -> str:
         return "generated" if self.generators is not None else "explicit"
 
-    @staticmethod
-    def _poset(space) -> FinitePoset:
-        return space.as_poset() if isinstance(space, ProductSpace) else space
-
     @classmethod
-    def from_members(cls, space, members: Iterable) -> "DownSet":
-        poset = cls._poset(space)
+    def from_members(cls, space: FinitePoset, members: Iterable) -> "DownSet":
         members = tuple(map(_point, members))
-        mask = poset._mask(members)
-        missing = poset._down_mask(members) & ~mask
+        mask = space._mask(members)
+        missing = space._down_mask(members) & ~mask
         if missing:
-            bad = poset.elements[(missing & -missing).bit_length() - 1]
+            bad = space.elements[(missing & -missing).bit_length() - 1]
             raise OrderError(f"not comprehensive: {bad!r} is below a member but missing")
-        return cls(poset, mask)
+        return cls(space, mask)
 
     @classmethod
-    def from_generators(cls, space, generators: Iterable) -> "DownSet":
-        poset = cls._poset(space)
+    def from_generators(cls, space: FinitePoset, generators: Iterable) -> "DownSet":
         gens = tuple(map(_point, generators))
-        return cls(poset, poset._down_mask(gens), gens)
+        return cls(space, space._down_mask(gens), gens)
 
     def members(self) -> FrozenSet:
         return frozenset(self.sorted_members())

@@ -163,7 +163,7 @@ class TestAcceptance:
             for i in range(200):
                 rng = corpus.derive_rng(SEED, "charpar", i)
                 space = corpus.random_product_of_chains(rng, 3, 4)
-                u = corpus.random_isotone_on_product(rng, space)
+                u = corpus.random_isotone_utility(rng, space)
                 cert = q.check_charpar(u)
                 assert cert.ok, f"instance {i}: {cert.detail}"
 
@@ -173,7 +173,7 @@ class TestAcceptance:
             for i in range(200):
                 rng = corpus.derive_rng(SEED, "refinement", i)
                 space = corpus.random_product_of_chains(rng, 3, 4)
-                u = corpus.random_isotone_on_product(rng, space)
+                u = corpus.random_isotone_utility(rng, space)
                 sets = corpus.random_prefix_downsets(rng, space)
                 S = q.product_downset(space, sets)
                 members = S.sorted_members()

@@ -3,12 +3,14 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qleontief import cli, maximize, oracle
 from qleontief.cli import main
+from qleontief.order import MAX_POINTS
 
 
 def chain_json(n):
@@ -501,6 +503,47 @@ class TestHostileShapes:
         assert capsys.readouterr().err == "error: empty down-set\n"
 
 
+class TestBounds:
+    """Inputs whose domain or numbers are too large to enumerate or compute
+    are refused (exit 2) before the work starts."""
+
+    @staticmethod
+    def timed_check(path, capsys):
+        t0 = time.perf_counter()
+        code = main(["check", path])
+        return code, time.perf_counter() - t0, capsys.readouterr().err
+
+    def test_huge_grid_box(self, tmp_path, capsys):
+        box = {"axes": [{"lo": "0", "hi": "1000000000", "step": "1"},
+                        {"lo": "0", "hi": "2", "step": "1"}]}
+        u = write(tmp_path, "u.json", {"type": "classical", "a": ["1", "1"], "box": box})
+        code, seconds, err = self.timed_check(u, capsys)
+        assert code == 2 and seconds < 1
+        assert err == f"error: domain has 1000000001 points, over the limit of {MAX_POINTS}\n"
+
+    def test_huge_product(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"poset": {"product": [chain_json(2)] * 17}, "values": {}})
+        code, seconds, err = self.timed_check(u, capsys)
+        assert code == 2 and seconds < 1
+        assert err == ("error: invalid utility: domain has 131072 points, "
+                       f"over the limit of {MAX_POINTS}\n")
+
+    @pytest.mark.parametrize("alpha, err", [
+        (["1000000000", "1"], "exact power 2^1000000000 has about 1000000000 bits, "
+                              "over the limit of 4096"),
+        (["1000000000/3", "1"], "the power form at (Fraction(2, 1), Fraction(0, 1)) "
+                                "overflows a float"),
+        (["2000", "2000"], "the power form at (Fraction(2, 1), Fraction(2, 1)) "
+                           "overflows a float"),
+    ])
+    def test_huge_power(self, alpha, err, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "power", "a": ["1", "1"], "alpha": alpha,
+                                       "box": GRID_BOX})
+        code, seconds, got = self.timed_check(u, capsys)
+        assert code == 2 and seconds < 1
+        assert got == f"error: {err}\n"
+
+
 # Small JSON values: bounded numbers and a few tokens, so that no drawn
 # exponent or coefficient can make a value table expensive to build.
 json_values = st.recursive(
@@ -513,14 +556,22 @@ json_values = st.recursive(
 )
 
 
+# Large exact numbers, as JSON integers and "p/q" strings, for coefficients and
+# exponents: the size guards must refuse what is too large to compute.
+big_numbers = st.integers(-10**12, 10**12) | st.builds(
+    "{}/{}".format, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+coefficient_values = json_values | st.lists(big_numbers | json_values, min_size=1, max_size=3)
+
+
 def run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
 
 
 class TestFuzzedFields:
-    """Arbitrary small JSON values in one field of a fixed 3x3 problem keep
-    the exit-code contract; an uncaught exception fails the test."""
+    """Arbitrary JSON values in one field of a fixed 3x3 problem (small ones,
+    and large exact numbers for the coefficients and exponents) keep the
+    exit-code contract; an uncaught exception fails the test."""
 
     @staticmethod
     def files(root, **objs):
@@ -531,8 +582,8 @@ class TestFuzzedFields:
                 json.dump(obj, fh)
         return paths
 
-    @given(st.sampled_from(["classical-a", "power-a", "power-alpha"]), json_values)
-    @settings(max_examples=150)
+    @given(st.sampled_from(["classical-a", "power-a", "power-alpha"]), coefficient_values)
+    @settings(max_examples=150, deadline=2000)
     def test_coefficients(self, field, value):
         kind, name = field.split("-")
         utility = {"type": kind, "a": ["1", "2"], "box": GRID_BOX}

@@ -247,25 +247,8 @@ class TestCheckCharpar:
         for i in range(30):
             rng = corpus.derive_rng(23, "charpar-unit", i)
             space = corpus.random_product_of_chains(rng)
-            u = corpus.random_isotone_on_product(rng, space)
+            u = corpus.random_isotone_utility(rng, space)
             assert q.check_charpar(u).ok
-
-
-class TestEfficiencyReport:
-    def test_efficient_point(self, min_on_4x4):
-        rep = q.efficiency_report(min_on_4x4, (2, 2))
-        assert rep["efficient"] is True
-        assert rep["axis_membership"] == [True, True]
-        assert rep["witness"] is None
-
-    def test_dominated_point_carries_witness(self, min_on_4x4):
-        rep = q.efficiency_report(min_on_4x4, (2, 3))
-        assert rep["efficient"] is False
-        assert rep["axis_membership"] == [True, False]
-        assert rep["witness"] is not None
-        assert rep["pu_cardinality"] == 12
-        json_text = __import__("json").dumps(rep)
-        assert "pu_cardinality" in json_text
 
 
 class TestEfficiencyStructure:

@@ -62,7 +62,7 @@ class TestPosetFiles:
             }
         )
         assert isinstance(space, q.ProductSpace)
-        assert space.size() == 4
+        assert len(space) == 4
 
     def test_poset_by_path(self, tmp_path):
         sub = tmp_path / "chain.json"

@@ -107,7 +107,7 @@ def utilities(seed):
         corpus.random_isotone_utility(rng, with_bottom),
         corpus.random_isotone_utility(rng, without),
         corpus.random_quasileontief_utility(rng, with_bottom),
-        corpus.random_isotone_on_product(rng, space),
+        corpus.random_isotone_utility(rng, space),
         random_table(rng, with_bottom),
         random_table(rng, without),
     ]

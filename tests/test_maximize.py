@@ -72,7 +72,7 @@ class TestArgmaxOverDownset:
         p = min_on_4x4.poset
         s = downset(p, [(2, 3), (3, 1)])
         res = q.argmax_over_downset(min_on_4x4, s)
-        upward = p.up_closure(res.maximizers) & s.members()
+        upward = set().union(*map(p.up_set, res.maximizers)) & s.members()
         assert upward == set(res.maximizers)
 
     def test_remark_fixed_point_reading(self, min_on_4x4):
@@ -322,7 +322,7 @@ class TestEfficientRefinement:
         for i in range(30):
             rng = corpus.derive_rng(37, "refine-unit", i)
             space = corpus.random_product_of_chains(rng)
-            u = corpus.random_isotone_on_product(rng, space)
+            u = corpus.random_isotone_utility(rng, space)
             sets = corpus.random_prefix_downsets(rng, space)
             S = q.product_downset(space, sets)
             members = S.sorted_members()

@@ -174,19 +174,19 @@ class TestChainsAndFiltering:
 class TestComprehensive:
     def test_examples(self, grid22):
         p = grid22.as_poset()
-        assert p.is_comprehensive({(0, 0), (0, 1)})
-        assert not p.is_comprehensive({(1, 1)})
-        assert p.comprehensive_closure({(1, 1)}) == set(p.elements)
-        assert p.is_comprehensive(set())
+        assert p.down_closure({(0, 0), (0, 1)}) == {(0, 0), (0, 1)}
+        assert p.down_closure({(1, 1)}) != {(1, 1)}
+        assert p.down_closure({(1, 1)}) == set(p.elements)
+        assert p.down_closure(set()) == set()
 
     @given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2))))
     def test_closure_operator_laws(self, subset):
         p = q.grid_space(range(3), range(3)).as_poset()
-        cl = p.comprehensive_closure(subset)
+        cl = p.down_closure(subset)
         assert cl >= subset                                   # extensive
-        assert p.comprehensive_closure(cl) == cl              # idempotent
+        assert p.down_closure(cl) == cl              # idempotent
         bigger = subset | {(2, 2)}
-        assert p.comprehensive_closure(bigger) >= cl          # monotone
+        assert p.down_closure(bigger) >= cl          # monotone
 
 
 class TestProductSpace:

@@ -100,7 +100,7 @@ def test_affine_transform_commutes_with_certification(seed):
 def test_refinement_steps_never_increase_coordinates(seed):
     rng = corpus.derive_rng(seed, "prop-refine")
     space = corpus.random_product_of_chains(rng)
-    u = corpus.random_isotone_on_product(rng, space)
+    u = corpus.random_isotone_utility(rng, space)
     sets = corpus.random_prefix_downsets(rng, space)
     S = q.product_downset(space, sets)
     members = S.sorted_members()
@@ -183,7 +183,7 @@ def test_refinement_postconditions_hold_under_every_axis_order(seed):
 
     rng = corpus.derive_rng(seed, "prop-orders")
     space = corpus.random_product_of_chains(rng)
-    u = corpus.random_isotone_on_product(rng, space)
+    u = corpus.random_isotone_utility(rng, space)
     sets = corpus.random_prefix_downsets(rng, space)
     S = q.product_downset(space, sets)
     members = S.sorted_members()

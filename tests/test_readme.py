@@ -14,5 +14,6 @@ def test_library_quick_start_runs():
     ns: dict = {}
     exec(compile(block, str(README), "exec"), ns)
     u = ns["u"]
+    assert u.poset is ns["space"] and u.space is ns["space"]
     assert u.interior((2, 3)) == (2, 2)
     assert u.dual(F(2)) == (2, 2)
