@@ -63,7 +63,6 @@ from .oracle import (
 )
 from .efficiency import (
     EfficiencySet,
-    PartialUtility,
     PuResult,
     certified_partial,
     check_charpar,

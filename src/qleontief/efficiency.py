@@ -36,33 +36,15 @@ class EfficiencySet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class PartialUtility:
-    """One-axis slice u[rest] of a product-domain utility."""
-
-    utility: TabulatedUtility
-    parent: TabulatedUtility
-    axis: int
-    frozen: Tuple
-
-    def value(self, t):
-        return self.utility.value(t)
-
-    def interior(self, t):
-        return self.utility.interior(t)
-
-    def dual(self, lam):
-        return self.utility.dual(lam)
-
-
 def _require_space(u: TabulatedUtility) -> ProductSpace:
     if u.space is None:
         raise UtilityError("operation needs a product-domain utility")
     return u.space
 
 
-def partial_utility(u: TabulatedUtility, rest: Sequence, axis: int) -> PartialUtility:
-    """Freeze all coordinates except ``axis`` at ``rest``.
+def partial_utility(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtility:
+    """Freeze all coordinates except ``axis`` at ``rest``: the one-axis slice
+    u[rest], tabulated on the factor of ``axis``.
 
     A globally certified parent auto-certifies the slice (its interior is the
     axis projection of the parent interior); otherwise the slice comes back
@@ -70,31 +52,28 @@ def partial_utility(u: TabulatedUtility, rest: Sequence, axis: int) -> PartialUt
     """
     space = _require_space(u)
     space._check_axis(axis)
-    rest = tuple(rest)
     factor = space.factors[axis]
     vals = {t: u.value(space.substitute(rest, axis, t)) for t in factor.elements}
     pu = TabulatedUtility(factor, vals, scale=u.scale)
-    if u.certified:
-        table = {
-            t: u.interior(space.substitute(rest, axis, t))[axis]
-            for t in factor.elements
-        }
-        pu = pu._certified_copy(table)
-    return PartialUtility(pu, u, axis, rest)
+    if not u.certified:
+        return pu
+    return pu._certified_copy(
+        {t: u.interior(space.substitute(rest, axis, t))[axis] for t in factor.elements}
+    )
 
 
-def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> PartialUtility:
+def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtility:
     """Partial utility with certification forced (oracle run when needed)."""
     pu = partial_utility(u, rest, axis)
-    if pu.utility.certified:
+    if pu.certified:
         return pu
-    cert = oracle.certify_quasi_leontief(pu.utility)
+    cert = oracle.certify_quasi_leontief(pu)
     if not cert.ok:
         raise UtilityError(
             f"partial on axis {axis} at {rest!r} is not quasi-Leontief: "
             f"witnesses {cert.witnesses!r}"
         )
-    return PartialUtility(cert.utility, u, axis, rest)
+    return cert.utility
 
 
 def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
@@ -181,9 +160,7 @@ def _axis_efficient_set(
     if cache is not None and key in cache:
         return cache[key]
     pu = certified_partial(u, rest, axis)
-    pts = tuple(
-        t for t in pu.utility.poset.elements if pu.utility.interior(t) == t
-    )
+    pts = tuple(t for t in pu.poset.elements if pu.interior(t) == t)
     out = EfficiencySet(pts, "axis")
     if cache is not None:
         cache[key] = out
@@ -249,8 +226,8 @@ def partial_dual_consistency(
         raise UtilityError("partial dual consistency needs a certified utility")
     pa = certified_partial(u, tuple(rest_a), axis)
     pb = certified_partial(u, tuple(rest_b), axis)
-    da = pa.utility.dual(lam)
-    db = pb.utility.dual(lam)
+    da = pa.dual(lam)
+    db = pb.dual(lam)
     if da is None or db is None:
         return Certificate(
             True, "partial-dual-consistency", detail="skipped: empty partial level set"

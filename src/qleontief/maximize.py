@@ -6,7 +6,11 @@ and some maximizer is simultaneously maximal in the set.  The refinement
 sweep walks the axes of a product domain, replacing each coordinate of a
 maximizer by its partial interior, and lands on an efficient maximizer below
 the starting one.  ``argmax_members`` is the one walk over the members of a
-comprehensive set; maximization, localization and refinement all read it.
+comprehensive set.  ``argmax_over_downset`` walks S once through it and
+returns one ``ArgmaxResult``: the maximum, the maximizers and the largest
+efficient point.  The localization check reads that record instead of
+walking S again; only ``efficient_refinement`` walks S on its own, to check
+a start that comes from outside.
 """
 from __future__ import annotations
 
@@ -63,13 +67,6 @@ def argmax_members(u: TabulatedUtility, S: DownSet) -> Tuple[Any, Tuple]:
     return best, tuple(x for x, v in zip(members, values) if u.scale.eq(v, best))
 
 
-def _largest_efficient(u: TabulatedUtility, S: DownSet) -> Optional[int]:
-    """Index of the greatest member of S fixed by the interior map, or None."""
-    poset = S.space
-    efficient = poset._mask(x for x in S.sorted_members() if u.interior(x) == x)
-    return next((i for i in _bits(efficient) if efficient & ~poset._down[i] == 0), None)
-
-
 def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     """Maximize a certified utility over a nonempty comprehensive set.
 
@@ -79,7 +76,8 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     """
     best, maximizers = argmax_members(u, S)
     poset = S.space
-    k = _largest_efficient(u, S)
+    efficient = poset._mask(x for x in S.sorted_members() if u.interior(x) == x)
+    k = next((i for i in _bits(efficient) if efficient & ~poset._down[i] == 0), None)
     if k is None:
         raise InconsistencyError("no largest efficient point inside a nonempty finite comprehensive set")
     tops = [poset.elements[i] for i in map(poset.index_of, maximizers)
@@ -104,21 +102,22 @@ def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:
     return ArgmaxResult(best, tuple(winners))
 
 
-def check_argmax_localization(u: TabulatedUtility, S: DownSet) -> Certificate:
-    """The finite localization identity on a comprehensive set S: for x^ the
-    first member attaining max_S u exactly and d = u°(x^), (a) d lies in S,
-    (b) d is the largest efficient point of S, and (c) argmax_S u = S ∩ up(d).
+def check_argmax_localization(u: TabulatedUtility, S: DownSet, res: ArgmaxResult) -> Certificate:
+    """The finite localization identity on a comprehensive set S, read off
+    the record ``res = argmax_over_downset(u, S)``: for x^ the first
+    maximizer attaining the maximum exactly and d = u°(x^), (a) d lies in S,
+    (b) d is the record's largest efficient point of S, and
+    (c) argmax_S u = S ∩ up(d).
     A wrong interior entry at x^ fails (a) or (c); x^ and d are the witnesses."""
     poset = S.space
     if poset != u.poset:
         raise OrderError("down-set lives in a different poset")
-    best, maximizers = argmax_members(u, S)
-    x_hat = next(x for x in maximizers if u.value(x) == best)
+    x_hat = next(x for x in res.maximizers if u.value(x) == res.value)
     d = u.interior(x_hat)
     i = poset.index_of(d)
     a = bool(S.mask >> i & 1)
-    b = _largest_efficient(u, S) == i
-    c = S.mask & u.level_set(best).mask == S.mask & poset._up[i]
+    b = res.largest_efficient == d
+    c = S.mask & u.level_set(res.value).mask == S.mask & poset._up[i]
     ok = a and b and c
     return Certificate(
         ok,
@@ -232,7 +231,7 @@ def efficient_refinement(
         before = cur[axis]
         rest = space.delete(cur, axis)
         partial = certified_partial(u, rest, axis)
-        target = partial.utility.interior(before)
+        target = partial.interior(before)
         cur = space.substitute(rest, axis, target)
         steps.append(RefinementStep(axis, before, target))
         if not u.scale.eq(u.value(cur), opt):
@@ -242,7 +241,7 @@ def efficient_refinement(
         for a in order[: k + 1]:
             # the axis just refined keeps its rest, so its slice is reused
             p = partial if a == axis else certified_partial(u, space.delete(cur, a), a)
-            if p.utility.interior(cur[a]) != cur[a]:
+            if p.interior(cur[a]) != cur[a]:
                 raise InconsistencyError(f"coordinate {a} of {cur!r} is not axis-efficient")
 
     if not is_efficient_minimal(u, cur):

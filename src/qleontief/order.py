@@ -422,10 +422,11 @@ class ProductSpace(FinitePoset):
     poset on all product points.
 
     Points are tuples of factor elements, enumerated with the last coordinate
-    fastest.  ``factors``, ``len``, ``points``, ``leq`` and the one-axis
-    calculus ``delete``/``substitute`` used for partial utilities are answered
-    factor by factor.  Every other ``FinitePoset`` query reads the element
-    tuple and the mask tables, which ``as_poset`` builds once, on first use.
+    fastest.  ``factors``, ``len``, ``points``, ``leq``, equality, hashing and
+    the one-axis calculus ``delete``/``substitute`` used for partial utilities
+    are answered factor by factor; a product equals only another product.
+    Every other ``FinitePoset`` query reads the element tuple and the mask
+    tables, which ``as_poset`` builds once, on first use.
     """
 
     __slots__ = ("factors",)
@@ -459,6 +460,12 @@ class ProductSpace(FinitePoset):
 
     def __len__(self) -> int:
         return math.prod(len(f) for f in self.factors)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ProductSpace) and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
 
     def points(self) -> Iterator[Tuple[Element, ...]]:
         check_size(len(self))

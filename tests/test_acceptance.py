@@ -206,7 +206,7 @@ class TestAcceptance:
                 assert all(
                     y == mm for y in poset.up_set(mm) if y in S.members()
                 )
-                assert q.check_argmax_localization(cu, S).ok
+                assert q.check_argmax_localization(cu, S, res).ok
 
     def test_criterion_9_min_decomposition_and_recovery(self):
         with criterion(9, "min-decomposition identity and coefficient round-trips", 10):
@@ -278,4 +278,4 @@ class TestAcceptance:
             for axis in range(2):
                 for frozen in vals:
                     pu = q.partial_utility(u_mix, (frozen,), axis)
-                    assert q.certify_quasi_leontief(pu.utility).ok
+                    assert q.certify_quasi_leontief(pu).ok

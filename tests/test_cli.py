@@ -423,6 +423,45 @@ class TestClosedFormCheck:
         assert main(["check", u]) == 2
 
 
+class TestMinProductFile:
+    """A min-product of tabulated factors runs as its table on the product."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        a, b = ["0", "1", "2"], ["0", "2", "3"]
+
+        def factor(vals):
+            return {"type": "tabulated", "poset": chain_json(3),
+                    "values": {str(t): v for t, v in enumerate(vals)}}
+
+        table = {f"{i},{j}": str(min(int(a[i]), int(b[j]))) for i in range(3) for j in range(3)}
+        return {
+            "min": write(tmp_path, "min.json", {"type": "min_product",
+                                                "factors": [factor(a), factor(b)]}),
+            "table": write(tmp_path, "table.json", {"type": "tabulated", "poset": {
+                "product": [chain_json(3), chain_json(3)]}, "values": table}),
+            "downset": write(tmp_path, "downset.json", {"generators": ["2,1", "1,2"]}),
+            "axis1": write(tmp_path, "axis1.json", {"members": ["0", "1"]}),
+            "axis2": write(tmp_path, "axis2.json", {"members": ["0", "1", "2"]}),
+        }
+
+    @pytest.mark.parametrize("args", [
+        ["check"],
+        ["efficient"],
+        ["maximize", "--downset", "downset"],
+        ["refine", "--sets", "axis1", "axis2"],
+    ])
+    def test_report_equals_the_tabulated_product(self, args, files, capsys):
+        reports = []
+        for utility in ("min", "table"):
+            argv = [args[0], "--json", files[utility], *(files.get(a, a) for a in args[1:])]
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.pop("input") == files[utility]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 class TestThreeFactorWalkthrough:
     @pytest.fixture
     def bundle(self, tmp_path):

@@ -84,10 +84,16 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert io.resolve_element(space, "1,b") == ("1", "b")
     assert io.resolve_element(space, ["2", "c"]) == ("2", "c")
     assert len(q.MinProductUtility([u1, u2]).space) == 9
+    twin = q.ProductSpace([chain, vee])
+    assert space == twin and not space != twin and hash(space) == hash(twin)
+    assert space != q.ProductSpace([vee, chain]) and space != chain and chain != space
     assert built == []
     assert space.index_of(("1", "b")) == 4  # any other query builds the tables, once
     assert space.elements[4] == ("1", "b")
     assert built == [True] and type(space) is q.ProductSpace
+    assert space == twin and type(twin) is not q.ProductSpace
+    # a product equals only a product, even a plain poset with its tables
+    assert space != FinitePoset(space.elements, space._up)
 
 
 def test_utility_domain_is_the_product():

@@ -81,7 +81,7 @@ class TestPartialUtility:
         pu = q.partial_utility(min_on_4x4, (3,), 0)
         for t in range(4):
             assert pu.value(t) == min(t, 3)
-        assert pu.utility.certified
+        assert pu.certified
         assert pu.interior(2) == 2
 
     def test_projection_matches_fresh_certification(self, min_on_4x4):
@@ -93,7 +93,7 @@ class TestPartialUtility:
             for frozen in range(4):
                 auto = q.partial_utility(min_on_4x4, (frozen,), axis)
                 fresh = q.certified_partial(raw, (frozen,), axis)
-                assert auto.utility._interior == fresh.utility._interior
+                assert auto._interior == fresh._interior
 
     def test_min_x1_x1x2_partials_certify_on_grid(self):
         u = min_x1_x1x2()

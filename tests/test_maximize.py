@@ -32,6 +32,10 @@ def ref_maximal_maximizer(u, s):
     return sorted(tops, key=str)[0]
 
 
+def localize(u, s):
+    return q.check_argmax_localization(u, s, q.argmax_over_downset(u, s))
+
+
 def min_x1x3_x2_grid():
     space = q.grid_space(range(1, 5), range(1, 5), range(1, 5))
     values = {p: F(min(p[0] * p[2], p[1])) for p in space.points()}
@@ -151,17 +155,12 @@ class TestMaximalArgmax:
 
 class TestArgmaxLocalization:
     def test_grid_example(self, min_on_4x4):
-        cert = q.check_argmax_localization(
-            min_on_4x4, downset(min_on_4x4.poset, [(2, 3)])
-        )
+        cert = localize(min_on_4x4, downset(min_on_4x4.poset, [(2, 3)]))
         assert cert.ok
         assert cert.data == {"a": True, "b": True, "c": True}
 
     def test_singleton_bottom(self, min_on_4x4):
-        cert = q.check_argmax_localization(
-            min_on_4x4, downset(min_on_4x4.poset, [(0, 0)])
-        )
-        assert cert.ok
+        assert localize(min_on_4x4, downset(min_on_4x4.poset, [(0, 0)])).ok
 
     def test_random_downsets(self):
         for i in range(50):
@@ -169,13 +168,18 @@ class TestArgmaxLocalization:
             poset = corpus.random_poset(rng, 10, with_bottom=True)
             u = certified(corpus.random_quasileontief_utility(rng, poset))
             s = corpus.random_downset(rng, poset)
-            assert q.check_argmax_localization(u, s).ok
+            assert localize(u, s).ok
+
+    # The fault tests check a corrupted interior table against the record of
+    # the true maximization: the corruption leaves every value alone, so the
+    # maximum and x^ are the same for both tables.
 
     def test_wrong_interior_entry_fails(self, min_on_4x4):
         s = downset(min_on_4x4.poset, [(2, 3)])
+        res = q.argmax_over_downset(min_on_4x4, s)
         table = {x: min_on_4x4.interior(x) for x in min_on_4x4.poset}
         table[(2, 2)] = (2, 3)  # (2, 2) is the first exact maximizer in s
-        cert = q.check_argmax_localization(min_on_4x4._certified_copy(table), s)
+        cert = q.check_argmax_localization(min_on_4x4._certified_copy(table), s, res)
         assert not cert.ok
         assert cert.witnesses == ((2, 2), (2, 3))
         assert cert.data == {"a": True, "b": False, "c": False}
@@ -186,6 +190,7 @@ class TestArgmaxLocalization:
             poset = corpus.random_poset(rng, 10, with_bottom=True)
             u = certified(corpus.random_quasileontief_utility(rng, poset))
             s = corpus.random_downset(rng, poset)
+            res = q.argmax_over_downset(u, s)
             members = s.sorted_members()
             best = max(u.value(x) for x in members)
             x_hat = next(x for x in members if u.value(x) == best)
@@ -194,14 +199,16 @@ class TestArgmaxLocalization:
                     continue
                 table = {x: u.interior(x) for x in poset}
                 table[x_hat] = wrong
-                cert = q.check_argmax_localization(u._certified_copy(table), s)
+                cert = q.check_argmax_localization(u._certified_copy(table), s, res)
                 assert not cert.ok
                 assert cert.witnesses == (x_hat, wrong)
+                assert not (cert.data["a"] and cert.data["c"])
 
     def test_downset_in_another_poset_rejected(self, min_on_4x4):
         other = q.grid_space(range(4), range(5)).as_poset()
+        res = q.argmax_over_downset(min_on_4x4, downset(min_on_4x4.poset, [(0, 0)]))
         with pytest.raises(q.OrderError, match="different poset"):
-            q.check_argmax_localization(min_on_4x4, downset(other, [(0, 0)]))
+            q.check_argmax_localization(min_on_4x4, downset(other, [(0, 0)]), res)
 
 
 class TestEfficientRefinement:

@@ -141,7 +141,7 @@ def test_partial_interior_is_the_projected_global_interior(seed):
             rest = space.delete(x, axis)
             auto = q.partial_utility(u, rest, axis)
             fresh = q.certified_partial(raw, rest, axis)
-            assert auto.utility._interior == fresh.utility._interior
+            assert auto._interior == fresh._interior
 
 
 @given(seeds)

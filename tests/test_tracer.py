@@ -1,13 +1,16 @@
 """The benchmark's span tracer still hooks the library.
 
 ``perfbench/spans.py`` patches functions and methods by name; a renamed or
-moved one would break ``perfbench/run.py --trace 1``.  This runs one traced
-``maximize`` so that such a break fails here too.
+moved one would break ``perfbench/run.py --trace 1``.  This runs traced
+commands so that such a break fails here too, and counts the walks over a
+feasible set S (``maximize.argmax_members`` spans) that each command makes.
 """
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import qleontief.cli as cli
 from qleontief.order import ProductSpace
@@ -23,18 +26,41 @@ def load_spans():
     return mod
 
 
-def test_traced_maximize_records_the_product_table_build(capsys):
-    original = ProductSpace.__dict__["as_poset"]
+def traced(argv):
+    """Run one CLI call under the tracer: (exit code, span names, tracer)."""
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        code = cli.main(["maximize", str(DATA / "product3.json"),
-                         "--downset", str(DATA / "product3_members.json")])
+        code = cli.main(argv)
     finally:
         tracer.uninstall()
+    return code, [span[0] for span in tracer.spans], tracer
+
+
+def test_traced_maximize_records_the_product_table_build(capsys):
+    original = ProductSpace.__dict__["as_poset"]
+    code, names, tracer = traced(["maximize", str(DATA / "product3.json"),
+                                  "--downset", str(DATA / "product3_members.json")])
     assert code == 0
-    names = [span[0] for span in tracer.spans]
     assert names.count("order.ProductSpace.as_poset") == 1
     assert "maximize.argmax_over_downset" in names
     assert tracer.counts["order.points"] == 3 * 3 + 27  # three chain factors, then the product
     assert ProductSpace.__dict__["as_poset"] is original
+
+
+@pytest.mark.parametrize("argv, walks, records", [
+    # one record; localization reads it
+    (["maximize", "product3.json", "--downset", "product3_members.json"], 1, 1),
+    # the record gives the default start and the largest efficient point;
+    # efficient_refinement walks S once more to check the start
+    (["refine", "product3.json", "--sets", "product3_axis1.json", "product3_axis2.json",
+      "product3_axis3.json"], 2, 1),
+    # 8 localization instances, one record each; 16 refinement walks
+    (["corpus", "--n", "8", "--seed", "3"], 24, 8),
+])
+def test_feasible_set_walks_per_command(argv, walks, records, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    code, names, _ = traced(argv)
+    assert code == 0
+    assert names.count("maximize.argmax_members") == walks
+    assert names.count("maximize.argmax_over_downset") == records
