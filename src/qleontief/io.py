@@ -23,6 +23,7 @@ from typing import Any, Union
 from .leontief import (
     Box,
     BoxAxis,
+    MinProductUtility,
     TabulatedUtility,
     UtilityError,
     affine_transform,
@@ -225,7 +226,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
                 raise InputError("price matrix 'P' must be a square list of rows")
             return price_matrix_leontief([[parse_number(c) for c in row] for row in P])
         if kind == "affine":
-            base = utility_from_json(obj["base"], base_dir=base_dir)
+            base = _min_product_table(utility_from_json(obj["base"], base_dir=base_dir))
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))
         if kind == "min_product":
             factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
@@ -237,7 +238,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
             ]
             return min_product(*factors)
         if kind == "restrict":
-            base = utility_from_json(obj["base"], base_dir=base_dir)
+            base = _min_product_table(utility_from_json(obj["base"], base_dir=base_dir))
             if isinstance(base, TabulatedUtility):
                 return restrict(base, downset_from_json(obj["downset"], base.poset))
             gens = generators_from_json(
@@ -249,6 +250,14 @@ def utility_from_json(obj, *, base_dir: str = "."):
     except (OrderError, UtilityError) as exc:
         raise InputError(f"invalid utility: {exc}") from exc
     raise InputError(f"unknown utility type {kind!r}")
+
+
+def _min_product_table(u):
+    """A ``min_product`` of tabulated factors as its table, so that a wrapper
+    around it is the tabulated transform or restriction; any other ``u`` as is."""
+    if isinstance(u, MinProductUtility) and u.space is not None:
+        return u.tabulate()
+    return u
 
 
 def _list(obj: dict, field: str) -> list:

@@ -582,11 +582,22 @@ class MinProductUtility(_Closure):
         x = tuple(x)
         if len(x) != len(self.factors):
             raise DomainError(f"point {x!r} has wrong arity")
+        for f, c in zip(self.factors, x):
+            # a closed-form factor reads a point of its own box
+            if not isinstance(f, TabulatedUtility) and not isinstance(c, (tuple, list)):
+                raise DomainError(f"coordinate {c!r} of {x!r} is not a point of a closed-form factor")
         return x
 
     def value(self, x):
         x = self._check(x)
         return min(f.value(c) for f, c in zip(self.factors, x))
+
+    def leq_points(self, x, y) -> bool:
+        """The coordinatewise order of the factor domains."""
+        return all(
+            f.poset.leq(a, b) if isinstance(f, TabulatedUtility) else f.leq_points(a, b)
+            for f, a, b in zip(self.factors, self._check(x), self._check(y))
+        )
 
     def dual(self, lam) -> Optional[Tuple]:
         parts = []

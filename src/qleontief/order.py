@@ -9,7 +9,10 @@ lower bound (see ``FinitePoset._meet_index``), so the pairwise sweeps over
 meets run in O(N^2) mask operations.
 
 A ``ProductSpace`` is the product poset itself; it builds its tables only when
-a query needs them.  No domain larger than ``MAX_POINTS`` is enumerated.
+a query needs them, factor by factor: the up-set (down-set) of a product point
+is the product of the factor up-sets (down-sets), and a product of two masks
+is one carry-free big-int multiply (``product_mask``).  No domain larger than
+``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 
@@ -82,8 +85,10 @@ def check_partial_order(
 
 
 MAX_POINTS = 2 ** 16
-"""The most points a grid or product may have (16^4): each point of a product
-poset carries two N-bit masks, so larger domains are refused before enumeration."""
+"""The most points a grid or product may have (16^4), refused before
+enumeration.  Memory sets the limit, not time: each point of a built poset
+carries two N-bit masks, N^2/4 bytes in all (about 1 GB at 16^4), while the
+factor-wise fold that builds them runs in well under a second at 10^4."""
 
 
 def check_size(n: int) -> int:
@@ -112,17 +117,26 @@ class FinitePoset:
         "elements", "_index", "_up", "_down", "_meet_total", "_meet_frame", "_names",
     )
 
-    def __init__(self, elements: Sequence[Element], up_masks: Sequence[int]):
+    def __init__(
+        self,
+        elements: Sequence[Element],
+        up_masks: Sequence[int],
+        _down_masks: Optional[Sequence[int]] = None,
+    ):
+        # ``_down_masks`` is for constructors that already hold the transpose
+        # of ``up_masks``; every other caller gets it computed bit by bit
         self.elements: Tuple[Element, ...] = tuple(elements)
         self._index: Dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise OrderError("duplicate elements in ground set")
         self._up: List[int] = list(up_masks)
-        n = len(self.elements)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(self._up[i]):
-                down[j] |= 1 << i
+        if _down_masks is None:
+            down = [0] * len(self.elements)
+            for i, up in enumerate(self._up):
+                for j in _bits(up):
+                    down[j] |= 1 << i
+        else:
+            down = list(_down_masks)
         self._down: List[int] = down
         self._meet_total: Optional[bool] = None
         self._meet_frame: Optional[Tuple[List[int], Optional[List[int]]]] = None
@@ -180,12 +194,13 @@ class FinitePoset:
         vals = list(values)
         n = len(vals)
         masks = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
-        return cls(vals, masks)
+        return cls(vals, masks, [(2 << i) - 1 for i in range(n)])
 
     @classmethod
     def antichain(cls, values: Sequence[Element]) -> "FinitePoset":
         vals = list(values)
-        return cls(vals, [1 << i for i in range(len(vals))])
+        masks = [1 << i for i in range(len(vals))]
+        return cls(vals, masks, masks)
 
     def induced(self, subset: Iterable[Element]) -> "FinitePoset":
         """Sub-poset on ``subset`` with the restricted order."""
@@ -399,14 +414,13 @@ class FinitePoset:
         return True
 
     def is_filtered(self) -> bool:
-        """True iff every pair of elements has a common lower bound."""
-        n = len(self.elements)
-        for i in range(n):
-            di = self._down[i]
-            for j in range(i + 1, n):
-                if di & self._down[j] == 0:
-                    return False
-        return True
+        """True iff every pair of elements has a common lower bound.
+
+        A finite poset is downward directed iff it has a least element (a
+        common lower bound of all elements, found pair by pair), so this is
+        one scan for the bottom; the empty poset counts as filtered.
+        """
+        return len(self) == 0 or self.bottom() is not None
 
     def linear_extension(self) -> Tuple[Element, ...]:
         """Elements in an order-compatible sequence (below comes before above)."""
@@ -441,16 +455,17 @@ class ProductSpace(FinitePoset):
         """The product itself, with its element tuple and mask tables built
         on first use.
 
-        Up masks are folded factor by factor (see ``product_mask``): the
-        up-set of (prefix, c) is up(prefix) x up(c).
+        Both tables are folded factor by factor, so nothing is transposed:
+        the up-set of (prefix, c) is up(prefix) x up(c) and its down-set is
+        down(prefix) x down(c).  Each prefix row is spread once (see
+        ``product_mask``) and multiplied by every row of the next factor.
         """
         if isinstance(self, _UnbuiltProduct):
             points = list(self.points())
-            masks = list(self.factors[0]._up)
+            up, down = self.factors[0]._up, self.factors[0]._down
             for f in self.factors[1:]:
-                n = len(f)
-                masks = [product_mask(prefix, mj, n) for prefix in masks for mj in f._up]
-            super().__init__(points, masks)
+                up, down = _fold(up, f._up, len(f)), _fold(down, f._down, len(f))
+            super().__init__(points, up, down)
             self.__class__ = ProductSpace
         return self
 
@@ -521,16 +536,27 @@ class _UnbuiltProduct(ProductSpace):
         raise AttributeError(f"'ProductSpace' object has no attribute {name!r}")
 
 
+def _spread(outer: int, n: int) -> int:
+    """``outer`` with bit p moved to bit p*n."""
+    return int(("0" * (n - 1)).join(bin(outer)[2:]), 2)
+
+
 def product_mask(outer: int, inner: int, n_inner: int) -> int:
     """Mask of the product of two subsets, ``outer`` over a poset P and
     ``inner`` over a poset Q of ``n_inner`` elements, indexed over P x Q with
-    the Q coordinate fastest (the order of ``ProductSpace.points``)."""
-    m = 0
-    while outer:
-        low = outer & -outer
-        m |= inner << ((low.bit_length() - 1) * n_inner)
-        outer ^= low
-    return m
+    the Q coordinate fastest (the order of ``ProductSpace.points``).
+
+    Point (p, q) has index p*n_inner + q, so the mask is the sum of
+    ``inner << p*n_inner`` over the members p of ``outer``: one multiply of
+    the spread ``outer`` by ``inner``.  It never carries, since
+    ``inner < 2**n_inner`` and each copy fills its own n_inner-bit block.
+    """
+    return _spread(outer, n_inner) * inner
+
+
+def _fold(rows: Sequence[int], factor_rows: Sequence[int], n: int) -> List[int]:
+    """``product_mask(r, m, n)`` for every row r, then every factor row m."""
+    return [s * m for r in rows for s in [_spread(r, n)] for m in factor_rows]
 
 
 def grid_space(*ranges: Sequence[Element]) -> ProductSpace:

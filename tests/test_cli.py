@@ -4,6 +4,8 @@ import json
 import os
 import tempfile
 import time
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -461,6 +463,41 @@ class TestMinProductFile:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("args, code", [
+        (["check"], 0),
+        (["efficient"], 0),
+        # the restricted domain is an induced poset, so its points go by their string form
+        (["maximize", "--downset", {"generators": ["('2', '1')", "('1', '2')"]}], 0),
+        (["maximize", "--downset", {"generators": [["1", "1"]]}], 2),
+    ])
+    def test_restriction_runs_as_the_restricted_table(self, args, code, files, tmp_path, capsys):
+        downset = {"generators": [["2", "1"], ["1", "2"]]}
+        outputs = []
+        for utility in ("min", "table"):
+            path = write(tmp_path, f"restricted-{utility}.json",
+                         {"type": "restrict", "base": files[utility], "downset": downset})
+            extra = [write(tmp_path, "s.json", a) if isinstance(a, dict) else a for a in args[1:]]
+            assert main([args[0], path, *extra]) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert code == 0 or outputs[0].err == "error: unknown element ['1', '1']\n"
+
+    @pytest.mark.parametrize("wrapper", [
+        {"type": "affine", "a": "2", "b": "1"},
+        {"type": "restrict", "downset": {"generators": [["1", "1"]]}},
+    ])
+    def test_closed_form_factors_exit_two(self, wrapper, tmp_path, capsys):
+        def classical(a):
+            return {"type": "classical", "a": [a], "box": {"axes": [GRID_BOX["axes"][0]]}}
+
+        u = write(tmp_path, "u.json", {**wrapper, "base": {
+            "type": "min_product", "factors": [classical("1"), classical("2")]}})
+        s = write(tmp_path, "s.json", {"generators": [["1", "1"]]})
+        assert main(["maximize", u, "--downset", s]) == 2
+        assert capsys.readouterr().err == (
+            "error: coordinate Fraction(1, 1) of (Fraction(1, 1), Fraction(1, 1)) "
+            "is not a point of a closed-form factor\n")
+
 
 class TestThreeFactorWalkthrough:
     @pytest.fixture
@@ -540,6 +577,56 @@ class TestHostileShapes:
         s = write(tmp_path, "s.json", {"members": []})
         assert main(["refine", min_grid_utility, "--sets", s, s]) == 2
         assert capsys.readouterr().err == "error: empty down-set\n"
+
+
+class TestLargeProduct:
+    """``efficient`` and ``maximize`` on a 10^4 table of u(x) = min_i a_i x_i,
+    checked against closed-form answers: a point is efficient iff it is the
+    least one at its level, x = (ceil(u(x)/a_i))_i, and the largest efficient
+    point of a down-set is (ceil(max/a_i))_i.  Each call has a time budget."""
+
+    A = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1))
+    BUDGET = 5.0
+
+    @classmethod
+    def least_at(cls, lam):
+        return tuple(-(-lam // c) for c in cls.A)
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        values = {x: min(c * t for c, t in zip(self.A, x)) for x in product(range(10), repeat=4)}
+        path = tmp_path_factory.mktemp("large") / "u.json"
+        path.write_text(json.dumps({"poset": {"product": [chain_json(10)] * 4}, "values": {
+            ",".join(map(str, x)): str(v) for x, v in values.items()}}))
+        return str(path), values
+
+    def timed(self, argv, capsys):
+        t0 = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - t0
+        assert seconds < self.BUDGET, f"{argv[0]} took {seconds:.2f}s, budget {self.BUDGET}s"
+        assert code == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_efficient(self, table, capsys):
+        path, values = table
+        report = self.timed(["efficient", "--json", path], capsys)
+        points = [x for x in values if self.least_at(values[x]) == x]  # already in index order
+        points.sort(key=lambda x: values[x])
+        assert report["points"] == [[str(t) for t in x] for x in points]
+
+    def test_maximize(self, table, tmp_path, capsys):
+        path, values = table
+        gens = [(9, 3, 3, 3), (3, 3, 3, 9)]
+        s = write(tmp_path, "s.json", {"generators": [",".join(map(str, g)) for g in gens]})
+        report = self.timed(["maximize", "--json", path, "--downset", s], capsys)
+        members = [x for x in values if any(all(a <= b for a, b in zip(x, g)) for g in gens)]
+        best = max(values[x] for x in members)
+        assert report["result"]["value"] == str(best)
+        assert report["result"]["maximizers"] == [
+            [str(t) for t in x] for x in members if values[x] == best]
+        assert report["result"]["largest_efficient"] == [str(t) for t in self.least_at(best)]
+        assert report["localization"]["verdict"] == "pass"
 
 
 class TestBounds:
@@ -648,3 +735,52 @@ class TestFuzzedFields:
                            s={"members": ["0", "1"]}, x=value)
             argv = ["refine", p["u"], "--sets", p["s"], p["s"], "--start", p["x"]]
             assert run_quietly(argv) in (0, 1, 2)
+
+
+# Point tokens for the domains of ``nested_forms``: factor ids, one- and two-axis
+# points, comma-joined product keys, and the string form of a point of an induced poset.
+nested_points = st.lists(st.sampled_from(
+    ["0", "1", ["1"], ["1", "1"], "1,1", ["2", "0"], ["1", "1", "1"], "('1', '1')"]),
+    min_size=1, max_size=2)
+
+
+def nested_forms():
+    """``affine``, ``restrict`` and ``min_product`` nested up to depth 2 over
+    tabulated chains and one-axis classical forms (gridded or continuous)."""
+    chains = st.builds(
+        lambda k, vals: {"type": "tabulated", "poset": chain_json(k),
+                         "values": {str(i): v for i, v in enumerate(sorted(vals)[:k])}},
+        st.integers(2, 3), st.lists(st.sampled_from(["0", "1/2", "1", "2"]), min_size=3, max_size=3))
+    axis = st.sampled_from([{"lo": "0", "hi": "2", "step": "1"}, {"lo": "1", "hi": "3", "step": "1"},
+                            {"lo": "0", "hi": "2"}])
+    classical = st.builds(lambda a, ax: {"type": "classical", "a": [a], "box": {"axes": [ax]}},
+                          st.sampled_from(["1", "2", "1/2"]), axis)
+
+    def wrap(inner):
+        return (st.builds(lambda a, b, base: {"type": "affine", "a": a, "b": b, "base": base},
+                          st.sampled_from(["2", "1/2"]), st.sampled_from(["0", "1"]), inner)
+                | st.builds(lambda g, base: {"type": "restrict", "base": base, "downset": {"generators": g}},
+                            nested_points, inner)
+                | st.builds(lambda fs: {"type": "min_product", "factors": fs},
+                            st.lists(inner, min_size=1, max_size=2)))
+
+    leaves = chains | classical
+    depth1 = wrap(leaves)
+    return depth1 | wrap(leaves | depth1)
+
+
+class TestNestedCombinators:
+    """Every nesting keeps the exit-code contract in ``check``, ``efficient``
+    and ``maximize``: no traceback, and a bounded time per example."""
+
+    @given(nested_forms(), st.sampled_from(["generators", "members"]), nested_points)
+    @settings(max_examples=150, deadline=5000)
+    def test_commands(self, form, kind, downset):
+        with tempfile.TemporaryDirectory() as root:
+            p = TestFuzzedFields.files(root, u=form, s={kind: downset})
+            for argv in (["check", p["u"]], ["efficient", p["u"]],
+                         ["maximize", p["u"], "--downset", p["s"]]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2) and "Traceback" not in err.getvalue()

@@ -33,15 +33,34 @@ def reference(space):
 
 
 def chain_products():
-    for i in range(12):
+    """Up to 4 chain axes of 1 to 4 elements."""
+    for i in range(16):
         rng = random.Random(i)
-        yield q.grid_space(*(range(rng.randint(1, 4)) for _ in range(rng.randint(1, 3))))
+        yield q.grid_space(*(range(rng.randint(1, 4)) for _ in range(rng.randint(1, 4))))
 
 
-def poset_products():
-    for i in range(12):
+def poset_products(max_points=300):
+    """Up to 4 axes: random posets of up to 9 elements, so that a mask block
+    holds several bits of a factor that is not a chain, and one-element
+    factors."""
+    for i in range(16):
         rng = corpus.derive_rng(61, "product-of-posets", i)
-        yield q.ProductSpace([corpus.random_poset(rng, 5) for _ in range(rng.randint(1, 3))])
+        factors, n = [], 1
+        for _ in range(rng.randint(1, 4)):
+            room = min(9, max_points // n)
+            if room < 2 or rng.random() < 0.2:
+                factors.append(FinitePoset.antichain(["o"]))
+            else:
+                factors.append(corpus.random_poset(rng, room))
+            n *= len(factors[-1])
+        yield q.ProductSpace(factors)
+
+
+def test_products_cover_the_shapes():
+    spaces = list(chain_products()) + list(poset_products())
+    assert max(s.n_axes for s in spaces) == 4
+    assert max(len(f) for s in spaces for f in s.factors) >= 8
+    assert any(len(f) == 1 for s in spaces for f in s.factors)
 
 
 @pytest.mark.parametrize("spaces", [chain_products, poset_products])
@@ -60,6 +79,18 @@ def test_tables_and_queries_match_reference(spaces):
             subset = rng.sample(ref.elements, rng.randint(0, len(ref)))
             assert space.least(subset) == ref.least(subset)
             assert space.minimal(subset) == ref.minimal(subset)
+
+
+@pytest.mark.parametrize("spaces", [chain_products, poset_products])
+def test_product_downset_is_the_product_of_the_factor_sets(spaces):
+    for k, space in enumerate(spaces()):
+        rng = random.Random(k)
+        sets = [q.DownSet.from_generators(f, rng.sample(f.elements, rng.randint(0, min(2, len(f)))))
+                for f in space.factors]
+        members = [s.members() for s in sets]
+        mask = sum(1 << i for i, x in enumerate(product(*(f.elements for f in space.factors)))
+                   if all(c in m for c, m in zip(x, members)))
+        assert q.product_downset(space, sets).mask == mask
 
 
 def test_factorwise_queries_build_no_tables(monkeypatch):

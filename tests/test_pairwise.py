@@ -5,7 +5,8 @@ every common lower bound or every element above x.  The library answers the
 same questions with a few big-int operations per pair: a meet is the highest
 common lower bound along a linear extension, and property Phi and the meet
 identity test one value band per pair.  Verdicts, witnesses and detail texts
-must agree exactly.
+must agree exactly.  The pairwise filtering loop is kept too: the library asks
+for a least element instead.
 """
 from __future__ import annotations
 
@@ -38,6 +39,12 @@ def ref_meet(poset, x, y):
 def ref_is_inf_semilattice(poset):
     els = poset.elements
     return all(ref_meet(poset, x, y) is not None for i, x in enumerate(els) for y in els[i + 1:])
+
+
+def ref_is_filtered(poset):
+    """Every pair of elements has a common lower bound."""
+    down = poset._down
+    return all(down[i] & down[j] for i in range(len(down)) for j in range(i + 1, len(down)))
 
 
 def ref_property_phi(u):
@@ -148,6 +155,16 @@ def assert_meets_match(poset):
 @given(st.integers(0, 2**32), st.sampled_from(SHAPES))
 def test_meets_match_reference(seed, shape):
     assert_meets_match(make_poset(corpus.derive_rng(seed, "pairwise-meet"), shape))
+
+
+def test_is_filtered_matches_reference():
+    posets = [q.FinitePoset([], []), q.FinitePoset.antichain(["a"])]
+    for i in range(300):
+        rng = corpus.derive_rng(i, "pairwise-filtered")
+        posets.append(make_poset(rng, rng.choice(SHAPES), size=rng.randint(2, 8)))
+    verdicts = [p.is_filtered() for p in posets]
+    assert verdicts == [ref_is_filtered(p) for p in posets]
+    assert verdicts[:2] == [True, True] and False in verdicts
 
 
 @given(utilities)
