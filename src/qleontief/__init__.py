@@ -25,7 +25,6 @@ from .leontief import (
     DomainError,
     DualDomainError,
     HomogeneityError,
-    JoinMissingError,
     LeastlessLevelSetError,
     MinFormError,
     MinPointwiseUtility,

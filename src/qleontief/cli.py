@@ -112,8 +112,6 @@ def _load_utility(path: str, tolerance: Optional[float]):
 def _as_tabulated(u) -> TabulatedUtility:
     if isinstance(u, TabulatedUtility):
         return u
-    if isinstance(u, MinProductUtility) and u.space is not None:
-        return u.tabulate()
     box = getattr(u, "box", None)
     if box is not None and box.is_grid():
         return tabulate(u)

@@ -10,8 +10,11 @@ Utility:   tabulated {"poset": <poset-or-path>, "values": {"e1": "3/2", ...}}
 Rationals are "p/q" strings.  Product points appear either as arrays of
 factor ids or as comma-joined strings ("2,3"); value-map keys always use the
 comma-joined form.  A token names the element equal to it, else the one
-element whose string form is the token stripped of surrounding blanks; two
-such elements make the token ambiguous, which is an input error.
+element whose ``elem_key`` is the token's key (an array's entries
+comma-joined, any other token's string form) stripped of surrounding blanks;
+an array names only a tuple point.  So arrays and "a,b" keys also name the
+points of a restricted product table.  Two such elements make the token
+ambiguous, which is an input error.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from typing import Any, Union
 from .leontief import (
     Box,
     BoxAxis,
-    MinProductUtility,
     TabulatedUtility,
     UtilityError,
     affine_transform,
@@ -33,7 +35,7 @@ from .leontief import (
     price_matrix_leontief,
     restrict,
 )
-from .order import DownSet, FinitePoset, OrderError, ProductSpace
+from .order import DownSet, FinitePoset, OrderError, ProductSpace, elem_key
 
 
 class InputError(ValueError):
@@ -85,13 +87,6 @@ def encode_elem(e) -> Any:
     if isinstance(e, Fraction):
         return str(e)
     return e
-
-
-def elem_key(e) -> str:
-    """Canonical string key for one element (comma-joined for product points)."""
-    if isinstance(e, tuple):
-        return ",".join(elem_key(c) for c in e)
-    return str(e)
 
 
 def poset_from_json(obj, *, base_dir: str = ".") -> FinitePoset:
@@ -152,7 +147,9 @@ def resolve_element(space: FinitePoset, raw):
         i = None
     if i is not None:
         return space.elements[i]
-    found = space._by_str().get(str(raw).strip(), ())
+    found = space._by_key().get(elem_key(raw).strip(), ())
+    if isinstance(raw, list):  # an array names only a tuple point
+        found = [e for e in found if isinstance(e, tuple)]
     if len(found) > 1:
         raise InputError(f"ambiguous element {raw!r}: matches {', '.join(map(repr, found))}")
     if not found:
@@ -226,7 +223,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
                 raise InputError("price matrix 'P' must be a square list of rows")
             return price_matrix_leontief([[parse_number(c) for c in row] for row in P])
         if kind == "affine":
-            base = _min_product_table(utility_from_json(obj["base"], base_dir=base_dir))
+            base = utility_from_json(obj["base"], base_dir=base_dir)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))
         if kind == "min_product":
             factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
@@ -238,7 +235,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
             ]
             return min_product(*factors)
         if kind == "restrict":
-            base = _min_product_table(utility_from_json(obj["base"], base_dir=base_dir))
+            base = utility_from_json(obj["base"], base_dir=base_dir)
             if isinstance(base, TabulatedUtility):
                 return restrict(base, downset_from_json(obj["downset"], base.poset))
             gens = generators_from_json(
@@ -250,14 +247,6 @@ def utility_from_json(obj, *, base_dir: str = "."):
     except (OrderError, UtilityError) as exc:
         raise InputError(f"invalid utility: {exc}") from exc
     raise InputError(f"unknown utility type {kind!r}")
-
-
-def _min_product_table(u):
-    """A ``min_product`` of tabulated factors as its table, so that a wrapper
-    around it is the tabulated transform or restriction; any other ``u`` as is."""
-    if isinstance(u, MinProductUtility) and u.space is not None:
-        return u.tabulate()
-    return u
 
 
 def _list(obj: dict, field: str) -> list:

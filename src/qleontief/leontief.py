@@ -5,7 +5,10 @@ It is quasi-Leontief when every upper level set u^-1(up(u(x))) has a least
 element u°(x) (the interior map); it is regular when every nonempty level
 set u^-1(up(lam)) has one (the dual map u#).  Closed forms carry their
 interior and dual in formula form; tabulated utilities acquire them through
-brute-force certification (see the oracle module).
+brute-force certification (see the oracle module).  Every combinator maps
+tables to a table (``affine_transform``, ``restrict``, ``min_product``,
+``min_pointwise``), so a combined table is certified like any other; only
+closed forms are wrapped, and only the wrappers compute a dual by formula.
 """
 from __future__ import annotations
 
@@ -43,10 +46,6 @@ class LeastlessLevelSetError(UtilityError):
 
 class DualDomainError(UtilityError):
     """Level outside the admissible dual domain."""
-
-
-class JoinMissingError(UtilityError):
-    """A pointwise-min dual needs a join the domain does not provide."""
 
 
 class DecompositionError(UtilityError):
@@ -369,8 +368,6 @@ def _infer_scale(*numbers) -> Scale:
 # ---------------------------------------------------------------------------
 
 
-_ORTHANT = "power form needs a domain in the nonnegative orthant"
-
 MAX_POWER_BITS = 4096
 """The largest exact power x^alpha (integral alpha > 1) that is computed, in
 bits, estimated as alpha * log2 of the larger of x's numerator and denominator;
@@ -396,7 +393,7 @@ class PowerLeontief(_Closure):
         if any(c <= 0 for c in self.a) or any(e <= 0 for e in self.alpha):
             raise UtilityError("coefficients and exponents must be strictly positive")
         if any(ax.lo < 0 for ax in box.axes) and any(e != 1 for e in self.alpha):
-            raise UtilityError(_ORTHANT)
+            raise UtilityError("power form needs a domain in the nonnegative orthant")
         self.box = box
         self.scale = scale if scale is not None else tolerant()
         self.certified = True
@@ -556,35 +553,37 @@ class AffineUtility(_Closure):
         return f"AffineUtility({self.a} * {self.base!r} + {self.b})"
 
 
+def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
+    """The scale of the first of ``utilities``, which must be nonempty and
+    agree on exact versus tolerant."""
+    if not utilities:
+        raise UtilityError(f"{name} needs at least one {noun}")
+    if len({u.scale.kind for u in utilities}) > 1:
+        raise UtilityError(f"{noun}s mix exact and tolerant scales")
+    return utilities[0].scale
+
+
 class MinProductUtility(_Closure):
-    """u(x_1..x_n) = min_i u_i(x_i) over the product of the factor domains.
+    """u(x_1..x_n) = min_i u_i(x_i) over the product of closed-form factor
+    domains; each coordinate x_i is a point of u_i's box.
 
     All factors must be regular on their own domains; the dual is the tuple
     of factor duals and the interior follows as dual(value(x)).
     """
 
     def __init__(self, factors: Sequence):
-        if not factors:
-            raise UtilityError("min-product needs at least one factor")
         self.factors = tuple(factors)
-        kinds = {f.scale.kind for f in self.factors}
-        if len(kinds) > 1:
-            raise UtilityError("factors mix exact and tolerant scales")
-        self.scale = self.factors[0].scale
-        for f in self.factors:
-            if isinstance(f, TabulatedUtility) and not f.certified:
-                raise UtilityError("min-product factors must be certified")
-        tabulated = all(isinstance(f, TabulatedUtility) for f in self.factors)
-        self.space = ProductSpace([f.poset for f in self.factors]) if tabulated else None
+        self.scale = _shared_scale(self.factors, "min-product", "factor")
+        if any(isinstance(f, TabulatedUtility) for f in self.factors):
+            raise UtilityError("min-product factors must be all tables or all closed forms")
         self.certified = True
 
     def _check(self, x) -> Tuple:
         x = tuple(x)
         if len(x) != len(self.factors):
             raise DomainError(f"point {x!r} has wrong arity")
-        for f, c in zip(self.factors, x):
-            # a closed-form factor reads a point of its own box
-            if not isinstance(f, TabulatedUtility) and not isinstance(c, (tuple, list)):
+        for c in x:
+            if not isinstance(c, (tuple, list)):
                 raise DomainError(f"coordinate {c!r} of {x!r} is not a point of a closed-form factor")
         return x
 
@@ -595,8 +594,7 @@ class MinProductUtility(_Closure):
     def leq_points(self, x, y) -> bool:
         """The coordinatewise order of the factor domains."""
         return all(
-            f.poset.leq(a, b) if isinstance(f, TabulatedUtility) else f.leq_points(a, b)
-            for f, a, b in zip(self.factors, self._check(x), self._check(y))
+            f.leq_points(a, b) for f, a, b in zip(self.factors, self._check(x), self._check(y))
         )
 
     def dual(self, lam) -> Optional[Tuple]:
@@ -613,45 +611,22 @@ class MinProductUtility(_Closure):
         assert d is not None
         return d
 
-    def tabulate(self) -> TabulatedUtility:
-        """Explicit table on the product poset (factors must be tabulated)."""
-        if self.space is None:
-            raise UtilityError("only tabulated factors can be tabulated")
-        vals = {p: self.value(p) for p in self.space.points()}
-        return TabulatedUtility(self.space, vals, scale=self.scale)
-
     def __repr__(self) -> str:
         return f"MinProductUtility({len(self.factors)} factors)"
 
 
 class MinPointwiseUtility(_Closure):
-    """min_i u_i(x) for utilities on one common domain with binary joins.
+    """min_i u_i(x) for closed forms on one common box.
 
-    The dual is the join of the factor duals; a missing join is an error.
+    The dual is the coordinatewise max of the part duals, their join in the box.
     """
 
     def __init__(self, parts: Sequence):
-        if not parts:
-            raise UtilityError("pointwise min needs at least one part")
         self.parts = tuple(parts)
-        kinds = {p.scale.kind for p in self.parts}
-        if len(kinds) > 1:
-            raise UtilityError("parts mix exact and tolerant scales")
-        self.scale = self.parts[0].scale
-        first = self.parts[0]
-        if isinstance(first, TabulatedUtility):
-            for p in self.parts:
-                if not isinstance(p, TabulatedUtility) or p.poset != first.poset:
-                    raise UtilityError("parts must share one domain poset")
-                if not p.certified:
-                    raise UtilityError("pointwise-min parts must be certified")
-            self.poset: Optional[FinitePoset] = first.poset
-            self.box: Optional[Box] = None
-        else:
-            self.poset = None
-            self.box = getattr(first, "box", None)
-            if self.box is None:
-                raise UtilityError("parts need a shared poset or box domain")
+        self.scale = _shared_scale(self.parts, "pointwise min", "part")
+        self.box = getattr(self.parts[0], "box", None)
+        if self.box is None:
+            raise UtilityError("closed-form parts need a shared box domain")
         self.certified = True
 
     def value(self, x):
@@ -664,26 +639,12 @@ class MinPointwiseUtility(_Closure):
             if d is None:
                 return None
             duals.append(d)
-        if self.poset is not None:
-            out = duals[0]
-            for d in duals[1:]:
-                j = self.poset.join(out, d)
-                if j is None:
-                    raise JoinMissingError(f"no join for {out!r} and {d!r}")
-                out = j
-            return out
         return tuple(max(cs) for cs in zip(*duals))
 
     def interior(self, x):
         d = self.dual(self.value(x))
         assert d is not None
         return d
-
-    def tabulate(self) -> TabulatedUtility:
-        if self.poset is None:
-            raise UtilityError("only tabulated parts can be tabulated")
-        vals = {e: self.value(e) for e in self.poset.elements}
-        return TabulatedUtility(self.poset, vals, scale=self.scale)
 
     def __repr__(self) -> str:
         return f"MinPointwiseUtility({len(self.parts)} parts)"
@@ -718,6 +679,9 @@ class RestrictedUtility(_Closure):
             return None
         return d
 
+    def leq_points(self, x, y):
+        return self.base.leq_points(x, y)
+
     def __repr__(self) -> str:
         return f"RestrictedUtility({self.base!r}, {len(self.generators)} generators)"
 
@@ -739,23 +703,42 @@ def classical_leontief(a: Sequence, box: Box, *, scale: Optional[Scale] = None) 
 def power_leontief(
     a: Sequence, alpha: Sequence, box: Box, *, scale: Optional[Scale] = None
 ) -> PowerLeontief:
-    """The power form on a box in the nonnegative orthant, whatever the exponents."""
-    u = PowerLeontief(a, alpha, box, scale=scale)
-    if any(ax.lo < 0 for ax in box.axes):
-        raise UtilityError(_ORTHANT)
-    return u
+    """The power form; a box outside the nonnegative orthant needs every exponent 1."""
+    return PowerLeontief(a, alpha, box, scale=scale)
 
 
 def price_matrix_leontief(P: Sequence[Sequence[float]], *, scale: Optional[Scale] = None) -> PriceMatrixLeontief:
     return PriceMatrixLeontief(P, scale=scale)
 
 
-def min_product(*factors) -> MinProductUtility:
+def min_product(*factors):
+    """min_i u_i(x_i) on the product of the factor domains.
+
+    Tables give the uncertified table on the ``ProductSpace`` of their posets;
+    closed forms give a ``MinProductUtility``.  A mix of the two is refused.
+    """
+    if factors and all(isinstance(f, TabulatedUtility) for f in factors):
+        scale = _shared_scale(factors, "min-product", "factor")
+        space = ProductSpace([f.poset for f in factors])
+        vals = {p: min(f.values[c] for f, c in zip(factors, p)) for p in space.points()}
+        return TabulatedUtility(space, vals, scale=scale)
     return MinProductUtility(factors)
 
 
-def min_pointwise(*parts) -> MinPointwiseUtility:
-    return MinPointwiseUtility(parts)
+def min_pointwise(*parts):
+    """min_i u_i(x) on one domain.
+
+    Tables on one poset give the uncertified table of the minimum; closed forms
+    on one box give a ``MinPointwiseUtility``.
+    """
+    if not any(isinstance(p, TabulatedUtility) for p in parts):
+        return MinPointwiseUtility(parts)
+    scale = _shared_scale(parts, "pointwise min", "part")
+    first = parts[0]
+    if any(not isinstance(p, TabulatedUtility) or p.poset != first.poset for p in parts):
+        raise UtilityError("parts must share one domain poset")
+    vals = {e: min(p.values[e] for p in parts) for e in first.poset.elements}
+    return TabulatedUtility(first.poset, vals, scale=scale)
 
 
 def affine_transform(u, a, b):

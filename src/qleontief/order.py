@@ -24,6 +24,14 @@ from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Opt
 Element = Hashable
 
 
+def elem_key(e) -> str:
+    """Canonical string key for one element: the keys of the coordinates
+    comma-joined for a product point (a tuple or a list), else the string form."""
+    if isinstance(e, (tuple, list)):
+        return ",".join(elem_key(c) for c in e)
+    return str(e)
+
+
 class OrderError(ValueError):
     """Invalid order-theoretic input: unknown element, bad relation, empty factor list."""
 
@@ -246,12 +254,12 @@ class FinitePoset:
         except KeyError:
             raise OrderError(f"unknown element {x!r}") from None
 
-    def _by_str(self) -> Dict[str, List[Element]]:
-        """Elements grouped by their string form, in element order (cached)."""
+    def _by_key(self) -> Dict[str, List[Element]]:
+        """Elements grouped by ``elem_key``, in element order (cached)."""
         if self._names is None:
             names: Dict[str, List[Element]] = {}
             for e in self.elements:
-                names.setdefault(str(e), []).append(e)
+                names.setdefault(elem_key(e), []).append(e)
             self._names = names
         return self._names
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qleontief import cli, maximize, oracle
 from qleontief.cli import main
@@ -466,9 +466,12 @@ class TestMinProductFile:
     @pytest.mark.parametrize("args, code", [
         (["check"], 0),
         (["efficient"], 0),
-        # the restricted domain is an induced poset, so its points go by their string form
-        (["maximize", "--downset", {"generators": ["('2', '1')", "('1', '2')"]}], 0),
-        (["maximize", "--downset", {"generators": [["1", "1"]]}], 2),
+        # the restricted domain is an induced poset of tuples: arrays and "a,b"
+        # keys name its points as they do on the product, the Python form does not
+        (["maximize", "--downset", {"generators": [["2", "1"], ["1", "2"]]}], 0),
+        (["maximize", "--downset", {"generators": [["1", "1"]]}], 0),
+        (["maximize", "--downset", {"generators": ["1,1"]}], 0),
+        (["maximize", "--downset", {"generators": ["('1', '1')"]}], 2),
     ])
     def test_restriction_runs_as_the_restricted_table(self, args, code, files, tmp_path, capsys):
         downset = {"generators": [["2", "1"], ["1", "2"]]}
@@ -480,7 +483,31 @@ class TestMinProductFile:
             assert main([args[0], path, *extra]) == code
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
-        assert code == 0 or outputs[0].err == "error: unknown element ['1', '1']\n"
+        assert code == 0 or outputs[0].err == "error: unknown element \"('1', '1')\"\n"
+
+    def test_nested_product_runs_as_its_table(self, tmp_path, capsys):
+        u = write(tmp_path, "nested.json", NESTED_MIN_PRODUCT)
+        s = write(tmp_path, "s.json", {"generators": [[["1", "2"], "1"]]})
+        assert main(["check", u]) == 0
+        capsys.readouterr()
+        assert main(["efficient", "--json", u]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] == [[[t, t], t] for t in "012"]
+        assert main(["maximize", "--json", u, "--downset", s]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["largest_efficient"] == [["1", "1"], "1"]
+        # a factor list that mixes tables and closed forms is refused
+        mixed = write(tmp_path, "mixed.json", {"type": "min_product", "factors": [
+            CHAIN3, {"type": "classical", "a": ["1"], "box": {"axes": [GRID_BOX["axes"][0]]}}]})
+        assert main(["check", mixed]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid utility: min-product factors must be all tables or all closed forms\n")
+
+    def test_nested_closed_form_restriction(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", NESTED_RESTRICT)
+        s = write(tmp_path, "s.json", {"generators": [["1"]]})
+        assert main(["maximize", "--json", u, "--downset", s]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["value"], result["maximizers"]) == ("1", [["1"]])
 
     @pytest.mark.parametrize("wrapper", [
         {"type": "affine", "a": "2", "b": "1"},
@@ -544,6 +571,12 @@ class TestThreeFactorWalkthrough:
 
 GRID_BOX = {"axes": [{"lo": "0", "hi": "2", "step": "1"}] * 2}
 CONTINUOUS_BOX = {"axes": [{"lo": "0", "hi": "2"}] * 2}
+CHAIN3 = {"type": "tabulated", "poset": chain_json(3), "values": {"0": "0", "1": "1", "2": "2"}}
+NESTED_MIN_PRODUCT = {"type": "min_product", "factors": [
+    {"type": "min_product", "factors": [CHAIN3, CHAIN3]}, CHAIN3]}
+NESTED_RESTRICT = {"type": "restrict", "downset": {"generators": [["1"]]}, "base": {
+    "type": "restrict", "downset": {"generators": [["1"]]}, "base": {
+        "type": "classical", "a": ["1"], "box": {"axes": [GRID_BOX["axes"][0]]}}}}
 
 
 class TestHostileShapes:
@@ -738,7 +771,7 @@ class TestFuzzedFields:
 
 
 # Point tokens for the domains of ``nested_forms``: factor ids, one- and two-axis
-# points, comma-joined product keys, and the string form of a point of an induced poset.
+# points, comma-joined product keys, and the Python form of a tuple, which names no point.
 nested_points = st.lists(st.sampled_from(
     ["0", "1", ["1"], ["1", "1"], "1,1", ["2", "0"], ["1", "1", "1"], "('1', '1')"]),
     min_size=1, max_size=2)
@@ -774,6 +807,8 @@ class TestNestedCombinators:
     and ``maximize``: no traceback, and a bounded time per example."""
 
     @given(nested_forms(), st.sampled_from(["generators", "members"]), nested_points)
+    @example(NESTED_RESTRICT, "generators", [["1"]])
+    @example(NESTED_MIN_PRODUCT, "generators", [[["1", "2"], "1"]])
     @settings(max_examples=150, deadline=5000)
     def test_commands(self, form, kind, downset):
         with tempfile.TemporaryDirectory() as root:

@@ -96,8 +96,6 @@ def test_product_downset_is_the_product_of_the_factor_sets(spaces):
 def test_factorwise_queries_build_no_tables(monkeypatch):
     chain = FinitePoset.chain(["0", "1", "2"])
     vee = FinitePoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
-    u1 = q.require_certified(q.TabulatedUtility(chain, {"0": F(0), "1": F(1), "2": F(2)}))
-    u2 = q.require_certified(q.TabulatedUtility(vee, {e: F(1) for e in vee.elements}))
     built = []
     init = FinitePoset.__init__
 
@@ -114,7 +112,6 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert len(list(space.points())) == 9
     assert io.resolve_element(space, "1,b") == ("1", "b")
     assert io.resolve_element(space, ["2", "c"]) == ("2", "c")
-    assert len(q.MinProductUtility([u1, u2]).space) == 9
     twin = q.ProductSpace([chain, vee])
     assert space == twin and not space != twin and hash(space) == hash(twin)
     assert space != q.ProductSpace([vee, chain]) and space != chain and chain != space

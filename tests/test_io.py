@@ -160,8 +160,9 @@ class TestUtilityFiles:
             ],
         }
         u = io.utility_from_json(obj)
+        assert isinstance(u.poset, q.ProductSpace) and not u.certified
         assert u.value(("1", "2")) == 1
-        assert u.dual(F(2)) == ("2", "2")
+        assert q.require_certified(u).dual(F(2)) == ("2", "2")
 
     def test_restrict_over_tabulated(self):
         chain = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}

@@ -199,8 +199,11 @@ class TestPowerForm:
     def test_invalid_parameters(self):
         with pytest.raises(q.UtilityError):
             q.power_leontief([1.0], [0.0], q.Box.cube(1, 0.0, 1.0))
-        with pytest.raises(q.UtilityError):
-            q.power_leontief([1.0], [1.0], q.Box.cube(1, -1.0, 1.0))
+        # a negative lo is refused only when some exponent is not 1
+        with pytest.raises(q.UtilityError, match="nonnegative orthant"):
+            q.power_leontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, -1.0, 1.0))
+        u = q.power_leontief([1.0], [1.0], q.Box.cube(1, -1.0, 1.0))
+        assert u.value((-0.5,)) == -0.5 and u.dual(-0.5) == (-0.5,)
 
 
 class TestPriceMatrix:
@@ -279,6 +282,34 @@ def identity_chain_utility(n):
     return certified(q.TabulatedUtility(chain, {t: F(t) for t in range(n)}))
 
 
+def vee_utility():
+    """bot < a, bot < b, with u = 0, 2, 0: regular, and no join of a and b."""
+    vee = q.FinitePoset.from_covers(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
+    return certified(q.TabulatedUtility(vee, {"bot": F(0), "a": F(2), "b": F(0)}))
+
+
+# The paper's closed-form duals of the two min constructions, as references
+# for the certified table.
+
+
+def ref_product_dual(factors, lam):
+    """The tuple of the factor duals; None when one of them is."""
+    duals = tuple(f.dual(lam) for f in factors)
+    return None if None in duals else duals
+
+
+def ref_pointwise_dual(parts, lam):
+    """The join of the part duals; None when one of them is, or when the
+    join does not exist."""
+    duals = [p.dual(lam) for p in parts]
+    if None in duals:
+        return None
+    out = duals[0]
+    for d in duals[1:]:
+        out = out if out is None else parts[0].poset.join(out, d)
+    return out
+
+
 class TestMinProduct:
     def test_single_factor_identical(self):
         u1 = identity_chain_utility(4)
@@ -286,24 +317,48 @@ class TestMinProduct:
         for t in range(4):
             assert m.value((t,)) == u1.value(t)
 
+    def test_table_of_the_values_on_the_product(self):
+        u1, u2 = identity_chain_utility(3), vee_utility()
+        m = q.min_product(u1, u2)
+        assert isinstance(m, q.TabulatedUtility) and not m.certified
+        assert m.poset == q.ProductSpace([u1.poset, u2.poset]) and m.scale is u1.scale
+        assert m.values == {(s, t): min(u1.value(s), u2.value(t))
+                            for s in range(3) for t in ("bot", "a", "b")}
+
     def test_dual_is_tuple_of_factor_duals(self):
-        m = q.min_product(identity_chain_utility(4), identity_chain_utility(4))
-        assert m.dual(F(2)) == (2, 2)
-        # brute force on the tabulated product
-        tab = q.certify_regular(m.tabulate()).utility
-        assert tab.dual(F(2)) == (2, 2)
+        factors = (identity_chain_utility(4), vee_utility())
+        tab = q.certify_regular(q.min_product(*factors)).utility
+        probes = tab.probe_levels([F(-1), F(1, 4), F(9)])
+        assert len(probes) == 8
+        for lam in probes:
+            assert tab.dual(lam) == ref_product_dual(factors, lam)
+        assert tab.dual(F(1)) == (1, "a") and tab.dual(F(9)) is None
 
     def test_interior_agrees_with_brute_force_everywhere(self):
-        m = q.min_product(identity_chain_utility(4), identity_chain_utility(4))
-        tab = certified(m.tabulate())
-        for p in m.space.points():
-            assert m.interior(p) == tab.interior(p)
+        factors = (identity_chain_utility(4), identity_chain_utility(4))
+        tab = certified(q.min_product(*factors))
+        for p in tab.poset.points():
+            assert tab.interior(p) == ref_product_dual(factors, tab.value(p))
 
-    def test_uncertified_factor_rejected(self):
+    def test_nested_product_points(self):
+        c = identity_chain_utility(3)
+        inner = q.min_product(c, c)
+        tab = q.certify_regular(q.min_product(inner, c)).utility
+        assert tab.value(((1, 2), 2)) == 1
+        assert tab.dual(F(2)) == ((2, 2), 2)
+
+    def test_uncertified_factors_give_an_uncertified_table(self):
         chain = q.FinitePoset.chain(range(3))
-        raw = q.TabulatedUtility(chain, {t: F(t) for t in range(3)})
-        with pytest.raises(q.UtilityError):
-            q.min_product(raw)
+        raw = q.TabulatedUtility(chain, {0: F(0), 1: F(2), 2: F(1)})
+        m = q.min_product(raw)
+        assert not m.certified
+        assert not q.certify_quasi_leontief(m).ok
+
+    def test_mixed_factors_rejected(self):
+        u = q.classical_leontief([F(2)], frac_box(1, 0, 4))
+        for factors in ((identity_chain_utility(3), u), (u, identity_chain_utility(3))):
+            with pytest.raises(q.UtilityError, match="all tables or all closed forms"):
+                q.min_product(*factors)
 
     def test_closed_form_factors(self):
         u1 = q.classical_leontief([F(2)], frac_box(1, 0, 4))
@@ -325,15 +380,18 @@ class TestMinPointwise:
         u1 = certified(grid_utility(lambda a, b: F(a), range(4), range(4)))
         u2 = certified(grid_utility(lambda a, b: F(b), range(4), range(4)))
         m = q.min_pointwise(u1, u2)
+        assert isinstance(m, q.TabulatedUtility) and not m.certified
+        tab = q.certify_regular(m).utility
         assert u1.dual(F(2)) == (2, 0)
         assert u2.dual(F(2)) == (0, 2)
-        assert m.dual(F(2)) == (2, 2)
+        assert tab.dual(F(2)) == (2, 2)
+        for lam in tab.probe_levels([F(-1), F(9)]):
+            assert tab.dual(lam) == ref_pointwise_dual((u1, u2), lam)
 
     def test_constant_cap_is_regular_on_grid_with_bottom(self, min_on_4x4):
         cap = certified(q.constant_utility(min_on_4x4.poset, F(2)))
         m = q.min_pointwise(min_on_4x4, cap)
-        tab = m.tabulate()
-        cert = q.certify_regular(tab)
+        cert = q.certify_regular(m)
         assert cert.ok
         for x in min_on_4x4.poset.elements:
             assert m.value(x) == min(min_on_4x4.value(x), F(2))
@@ -343,15 +401,45 @@ class TestMinPointwise:
         with pytest.raises(q.UtilityError):
             q.constant_utility(antichain, F(1))
 
-    def test_join_missing_is_an_error(self):
+    def test_missing_join_under_an_empty_level_set(self):
         # two maximal points with no join: {bot < a, bot < b}
         poset = q.FinitePoset.from_covers(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
         u1 = certified(q.TabulatedUtility(poset, {"bot": F(0), "a": F(1), "b": F(0)}))
         u2 = certified(q.TabulatedUtility(poset, {"bot": F(0), "a": F(0), "b": F(1)}))
-        m = q.min_pointwise(u1, u2)
         assert u1.dual(F(1)) == "a" and u2.dual(F(1)) == "b"
-        with pytest.raises(q.JoinMissingError):
-            m.dual(F(1))
+        assert ref_pointwise_dual((u1, u2), F(1)) is None
+        # the min is 0 everywhere: its level set at 1 is empty
+        tab = q.certify_regular(q.min_pointwise(u1, u2)).utility
+        assert tab.dual(F(1)) is None and tab.dual(F(0)) == "bot"
+
+    def test_two_minimal_upper_bounds_fail_regularity(self):
+        # a and b have the two minimal upper bounds c and d, so no join
+        poset = q.FinitePoset.from_covers(
+            ["bot", "a", "b", "c", "d"],
+            [("bot", "a"), ("bot", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
+        )
+        up_a, up_b = {"a", "c", "d"}, {"b", "c", "d"}
+        u1 = certified(q.TabulatedUtility(poset, {e: F(e in up_a) for e in poset.elements}))
+        u2 = certified(q.TabulatedUtility(poset, {e: F(e in up_b) for e in poset.elements}))
+        assert (u1.dual(F(1)), u2.dual(F(1))) == ("a", "b")
+        assert ref_pointwise_dual((u1, u2), F(1)) is None
+        cert = q.certify_regular(q.min_pointwise(u1, u2))
+        assert not cert.ok and cert.witnesses == ("c", "d")
+
+    def test_parts_share_one_poset(self, min_on_4x4):
+        other = identity_chain_utility(4)
+        closed = q.classical_leontief([F(1), F(1)], frac_box(2, 0, 3, step=1))
+        for parts in ((min_on_4x4, other), (min_on_4x4, closed), (closed, min_on_4x4)):
+            with pytest.raises(q.UtilityError, match="share one domain poset"):
+                q.min_pointwise(*parts)
+
+    def test_closed_forms_on_one_box(self):
+        box = frac_box(2, 0, 4)
+        u1 = q.classical_leontief([F(1), F(2)], box)
+        u2 = q.classical_leontief([F(2), F(1)], box)
+        m = q.min_pointwise(u1, u2)
+        assert m.value((F(4), F(1))) == min(F(2), F(1)) == 1
+        assert m.dual(F(2)) == (F(2), F(2))
 
 
 class TestRestrict:
@@ -387,7 +475,7 @@ class TestMinDecompose:
     def test_min_form_recovered_exactly(self):
         u1 = identity_chain_utility(4)
         m = q.min_product(u1, identity_chain_utility(4))
-        tab = certified(m.tabulate())
+        tab = certified(m)
         top = (3, 3)
         s = q.DownSet.from_generators(tab.space, [(2, 2)])
         parts = q.min_decompose(tab, s.sorted_members(), top)

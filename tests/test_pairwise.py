@@ -5,8 +5,8 @@ every common lower bound or every element above x.  The library answers the
 same questions with a few big-int operations per pair: a meet is the highest
 common lower bound along a linear extension, and property Phi and the meet
 identity test one value band per pair.  Verdicts, witnesses and detail texts
-must agree exactly.  The pairwise filtering loop is kept too: the library asks
-for a least element instead.
+must agree exactly.  The pairwise filtering loop and the per-level common
+lower bound loop are kept too: the library asks for a least element instead.
 """
 from __future__ import annotations
 
@@ -82,6 +82,23 @@ def ref_isotone(u):
         for y in poset.elements:
             if poset.leq(x, y) and not u.scale.le(vx, u.values[y]):
                 return False, (x, y), f"u({x!r})={vx!r} > u({y!r})={u.values[y]!r}"
+    return True, (), ""
+
+
+def ref_lower_bounded_level_sets(u, probe_levels=()):
+    """(ok, witnesses, detail): every nonempty level set at a probe level has a
+    common lower bound, found by intersecting its members' down-sets."""
+    poset = u.poset
+    for lam in u.probe_levels(probe_levels):
+        idxs = list(_bits(u.level_set(lam).mask))
+        if not idxs:
+            continue
+        m = poset._down[idxs[0]]
+        for i in idxs[1:]:
+            m &= poset._down[i]
+        if m == 0:
+            return (False, tuple(poset.elements[i] for i in idxs[:2]),
+                    f"level set at {lam!r} has no common lower bound")
     return True, (), ""
 
 
@@ -165,6 +182,21 @@ def test_is_filtered_matches_reference():
     verdicts = [p.is_filtered() for p in posets]
     assert verdicts == [ref_is_filtered(p) for p in posets]
     assert verdicts[:2] == [True, True] and False in verdicts
+
+
+def test_lower_bounded_level_sets_match_reference():
+    """Corpus posets with and without a bottom, exact and tolerant tables, and
+    extra probes below the minimum and above the maximum."""
+    verdicts = []
+    for i in range(200):
+        rng = corpus.derive_rng(i, "pairwise-lower-bounded")
+        u = make_utility(i, rng.choice(SHAPES), rng.choice(("regular", "arbitrary")),
+                         rng.choice(("exact", "tolerant")), size=rng.randint(2, 10))
+        extra = rng.choice([(), (-1,), (99,), (-1, 99)])
+        cert = q.check_lower_bounded_level_sets(u, extra)
+        assert outcome(cert) == ref_lower_bounded_level_sets(u, extra)
+        verdicts.append(cert.ok)
+    assert True in verdicts and False in verdicts
 
 
 @given(utilities)
