@@ -27,7 +27,7 @@ from .io import (
     point_from_json,
     utility_from_json,
 )
-from .leontief import MinProductUtility, TabulatedUtility, UtilityError, min_decompose, tabulate
+from .leontief import TabulatedUtility, UtilityError, min_decompose
 from .maximize import (
     ArgmaxResult,
     PreconditionError,
@@ -110,12 +110,9 @@ def _load_utility(path: str, tolerance: Optional[float]):
 
 
 def _as_tabulated(u) -> TabulatedUtility:
-    if isinstance(u, TabulatedUtility):
-        return u
-    box = getattr(u, "box", None)
-    if box is not None and box.is_grid():
-        return tabulate(u)
-    raise InputError("this command needs a tabulated utility or a gridded closed form")
+    if not isinstance(u, TabulatedUtility):
+        raise InputError("this command needs a tabulated utility or a gridded closed form")
+    return u
 
 
 def _emit(report: dict, args, lines: List[str]) -> None:
@@ -164,14 +161,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_efficient(args) -> int:
-    u = _load_utility(args.utility, args.tolerance)
+    u = oracle.require_certified(_as_tabulated(_load_utility(args.utility, args.tolerance)))
     subset = None
-    if isinstance(u, (TabulatedUtility, MinProductUtility)):
-        u = oracle.require_certified(_as_tabulated(u))
-        if args.subset is not None:
-            subset = downset_from_json(load_json(args.subset), u.poset).sorted_members()
-    elif args.subset is not None:
-        raise InputError("--subset needs a tabulated utility")
+    if args.subset is not None:
+        subset = downset_from_json(load_json(args.subset), u.poset).sorted_members()
     eff = efficient_set(u, subset)
     pts = [encode_elem(p) for p in eff.points]
     report = {
@@ -187,16 +180,14 @@ def cmd_efficient(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    loaded = _load_utility(args.utility, args.tolerance)
-    box = getattr(loaded, "box", None)
-    gridded = box is not None and box.is_grid()
-    if not (gridded or isinstance(loaded, (TabulatedUtility, MinProductUtility))):
+    u = _load_utility(args.utility, args.tolerance)
+    if not isinstance(u, TabulatedUtility):
         # continuous closed form: isotonicity pushes the maximum to the
         # generators, so a generated down-set is enough
         gens = generators_from_json(
             load_json(args.downset), "closed-form maximize needs a generated down-set"
         )
-        res = argmax_via_generators(loaded, gens)
+        res = argmax_via_generators(u, gens)
         report = {
             "schema": SCHEMA,
             "command": "maximize",
@@ -207,7 +198,6 @@ def cmd_maximize(args) -> int:
         _emit(report, args, [f"value {encode_value(res.value)}",
                              f"maximizers {[encode_elem(x) for x in res.maximizers]}"])
         return 0
-    u = _as_tabulated(loaded)
     u = oracle.require_certified(u)
     S = downset_from_json(load_json(args.downset), u.poset)
     res = argmax_over_downset(u, S)

@@ -6,6 +6,9 @@ when nothing strictly below it keeps the value (brute force, certification
 free).  For individually quasi-Leontief utilities the two agree with
 membership in the product of axis-wise efficient sets, and check_charpar
 sweeps that equivalence.
+
+``efficient_set`` enumerates a table's domain; it tests a closed form, which
+io keeps only on a continuous box, at explicit probe points.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import oracle
-from .leontief import TabulatedUtility, UtilityError
+from .leontief import TabulatedUtility, UtilityError, _axis_slice
 from .oracle import Certificate, InconsistencyError
 from .order import Element, ProductSpace
 
@@ -52,13 +55,11 @@ def partial_utility(u: TabulatedUtility, rest: Sequence, axis: int) -> Tabulated
     """
     space = _require_space(u)
     space._check_axis(axis)
-    factor = space.factors[axis]
-    vals = {t: u.value(space.substitute(rest, axis, t)) for t in factor.elements}
-    pu = TabulatedUtility(factor, vals, scale=u.scale)
+    pu = _axis_slice(u, rest, axis)
     if not u.certified:
         return pu
     return pu._certified_copy(
-        {t: u.interior(space.substitute(rest, axis, t))[axis] for t in factor.elements}
+        {t: u.interior(space.substitute(rest, axis, t))[axis] for t in pu.poset.elements}
     )
 
 
@@ -77,7 +78,8 @@ def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> Tabulat
 
 
 def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
-    """All points of ``subset`` (default: the whole domain) fixed by the interior map.
+    """All points of ``subset`` fixed by the interior map; for a table the
+    subset defaults to the whole domain, a closed form needs explicit probes.
 
     For a certified utility this set is totally ordered; the chain property is
     asserted and its violation raises InconsistencyError.
@@ -90,18 +92,9 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
             raise InconsistencyError("efficient set of a certified utility is not a chain")
         return EfficiencySet(tuple(pts), "global-chain")
     if subset is None:
-        box = getattr(u, "box", None)
-        if box is None or not box.is_grid():
-            raise UtilityError("closed-form efficient set needs a grid box or explicit probes")
-        pool = list(box.grid_points())
-    else:
-        pool = [tuple(p) for p in subset]
-    pts = []
-    for x in pool:
-        ix = u.interior(x)
-        if all(u.scale.eq(a, b) for a, b in zip(ix, x)):
-            pts.append(x)
-    return EfficiencySet(tuple(pts), "global-chain")
+        raise UtilityError("closed-form efficient set needs explicit probes")
+    pts = tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))
+    return EfficiencySet(pts, "global-chain")
 
 
 def is_efficient_global(u, x) -> bool:
@@ -179,23 +172,18 @@ def pu_map(u: TabulatedUtility, x: Sequence, *, _cache: Optional[Dict] = None) -
     return PuResult(tuple(sets), x)
 
 
-def check_charpar(
-    u: TabulatedUtility,
-    sample: Optional[Iterable] = None,
-    *,
-    seed: int = 0,
-    limit: int = 10_000,
-) -> Certificate:
+CHARPAR_LIMIT = 10_000
+"""``check_charpar`` sweeps every point of a product up to this many, else a
+sample of this many drawn with ``CHARPAR_SEED``."""
+CHARPAR_SEED = 0
+
+
+def check_charpar(u: TabulatedUtility) -> Certificate:
     """Exhaustively (or on a seeded sample) match brute-force minimality
     against membership in the product of axis-wise efficient sets."""
-    space = _require_space(u)
-    if sample is None:
-        pts = list(space.points())
-        if len(pts) > limit:
-            rng = random.Random(seed)
-            pts = [tuple(p) for p in rng.sample(pts, limit)]
-    else:
-        pts = [space._check_point(p) for p in sample]
+    pts = list(_require_space(u).points())
+    if len(pts) > CHARPAR_LIMIT:
+        pts = random.Random(CHARPAR_SEED).sample(pts, CHARPAR_LIMIT)
     cache: Dict = {}
     checked = 0
     for x in pts:

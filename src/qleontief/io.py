@@ -7,21 +7,29 @@ Utility:   tabulated {"poset": <poset-or-path>, "values": {"e1": "3/2", ...}}
            or closed form {"type": "classical"|"power"|"price_matrix"|
            "min_product"|"affine"|"restrict", ...}
 
+``utility_from_json`` alone picks table or formula: a classical or power
+form on a box gridded on every axis loads as its table, and combinators of
+tables give tables; a continuous box keeps the formula.
+
 Rationals are "p/q" strings.  Product points appear either as arrays of
 factor ids or as comma-joined strings ("2,3"); value-map keys always use the
-comma-joined form.  A token names the element equal to it, else the one
-element whose ``elem_key`` is the token's key (an array's entries
-comma-joined, any other token's string form) stripped of surrounding blanks;
-an array names only a tuple point.  So arrays and "a,b" keys also name the
-points of a restricted product table.  Two such elements make the token
-ambiguous, which is an input error.
+comma-joined form.  A key gives each factor as many comma parts as the keys
+of that factor's own points have, so "1,2,1" names a point of a nested
+product.  A token names the element equal to it, else the one element whose
+``elem_key`` is the token's key (an array's entries comma-joined, any other
+token's string form) stripped of surrounding blanks; an array names only a
+tuple point.  So arrays and "a,b" keys also name the points of a restricted
+product table.  Two such elements make the token ambiguous, which is an
+input error.
 """
 from __future__ import annotations
 
 import json
 import os
 from fractions import Fraction
-from typing import Any, Union
+from functools import partial
+from itertools import accumulate
+from typing import Any, Callable, Tuple, Union
 
 from .leontief import (
     Box,
@@ -34,6 +42,7 @@ from .leontief import (
     power_leontief,
     price_matrix_leontief,
     restrict,
+    tabulate,
 )
 from .order import DownSet, FinitePoset, OrderError, ProductSpace, elem_key
 
@@ -74,11 +83,7 @@ def parse_number(raw) -> Union[Fraction, float]:
 
 
 def encode_value(v) -> Any:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return v
-    return v
+    return str(v) if isinstance(v, Fraction) else v
 
 
 def encode_elem(e) -> Any:
@@ -129,18 +134,39 @@ def _pairs(obj, field: str) -> list:
 
 def resolve_element(space: FinitePoset, raw):
     """Match a raw JSON token (string, number, or array) to a domain element."""
-    if isinstance(space, ProductSpace):
+    return _reader(space)[0](raw)
+
+
+def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int]:
+    """``resolve_element`` on ``space``, and the number of comma parts in the
+    key of a point: one per coordinate of a tuple point.  On a product, both
+    are worked out once per factor, and the product's tables are never built."""
+    if not isinstance(space, ProductSpace):
+        first = next(iter(space.elements), None)
+        width = elem_key(first).count(",") + 1 if isinstance(first, tuple) else 1
+        return partial(_resolve_plain, space), width
+    readers, widths = zip(*map(_reader, space.factors))
+    ends = list(accumulate(widths))
+
+    def read(raw):
         if isinstance(raw, str):
             parts = raw.split(",")
+            if len(parts) != ends[-1]:
+                raise InputError(f"point {raw!r} has wrong arity")
+            if ends[-1] != len(readers):  # a factor with wider keys takes more parts
+                parts = [",".join(parts[end - w:end]) for w, end in zip(widths, ends)]
         elif isinstance(raw, (list, tuple)):
-            parts = list(raw)
+            parts = raw
+            if len(parts) != len(readers):
+                raise InputError(f"point {raw!r} has wrong arity")
         else:
             raise InputError(f"cannot read product point from {raw!r}")
-        if len(parts) != space.n_axes:
-            raise InputError(f"point {raw!r} has wrong arity")
-        return tuple(
-            resolve_element(f, c) for f, c in zip(space.factors, parts)
-        )
+        return tuple(r(c) for r, c in zip(readers, parts))
+
+    return read, ends[-1]
+
+
+def _resolve_plain(space: FinitePoset, raw):
     try:
         i = space._index.get(raw)
     except TypeError:  # JSON arrays are unhashable, so never ids
@@ -161,12 +187,13 @@ def downset_from_json(obj, space) -> DownSet:
     if isinstance(obj, str):
         raise InputError("down-set must be inline JSON here")
     if isinstance(obj, dict):
+        read = _reader(space)[0]
         try:
             if "generators" in obj:
-                gens = [resolve_element(space, g) for g in _list(obj, "generators")]
+                gens = [read(g) for g in _list(obj, "generators")]
                 return DownSet.from_generators(space, gens)
             if "members" in obj:
-                members = [resolve_element(space, m) for m in _list(obj, "members")]
+                members = [read(m) for m in _list(obj, "members")]
                 return DownSet.from_members(space, members)
         except OrderError as exc:
             raise InputError(f"invalid down-set: {exc}") from exc
@@ -212,11 +239,11 @@ def utility_from_json(obj, *, base_dir: str = "."):
             return _tabulated_from_json(obj, base_dir)
         if kind == "classical":
             a = [parse_number(c) for c in _list(obj, "a")]
-            return classical_leontief(a, _box_from_json(obj["box"]))
+            return _on_grid(classical_leontief(a, _box_from_json(obj["box"])))
         if kind == "power":
             a = [parse_number(c) for c in _list(obj, "a")]
             alpha = [parse_number(c) for c in _list(obj, "alpha")]
-            return power_leontief(a, alpha, _box_from_json(obj["box"]))
+            return _on_grid(power_leontief(a, alpha, _box_from_json(obj["box"])))
         if kind == "price_matrix":
             P = obj["P"]
             if not isinstance(P, list) or not all(isinstance(r, list) and len(r) == len(P) for r in P):
@@ -249,6 +276,17 @@ def utility_from_json(obj, *, base_dir: str = "."):
     raise InputError(f"unknown utility type {kind!r}")
 
 
+def _on_grid(form):
+    """The table of a closed form on a fully gridded box, else the form."""
+    if not form.box.is_grid():
+        return form
+    try:
+        return tabulate(form)
+    except (OrderError, UtilityError) as exc:
+        # a grid or a power over its bound: the message stands on its own
+        raise InputError(str(exc)) from exc
+
+
 def _list(obj: dict, field: str) -> list:
     """``obj[field]``, which must be a JSON array."""
     raw = obj[field]
@@ -262,9 +300,8 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     raw_values = obj["values"]
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
-    values = {
-        resolve_element(space, key): parse_rational(val) for key, val in raw_values.items()
-    }
+    read = _reader(space)[0]
+    values = {read(key): parse_rational(val) for key, val in raw_values.items()}
     return TabulatedUtility(space, values)
 
 

@@ -3,18 +3,19 @@
 A utility u maps a partially ordered domain into a totally ordered scale.
 It is quasi-Leontief when every upper level set u^-1(up(u(x))) has a least
 element u°(x) (the interior map); it is regular when every nonempty level
-set u^-1(up(lam)) has one (the dual map u#).  Closed forms carry their
-interior and dual in formula form; tabulated utilities acquire them through
-brute-force certification (see the oracle module).  Every combinator maps
-tables to a table (``affine_transform``, ``restrict``, ``min_product``,
-``min_pointwise``), so a combined table is certified like any other; only
-closed forms are wrapped, and only the wrappers compute a dual by formula.
+set u^-1(up(lam)) has one (the dual map u#).  Closed forms carry their dual
+in formula form and read the interior off it, u° = u# ∘ u; tabulated
+utilities acquire both through brute-force certification (see the oracle
+module).  ``tabulate`` turns a closed form on a gridded box into its table.
+Every combinator maps tables to a table (``affine_transform``, ``restrict``,
+``min_product``, ``min_pointwise``), so a combined table is certified like
+any other; only closed forms are wrapped, and only the wrappers compute a
+dual by formula.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as _iproduct
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, check_size, tolerant
@@ -80,6 +81,16 @@ class MinFormError(UtilityError):
 
 
 class _Closure:
+    """A utility with a dual map u#.  A closed form carries u# as a formula,
+    so it is certified by construction; a table is certified by the oracle and
+    overrides ``certified`` and ``interior``."""
+
+    certified = True
+
+    def interior(self, x):
+        """The interior map u° = u# ∘ u: the least point at the level of x."""
+        return self.dual(self.value(x))
+
     def closure(self, lam):
         """The closure map value(dual(lam)); extensive, isotone, idempotent."""
         d = self.dual(lam)
@@ -341,13 +352,6 @@ class Box:
     def is_grid(self) -> bool:
         return all(a.step is not None for a in self.axes)
 
-    def grid_points(self) -> Iterable[Tuple]:
-        check_size(math.prod(a.count() for a in self.axes))
-        return _iproduct(*(a.points() for a in self.axes))
-
-    def grid_space(self) -> ProductSpace:
-        return ProductSpace([FinitePoset.chain(a.points()) for a in self.axes])
-
     def __repr__(self) -> str:
         return "Box(" + " x ".join(map(repr, self.axes)) + ")"
 
@@ -396,7 +400,6 @@ class PowerLeontief(_Closure):
             raise UtilityError("power form needs a domain in the nonnegative orthant")
         self.box = box
         self.scale = scale if scale is not None else tolerant()
-        self.certified = True
 
     def _check(self, x: Sequence) -> Tuple:
         x = tuple(x)
@@ -441,13 +444,6 @@ class PowerLeontief(_Closure):
             return float(v) ** (1.0 / float(exp))
         except OverflowError:
             raise UtilityError("a root of a level overflows a float") from None
-
-    def interior(self, x: Sequence) -> Tuple:
-        v = self.value(x)
-        return tuple(
-            max(ax.lo, self._root(v / c, e))
-            for ax, c, e in zip(self.box.axes, self.a, self.alpha)
-        )
 
     def dual(self, lam) -> Optional[Tuple]:
         if not self.scale.le(lam, self.value(self.box.top())):
@@ -495,7 +491,6 @@ class PriceMatrixLeontief(_Closure):
         if not np.allclose(mat @ xp, ones, atol=max(self.scale.tolerance, 1e-12)):
             raise UtilityError("linear solve failed to satisfy P x_P = 1")
         self.x_P = tuple(float(t) for t in xp)
-        self.certified = True
 
     @property
     def n_axes(self) -> int:
@@ -508,10 +503,6 @@ class PriceMatrixLeontief(_Closure):
 
     def value(self, x: Sequence) -> float:
         return float((self.P @ self._check(x)).min())
-
-    def interior(self, x: Sequence) -> Tuple:
-        v = self.value(x)
-        return tuple(v * t for t in self.x_P)
 
     def dual(self, lam) -> Tuple:
         return tuple(float(lam) * t for t in self.x_P)
@@ -535,12 +526,12 @@ class AffineUtility(_Closure):
         self.a = a
         self.b = b
         self.scale = base.scale
-        self.certified = getattr(base, "certified", True)
 
     def value(self, x):
         return self.a * self.base.value(x) + self.b
 
     def interior(self, x):
+        # not dual(value(x)): (a * v + b - b) / a need not equal v in floats
         return self.base.interior(x)
 
     def dual(self, lam):
@@ -576,7 +567,6 @@ class MinProductUtility(_Closure):
         self.scale = _shared_scale(self.factors, "min-product", "factor")
         if any(isinstance(f, TabulatedUtility) for f in self.factors):
             raise UtilityError("min-product factors must be all tables or all closed forms")
-        self.certified = True
 
     def _check(self, x) -> Tuple:
         x = tuple(x)
@@ -606,11 +596,6 @@ class MinProductUtility(_Closure):
             parts.append(d)
         return tuple(parts)
 
-    def interior(self, x) -> Tuple:
-        d = self.dual(self.value(x))
-        assert d is not None
-        return d
-
     def __repr__(self) -> str:
         return f"MinProductUtility({len(self.factors)} factors)"
 
@@ -627,7 +612,6 @@ class MinPointwiseUtility(_Closure):
         self.box = getattr(self.parts[0], "box", None)
         if self.box is None:
             raise UtilityError("closed-form parts need a shared box domain")
-        self.certified = True
 
     def value(self, x):
         return min(p.value(x) for p in self.parts)
@@ -640,11 +624,6 @@ class MinPointwiseUtility(_Closure):
                 return None
             duals.append(d)
         return tuple(max(cs) for cs in zip(*duals))
-
-    def interior(self, x):
-        d = self.dual(self.value(x))
-        assert d is not None
-        return d
 
     def __repr__(self) -> str:
         return f"MinPointwiseUtility({len(self.parts)} parts)"
@@ -659,7 +638,6 @@ class RestrictedUtility(_Closure):
         if not self.generators:
             raise UtilityError("restriction needs at least one generator")
         self.scale = base.scale
-        self.certified = getattr(base, "certified", True)
 
     def _member(self, x) -> bool:
         return any(self.base.leq_points(x, g) for g in self.generators)
@@ -785,12 +763,11 @@ def restrict(u, downset: Union[DownSet, Sequence]):
     return RestrictedUtility(u, downset)
 
 
-def tabulate(u, box: Optional[Box] = None) -> TabulatedUtility:
-    """Explicit table of a closed-form utility on its grid box."""
-    box = box if box is not None else u.box
-    if not box.is_grid():
-        raise UtilityError("tabulation needs a fully gridded box")
-    space = box.grid_space()
+def tabulate(u) -> TabulatedUtility:
+    """Explicit table of a closed-form utility on its grid box, the product
+    of one chain per axis; every axis needs a step."""
+    check_size(math.prod(check_size(a.count()) for a in u.box.axes))  # before any chain is built
+    space = ProductSpace([FinitePoset.chain(a.points()) for a in u.box.axes])
     vals = {p: u.value(p) for p in space.points()}
     return TabulatedUtility(space, vals, scale=u.scale)
 
@@ -805,14 +782,16 @@ def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List
     for s in subset:
         if not space.leq(s, xbar):
             raise DecompositionError(f"{xbar!r} is not an upper bound: misses {tuple(s)!r}")
-    out = []
-    for axis, factor in enumerate(space.factors):
-        rest = space.delete(xbar, axis)
-        vals = {
-            t: u.value(space.substitute(rest, axis, t)) for t in factor.elements
-        }
-        out.append(TabulatedUtility(factor, vals, scale=u.scale))
-    return out
+    return [_axis_slice(u, space.delete(xbar, axis), axis) for axis in range(space.n_axes)]
+
+
+def _axis_slice(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtility:
+    """The uncertified one-axis table t -> u(rest with t inserted at ``axis``),
+    on the factor of ``axis``."""
+    space = u.space
+    factor = space.factors[axis]
+    vals = {t: u.value(space.substitute(rest, axis, t)) for t in factor.elements}
+    return TabulatedUtility(factor, vals, scale=u.scale)
 
 
 def recover_leontief_coefficients(

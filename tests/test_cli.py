@@ -26,6 +26,23 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+def as_tables(form):
+    """``form`` with each classical leaf (integer grid axes of step 1) replaced
+    by the table file of its values min_i a_i x_i: the equivalent tabulated input."""
+    if form.get("type") == "classical":
+        coords = [[str(t) for t in range(int(ax["lo"]), int(ax["hi"]) + 1)]
+                  for ax in form["box"]["axes"]]
+        a = [Fraction(c) for c in form["a"]]
+        values = {",".join(x): str(min(c * int(t) for c, t in zip(a, x))) for x in product(*coords)}
+        chains = [{"elements": els, "covers": [list(p) for p in zip(els, els[1:])]} for els in coords]
+        return {"type": "tabulated", "poset": {"product": chains}, "values": values}
+    if "base" in form:
+        return {**form, "base": as_tables(form["base"])}
+    if "factors" in form:
+        return {**form, "factors": [as_tables(f) for f in form["factors"]]}
+    return form
+
+
 @pytest.fixture
 def min_grid_utility(tmp_path):
     poset = {"product": [chain_json(4), chain_json(4)]}
@@ -124,7 +141,8 @@ class TestEfficient:
         )
         assert main(["efficient", "--json", u]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["points"] == [["0", "0"], ["2", "1"], ["4", "2"]]
+        # the grid is the domain: the least grid point at each level
+        assert report["points"] == [["0", "0"], ["1", "1"], ["2", "1"], ["3", "2"], ["4", "2"]]
 
 
 class TestMaximize:
@@ -495,12 +513,24 @@ class TestMinProductFile:
         assert main(["maximize", "--json", u, "--downset", s]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["largest_efficient"] == [["1", "1"], "1"]
-        # a factor list that mixes tables and closed forms is refused
-        mixed = write(tmp_path, "mixed.json", {"type": "min_product", "factors": [
-            CHAIN3, {"type": "classical", "a": ["1"], "box": {"axes": [GRID_BOX["axes"][0]]}}]})
-        assert main(["check", mixed]) == 2
-        assert capsys.readouterr().err == (
-            "error: invalid utility: min-product factors must be all tables or all closed forms\n")
+        # a gridded closed form is a table, so it mixes with tables
+        reports = []
+        for factor in (CLASSICAL1, {**CHAIN3, "poset": {"product": [chain_json(3)]}}):
+            mixed = write(tmp_path, "mixed.json", {"type": "min_product", "factors": [CHAIN3, factor]})
+            assert main(["check", "--json", mixed]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_nested_product_keys(self, tmp_path, capsys):
+        u = write(tmp_path, "nested.json", NESTED_MIN_PRODUCT)
+        for gens in (["1,2,1"], [[["1", "2"], "1"]], [["1,2", "1"]]):
+            s = write(tmp_path, "s.json", {"generators": gens})
+            assert main(["maximize", "--json", u, "--downset", s]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result["maximal_maximizer"] == [["1", "2"], "1"]
+        s = write(tmp_path, "s.json", {"generators": ["1,2"]})
+        assert main(["maximize", u, "--downset", s]) == 2
+        assert capsys.readouterr().err == "error: point '1,2' has wrong arity\n"
 
     def test_nested_closed_form_restriction(self, tmp_path, capsys):
         u = write(tmp_path, "u.json", NESTED_RESTRICT)
@@ -513,17 +543,18 @@ class TestMinProductFile:
         {"type": "affine", "a": "2", "b": "1"},
         {"type": "restrict", "downset": {"generators": [["1", "1"]]}},
     ])
-    def test_closed_form_factors_exit_two(self, wrapper, tmp_path, capsys):
+    def test_closed_form_factors_run_as_the_tabulated_file(self, wrapper, tmp_path, capsys):
         def classical(a):
             return {"type": "classical", "a": [a], "box": {"axes": [GRID_BOX["axes"][0]]}}
 
-        u = write(tmp_path, "u.json", {**wrapper, "base": {
-            "type": "min_product", "factors": [classical("1"), classical("2")]}})
+        forms = {"type": "min_product", "factors": [classical("1"), classical("2")]}
         s = write(tmp_path, "s.json", {"generators": [["1", "1"]]})
-        assert main(["maximize", u, "--downset", s]) == 2
-        assert capsys.readouterr().err == (
-            "error: coordinate Fraction(1, 1) of (Fraction(1, 1), Fraction(1, 1)) "
-            "is not a point of a closed-form factor\n")
+        reports = []
+        for base in (forms, as_tables(forms)):
+            u = write(tmp_path, "u.json", {**wrapper, "base": base})
+            assert main(["maximize", "--json", u, "--downset", s]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
 
 class TestThreeFactorWalkthrough:
@@ -574,9 +605,46 @@ CONTINUOUS_BOX = {"axes": [{"lo": "0", "hi": "2"}] * 2}
 CHAIN3 = {"type": "tabulated", "poset": chain_json(3), "values": {"0": "0", "1": "1", "2": "2"}}
 NESTED_MIN_PRODUCT = {"type": "min_product", "factors": [
     {"type": "min_product", "factors": [CHAIN3, CHAIN3]}, CHAIN3]}
+CLASSICAL1 = {"type": "classical", "a": ["1"], "box": {"axes": [GRID_BOX["axes"][0]]}}
 NESTED_RESTRICT = {"type": "restrict", "downset": {"generators": [["1"]]}, "base": {
     "type": "restrict", "downset": {"generators": [["1"]]}, "base": {
         "type": "classical", "a": ["1"], "box": {"axes": [GRID_BOX["axes"][0]]}}}}
+
+CLASSICAL2 = {"type": "classical", "a": ["1", "3/2"], "box": GRID_BOX}
+
+
+class TestGriddedCombinators:
+    """A gridded closed form is its table: ``affine``, ``restrict`` and
+    ``min_product`` of such forms report what the same combinator of their
+    table files reports."""
+
+    FORMS = {
+        "affine": ({"type": "affine", "a": "2", "b": "1", "base": CLASSICAL2}, ["2,1"]),
+        "restrict": ({"type": "restrict", "downset": {"generators": [["2", "1"], ["1", "2"]]},
+                      "base": CLASSICAL2}, ["2,1"]),
+        # a 2-axis x 1-axis product: "a,b,c" keys name its points
+        "min_product": ({"type": "min_product", "factors": [CLASSICAL2, CLASSICAL1]}, ["2,1,1"]),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "efficient", "maximize"])
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_report_equals_the_tabulated_file(self, name, command, tmp_path, capsys):
+        form, gens = self.FORMS[name]
+        extra = ["--downset", write(tmp_path, "s.json", {"generators": gens})]
+        reports = []
+        for stem, obj in (("forms", form), ("tables", as_tables(form))):
+            u = write(tmp_path, f"{stem}.json", obj)
+            assert main([command, "--json", u, *(extra if command == "maximize" else [])]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.pop("input") == u
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_off_grid_restrict_generator(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "restrict", "base": CLASSICAL2,
+                                       "downset": {"generators": [["1/2", "1"]]}})
+        assert main(["check", u]) == 2
+        assert capsys.readouterr().err == "error: unknown element '1/2'\n"
 
 
 class TestHostileShapes:
@@ -701,6 +769,19 @@ class TestBounds:
         code, seconds, got = self.timed_check(u, capsys)
         assert code == 2 and seconds < 1
         assert got == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "efficient"])
+def test_oversized_grid_is_refused_before_an_axis_is_built(command, tmp_path, capsys, monkeypatch):
+    from qleontief.order import FinitePoset
+
+    chains = []
+    monkeypatch.setattr(FinitePoset, "chain", classmethod(lambda cls, values: chains.append(values)))
+    box = {"axes": [{"lo": "0", "hi": "40000", "step": "1"}, {"lo": "0", "hi": "2", "step": "1"}]}
+    u = write(tmp_path, "u.json", {"type": "classical", "a": ["1", "1"], "box": box})
+    assert main([command, u]) == 2
+    assert capsys.readouterr().err == f"error: domain has 120003 points, over the limit of {MAX_POINTS}\n"
+    assert chains == []
 
 
 # Small JSON values: bounded numbers and a few tokens, so that no drawn

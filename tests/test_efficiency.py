@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ def min_x1x3_x2(lo=1, hi=4):
 class TestEfficientSet:
     def test_diagonal_for_equal_coefficients(self):
         u = q.classical_leontief([F(1), F(1)], q.Box.integer_grid(2, 0, 3))
-        eff = q.efficient_set(u)
+        eff = q.efficient_set(u, product(range(4), repeat=2))
         assert set(eff.points) == {(k, k) for k in range(4)}
 
     def test_identity_on_chain_every_point(self):
@@ -44,7 +45,7 @@ class TestEfficientSet:
 
     def test_unbalanced_coefficients_grid_locus(self):
         u = q.classical_leontief([F(1), F(2)], q.Box.integer_grid(2, 0, 4))
-        eff = q.efficient_set(u)
+        eff = q.efficient_set(u, product(range(5), repeat=2))
         assert set(eff.points) == {(F(0), F(0)), (F(2), F(1)), (F(4), F(2))}
         # locus check: a1 x1 == a2 x2 on each one
         for x in eff.points:

@@ -4,8 +4,12 @@ Each ``*.out`` file under ``tests/data`` is the stdout the CLI printed for
 the listed command before a refactor of the code under it (the certifiers'
 shared level-set record for ``check`` and ``corpus``, the down-set member
 masks for the ``product3`` reports); the inputs sit next to it.  In the two
-``maximize`` reports the ``localization`` certificate alone was re-captured,
-when the vacuous localization check became one that can fail.  Commands run
+``product3`` ``maximize`` reports the ``localization`` certificate alone was
+re-captured, when the vacuous localization check became one that can fail.
+The ``efficient`` and ``maximize`` reports on ``classical.json`` and
+``tolerant_power.json`` were captured when a gridded closed form began to
+load as its table; the efficient points they list are the least grid point
+at each level, checked by hand.  Commands run
 from inside ``tests/data`` so the ``input`` field of a report is the bare
 file name.
 """
@@ -27,6 +31,16 @@ CASES = {
     "leastless.check.out": (["check", "--json", "leastless.json"], 1),
     "tolerant_power.check.out": (["check", "--json", "tolerant_power.json"], 0),
     "classical.check.out": (["check", "--json", "classical.json"], 0),
+    "classical.efficient.out": (["efficient", "--json", "classical.json"], 0),
+    "classical.efficient_subset.out": (
+        ["efficient", "--json", "classical.json", "--subset", "classical_subset.json"],
+        0,
+    ),
+    "classical.maximize_generators.out": (
+        ["maximize", "--json", "classical.json", "--downset", "classical_generators.json"],
+        0,
+    ),
+    "tolerant_power.efficient.out": (["efficient", "--json", "tolerant_power.json"], 0),
     "corpus_n6_seed7_fault.out": (
         ["corpus", "--json", "--n", "6", "--seed", "7", "--inject-fault"],
         1,

@@ -212,9 +212,7 @@ def count_builds(monkeypatch):
 @pytest.mark.parametrize("name", ["min_grid", "plain_poset", "tolerant_power", "classical"])
 def test_check_builds_each_probe_level_once(name, monkeypatch, capsys):
     monkeypatch.chdir(DATA)
-    u = utility_from_json(load_json(f"{name}.json"))
-    if not isinstance(u, q.TabulatedUtility):
-        u = q.tabulate(u)
+    u = utility_from_json(load_json(f"{name}.json"))  # a gridded form loads as its table
     probes = u.probe_levels()
     built = count_builds(monkeypatch)
     assert main(["check", "--json", f"{name}.json"]) == 0
