@@ -27,8 +27,6 @@ from .leontief import (
     HomogeneityError,
     LeastlessLevelSetError,
     MinFormError,
-    MinPointwiseUtility,
-    MinProductUtility,
     NotCertifiedError,
     PowerLeontief,
     PriceMatrixLeontief,

@@ -51,6 +51,17 @@ def _default_seed() -> int:
         return 42
 
 
+def _tolerance(raw: str) -> float:
+    """``--tolerance``: a float that is neither negative nor NaN (else exit 2)."""
+    try:
+        t = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not t >= 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number: {raw!r}")
+    return t
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qleontief",
@@ -61,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--quiet", action="store_true", help="suppress detail lines")
-        p.add_argument("--tolerance", type=float, default=None,
+        p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="tolerance override for closed-form utilities")
 
     p = sub.add_parser("check", help="run the certifier battery on a utility")
@@ -245,17 +256,14 @@ def cmd_refine(args) -> int:
     S = product_downset(space, sets)
     cert = oracle.certify_quasi_leontief(u)
     cu = cert.utility if cert.ok else u
-    # one record of the maximum over S: the default start and the reported
-    # largest efficient point both come from it
-    res = None
-    if args.start is not None:
-        x_star = point_from_json(load_json(args.start), space)
-    else:
-        res = argmax_over_downset(cu, S) if cert.ok else ArgmaxResult(*argmax_members(u, S))
-        x_star = res.maximizers[0]
+    # the one walk of S: the default start, the maximum the sweep keeps and
+    # the reported largest efficient point all come from this record
+    res = argmax_over_downset(cu, S) if cert.ok else ArgmaxResult(*argmax_members(u, S))
+    x_star = (res.maximizers[0] if args.start is None
+              else point_from_json(load_json(args.start), space))
     order = _parse_order(args.order, space.n_axes) if args.order is not None else None
     try:
-        trace = efficient_refinement(cu, S, x_star, order=order)
+        trace = efficient_refinement(cu, S, x_star, res, order=order)
     except (PreconditionError, UtilityError, InconsistencyError) as exc:
         report = {
             "schema": SCHEMA,
@@ -283,7 +291,7 @@ def cmd_refine(args) -> int:
         "PASS refinement (argmax, dominated, efficient)",
     ]
     if cert.ok:
-        xbar = (res or argmax_over_downset(cu, S)).largest_efficient
+        xbar = res.largest_efficient
         report["largest_efficient"] = encode_elem(xbar)
         report["refined_equals_largest_efficient"] = xbar == trace.result
         lines.append(f"largest efficient {encode_elem(xbar)}")
@@ -395,9 +403,10 @@ def _suite_refinement(seed: int, n: int) -> List[dict]:
         u = corpus_mod.random_isotone_utility(rng, space)
         sets = corpus_mod.random_prefix_downsets(rng, space)
         S = product_downset(space, sets)
-        for x_star in argmax_members(u, S)[1]:
+        res = ArgmaxResult(*argmax_members(u, S))
+        for x_star in res.maximizers:
             try:
-                efficient_refinement(u, S, x_star)
+                efficient_refinement(u, S, x_star, res)
             except (InconsistencyError, UtilityError) as exc:
                 failures.append(
                     {"instance": i, "property": "refinement", "detail": str(exc)}

@@ -9,7 +9,8 @@ Utility:   tabulated {"poset": <poset-or-path>, "values": {"e1": "3/2", ...}}
 
 ``utility_from_json`` alone picks table or formula: a classical or power
 form on a box gridded on every axis loads as its table, and combinators of
-tables give tables; a continuous box keeps the formula.
+tables give tables; a continuous box keeps the formula.  A ``min_product``
+takes tables only, so one with a continuous factor is refused at load.
 
 Rationals are "p/q" strings.  Product points appear either as arrays of
 factor ids or as comma-joined strings ("2,3"); value-map keys always use the
@@ -253,14 +254,13 @@ def utility_from_json(obj, *, base_dir: str = "."):
             base = utility_from_json(obj["base"], base_dir=base_dir)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))
         if kind == "min_product":
-            factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
             from .oracle import require_certified
 
-            factors = [
-                require_certified(f) if isinstance(f, TabulatedUtility) else f
-                for f in factors
-            ]
-            return min_product(*factors)
+            factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
+            product = min_product(*factors)  # refuses a closed-form factor
+            for f in factors:  # a factor that is not quasi-Leontief fails with its own witness
+                require_certified(f)
+            return product
         if kind == "restrict":
             base = utility_from_json(obj["base"], base_dir=base_dir)
             if isinstance(base, TabulatedUtility):

@@ -9,8 +9,9 @@ utilities acquire both through brute-force certification (see the oracle
 module).  ``tabulate`` turns a closed form on a gridded box into its table.
 Every combinator maps tables to a table (``affine_transform``, ``restrict``,
 ``min_product``, ``min_pointwise``), so a combined table is certified like
-any other; only closed forms are wrapped, and only the wrappers compute a
-dual by formula.
+any other.  ``min_product`` and ``min_pointwise`` take tables only;
+``affine_transform`` and ``restrict`` also wrap a closed form, and only
+those wrappers compute a dual by formula.
 """
 from __future__ import annotations
 
@@ -544,91 +545,6 @@ class AffineUtility(_Closure):
         return f"AffineUtility({self.a} * {self.base!r} + {self.b})"
 
 
-def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
-    """The scale of the first of ``utilities``, which must be nonempty and
-    agree on exact versus tolerant."""
-    if not utilities:
-        raise UtilityError(f"{name} needs at least one {noun}")
-    if len({u.scale.kind for u in utilities}) > 1:
-        raise UtilityError(f"{noun}s mix exact and tolerant scales")
-    return utilities[0].scale
-
-
-class MinProductUtility(_Closure):
-    """u(x_1..x_n) = min_i u_i(x_i) over the product of closed-form factor
-    domains; each coordinate x_i is a point of u_i's box.
-
-    All factors must be regular on their own domains; the dual is the tuple
-    of factor duals and the interior follows as dual(value(x)).
-    """
-
-    def __init__(self, factors: Sequence):
-        self.factors = tuple(factors)
-        self.scale = _shared_scale(self.factors, "min-product", "factor")
-        if any(isinstance(f, TabulatedUtility) for f in self.factors):
-            raise UtilityError("min-product factors must be all tables or all closed forms")
-
-    def _check(self, x) -> Tuple:
-        x = tuple(x)
-        if len(x) != len(self.factors):
-            raise DomainError(f"point {x!r} has wrong arity")
-        for c in x:
-            if not isinstance(c, (tuple, list)):
-                raise DomainError(f"coordinate {c!r} of {x!r} is not a point of a closed-form factor")
-        return x
-
-    def value(self, x):
-        x = self._check(x)
-        return min(f.value(c) for f, c in zip(self.factors, x))
-
-    def leq_points(self, x, y) -> bool:
-        """The coordinatewise order of the factor domains."""
-        return all(
-            f.leq_points(a, b) for f, a, b in zip(self.factors, self._check(x), self._check(y))
-        )
-
-    def dual(self, lam) -> Optional[Tuple]:
-        parts = []
-        for f in self.factors:
-            d = f.dual(lam)
-            if d is None:
-                return None
-            parts.append(d)
-        return tuple(parts)
-
-    def __repr__(self) -> str:
-        return f"MinProductUtility({len(self.factors)} factors)"
-
-
-class MinPointwiseUtility(_Closure):
-    """min_i u_i(x) for closed forms on one common box.
-
-    The dual is the coordinatewise max of the part duals, their join in the box.
-    """
-
-    def __init__(self, parts: Sequence):
-        self.parts = tuple(parts)
-        self.scale = _shared_scale(self.parts, "pointwise min", "part")
-        self.box = getattr(self.parts[0], "box", None)
-        if self.box is None:
-            raise UtilityError("closed-form parts need a shared box domain")
-
-    def value(self, x):
-        return min(p.value(x) for p in self.parts)
-
-    def dual(self, lam):
-        duals = []
-        for p in self.parts:
-            d = p.dual(lam)
-            if d is None:
-                return None
-            duals.append(d)
-        return tuple(max(cs) for cs in zip(*duals))
-
-    def __repr__(self) -> str:
-        return f"MinPointwiseUtility({len(self.parts)} parts)"
-
-
 class RestrictedUtility(_Closure):
     """Restriction of a closed-form utility to a generated comprehensive subset."""
 
@@ -689,34 +605,36 @@ def price_matrix_leontief(P: Sequence[Sequence[float]], *, scale: Optional[Scale
     return PriceMatrixLeontief(P, scale=scale)
 
 
-def min_product(*factors):
-    """min_i u_i(x_i) on the product of the factor domains.
-
-    Tables give the uncertified table on the ``ProductSpace`` of their posets;
-    closed forms give a ``MinProductUtility``.  A mix of the two is refused.
-    """
-    if factors and all(isinstance(f, TabulatedUtility) for f in factors):
-        scale = _shared_scale(factors, "min-product", "factor")
-        space = ProductSpace([f.poset for f in factors])
-        vals = {p: min(f.values[c] for f, c in zip(factors, p)) for p in space.points()}
-        return TabulatedUtility(space, vals, scale=scale)
-    return MinProductUtility(factors)
+def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
+    """The scale of the first of ``utilities``, which must be nonempty and
+    agree on exact versus tolerant."""
+    if not utilities:
+        raise UtilityError(f"{name} needs at least one {noun}")
+    if len({u.scale.kind for u in utilities}) > 1:
+        raise UtilityError(f"{noun}s mix exact and tolerant scales")
+    return utilities[0].scale
 
 
-def min_pointwise(*parts):
-    """min_i u_i(x) on one domain.
+def min_product(*factors) -> TabulatedUtility:
+    """min_i u_i(x_i): the uncertified table on the ``ProductSpace`` of the
+    factor posets.  Every factor must be a table; ``tabulate`` gives the
+    table of a closed form on a gridded box."""
+    if not all(isinstance(f, TabulatedUtility) for f in factors):
+        raise UtilityError("min-product needs tables; a closed form is a table only on a gridded box")
+    scale = _shared_scale(factors, "min-product", "factor")
+    space = ProductSpace([f.poset for f in factors])
+    vals = {p: min(f.values[c] for f, c in zip(factors, p)) for p in space.points()}
+    return TabulatedUtility(space, vals, scale=scale)
 
-    Tables on one poset give the uncertified table of the minimum; closed forms
-    on one box give a ``MinPointwiseUtility``.
-    """
-    if not any(isinstance(p, TabulatedUtility) for p in parts):
-        return MinPointwiseUtility(parts)
+
+def min_pointwise(*parts) -> TabulatedUtility:
+    """min_i u_i(x): the uncertified table of the minimum of tables on one
+    domain poset."""
+    if not all(isinstance(p, TabulatedUtility) and p.poset == parts[0].poset for p in parts):
+        raise UtilityError("pointwise min needs tables that share one domain poset")
     scale = _shared_scale(parts, "pointwise min", "part")
-    first = parts[0]
-    if any(not isinstance(p, TabulatedUtility) or p.poset != first.poset for p in parts):
-        raise UtilityError("parts must share one domain poset")
-    vals = {e: min(p.values[e] for p in parts) for e in first.poset.elements}
-    return TabulatedUtility(first.poset, vals, scale=scale)
+    vals = {e: min(p.values[e] for p in parts) for e in parts[0].poset.elements}
+    return TabulatedUtility(parts[0].poset, vals, scale=scale)
 
 
 def affine_transform(u, a, b):

@@ -8,9 +8,8 @@ maximizer by its partial interior, and lands on an efficient maximizer below
 the starting one.  ``argmax_members`` is the one walk over the members of a
 comprehensive set.  ``argmax_over_downset`` walks S once through it and
 returns one ``ArgmaxResult``: the maximum, the maximizers and the largest
-efficient point.  The localization check reads that record instead of
-walking S again; only ``efficient_refinement`` walks S on its own, to check
-a start that comes from outside.
+efficient point.  The localization check and ``efficient_refinement`` read
+that record instead of walking S again.
 """
 from __future__ import annotations
 
@@ -188,11 +187,16 @@ def efficient_refinement(
     u: TabulatedUtility,
     S: DownSet,
     x_star: Sequence,
+    res: ArgmaxResult,
     *,
     order: Optional[Sequence[int]] = None,
 ) -> RefinementTrace:
     """Refine a maximizer over a comprehensive set of a product domain (such
     as a ``product_downset``) into an efficient maximizer below it.
+
+    ``res`` is the record of the maximum of u over S, such as
+    ``argmax_over_downset(u, S)`` or ``ArgmaxResult(*argmax_members(u, S))``;
+    the start must attain ``res.value``, and S is not walked again.
 
     The sweep visits the axes in ``order`` (default ascending); at each step
     the current coordinate is replaced by the interior of the one-axis
@@ -212,7 +216,7 @@ def efficient_refinement(
     if x_star not in S:
         raise PreconditionError(f"start {x_star!r} is outside the feasible product")
 
-    opt, _ = argmax_members(u, S)
+    opt = res.value
     if not u.scale.eq(u.value(x_star), opt):
         raise PreconditionError(
             f"start {x_star!r} attains {u.value(x_star)!r}, maximum is {opt!r}"

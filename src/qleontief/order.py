@@ -652,7 +652,7 @@ class Scale:
     def __init__(self, kind: str = "exact", tolerance: Any = 0):
         if kind not in ("exact", "tolerant"):
             raise ValueError(f"unknown scale kind {kind!r}")
-        if tolerance < 0:
+        if not tolerance >= 0:
             raise ValueError("tolerance must be nonnegative")
         self.kind = kind
         self.tolerance = tolerance

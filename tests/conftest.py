@@ -39,7 +39,7 @@ def grid_utility(fn, *ranges, scale=q.EXACT):
     """Tabulated utility on a product of integer/rational chains."""
     space = q.grid_space(*ranges)
     values = {p: fn(*p) for p in space.points()}
-    return q.TabulatedUtility(space.as_poset(), values, scale=scale, space=space)
+    return q.TabulatedUtility(space.as_poset(), values, scale=scale)
 
 
 def certified(u):

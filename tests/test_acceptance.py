@@ -178,10 +178,11 @@ class TestAcceptance:
                 S = q.product_downset(space, sets)
                 members = S.sorted_members()
                 best = max(u.value(x) for x in members)
+                res = q.ArgmaxResult(*q.argmax_members(u, S))
                 for x_star in members:
                     if u.value(x_star) != best:
                         continue
-                    trace = q.efficient_refinement(u, S, x_star)
+                    trace = q.efficient_refinement(u, S, x_star, res)
                     assert u.value(trace.result) == best
                     assert space.leq(trace.result, x_star)
                     assert q.is_efficient_minimal(u, trace.result)
@@ -215,7 +216,7 @@ class TestAcceptance:
                 space = corpus.random_product_of_chains(rng, 3, 4)
                 poset = space.as_poset()
                 u = corpus.random_quasileontief_utility(rng, poset)
-                u = q.TabulatedUtility(poset, u.values, space=space)
+                u = q.TabulatedUtility(poset, u.values)
                 gens = [rng.choice(poset.elements)]
                 S = q.DownSet.from_generators(poset, gens)
                 members = S.sorted_members()
@@ -256,7 +257,6 @@ class TestAcceptance:
             u_sum = q.TabulatedUtility(
                 space.as_poset(),
                 {p: F(p[0] + p[1]) for p in space.points()},
-                space=space,
             )
             cert = q.certify_quasi_leontief(u_sum)
             assert not cert.ok
@@ -269,7 +269,6 @@ class TestAcceptance:
             u_mix = q.TabulatedUtility(
                 space2.as_poset(),
                 {p: min(p[0], p[0] * p[1]) for p in space2.points()},
-                space=space2,
             )
             glob = q.certify_quasi_leontief(u_mix)
             assert not glob.ok

@@ -117,6 +117,19 @@ class TestCheck:
         assert "quasi-leontief" in props and "regular" in props
 
 
+class TestToleranceFlag:
+    @pytest.mark.parametrize("raw", ["-1", "nan"])
+    def test_negative_or_nan_is_a_usage_error(self, raw, capsys):
+        u = os.path.join(os.path.dirname(__file__), "data", "tolerant_power.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--tolerance", raw, u])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.endswith(
+            f"error: argument --tolerance: must be a nonnegative number: '{raw}'\n")
+
+
 class TestEfficient:
     def test_tabulated_diagonal(self, min_grid_utility, capsys):
         assert main(["efficient", "--json", min_grid_utility]) == 0
@@ -264,6 +277,25 @@ class TestRefine:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["trace"]["result"] == ["2", "2"]
+
+    def test_start_on_an_empty_feasible_set(self, min_grid_utility, tmp_path, capsys):
+        # the record of the maximum is read before the start, so an empty S is
+        # bad input with or without --start
+        s = write(tmp_path, "s.json", {"members": []})
+        start = write(tmp_path, "x.json", {"point": ["3", "3"]})
+        assert main(["refine", min_grid_utility, "--sets", s, s, "--start", start]) == 2
+        assert capsys.readouterr() == ("", "error: empty down-set\n")
+
+    def test_start_outside_a_nonempty_set(self, min_grid_utility, tmp_path, capsys):
+        s1 = write(tmp_path, "s1.json", {"members": ["0", "1", "2"]})
+        s2 = write(tmp_path, "s2.json", {"members": ["0", "1", "2", "3"]})
+        start = write(tmp_path, "x.json", {"point": ["3", "3"]})
+        error = "start ('3', '3') is outside the feasible product"
+        assert main(["refine", min_grid_utility, "--sets", s1, s2, "--start", start]) == 1
+        assert capsys.readouterr() == (f"FAIL refinement: {error}\n", "")
+        assert main(["refine", "--json", min_grid_utility, "--sets", s1, s2, "--start", start]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "refine", "error": error, "input": min_grid_utility, "ok": False, "schema": 1}
 
     def test_product_downset_built_once(self, min_grid_utility, tmp_path, capsys, monkeypatch):
         calls = []
@@ -645,6 +677,34 @@ class TestGriddedCombinators:
                                        "downset": {"generators": [["1/2", "1"]]}})
         assert main(["check", u]) == 2
         assert capsys.readouterr().err == "error: unknown element '1/2'\n"
+
+
+CONTINUOUS1 = {"type": "classical", "a": ["1"], "box": {"axes": [CONTINUOUS_BOX["axes"][0]]}}
+CONTINUOUS_MIN_PRODUCT = {"type": "min_product", "factors": [CONTINUOUS1, CONTINUOUS1]}
+
+
+class TestContinuousMinProduct:
+    """A ``min_product`` takes tables only, so one with a continuous factor is
+    refused at load, in every command and inside any wrapper."""
+
+    FORMS = {
+        "continuous": CONTINUOUS_MIN_PRODUCT,
+        "mixed": {"type": "min_product", "factors": [CHAIN3, CONTINUOUS1]},
+        "gridded-and-continuous": {"type": "min_product", "factors": [CLASSICAL1, CONTINUOUS1]},
+        "affine": {"type": "affine", "a": "2", "b": "1", "base": CONTINUOUS_MIN_PRODUCT},
+        "restrict": {"type": "restrict", "downset": {"generators": [[["1"], ["1"]]]},
+                     "base": CONTINUOUS_MIN_PRODUCT},
+    }
+    ERR = "error: invalid utility: min-product needs tables; a closed form is a table only on a gridded box\n"
+
+    @pytest.mark.parametrize("command", ["check", "efficient", "maximize", "refine"])
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_refused_at_load(self, name, command, tmp_path, capsys):
+        u = write(tmp_path, "u.json", self.FORMS[name])
+        s = write(tmp_path, "s.json", {"generators": [["1", "1"]]})
+        extra = {"maximize": ["--downset", s], "refine": ["--sets", s, s]}.get(command, [])
+        assert main([command, u, *extra]) == 2
+        assert capsys.readouterr() == ("", self.ERR)
 
 
 class TestHostileShapes:

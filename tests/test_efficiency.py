@@ -23,13 +23,13 @@ def min_x1_x1x2():
     """u(x1, x2) = min(x1, x1*x2) tabulated on the positive fraction grid."""
     space = fraction_grid_space()
     values = {p: min(p[0], p[0] * p[1]) for p in space.points()}
-    return q.TabulatedUtility(space.as_poset(), values, space=space)
+    return q.TabulatedUtility(space.as_poset(), values)
 
 
 def min_x1x3_x2(lo=1, hi=4):
     space = q.grid_space(range(lo, hi + 1), range(lo, hi + 1), range(lo, hi + 1))
     values = {p: F(min(p[0] * p[2], p[1])) for p in space.points()}
-    return q.TabulatedUtility(space.as_poset(), values, space=space)
+    return q.TabulatedUtility(space.as_poset(), values)
 
 
 class TestEfficientSet:
@@ -88,8 +88,7 @@ class TestPartialUtility:
     def test_projection_matches_fresh_certification(self, min_on_4x4):
         # the auto-certified slice of a certified parent agrees with an
         # independent oracle run on the uncertified slice
-        space = min_on_4x4.space
-        raw = q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values, space=space)
+        raw = q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values)
         for axis in range(2):
             for frozen in range(4):
                 auto = q.partial_utility(min_on_4x4, (frozen,), axis)
@@ -155,9 +154,7 @@ class TestPuMap:
         chain = q.FinitePoset.chain(range(4))
         space = q.ProductSpace([chain])
         u = certified(
-            q.TabulatedUtility(
-                space.as_poset(), {(t,): F(min(t, 2)) for t in range(4)}, space=space
-            )
+            q.TabulatedUtility(space.as_poset(), {(t,): F(min(t, 2)) for t in range(4)})
         )
         res = q.pu_map(u, (1,))
         assert res.axis_sets[0].points == (0, 1, 2)

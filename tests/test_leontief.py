@@ -356,18 +356,9 @@ class TestMinProduct:
 
     def test_mixed_factors_rejected(self):
         u = q.classical_leontief([F(2)], frac_box(1, 0, 4))
-        for factors in ((identity_chain_utility(3), u), (u, identity_chain_utility(3))):
-            with pytest.raises(q.UtilityError, match="all tables or all closed forms"):
+        for factors in ((identity_chain_utility(3), u), (u, identity_chain_utility(3)), (u, u)):
+            with pytest.raises(q.UtilityError, match="min-product needs tables"):
                 q.min_product(*factors)
-
-    def test_closed_form_factors(self):
-        u1 = q.classical_leontief([F(2)], frac_box(1, 0, 4))
-        u2 = q.classical_leontief([F(3)], frac_box(1, 0, 4))
-        m = q.min_product(u1, u2)
-        x = ((F(4),), (F(1),))
-        assert m.value(x) == min(F(8), F(3)) == 3
-        assert m.dual(F(6)) == ((F(3),), (F(2),))
-        assert m.interior(x) == ((F(3, 2),), (F(1),))
 
 
 class TestMinPointwise:
@@ -429,17 +420,10 @@ class TestMinPointwise:
     def test_parts_share_one_poset(self, min_on_4x4):
         other = identity_chain_utility(4)
         closed = q.classical_leontief([F(1), F(1)], frac_box(2, 0, 3, step=1))
-        for parts in ((min_on_4x4, other), (min_on_4x4, closed), (closed, min_on_4x4)):
+        for parts in ((min_on_4x4, other), (min_on_4x4, closed), (closed, min_on_4x4),
+                      (closed, closed)):
             with pytest.raises(q.UtilityError, match="share one domain poset"):
                 q.min_pointwise(*parts)
-
-    def test_closed_forms_on_one_box(self):
-        box = frac_box(2, 0, 4)
-        u1 = q.classical_leontief([F(1), F(2)], box)
-        u2 = q.classical_leontief([F(2), F(1)], box)
-        m = q.min_pointwise(u1, u2)
-        assert m.value((F(4), F(1))) == min(F(2), F(1)) == 1
-        assert m.dual(F(2)) == (F(2), F(2))
 
 
 class TestRestrict:
@@ -494,9 +478,7 @@ class TestMinDecompose:
         u = identity_chain_utility(4)
         space = q.ProductSpace([u.poset])
         tab = certified(
-            q.TabulatedUtility(
-                space.as_poset(), {(t,): F(t) for t in range(4)}, space=space
-            )
+            q.TabulatedUtility(space.as_poset(), {(t,): F(t) for t in range(4)})
         )
         parts = q.min_decompose(tab, [(t,) for t in range(3)], (3,))
         assert len(parts) == 1

@@ -120,7 +120,7 @@ def tolerant_table(seed):
     vals = {
         p: float(min(p)) + rng.choice((0.0, 4e-10, -4e-10)) for p in space.points()
     }
-    return q.TabulatedUtility(space.as_poset(), vals, scale=q.tolerant(1e-9), space=space)
+    return q.TabulatedUtility(space.as_poset(), vals, scale=q.tolerant(1e-9))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -20,6 +20,11 @@ def prefix_set(space, *lengths):
     ])
 
 
+def record(u, S):
+    """The argmax record ``efficient_refinement`` reads instead of walking S."""
+    return q.ArgmaxResult(*q.argmax_members(u, S))
+
+
 def ref_maximal_maximizer(u, s):
     """The maximizers with no other member of s above them, least by string form."""
     members = s.sorted_members()
@@ -39,7 +44,7 @@ def localize(u, s):
 def min_x1x3_x2_grid():
     space = q.grid_space(range(1, 5), range(1, 5), range(1, 5))
     values = {p: F(min(p[0] * p[2], p[1])) for p in space.points()}
-    return q.TabulatedUtility(space.as_poset(), values, space=space)
+    return q.TabulatedUtility(space.as_poset(), values)
 
 
 class TestArgmaxOverDownset:
@@ -214,7 +219,7 @@ class TestArgmaxLocalization:
 class TestEfficientRefinement:
     def test_grid_walkthrough(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
-        trace = q.efficient_refinement(min_on_4x4, S, (2, 3))
+        trace = q.efficient_refinement(min_on_4x4, S, (2, 3), record(min_on_4x4, S))
         assert trace.result == (2, 2)
         assert len(trace.steps) == 2
         assert trace.steps[0].before == 2 and trace.steps[0].after == 2
@@ -225,14 +230,14 @@ class TestEfficientRefinement:
 
     def test_already_efficient_start_is_fixed(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
-        trace = q.efficient_refinement(min_on_4x4, S, (2, 2))
+        trace = q.efficient_refinement(min_on_4x4, S, (2, 2), record(min_on_4x4, S))
         assert trace.result == (2, 2)
         assert trace.changed_axes == ()
 
     def test_three_factor_positive_grid(self):
         u = min_x1x3_x2_grid()
         S = prefix_set(u.space, 3, 3, 3)
-        trace = q.efficient_refinement(u, S, (3, 3, 3))
+        trace = q.efficient_refinement(u, S, (3, 3, 3), record(u, S))
         assert u.value(trace.result) == u.value((3, 3, 3)) == 3
         assert u.space.leq(trace.result, (3, 3, 3))
         assert q.is_efficient_minimal(u, trace.result)
@@ -240,7 +245,7 @@ class TestEfficientRefinement:
 
     def test_order_permutation_keeps_postconditions(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
-        trace = q.efficient_refinement(min_on_4x4, S, (2, 3), order=(1, 0))
+        trace = q.efficient_refinement(min_on_4x4, S, (2, 3), record(min_on_4x4, S), order=(1, 0))
         assert trace.order == (1, 0)
         assert q.is_efficient_minimal(min_on_4x4, trace.result)
         assert min_on_4x4.value(trace.result) == 2
@@ -249,27 +254,27 @@ class TestEfficientRefinement:
     def test_non_maximizer_start_rejected(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
         with pytest.raises(q.PreconditionError):
-            q.efficient_refinement(min_on_4x4, S, (1, 1))
+            q.efficient_refinement(min_on_4x4, S, (1, 1), record(min_on_4x4, S))
 
     def test_start_outside_feasible_set_rejected(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
         with pytest.raises(q.PreconditionError):
-            q.efficient_refinement(min_on_4x4, S, (3, 3))
+            q.efficient_refinement(min_on_4x4, S, (3, 3), record(min_on_4x4, S))
 
     def test_downset_in_another_poset_rejected(self, min_on_4x4):
         other = q.grid_space(range(3), range(4))
         S = q.DownSet.from_generators(other, [(2, 3)])
         with pytest.raises(q.OrderError, match="different poset"):
-            q.efficient_refinement(min_on_4x4, S, (2, 3))
+            q.efficient_refinement(min_on_4x4, S, (2, 3), record(min_on_4x4, S))
 
     def test_bad_order_rejected(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
         with pytest.raises(q.OrderError):
-            q.efficient_refinement(min_on_4x4, S, (2, 3), order=(0, 0))
+            q.efficient_refinement(min_on_4x4, S, (2, 3), record(min_on_4x4, S), order=(0, 0))
 
     def test_trace_json_schema(self, min_on_4x4):
         S = prefix_set(min_on_4x4.space, 3, 4)
-        obj = q.efficient_refinement(min_on_4x4, S, (2, 3)).to_json()
+        obj = q.efficient_refinement(min_on_4x4, S, (2, 3), record(min_on_4x4, S)).to_json()
         assert obj["start"] == [2, 3]
         assert obj["result"] == [2, 2]
         assert obj["steps"] == [
@@ -295,12 +300,12 @@ class TestEfficientRefinement:
             p: max(v for e, v in ladder if poset.leq(e, p))
             for p in poset.elements
         }
-        u = certified(q.TabulatedUtility(poset, values, space=space))
+        u = certified(q.TabulatedUtility(poset, values))
         S = q.product_downset(space, [
             q.DownSet.from_generators(diamond, ["a"]),
             q.DownSet.from_generators(diamond, ["top"]),
         ])
-        trace = q.efficient_refinement(u, S, ("a", "top"))
+        trace = q.efficient_refinement(u, S, ("a", "top"), record(u, S))
         assert u.value(trace.result) == 2
         assert space.leq(trace.result, ("a", "top"))
         assert q.is_efficient_minimal(u, trace.result)
@@ -317,13 +322,13 @@ class TestEfficientRefinement:
         poset = space.as_poset()
         rank = {"bot": 0, "a": 1, "b": 1, "top": 2}
         values = {p: F(rank[p[0]]) for p in poset.elements}
-        u = q.TabulatedUtility(poset, values, space=space)
+        u = q.TabulatedUtility(poset, values)
         S = q.product_downset(space, [
             q.DownSet.from_members(diamond, diamond.elements),
             q.DownSet.from_members(chain, chain.elements),
         ])
         with pytest.raises(q.UtilityError, match="not quasi-Leontief"):
-            q.efficient_refinement(u, S, ("top", 1))
+            q.efficient_refinement(u, S, ("top", 1), record(u, S))
 
     def test_every_maximizer_refines_on_random_instances(self):
         for i in range(30):
@@ -337,7 +342,7 @@ class TestEfficientRefinement:
             for x_star in members:
                 if u.value(x_star) != best:
                     continue
-                trace = q.efficient_refinement(u, S, x_star)
+                trace = q.efficient_refinement(u, S, x_star, record(u, S))
                 assert u.value(trace.result) == best
                 assert space.leq(trace.result, x_star)
                 assert q.is_efficient_minimal(u, trace.result)

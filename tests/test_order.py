@@ -270,5 +270,6 @@ class TestScale:
                         assert s.eq(a, c)
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            q.Scale("tolerant", -1)
+        for bad in (-1, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                q.Scale("tolerant", bad)

@@ -106,7 +106,8 @@ def test_refinement_steps_never_increase_coordinates(seed):
     members = S.sorted_members()
     best = max(u.value(x) for x in members)
     x_star = next(x for x in members if u.value(x) == best)
-    trace = q.efficient_refinement(u, S, x_star)
+    res = q.ArgmaxResult(*q.argmax_members(u, S))
+    trace = q.efficient_refinement(u, S, x_star, res)
     for step in trace.steps:
         factor = space.factors[step.axis]
         assert factor.leq(step.after, step.before)
@@ -122,7 +123,7 @@ def certified_product_instance(seed):
     rng = corpus.derive_rng(seed, "prop-product")
     space = corpus.random_product_of_chains(rng)
     raw = corpus.random_quasileontief_utility(rng, space.as_poset())
-    u = q.TabulatedUtility(space.as_poset(), raw.values, space=space)
+    u = q.TabulatedUtility(space.as_poset(), raw.values)
     reg = q.certify_regular(u)
     assert reg.ok
     return reg.utility, reg.dual_table
@@ -135,7 +136,7 @@ def test_partial_interior_is_the_projected_global_interior(seed):
     # independent oracle run on the raw slice, axis by axis
     u, _ = certified_product_instance(seed)
     space = u.space
-    raw = q.TabulatedUtility(u.poset, u.values, space=space)
+    raw = q.TabulatedUtility(u.poset, u.values)
     for x in space.points():
         for axis in range(space.n_axes):
             rest = space.delete(x, axis)
@@ -189,8 +190,9 @@ def test_refinement_postconditions_hold_under_every_axis_order(seed):
     members = S.sorted_members()
     best = max(u.value(x) for x in members)
     x_star = next(x for x in members if u.value(x) == best)
+    res = q.ArgmaxResult(*q.argmax_members(u, S))
     for order in permutations(range(space.n_axes)):
-        trace = q.efficient_refinement(u, S, x_star, order=order)
+        trace = q.efficient_refinement(u, S, x_star, res, order=order)
         assert u.value(trace.result) == best
         assert space.leq(trace.result, x_star)
         assert q.is_efficient_minimal(u, trace.result)

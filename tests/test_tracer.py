@@ -51,12 +51,12 @@ def test_traced_maximize_records_the_product_table_build(capsys):
 @pytest.mark.parametrize("argv, walks, records", [
     # one record; localization reads it
     (["maximize", "product3.json", "--downset", "product3_members.json"], 1, 1),
-    # the record gives the default start and the largest efficient point;
-    # efficient_refinement walks S once more to check the start
+    # one record gives the default start, the maximum efficient_refinement
+    # keeps and the largest efficient point
     (["refine", "product3.json", "--sets", "product3_axis1.json", "product3_axis2.json",
-      "product3_axis3.json"], 2, 1),
-    # 8 localization instances, one record each; 16 refinement walks
-    (["corpus", "--n", "8", "--seed", "3"], 24, 8),
+      "product3_axis3.json"], 1, 1),
+    # 8 localization instances, one record each; one walk per refinement instance
+    (["corpus", "--n", "8", "--seed", "3"], 16, 8),
 ])
 def test_feasible_set_walks_per_command(argv, walks, records, monkeypatch, capsys):
     monkeypatch.chdir(DATA)
