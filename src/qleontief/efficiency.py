@@ -120,7 +120,7 @@ def minimality_witness(u: TabulatedUtility, x) -> Optional[Element]:
     x = u._norm(x)
     poset = u.poset
     i = poset.index_of(x)
-    below = poset._down[i] & ~(1 << i) & u.level_set(u.values[x]).mask
+    below = poset._down[i] & ~(1 << i) & u.level_of(i).mask
     return poset.elements[(below & -below).bit_length() - 1] if below else None
 
 

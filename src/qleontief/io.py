@@ -12,7 +12,8 @@ form on a box gridded on every axis loads as its table, and combinators of
 tables give tables; a continuous box keeps the formula.  A ``min_product``
 takes tables only, so one with a continuous factor is refused at load.
 
-Rationals are "p/q" strings.  Product points appear either as arrays of
+Rationals are "p/q" strings; a closed form's numbers may also be floats, but
+not NaN or an infinity.  Product points appear either as arrays of
 factor ids or as comma-joined strings ("2,3"); value-map keys always use the
 comma-joined form.  A key gives each factor as many comma parts as the keys
 of that factor's own points have, so "1,2,1" names a point of a nested
@@ -26,6 +27,7 @@ input error.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from functools import partial
@@ -78,7 +80,10 @@ def parse_rational(raw) -> Fraction:
 
 
 def parse_number(raw) -> Union[Fraction, float]:
+    """A rational, or a finite float: JSON's NaN and Infinity are refused."""
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise InputError(f"not a finite number: {raw!r}")
         return raw
     return parse_rational(raw)
 

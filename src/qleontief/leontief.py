@@ -16,6 +16,7 @@ those wrappers compute a dual by formula.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -115,13 +116,52 @@ class LevelSet(NamedTuple):
     detail: str = ""
 
 
+class _Ranks:
+    """One sort of a table's values, listed by element index.
+
+    ``image`` holds the sorted distinct values and ``rank[i]`` the position of
+    element i's value in it; equal neighbours in the sort share a rank, so no
+    value is hashed.  ``suffix[r]`` masks the elements of rank r or more, and
+    ``suffix[len(image)]`` is 0.  ``levels[r]`` caches the level set at
+    ``image[r]``, so a certifier looks a value's level up by its rank, and
+    ``position`` maps the id of ``image[r]`` to r, so a level at that very
+    value finds its rank without a comparison.
+    """
+
+    __slots__ = ("rank", "image", "suffix", "levels", "position")
+
+    def __init__(self, values: Sequence):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        rank = [0] * len(values)
+        image: List = []
+        r = -1
+        for i in order:
+            v = values[i]
+            if r < 0 or v != image[r]:
+                image.append(v)
+                r += 1
+            rank[i] = r
+        suffix = [0] * (r + 2)
+        mask = 0
+        for i in reversed(order):
+            mask |= 1 << i
+            suffix[rank[i]] = mask
+        self.rank = rank
+        self.image = tuple(image)
+        self.suffix = suffix
+        self.levels: List[Optional[LevelSet]] = [None] * (r + 1)
+        self.position = {id(v): k for k, v in enumerate(image)}
+
+
 class TabulatedUtility(_Closure):
     """Utility given by an explicit value table on a finite poset.
 
     The table must assign exactly one value to every element of ``poset``, a
     ``ProductSpace`` for a product domain (``space``, if given, must be it).
     Interior and dual queries require certification; the oracle module
-    produces certified copies, it never mutates.
+    produces certified copies, it never mutates.  Every question about the
+    order of the values reads one rank table (``_ranks``): the image, the
+    level sets and the oracle's value bands.
     """
 
     def __init__(
@@ -146,7 +186,7 @@ class TabulatedUtility(_Closure):
         self.certified = False
         self._interior: Optional[Dict[Element, Element]] = None
         self._levels: Dict[Any, LevelSet] = {}
-        self._image: Optional[Tuple] = None
+        self._rank_table: Optional[_Ranks] = None
 
     @property
     def space(self) -> Optional[ProductSpace]:
@@ -154,11 +194,11 @@ class TabulatedUtility(_Closure):
         return self.poset if isinstance(self.poset, ProductSpace) else None
 
     def _certified_copy(self, interior_table: Dict[Element, Element]) -> "TabulatedUtility":
-        new = TabulatedUtility(self.poset, self.values, scale=self.scale)
+        new = object.__new__(TabulatedUtility)
+        # same poset, values and scale: the rank table and every level set carry over
+        new.__dict__.update(self.__dict__)
         new.certified = True
         new._interior = dict(interior_table)
-        # same poset, values and scale: every level set carries over
-        new._levels = self._levels
         return new
 
     def _norm(self, x: Element) -> Element:
@@ -177,11 +217,16 @@ class TabulatedUtility(_Closure):
     def value(self, x: Element):
         return self.values[self._norm(x)]
 
+    def _ranks(self) -> _Ranks:
+        """The rank table of the values, built on first use and shared with
+        certified copies."""
+        if self._rank_table is None:
+            self._rank_table = _Ranks(list(self.values.values()))
+        return self._rank_table
+
     def image(self) -> Tuple:
         """Sorted distinct attained values."""
-        if self._image is None:
-            self._image = tuple(sorted(set(self.values.values())))
-        return self._image
+        return self._ranks().image
 
     def probe_levels(self, extra: Iterable = ()) -> List:
         """Attained values plus midpoints between consecutive distinct values,
@@ -202,25 +247,52 @@ class TabulatedUtility(_Closure):
         return sorted(set(probes))
 
     def level_set(self, lam) -> LevelSet:
-        """The level set at ``lam``, built on first use and cached."""
-        rec = self._levels.get(lam)
+        """The level set at ``lam``, built on first use and cached: by rank
+        when ``lam`` is an attained value, else by level."""
+        t = self._ranks()
+        r = t.position.get(id(lam))
+        if r is None:
+            rec = self._levels.get(lam)
+            if rec is not None:
+                return rec
+            r = bisect_left(t.image, lam)
+            if r == len(t.image) or t.image[r] != lam:
+                rec = self._levels[lam] = self._build_level_set(lam)
+                return rec
+        return self._attained_level(r, lam)
+
+    def level_of(self, i: int) -> LevelSet:
+        """The level set at the value of element index i, found by its rank."""
+        t = self._ranks()
+        r = t.rank[i]
+        return self._attained_level(r, t.image[r])
+
+    def _attained_level(self, r: int, lam) -> LevelSet:
+        levels = self._rank_table.levels
+        rec = levels[r]
         if rec is None:
-            rec = self._levels[lam] = self._build_level_set(lam)
+            rec = levels[r] = self._build_level_set(lam)
         return rec
 
     def _build_level_set(self, lam) -> LevelSet:
         # The defining relation is the set equality u^-1(up(lam)) = up(m), not
         # bare least-element existence: a level set of a non-isotone table can
         # have a least element without being upward closed.
-        poset, le = self.poset, self.scale.le
-        mask = 0
-        for i, v in enumerate(self.values.values()):
-            if le(lam, v):
-                mask |= 1 << i
+        # le(lam, v) is monotone in v on both scales (float addition rounds
+        # monotonically), so the level set is a suffix of the sorted values
+        poset, le, t = self.poset, self.scale.le, self._ranks()
+        r = t.position.get(id(lam)) if self.scale.kind == "exact" else None
+        if r is None:
+            r = bisect_left(t.image, True, key=lambda v: le(lam, v))
+        mask = t.suffix[r]
         if not mask:
             return LevelSet(0, None)
         up = poset._up
-        least = next((i for i in _bits(mask) if mask & ~up[i] == 0), None)
+        least = None
+        for i in _bits(mask):
+            if mask & ~up[i] == 0:
+                least = i
+                break
         if least is None:
             down = poset._down
             mins = [poset.elements[i] for i in _bits(mask) if mask & down[i] == 1 << i]

@@ -116,7 +116,7 @@ def check_argmax_localization(u: TabulatedUtility, S: DownSet, res: ArgmaxResult
     i = poset.index_of(d)
     a = bool(S.mask >> i & 1)
     b = res.largest_efficient == d
-    c = S.mask & u.level_set(res.value).mask == S.mask & poset._up[i]
+    c = S.mask & u.level_of(poset.index_of(x_hat)).mask == S.mask & poset._up[i]
     ok = a and b and c
     return Certificate(
         ok,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .leontief import TabulatedUtility
-from .order import Element, OrderError
+from .order import Element, FinitePoset, OrderError, ProductSpace
 
 
 class InconsistencyError(AssertionError):
@@ -83,8 +83,8 @@ def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
     interior table filled in.
     """
     interior_table: Dict[Element, Element] = {}
-    for x, lam in u.values.items():
-        level = u.level_set(lam)
+    for i, x in enumerate(u.poset.elements):
+        level = u.level_of(i)
         if level.detail:
             return Certificate(
                 False,
@@ -120,7 +120,7 @@ def certify_regular(
     if u.certified:
         out = u._certified_copy(u._interior)
     else:
-        out = u._certified_copy({x: table[v] for x, v in u.values.items()})
+        out = u._certified_copy({x: u.level_of(i).least for i, x in enumerate(u.poset.elements)})
     return Certificate(True, "regular", dual_table=table, utility=out)
 
 
@@ -134,7 +134,7 @@ def check_isotone(u: TabulatedUtility) -> Certificate:
     at u(x).  The witness y is the first element of up(x) outside it."""
     poset = u.poset
     for i, (x, vx) in enumerate(u.values.items()):
-        above = poset._up[i] & ~u.level_set(vx).mask
+        above = poset._up[i] & ~u.level_of(i).mask
         if above:
             y = poset.elements[(above & -above).bit_length() - 1]
             return Certificate(
@@ -146,33 +146,36 @@ def check_isotone(u: TabulatedUtility) -> Certificate:
     return Certificate(True, "isotone")
 
 
-def _value_bands(u: TabulatedUtility) -> Tuple[List[int], List[int]]:
-    """Per element index, the rank of its value in ``u.image()``; per rank r,
-    the mask of the elements whose value the scale counts equal to image[r].
+def _band_runs(u: TabulatedUtility) -> List[Tuple[int, int]]:
+    """Per rank r of the rank table, the run [lo, hi) of ranks whose values
+    the scale counts equal to image[r].
 
-    Ranks order values like the values do, so min(u(x), u(y)) has rank
-    min(rank(x), rank(y)).  On the exact scale a band is one value class.  On a
-    tolerant scale |v - t| <= tol holds on an interval of v, so the band of t
-    is a run of consecutive ranks, found by bisection.
+    On the exact scale the run is r alone.  On a tolerant scale |v - t| <= tol
+    holds on an interval of v, so the run is found by bisection.
     """
     img = u.image()
-    rank_of = {v: r for r, v in enumerate(img)}
-    ranks = [rank_of[v] for v in u.values.values()]
-    classes = [0] * len(img)
-    for i, r in enumerate(ranks):
-        classes[r] |= 1 << i
     if u.scale.kind == "exact":
-        return ranks, classes
+        return [(r, r + 1) for r in range(len(img))]
     eq = u.scale.eq
-    prefix = [0]
-    for c in classes:
-        prefix.append(prefix[-1] | c)
-    bands = []
+    runs = []
     for r, t in enumerate(img):
         lo = bisect_left(range(r), True, key=lambda s: eq(img[s], t))
         hi = r + bisect_left(range(r, len(img)), True, key=lambda s: not eq(img[s], t))
-        bands.append(prefix[hi] ^ prefix[lo])
-    return ranks, bands
+        runs.append((lo, hi))
+    return runs
+
+
+def _value_bands(u: TabulatedUtility) -> Tuple[List[int], List[int]]:
+    """Per element index, the rank of its value in the rank table; per rank r,
+    the band of image[r]: the mask of the elements whose value the scale counts
+    equal to it, read off the suffix masks of its run of ranks.
+
+    Ranks order values like the values do, so min(u(x), u(y)) has rank
+    min(rank(x), rank(y)).
+    """
+    t = u._ranks()
+    suffix = t.suffix
+    return t.rank, [suffix[lo] ^ suffix[hi] for lo, hi in _band_runs(u)]
 
 
 def check_property_phi(u: TabulatedUtility) -> Certificate:
@@ -221,21 +224,61 @@ def check_lower_bounded_level_sets(
 
 
 def _meet_failure(u: TabulatedUtility):
-    """The first pair (x, y) with u(x ^ y) != min(u(x), u(y)), as
-    (x, y, u(x ^ y), min(u(x), u(y))); None when the identity holds.  Needs a
-    total meet."""
+    """The first pair (x, y), in row-major order of the index pairs i <= j,
+    with u(x ^ y) != min(u(x), u(y)), as (x, y, u(x ^ y), min(u(x), u(y)));
+    None when the identity holds.  Needs a total meet.
+
+    The identity holds at (i, j) iff the rank of the meet lies in the band run
+    of min(rank i, rank j).  A product takes its meets a row at a time from the
+    factor meet tables and tests each row slice j >= i in bulk (on the exact
+    scale the run is that one rank, so the slice of meet ranks must equal the
+    slice of minimum ranks); only a row that fails is scanned for its first bad
+    j.  A plain poset tests its pairs one meet at a time.
+    """
     poset = u.poset
+    ranks = u._ranks().rank
+    runs = _band_runs(u)
+    if isinstance(poset, ProductSpace):
+        bad = _bad_meet_in_rows(poset, ranks, runs, u.scale.kind == "exact")
+    else:
+        bad = _bad_meet(poset, ranks, runs)
+    if bad is None:
+        return None
+    i, j, m = bad
+    x, y = poset.elements[i], poset.elements[j]
+    return x, y, u.values[poset.elements[m]], min(u.values[x], u.values[y])
+
+
+def _bad_meet(poset: FinitePoset, ranks: List[int], runs: List[Tuple[int, int]]):
+    """(i, j, meet index) of the first pair that breaks the identity, or None."""
     meet = poset._meet_index
-    ranks, bands = _value_bands(u)
     n = len(ranks)
     for i in range(n):
         ri = ranks[i]
         for j in range(i, n):
             rj = ranks[j]
             m = meet(i, j)
-            if not bands[rj if rj < ri else ri] >> m & 1:
-                x, y = poset.elements[i], poset.elements[j]
-                return x, y, u.values[poset.elements[m]], min(u.values[x], u.values[y])
+            lo, hi = runs[rj if rj < ri else ri]
+            if not lo <= ranks[m] < hi:
+                return i, j, m
+    return None
+
+
+def _bad_meet_in_rows(poset: ProductSpace, ranks: List[int], runs: List[Tuple[int, int]],
+                      exact: bool):
+    """``_bad_meet`` on a product, read from its meet rows."""
+    for i, row in enumerate(poset.meet_rows()):
+        ri = ranks[i]
+        want = [r if r < ri else ri for r in ranks[i:]]
+        got = [ranks[m] for m in row[i:]]
+        if got == want or not exact and all(
+            runs[w][0] <= g < runs[w][1] for g, w in zip(got, want)
+        ):
+            continue
+        for j, (g, w) in enumerate(zip(got, want), i):
+            lo, hi = runs[w]
+            if not lo <= g < hi:
+                return i, j, row[j]
     return None
 
 

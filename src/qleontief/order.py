@@ -5,14 +5,17 @@ per-element bitmasks over element indices, so comparability queries are O(1)
 and least, minimal and maximal elements of a subset are one mask test per
 member.  A meet is a constant number of big-int operations: along a linear
 extension the meet of x and y, when it exists, is the highest-numbered common
-lower bound (see ``FinitePoset._meet_index``), so the pairwise sweeps over
-meets run in O(N^2) mask operations.
+lower bound (see ``FinitePoset._meet_index``).  A plain poset decides
+``is_inf_semilattice`` one pair at a time.
 
 A ``ProductSpace`` is the product poset itself; it builds its tables only when
 a query needs them, factor by factor: the up-set (down-set) of a product point
 is the product of the factor up-sets (down-sets), and a product of two masks
-is one carry-free big-int multiply (``product_mask``).  No domain larger than
-``MAX_POINTS`` is enumerated.
+is one carry-free big-int multiply (``product_mask``).  Meets are taken
+coordinatewise, so a product is an inf-semilattice iff every factor is, and
+its meet rows are mixed-radix combinations of the factor meet tables; neither
+reads the product's own tables.  No domain larger than ``MAX_POINTS`` is
+enumerated.
 """
 from __future__ import annotations
 
@@ -411,6 +414,17 @@ class FinitePoset:
             )
         return self._meet_total
 
+    def _meet_table(self) -> List[List[Optional[int]]]:
+        """``_meet_index(i, j)`` for every i and j, one call per unordered pair."""
+        n = len(self.elements)
+        meet = self._meet_index
+        table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+        for i in range(n):
+            row = table[i]
+            for j in range(i, n):
+                row[j] = table[j][i] = meet(i, j)
+        return table
+
     # -- chains and filtering ------------------------------------------------
 
     def is_chain(self, subset: Iterable[Element]) -> bool:
@@ -481,6 +495,24 @@ class ProductSpace(FinitePoset):
     def n_axes(self) -> int:
         return len(self.factors)
 
+    def is_inf_semilattice(self) -> bool:
+        """True iff every factor is an inf-semilattice (an empty product is one)."""
+        return len(self) == 0 or all(f.is_inf_semilattice() for f in self.factors)
+
+    def _leaves(self) -> List[FinitePoset]:
+        """The plain factors, those of a nested product in its place; a point's
+        index is the same mixed-radix number over these."""
+        return [g for f in self.factors
+                for g in (f._leaves() if isinstance(f, ProductSpace) else [f])]
+
+    def meet_rows(self) -> Iterator[List[Optional[int]]]:
+        """The meet rows in index order, one at a time: row i lists the element
+        index of meet(i, j) for every j, or None where there is no meet.  They
+        are combined in mixed radix from the factor meet tables, last
+        coordinate fastest; only the factor tables and the current rows are
+        held, never an N x N table."""
+        return _meet_rows([f._meet_table() for f in self._leaves()])
+
     def __len__(self) -> int:
         return math.prod(len(f) for f in self.factors)
 
@@ -533,7 +565,8 @@ class ProductSpace(FinitePoset):
 class _UnbuiltProduct(ProductSpace):
     """A ``ProductSpace`` whose tables are not built yet.  Reading one builds
     them and makes the object a plain ``ProductSpace``: with ``__getattr__`` on
-    its class, every attribute read, once per pair in the O(N^2) sweeps, is slower."""
+    its class every attribute read is slower, and the certifiers read the
+    tables once per element or pair."""
 
     __slots__ = ()
 
@@ -542,6 +575,25 @@ class _UnbuiltProduct(ProductSpace):
         if name in FinitePoset.__slots__:
             return getattr(self.as_poset(), name)
         raise AttributeError(f"'ProductSpace' object has no attribute {name!r}")
+
+
+def _meet_rows(tables: Sequence[List[List[Optional[int]]]]) -> Iterator[List[Optional[int]]]:
+    """Meet rows of the product of the posets with these meet tables: the meet
+    of two points is the point of the factor meets, None when one is missing.
+    Each row of the product of all but the last factor is combined with every
+    row of the last table."""
+    *outer, last = tables
+    if not outer:
+        yield from last
+        return
+    n = len(last)
+    for prefix in _meet_rows(outer):
+        base = None if None in prefix else [a * n for a in prefix]
+        for row in last:
+            if base is None or None in row:
+                yield [None if a is None or b is None else a * n + b for a in prefix for b in row]
+            else:
+                yield [a + b for a in base for b in row]
 
 
 def _spread(outer: int, n: int) -> int:

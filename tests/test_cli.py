@@ -844,6 +844,39 @@ def test_oversized_grid_is_refused_before_an_axis_is_built(command, tmp_path, ca
     assert chains == []
 
 
+NAN, INF = float("nan"), float("inf")
+GRID_BOX_4 = {"axes": [{"lo": "0", "hi": "3", "step": "1"}] * 2}
+
+
+class TestNonFiniteNumbers:
+    """JSON's NaN and Infinity are input errors (exit 2, one line), wherever
+    a number is read: a NaN value has no place in the sorted values that
+    every level set is read from."""
+
+    CASES = {
+        "classical-nan": ({"type": "classical", "a": [NAN, 1.0], "box": GRID_BOX_4}, "nan"),
+        "classical-inf": ({"type": "classical", "a": [INF, 1.0], "box": GRID_BOX_4}, "inf"),
+        "power-alpha-inf": ({"type": "power", "a": ["1", "1"], "alpha": [INF, 1.0],
+                             "box": GRID_BOX_4}, "inf"),
+        "affine-nan": ({"type": "affine", "a": NAN, "b": "0", "base": CHAIN3}, "nan"),
+        "box-bound-inf": ({"type": "classical", "a": ["1", "1"], "box": {"axes": [
+            {"lo": "0", "hi": INF, "step": "1"}, {"lo": "0", "hi": "3", "step": "1"}]}}, "inf"),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "efficient"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_two(self, name, command, tmp_path, capsys):
+        utility, shown = self.CASES[name]
+        assert main([command, write(tmp_path, "u.json", utility)]) == 2
+        assert capsys.readouterr() == ("", f"error: not a finite number: {shown}\n")
+
+    def test_maximize_generator(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "classical", "a": ["1", "1"], "box": CONTINUOUS_BOX})
+        s = write(tmp_path, "s.json", {"generators": [[NAN, "1"]]})
+        assert main(["maximize", u, "--downset", s]) == 2
+        assert capsys.readouterr() == ("", "error: not a finite number: nan\n")
+
+
 # Small JSON values: bounded numbers and a few tokens, so that no drawn
 # exponent or coefficient can make a value table expensive to build.
 json_values = st.recursive(

@@ -7,9 +7,13 @@ factor-wise queries must never build those tables.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,7 @@ def test_product_downset_is_the_product_of_the_factor_sets(spaces):
 def test_factorwise_queries_build_no_tables(monkeypatch):
     chain = FinitePoset.chain(["0", "1", "2"])
     vee = FinitePoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    pair = FinitePoset.antichain(["b", "c"])  # no meet
     built = []
     init = FinitePoset.__init__
 
@@ -115,6 +120,9 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     twin = q.ProductSpace([chain, vee])
     assert space == twin and not space != twin and hash(space) == hash(twin)
     assert space != q.ProductSpace([vee, chain]) and space != chain and chain != space
+    assert space.is_inf_semilattice() and not q.ProductSpace([chain, pair]).is_inf_semilattice()
+    # ("1", "c") ^ ("0", x) for x = a, b, c: ("0", "a"), ("0", "a"), ("0", "c")
+    assert [row[:3] for row in space.meet_rows()][5] == [0, 0, 2]
     assert built == []
     assert space.index_of(("1", "b")) == 4  # any other query builds the tables, once
     assert space.elements[4] == ("1", "b")
@@ -122,6 +130,36 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert space == twin and type(twin) is not q.ProductSpace
     # a product equals only a product, even a plain poset with its tables
     assert space != FinitePoset(space.elements, space._up)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_check_on_a_product_meets_only_in_the_factor_tables(monkeypatch, capsys):
+    """``check`` on a 4 x 4 product asks each factor for its meets, at most
+    n_k^2 of them, and never for a meet of two product points."""
+    calls = []
+    meet_index = FinitePoset._meet_index
+
+    def counting(self, i, j):
+        calls.append(self)
+        return meet_index(self, i, j)
+
+    monkeypatch.setattr(FinitePoset, "_meet_index", counting)
+    assert main(["check", str(DATA / "min_grid.json")]) == 0
+    assert "PASS meet-homomorphism" in capsys.readouterr().out
+    assert calls and all(type(p) is FinitePoset and len(p) == 4 for p in calls)
+    assert len(calls) <= 2 * 4 ** 2
+
+
+def test_check_does_not_import_numpy():
+    src = str(Path(q.__file__).resolve().parents[1])
+    script = ("import sys; from qleontief.cli import main; "
+              f"code = main(['check', {str(DATA / 'min_grid.json')!r}]); "
+              "print(code, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_utility_domain_is_the_product():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,54 @@ def test_record_matches_reference_on_tolerant_scale(seed):
     u = tolerant_table(seed)
     assert_record_matches_reference(u)
     assert_dual_matches_reference(q.certify_quasi_leontief(u).utility)
+
+
+# -- the rank table ---------------------------------------------------------------
+
+
+def small_tables():
+    """Every table with values in {0, 1/2, 1} on chains and antichains of 1 to
+    4 elements, all-equal tables included."""
+    for n in range(1, 5):
+        els = [f"e{i}" for i in range(n)]
+        for poset in (q.FinitePoset.chain(els), q.FinitePoset.antichain(els)):
+            for vals in product((F(0), F(1, 2), F(1)), repeat=n):
+                yield q.TabulatedUtility(poset, dict(zip(els, vals)))
+
+
+def assert_rank_table_matches_reference(u, levels):
+    assert u.image() == tuple(sorted(set(u.values.values())))
+    for lam in levels:
+        assert u.level_set(lam).mask == sum(1 << u.poset.index_of(x) for x in ref_level_set(u, lam))
+    for i, x in enumerate(u.poset.elements):
+        assert u.level_of(i) is u.level_set(u.values[x])
+
+
+def test_rank_table_on_small_tables():
+    tables = list(small_tables())
+    assert any(len(u.image()) == 1 and len(u.poset) == 4 for u in tables)
+    for u in tables:
+        assert_rank_table_matches_reference(u, levels_to_probe(u))
+        assert_record_matches_reference(u)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_table_on_tolerant_levels_between_ranks(seed):
+    """Values a fraction of the tolerance apart, probed at levels between two
+    attained values, where a level set takes in the ranks below the level
+    that the tolerance reaches."""
+    rng = random.Random(seed)
+    tol = 1e-9
+    n = rng.randint(1, 4)
+    els = [f"e{i}" for i in range(n)]
+    poset = rng.choice((q.FinitePoset.chain, q.FinitePoset.antichain))(els)
+    vals = {e: 1.0 + rng.choice((0, 0.4, 0.9, 1.5, 2.2, 5)) * tol for e in els}
+    u = q.TabulatedUtility(poset, vals, scale=q.tolerant(tol))
+    img = u.image()
+    between = [a + k * (b - a) / 4 for a, b in zip(img, img[1:]) for k in (1, 2, 3)]
+    shifted = [v + d * tol for v in img for d in (-1.5, -1, -0.5, 0.5, 1, 1.5)]
+    assert_rank_table_matches_reference(u, levels_to_probe(u) + between + shifted)
+    assert_record_matches_reference(u)
 
 
 def test_dual_keeps_bare_least_element_test():

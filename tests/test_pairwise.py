@@ -4,7 +4,9 @@ Each reference visits every pair (x, y) in element order and, for each pair,
 every common lower bound or every element above x.  The library answers the
 same questions with a few big-int operations per pair: a meet is the highest
 common lower bound along a linear extension, and property Phi and the meet
-identity test one value band per pair.  Verdicts, witnesses and detail texts
+identity test one value band per pair.  A product takes its semilattice
+verdict and its meets from the factors instead, and tests the meet identity
+a row of meets at a time.  Verdicts, witnesses and detail texts
 must agree exactly.  The pairwise filtering loop and the per-level common
 lower bound loop are kept too: the library asks for a least element instead.
 """
@@ -113,9 +115,27 @@ def shuffled(rng, poset):
     return q.FinitePoset.from_leq(els, [(a, b) for a in els for b in els if poset.leq(a, b)])
 
 
+def mixed_product(rng, shape, size):
+    """A corpus poset and a chain, in either order.  The poset has a bottom for
+    "mixed-bottom" and in general none for "mixed", so the product is often no
+    inf-semilattice; "nested" puts such a product inside another one, before
+    or after a second small corpus poset, so that two factors may lack meets."""
+    bottom = shape == "mixed-bottom" or shape == "nested" and rng.random() < 0.5
+    factors = [corpus.random_poset(rng, size, with_bottom=bottom),
+               q.FinitePoset.chain(range(rng.randint(1, 4)))]
+    rng.shuffle(factors)
+    if shape == "nested":
+        second = corpus.random_poset(rng, 4, with_bottom=rng.random() < 0.5)
+        factors = [q.ProductSpace(factors), second]
+        rng.shuffle(factors)
+    return q.ProductSpace(factors)
+
+
 def make_poset(rng, shape, size=12):
     if shape == "chains":
         return corpus.random_product_of_chains(rng).as_poset()
+    if shape in PRODUCT_SHAPES:
+        return mixed_product(rng, shape, size)
     poset = corpus.random_poset(rng, size, with_bottom=shape.endswith("bottom"))
     return shuffled(rng, poset) if shape.startswith("shuffled") else poset
 
@@ -146,6 +166,7 @@ def make_utility(seed, shape, table, scale, size=12):
 
 
 SHAPES = ("bottom", "plain", "shuffled-bottom", "shuffled", "chains")
+PRODUCT_SHAPES = ("mixed-bottom", "mixed", "nested")
 utilities = st.builds(
     make_utility,
     st.integers(0, 2**32),
@@ -229,6 +250,68 @@ def test_meet_homomorphism_matches_reference(seed, shape, table):
     else:
         x, y, got, want = failure
         assert outcome(cert) == (False, (x, y), f"u({x!r} ^ {y!r})={got!r} != {want!r}")
+
+
+# -- products: meets through the factors ---------------------------------------------
+
+
+def assert_meet_rows_match(space):
+    """Every meet row entry is the index of the reference meet, None where
+    there is none."""
+    rows = list(space.meet_rows())
+    assert len(rows) == len(space)
+    for row, x in zip(rows, space.elements):
+        want = [ref_meet(space, x, y) for y in space.elements]
+        assert row == [None if m is None else space.index_of(m) for m in want]
+
+
+@given(st.integers(0, 2**32), st.sampled_from(PRODUCT_SHAPES))
+def test_factorwise_meets_match_reference(seed, shape):
+    space = make_poset(corpus.derive_rng(seed, "pairwise-product"), shape, size=8)
+    verdict = space.is_inf_semilattice()  # read from the factors, before any table
+    assert verdict == ref_is_inf_semilattice(space)
+    assert_meet_rows_match(space)
+
+
+def test_product_shapes_give_both_verdicts():
+    verdicts = set()
+    for i in range(60):
+        rng = corpus.derive_rng(i, "pairwise-product-verdicts")
+        verdicts.add(make_poset(rng, PRODUCT_SHAPES[i % 3], size=6).is_inf_semilattice())
+    assert verdicts == {True, False}
+
+
+@given(st.integers(0, 2**32), st.sampled_from(PRODUCT_SHAPES),
+       st.sampled_from(("regular", "isotone", "arbitrary")), st.sampled_from(("exact", "tolerant")))
+def test_factorwise_meet_failure_matches_reference(seed, shape, table, scale):
+    u = make_utility(seed, shape, table, scale, size=6)
+    if ref_is_inf_semilattice(u.poset):
+        assert _meet_failure(u) == ref_meet_failure(u)
+
+
+def test_factorwise_meet_failure_on_semilattice_products():
+    """Chains times chains, and a diamond lattice times a chain, nested or not:
+    inf-semilattices on which the identity holds for some tables and fails
+    for others, on both scales."""
+    diamond = q.FinitePoset.from_covers(
+        ["top", "a", "b", "bot"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+    chain = q.FinitePoset.chain(range(3))
+    spaces = [q.ProductSpace([diamond, chain]), q.ProductSpace([q.ProductSpace([chain, diamond]), chain]),
+              q.grid_space(range(3), range(2), range(3))]
+    outcomes = set()
+    for k, space in enumerate(spaces):
+        assert space.is_inf_semilattice()
+        assert_meet_rows_match(space)
+        for i in range(20):
+            rng = corpus.derive_rng(i, "pairwise-lattice-product", k)
+            values = make_table(rng, space, rng.choice(("regular", "isotone", "arbitrary")))
+            for u in (q.TabulatedUtility(space, values),
+                      q.TabulatedUtility(space, {e: float(v) + rng.choice(JITTER) for e, v in values.items()},
+                                         scale=q.tolerant(rng.choice(TOLERANCES)))):
+                failure = _meet_failure(u)
+                assert failure == ref_meet_failure(u)
+                outcomes.add((u.scale.kind, failure is None))
+    assert outcomes == {(kind, ok) for kind in ("exact", "tolerant") for ok in (True, False)}
 
 
 @pytest.mark.parametrize("seed", range(4))
