@@ -123,12 +123,10 @@ class _Ranks:
     element i's value in it; equal neighbours in the sort share a rank, so no
     value is hashed.  ``suffix[r]`` masks the elements of rank r or more, and
     ``suffix[len(image)]`` is 0.  ``levels[r]`` caches the level set at
-    ``image[r]``, so a certifier looks a value's level up by its rank, and
-    ``position`` maps the id of ``image[r]`` to r, so a level at that very
-    value finds its rank without a comparison.
+    ``image[r]``, so a certifier looks a value's level up by its rank.
     """
 
-    __slots__ = ("rank", "image", "suffix", "levels", "position")
+    __slots__ = ("rank", "image", "suffix", "levels")
 
     def __init__(self, values: Sequence):
         order = sorted(range(len(values)), key=values.__getitem__)
@@ -150,7 +148,6 @@ class _Ranks:
         self.image = tuple(image)
         self.suffix = suffix
         self.levels: List[Optional[LevelSet]] = [None] * (r + 1)
-        self.position = {id(v): k for k, v in enumerate(image)}
 
 
 class TabulatedUtility(_Closure):
@@ -249,17 +246,14 @@ class TabulatedUtility(_Closure):
     def level_set(self, lam) -> LevelSet:
         """The level set at ``lam``, built on first use and cached: by rank
         when ``lam`` is an attained value, else by level."""
-        t = self._ranks()
-        r = t.position.get(id(lam))
-        if r is None:
-            rec = self._levels.get(lam)
-            if rec is not None:
-                return rec
-            r = bisect_left(t.image, lam)
-            if r == len(t.image) or t.image[r] != lam:
-                rec = self._levels[lam] = self._build_level_set(lam)
-                return rec
-        return self._attained_level(r, lam)
+        image = self._ranks().image
+        r = bisect_left(image, lam)
+        if r < len(image) and image[r] == lam:
+            return self._attained_level(r, lam)
+        rec = self._levels.get(lam)
+        if rec is None:
+            rec = self._levels[lam] = self._build_level_set(lam)
+        return rec
 
     def level_of(self, i: int) -> LevelSet:
         """The level set at the value of element index i, found by its rank."""
@@ -279,10 +273,12 @@ class TabulatedUtility(_Closure):
         # bare least-element existence: a level set of a non-isotone table can
         # have a least element without being upward closed.
         # le(lam, v) is monotone in v on both scales (float addition rounds
-        # monotonically), so the level set is a suffix of the sorted values
+        # monotonically), so the level set is a suffix of the sorted values;
+        # on the exact scale le is <=, so a plain bisection finds it
         poset, le, t = self.poset, self.scale.le, self._ranks()
-        r = t.position.get(id(lam)) if self.scale.kind == "exact" else None
-        if r is None:
+        if self.scale.kind == "exact":
+            r = bisect_left(t.image, lam)
+        else:
             r = bisect_left(t.image, True, key=lambda v: le(lam, v))
         mask = t.suffix[r]
         if not mask:

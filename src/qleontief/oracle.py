@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .leontief import TabulatedUtility
-from .order import Element, FinitePoset, OrderError, ProductSpace
+from .order import Element, OrderError
 
 
 class InconsistencyError(AssertionError):
@@ -229,56 +229,25 @@ def _meet_failure(u: TabulatedUtility):
     None when the identity holds.  Needs a total meet.
 
     The identity holds at (i, j) iff the rank of the meet lies in the band run
-    of min(rank i, rank j).  A product takes its meets a row at a time from the
-    factor meet tables and tests each row slice j >= i in bulk (on the exact
-    scale the run is that one rank, so the slice of meet ranks must equal the
-    slice of minimum ranks); only a row that fails is scanned for its first bad
-    j.  A plain poset tests its pairs one meet at a time.
+    of min(rank i, rank j), and the run holds that rank itself.  So each upper
+    meet row (``meet_rows``; a product combines it from its factor meets)
+    passes in bulk when its meet ranks equal the minimum ranks; only a row
+    that does not is scanned for its first bad j.
     """
     poset = u.poset
     ranks = u._ranks().rank
     runs = _band_runs(u)
-    if isinstance(poset, ProductSpace):
-        bad = _bad_meet_in_rows(poset, ranks, runs, u.scale.kind == "exact")
-    else:
-        bad = _bad_meet(poset, ranks, runs)
-    if bad is None:
-        return None
-    i, j, m = bad
-    x, y = poset.elements[i], poset.elements[j]
-    return x, y, u.values[poset.elements[m]], min(u.values[x], u.values[y])
-
-
-def _bad_meet(poset: FinitePoset, ranks: List[int], runs: List[Tuple[int, int]]):
-    """(i, j, meet index) of the first pair that breaks the identity, or None."""
-    meet = poset._meet_index
-    n = len(ranks)
-    for i in range(n):
-        ri = ranks[i]
-        for j in range(i, n):
-            rj = ranks[j]
-            m = meet(i, j)
-            lo, hi = runs[rj if rj < ri else ri]
-            if not lo <= ranks[m] < hi:
-                return i, j, m
-    return None
-
-
-def _bad_meet_in_rows(poset: ProductSpace, ranks: List[int], runs: List[Tuple[int, int]],
-                      exact: bool):
-    """``_bad_meet`` on a product, read from its meet rows."""
     for i, row in enumerate(poset.meet_rows()):
         ri = ranks[i]
+        got = [ranks[m] for m in row]
         want = [r if r < ri else ri for r in ranks[i:]]
-        got = [ranks[m] for m in row[i:]]
-        if got == want or not exact and all(
-            runs[w][0] <= g < runs[w][1] for g, w in zip(got, want)
-        ):
+        if got == want:
             continue
         for j, (g, w) in enumerate(zip(got, want), i):
             lo, hi = runs[w]
             if not lo <= g < hi:
-                return i, j, row[j]
+                x, y = poset.elements[i], poset.elements[j]
+                return x, y, u.values[poset.elements[row[j - i]]], min(u.values[x], u.values[y])
     return None
 
 

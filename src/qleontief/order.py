@@ -6,16 +6,17 @@ and least, minimal and maximal elements of a subset are one mask test per
 member.  A meet is a constant number of big-int operations: along a linear
 extension the meet of x and y, when it exists, is the highest-numbered common
 lower bound (see ``FinitePoset._meet_index``).  A plain poset decides
-``is_inf_semilattice`` one pair at a time.
+``is_inf_semilattice`` one pair at a time and makes its upper meet rows
+(``meet_rows``) one row at a time.
 
 A ``ProductSpace`` is the product poset itself; it builds its tables only when
 a query needs them, factor by factor: the up-set (down-set) of a product point
 is the product of the factor up-sets (down-sets), and a product of two masks
 is one carry-free big-int multiply (``product_mask``).  Meets are taken
 coordinatewise, so a product is an inf-semilattice iff every factor is, and
-its meet rows are mixed-radix combinations of the factor meet tables; neither
-reads the product's own tables.  No domain larger than ``MAX_POINTS`` is
-enumerated.
+its meet rows are mixed-radix combinations of the factor meets; neither reads
+the product's own tables, and no meet table of more than N entries is held.
+No domain larger than ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 
@@ -414,6 +415,15 @@ class FinitePoset:
             )
         return self._meet_total
 
+    def meet_rows(self) -> Iterator[List[Optional[int]]]:
+        """The upper meet rows in index order, made one at a time: row i lists
+        the element index of meet(i, j) for every j >= i, or None where there
+        is no meet."""
+        n = len(self.elements)
+        meet = self._meet_index
+        for i in range(n):
+            yield [meet(i, j) for j in range(i, n)]
+
     def _meet_table(self) -> List[List[Optional[int]]]:
         """``_meet_index(i, j)`` for every i and j, one call per unordered pair."""
         n = len(self.elements)
@@ -506,12 +516,12 @@ class ProductSpace(FinitePoset):
                 for g in (f._leaves() if isinstance(f, ProductSpace) else [f])]
 
     def meet_rows(self) -> Iterator[List[Optional[int]]]:
-        """The meet rows in index order, one at a time: row i lists the element
-        index of meet(i, j) for every j, or None where there is no meet.  They
-        are combined in mixed radix from the factor meet tables, last
-        coordinate fastest; only the factor tables and the current rows are
-        held, never an N x N table."""
-        return _meet_rows([f._meet_table() for f in self._leaves()])
+        """The upper meet rows in index order, made one at a time: row i lists
+        the element index of meet(i, j) for every j >= i, or None where there
+        is no meet.  They are combined in mixed radix from the factor meets,
+        last coordinate fastest (see ``_meet_rows``); the product's own
+        tables are not read."""
+        return _meet_rows(self._leaves(), len(self))
 
     def __len__(self) -> int:
         return math.prod(len(f) for f in self.factors)
@@ -577,23 +587,37 @@ class _UnbuiltProduct(ProductSpace):
         raise AttributeError(f"'ProductSpace' object has no attribute {name!r}")
 
 
-def _meet_rows(tables: Sequence[List[List[Optional[int]]]]) -> Iterator[List[Optional[int]]]:
-    """Meet rows of the product of the posets with these meet tables: the meet
-    of two points is the point of the factor meets, None when one is missing.
-    Each row of the product of all but the last factor is combined with every
-    row of the last table."""
-    *outer, last = tables
+def _meet_rows(leaves: Sequence[FinitePoset], size: int) -> Iterator[List[Optional[int]]]:
+    """Upper meet rows of the product of ``leaves``: the meet of two points is
+    the point of the factor meets, None when one is missing.
+
+    With the last leaf of n elements and point i = a*n + b, the points j >= i
+    are (a, d) for d >= b and (c, d) for c > a and every d, so row i reads the
+    upper row of a in the product of the other leaves and the full meet row
+    of b in the last leaf.  The first leaf gives its upper rows once each; a
+    later leaf gives its full rows once per point of the leaves before it.  Its
+    table is held only while it has at most ``size`` entries, and otherwise its
+    rows are made again each time, so no held table outgrows the product.
+    """
+    *outer, last = leaves
     if not outer:
-        yield from last
+        yield from last.meet_rows()
         return
     n = len(last)
-    for prefix in _meet_rows(outer):
-        base = None if None in prefix else [a * n for a in prefix]
-        for row in last:
-            if base is None or None in row:
-                yield [None if a is None or b is None else a * n + b for a in prefix for b in row]
+    table = last._meet_table() if n * n <= size else None
+    meet = last._meet_index
+    for a, up in enumerate(_meet_rows(outer, size)):
+        base, rest = a * n, up[1:]
+        rest_base = None if None in rest else [c * n for c in rest]
+        rows = table if table is not None else ([meet(k, d) for d in range(n)] for k in range(n))
+        for b, full in enumerate(rows):
+            if rest_base is not None and None not in full:
+                row = [base + m for m in full[b:]]
+                row += [c + m for c in rest_base for m in full]
             else:
-                yield [a + b for a in base for b in row]
+                row = [None if m is None else base + m for m in full[b:]]
+                row += [None if c is None or m is None else c * n + m for c in rest for m in full]
+            yield row
 
 
 def _spread(outer: int, n: int) -> int:

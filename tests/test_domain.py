@@ -121,8 +121,9 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert space == twin and not space != twin and hash(space) == hash(twin)
     assert space != q.ProductSpace([vee, chain]) and space != chain and chain != space
     assert space.is_inf_semilattice() and not q.ProductSpace([chain, pair]).is_inf_semilattice()
-    # ("1", "c") ^ ("0", x) for x = a, b, c: ("0", "a"), ("0", "a"), ("0", "c")
-    assert [row[:3] for row in space.meet_rows()][5] == [0, 0, 2]
+    # ("1", "c") ^ (y, x) for (y, x) = ("1", "c"), ("2", "a"), ("2", "b"), ("2", "c"):
+    # ("1", "c"), ("1", "a"), ("1", "a"), ("1", "c")
+    assert list(space.meet_rows())[5] == [5, 3, 3, 5]
     assert built == []
     assert space.index_of(("1", "b")) == 4  # any other query builds the tables, once
     assert space.elements[4] == ("1", "b")
@@ -150,6 +151,26 @@ def test_check_on_a_product_meets_only_in_the_factor_tables(monkeypatch, capsys)
     assert "PASS meet-homomorphism" in capsys.readouterr().out
     assert calls and all(type(p) is FinitePoset and len(p) == 4 for p in calls)
     assert len(calls) <= 2 * 4 ** 2
+
+
+@pytest.mark.parametrize("axes", [[("0", "63")], [("0", "1"), ("0", "31")], [("0", "31"), ("0", "1")]])
+def test_check_on_a_gridded_box_holds_no_large_meet_table(axes, monkeypatch, tmp_path, capsys):
+    """A gridded closed form whose size sits in one axis: ``check`` holds no
+    factor meet table with more than N entries, so never an N x N one."""
+    held = []
+    table = FinitePoset._meet_table
+
+    def recording_table(self):
+        held.append(len(self))
+        return table(self)
+
+    monkeypatch.setattr(FinitePoset, "_meet_table", recording_table)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"type": "classical", "a": ["1"] * len(axes), "box": {
+        "axes": [{"lo": lo, "hi": hi, "step": "1"} for lo, hi in axes]}}))
+    assert main(["check", str(path)]) == 0
+    assert "PASS meet-homomorphism" in capsys.readouterr().out
+    assert all(n * n <= 64 for n in held)
 
 
 def test_check_does_not_import_numpy():

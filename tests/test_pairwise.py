@@ -256,13 +256,44 @@ def test_meet_homomorphism_matches_reference(seed, shape, table):
 
 
 def assert_meet_rows_match(space):
-    """Every meet row entry is the index of the reference meet, None where
-    there is none."""
+    """Every upper meet row entry (row i, j >= i) is the index of the reference
+    meet, None where there is none."""
     rows = list(space.meet_rows())
     assert len(rows) == len(space)
-    for row, x in zip(rows, space.elements):
-        want = [ref_meet(space, x, y) for y in space.elements]
+    for i, (row, x) in enumerate(zip(rows, space.elements)):
+        want = [ref_meet(space, x, y) for y in space.elements[i:]]
         assert row == [None if m is None else space.index_of(m) for m in want]
+
+
+@given(st.integers(0, 2**32), st.sampled_from(SHAPES))
+def test_plain_meet_rows_match_reference(seed, shape):
+    assert_meet_rows_match(make_poset(corpus.derive_rng(seed, "pairwise-rows"), shape, size=10))
+
+
+def test_product_meet_rows_hold_only_small_tables(monkeypatch):
+    """The last factor's meet table is held when it has at most N entries;
+    a larger last factor makes its rows again for each point before it, and
+    the first factor only ever gives its upper rows, so no table has more
+    than N entries.  The rows are the same either way."""
+    held = []
+    table = q.FinitePoset._meet_table
+
+    def recording_table(self):
+        held.append(len(self))
+        return table(self)
+
+    monkeypatch.setattr(q.FinitePoset, "_meet_table", recording_table)
+    # six elements; a ^ b, c ^ d and d ^ f do not exist
+    wide = q.FinitePoset.from_covers(
+        "abcdef", [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "e"), ("d", "e"), ("c", "f")])
+    two, three = q.FinitePoset.chain(range(2)), q.FinitePoset.chain(range(3))
+    cases = [([wide], []), ([two, wide], []), ([wide, three], [3]),
+             ([q.ProductSpace([two, wide]), two], [2]), ([two, q.ProductSpace([three, three])], [3, 3])]
+    for factors, tables in cases:
+        held.clear()
+        space = q.ProductSpace(factors)
+        assert_meet_rows_match(space)
+        assert held == tables and all(n * n <= len(space) for n in held)
 
 
 @given(st.integers(0, 2**32), st.sampled_from(PRODUCT_SHAPES))
@@ -287,6 +318,14 @@ def test_factorwise_meet_failure_matches_reference(seed, shape, table, scale):
     u = make_utility(seed, shape, table, scale, size=6)
     if ref_is_inf_semilattice(u.poset):
         assert _meet_failure(u) == ref_meet_failure(u)
+
+
+def test_meet_failure_is_the_first_bad_pair_of_its_row():
+    """Row (0, 1) of this 2 x 2 grid has the meet ranks of its minimum ranks,
+    but in another order; the first bad pair lies in that row."""
+    space = q.grid_space(range(2), range(2))
+    u = q.TabulatedUtility(space, {(0, 0): F(0), (0, 1): F(1), (1, 0): F(2), (1, 1): F(0)})
+    assert _meet_failure(u) == ref_meet_failure(u) == ((0, 1), (1, 0), F(0), F(1))
 
 
 def test_factorwise_meet_failure_on_semilattice_products():
