@@ -153,13 +153,22 @@ def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int]:
         return partial(_resolve_plain, space), width
     readers, widths = zip(*map(_reader, space.factors))
     ends = list(accumulate(widths))
+    # on plain factors with one part per coordinate, a part equal to an
+    # element is read by one lookup; any other part takes the full resolver
+    plain = ends[-1] == len(readers) and not any(isinstance(f, ProductSpace) for f in space.factors)
+    lookups = [(f._index, f.elements) for f in space.factors] if plain else ()
 
     def read(raw):
         if isinstance(raw, str):
             parts = raw.split(",")
             if len(parts) != ends[-1]:
                 raise InputError(f"point {raw!r} has wrong arity")
-            if ends[-1] != len(readers):  # a factor with wider keys takes more parts
+            if plain:
+                try:
+                    return tuple([els[index[c]] for (index, els), c in zip(lookups, parts)])
+                except KeyError:
+                    pass
+            elif ends[-1] != len(readers):  # a factor with wider keys takes more parts
                 parts = [",".join(parts[end - w:end]) for w, end in zip(widths, ends)]
         elif isinstance(raw, (list, tuple)):
             parts = raw
@@ -306,7 +315,18 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
     read = _reader(space)[0]
-    values = {read(key): parse_rational(val) for key, val in raw_values.items()}
+    values = {}
+    parsed = {}  # each distinct raw value is parsed once; its type keeps true apart from 1
+    for key, raw in raw_values.items():
+        e = read(key)
+        if e in values:
+            raise InputError(f"point {elem_key(e)!r} is named twice in 'values' (again as {key!r})")
+        try:
+            values[e] = parsed[type(raw), raw]
+        except KeyError:
+            values[e] = parsed[type(raw), raw] = parse_rational(raw)
+        except TypeError:  # an array or an object: refused with its own message
+            values[e] = parse_rational(raw)
     return TabulatedUtility(space, values)
 
 

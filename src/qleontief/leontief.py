@@ -116,12 +116,22 @@ class LevelSet(NamedTuple):
     detail: str = ""
 
 
+_RATIONAL = {Fraction, int}
+
+
 class _Ranks:
-    """One sort of a table's values, listed by element index.
+    """The ranks of a table's values, listed by element index, from one sort
+    of its distinct value objects.
 
     ``image`` holds the sorted distinct values and ``rank[i]`` the position of
-    element i's value in it; equal neighbours in the sort share a rank, so no
-    value is hashed.  ``suffix[r]`` masks the elements of rank r or more, and
+    element i's value in it.  The values are deduplicated by ``id`` (the list
+    keeps every object alive, so ids stay unique), only the distinct objects
+    are sorted, and equal neighbours in the sort share a rank, so no value is
+    hashed; an element reads its rank back by the id of its value.  That pays
+    only where comparisons are dear, so a table of at most three values, or
+    one of floats (the tolerant scale; its first value decides), is sorted as
+    it stands.  Distinct Fractions and ints sort by a float key first, which
+    leaves Fraction comparisons to float ties.  ``suffix[r]`` masks the elements of rank r or more, and
     ``suffix[len(image)]`` is 0.  ``levels[r]`` caches the level set at
     ``image[r]``, so a certifier looks a value's level up by its rank.
     """
@@ -129,21 +139,42 @@ class _Ranks:
     __slots__ = ("rank", "image", "suffix", "levels")
 
     def __init__(self, values: Sequence):
-        order = sorted(range(len(values)), key=values.__getitem__)
-        rank = [0] * len(values)
+        distinct = keys = values
+        if len(values) > 3 and type(values[0]) is not float:
+            objects = dict(zip(map(id, values), values))
+            distinct = keys = list(objects.values())
+            if set(map(type, distinct)) <= _RATIONAL:
+                # float() rounds monotonically, so (float(v), v) sorts like v
+                # and compares exactly, with Fraction work only on float ties
+                try:
+                    keys = list(zip(map(float, distinct), distinct))
+                except OverflowError:
+                    pass
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = [0] * len(keys)
         image: List = []
         r = -1
         for i in order:
-            v = values[i]
-            if r < 0 or v != image[r]:
-                image.append(v)
+            k = keys[i]
+            if r < 0 or not k == prev:  # a Fraction's == is cheaper than its !=
+                image.append(distinct[i])
+                prev = k
                 r += 1
             rank[i] = r
         suffix = [0] * (r + 2)
-        mask = 0
-        for i in reversed(order):
-            mask |= 1 << i
-            suffix[rank[i]] = mask
+        if len(distinct) < len(values):
+            # each element takes its object's rank; the masks OR up per rank,
+            # then down the ranks, with no second sort of the elements
+            rank = list(map(dict(zip(objects, rank)).__getitem__, map(id, values)))
+            for i, k in enumerate(rank):
+                suffix[k] |= 1 << i
+            for k in range(r - 1, -1, -1):
+                suffix[k] |= suffix[k + 1]
+        else:
+            mask = 0
+            for i in reversed(order):
+                mask |= 1 << i
+                suffix[rank[i]] = mask
         self.rank = rank
         self.image = tuple(image)
         self.suffix = suffix
@@ -171,14 +202,15 @@ class TabulatedUtility(_Closure):
     ):
         if space is not None and space is not poset:
             raise UtilityError("space must be the domain poset itself")
-        missing = [e for e in poset.elements if e not in values]
-        if missing:
-            raise UtilityError(f"no value for element {missing[0]!r}")
-        extra = [e for e in values if e not in poset]
-        if extra:
-            raise UtilityError(f"value for unknown element {extra[0]!r}")
+        try:
+            table = {e: values[e] for e in poset.elements}
+        except KeyError as exc:
+            raise UtilityError(f"no value for element {exc.args[0]!r}") from None
+        if len(table) < len(values):  # every element has its value, so the rest are extra
+            extra = next(e for e in values if e not in table)
+            raise UtilityError(f"value for unknown element {extra!r}")
         self.poset = poset
-        self.values = {e: values[e] for e in poset.elements}
+        self.values = table
         self.scale = scale
         self.certified = False
         self._interior: Optional[Dict[Element, Element]] = None

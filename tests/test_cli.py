@@ -85,6 +85,17 @@ class TestCheck:
         assert main(["check", bad]) == 2
         assert "error: tabulated 'values' must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poset, values, point", [
+        (chain_json(2), {"0": "1", " 0": "0", "1": "1"}, "0"),
+        ({"product": [chain_json(2), chain_json(2)]},
+         {"0,0": "0", "0,1": "0", "1,0": "0", "1,1": "1", "0, 0": "1"}, "0,0"),
+    ])
+    def test_point_named_twice_is_input_error(self, poset, values, point, tmp_path, capsys):
+        bad = write(tmp_path, "twice.json", {"poset": poset, "values": values})
+        assert main(["check", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: point '{point}' is named twice") and err.count("\n") == 1
+
     def test_list_poset_element_is_input_error(self, tmp_path, capsys):
         poset = {"elements": [["0"], "1"], "covers": [[["0"], "1"]]}
         bad = write(tmp_path, "elem.json", {"poset": poset, "values": {"0": "0", "1": "1"}})

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -177,6 +178,54 @@ class TestUtilityFiles:
         }
         u = io.utility_from_json(obj)
         assert set(u.poset.elements) == {"0", "1"}
+
+    @pytest.mark.parametrize("poset, keys, point", [
+        ({"elements": ["a", "b"], "covers": []}, ["a", " a", "b"], "a"),
+        ({"product": [{"elements": ["0", "1"], "covers": []}] * 2},
+         ["0,0", "0,1", "1,0", "1,1", "0, 0"], "0,0"),
+    ])
+    def test_point_named_twice(self, poset, keys, point):
+        obj = {"poset": poset, "values": {k: str(i) for i, k in enumerate(keys)}}
+        with pytest.raises(io.InputError, match=rf"^point '{point}' is named twice in 'values'"):
+            io.utility_from_json(obj)
+
+    def test_product_keys_read_by_lookup_or_resolver(self):
+        # "a" and "b" parts hit an element at once; "0", " b" and "1 " take the resolver
+        poset = {"product": [{"elements": ["a", "b"], "covers": []},
+                             {"elements": [0, 1], "covers": []}]}
+        values = {"a,0": "0", "a,1 ": "1", " b,0": "2", "b,1": "3"}
+        u = io.utility_from_json({"poset": poset, "values": values})
+        assert u.values == {("a", 0): 0, ("a", 1): 1, ("b", 0): 2, ("b", 1): 3}
+        assert all(isinstance(c, int) for _, c in u.values)
+
+    @pytest.mark.parametrize("raw, err", [
+        (True, "not a rational: True"),
+        (1.5, "floats are not exact rationals: 1.5"),
+        (["1"], r"not a rational: \['1'\]"),
+    ])
+    def test_cached_values_keep_their_errors(self, raw, err):
+        # 1 is parsed and cached first: true must not be read as it
+        obj = {"poset": {"elements": ["a", "b"], "covers": []}, "values": {"a": 1, "b": raw}}
+        with pytest.raises(io.InputError, match=rf"^{err}$"):
+            io.utility_from_json(obj)
+
+    def test_equal_values_share_one_rank(self):
+        poset = {"elements": ["a", "b", "c", "d"], "covers": []}
+        u = io.utility_from_json({"poset": poset, "values": {"a": "1", "b": 1, "c": "2/2", "d": "3"}})
+        assert u.image() == (F(1), F(3))
+        assert u._ranks().rank == [0, 0, 0, 1]
+
+    def test_each_distinct_value_is_parsed_once(self, monkeypatch):
+        chain = {"elements": [str(t) for t in range(6)],
+                 "covers": [[str(t), str(t + 1)] for t in range(5)]}
+        points = list(product(range(6), repeat=4))
+        values = {",".join(map(str, p)): str(min(p[0], 2 * p[1], 3 * p[2], p[3])) for p in points}
+        parse, parsed = io.parse_rational, []
+        monkeypatch.setattr(io, "parse_rational", lambda raw: parsed.append(raw) or parse(raw))
+        u = io.utility_from_json({"poset": {"product": [chain] * 4}, "values": values})
+        assert len(u.values) == 1296
+        assert sorted(parsed) == sorted(set(values.values()))
+        assert u.value(("5", "5", "5", "5")) is u.value(("5", "3", "2", "5"))
 
     def test_unknown_type(self):
         with pytest.raises(io.InputError, match="unknown utility type"):

@@ -564,3 +564,12 @@ class TestStructuralInvariants:
             q.TabulatedUtility(chain, {0: F(0)})
         with pytest.raises(q.UtilityError, match="unknown element"):
             q.TabulatedUtility(chain, {0: F(0), 1: F(0), 2: F(0), 9: F(0)})
+
+    def test_first_missing_and_first_extra_element_named(self):
+        chain = q.FinitePoset.chain(range(4))
+        with pytest.raises(q.UtilityError, match=r"^no value for element 1$"):
+            q.TabulatedUtility(chain, {9: F(0), 3: F(0), 0: F(0), 8: F(0)})  # poset order
+        with pytest.raises(q.UtilityError, match=r"^value for unknown element 9$"):
+            q.TabulatedUtility(chain, {3: F(0), 9: F(0), 2: F(0), 1: F(0), 0: F(0), 8: F(0)})
+        u = q.TabulatedUtility(chain, {3: F(3), 1: F(1), 2: F(2), 0: F(0)})
+        assert list(u.values) == [0, 1, 2, 3]  # re-keyed in poset order

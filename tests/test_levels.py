@@ -18,6 +18,7 @@ import qleontief as q
 from qleontief import corpus
 from qleontief.cli import main
 from qleontief.io import load_json, utility_from_json
+from qleontief.leontief import _Ranks
 
 from conftest import brute_least, brute_minimal
 
@@ -192,6 +193,75 @@ def test_rank_table_on_tolerant_levels_between_ranks(seed):
     shifted = [v + d * tol for v in img for d in (-1.5, -1, -0.5, 0.5, 1, 1.5)]
     assert_rank_table_matches_reference(u, levels_to_probe(u) + between + shifted)
     assert_record_matches_reference(u)
+
+
+def ref_ranks(values):
+    """``(rank, image, suffix)`` by pairwise scans: the image holds the first
+    element's value of each equal class, sorted."""
+    reps = []
+    for v in values:
+        if not any(v == w for w in reps):
+            reps.append(v)
+    image = sorted(reps)
+    rank = [next(r for r, w in enumerate(image) if v == w) for v in values]
+    suffix = [sum(1 << i for i, k in enumerate(rank) if k >= r) for r in range(len(image) + 1)]
+    return rank, image, suffix
+
+
+def assert_ranks_match_reference(values):
+    t = _Ranks(values)
+    rank, image, suffix = ref_ranks(values)
+    assert (t.rank, t.suffix, len(t.levels)) == (rank, suffix, len(image))
+    assert len(t.image) == len(image) and all(a is b for a, b in zip(t.image, image))
+
+
+def rank_tables(seed):
+    """The same values as shared objects, as fresh copies and as floats, and
+    exact values whose equal classes mix ints, Fractions and sizes a float
+    cannot hold."""
+    rng = random.Random(seed)
+    pool = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 9))]
+    shared = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+    huge = [10**400, F(10**400), F(10**400 + 1, 3), -10**400]
+    mixed = [rng.choice((1, F(1), F(2, 2), 0, F(1, 3), F(1, 3) + F(1, 10**30), *huge))
+             for _ in range(rng.randint(0, 12))]
+    floats = [float(v) + rng.choice((0.0, 4e-10)) for v in shared]
+    return shared, [F(v) for v in shared], floats, mixed
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_ranks_match_reference(seed):
+    for values in rank_tables(seed):
+        assert_ranks_match_reference(values)
+
+
+class CountedValue:
+    """A totally ordered value that counts its comparisons."""
+
+    calls = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __lt__(self, other):
+        CountedValue.calls += 1
+        return self.v < other.v
+
+    def __eq__(self, other):
+        CountedValue.calls += 1
+        return self.v == other.v
+
+
+def test_ranks_sort_only_the_distinct_objects():
+    rng = random.Random(0)
+    pool = [CountedValue(v) for v in range(8)]
+    values = [rng.choice(pool) for _ in range(1296)]
+    CountedValue.calls = 0
+    assert_ranks_match_reference(values)  # the reference compares too: count the build alone
+    CountedValue.calls = 0
+    t = _Ranks(values)
+    d = len(t.image)
+    assert d == 8 and CountedValue.calls <= d * d.bit_length() + d
 
 
 def test_dual_keeps_bare_least_element_test():
