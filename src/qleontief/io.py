@@ -22,7 +22,7 @@ product.  A token names the element equal to it, else the one element whose
 token's string form) stripped of surrounding blanks; an array names only a
 tuple point.  So arrays and "a,b" keys also name the points of a restricted
 product table.  Two such elements make the token ambiguous, which is an
-input error.
+input error, as is a key given twice in one JSON object.
 """
 from __future__ import annotations
 
@@ -54,10 +54,23 @@ class InputError(ValueError):
     """Malformed input file or value."""
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict: a key given twice is an input error, where
+    ``json.load`` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"key {key!r} is named twice in one object")
+            seen.add(key)
+    return obj
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:

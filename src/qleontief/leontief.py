@@ -131,9 +131,11 @@ class _Ranks:
     only where comparisons are dear, so a table of at most three values, or
     one of floats (the tolerant scale; its first value decides), is sorted as
     it stands.  Distinct Fractions and ints sort by a float key first, which
-    leaves Fraction comparisons to float ties.  ``suffix[r]`` masks the elements of rank r or more, and
-    ``suffix[len(image)]`` is 0.  ``levels[r]`` caches the level set at
-    ``image[r]``, so a certifier looks a value's level up by its rank.
+    leaves Fraction comparisons to float ties.  ``suffix[r]`` masks the
+    elements of rank r or more, and ``suffix[len(image)]`` is 0: with shared
+    objects the masks OR up per rank, else one running mask follows the
+    sort.  ``levels[r]`` caches the level set at ``image[r]``, so a certifier
+    looks a value's level up by its rank.
     """
 
     __slots__ = ("rank", "image", "suffix", "levels")
@@ -164,7 +166,8 @@ class _Ranks:
         suffix = [0] * (r + 2)
         if len(distinct) < len(values):
             # each element takes its object's rank; the masks OR up per rank,
-            # then down the ranks, with no second sort of the elements
+            # then down the ranks, with no second sort of the elements; when
+            # no object is shared, the running mask below ORs half as often
             rank = list(map(dict(zip(objects, rank)).__getitem__, map(id, values)))
             for i, k in enumerate(rank):
                 suffix[k] |= 1 << i

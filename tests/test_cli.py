@@ -96,6 +96,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith(f"error: point '{point}' is named twice") and err.count("\n") == 1
 
+    def test_repeated_key_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "twice.json"
+        bad.write_text('{"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},'
+                       ' "values": {"a": "5", "b": "1", "a": "0"}}')
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: key 'a' is named twice in one object\n"
+
     def test_list_poset_element_is_input_error(self, tmp_path, capsys):
         poset = {"elements": [["0"], "1"], "covers": [[["0"], "1"]]}
         bad = write(tmp_path, "elem.json", {"poset": poset, "values": {"0": "0", "1": "1"}})

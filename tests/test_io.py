@@ -189,6 +189,17 @@ class TestUtilityFiles:
         with pytest.raises(io.InputError, match=rf"^point '{point}' is named twice in 'values'"):
             io.utility_from_json(obj)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"poset": {"elements": ["a", "b"], "covers": []}, "values": {"a": "5", "b": "1", "a": "0"}}', "a"),
+        ('{"poset": {"elements": ["a"], "elements": ["a", "b"], "covers": []}, "values": {}}', "elements"),
+    ])
+    def test_repeated_key_refused_at_load(self, text, key, tmp_path):
+        # json.load alone would keep the last value of a repeated key
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(io.InputError, match=rf"^key '{key}' is named twice in one object$"):
+            io.load_json(str(path))
+
     def test_product_keys_read_by_lookup_or_resolver(self):
         # "a" and "b" parts hit an element at once; "0", " b" and "1 " take the resolver
         poset = {"product": [{"elements": ["a", "b"], "covers": []},
