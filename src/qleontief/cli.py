@@ -8,6 +8,7 @@ identical config and seed give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -51,17 +52,23 @@ def _default_seed() -> int:
         return 42
 
 
-def _tolerance(raw: str) -> float:
-    """``--tolerance``: a float that is neither negative nor NaN (else exit 2)."""
-    try:
-        t = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
-    if not t >= 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative number: {raw!r}")
-    return t
+def _nonnegative(convert, noun: str):
+    """An argument type: ``convert(raw)`` that is neither negative nor NaN
+    (else exit 2)."""
+    def parse(raw: str):
+        v = convert(raw)
+        if not v >= 0:
+            raise argparse.ArgumentTypeError(f"must be a nonnegative {noun}: {raw!r}")
+        return v
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: 'x'"
+    return parse
 
 
+_tolerance = _nonnegative(float, "number")
+_count = _nonnegative(int, "integer")
+
+
+@functools.cache  # one shared parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qleontief",
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("corpus", help="run the randomized equivalence sweeps")
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--n", type=_count, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--inject-fault", action="store_true",
                    help="test mode: corrupt one dual entry and expect a failure")
@@ -426,7 +433,7 @@ def cmd_corpus(args) -> int:
     ]
     total = 0
     for name, run in runs:
-        failures = run() if n > 0 else []
+        failures = run()
         total += len(failures)
         suites.append(
             {
@@ -464,8 +471,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except oracle.CertificationError as exc:

@@ -7,8 +7,8 @@ free).  For individually quasi-Leontief utilities the two agree with
 membership in the product of axis-wise efficient sets, and check_charpar
 sweeps that equivalence.
 
-``efficient_set`` enumerates a table's domain; it tests a closed form, which
-io keeps only on a continuous box, at explicit probe points.
+``efficient_set`` reads a table's efficient points off its level records and
+tests a closed form (io keeps one only on a continuous box) at probe points.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ class EfficiencySet:
     """Efficient points of one utility, with the mode they were computed in."""
 
     points: Tuple
-    mode: str  # "global-chain" | "axis" | "minimal-set"
+    mode: str  # "global-chain" | "axis"
 
     def __contains__(self, x) -> bool:
         return x in self.points
@@ -53,14 +53,10 @@ def partial_utility(u: TabulatedUtility, rest: Sequence, axis: int) -> Tabulated
     axis projection of the parent interior); otherwise the slice comes back
     uncertified and must be certified on its own factor.
     """
-    space = _require_space(u)
-    space._check_axis(axis)
+    _require_space(u)._check_axis(axis)
     pu = _axis_slice(u, rest, axis)
-    if not u.certified:
-        return pu
-    return pu._certified_copy(
-        {t: u.interior(space.substitute(rest, axis, t))[axis] for t in pu.poset.elements}
-    )
+    pu.certified = u.certified
+    return pu
 
 
 def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtility:
@@ -77,6 +73,18 @@ def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> Tabulat
     return cert.utility
 
 
+def efficient_mask(u: TabulatedUtility) -> int:
+    """The efficient points of a certified table as a mask: the least element
+    m of the level set at each attained value, kept when u(m) is that value."""
+    t = u._ranks()
+    mask = 0
+    for r, lam in enumerate(t.image):
+        i = u.poset.index_of(u.dual(lam))
+        if t.rank[i] == r:
+            mask |= 1 << i
+    return mask
+
+
 def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
     """All points of ``subset`` fixed by the interior map; for a table the
     subset defaults to the whole domain, a closed form needs explicit probes.
@@ -85,9 +93,10 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
     asserted and its violation raises InconsistencyError.
     """
     if isinstance(u, TabulatedUtility):
-        pool = list(subset) if subset is not None else list(u.poset.elements)
-        pts = [x for x in pool if u.interior(x) == x]
-        pts.sort(key=lambda x: (u.values[x], u.poset.index_of(x)))
+        mask = efficient_mask(u)
+        if subset is not None:
+            mask &= u.poset._mask(map(u._norm, subset))
+        pts = sorted(u.poset._unmask(mask), key=u.values.__getitem__)
         if not u.poset.is_chain(pts):
             raise InconsistencyError("efficient set of a certified utility is not a chain")
         return EfficiencySet(tuple(pts), "global-chain")
@@ -153,8 +162,7 @@ def _axis_efficient_set(
     if cache is not None and key in cache:
         return cache[key]
     pu = certified_partial(u, rest, axis)
-    pts = tuple(t for t in pu.poset.elements if pu.interior(t) == t)
-    out = EfficiencySet(pts, "axis")
+    out = EfficiencySet(pu.poset._unmask(efficient_mask(pu)), "axis")
     if cache is not None:
         cache[key] = out
     return out

@@ -4,9 +4,10 @@ A utility u maps a partially ordered domain into a totally ordered scale.
 It is quasi-Leontief when every upper level set u^-1(up(u(x))) has a least
 element u°(x) (the interior map); it is regular when every nonempty level
 set u^-1(up(lam)) has one (the dual map u#).  Closed forms carry their dual
-in formula form and read the interior off it, u° = u# ∘ u; tabulated
-utilities acquire both through brute-force certification (see the oracle
-module).  ``tabulate`` turns a closed form on a gridded box into its table.
+in formula form; a table reads its dual off its cached level records once
+the oracle has certified it (see the oracle module).  Both read the interior
+off the dual, u° = u# ∘ u.  ``tabulate`` turns a closed form on a gridded
+box into its table.
 Every combinator maps tables to a table (``affine_transform``, ``restrict``,
 ``min_product``, ``min_pointwise``), so a combined table is certified like
 any other.  ``min_product`` and ``min_pointwise`` take tables only;
@@ -85,7 +86,7 @@ class MinFormError(UtilityError):
 class _Closure:
     """A utility with a dual map u#.  A closed form carries u# as a formula,
     so it is certified by construction; a table is certified by the oracle and
-    overrides ``certified`` and ``interior``."""
+    overrides ``certified``."""
 
     certified = True
 
@@ -216,7 +217,6 @@ class TabulatedUtility(_Closure):
         self.values = table
         self.scale = scale
         self.certified = False
-        self._interior: Optional[Dict[Element, Element]] = None
         self._levels: Dict[Any, LevelSet] = {}
         self._rank_table: Optional[_Ranks] = None
 
@@ -225,12 +225,11 @@ class TabulatedUtility(_Closure):
         """The domain when it is a product, else None."""
         return self.poset if isinstance(self.poset, ProductSpace) else None
 
-    def _certified_copy(self, interior_table: Dict[Element, Element]) -> "TabulatedUtility":
+    def _certified_copy(self) -> "TabulatedUtility":
         new = object.__new__(TabulatedUtility)
         # same poset, values and scale: the rank table and every level set carry over
         new.__dict__.update(self.__dict__)
         new.certified = True
-        new._interior = dict(interior_table)
         return new
 
     def _norm(self, x: Element) -> Element:
@@ -342,11 +341,6 @@ class TabulatedUtility(_Closure):
                 f"{y!r} lies above it with a smaller value",
             )
         return LevelSet(mask, m)
-
-    def interior(self, x: Element) -> Element:
-        if not self.certified:
-            raise NotCertifiedError("interior requires a certified utility")
-        return self._interior[self._norm(x)]
 
     def dual(self, lam) -> Optional[Element]:
         """Least element of the level set at lam; None when the set is empty.
@@ -743,8 +737,9 @@ def min_pointwise(*parts) -> TabulatedUtility:
 def affine_transform(u, a, b):
     """a * u + b with a > 0; the interior map is unchanged.
 
-    Tabulated utilities are materialized with transformed values (the
-    certification table carries over verbatim); closed forms get a wrapper.
+    Tabulated utilities are materialized with transformed values, certified
+    only on the exact scale (a tolerant one compares the rescaled gaps to the
+    same tolerance); closed forms get a wrapper.
     """
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
@@ -754,9 +749,7 @@ def affine_transform(u, a, b):
             {e: a * v + b for e, v in u.values.items()},
             scale=u.scale,
         )
-        if u.certified:
-            new.certified = True
-            new._interior = dict(u._interior)
+        new.certified = u.certified and u.scale.kind == "exact"
         return new
     return AffineUtility(u, a, b)
 
@@ -777,9 +770,7 @@ def restrict(u, downset: Union[DownSet, Sequence]):
         new = TabulatedUtility(
             sub, {e: u.values[e] for e in sub.elements}, scale=u.scale
         )
-        if u.certified:
-            new.certified = True
-            new._interior = {e: u._interior[e] for e in sub.elements}
+        new.certified = u.certified
         return new
     return RestrictedUtility(u, downset)
 

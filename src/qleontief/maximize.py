@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .efficiency import certified_partial, is_efficient_minimal
+from .efficiency import certified_partial, efficient_mask, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
 from .oracle import Certificate, InconsistencyError
 from .order import DownSet, Element, OrderError, ProductSpace, _bits, product_mask
@@ -73,9 +73,11 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     which lower-bounds every maximizer, and the maximizer that is maximal in
     the set (nothing else of S lies above it), ties broken by string form.
     """
-    best, maximizers = argmax_members(u, S)
     poset = S.space
-    efficient = poset._mask(x for x in S.sorted_members() if u.interior(x) == x)
+    if poset != u.poset:
+        raise OrderError("down-set lives in a different poset")
+    best, maximizers = argmax_members(u, S)
+    efficient = efficient_mask(u) & S.mask
     k = next((i for i in _bits(efficient) if efficient & ~poset._down[i] == 0), None)
     if k is None:
         raise InconsistencyError("no largest efficient point inside a nonempty finite comprehensive set")
@@ -107,7 +109,7 @@ def check_argmax_localization(u: TabulatedUtility, S: DownSet, res: ArgmaxResult
     maximizer attaining the maximum exactly and d = u°(x^), (a) d lies in S,
     (b) d is the record's largest efficient point of S, and
     (c) argmax_S u = S ∩ up(d).
-    A wrong interior entry at x^ fails (a) or (c); x^ and d are the witnesses."""
+    A wrong interior at x^ fails (a) or (c); x^ and d are the witnesses."""
     poset = S.space
     if poset != u.poset:
         raise OrderError("down-set lives in a different poset")

@@ -77,25 +77,22 @@ class Certificate:
 
 def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
     """Check that every upper level set u^-1(up(u(x))) is the up-set of a
-    single point (its least element).
+    single point (its least element), one record per attained value.
 
-    On pass the certificate carries a certified copy of the utility with the
-    interior table filled in.
+    A failure reports the lowest-index element whose record fails; on pass
+    the certificate carries a certified copy of the utility.
     """
-    interior_table: Dict[Element, Element] = {}
-    for i, x in enumerate(u.poset.elements):
+    t = u._ranks()
+    bad = 0
+    for r, lam in enumerate(t.image):
+        if u._attained_level(r, lam).detail:
+            bad |= t.suffix[r] ^ t.suffix[r + 1]
+    if bad:
+        i = (bad & -bad).bit_length() - 1
         level = u.level_of(i)
-        if level.detail:
-            return Certificate(
-                False,
-                "quasi-leontief",
-                witnesses=level.witnesses,
-                detail=f"for {x!r}: {level.detail}",
-            )
-        interior_table[x] = level.least
-    return Certificate(
-        True, "quasi-leontief", utility=u._certified_copy(interior_table)
-    )
+        return Certificate(False, "quasi-leontief", witnesses=level.witnesses,
+                           detail=f"for {u.poset.elements[i]!r}: {level.detail}")
+    return Certificate(True, "quasi-leontief", utility=u._certified_copy())
 
 
 def certify_regular(
@@ -107,8 +104,7 @@ def certify_regular(
     ones (level sets only change there); extra levels are merged in.  On pass
     the certificate carries the full dual table and a certified copy: on a
     finite domain the attained values sit among the probes, so regularity
-    subsumes the quasi-Leontief property and the interior table falls out of
-    the dual table.
+    subsumes the quasi-Leontief property.
     """
     table: Dict[Any, Element] = {}
     for lam in u.probe_levels(probe_levels):
@@ -117,11 +113,7 @@ def certify_regular(
             return Certificate(False, "regular", witnesses=level.witnesses, detail=level.detail)
         if level.least is not None:
             table[lam] = level.least
-    if u.certified:
-        out = u._certified_copy(u._interior)
-    else:
-        out = u._certified_copy({x: u.level_of(i).least for i, x in enumerate(u.poset.elements)})
-    return Certificate(True, "regular", dual_table=table, utility=out)
+    return Certificate(True, "regular", dual_table=table, utility=u._certified_copy())
 
 
 def _is_regular(u: TabulatedUtility) -> bool:

@@ -35,6 +35,21 @@ def brute_minimal(points, leq):
     return [p for p in pts if not any(r != p and leq(r, p) for r in pts)]
 
 
+def interior_table(u):
+    """The interior map of a certified table, point by point."""
+    return {x: u.interior(x) for x in u.poset.elements}
+
+
+def projected_interior(u, rest, axis):
+    """The axis projection of a certified product table's interior along the
+    one-axis slice at ``rest``, point by point."""
+    space = u.space
+    return {
+        t: u.interior(space.substitute(rest, axis, t))[axis]
+        for t in space.factors[axis].elements
+    }
+
+
 def grid_utility(fn, *ranges, scale=q.EXACT):
     """Tabulated utility on a product of integer/rational chains."""
     space = q.grid_space(*ranges)

@@ -379,6 +379,16 @@ class TestCorpus:
         report = json.loads(capsys.readouterr().out)
         assert all(s["instances"] == 0 for s in report["suites"])
 
+    @pytest.mark.parametrize("raw", ["-3", "-1"])
+    def test_negative_count_is_a_usage_error(self, raw, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "--json", "--n", raw])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.endswith(
+            f"error: argument --n: must be a nonnegative integer: '{raw}'\n")
+
     def test_injected_fault_exits_one(self, capsys):
         rc = main(["corpus", "--json", "--n", "8", "--seed", "42", "--inject-fault"])
         assert rc == 1
@@ -413,6 +423,48 @@ class TestCorpus:
             "argmax-localization",
             "refinement",
         ]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; successive calls that mix
+    subcommands and flags answer as each call does on a fresh parser."""
+
+    def argvs(self, tmp_path):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        power = os.path.join(data, "tolerant_power.json")
+        plain = os.path.join(data, "plain_poset.json")
+        downset = write(tmp_path, "d.json", {"generators": ["b", "c"]})
+        return [
+            ["check", "--json", power],
+            ["corpus", "--n", "1", "--seed", "3"],
+            ["check", "--quiet", "--tolerance", "1e-12", power],
+            ["efficient", plain],
+            ["maximize", "--json", plain, "--downset", downset],
+            ["corpus", "--n", "-1"],
+            ["check", "--tolerance", "-1", power],
+            ["efficient", "--json", "--quiet", plain],
+            ["check", power],
+        ]
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_successive_calls_match_single_calls(self, tmp_path, capsys):
+        argvs = self.argvs(tmp_path)
+        single = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            single.append(self.call(argv, capsys))
+        cli.build_parser.cache_clear()
+        assert [self.call(argv, capsys) for argv in argvs] == single
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in single] == [0, 0, 0, 0, 0, 2, 2, 0, 0]
 
 
 class TestCertificationFailureExitCodes:

@@ -10,7 +10,14 @@ import pytest
 import qleontief as q
 from qleontief import corpus
 
-from conftest import brute_minimal, certified, grid_utility, tuple_leq
+from conftest import (
+    brute_minimal,
+    certified,
+    grid_utility,
+    interior_table,
+    projected_interior,
+    tuple_leq,
+)
 
 
 def fraction_grid_space():
@@ -56,6 +63,10 @@ class TestEfficientSet:
         eff = q.efficient_set(min_on_4x4, s.sorted_members())
         assert set(eff.points) == {(0, 0), (1, 1), (2, 2)}
 
+    def test_subset_names_points_as_lists_and_repeats(self, min_on_4x4):
+        eff = q.efficient_set(min_on_4x4, [[1, 1], (2, 2), (2, 2), (2, 1)])
+        assert eff.points == ((1, 1), (2, 2))
+
 
 class TestIsEfficientGlobal:
     def test_interior_images_are_efficient(self, min_on_4x4):
@@ -86,14 +97,16 @@ class TestPartialUtility:
         assert pu.interior(2) == 2
 
     def test_projection_matches_fresh_certification(self, min_on_4x4):
-        # the auto-certified slice of a certified parent agrees with an
-        # independent oracle run on the uncertified slice
+        # the auto-certified slice of a certified parent agrees with the
+        # projection of the parent interior and with an independent oracle
+        # run on the uncertified slice
         raw = q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values)
         for axis in range(2):
             for frozen in range(4):
                 auto = q.partial_utility(min_on_4x4, (frozen,), axis)
                 fresh = q.certified_partial(raw, (frozen,), axis)
-                assert auto._interior == fresh._interior
+                want = projected_interior(min_on_4x4, (frozen,), axis)
+                assert interior_table(auto) == want == interior_table(fresh)
 
     def test_min_x1_x1x2_partials_certify_on_grid(self):
         u = min_x1_x1x2()

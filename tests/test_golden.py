@@ -9,7 +9,10 @@ re-captured, when the vacuous localization check became one that can fail.
 The ``efficient`` and ``maximize`` reports on ``classical.json`` and
 ``tolerant_power.json`` were captured when a gridded closed form began to
 load as its table; the efficient points they list are the least grid point
-at each level, checked by hand.  Commands run
+at each level, checked by hand.  The ``efficient`` reports on
+``plain_poset.json`` and on the whole of ``product3.json`` and the
+``maximize`` report on ``plain_poset.json`` were captured before the
+per-element interior table was deleted.  Commands run
 from inside ``tests/data`` so the ``input`` field of a report is the bare
 file name.
 """
@@ -26,6 +29,11 @@ DATA = Path(__file__).parent / "data"
 CASES = {
     "min_grid.check.out": (["check", "--json", "min_grid.json"], 0),
     "plain_poset.check.out": (["check", "--json", "plain_poset.json"], 0),
+    "plain_poset.efficient.out": (["efficient", "--json", "plain_poset.json"], 0),
+    "plain_poset.maximize_generators.out": (
+        ["maximize", "--json", "plain_poset.json", "--downset", "plain_poset_downset.json"],
+        0,
+    ),
     "corrupted.check.out": (["check", "--json", "corrupted.json"], 1),
     "decreasing_chain.check.out": (["check", "--json", "decreasing_chain.json"], 1),
     "leastless.check.out": (["check", "--json", "leastless.json"], 1),
@@ -53,6 +61,7 @@ CASES = {
         ["maximize", "--json", "product3.json", "--downset", "product3_members.json"],
         0,
     ),
+    "product3.efficient.out": (["efficient", "--json", "product3.json"], 0),
     "product3.efficient_subset.out": (
         ["efficient", "--json", "product3.json", "--subset", "product3_members.json"],
         0,

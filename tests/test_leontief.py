@@ -272,6 +272,17 @@ class TestAffine:
         for x in v.poset.elements:
             assert v.interior(x) == min_on_4x4.interior(x)
 
+    def test_tolerant_table_comes_back_uncertified(self):
+        # the factor stretches the gap 1e-10 under the tolerance 1e-9 to 100
+        chain = q.FinitePoset.chain([0, 1])
+        u = q.TabulatedUtility(chain, {0: 1e-10, 1: 0.0}, scale=q.tolerant(1e-9))
+        assert q.certify_quasi_leontief(u).ok
+        v = q.affine_transform(q.certify_quasi_leontief(u).utility, 1e12, 0.0)
+        assert not v.certified
+        cert = q.certify_quasi_leontief(v)
+        assert not cert.ok
+        assert "level set at 100.0 is not the up-set of 0" in cert.detail
+
     def test_nonpositive_factor_rejected(self, min_on_4x4):
         with pytest.raises(q.UtilityError):
             q.affine_transform(min_on_4x4, F(0), F(1))

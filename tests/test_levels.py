@@ -147,6 +147,63 @@ def test_record_matches_reference_on_tolerant_scale(seed):
     assert_dual_matches_reference(q.certify_quasi_leontief(u).utility)
 
 
+def ref_certify_quasi_leontief(u):
+    """``(witnesses, detail)`` for the first element, in element order, whose
+    raw level set is not the up-set of a least element; None when none is."""
+    for x in u.poset.elements:
+        _, failure = ref_least_of_upper_set(u, u.values[x])
+        if failure is not None:
+            witnesses, detail = failure
+            return witnesses, f"for {x!r}: {detail}"
+    return None
+
+
+def ref_interior(u, x):
+    """Least element of the raw level set at u(x)."""
+    return brute_least(ref_level_set(u, u.values[x]), u.poset.leq)
+
+
+def ref_efficient_set(u, subset):
+    """The points of ``subset`` that are their own interior, by value, ties in
+    element order."""
+    pts = [x for x in u.poset.elements if x in subset and ref_interior(u, x) == x]
+    return tuple(sorted(pts, key=lambda x: u.values[x]))
+
+
+def tolerant_steps(seed):
+    """Values 0.6 tolerance apart, so that a level set takes in the rank below
+    it: on a chain and on a random poset with a bottom.  On the chain, the
+    interior of every element but the first is the element below it."""
+    tol = 1e-9
+    rng = random.Random(seed)
+    chain = q.FinitePoset.chain(range(5))
+    poset = corpus.random_poset(rng, 8, with_bottom=True)
+    return [
+        q.TabulatedUtility(chain, {k: 0.6 * k * tol for k in range(5)}, scale=q.tolerant(tol)),
+        q.TabulatedUtility(poset, {e: 0.6 * rng.randint(0, 3) * tol for e in poset.elements},
+                           scale=q.tolerant(tol)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_certification_interior_and_efficient_set_match_reference(seed):
+    for u in utilities(seed) + [tolerant_table(seed)] + tolerant_steps(seed):
+        cert = q.certify_quasi_leontief(u)
+        want = ref_certify_quasi_leontief(u)
+        if want is not None:
+            assert not cert.ok
+            assert (cert.witnesses, cert.detail) == want
+            continue
+        cu = cert.utility
+        assert cert.ok and cu.certified
+        for x in u.poset.elements:
+            assert cu.interior(x) == ref_interior(u, x)
+        elements = set(u.poset.elements)
+        assert q.efficient_set(cu).points == ref_efficient_set(u, elements)
+        half = set(u.poset.elements[::2])
+        assert q.efficient_set(cu, half).points == ref_efficient_set(u, half)
+
+
 # -- the rank table ---------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,14 @@ def prefix_set(space, *lengths):
         q.DownSet.from_members(f, f.elements[:k])
         for f, k in zip(space.factors, lengths)
     ])
+
+
+def wrong_interior_at(u, x_hat, wrong):
+    """A copy of the certified table u whose interior map returns ``wrong``
+    at ``x_hat`` and the true interior elsewhere."""
+    fake = copy.copy(u)
+    fake.interior = lambda x: wrong if x == x_hat else u.interior(x)
+    return fake
 
 
 def record(u, S):
@@ -175,16 +184,16 @@ class TestArgmaxLocalization:
             s = corpus.random_downset(rng, poset)
             assert localize(u, s).ok
 
-    # The fault tests check a corrupted interior table against the record of
-    # the true maximization: the corruption leaves every value alone, so the
-    # maximum and x^ are the same for both tables.
+    # The fault tests check a fake whose interior map is wrong at one point
+    # against the record of the true maximization: the fake leaves every
+    # value alone, so the maximum and x^ are the same for both.
 
     def test_wrong_interior_entry_fails(self, min_on_4x4):
         s = downset(min_on_4x4.poset, [(2, 3)])
         res = q.argmax_over_downset(min_on_4x4, s)
-        table = {x: min_on_4x4.interior(x) for x in min_on_4x4.poset}
-        table[(2, 2)] = (2, 3)  # (2, 2) is the first exact maximizer in s
-        cert = q.check_argmax_localization(min_on_4x4._certified_copy(table), s, res)
+        # (2, 2) is the first exact maximizer in s
+        fake = wrong_interior_at(min_on_4x4, (2, 2), (2, 3))
+        cert = q.check_argmax_localization(fake, s, res)
         assert not cert.ok
         assert cert.witnesses == ((2, 2), (2, 3))
         assert cert.data == {"a": True, "b": False, "c": False}
@@ -202,9 +211,7 @@ class TestArgmaxLocalization:
             for wrong in poset.elements:
                 if wrong == u.interior(x_hat):
                     continue
-                table = {x: u.interior(x) for x in poset}
-                table[x_hat] = wrong
-                cert = q.check_argmax_localization(u._certified_copy(table), s, res)
+                cert = q.check_argmax_localization(wrong_interior_at(u, x_hat, wrong), s, res)
                 assert not cert.ok
                 assert cert.witnesses == (x_hat, wrong)
                 assert not (cert.data["a"] and cert.data["c"])
@@ -214,6 +221,9 @@ class TestArgmaxLocalization:
         res = q.argmax_over_downset(min_on_4x4, downset(min_on_4x4.poset, [(0, 0)]))
         with pytest.raises(q.OrderError, match="different poset"):
             q.check_argmax_localization(min_on_4x4, downset(other, [(0, 0)]), res)
+        # every member lies in the domain, but the member mask is over other
+        with pytest.raises(q.OrderError, match="different poset"):
+            q.argmax_over_downset(min_on_4x4, downset(q.grid_space(range(5), range(5)), [(2, 3)]))
 
 
 class TestEfficientRefinement:

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import qleontief as q
 from qleontief import corpus
 
+from conftest import interior_table, projected_interior
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -91,8 +93,8 @@ def test_affine_transform_commutes_with_certification(seed):
     fresh = q.certify_quasi_leontief(
         q.TabulatedUtility(v.poset, v.values, scale=v.scale)
     )
-    assert fresh.ok
-    assert fresh.utility._interior == v._interior
+    assert fresh.ok and v.certified
+    assert interior_table(fresh.utility) == interior_table(v) == interior_table(u)
 
 
 @given(seeds)
@@ -132,8 +134,9 @@ def certified_product_instance(seed):
 @given(seeds)
 @settings(max_examples=30)
 def test_partial_interior_is_the_projected_global_interior(seed):
-    # the auto-certified slice of a certified parent must agree with an
-    # independent oracle run on the raw slice, axis by axis
+    # the auto-certified slice of a certified parent must agree with the
+    # projection of the parent interior and with an independent oracle run
+    # on the raw slice, axis by axis
     u, _ = certified_product_instance(seed)
     space = u.space
     raw = q.TabulatedUtility(u.poset, u.values)
@@ -142,7 +145,8 @@ def test_partial_interior_is_the_projected_global_interior(seed):
             rest = space.delete(x, axis)
             auto = q.partial_utility(u, rest, axis)
             fresh = q.certified_partial(raw, rest, axis)
-            assert auto._interior == fresh._interior
+            want = projected_interior(u, rest, axis)
+            assert interior_table(auto) == want == interior_table(fresh)
 
 
 @given(seeds)
