@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .leontief import TabulatedUtility
-from .order import DownSet, Element, FinitePoset, ProductSpace
+from .order import EXACT, DownSet, Element, FinitePoset, ProductSpace, _bits
 
 
 def derive_rng(seed: int, *tags) -> random.Random:
@@ -47,28 +47,24 @@ def random_poset(
     return FinitePoset.from_covers(els, covers)
 
 
-_VALUE_STEPS = (
-    Fraction(0),
-    Fraction(0),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(2),
-)
+_HALF_STEPS = (0, 0, 0, 1, 2, 2, 3, 4)
+"""The value steps in halves: 0, 1/2, 1, 3/2 and 2, with 0 and 1 weighted."""
 
 
 def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedUtility:
     """Random isotone table: a sweep along a linear extension keeps every value
     at or above the values strictly below (ties are frequent on purpose).  On
-    a product of chains every such table is individually quasi-Leontief."""
-    values: Dict[Element, Fraction] = {}
-    for x in poset.linear_extension():
-        below = [values[y] for y in poset.down_set(x) if y != x]
-        base = max(below) if below else Fraction(0)
-        values[x] = base + rng.choice(_VALUE_STEPS)
-    return TabulatedUtility(poset, values)
+    a product of chains every such table is individually quasi-Leontief.
+
+    The sweep counts in half-steps by element index; each distinct count
+    becomes one shared ``Fraction``."""
+    down = poset._down
+    halves = [0] * len(poset)
+    for i in poset._extension_order():
+        below = max((halves[j] for j in _bits(down[i] & ~(1 << i))), default=0)
+        halves[i] = below + rng.choice(_HALF_STEPS)
+    value = {h: Fraction(h, 2) for h in set(halves)}
+    return TabulatedUtility._of_column(poset, [value[h] for h in halves], EXACT)
 
 
 def random_quasileontief_utility(

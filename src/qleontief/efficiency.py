@@ -5,7 +5,9 @@ certified utility when the interior map fixes it; it is minimally efficient
 when nothing strictly below it keeps the value (brute force, certification
 free).  For individually quasi-Leontief utilities the two agree with
 membership in the product of axis-wise efficient sets, and check_charpar
-sweeps that equivalence.
+sweeps that equivalence by point index: one mask test for minimality, and
+one bit of each axis slice's efficient mask for membership.  ``pu_map``
+gives the same membership for one point as a tuple of axis-wise sets.
 
 ``efficient_set`` reads a table's efficient points off its level records and
 tests a closed form (io keeps one only on a continuous box) at probe points.
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import oracle
-from .leontief import TabulatedUtility, UtilityError, _axis_slice
+from .leontief import (
+    LeastlessLevelSetError, NotCertifiedError, TabulatedUtility, UtilityError, _axis_slice,
+)
 from .oracle import Certificate, InconsistencyError
 from .order import Element, ProductSpace
 
@@ -76,10 +80,15 @@ def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> Tabulat
 def efficient_mask(u: TabulatedUtility) -> int:
     """The efficient points of a certified table as a mask: the least element
     m of the level set at each attained value, kept when u(m) is that value."""
+    if not u.certified:
+        raise NotCertifiedError("dual requires a certified utility")
     t = u._ranks()
     mask = 0
     for r, lam in enumerate(t.image):
-        i = u.poset.index_of(u.dual(lam))
+        rec = u._attained_level(r, lam)
+        if rec.least is None:
+            raise LeastlessLevelSetError(lam, rec.witnesses)
+        i = u.poset.index_of(rec.least)
         if t.rank[i] == r:
             mask |= 1 << i
     return mask
@@ -188,24 +197,44 @@ CHARPAR_SEED = 0
 
 def check_charpar(u: TabulatedUtility) -> Certificate:
     """Exhaustively (or on a seeded sample) match brute-force minimality
-    against membership in the product of axis-wise efficient sets."""
-    pts = list(_require_space(u).points())
-    if len(pts) > CHARPAR_LIMIT:
-        pts = random.Random(CHARPAR_SEED).sample(pts, CHARPAR_LIMIT)
-    cache: Dict = {}
-    checked = 0
-    for x in pts:
-        minimal = is_efficient_minimal(u, x)
-        member = pu_map(u, x, _cache=cache).contains(x)
+    against membership in the product of axis-wise efficient sets.
+
+    Point i is minimal when nothing strictly below it lies in the level set
+    at its value, the suffix of the ranks from that level's start.  Its
+    slice along an axis is keyed by i with that axis's digit set to 0 (the
+    factor sizes are the mixed radix of the index); each slice is certified
+    the first time a point meets it, and its efficient mask is kept.
+    """
+    space = _require_space(u)
+    n = len(space)
+    order = range(n)
+    if n > CHARPAR_LIMIT:
+        order = random.Random(CHARPAR_SEED).sample(order, CHARPAR_LIMIT)
+    axes = [(axis, stride, len(f), {})
+            for axis, (f, stride) in enumerate(zip(space.factors, space._strides()))]
+    t = u._ranks()
+    level = [t.suffix[u._level_start(lam, r)] for r, lam in enumerate(t.image)]
+    rank, down, elements = t.rank, u.poset._down, u.poset.elements
+    for i in order:
+        member = True
+        for axis, stride, size, masks in axes:
+            digit = i // stride % size
+            key = i - digit * stride
+            mask = masks.get(key)
+            if mask is None:
+                x = elements[i]
+                pu = certified_partial(u, x[:axis] + x[axis + 1:], axis)
+                mask = masks[key] = efficient_mask(pu)
+            member = member and bool(mask >> digit & 1)
+        minimal = not down[i] & ~(1 << i) & level[rank[i]]
         if minimal != member:
             return Certificate(
                 False,
                 "charpar",
-                witnesses=(x,),
+                witnesses=(elements[i],),
                 detail=f"minimal={minimal} but coordinatewise membership={member}",
             )
-        checked += 1
-    return Certificate(True, "charpar", data={"points_checked": checked})
+    return Certificate(True, "charpar", data={"points_checked": len(order)})
 
 
 def partial_dual_consistency(

@@ -184,6 +184,22 @@ class _Ranks:
         self.suffix = suffix
         self.levels: List[Optional[LevelSet]] = [None] * (r + 1)
 
+    def restrict(self, indices: Iterable[int]) -> "_Ranks":
+        """The rank table of the values at ``indices``, listed in that order:
+        the ranks they meet, renumbered in order, with no value compared."""
+        sub = [self.rank[i] for i in indices]
+        met = sorted(set(sub))
+        new = object.__new__(_Ranks)
+        new.rank = rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
+        new.image = tuple(map(self.image.__getitem__, met))
+        new.suffix = suffix = [0] * (len(met) + 1)
+        for i, k in enumerate(rank):
+            suffix[k] |= 1 << i
+        for k in range(len(met) - 2, -1, -1):
+            suffix[k] |= suffix[k + 1]
+        new.levels = [None] * len(met)
+        return new
+
 
 class TabulatedUtility(_Closure):
     """Utility given by an explicit value table on a finite poset.
@@ -213,12 +229,25 @@ class TabulatedUtility(_Closure):
         if len(table) < len(values):  # every element has its value, so the rest are extra
             extra = next(e for e in values if e not in table)
             raise UtilityError(f"value for unknown element {extra!r}")
+        self._fill(poset, table, scale)
+
+    def _fill(self, poset, table, scale, ranks=None) -> None:
         self.poset = poset
         self.values = table
         self.scale = scale
         self.certified = False
         self._levels: Dict[Any, LevelSet] = {}
-        self._rank_table: Optional[_Ranks] = None
+        self._rank_table: Optional[_Ranks] = ranks
+
+    @classmethod
+    def _of_column(cls, poset: FinitePoset, column: List, scale: Scale,
+                   ranks: Optional[_Ranks] = None) -> "TabulatedUtility":
+        """The table whose values are listed by element index in ``column``,
+        which is complete by construction; ``ranks`` is its rank table, if
+        known."""
+        new = object.__new__(cls)
+        new._fill(poset, dict(zip(poset.elements, column)), scale, ranks)
+        return new
 
     @property
     def space(self) -> Optional[ProductSpace]:
@@ -286,7 +315,7 @@ class TabulatedUtility(_Closure):
             return self._attained_level(r, lam)
         rec = self._levels.get(lam)
         if rec is None:
-            rec = self._levels[lam] = self._build_level_set(lam)
+            rec = self._levels[lam] = self._build_level_set(lam, r)
         return rec
 
     def level_of(self, i: int) -> LevelSet:
@@ -296,25 +325,33 @@ class TabulatedUtility(_Closure):
         return self._attained_level(r, t.image[r])
 
     def _attained_level(self, r: int, lam) -> LevelSet:
+        """The level set at ``lam``, the value of rank ``r``."""
         levels = self._rank_table.levels
         rec = levels[r]
         if rec is None:
-            rec = levels[r] = self._build_level_set(lam)
+            rec = levels[r] = self._build_level_set(lam, r)
         return rec
 
-    def _build_level_set(self, lam) -> LevelSet:
+    def _level_start(self, lam, r: int) -> int:
+        """The lowest rank in the level set at ``lam``, given r, the first
+        rank at or above ``lam``.
+
+        le(lam, v) is monotone in v on both scales (float addition rounds
+        monotonically), so the level set is a suffix of the sorted values.  On
+        the exact scale le is <=, so the suffix starts at r; a tolerant scale
+        can take in lower ranks, and a bisection finds the first.
+        """
+        if self.scale.kind == "exact":
+            return r
+        le = self.scale.le
+        return bisect_left(self._ranks().image, True, key=lambda v: le(lam, v))
+
+    def _build_level_set(self, lam, r: int) -> LevelSet:
         # The defining relation is the set equality u^-1(up(lam)) = up(m), not
         # bare least-element existence: a level set of a non-isotone table can
         # have a least element without being upward closed.
-        # le(lam, v) is monotone in v on both scales (float addition rounds
-        # monotonically), so the level set is a suffix of the sorted values;
-        # on the exact scale le is <=, so a plain bisection finds it
-        poset, le, t = self.poset, self.scale.le, self._ranks()
-        if self.scale.kind == "exact":
-            r = bisect_left(t.image, lam)
-        else:
-            r = bisect_left(t.image, True, key=lambda v: le(lam, v))
-        mask = t.suffix[r]
+        poset = self.poset
+        mask = self._ranks().suffix[self._level_start(lam, r)]
         if not mask:
             return LevelSet(0, None)
         up = poset._up
@@ -799,11 +836,21 @@ def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List
 
 def _axis_slice(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtility:
     """The uncertified one-axis table t -> u(rest with t inserted at ``axis``),
-    on the factor of ``axis``."""
+    on the factor of ``axis``.
+
+    Its points sit at a fixed stride in the parent's index order, so the
+    slice reads the parent's values there and, when the parent holds its rank
+    table, the parent's ranks too; no value is compared.
+    """
     space = u.space
     factor = space.factors[axis]
-    vals = {t: u.value(space.substitute(rest, axis, t)) for t in factor.elements}
-    return TabulatedUtility(factor, vals, scale=u.scale)
+    # the index of the slice's first point; u names a point off its domain
+    base = u.poset._index[u._norm(space.substitute(rest, axis, factor.elements[0]))]
+    step = space._strides()[axis]
+    indices = range(base, base + len(factor) * step, step)
+    column = [u.values[u.poset.elements[i]] for i in indices]
+    ranks = u._rank_table.restrict(indices) if u._rank_table is not None else None
+    return TabulatedUtility._of_column(factor, column, u.scale, ranks)
 
 
 def recover_leontief_coefficients(

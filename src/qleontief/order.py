@@ -564,6 +564,14 @@ class ProductSpace(FinitePoset):
             raise OrderError(f"deleted tuple {rest!r} has wrong arity")
         return rest[:axis] + (value,) + rest[axis:]
 
+    def _strides(self) -> List[int]:
+        """The index step of each axis: point i has digit i // stride % len(f)
+        on the axis of factor f, the last coordinate running fastest."""
+        strides = [1] * len(self.factors)
+        for k in range(len(self.factors) - 1, 0, -1):
+            strides[k - 1] = strides[k] * len(self.factors[k])
+        return strides
+
     def _check_axis(self, axis: int) -> None:
         if not 0 <= axis < len(self.factors):
             raise OrderError(f"axis {axis} out of range for {len(self.factors)} factors")

@@ -9,6 +9,7 @@ import pytest
 
 import qleontief as q
 from qleontief import corpus
+from qleontief.efficiency import efficient_mask
 
 from conftest import (
     brute_minimal,
@@ -66,6 +67,19 @@ class TestEfficientSet:
     def test_subset_names_points_as_lists_and_repeats(self, min_on_4x4):
         eff = q.efficient_set(min_on_4x4, [[1, 1], (2, 2), (2, 2), (2, 1)])
         assert eff.points == ((1, 1), (2, 2))
+
+    def test_uncertified_table_raises(self, min_on_4x4):
+        raw = q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values)
+        for read in (q.efficient_set, efficient_mask):
+            with pytest.raises(q.NotCertifiedError):
+                read(raw)
+
+    def test_leastless_level_raises_as_the_dual_does(self):
+        u = q.TabulatedUtility(q.FinitePoset.antichain(["a", "b"]), {"a": F(1), "b": F(1)})
+        u.certified = True  # set by hand, not by the oracle
+        with pytest.raises(q.LeastlessLevelSetError) as exc:
+            efficient_mask(u)
+        assert exc.value.witnesses == ("a", "b")
 
 
 class TestIsEfficientGlobal:
@@ -126,6 +140,20 @@ class TestPartialUtility:
     def test_invalid_axis(self, min_on_4x4):
         with pytest.raises(q.OrderError):
             q.partial_utility(min_on_4x4, (3,), 5)
+
+    @pytest.mark.parametrize("rest, axis, error, message", [
+        ((3,), 5, q.OrderError, "axis 5 out of range for 2 factors"),
+        ((), 0, q.OrderError, "deleted tuple () has wrong arity"),
+        ((1, 2), 1, q.OrderError, "deleted tuple (1, 2) has wrong arity"),
+        ((9,), 0, q.DomainError, "point (0, 9) outside domain"),
+        ((9,), 1, q.DomainError, "point (9, 0) outside domain"),
+        (("1",), 0, q.DomainError, "point (0, '1') outside domain"),
+    ])
+    def test_bad_rest_names_the_point(self, min_on_4x4, rest, axis, error, message):
+        for u in (min_on_4x4, q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values)):
+            with pytest.raises(error) as exc:
+                q.partial_utility(u, rest, axis)
+            assert str(exc.value) == message
 
 
 class TestPartialDualConsistency:

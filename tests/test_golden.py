@@ -12,7 +12,9 @@ load as its table; the efficient points they list are the least grid point
 at each level, checked by hand.  The ``efficient`` reports on
 ``plain_poset.json`` and on the whole of ``product3.json`` and the
 ``maximize`` report on ``plain_poset.json`` were captured before the
-per-element interior table was deleted.  Commands run
+per-element interior table was deleted.  The ``corpus --n 8`` reports were
+captured before ``check_charpar`` moved to point indices and the corpus
+generator to integer half-steps.  Commands run
 from inside ``tests/data`` so the ``input`` field of a report is the bare
 file name.
 """
@@ -53,6 +55,13 @@ CASES = {
         ["corpus", "--json", "--n", "6", "--seed", "7", "--inject-fault"],
         1,
     ),
+    **{
+        f"corpus_n8_seed{seed}{tag}.out": (
+            ["corpus", "--json", "--n", "8", "--seed", str(seed), *flags], code
+        )
+        for seed in (0, 3, 42)
+        for tag, flags, code in (("", [], 0), ("_fault", ["--inject-fault"], 1))
+    },
     "product3.maximize_generators.out": (
         ["maximize", "--json", "product3.json", "--downset", "product3_generators.json"],
         0,

@@ -292,6 +292,64 @@ def test_ranks_match_reference(seed):
         assert_ranks_match_reference(values)
 
 
+def slice_tables(seed):
+    """Tables on products (a nested one among them) with exact, tolerant and
+    mixed int/Fraction values."""
+    rng = random.Random(seed)
+    pick = lambda: rng.choice((
+        q.FinitePoset.chain(range(rng.randint(1, 4))),
+        q.FinitePoset.antichain(["p", "q", "r"][:rng.randint(1, 3)]),
+    ))
+    spaces = [
+        q.ProductSpace([pick() for _ in range(rng.randint(1, 3))]),
+        q.ProductSpace([q.ProductSpace([pick(), pick()]), pick()]),
+    ]
+    mixed = (0, 1, F(1), F(2, 2), F(1, 3), F(1, 3) + F(1, 10**30), 10**400, F(10**400))
+    for space in spaces:
+        points = list(space.points())
+        exact = {p: F(rng.randint(0, 6), 2) for p in points}
+        yield q.TabulatedUtility(space, exact)
+        yield q.TabulatedUtility(
+            space,
+            {p: float(v) + rng.choice((0.0, 4e-10)) for p, v in exact.items()},
+            scale=q.tolerant(1e-9),
+        )
+        yield q.TabulatedUtility(space, {p: rng.choice(mixed) for p in points})
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_slice_rank_table_matches_fresh_ranks(seed):
+    """A slice of a ranked table reads its values and ranks off the parent;
+    both match a slice built point by point and a fresh rank table of it."""
+    for u in slice_tables(seed):
+        space = u.space
+        u._ranks()
+        for axis, factor in enumerate(space.factors):
+            for x in space.points():
+                rest = space.delete(x, axis)
+                pu = q.partial_utility(u, rest, axis)
+                points = [space.substitute(rest, axis, t) for t in factor.elements]
+                assert list(pu.values) == list(factor.elements)
+                assert all(pu.values[t] is u.values[p] for t, p in zip(factor.elements, points))
+                got, fresh = pu._rank_table, _Ranks(list(pu.values.values()))
+                assert (got.rank, got.suffix, got.levels) == (fresh.rank, fresh.suffix, fresh.levels)
+                assert got.image == fresh.image
+
+
+def test_slice_of_an_unranked_table_ranks_nothing():
+    u = q.TabulatedUtility(q.grid_space(range(3), range(4)), {
+        p: F(min(p)) for p in q.grid_space(range(3), range(4)).points()
+    })
+    pu = q.partial_utility(u, (2,), 0)
+    parts = q.min_decompose(u, [(1, 1)], (2, 3))
+    assert u._rank_table is None and pu._rank_table is None
+    assert all(p._rank_table is None for p in parts)
+    assert [pu.value(t) for t in range(3)] == [F(0), F(1), F(2)]
+    assert [[p.value(t) for t in p.poset.elements] for p in parts] == [
+        [F(0), F(1), F(2)], [F(0), F(1), F(2), F(2)]
+    ]
+
+
 class CountedValue:
     """A totally ordered value that counts its comparisons."""
 
@@ -377,9 +435,9 @@ def count_builds(monkeypatch):
     built = Counter()
     build = q.TabulatedUtility._build_level_set
 
-    def counting(self, lam):
+    def counting(self, lam, r):
         built[lam] += 1
-        return build(self, lam)
+        return build(self, lam, r)
 
     monkeypatch.setattr(q.TabulatedUtility, "_build_level_set", counting)
     return built
