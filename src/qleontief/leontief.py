@@ -136,10 +136,13 @@ class _Ranks:
     elements of rank r or more, and ``suffix[len(image)]`` is 0: with shared
     objects the masks OR up per rank, else one running mask follows the
     sort.  ``levels[r]`` caches the level set at ``image[r]``, so a certifier
-    looks a value's level up by its rank.
+    looks a value's level up by its rank.  The rest is filled in on first
+    use: ``probes``, the default probe levels; ``regular``, whether every
+    level set at them is the up-set of its least element; and ``pairs``, the
+    oracle's first failing pairs of property Phi and of the meet identity.
     """
 
-    __slots__ = ("rank", "image", "suffix", "levels")
+    __slots__ = ("rank", "image", "suffix", "levels", "probes", "regular", "pairs")
 
     def __init__(self, values: Sequence):
         distinct = keys = values
@@ -183,6 +186,9 @@ class _Ranks:
         self.image = tuple(image)
         self.suffix = suffix
         self.levels: List[Optional[LevelSet]] = [None] * (r + 1)
+        self.probes: Optional[Tuple] = None
+        self.regular: Optional[bool] = None
+        self.pairs: Optional[Tuple] = None
 
     def restrict(self, indices: Iterable[int]) -> "_Ranks":
         """The rank table of the values at ``indices``, listed in that order:
@@ -198,6 +204,7 @@ class _Ranks:
         for k in range(len(met) - 2, -1, -1):
             suffix[k] |= suffix[k + 1]
         new.levels = [None] * len(met)
+        new.probes = new.regular = new.pairs = None
         return new
 
 
@@ -294,17 +301,21 @@ class TabulatedUtility(_Closure):
 
         On a finite domain level sets only change at these thresholds; scales
         without arithmetic (any totally ordered values work) probe the attained
-        values alone, which already decides every verdict.
+        values alone, which already decides every verdict.  The default
+        probes are made once per rank table; each call returns a new list.
         """
-        img = self.image()
-        probes = list(img)
-        for a, b in zip(img, img[1:]):
-            try:
-                probes.append((a + b) / 2)
-            except TypeError:
-                break
-        probes.extend(extra)
-        return sorted(set(probes))
+        t = self._ranks()
+        if t.probes is None:
+            img = t.image
+            probes = list(img)
+            for a, b in zip(img, img[1:]):
+                try:
+                    probes.append((a + b) / 2)
+                except TypeError:
+                    break
+            t.probes = tuple(sorted(set(probes)))
+        extra = tuple(extra)
+        return sorted(set(t.probes).union(extra)) if extra else list(t.probes)
 
     def level_set(self, lam) -> LevelSet:
         """The level set at ``lam``, built on first use and cached: by rank

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .leontief import TabulatedUtility
-from .order import Element, OrderError
+from .order import Element, FinitePoset, OrderError
 
 
 class InconsistencyError(AssertionError):
@@ -106,19 +106,30 @@ def certify_regular(
     finite domain the attained values sit among the probes, so regularity
     subsumes the quasi-Leontief property.
     """
+    probes = u.probe_levels(probe_levels)
     table: Dict[Any, Element] = {}
-    for lam in u.probe_levels(probe_levels):
+    failed = None
+    for lam in probes:
         level = u.level_set(lam)
         if level.detail:
-            return Certificate(False, "regular", witnesses=level.witnesses, detail=level.detail)
+            failed = level
+            break
         if level.least is not None:
             table[lam] = level.least
+    t = u._ranks()
+    if len(probes) == len(t.probes):  # no extra level beyond the default probes
+        t.regular = failed is None
+    if failed is not None:
+        return Certificate(False, "regular", witnesses=failed.witnesses, detail=failed.detail)
     return Certificate(True, "regular", dual_table=table, utility=u._certified_copy())
 
 
 def _is_regular(u: TabulatedUtility) -> bool:
-    """``certify_regular(u).ok``, read from the cached level sets."""
-    return not any(u.level_set(lam).detail for lam in u.probe_levels())
+    """``certify_regular(u).ok``, recorded on the rank table."""
+    t = u._ranks()
+    if t.regular is None:
+        t.regular = not any(u.level_set(lam).detail for lam in u.probe_levels())
+    return t.regular
 
 
 def check_isotone(u: TabulatedUtility) -> Certificate:
@@ -157,40 +168,94 @@ def _band_runs(u: TabulatedUtility) -> List[Tuple[int, int]]:
     return runs
 
 
-def _value_bands(u: TabulatedUtility) -> Tuple[List[int], List[int]]:
-    """Per element index, the rank of its value in the rank table; per rank r,
-    the band of image[r]: the mask of the elements whose value the scale counts
-    equal to it, read off the suffix masks of its run of ranks.
+_Pair = Tuple[int, int]
+_Meet = Tuple[int, int, int]  # (i, j, index of the meet)
+
+
+def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet]]:
+    """``(phi, meet)``, cached on the rank table: ``phi`` is the first index
+    pair (i, j), in row-major order of the pairs i <= j, at which property Phi
+    fails, and on an inf-semilattice ``meet`` is the first (i, j, m) with
+    u(m) != min(u(x_i), u(x_j)) at the meet m = x_i ^ x_j; None where the
+    property holds (``meet`` is None too on a poset without a total meet).
 
     Ranks order values like the values do, so min(u(x), u(y)) has rank
-    min(rank(x), rank(y)).
+    w = min(rank(x), rank(y)), and the band of rank w is the mask of the
+    elements whose value the scale counts equal to it, read off the suffix
+    masks of its run of ranks.  Phi holds at a pair iff down(x) & down(y)
+    meets that band.
     """
     t = u._ranks()
-    suffix = t.suffix
-    return t.rank, [suffix[lo] ^ suffix[hi] for lo, hi in _band_runs(u)]
+    if t.pairs is None:
+        runs = _band_runs(u)
+        bands = [t.suffix[lo] ^ t.suffix[hi] for lo, hi in runs]
+        if u.poset.is_inf_semilattice():
+            t.pairs = _meet_sweep(u.poset, t.rank, runs, bands)
+        else:
+            t.pairs = _phi_scan(u.poset, t.rank, bands), None
+    return t.pairs
 
 
-def check_property_phi(u: TabulatedUtility) -> Certificate:
-    """Every pair has a common lower bound attaining the min of their values:
-    down(x) & down(y) meets the band of min(u(x), u(y))."""
-    poset = u.poset
+def _meet_sweep(poset: FinitePoset, ranks: List[int], runs: List[Tuple[int, int]],
+                bands: List[int]) -> Tuple[Optional[_Pair], Optional[_Meet]]:
+    """Both first failures of ``_pair_failures`` from one pass over the upper
+    meet rows (``meet_rows``; a product combines them from its factor meets).
+
+    The meet identity holds at (i, j) iff the rank of the meet lies in the run
+    of w = min(rank i, rank j), and the run holds w itself, so a row passes in
+    bulk when its meet ranks equal the minimum ranks; only a row that does not
+    is scanned pair by pair.  down(x) & down(y) is down(x ^ y), so where the
+    identity holds the meet itself attains the minimum and Phi holds; where
+    it fails, Phi is one test, down(m) & band(w).
+    """
+    meet = None
+    for i, row in enumerate(poset.meet_rows()):
+        ri = ranks[i]
+        got = list(map(ranks.__getitem__, row))
+        want = [r if r < ri else ri for r in ranks[i:]]
+        if got == want:
+            continue
+        for j, (g, w) in enumerate(zip(got, want), i):
+            lo, hi = runs[w]
+            if lo <= g < hi:
+                continue
+            m = row[j - i]
+            if meet is None:
+                meet = (i, j, m)
+            if not poset._down[m] & bands[w]:
+                return (i, j), meet
+    return None, meet
+
+
+def _phi_scan(poset: FinitePoset, ranks: List[int], bands: List[int]) -> Optional[_Pair]:
+    """The first pair of ``_pair_failures`` at which Phi fails, testing the
+    common lower bounds of every pair."""
     down = poset._down
-    ranks, bands = _value_bands(u)
     n = len(ranks)
     for i in range(n):
         ri, di = ranks[i], down[i]
         for j in range(i, n):
             rj = ranks[j]
             if not di & down[j] & bands[rj if rj < ri else ri]:
-                x, y = poset.elements[i], poset.elements[j]
-                target = min(u.values[x], u.values[y])
-                return Certificate(
-                    False,
-                    "property-phi",
-                    witnesses=(x, y),
-                    detail=f"no common lower bound attains {target!r}",
-                )
-    return Certificate(True, "property-phi")
+                return i, j
+    return None
+
+
+def check_property_phi(u: TabulatedUtility) -> Certificate:
+    """Every pair has a common lower bound attaining the min of their values:
+    down(x) & down(y) meets the band of min(u(x), u(y)) (see
+    ``_pair_failures``)."""
+    phi = _pair_failures(u)[0]
+    if phi is None:
+        return Certificate(True, "property-phi")
+    x, y = (u.poset.elements[k] for k in phi)
+    target = min(u.values[x], u.values[y])
+    return Certificate(
+        False,
+        "property-phi",
+        witnesses=(x, y),
+        detail=f"no common lower bound attains {target!r}",
+    )
 
 
 def check_lower_bounded_level_sets(
@@ -200,8 +265,9 @@ def check_lower_bounded_level_sets(
 
     Level sets shrink as the level rises, and the lowest probe's level set
     holds every element, so this holds iff the domain has a least element.
-    On failure the witnesses are the first two elements, both in the level set
-    at the lowest probe.
+    On failure the witnesses are the first two minimal elements in element
+    order: both lie in the level set at the lowest probe, and two distinct
+    minimal elements have no common lower bound.
     """
     poset = u.poset
     if poset.is_filtered():
@@ -210,7 +276,7 @@ def check_lower_bounded_level_sets(
     return Certificate(
         False,
         "lower-bounded-level-sets",
-        witnesses=poset.elements[:2],
+        witnesses=poset.minimal(poset.elements)[:2],
         detail=f"level set at {lam!r} has no common lower bound",
     )
 
@@ -218,29 +284,13 @@ def check_lower_bounded_level_sets(
 def _meet_failure(u: TabulatedUtility):
     """The first pair (x, y), in row-major order of the index pairs i <= j,
     with u(x ^ y) != min(u(x), u(y)), as (x, y, u(x ^ y), min(u(x), u(y)));
-    None when the identity holds.  Needs a total meet.
-
-    The identity holds at (i, j) iff the rank of the meet lies in the band run
-    of min(rank i, rank j), and the run holds that rank itself.  So each upper
-    meet row (``meet_rows``; a product combines it from its factor meets)
-    passes in bulk when its meet ranks equal the minimum ranks; only a row
-    that does not is scanned for its first bad j.
-    """
-    poset = u.poset
-    ranks = u._ranks().rank
-    runs = _band_runs(u)
-    for i, row in enumerate(poset.meet_rows()):
-        ri = ranks[i]
-        got = [ranks[m] for m in row]
-        want = [r if r < ri else ri for r in ranks[i:]]
-        if got == want:
-            continue
-        for j, (g, w) in enumerate(zip(got, want), i):
-            lo, hi = runs[w]
-            if not lo <= g < hi:
-                x, y = poset.elements[i], poset.elements[j]
-                return x, y, u.values[poset.elements[row[j - i]]], min(u.values[x], u.values[y])
-    return None
+    None when the identity holds.  Needs a total meet; read off the meet
+    sweep of ``_pair_failures``."""
+    meet = _pair_failures(u)[1]
+    if meet is None:
+        return None
+    x, y, m = (u.poset.elements[k] for k in meet)
+    return x, y, u.values[m], min(u.values[x], u.values[y])
 
 
 def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:

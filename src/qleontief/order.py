@@ -117,6 +117,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _cycle_witness(els: Sequence[Element], succ: Sequence[Sequence[int]]) -> Tuple[Element, Element]:
+    """The lowest-index element x on a cycle of the cover lists ``succ``, and
+    the lowest-index y != x on a cycle through x: reachability is iterated to
+    a fixed point, which is slow but runs only when a cycle is known."""
+    n = len(els)
+    up = [1 << i for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            m = up[i]
+            for j in succ[i]:
+                m |= up[j]
+            if m != up[i]:
+                up[i] = m
+                changed = True
+    for i in range(n):
+        for j in _bits(up[i] & ~(1 << i)):
+            if up[j] >> i & 1:
+                return els[i], els[j]
+
+
 class FinitePoset:
     """A finite poset with a certified relation.
 
@@ -175,30 +197,47 @@ class FinitePoset:
     def from_covers(
         cls, elements: Sequence[Element], covers: Iterable[Tuple[Element, Element]]
     ) -> "FinitePoset":
-        """Build the reflexive-transitive closure of cover pairs (a covered-by b)."""
+        """Build the reflexive-transitive closure of cover pairs (a covered-by b).
+
+        One topological pass (Kahn's algorithm; a pair (a, a) is ignored)
+        closes both tables: along the order reversed, an element's up-set is
+        its own bit OR the up-sets of its covers; forwards, the down-sets
+        flow the same way.  When the pass cannot order every element there is
+        a cycle, and the witness is its lowest-index element with the
+        lowest-index other element on a cycle through it.
+        """
         els = list(elements)
         index = {e: i for i, e in enumerate(els)}
         if len(index) != len(els):
             raise OrderError("duplicate elements in ground set")
         n = len(els)
-        up = [1 << i for i in range(n)]
+        succ: List[List[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
         for a, b in covers:
             if a not in index or b not in index:
                 raise OrderError(f"cover mentions unknown element {a!r} or {b!r}")
-            up[index[a]] |= 1 << index[b]
-        for k in range(n):
-            kbit = 1 << k
-            upk = up[k]
-            for i in range(n):
-                if up[i] & kbit:
-                    up[i] |= upk
-        for i in range(n):
-            for j in _bits(up[i] & ~(1 << i)):
-                if up[j] & (1 << i):
-                    raise OrderError(
-                        f"antisymmetry violated, witness ({els[i]!r}, {els[j]!r})"
-                    )
-        return cls(els, up)
+            i, j = index[a], index[b]
+            if i != j:
+                succ[i].append(j)
+                indegree[j] += 1
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:  # grows while it is read
+            for j in succ[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        if len(order) < n:
+            a, b = _cycle_witness(els, succ)
+            raise OrderError(f"antisymmetry violated, witness ({a!r}, {b!r})")
+        up = [1 << i for i in range(n)]
+        down = up[:]
+        for i in reversed(order):
+            for j in succ[i]:
+                up[i] |= up[j]
+        for i in order:
+            for j in succ[i]:
+                down[j] |= down[i]
+        return cls(els, up, down)
 
     @classmethod
     def chain(cls, values: Sequence[Element]) -> "FinitePoset":

@@ -463,3 +463,36 @@ def test_corrupted_check_stops_at_the_first_bad_level(monkeypatch, capsys):
     capsys.readouterr()
     assert set(built.values()) == {1}
     assert len(built) < len(probes)
+
+
+class CountedSum(F):
+    """A Fraction that counts the sums it takes, so the midpoints a probe
+    list needs can be counted."""
+
+    sums = 0
+
+    def __add__(self, other):
+        CountedSum.sums += 1
+        return F.__add__(self, other)
+
+
+def test_probe_levels_and_regularity_are_made_once_per_rank_table(monkeypatch):
+    """``certify_regular`` then ``check_meet_homomorphism`` on one table
+    build its midpoints once, and the meet check reads the regularity
+    verdict that ``certify_regular`` recorded instead of bisecting again."""
+    space = q.grid_space(range(3), range(4))
+    u = q.TabulatedUtility(space, {p: CountedSum(min(p[0], 2 * p[1])) for p in space.points()})
+    k = len(u.image())
+    CountedSum.sums = 0
+    assert q.certify_regular(u).ok
+    assert CountedSum.sums == k - 1
+    looked_up = []
+    level_set = q.TabulatedUtility.level_set
+    monkeypatch.setattr(q.TabulatedUtility, "level_set",
+                        lambda self, lam: looked_up.append(lam) or level_set(self, lam))
+    assert q.check_meet_homomorphism(u).ok
+    assert CountedSum.sums == k - 1 and not looked_up
+    probes = u.probe_levels()
+    assert len(probes) == 2 * k - 1
+    probes.clear()  # a caller's list is its own
+    assert u.probe_levels() == sorted(u.probe_levels([F(99)]))[:-1] and len(u.probe_levels()) == 2 * k - 1

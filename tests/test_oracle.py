@@ -138,6 +138,16 @@ class TestLowerBoundedLevelSets:
         assert not cert.ok
         assert set(cert.witnesses) == {"a", "b"}
 
+    def test_witnesses_replay_when_two_elements_are_comparable(self):
+        """a < b and c isolated: the witnesses are the minimal a and c, not
+        the first two elements, and they have no common lower bound."""
+        poset = q.FinitePoset.from_covers(["a", "b", "c"], [("a", "b")])
+        u = q.TabulatedUtility(poset, {"a": F(0), "b": F(1), "c": F(0)})
+        cert = q.check_lower_bounded_level_sets(u)
+        assert not cert.ok and cert.witnesses == ("a", "c")
+        x, y = cert.witnesses
+        assert not poset.down_set(x) & poset.down_set(y)
+
     def test_empty_level_sets_are_vacuous(self):
         poset = q.FinitePoset.antichain(["a", "b"])
         u = q.TabulatedUtility(poset, {"a": F(1), "b": F(1)})

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,58 @@ class TestCheckPartialOrder:
     def test_from_covers_rejects_cycle(self):
         with pytest.raises(q.OrderError, match="antisymmetry"):
             FinitePoset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def ref_closure(n, covers):
+    """Up and down masks of the reflexive-transitive closure of index pairs,
+    by Warshall's loop, with the down masks transposed bit by bit."""
+    up = [1 << i for i in range(n)]
+    for a, b in covers:
+        up[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return up, down
+
+
+class TestFromCovers:
+    @given(st.integers(0, 2**32))
+    def test_closure_matches_warshall(self, seed):
+        """Random DAGs on shuffled elements, with repeated cover pairs,
+        self-loops and pairs the closure implies anyway."""
+        rng = random.Random(seed)
+        n = rng.randint(0, 40)
+        rank = list(range(n))
+        rng.shuffle(rank)  # the order runs along rank, not along the index
+        pairs = []
+        for _ in range(rng.randint(0, 3 * n)):
+            a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            pairs.append((a, b) if rank[a] < rank[b] else (b, a))
+        if n:
+            pairs += [(a, a) for a in rng.sample(range(n), rng.randint(0, n))]
+        up, down = ref_closure(n, pairs)
+        pairs += [(a, b) for a in range(n) for b in range(n) if up[a] >> b & 1 and rng.random() < 0.1]
+        pairs += rng.sample(pairs, len(pairs) // 4)
+        rng.shuffle(pairs)
+        els = [f"e{rank[i]}" for i in range(n)]
+        poset = FinitePoset.from_covers(els, [(els[a], els[b]) for a, b in pairs])
+        assert (poset._up, poset._down) == (up, down)
+
+    @pytest.mark.parametrize("els, covers, witness", [
+        ("ab", [("a", "b"), ("b", "a")], "('a', 'b')"),
+        ("ba", [("a", "b"), ("b", "a"), ("a", "a")], "('b', 'a')"),
+        ("xabc", [("x", "a"), ("a", "b"), ("b", "c"), ("c", "a")], "('a', 'b')"),
+        ("cbad", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")], "('c', 'b')"),
+        ("abcde", [("e", "d"), ("d", "e"), ("a", "b"), ("c", "b"), ("b", "c")], "('b', 'c')"),
+    ])
+    def test_cycle_witness(self, els, covers, witness):
+        """The lowest-index element on a cycle, and the lowest-index other
+        element on a cycle through it."""
+        with pytest.raises(q.OrderError) as info:
+            FinitePoset.from_covers(list(els), covers)
+        assert str(info.value) == f"antisymmetry violated, witness {witness}"
 
 
 class TestUpDownSets:

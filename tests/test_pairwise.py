@@ -6,12 +6,14 @@ same questions with a few big-int operations per pair: a meet is the highest
 common lower bound along a linear extension, and property Phi and the meet
 identity test one value band per pair.  A product takes its semilattice
 verdict and its meets from the factors instead, and tests the meet identity
-a row of meets at a time.  Verdicts, witnesses and detail texts
+a row of meets at a time.  On an inf-semilattice one sweep of the meet rows
+gives both property Phi and the meet identity.  Verdicts, witnesses and detail texts
 must agree exactly.  The pairwise filtering loop and the per-level common
 lower bound loop are kept too: the library asks for a least element instead.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -23,8 +25,12 @@ from hypothesis import given, strategies as st
 
 import qleontief as q
 from qleontief import corpus
+from qleontief.cli import main
 from qleontief.oracle import _meet_failure
 from qleontief.order import _bits
+
+
+DATA = Path(__file__).parent / "data"
 
 
 # -- references -------------------------------------------------------------------
@@ -89,7 +95,8 @@ def ref_isotone(u):
 
 def ref_lower_bounded_level_sets(u, probe_levels=()):
     """(ok, witnesses, detail): every nonempty level set at a probe level has a
-    common lower bound, found by intersecting its members' down-sets."""
+    common lower bound, found by intersecting its members' down-sets.  The
+    witnesses of a failure are its first two minimal members."""
     poset = u.poset
     for lam in u.probe_levels(probe_levels):
         idxs = list(_bits(u.level_set(lam).mask))
@@ -99,7 +106,8 @@ def ref_lower_bounded_level_sets(u, probe_levels=()):
         for i in idxs[1:]:
             m &= poset._down[i]
         if m == 0:
-            return (False, tuple(poset.elements[i] for i in idxs[:2]),
+            mins = [i for i in idxs if not any(j != i and poset._down[i] >> j & 1 for j in idxs)]
+            return (False, tuple(poset.elements[i] for i in mins[:2]),
                     f"level set at {lam!r} has no common lower bound")
     return True, (), ""
 
@@ -351,6 +359,113 @@ def test_factorwise_meet_failure_on_semilattice_products():
                 assert failure == ref_meet_failure(u)
                 outcomes.add((u.scale.kind, failure is None))
     assert outcomes == {(kind, ok) for kind in ("exact", "tolerant") for ok in (True, False)}
+
+
+# -- one meet sweep for property Phi and the meet identity ---------------------------
+
+
+DIVISORS = [d for d in range(1, 37) if 36 % d == 0]
+DIVISOR_COVERS = [(str(d), str(d * p)) for d in DIVISORS for p in (2, 3) if 36 % (d * p) == 0]
+
+
+def lattice_spaces():
+    """Inf-semilattices of each kind: chain products, plain lattices (one with
+    an index order that is no linear extension) and nested products."""
+    diamond = q.FinitePoset.from_covers(
+        ["top", "a", "b", "bot"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+    lattice36 = q.FinitePoset.from_covers([str(d) for d in DIVISORS], DIVISOR_COVERS)
+    grid = shuffled(corpus.derive_rng(0, "pairwise-sweep-grid"), q.grid_space(range(3), range(3)))
+    two, three = q.FinitePoset.chain(range(2)), q.FinitePoset.chain(range(3))
+    return [
+        q.grid_space(range(3), range(4)), q.grid_space(range(2), range(2), range(3)),
+        diamond, lattice36, grid,
+        q.ProductSpace([q.ProductSpace([three, diamond]), two]),
+        q.ProductSpace([two, q.ProductSpace([diamond, two])]),
+    ]
+
+
+def sweep_table(rng, space, kind):
+    """A regular table, an isotone or an arbitrary one, or a regular table
+    with one point raised (a dip below it: the meet identity fails there,
+    while property Phi may still hold)."""
+    if kind != "dip":
+        return make_table(rng, space, kind)
+    values = dict(make_table(rng, space, "regular"))
+    x = rng.choice(space.elements)
+    values[x] += F(rng.randint(1, 2), 2)
+    return values
+
+
+def test_meet_sweep_matches_the_separate_references():
+    """Property Phi and the meet identity read off one sweep of the meet rows
+    agree with the pairwise down-set reference and the pairwise meet
+    reference, in verdict, witness and detail, on both scales; every pairing
+    of the two verdicts that can occur does occur, and Phi never fails where
+    the identity holds.  The tolerant tables either share one float offset,
+    which keeps the scale transitive, or take an offset per value, so that
+    bands overlap without being transitive; the regularity cross-check of
+    ``check_meet_homomorphism`` holds only on the first kind."""
+    seen = set()
+    for k, space in enumerate(lattice_spaces()):
+        assert space.is_inf_semilattice()
+        for i in range(30):
+            rng = corpus.derive_rng(i, "pairwise-sweep", k)
+            values = sweep_table(rng, space, ("regular", "isotone", "arbitrary", "dip")[i % 4])
+            offset = rng.choice(JITTER)
+            tables = [
+                (True, q.TabulatedUtility(space, values)),
+                (True, q.TabulatedUtility(space, {e: float(v) + offset for e, v in values.items()},
+                                          scale=q.tolerant(rng.choice(TOLERANCES[:3])))),
+                (False, q.TabulatedUtility(space, {e: float(v) + rng.choice(JITTER) for e, v in values.items()},
+                                           scale=q.tolerant(rng.choice(TOLERANCES)))),
+            ]
+            for transitive, u in tables:
+                meet_first = rng.random() < 0.5  # either certifier may run the sweep
+                failure = _meet_failure(u) if meet_first else None
+                phi = q.check_property_phi(u)
+                failure = failure if meet_first else _meet_failure(u)
+                assert outcome(phi) == ref_property_phi(u)
+                assert failure == ref_meet_failure(u)
+                if transitive:
+                    meet = outcome(q.check_meet_homomorphism(u))
+                    if failure is None:
+                        assert meet == (True, (), "")
+                    else:
+                        x, y, got, want = failure
+                        assert meet == (False, (x, y), f"u({x!r} ^ {y!r})={got!r} != {want!r}")
+                seen.add((u.scale.kind, phi.ok, failure is None))
+    assert seen == {(kind, phi, meet) for kind in ("exact", "tolerant")
+                    for phi, meet in ((True, True), (True, False), (False, False))}
+
+
+def plain_semilattice_file(tmp_path):
+    """The divisors of 36, a 3 x 3 grid given as a plain poset, with the
+    regular table min(twos, threes)."""
+
+    def power(d, p):
+        return 0 if d % p else 1 + power(d // p, p)
+
+    path = tmp_path / "divisors.json"
+    path.write_text(json.dumps({
+        "type": "tabulated",
+        "poset": {"elements": [str(d) for d in DIVISORS], "covers": DIVISOR_COVERS},
+        "values": {str(d): str(min(power(d, 2), power(d, 3))) for d in DIVISORS},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("space_class", [q.ProductSpace, q.FinitePoset])
+def test_check_sweeps_the_meet_rows_once(space_class, tmp_path, monkeypatch, capsys):
+    """One ``check`` on an inf-semilattice reads the meet rows once, for
+    property Phi and the meet identity alike."""
+    path = str(DATA / "min_grid.json") if space_class is q.ProductSpace else plain_semilattice_file(tmp_path)
+    calls = []
+    meet_rows = space_class.meet_rows
+    monkeypatch.setattr(space_class, "meet_rows", lambda self: calls.append(self) or meet_rows(self))
+    assert main(["check", "--json", path]) == 0
+    props = [c["property"] for c in json.loads(capsys.readouterr().out)["certificates"]]
+    assert "property-phi" in props and "meet-homomorphism" in props
+    assert len(calls) == 1 and type(calls[0]) is space_class
 
 
 @pytest.mark.parametrize("seed", range(4))
