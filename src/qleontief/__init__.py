@@ -60,7 +60,6 @@ from .oracle import (
 )
 from .efficiency import (
     EfficiencySet,
-    PuResult,
     certified_partial,
     check_charpar,
     efficient_set,
@@ -69,7 +68,6 @@ from .efficiency import (
     minimality_witness,
     partial_dual_consistency,
     partial_utility,
-    pu_map,
 )
 from .maximize import (
     ArgmaxResult,

@@ -189,7 +189,7 @@ def cmd_efficient(args) -> int:
         "schema": SCHEMA,
         "command": "efficient",
         "input": args.utility,
-        "mode": eff.mode,
+        "mode": "global-chain",
         "points": pts,
         "ok": True,
     }

@@ -6,8 +6,7 @@ when nothing strictly below it keeps the value (brute force, certification
 free).  For individually quasi-Leontief utilities the two agree with
 membership in the product of axis-wise efficient sets, and check_charpar
 sweeps that equivalence by point index: one mask test for minimality, and
-one bit of each axis slice's efficient mask for membership.  ``pu_map``
-gives the same membership for one point as a tuple of axis-wise sets.
+one bit of each axis slice's efficient mask for membership.
 
 ``efficient_set`` reads a table's efficient points off its level records and
 tests a closed form (io keeps one only on a continuous box) at probe points.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from . import oracle
 from .leontief import (
@@ -28,10 +27,9 @@ from .order import Element, ProductSpace
 
 @dataclass(frozen=True)
 class EfficiencySet:
-    """Efficient points of one utility, with the mode they were computed in."""
+    """Efficient points of one utility."""
 
     points: Tuple
-    mode: str  # "global-chain" | "axis"
 
     def __contains__(self, x) -> bool:
         return x in self.points
@@ -85,7 +83,7 @@ def efficient_mask(u: TabulatedUtility) -> int:
     t = u._ranks()
     mask = 0
     for r, lam in enumerate(t.image):
-        rec = u._attained_level(r, lam)
+        rec = u._level(lam, r)
         if rec.least is None:
             raise LeastlessLevelSetError(lam, rec.witnesses)
         i = u.poset.index_of(rec.least)
@@ -108,11 +106,11 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
         pts = sorted(u.poset._unmask(mask), key=u.values.__getitem__)
         if not u.poset.is_chain(pts):
             raise InconsistencyError("efficient set of a certified utility is not a chain")
-        return EfficiencySet(tuple(pts), "global-chain")
+        return EfficiencySet(tuple(pts))
     if subset is None:
         raise UtilityError("closed-form efficient set needs explicit probes")
     pts = tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))
-    return EfficiencySet(pts, "global-chain")
+    return EfficiencySet(pts)
 
 
 def is_efficient_global(u, x) -> bool:
@@ -140,53 +138,6 @@ def minimality_witness(u: TabulatedUtility, x) -> Optional[Element]:
     i = poset.index_of(x)
     below = poset._down[i] & ~(1 << i) & u.level_of(i).mask
     return poset.elements[(below & -below).bit_length() - 1] if below else None
-
-
-@dataclass(frozen=True)
-class PuResult:
-    """Per-axis efficient sets E(u[x_-i], X_i) at one base point."""
-
-    axis_sets: Tuple[EfficiencySet, ...]
-    point: Tuple
-
-    def contains(self, x: Sequence) -> bool:
-        x = tuple(x)
-        return all(c in s for c, s in zip(x, self.axis_sets))
-
-    @property
-    def cardinality(self) -> int:
-        n = 1
-        for s in self.axis_sets:
-            n *= len(s)
-        return n
-
-
-def _axis_efficient_set(
-    u: TabulatedUtility,
-    rest: Tuple,
-    axis: int,
-    cache: Optional[Dict] = None,
-) -> EfficiencySet:
-    key = (axis, rest)
-    if cache is not None and key in cache:
-        return cache[key]
-    pu = certified_partial(u, rest, axis)
-    out = EfficiencySet(pu.poset._unmask(efficient_mask(pu)), "axis")
-    if cache is not None:
-        cache[key] = out
-    return out
-
-
-def pu_map(u: TabulatedUtility, x: Sequence, *, _cache: Optional[Dict] = None) -> PuResult:
-    """The product of axis-wise efficient sets at x; x is efficient iff it is
-    a member of its own image."""
-    space = _require_space(u)
-    x = space._check_point(x)
-    sets = []
-    for axis in range(space.n_axes):
-        rest = space.delete(x, axis)
-        sets.append(_axis_efficient_set(u, rest, axis, _cache))
-    return PuResult(tuple(sets), x)
 
 
 CHARPAR_LIMIT = 10_000

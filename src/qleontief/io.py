@@ -139,9 +139,9 @@ def poset_from_json(obj, *, base_dir: str = ".") -> FinitePoset:
     raise InputError("poset needs 'covers' or 'leq'")
 
 
-def _ids(raw, n=None) -> bool:  # JSON arrays and objects are unhashable, so not ids
+def _ids(raw, n=None) -> bool:  # arrays and objects are unhashable, null means no element
     return isinstance(raw, list) and (n is None or len(raw) == n) and not any(
-        isinstance(e, (list, dict)) for e in raw)
+        e is None or isinstance(e, (list, dict)) for e in raw)
 
 
 def _pairs(obj, field: str) -> list:

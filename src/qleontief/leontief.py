@@ -103,18 +103,25 @@ class _Closure:
 
 
 class LevelSet(NamedTuple):
-    """The upper level set {x : u(x) >= lam} of a tabulated utility.
+    """An upper level set {x : u(x) >= lam} of a tabulated utility.
 
     ``mask`` marks its members by element index and ``least`` is its least
-    element, if it has one.  ``detail`` is empty exactly when the set is
-    empty or equals up(least); otherwise it says why not, and ``witnesses``
-    replay it.
+    element, if it has one.  ``fault`` is empty exactly when the set is
+    empty or equals up(least); otherwise it says why not, free of the level,
+    and ``witnesses`` replay it.
     """
 
     mask: int
     least: Optional[Element]
     witnesses: Tuple = ()
-    detail: str = ""
+    fault: str = ""
+
+    def detail(self, lam) -> str:
+        """The fault as said of the level set at ``lam``; empty when none."""
+        return f"level set at {lam!r} {self.fault}" if self.fault else ""
+
+
+_EMPTY = LevelSet(0, None)
 
 
 _RATIONAL = {Fraction, int}
@@ -135,8 +142,9 @@ class _Ranks:
     leaves Fraction comparisons to float ties.  ``suffix[r]`` masks the
     elements of rank r or more, and ``suffix[len(image)]`` is 0: with shared
     objects the masks OR up per rank, else one running mask follows the
-    sort.  ``levels[r]`` caches the level set at ``image[r]``, so a certifier
-    looks a value's level up by its rank.  The rest is filled in on first
+    sort.  ``levels[s]`` caches the record of the suffix from rank s, which
+    every level whose set starts there reads; the empty suffix, s =
+    len(image), is the shared ``_EMPTY``.  The rest is filled in on first
     use: ``probes``, the default probe levels; ``regular``, whether every
     level set at them is the up-set of its least element; and ``pairs``, the
     oracle's first failing pairs of property Phi and of the meet identity.
@@ -243,7 +251,6 @@ class TabulatedUtility(_Closure):
         self.values = table
         self.scale = scale
         self.certified = False
-        self._levels: Dict[Any, LevelSet] = {}
         self._rank_table: Optional[_Ranks] = ranks
 
     @classmethod
@@ -318,29 +325,26 @@ class TabulatedUtility(_Closure):
         return sorted(set(t.probes).union(extra)) if extra else list(t.probes)
 
     def level_set(self, lam) -> LevelSet:
-        """The level set at ``lam``, built on first use and cached: by rank
-        when ``lam`` is an attained value, else by level."""
-        image = self._ranks().image
-        r = bisect_left(image, lam)
-        if r < len(image) and image[r] == lam:
-            return self._attained_level(r, lam)
-        rec = self._levels.get(lam)
-        if rec is None:
-            rec = self._levels[lam] = self._build_level_set(lam, r)
-        return rec
+        """The level set at ``lam`` (see ``_level``)."""
+        return self._level(lam, bisect_left(self._ranks().image, lam))
 
     def level_of(self, i: int) -> LevelSet:
         """The level set at the value of element index i, found by its rank."""
         t = self._ranks()
         r = t.rank[i]
-        return self._attained_level(r, t.image[r])
+        return self._level(t.image[r], r)
 
-    def _attained_level(self, r: int, lam) -> LevelSet:
-        """The level set at ``lam``, the value of rank ``r``."""
+    def _level(self, lam, r: int) -> LevelSet:
+        """The record of the level set at ``lam``, given r, the first rank at
+        or above ``lam``: built on first use and cached by the rank where its
+        suffix starts."""
+        s = self._level_start(lam, r)
         levels = self._rank_table.levels
-        rec = levels[r]
+        if s == len(levels):
+            return _EMPTY
+        rec = levels[s]
         if rec is None:
-            rec = levels[r] = self._build_level_set(lam, r)
+            rec = levels[s] = self._build_level_set(s)
         return rec
 
     def _level_start(self, lam, r: int) -> int:
@@ -350,21 +354,19 @@ class TabulatedUtility(_Closure):
         le(lam, v) is monotone in v on both scales (float addition rounds
         monotonically), so the level set is a suffix of the sorted values.  On
         the exact scale le is <=, so the suffix starts at r; a tolerant scale
-        can take in lower ranks, and a bisection finds the first.
+        can take in lower ranks, and a bisection below r finds the first.
         """
         if self.scale.kind == "exact":
             return r
         le = self.scale.le
-        return bisect_left(self._ranks().image, True, key=lambda v: le(lam, v))
+        return bisect_left(self._ranks().image, True, 0, r, key=lambda v: le(lam, v))
 
-    def _build_level_set(self, lam, r: int) -> LevelSet:
+    def _build_level_set(self, s: int) -> LevelSet:
         # The defining relation is the set equality u^-1(up(lam)) = up(m), not
         # bare least-element existence: a level set of a non-isotone table can
         # have a least element without being upward closed.
         poset = self.poset
-        mask = self._ranks().suffix[self._level_start(lam, r)]
-        if not mask:
-            return LevelSet(0, None)
+        mask = self._rank_table.suffix[s]
         up = poset._up
         least = None
         for i in _bits(mask):
@@ -374,20 +376,13 @@ class TabulatedUtility(_Closure):
         if least is None:
             down = poset._down
             mins = [poset.elements[i] for i in _bits(mask) if mask & down[i] == 1 << i]
-            return LevelSet(
-                mask, None, tuple(mins[:2]), f"level set at {lam!r} has no least element"
-            )
+            return LevelSet(mask, None, tuple(mins[:2]), "has no least element")
         m = poset.elements[least]
         outside = up[least] & ~mask
         if outside:
             y = poset.elements[(outside & -outside).bit_length() - 1]
-            return LevelSet(
-                mask,
-                m,
-                (m, y),
-                f"level set at {lam!r} is not the up-set of {m!r}: "
-                f"{y!r} lies above it with a smaller value",
-            )
+            return LevelSet(mask, m, (m, y), f"is not the up-set of {m!r}: "
+                                             f"{y!r} lies above it with a smaller value")
         return LevelSet(mask, m)
 
     def dual(self, lam) -> Optional[Element]:

@@ -163,6 +163,8 @@ class FinitePoset:
         self._index: Dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise OrderError("duplicate elements in ground set")
+        if None in self._index:
+            raise OrderError("None is not an element: it stands for no element")
         self._up: List[int] = list(up_masks)
         if _down_masks is None:
             down = [0] * len(self.elements)

@@ -110,6 +110,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == "error: poset needs an 'elements' list of strings or numbers\n"
 
+    @pytest.mark.parametrize("command", ["check", "efficient", "maximize"])
+    def test_null_poset_element_is_input_error(self, command, tmp_path, capsys):
+        # null would read as None, which stands for "no element"
+        poset = {"elements": [None, "a"], "covers": [[None, "a"]]}
+        bad = write(tmp_path, "null.json", {"poset": poset, "values": {"None": "0", "a": "1"}})
+        s = write(tmp_path, "s.json", {"generators": ["a"]})
+        extra = ["--downset", s] if command == "maximize" else []
+        assert main([command, bad, *extra]) == 2
+        assert capsys.readouterr().err == "error: poset needs an 'elements' list of strings or numbers\n"
+
     def test_non_numeric_price_entry_is_input_error(self, tmp_path, capsys):
         bad = write(tmp_path, "price.json", {"type": "price_matrix", "P": [["1", "x"], ["0", "1"]]})
         assert main(["check", bad]) == 2

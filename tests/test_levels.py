@@ -75,10 +75,10 @@ def assert_record_matches_reference(u):
         assert rec.least == (brute_least(level, u.poset.leq) if level else None)
         least, failure = ref_least_of_upper_set(u, lam)
         if failure is None:
-            assert (rec.witnesses, rec.detail) == ((), "")
+            assert (rec.witnesses, rec.detail(lam)) == ((), "")
             assert rec.least == least
         else:
-            assert (rec.witnesses, rec.detail) == failure
+            assert (rec.witnesses, rec.detail(lam)) == failure
 
 
 def assert_dual_matches_reference(u):
@@ -204,6 +204,30 @@ def test_certification_interior_and_efficient_set_match_reference(seed):
         assert q.efficient_set(cu, half).points == ref_efficient_set(u, half)
 
 
+def levels_between(u):
+    """Two levels strictly between each pair of consecutive attained values,
+    and a second level below and above the image."""
+    img = u.image()
+    return [img[0] - 2, img[-1] + 2] + [
+        a + k * (b - a) / 4 for a, b in zip(img, img[1:]) for k in (1, 3)
+    ]
+
+
+def assert_equal_level_sets_share_one_record(u):
+    first = {}
+    for lam in levels_to_probe(u) + levels_between(u):
+        rec = u.level_set(lam)
+        assert first.setdefault(rec.mask, rec) is rec
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_equal_level_sets_share_one_record(seed):
+    """A probe, a level between two ranks and a level off the image that
+    select the same elements read one record, on both scales."""
+    for u in utilities(seed) + [tolerant_table(seed)] + tolerant_steps(seed):
+        assert_equal_level_sets_share_one_record(u)
+
+
 # -- the rank table ---------------------------------------------------------------
 
 
@@ -231,6 +255,7 @@ def test_rank_table_on_small_tables():
     for u in tables:
         assert_rank_table_matches_reference(u, levels_to_probe(u))
         assert_record_matches_reference(u)
+        assert_equal_level_sets_share_one_record(u)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -432,27 +457,33 @@ def test_certified_copies_share_the_records(min_on_4x4):
 
 
 def count_builds(monkeypatch):
+    """Builds by the rank where the level set's suffix starts."""
     built = Counter()
     build = q.TabulatedUtility._build_level_set
 
-    def counting(self, lam, r):
-        built[lam] += 1
-        return build(self, lam, r)
+    def counting(self, s):
+        built[s] += 1
+        return build(self, s)
 
     monkeypatch.setattr(q.TabulatedUtility, "_build_level_set", counting)
     return built
 
 
-@pytest.mark.parametrize("name", ["min_grid", "plain_poset", "tolerant_power", "classical"])
-def test_check_builds_each_probe_level_once(name, monkeypatch, capsys):
+DISTINCT_LEVEL_SETS = {"min_grid": 4, "plain_poset": 2, "tolerant_power": 5, "classical": 6}
+
+
+@pytest.mark.parametrize("name", sorted(DISTINCT_LEVEL_SETS))
+def test_check_builds_each_distinct_level_set_once(name, monkeypatch, capsys):
+    """The probes give 2k - 1 levels for k attained values, but a level
+    between two ranks selects the same elements as one of them."""
     monkeypatch.chdir(DATA)
     u = utility_from_json(load_json(f"{name}.json"))  # a gridded form loads as its table
-    probes = u.probe_levels()
+    masks = {sum(1 << u.poset.index_of(x) for x in ref_level_set(u, lam)) for lam in u.probe_levels()}
     built = count_builds(monkeypatch)
     assert main(["check", "--json", f"{name}.json"]) == 0
     capsys.readouterr()
-    assert sorted(built) == probes
-    assert set(built.values()) == {1}
+    assert {u._ranks().suffix[s] for s in built} == masks - {0}
+    assert len(built) == DISTINCT_LEVEL_SETS[name] and set(built.values()) == {1}
 
 
 def test_corrupted_check_stops_at_the_first_bad_level(monkeypatch, capsys):

@@ -56,6 +56,17 @@ class TestCheckPartialOrder:
         with pytest.raises(q.OrderError, match="antisymmetry"):
             FinitePoset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
+    @pytest.mark.parametrize("build", [
+        lambda: FinitePoset.chain([None, "a"]),
+        lambda: FinitePoset.antichain(["a", None]),
+        lambda: FinitePoset.from_covers([None, "a"], [(None, "a")]),
+        lambda: FinitePoset.from_leq([None], [(None, None)]),
+    ])
+    def test_none_is_not_an_element(self, build):
+        # None stands for "no element": a bottom, a least element or a dual
+        with pytest.raises(q.OrderError, match="None is not an element"):
+            build()
+
 
 def ref_closure(n, covers):
     """Up and down masks of the reflexive-transitive closure of index pairs,

@@ -26,7 +26,7 @@ from hypothesis import given, strategies as st
 import qleontief as q
 from qleontief import corpus
 from qleontief.cli import main
-from qleontief.oracle import _meet_failure
+from qleontief.oracle import _is_regular, _meet_failure, _strictly_ordered
 from qleontief.order import _bits
 
 
@@ -403,9 +403,12 @@ def test_meet_sweep_matches_the_separate_references():
     of the two verdicts that can occur does occur, and Phi never fails where
     the identity holds.  The tolerant tables either share one float offset,
     which keeps the scale transitive, or take an offset per value, so that
-    bands overlap without being transitive; the regularity cross-check of
-    ``check_meet_homomorphism`` holds only on the first kind."""
+    bands overlap without being transitive.  ``check_meet_homomorphism``
+    returns the identity's verdict on both kinds: it cross-checks regularity
+    on every table of the first kind, and on the second only where the scale
+    orders the values strictly, since elsewhere the two can disagree."""
     seen = set()
+    disagree = 0
     for k, space in enumerate(lattice_spaces()):
         assert space.is_inf_semilattice()
         for i in range(30):
@@ -426,16 +429,31 @@ def test_meet_sweep_matches_the_separate_references():
                 failure = failure if meet_first else _meet_failure(u)
                 assert outcome(phi) == ref_property_phi(u)
                 assert failure == ref_meet_failure(u)
-                if transitive:
-                    meet = outcome(q.check_meet_homomorphism(u))
-                    if failure is None:
-                        assert meet == (True, (), "")
-                    else:
-                        x, y, got, want = failure
-                        assert meet == (False, (x, y), f"u({x!r} ^ {y!r})={got!r} != {want!r}")
+                meet = outcome(q.check_meet_homomorphism(u))
+                if failure is None:
+                    assert meet == (True, (), "")
+                else:
+                    x, y, got, want = failure
+                    assert meet == (False, (x, y), f"u({x!r} ^ {y!r})={got!r} != {want!r}")
+                assert _strictly_ordered(u) or not transitive
+                disagree += _is_regular(u) != (failure is None)
                 seen.add((u.scale.kind, phi.ok, failure is None))
     assert seen == {(kind, phi, meet) for kind in ("exact", "tolerant")
                     for phi, meet in ((True, True), (True, False), (False, False))}
+    assert disagree  # tables where the cross-check would raise are swept too
+
+
+def test_meet_check_on_values_within_the_tolerance():
+    """Values 1.1 and 1.0 at tolerance 0.1: ``le`` counts 1.1 <= 1.0, so the
+    table is regular, but ``eq`` tells them apart, so the meet identity fails
+    at (bot, a).  The check reports that failure instead of raising."""
+    diamond = q.FinitePoset.from_covers(
+        ["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+    u = q.TabulatedUtility(diamond, {"bot": 1.1, "a": 1.0, "b": 1.1, "top": 2.2},
+                           scale=q.tolerant(0.1))
+    assert q.certify_regular(u).ok and not _strictly_ordered(u)
+    cert = q.check_meet_homomorphism(u)
+    assert outcome(cert) == (False, ("bot", "a"), "u('bot' ^ 'a')=1.1 != 1.0")
 
 
 def plain_semilattice_file(tmp_path):
