@@ -263,7 +263,7 @@ def cmd_refine(args) -> int:
     S = product_downset(space, sets)
     cert = oracle.certify_quasi_leontief(u)
     cu = cert.utility if cert.ok else u
-    # the one walk of S: the default start, the maximum the sweep keeps and
+    # the one argmax over S: the default start, the maximum the sweep keeps and
     # the reported largest efficient point all come from this record
     res = argmax_over_downset(cu, S) if cert.ok else ArgmaxResult(*argmax_members(u, S))
     x_star = (res.maximizers[0] if args.start is None

@@ -47,7 +47,7 @@ from .leontief import (
     restrict,
     tabulate,
 )
-from .order import DownSet, FinitePoset, OrderError, ProductSpace, elem_key
+from .order import EXACT, DownSet, FinitePoset, OrderError, ProductSpace, elem_key
 
 
 class InputError(ValueError):
@@ -156,51 +156,67 @@ def resolve_element(space: FinitePoset, raw):
     return _reader(space)[0](raw)
 
 
-def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int]:
-    """``resolve_element`` on ``space``, and the number of comma parts in the
-    key of a point: one per coordinate of a tuple point.  On a product, both
+def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int, Callable[[Any], int]]:
+    """``resolve_element`` on ``space``, the number of comma parts in the key
+    of a point (one per coordinate of a tuple point), and ``locate``, which
+    reads a token to the index of its element.  On a product, the first two
     are worked out once per factor, and the product's tables are never built."""
     if not isinstance(space, ProductSpace):
         first = next(iter(space.elements), None)
         width = elem_key(first).count(",") + 1 if isinstance(first, tuple) else 1
-        return partial(_resolve_plain, space), width
-    readers, widths = zip(*map(_reader, space.factors))
+        locate = partial(_locate_plain, space)
+        return (lambda raw: space.elements[locate(raw)]), width, locate
+    readers, widths, _ = zip(*map(_reader, space.factors))
     ends = list(accumulate(widths))
-    # on plain factors with one part per coordinate, a part equal to an
-    # element is read by one lookup; any other part takes the full resolver
+    # on plain factors with one part per coordinate, a point whose parts are
+    # elements is read by one lookup per part: each factor maps its elements
+    # to their offsets in the product index, and the offsets add up to the
+    # point's index; any other part takes the full resolver
     plain = ends[-1] == len(readers) and not any(isinstance(f, ProductSpace) for f in space.factors)
-    lookups = [(f._index, f.elements) for f in space.factors] if plain else ()
+    if plain:
+        strides = space._strides()
+        offsets = [{e: i * s for e, i in f._index.items()} for f, s in zip(space.factors, strides)]
+        digits = [(f.elements, s, len(f)) for f, s in zip(space.factors, strides)]
 
-    def read(raw):
+    def parse(raw):
+        """The index of the point, if read by lookup, else the point read by
+        the factor resolvers (a tuple)."""
         if isinstance(raw, str):
             parts = raw.split(",")
-            if len(parts) != ends[-1]:
-                raise InputError(f"point {raw!r} has wrong arity")
-            if plain:
-                try:
-                    return tuple([els[index[c]] for (index, els), c in zip(lookups, parts)])
-                except KeyError:
-                    pass
-            elif ends[-1] != len(readers):  # a factor with wider keys takes more parts
-                parts = [",".join(parts[end - w:end]) for w, end in zip(widths, ends)]
+            arity = ends[-1]
         elif isinstance(raw, (list, tuple)):
-            parts = raw
-            if len(parts) != len(readers):
-                raise InputError(f"point {raw!r} has wrong arity")
+            parts, arity = raw, len(readers)
         else:
             raise InputError(f"cannot read product point from {raw!r}")
+        if len(parts) != arity:
+            raise InputError(f"point {raw!r} has wrong arity")
+        if plain:
+            try:
+                return sum(map(dict.__getitem__, offsets, parts))
+            except (KeyError, TypeError):  # an array part is unhashable
+                pass
+        elif arity != len(readers):  # a factor with wider keys takes more parts
+            parts = [",".join(parts[end - w:end]) for w, end in zip(widths, ends)]
         return tuple(r(c) for r, c in zip(readers, parts))
 
-    return read, ends[-1]
+    def read(raw):
+        p = parse(raw)
+        return p if isinstance(p, tuple) else tuple([els[p // s % n] for els, s, n in digits])
+
+    def locate(raw):
+        p = parse(raw)
+        return space.index_of(p) if isinstance(p, tuple) else p
+
+    return read, ends[-1], locate
 
 
-def _resolve_plain(space: FinitePoset, raw):
+def _locate_plain(space: FinitePoset, raw) -> int:
     try:
         i = space._index.get(raw)
     except TypeError:  # JSON arrays are unhashable, so never ids
         i = None
     if i is not None:
-        return space.elements[i]
+        return i
     found = space._by_key().get(elem_key(raw).strip(), ())
     if isinstance(raw, list):  # an array names only a tuple point
         found = [e for e in found if isinstance(e, tuple)]
@@ -208,7 +224,7 @@ def _resolve_plain(space: FinitePoset, raw):
         raise InputError(f"ambiguous element {raw!r}: matches {', '.join(map(repr, found))}")
     if not found:
         raise InputError(f"unknown element {raw!r}")
-    return found[0]
+    return space._index[found[0]]
 
 
 def downset_from_json(obj, space) -> DownSet:
@@ -322,25 +338,37 @@ def _list(obj: dict, field: str) -> list:
     return raw
 
 
+_EMPTY_SLOT = object()
+
+
 def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
+    """The table of a ``values`` object, written by element index into one
+    column: each key is read straight to its index (on a product of plain
+    factors, the mixed-radix number of its factor indices), so no dict keyed
+    by point is built before the table's own.  A slot is tested for a value
+    by identity: ``in`` would compare every value in the column."""
     space = poset_from_json(obj["poset"], base_dir=base_dir)
     raw_values = obj["values"]
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
-    read = _reader(space)[0]
-    values = {}
+    locate = _reader(space)[2]
+    column = [_EMPTY_SLOT] * len(space)
     parsed = {}  # each distinct raw value is parsed once; its type keeps true apart from 1
     for key, raw in raw_values.items():
-        e = read(key)
-        if e in values:
-            raise InputError(f"point {elem_key(e)!r} is named twice in 'values' (again as {key!r})")
+        i = locate(key)
+        if column[i] is not _EMPTY_SLOT:
+            raise InputError(f"point {elem_key(space.elements[i])!r} is named twice in 'values' "
+                             f"(again as {key!r})")
         try:
-            values[e] = parsed[type(raw), raw]
+            column[i] = parsed[type(raw), raw]
         except KeyError:
-            values[e] = parsed[type(raw), raw] = parse_rational(raw)
+            column[i] = parsed[type(raw), raw] = parse_rational(raw)
         except TypeError:  # an array or an object: refused with its own message
-            values[e] = parse_rational(raw)
-    return TabulatedUtility(space, values)
+            column[i] = parse_rational(raw)
+    if len(raw_values) < len(column):  # no key filled two slots, so some slot is empty
+        i = next(i for i, v in enumerate(column) if v is _EMPTY_SLOT)
+        raise UtilityError(f"no value for element {space.elements[i]!r}")
+    return TabulatedUtility._of_column(space, column, EXACT)
 
 
 def point_from_json(obj, space):

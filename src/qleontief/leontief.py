@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, check_size, tolerant
 
@@ -328,6 +328,26 @@ class TabulatedUtility(_Closure):
         """The level set at ``lam`` (see ``_level``)."""
         return self._level(lam, bisect_left(self._ranks().image, lam))
 
+    def level_sets(self, levels: Iterable) -> Iterator[LevelSet]:
+        """``level_set(lam)`` for each of ``levels``, in turn.
+
+        The first rank at or above a level is carried forward from the level
+        before, so ascending levels walk the image once: an attained value
+        (the image's own object) is found by identity, a level between two
+        ranks by a few comparisons, and a level below the one before by a
+        bisection below its rank.
+        """
+        img = self._ranks().image
+        r = 0
+        for lam in levels:
+            if r == len(img) or img[r] is not lam:
+                if r and not img[r - 1] < lam:
+                    r = bisect_left(img, lam, 0, r)
+                else:
+                    while r < len(img) and img[r] is not lam and img[r] < lam:
+                        r += 1
+            yield self._level(lam, r)
+
     def level_of(self, i: int) -> LevelSet:
         """The level set at the value of element index i, found by its rank."""
         t = self._ranks()
@@ -402,9 +422,8 @@ class TabulatedUtility(_Closure):
         """Probe levels (see ``probe_levels``) where the dual is defined."""
         if not self.certified:
             raise NotCertifiedError("dual requires a certified utility")
-        return tuple(
-            lam for lam in self.probe_levels(extra) if self.level_set(lam).least is not None
-        )
+        probes = self.probe_levels(extra)
+        return tuple(lam for lam, rec in zip(probes, self.level_sets(probes)) if rec.least is not None)
 
     def __repr__(self) -> str:
         tag = "certified" if self.certified else "uncertified"

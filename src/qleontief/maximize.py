@@ -5,14 +5,15 @@ largest efficient point inside the set, every maximizer dominates that point,
 and some maximizer is simultaneously maximal in the set.  The refinement
 sweep walks the axes of a product domain, replacing each coordinate of a
 maximizer by its partial interior, and lands on an efficient maximizer below
-the starting one.  ``argmax_members`` is the one walk over the members of a
-comprehensive set.  ``argmax_over_downset`` walks S once through it and
-returns one ``ArgmaxResult``: the maximum, the maximizers and the largest
-efficient point.  The localization check and ``efficient_refinement`` read
-that record instead of walking S again.
+the starting one.  ``argmax_members`` reads the maximum over a comprehensive
+set and its maximizers off the table's rank table.  ``argmax_over_downset``
+reads S once through it and returns one ``ArgmaxResult``: the maximum, the
+maximizers and the largest efficient point.  The localization check and
+``efficient_refinement`` read that record instead of walking S again.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,14 +57,29 @@ def argmax_members(u: TabulatedUtility, S: DownSet) -> Tuple[Any, Tuple]:
     """The maximum of u over a nonempty comprehensive set and the members
     that attain it on ``u.scale``, in member order.
 
-    Reads values only, so ``u`` need not be certified.
+    Read off the rank table: the top rank that meets S holds the maximum,
+    and the maximum is the value of the lowest-index member there (the one
+    ``max`` over the members would return).  The maximizers are the members
+    from the lowest rank the scale counts equal to it up: that rank itself
+    on the exact scale, and on a tolerant one the run below it, since
+    ``eq`` against the maximum is monotone in the value.  Reads values
+    only, so ``u`` need not be certified.
     """
-    members = S.sorted_members()
-    if not members:
+    poset = S.space
+    if poset != u.poset:
+        raise OrderError("down-set lives in a different poset")
+    if not S.mask:
         raise OrderError("empty down-set")
-    values = [u.value(x) for x in members]
-    best = max(values)
-    return best, tuple(x for x, v in zip(members, values) if u.scale.eq(v, best))
+    t = u._ranks()
+    suffix, image = t.suffix, t.image
+    top = bisect_left(range(len(image)), True, key=lambda r: not S.mask & suffix[r]) - 1
+    first = S.mask & suffix[top]
+    best = u.values[poset.elements[(first & -first).bit_length() - 1]]
+    lo = top
+    if u.scale.kind != "exact":
+        while lo and u.scale.eq(image[lo - 1], best):
+            lo -= 1
+    return best, poset._unmask(S.mask & suffix[lo])
 
 
 def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
@@ -73,10 +89,8 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     which lower-bounds every maximizer, and the maximizer that is maximal in
     the set (nothing else of S lies above it), ties broken by string form.
     """
-    poset = S.space
-    if poset != u.poset:
-        raise OrderError("down-set lives in a different poset")
     best, maximizers = argmax_members(u, S)
+    poset = S.space
     efficient = efficient_mask(u) & S.mask
     k = next((i for i in _bits(efficient) if efficient & ~poset._down[i] == 0), None)
     if k is None:

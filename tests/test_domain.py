@@ -97,6 +97,34 @@ def test_product_downset_is_the_product_of_the_factor_sets(spaces):
         assert q.product_downset(space, sets).mask == mask
 
 
+def small_factor_products():
+    """Chain, antichain and V-shaped factors, a one-element factor, a
+    single-factor product and nested products."""
+    chain = FinitePoset.chain(["0", "1", "2"])
+    antichain = FinitePoset.antichain(["p", "q"])
+    vee = FinitePoset.from_covers(["lo", "l", "r"], [("lo", "l"), ("lo", "r")])
+    one = FinitePoset.antichain(["o"])
+    P = q.ProductSpace
+    return [
+        P([chain]), P([vee]), P([one]), P([one, one]),
+        P([chain, antichain, vee]), P([vee, one, chain]), P([antichain, vee, one, vee]),
+        P([P([vee, chain]), antichain]), P([antichain, P([one, vee])]),
+        P([P([chain, vee]), P([antichain, chain])]), P([P([P([vee, one]), antichain])]),
+    ]
+
+
+@pytest.mark.parametrize("k", range(len(small_factor_products())))
+def test_product_tables_match_pointwise_leq(k):
+    """The rows multiplied from spread factor rows against the relation
+    read off ``leq`` bit by bit over the points."""
+    space = small_factor_products()[k]
+    pts = list(space.points())
+    up = [sum(1 << j for j, y in enumerate(pts) if space.leq(x, y)) for x in pts]
+    down = [sum(1 << j for j, y in enumerate(pts) if space.leq(y, x)) for x in pts]
+    assert space.as_poset().elements == tuple(pts)
+    assert (space._up, space._down) == (up, down)
+
+
 def test_factorwise_queries_build_no_tables(monkeypatch):
     chain = FinitePoset.chain(["0", "1", "2"])
     vee = FinitePoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])

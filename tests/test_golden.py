@@ -14,7 +14,11 @@ at each level, checked by hand.  The ``efficient`` reports on
 ``maximize`` report on ``plain_poset.json`` were captured before the
 per-element interior table was deleted.  The ``corpus --n 8`` reports were
 captured before ``check_charpar`` moved to point indices and the corpus
-generator to integer half-steps.  Commands run
+generator to integer half-steps.  The ``product4`` reports (``efficient``,
+``maximize --downset`` with members, and ``refine`` from a start above the
+result, on a 5^4 table) were captured before a product's tables were
+multiplied from factor rows spread once, a table file was read into an index
+column, and the maximum was read off the rank table.  Commands run
 from inside ``tests/data`` so the ``input`` field of a report is the bare
 file name.
 """
@@ -79,6 +83,17 @@ CASES = {
         ["refine", "--json", "product3.json", "--sets", "product3_axis1.json",
          "product3_axis2.json", "product3_axis3.json", "--start", "product3_start.json",
          "--order", "3,1,2"],
+        0,
+    ),
+    "product4.efficient.out": (["efficient", "--json", "product4.json"], 0),
+    "product4.maximize_members.out": (
+        ["maximize", "--json", "product4.json", "--downset", "product4_members.json"],
+        0,
+    ),
+    "product4.refine.out": (
+        ["refine", "--json", "product4.json", "--sets", "product4_axis1.json",
+         "product4_axis2.json", "product4_axis3.json", "product4_axis4.json",
+         "--start", "product4_start.json", "--order", "4,2,1,3"],
         0,
     ),
 }

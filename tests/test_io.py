@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 
 import qleontief as q
 from qleontief import io
+from qleontief.order import elem_key
 
 
 class TestRationals:
@@ -249,3 +251,98 @@ class TestDeterministicReports:
         b = io.dumps_report({"a": [2, 1], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+
+def ref_load_table(obj):
+    """The loader that keys each value by its point: every key read to its
+    element, the values gathered in a dict, and the table made from that."""
+    space = io.poset_from_json(obj["poset"])
+    values = {}
+    for key, raw in obj["values"].items():
+        e = io.resolve_element(space, key)
+        if e in values:
+            raise io.InputError(f"point {elem_key(e)!r} is named twice in 'values' (again as {key!r})")
+        values[e] = io.parse_rational(raw)
+    try:
+        return q.TabulatedUtility(space, values)
+    except q.UtilityError as exc:
+        raise io.InputError(f"invalid utility: {exc}") from None
+
+
+def load_outcome(load, obj):
+    """The error text, or each (point, value, type of value) and the image."""
+    try:
+        u = load(obj)
+    except io.InputError as exc:
+        return str(exc)
+    return [(e, v, type(v)) for e, v in u.values.items()], u.image()
+
+
+FACTORS = [
+    {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]},
+    {"elements": [0, 1], "covers": [[0, 1]]},
+    {"elements": ["lo", "l", "r"], "covers": [["lo", "l"], ["lo", "r"]]},
+    {"elements": ["a", 1, "1.5"], "covers": []},
+]
+
+
+def value_files(seed):
+    """Tables on products of one to three factors with string and numeric
+    ids, keyed in several spellings and orders, some with a point named
+    twice, a point missing, an unknown coordinate, a wrong arity or a bad
+    value."""
+    rng = random.Random(seed)
+    factors = [rng.choice(FACTORS) for _ in range(rng.randint(1, 3))]
+    points = list(product(*(f["elements"] for f in factors)))
+    spell = [lambda cs: ",".join(cs), lambda cs: " " + ",".join(cs), lambda cs: ", ".join(cs)]
+    keys = [rng.choice(spell)([str(c) for c in p]) for p in points]
+    fault = rng.choice(["none", "none", "twice", "missing", "unknown", "arity", "value"])
+    if fault == "twice":
+        keys.append(rng.choice(spell[1:])([str(c) for c in rng.choice(points)]))
+    elif fault == "missing":
+        keys.pop(rng.randrange(len(keys)))
+    elif fault == "unknown":
+        keys.append(",".join(["9"] * len(factors)))
+    elif fault == "arity":
+        keys.append(",".join(["0"] * (len(factors) + 1)))
+    rng.shuffle(keys)
+    values = {k: rng.choice(["0", "1/2", 1, "2/2", "3"]) for k in keys}
+    if fault == "value":
+        values[rng.choice(keys)] = "x"
+    return {"poset": {"product": factors}, "values": values}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_column_load_matches_the_keyed_loader(seed):
+    obj = value_files(seed)
+    assert load_outcome(io.utility_from_json, obj) == load_outcome(ref_load_table, obj)
+
+
+@pytest.mark.parametrize("values, err", [
+    ({"0,0": "1", "0,1": "2", "1,0": "3", "1, 1": "4", "1,1": "5"},
+     "point '1,1' is named twice in 'values' (again as '1,1')"),
+    ({"0,0": "1", "1,1": "2", "1,0": "3"}, "invalid utility: no value for element ('0', 1)"),
+    ({"0,0": "1", "0,7": "2"}, "unknown element '7'"),
+    ({"0,0": "1", "0": "2"}, "point '0' has wrong arity"),
+])
+def test_column_load_errors(values, err):
+    # string ids on the first axis, numeric ids on the second
+    obj = {"poset": {"product": [{"elements": ["0", "1"], "covers": [["0", "1"]]}, FACTORS[1]]},
+           "values": values}
+    with pytest.raises(io.InputError) as exc:
+        io.utility_from_json(obj)
+    assert str(exc.value) == err == load_outcome(ref_load_table, obj)
+
+
+def test_locate_reads_nested_product_points():
+    chain, vee, pair = (q.FinitePoset.chain(["0", "1"]),
+                        q.FinitePoset.from_covers(["lo", "l", "r"], [("lo", "l"), ("lo", "r")]),
+                        q.FinitePoset.antichain(["p", 3]))
+    space = q.ProductSpace([q.ProductSpace([chain, vee]), pair, q.ProductSpace([pair])])
+    read, width, locate = io._reader(space)
+    assert width == 4
+    for i, x in enumerate(space.elements):
+        (c, v), a, (b,) = x
+        for token in (elem_key(x), f"{c}, {v},{a},{b}", [[c, v], a, [b]], [f"{c},{v}", str(a), str(b)]):
+            assert locate(token) == i
+            assert read(token) == x

@@ -518,12 +518,76 @@ def test_probe_levels_and_regularity_are_made_once_per_rank_table(monkeypatch):
     assert q.certify_regular(u).ok
     assert CountedSum.sums == k - 1
     looked_up = []
-    level_set = q.TabulatedUtility.level_set
+    level_set, level_sets = q.TabulatedUtility.level_set, q.TabulatedUtility.level_sets
     monkeypatch.setattr(q.TabulatedUtility, "level_set",
                         lambda self, lam: looked_up.append(lam) or level_set(self, lam))
+    monkeypatch.setattr(q.TabulatedUtility, "level_sets",
+                        lambda self, levels: looked_up.append(levels) or level_sets(self, levels))
     assert q.check_meet_homomorphism(u).ok
     assert CountedSum.sums == k - 1 and not looked_up
     probes = u.probe_levels()
     assert len(probes) == 2 * k - 1
     probes.clear()  # a caller's list is its own
     assert u.probe_levels() == sorted(u.probe_levels([F(99)]))[:-1] and len(u.probe_levels()) == 2 * k - 1
+
+
+def walks(u, rng):
+    """Level lists for ``level_sets``: the probes ascending, descending and
+    shuffled, with levels off the image, attained values as other objects
+    equal to them, and repeats."""
+    probes = levels_to_probe(u)
+    img = u.image()
+    extra = probes + [F(v) if isinstance(v, int) else v + 0 for v in img] + rng.sample(probes, 3)
+    shuffled = rng.sample(extra, len(extra))
+    return [probes, probes[::-1], shuffled, sorted(shuffled), []]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_level_walk_matches_one_level_at_a_time(seed):
+    rng = random.Random(seed)
+    for u in utilities(seed) + [tolerant_table(seed % 5)]:
+        for levels in walks(u, rng):
+            got = list(u.level_sets(levels))
+            assert len(got) == len(levels)
+            assert all(rec is u.level_set(lam) for lam, rec in zip(levels, got))
+
+
+def test_level_walk_on_a_float_midpoint_merged_into_a_neighbour():
+    # neighbouring floats have no float between them: each midpoint rounds
+    # onto a neighbour and the probe list merges it away, so probe 2r is not
+    # image[r]
+    lo, hi = 1 + 2 ** -52, 1 + 2 ** -51
+    u = q.TabulatedUtility(q.FinitePoset.chain("abc"), {"a": 1.0, "b": lo, "c": hi}, scale=q.tolerant(0))
+    assert (1.0 + lo) / 2 == 1.0 and (lo + hi) / 2 == hi
+    probes = u.probe_levels()
+    assert probes == [1.0, lo, hi]
+    assert [rec.least for rec in u.level_sets(probes)] == ["a", "b", "c"]
+    assert q.certify_regular(u).dual_table == {1.0: "a", lo: "b", hi: "c"}
+
+
+class CountedLess(F):
+    """A Fraction that counts the comparisons it makes as the left operand."""
+
+    compares = 0
+
+    def __lt__(self, other):
+        CountedLess.compares += 1
+        return F.__lt__(self, other)
+
+
+def test_ascending_probes_cost_at_most_three_comparisons_per_gap():
+    """``certify_regular`` walks its probes in order: an attained value is
+    found by identity and a midpoint by at most three comparisons, where a
+    bisection per probe takes about log2 of the image size each."""
+    chain = q.FinitePoset.chain(range(64))
+    u = q.TabulatedUtility(chain, {t: CountedLess(t) for t in chain.elements})
+    k = len(u.image())
+    probes = u.probe_levels()
+    assert len(probes) == 2 * k - 1
+    CountedLess.compares = 0
+    assert q.certify_regular(u).ok
+    assert CountedLess.compares <= 3 * (k - 1)
+    CountedLess.compares = 0
+    for lam in probes:
+        u.level_set(lam)
+    assert CountedLess.compares > 8 * (k - 1)

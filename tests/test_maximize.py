@@ -102,6 +102,61 @@ class TestArgmaxOverDownset:
         assert p.greatest(fixed) == res.largest_efficient
 
 
+def ref_argmax_members(u, S):
+    """The walk over the members: the first maximal value in member order,
+    and the members the scale counts equal to it."""
+    members = S.sorted_members()
+    values = [u.value(x) for x in members]
+    best = max(values)
+    return best, tuple(x for x, v in zip(members, values) if u.scale.eq(v, best))
+
+
+def argmax_tables(seed):
+    """Exact isotone and arbitrary tables, tolerant tables whose values sit
+    within the tolerance of each other, and tables mixing equal ints and
+    Fractions, each with a few down-sets."""
+    rng = corpus.derive_rng(seed, "argmax-members")
+    poset = corpus.random_poset(rng, 10, with_bottom=rng.random() < 0.5)
+    space = corpus.random_product_of_chains(rng)
+    tables = [
+        corpus.random_isotone_utility(rng, poset),
+        corpus.random_isotone_utility(rng, space),
+        q.TabulatedUtility(poset, {e: F(rng.randint(0, 4), 2) for e in poset.elements}),
+        q.TabulatedUtility(space, {e: rng.choice((1, F(1), 2, F(2), F(3, 2))) for e in space.points()}),
+    ]
+    for tol in (0.1, 0.25):
+        for dom in (poset, space):
+            vals = {e: rng.choice((0.0, 0.1, 0.2, 0.3, 0.35, 1.0, 1.1)) for e in dom.elements}
+            tables.append(q.TabulatedUtility(dom, vals, scale=q.tolerant(tol)))
+    return [(u, corpus.random_downset(rng, u.poset)) for u in tables for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_argmax_members_matches_the_member_walk(seed):
+    for u, S in argmax_tables(seed):
+        for table in (u, q.certify_quasi_leontief(u).utility or u):
+            best, maximizers = q.argmax_members(table, S)
+            want_best, want = ref_argmax_members(table, S)
+            assert maximizers == want
+            assert best is want_best  # the same object: 1 and Fraction(1) print apart
+
+
+def test_argmax_members_keeps_the_first_of_equal_values():
+    chain = q.FinitePoset.chain(range(4))
+    u = q.TabulatedUtility(chain, {0: 0, 1: F(2), 2: 2, 3: F(2)})
+    best, maximizers = q.argmax_members(u, q.DownSet.from_generators(chain, [3]))
+    assert (type(best), maximizers) == (F, (1, 2, 3))
+    best, _ = q.argmax_members(u, q.DownSet.from_members(chain, [0]))
+    assert type(best) is int
+
+
+def test_argmax_members_on_a_tolerant_run_below_the_maximum():
+    chain = q.FinitePoset.chain("abcd")
+    u = q.TabulatedUtility(chain, {"a": 0.0, "b": 0.8, "c": 0.9, "d": 1.0}, scale=q.tolerant(0.15))
+    assert q.argmax_members(u, q.DownSet.from_generators(chain, ["d"])) == (1.0, ("c", "d"))
+    assert q.argmax_members(u, q.DownSet.from_generators(chain, ["c"])) == (0.9, ("b", "c"))
+
+
 class TestArgmaxViaGenerators:
     def test_classical_two_generators(self):
         u = q.classical_leontief([F(1), F(2)], q.Box.integer_grid(2, 0, 4))

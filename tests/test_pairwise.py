@@ -456,6 +456,20 @@ def test_meet_check_on_values_within_the_tolerance():
     assert outcome(cert) == (False, ("bot", "a"), "u('bot' ^ 'a')=1.1 != 1.0")
 
 
+def test_characterization_equivalence_on_values_within_the_tolerance():
+    """On the same diamond the three characterizations disagree, as they may
+    where the scale does not order the attained values strictly: the
+    cross-check passes and reports each side."""
+    diamond = q.FinitePoset.from_covers(
+        ["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+    u = q.TabulatedUtility(diamond, {"bot": 1.1, "a": 1.0, "b": 1.1, "top": 2.2},
+                           scale=q.tolerant(0.1))
+    cert = q.check_characterization_equivalence(u)
+    sides = {"definition": True, "isotone+phi+lower-bounded": False, "meet-homomorphism": False}
+    assert (cert.ok, cert.witnesses, cert.data) == (True, (), {"sides": sides})
+    assert cert.detail == ", ".join(f"{k}={v}" for k, v in sides.items())
+
+
 def plain_semilattice_file(tmp_path):
     """The divisors of 36, a 3 x 3 grid given as a plain poset, with the
     regular table min(twos, threes)."""
