@@ -327,7 +327,7 @@ def cmd_decompose(args) -> int:
         "command": "decompose",
         "input": args.utility,
         "factors": [
-            {elem_key(e): encode_value(v) for e, v in p.values.items()} for p in parts
+            {elem_key(e): encode_value(v) for e, v in zip(p.poset.elements, p.column)} for p in parts
         ],
         "identity": {
             "ok": not bad,

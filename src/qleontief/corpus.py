@@ -9,10 +9,10 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .leontief import TabulatedUtility
-from .order import EXACT, DownSet, Element, FinitePoset, ProductSpace, _bits
+from .order import EXACT, DownSet, FinitePoset, ProductSpace, _bits
 
 
 def derive_rng(seed: int, *tags) -> random.Random:
@@ -92,11 +92,9 @@ def random_quasileontief_utility(
     for _ in chain:
         levels.append(level)
         level += Fraction(rng.randint(1, 3), 2)
-    values: Dict[Element, Fraction] = {}
-    for x in poset.elements:
-        vals = [levels[i] for i, e in enumerate(chain) if poset.leq(e, x)]
-        values[x] = max(vals)
-    return TabulatedUtility(poset, values)
+    column = [max([levels[i] for i, e in enumerate(chain) if poset.leq(e, x)])
+              for x in poset.elements]
+    return TabulatedUtility._of_column(poset, column, EXACT)
 
 
 def random_downset(rng: random.Random, poset: FinitePoset) -> DownSet:

@@ -102,8 +102,8 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
     if isinstance(u, TabulatedUtility):
         mask = efficient_mask(u)
         if subset is not None:
-            mask &= u.poset._mask(map(u._norm, subset))
-        pts = sorted(u.poset._unmask(mask), key=u.values.__getitem__)
+            mask &= sum({1 << i for i in map(u._index_of, subset)})
+        pts = sorted(u.poset._unmask(mask), key=u.value)
         if not u.poset.is_chain(pts):
             raise InconsistencyError("efficient set of a certified utility is not a chain")
         return EfficiencySet(tuple(pts))
@@ -116,7 +116,7 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
 def is_efficient_global(u, x) -> bool:
     """True iff the interior map fixes x."""
     if isinstance(u, TabulatedUtility):
-        return u.interior(x) == u._norm(x)
+        return u.interior(x) == u.poset.elements[u._index_of(x)]
     ix = u.interior(x)
     return all(u.scale.eq(a, b) for a, b in zip(ix, tuple(x)))
 
@@ -133,9 +133,7 @@ def is_efficient_minimal(u: TabulatedUtility, x) -> bool:
 def minimality_witness(u: TabulatedUtility, x) -> Optional[Element]:
     """The lowest-index point strictly below x with value >= u(x), or None
     when x is minimal."""
-    x = u._norm(x)
-    poset = u.poset
-    i = poset.index_of(x)
+    poset, i = u.poset, u._index_of(x)
     below = poset._down[i] & ~(1 << i) & u.level_of(i).mask
     return poset.elements[(below & -below).bit_length() - 1] if below else None
 

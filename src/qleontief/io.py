@@ -47,7 +47,7 @@ from .leontief import (
     restrict,
     tabulate,
 )
-from .order import EXACT, DownSet, FinitePoset, OrderError, ProductSpace, elem_key
+from .order import EXACT, DownSet, FinitePoset, OrderError, ProductSpace, check_size, elem_key
 
 
 class InputError(ValueError):
@@ -174,9 +174,7 @@ def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int, Callable[[An
     # point's index; any other part takes the full resolver
     plain = ends[-1] == len(readers) and not any(isinstance(f, ProductSpace) for f in space.factors)
     if plain:
-        strides = space._strides()
-        offsets = [{e: i * s for e, i in f._index.items()} for f, s in zip(space.factors, strides)]
-        digits = [(f.elements, s, len(f)) for f, s in zip(space.factors, strides)]
+        offsets = [{e: i * s for e, i in f._index.items()} for f, s in zip(space.factors, space._strides())]
 
     def parse(raw):
         """The index of the point, if read by lookup, else the point read by
@@ -201,7 +199,7 @@ def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int, Callable[[An
 
     def read(raw):
         p = parse(raw)
-        return p if isinstance(p, tuple) else tuple([els[p // s % n] for els, s, n in digits])
+        return p if isinstance(p, tuple) else space.point(p)
 
     def locate(raw):
         p = parse(raw)
@@ -343,21 +341,21 @@ _EMPTY_SLOT = object()
 
 def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     """The table of a ``values`` object, written by element index into one
-    column: each key is read straight to its index (on a product of plain
-    factors, the mixed-radix number of its factor indices), so no dict keyed
-    by point is built before the table's own.  A slot is tested for a value
-    by identity: ``in`` would compare every value in the column."""
+    column: each key is read to its index (on a product of plain factors,
+    the mixed-radix number of its factor indices), and an error names its
+    point by ``point``, with no product table built.  A slot is tested for a
+    value by identity: ``in`` would compare every value in the column."""
     space = poset_from_json(obj["poset"], base_dir=base_dir)
     raw_values = obj["values"]
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
     locate = _reader(space)[2]
-    column = [_EMPTY_SLOT] * len(space)
+    column = [_EMPTY_SLOT] * check_size(len(space))
     parsed = {}  # each distinct raw value is parsed once; its type keeps true apart from 1
     for key, raw in raw_values.items():
         i = locate(key)
         if column[i] is not _EMPTY_SLOT:
-            raise InputError(f"point {elem_key(space.elements[i])!r} is named twice in 'values' "
+            raise InputError(f"point {elem_key(space.point(i))!r} is named twice in 'values' "
                              f"(again as {key!r})")
         try:
             column[i] = parsed[type(raw), raw]
@@ -367,7 +365,7 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
             column[i] = parse_rational(raw)
     if len(raw_values) < len(column):  # no key filled two slots, so some slot is empty
         i = next(i for i, v in enumerate(column) if v is _EMPTY_SLOT)
-        raise UtilityError(f"no value for element {space.elements[i]!r}")
+        raise UtilityError(f"no value for element {space.point(i)!r}")
     return TabulatedUtility._of_column(space, column, EXACT)
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product as _iproduct
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, check_size, tolerant
+from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, _point, check_size, tolerant
 
 
 class UtilityError(ValueError):
@@ -175,25 +176,33 @@ class _Ranks:
                 prev = k
                 r += 1
             rank[i] = r
-        suffix = [0] * (r + 2)
+        suffix = None
         if len(distinct) < len(values):
-            # each element takes its object's rank; the masks OR up per rank,
-            # then down the ranks, with no second sort of the elements; when
-            # no object is shared, the running mask below ORs half as often
+            # each element takes its object's rank, with no second sort of the
+            # elements; when no object is shared, the running mask below ORs
+            # half as often as the masks of ``_fill``
             rank = list(map(dict(zip(objects, rank)).__getitem__, map(id, values)))
-            for i, k in enumerate(rank):
-                suffix[k] |= 1 << i
-            for k in range(r - 1, -1, -1):
-                suffix[k] |= suffix[k + 1]
         else:
+            suffix = [0] * (r + 2)
             mask = 0
             for i in reversed(order):
                 mask |= 1 << i
                 suffix[rank[i]] = mask
+        self._fill(rank, image, suffix)
+
+    def _fill(self, rank: List[int], image: Sequence, suffix: Optional[List[int]]) -> None:
+        """Set the table; a ``suffix`` not given ORs up per rank, then down the ranks."""
+        image = tuple(image)
+        if suffix is None:
+            suffix = [0] * (len(image) + 1)
+            for i, k in enumerate(rank):
+                suffix[k] |= 1 << i
+            for k in range(len(image) - 2, -1, -1):
+                suffix[k] |= suffix[k + 1]
         self.rank = rank
-        self.image = tuple(image)
+        self.image = image
         self.suffix = suffix
-        self.levels: List[Optional[LevelSet]] = [None] * (r + 1)
+        self.levels: List[Optional[LevelSet]] = [None] * len(image)
         self.probes: Optional[Tuple] = None
         self.regular: Optional[bool] = None
         self.pairs: Optional[Tuple] = None
@@ -204,15 +213,8 @@ class _Ranks:
         sub = [self.rank[i] for i in indices]
         met = sorted(set(sub))
         new = object.__new__(_Ranks)
-        new.rank = rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
-        new.image = tuple(map(self.image.__getitem__, met))
-        new.suffix = suffix = [0] * (len(met) + 1)
-        for i, k in enumerate(rank):
-            suffix[k] |= 1 << i
-        for k in range(len(met) - 2, -1, -1):
-            suffix[k] |= suffix[k + 1]
-        new.levels = [None] * len(met)
-        new.probes = new.regular = new.pairs = None
+        rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
+        new._fill(rank, map(self.image.__getitem__, met), None)
         return new
 
 
@@ -224,7 +226,8 @@ class TabulatedUtility(_Closure):
     Interior and dual queries require certification; the oracle module
     produces certified copies, it never mutates.  Every question about the
     order of the values reads one rank table (``_ranks``): the image, the
-    level sets and the oracle's value bands.
+    level sets and the oracle's value bands.  The values are held once, as
+    ``column``, listed by element index; ``values`` is a keyed view of it.
     """
 
     def __init__(
@@ -238,17 +241,17 @@ class TabulatedUtility(_Closure):
         if space is not None and space is not poset:
             raise UtilityError("space must be the domain poset itself")
         try:
-            table = {e: values[e] for e in poset.elements}
+            column = [values[e] for e in poset.elements]
         except KeyError as exc:
             raise UtilityError(f"no value for element {exc.args[0]!r}") from None
-        if len(table) < len(values):  # every element has its value, so the rest are extra
-            extra = next(e for e in values if e not in table)
+        if len(column) < len(values):  # every element has its value, so the rest are extra
+            extra = next(e for e in values if e not in poset)
             raise UtilityError(f"value for unknown element {extra!r}")
-        self._fill(poset, table, scale)
+        self._fill(poset, column, scale)
 
-    def _fill(self, poset, table, scale, ranks=None) -> None:
+    def _fill(self, poset, column, scale, ranks=None) -> None:
         self.poset = poset
-        self.values = table
+        self.column: List = column
         self.scale = scale
         self.certified = False
         self._rank_table: Optional[_Ranks] = ranks
@@ -260,8 +263,13 @@ class TabulatedUtility(_Closure):
         which is complete by construction; ``ranks`` is its rank table, if
         known."""
         new = object.__new__(cls)
-        new._fill(poset, dict(zip(poset.elements, column)), scale, ranks)
+        new._fill(poset, column, scale, ranks)
         return new
+
+    @property
+    def values(self) -> Dict[Element, Any]:
+        """The values keyed by element, in element order: a new dict on each read."""
+        return dict(zip(self.poset.elements, self.column))
 
     @property
     def space(self) -> Optional[ProductSpace]:
@@ -275,27 +283,21 @@ class TabulatedUtility(_Closure):
         new.certified = True
         return new
 
-    def _norm(self, x: Element) -> Element:
+    def _index_of(self, x: Element) -> int:
+        """The element index of the point x, which may arrive as a list."""
         try:
-            if x in self.values:
-                return x
-        except TypeError:
-            pass
-        # product points may arrive as lists
-        if self.space is not None:
-            t = tuple(x)
-            if t in self.values:
-                return t
-        raise DomainError(f"point {x!r} outside domain")
+            return self.poset._index[_point(x)]
+        except (KeyError, TypeError):
+            raise DomainError(f"point {x!r} outside domain") from None
 
     def value(self, x: Element):
-        return self.values[self._norm(x)]
+        return self.column[self._index_of(x)]
 
     def _ranks(self) -> _Ranks:
         """The rank table of the values, built on first use and shared with
         certified copies."""
         if self._rank_table is None:
-            self._rank_table = _Ranks(list(self.values.values()))
+            self._rank_table = _Ranks(self.column)
         return self._rank_table
 
     def image(self) -> Tuple:
@@ -434,7 +436,7 @@ def constant_utility(poset: FinitePoset, level) -> TabulatedUtility:
     """Constant map; only a poset with a bottom element admits one as quasi-Leontief."""
     if poset.bottom() is None:
         raise UtilityError("constant utility needs a domain with a bottom element")
-    return TabulatedUtility(poset, {e: level for e in poset.elements})
+    return TabulatedUtility._of_column(poset, [level] * len(poset), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +784,10 @@ def min_product(*factors) -> TabulatedUtility:
         raise UtilityError("min-product needs tables; a closed form is a table only on a gridded box")
     scale = _shared_scale(factors, "min-product", "factor")
     space = ProductSpace([f.poset for f in factors])
-    vals = {p: min(f.values[c] for f, c in zip(factors, p)) for p in space.points()}
-    return TabulatedUtility(space, vals, scale=scale)
+    check_size(len(space))
+    # the factor columns in mixed radix, last fastest: the order of ``points``
+    column = list(map(min, _iproduct(*(f.column for f in factors))))
+    return TabulatedUtility._of_column(space, column, scale)
 
 
 def min_pointwise(*parts) -> TabulatedUtility:
@@ -792,8 +796,8 @@ def min_pointwise(*parts) -> TabulatedUtility:
     if not all(isinstance(p, TabulatedUtility) and p.poset == parts[0].poset for p in parts):
         raise UtilityError("pointwise min needs tables that share one domain poset")
     scale = _shared_scale(parts, "pointwise min", "part")
-    vals = {e: min(p.values[e] for p in parts) for e in parts[0].poset.elements}
-    return TabulatedUtility(parts[0].poset, vals, scale=scale)
+    column = list(map(min, zip(*(p.column for p in parts))))
+    return TabulatedUtility._of_column(parts[0].poset, column, scale)
 
 
 def affine_transform(u, a, b):
@@ -806,11 +810,7 @@ def affine_transform(u, a, b):
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
     if isinstance(u, TabulatedUtility):
-        new = TabulatedUtility(
-            u.poset,
-            {e: a * v + b for e, v in u.values.items()},
-            scale=u.scale,
-        )
+        new = TabulatedUtility._of_column(u.poset, [a * v + b for v in u.column], u.scale)
         new.certified = u.certified and u.scale.kind == "exact"
         return new
     return AffineUtility(u, a, b)
@@ -829,9 +829,7 @@ def restrict(u, downset: Union[DownSet, Sequence]):
         if downset.space != u.poset:
             raise UtilityError("down-set lives in a different poset")
         sub = u.poset.induced(downset.sorted_members())
-        new = TabulatedUtility(
-            sub, {e: u.values[e] for e in sub.elements}, scale=u.scale
-        )
+        new = _sub_table(u, sub, list(_bits(downset.mask)))
         new.certified = u.certified
         return new
     return RestrictedUtility(u, downset)
@@ -842,8 +840,7 @@ def tabulate(u) -> TabulatedUtility:
     of one chain per axis; every axis needs a step."""
     check_size(math.prod(check_size(a.count()) for a in u.box.axes))  # before any chain is built
     space = ProductSpace([FinitePoset.chain(a.points()) for a in u.box.axes])
-    vals = {p: u.value(p) for p in space.points()}
-    return TabulatedUtility(space, vals, scale=u.scale)
+    return TabulatedUtility._of_column(space, list(map(u.value, space.points())), u.scale)
 
 
 def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List[TabulatedUtility]:
@@ -861,21 +858,23 @@ def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List
 
 def _axis_slice(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtility:
     """The uncertified one-axis table t -> u(rest with t inserted at ``axis``),
-    on the factor of ``axis``.
-
-    Its points sit at a fixed stride in the parent's index order, so the
-    slice reads the parent's values there and, when the parent holds its rank
-    table, the parent's ranks too; no value is compared.
-    """
+    on the factor of ``axis``, whose points sit at a fixed stride in u's index
+    order."""
     space = u.space
     factor = space.factors[axis]
     # the index of the slice's first point; u names a point off its domain
-    base = u.poset._index[u._norm(space.substitute(rest, axis, factor.elements[0]))]
+    base = u._index_of(space.substitute(rest, axis, factor.elements[0]))
     step = space._strides()[axis]
-    indices = range(base, base + len(factor) * step, step)
-    column = [u.values[u.poset.elements[i]] for i in indices]
+    return _sub_table(u, factor, range(base, base + len(factor) * step, step))
+
+
+def _sub_table(u: TabulatedUtility, poset: FinitePoset, indices: Sequence[int]) -> TabulatedUtility:
+    """The uncertified table on ``poset`` of u's values at ``indices``, listed
+    in ``poset``'s element order; it reads u's ranks there too when u holds
+    its rank table, so no value is compared."""
+    column = list(map(u.column.__getitem__, indices))
     ranks = u._rank_table.restrict(indices) if u._rank_table is not None else None
-    return TabulatedUtility._of_column(factor, column, u.scale, ranks)
+    return TabulatedUtility._of_column(poset, column, u.scale, ranks)
 
 
 def recover_leontief_coefficients(

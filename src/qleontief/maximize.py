@@ -74,7 +74,7 @@ def argmax_members(u: TabulatedUtility, S: DownSet) -> Tuple[Any, Tuple]:
     suffix, image = t.suffix, t.image
     top = bisect_left(range(len(image)), True, key=lambda r: not S.mask & suffix[r]) - 1
     first = S.mask & suffix[top]
-    best = u.values[poset.elements[(first & -first).bit_length() - 1]]
+    best = u.column[(first & -first).bit_length() - 1]
     lo = top
     if u.scale.kind != "exact":
         while lo and u.scale.eq(image[lo - 1], best):

@@ -135,17 +135,14 @@ def _is_regular(u: TabulatedUtility) -> bool:
 def check_isotone(u: TabulatedUtility) -> Certificate:
     """Monotonicity over all comparable pairs: up(x) lies inside the level set
     at u(x).  The witness y is the first element of up(x) outside it."""
-    poset = u.poset
-    for i, (x, vx) in enumerate(u.values.items()):
+    poset, column = u.poset, u.column
+    for i, vx in enumerate(column):
         above = poset._up[i] & ~u.level_of(i).mask
         if above:
-            y = poset.elements[(above & -above).bit_length() - 1]
-            return Certificate(
-                False,
-                "isotone",
-                witnesses=(x, y),
-                detail=f"u({x!r})={vx!r} > u({y!r})={u.values[y]!r}",
-            )
+            j = (above & -above).bit_length() - 1
+            x, y = poset.elements[i], poset.elements[j]
+            return Certificate(False, "isotone", witnesses=(x, y),
+                               detail=f"u({x!r})={vx!r} > u({y!r})={column[j]!r}")
     return Certificate(True, "isotone")
 
 
@@ -249,7 +246,7 @@ def check_property_phi(u: TabulatedUtility) -> Certificate:
     if phi is None:
         return Certificate(True, "property-phi")
     x, y = (u.poset.elements[k] for k in phi)
-    target = min(u.values[x], u.values[y])
+    target = min(map(u.column.__getitem__, phi))
     return Certificate(
         False,
         "property-phi",
@@ -289,8 +286,8 @@ def _meet_failure(u: TabulatedUtility):
     meet = _pair_failures(u)[1]
     if meet is None:
         return None
-    x, y, m = (u.poset.elements[k] for k in meet)
-    return x, y, u.values[m], min(u.values[x], u.values[y])
+    (i, j, m), column = meet, u.column
+    return u.poset.elements[i], u.poset.elements[j], column[m], min(column[i], column[j])
 
 
 def _strictly_ordered(u: TabulatedUtility) -> bool:

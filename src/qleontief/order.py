@@ -296,6 +296,10 @@ class FinitePoset:
     def __hash__(self) -> int:
         return hash((self.elements, tuple(self._up)))
 
+    def point(self, i: int) -> Element:
+        """The element of index i."""
+        return self.elements[i]
+
     def index_of(self, x: Element) -> int:
         try:
             return self._index[x]
@@ -615,6 +619,15 @@ class ProductSpace(FinitePoset):
             raise OrderError(f"deleted tuple {rest!r} has wrong arity")
         return rest[:axis] + (value,) + rest[axis:]
 
+    def point(self, i: int) -> Tuple[Element, ...]:
+        """The point of index i, read off in mixed radix (``_strides``); builds no tables."""
+        coords = []
+        for f in reversed(self.factors):
+            n = len(f)
+            coords.append(f.point(i % n))
+            i //= n
+        return tuple(reversed(coords))
+
     def _strides(self) -> List[int]:
         """The index step of each axis: point i has digit i // stride % len(f)
         on the axis of factor f, the last coordinate running fastest."""
@@ -806,9 +819,6 @@ class Scale:
 
     def lt(self, a, b) -> bool:
         return not self.le(b, a)
-
-    def ge(self, a, b) -> bool:
-        return self.le(b, a)
 
     def __repr__(self) -> str:
         if self.kind == "exact":

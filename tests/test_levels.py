@@ -344,21 +344,30 @@ def slice_tables(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_slice_rank_table_matches_fresh_ranks(seed):
-    """A slice of a ranked table reads its values and ranks off the parent;
-    both match a slice built point by point and a fresh rank table of it."""
+    """A slice or a restriction of a ranked table reads its values and ranks
+    off the parent; both match a sub-table built point by point and a fresh
+    rank table of it."""
+    rng = random.Random(seed)
     for u in slice_tables(seed):
         space = u.space
         u._ranks()
+        subs = []
         for axis, factor in enumerate(space.factors):
             for x in space.points():
                 rest = space.delete(x, axis)
-                pu = q.partial_utility(u, rest, axis)
                 points = [space.substitute(rest, axis, t) for t in factor.elements]
-                assert list(pu.values) == list(factor.elements)
-                assert all(pu.values[t] is u.values[p] for t, p in zip(factor.elements, points))
-                got, fresh = pu._rank_table, _Ranks(list(pu.values.values()))
-                assert (got.rank, got.suffix, got.levels) == (fresh.rank, fresh.suffix, fresh.levels)
-                assert got.image == fresh.image
+                subs.append((q.partial_utility(u, rest, axis), factor.elements, points))
+        points = list(space.points())
+        for _ in range(4):
+            S = q.DownSet.from_generators(space, rng.sample(points, rng.randint(1, min(3, len(points)))))
+            subs.append((q.restrict(u, S), S.sorted_members(), S.sorted_members()))
+        keyed = u.values
+        for pu, elements, points in subs:
+            assert list(pu.values) == list(elements)
+            assert all(pu.values[t] is keyed[p] for t, p in zip(elements, points))
+            got, fresh = pu._rank_table, _Ranks(list(pu.values.values()))
+            assert (got.rank, got.suffix, got.levels) == (fresh.rank, fresh.suffix, fresh.levels)
+            assert got.image == fresh.image
 
 
 def test_slice_of_an_unranked_table_ranks_nothing():
