@@ -153,68 +153,48 @@ def _pairs(obj, field: str) -> list:
 
 def resolve_element(space: FinitePoset, raw):
     """Match a raw JSON token (string, number, or array) to a domain element."""
-    return _reader(space)[0](raw)
+    return space.point(_reader(space)[0](raw))
 
 
-def _reader(space: FinitePoset) -> Tuple[Callable[[Any], Any], int, Callable[[Any], int]]:
-    """``resolve_element`` on ``space``, the number of comma parts in the key
-    of a point (one per coordinate of a tuple point), and ``locate``, which
-    reads a token to the index of its element.  On a product, the first two
-    are worked out once per factor, and the product's tables are never built."""
+def _reader(space: FinitePoset) -> Tuple[Callable[[Any], int], int]:
+    """``locate``, which reads a token to the index of its element, and the
+    number of comma parts in the key of a point (one per coordinate of a tuple
+    point).  On a product, a key's index is the sum of one lookup per part in
+    the product's ``_offsets``, or on a miss of each part's factor ``locate``
+    x stride: no key is read as a point, and no product table is built."""
     if not isinstance(space, ProductSpace):
         first = next(iter(space.elements), None)
         width = elem_key(first).count(",") + 1 if isinstance(first, tuple) else 1
-        locate = partial(_locate_plain, space)
-        return (lambda raw: space.elements[locate(raw)]), width, locate
-    readers, widths, _ = zip(*map(_reader, space.factors))
-    ends = list(accumulate(widths))
-    # on plain factors with one part per coordinate, a point whose parts are
-    # elements is read by one lookup per part: each factor maps its elements
-    # to their offsets in the product index, and the offsets add up to the
-    # point's index; any other part takes the full resolver
-    plain = ends[-1] == len(readers) and not any(isinstance(f, ProductSpace) for f in space.factors)
-    if plain:
-        offsets = [{e: i * s for e, i in f._index.items()} for f, s in zip(space.factors, space._strides())]
+        return partial(_locate_plain, space), width
+    locates, widths = zip(*map(_reader, space.factors))
+    ends, strides = list(accumulate(widths)), space._strides()
 
-    def parse(raw):
-        """The index of the point, if read by lookup, else the point read by
-        the factor resolvers (a tuple)."""
+    def locate(raw):
         if isinstance(raw, str):
-            parts = raw.split(",")
-            arity = ends[-1]
+            parts, arity = raw.split(","), ends[-1]
         elif isinstance(raw, (list, tuple)):
-            parts, arity = raw, len(readers)
+            parts, arity = raw, len(locates)
         else:
             raise InputError(f"cannot read product point from {raw!r}")
         if len(parts) != arity:
             raise InputError(f"point {raw!r} has wrong arity")
-        if plain:
+        if arity != len(locates):  # a factor with wider keys takes more parts
+            parts = [",".join(parts[end - w:end]) for w, end in zip(widths, ends)]
+        else:
             try:
-                return sum(map(dict.__getitem__, offsets, parts))
+                return sum(map(dict.__getitem__, space._offsets, parts))
             except (KeyError, TypeError):  # an array part is unhashable
                 pass
-        elif arity != len(readers):  # a factor with wider keys takes more parts
-            parts = [",".join(parts[end - w:end]) for w, end in zip(widths, ends)]
-        return tuple(r(c) for r, c in zip(readers, parts))
+        return sum(loc(c) * s for loc, c, s in zip(locates, parts, strides))
 
-    def read(raw):
-        p = parse(raw)
-        return p if isinstance(p, tuple) else space.point(p)
-
-    def locate(raw):
-        p = parse(raw)
-        return space.index_of(p) if isinstance(p, tuple) else p
-
-    return read, ends[-1], locate
+    return locate, ends[-1]
 
 
 def _locate_plain(space: FinitePoset, raw) -> int:
     try:
-        i = space._index.get(raw)
-    except TypeError:  # JSON arrays are unhashable, so never ids
-        i = None
-    if i is not None:
-        return i
+        return space._index[raw]
+    except (KeyError, TypeError):  # JSON arrays are unhashable, so never ids
+        pass
     found = space._by_key().get(elem_key(raw).strip(), ())
     if isinstance(raw, list):  # an array names only a tuple point
         found = [e for e in found if isinstance(e, tuple)]
@@ -229,13 +209,13 @@ def downset_from_json(obj, space) -> DownSet:
     if isinstance(obj, str):
         raise InputError("down-set must be inline JSON here")
     if isinstance(obj, dict):
-        read = _reader(space)[0]
+        locate = _reader(space)[0]
         try:
             if "generators" in obj:
-                gens = [read(g) for g in _list(obj, "generators")]
+                gens = [space.point(locate(g)) for g in _list(obj, "generators")]
                 return DownSet.from_generators(space, gens)
             if "members" in obj:
-                members = [read(m) for m in _list(obj, "members")]
+                members = [space.point(locate(m)) for m in _list(obj, "members")]
                 return DownSet.from_members(space, members)
         except OrderError as exc:
             raise InputError(f"invalid down-set: {exc}") from exc
@@ -349,7 +329,7 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     raw_values = obj["values"]
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
-    locate = _reader(space)[2]
+    locate = _reader(space)[0]
     column = [_EMPTY_SLOT] * check_size(len(space))
     parsed = {}  # each distinct raw value is parsed once; its type keeps true apart from 1
     for key, raw in raw_values.items():

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .order import DownSet, EXACT, Element, FinitePoset, ProductSpace, Scale, _bits, _point, check_size, tolerant
+from .order import DownSet, EXACT, Element, FinitePoset, OrderError, ProductSpace, Scale, _bits, check_size, tolerant
 
 
 class UtilityError(ValueError):
@@ -286,8 +286,8 @@ class TabulatedUtility(_Closure):
     def _index_of(self, x: Element) -> int:
         """The element index of the point x, which may arrive as a list."""
         try:
-            return self.poset._index[_point(x)]
-        except (KeyError, TypeError):
+            return self.poset.index_of(x)
+        except OrderError:
             raise DomainError(f"point {x!r} outside domain") from None
 
     def value(self, x: Element):

@@ -17,7 +17,8 @@ is a carry-free big-int multiply (``product_mask`` is one such step).  Meets
 are taken coordinatewise, so a product is an inf-semilattice iff every factor
 is, and its meet rows are mixed-radix combinations of the factor meets;
 neither reads the product's own tables, and no meet table of more than N
-entries is held.
+entries is held.  A point's index is the mixed-radix number of its factor
+indices (``index_of``; ``point`` decodes it), so point queries build nothing.
 No domain larger than ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
@@ -163,11 +164,12 @@ class FinitePoset:
         # ``_down_masks`` is for constructors that already hold the transpose
         # of ``up_masks``; every other caller gets it computed bit by bit
         self.elements: Tuple[Element, ...] = tuple(elements)
-        self._index: Dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise OrderError("duplicate elements in ground set")
-        if None in self._index:
-            raise OrderError("None is not an element: it stands for no element")
+        if not isinstance(self, ProductSpace):  # a product's points are distinct tuples
+            self._index: Dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
+            if len(self._index) != len(self.elements):
+                raise OrderError("duplicate elements in ground set")
+            if None in self._index:
+                raise OrderError("None is not an element: it stands for no element")
         self._up: List[int] = list(up_masks)
         if _down_masks is None:
             down = [0] * len(self.elements)
@@ -281,7 +283,10 @@ class FinitePoset:
         return iter(self.elements)
 
     def __contains__(self, x: Element) -> bool:
-        return x in self._index
+        try:
+            return self.index_of(x) >= 0
+        except OrderError:
+            return False
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"
@@ -301,9 +306,12 @@ class FinitePoset:
         return self.elements[i]
 
     def index_of(self, x: Element) -> int:
+        """The index of the element x; a list is read as its tuple."""
         try:
             return self._index[x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: x is unhashable, as a list is
+            if isinstance(x, list) and tuple(x) in self:
+                return self.index_of(tuple(x))
             raise OrderError(f"unknown element {x!r}") from None
 
     def _by_key(self) -> Dict[str, List[Element]]:
@@ -388,7 +396,8 @@ class FinitePoset:
         return tuple(self.elements[i] for i in _bits(m) if m & self._up[i] == 1 << i)
 
     def bottom(self) -> Optional[Element]:
-        return self.least(self.elements)
+        full = (1 << len(self.elements)) - 1  # the least element is below every element
+        return next((self.elements[i] for i, up in enumerate(self._up) if up == full), None)
 
     def top(self) -> Optional[Element]:
         return self.greatest(self.elements)
@@ -516,19 +525,22 @@ class ProductSpace(FinitePoset):
     poset on all product points.
 
     Points are tuples of factor elements, enumerated with the last coordinate
-    fastest.  ``factors``, ``len``, ``points``, ``leq``, equality, hashing and
-    the one-axis calculus ``delete``/``substitute`` used for partial utilities
-    are answered factor by factor; a product equals only another product.
-    Every other ``FinitePoset`` query reads the element tuple and the mask
-    tables, which ``as_poset`` builds once, on first use.
+    fastest.  ``factors``, ``len``, ``points``, ``index_of``, ``point``,
+    membership, ``leq``, equality, hashing and the one-axis calculus
+    ``delete``/``substitute`` are answered factor by factor, with no
+    ``_index``; a product equals only another product.  Every other query
+    reads the element tuple and the tables, which ``as_poset`` builds once.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_offsets")
 
     def __init__(self, factors: Sequence[FinitePoset]):
         if not factors:
             raise OrderError("empty factor list")
         self.factors: Tuple[FinitePoset, ...] = tuple(factors)
+        # per plain factor, element -> its step in the index (element index x stride)
+        self._offsets = [{} if isinstance(f, ProductSpace) else {e: i * s for i, e in enumerate(f.elements)}
+                         for f, s in zip(self.factors, self._strides())]
         self.__class__ = _UnbuiltProduct
 
     def as_poset(self) -> "ProductSpace":
@@ -619,14 +631,24 @@ class ProductSpace(FinitePoset):
             raise OrderError(f"deleted tuple {rest!r} has wrong arity")
         return rest[:axis] + (value,) + rest[axis:]
 
+    def index_of(self, x: Sequence[Element]) -> int:
+        """The index of the point x, a tuple or a list: the sum of one
+        ``_offsets`` lookup per coordinate, or on a miss (a nested factor, a
+        list coordinate) of each factor's index x stride; builds no tables."""
+        if isinstance(x, (tuple, list)) and len(x) == len(self.factors):
+            try:
+                return sum(map(dict.__getitem__, self._offsets, x))
+            except (KeyError, TypeError):  # TypeError: a coordinate is unhashable
+                pass
+            try:
+                return sum(f.index_of(c) * s for f, c, s in zip(self.factors, x, self._strides()))
+            except OrderError:
+                pass
+        raise OrderError(f"unknown element {x!r}")
+
     def point(self, i: int) -> Tuple[Element, ...]:
         """The point of index i, read off in mixed radix (``_strides``); builds no tables."""
-        coords = []
-        for f in reversed(self.factors):
-            n = len(f)
-            coords.append(f.point(i % n))
-            i //= n
-        return tuple(reversed(coords))
+        return tuple(f.point(i // s % len(f)) for f, s in zip(self.factors, self._strides()))
 
     def _strides(self) -> List[int]:
         """The index step of each axis: point i has digit i // stride % len(f)
@@ -645,10 +667,10 @@ class ProductSpace(FinitePoset):
 
 
 class _UnbuiltProduct(ProductSpace):
-    """A ``ProductSpace`` whose tables are not built yet.  Reading one builds
-    them and makes the object a plain ``ProductSpace``: with ``__getattr__`` on
-    its class every attribute read is slower, and the certifiers read the
-    tables once per element or pair."""
+    """A ``ProductSpace`` whose element tuple and tables are not built yet; no
+    point query reads them.  Reading one builds them and makes the object a
+    plain ``ProductSpace``: with ``__getattr__`` on its class every attribute
+    read is slower, and the certifiers read the tables once per element or pair."""
 
     __slots__ = ()
 
@@ -726,11 +748,6 @@ def integer_grid(n_axes: int, lo: int = 0, hi: int = 3) -> ProductSpace:
     return grid_space(*(range(lo, hi + 1) for _ in range(n_axes)))
 
 
-def _point(x):
-    # product points may arrive as lists
-    return tuple(x) if isinstance(x, list) else x
-
-
 class DownSet:
     """A comprehensive (downward closed) subset of a finite poset.
 
@@ -752,7 +769,7 @@ class DownSet:
 
     @classmethod
     def from_members(cls, space: FinitePoset, members: Iterable) -> "DownSet":
-        members = tuple(map(_point, members))
+        members = tuple(members)
         mask = space._mask(members)
         missing = space._down_mask(members) & ~mask
         if missing:
@@ -762,7 +779,7 @@ class DownSet:
 
     @classmethod
     def from_generators(cls, space: FinitePoset, generators: Iterable) -> "DownSet":
-        gens = tuple(map(_point, generators))
+        gens = tuple(space.point(space.index_of(g)) for g in generators)
         return cls(space, space._down_mask(gens), gens)
 
     def members(self) -> FrozenSet:
@@ -775,11 +792,12 @@ class DownSet:
         return self._sorted
 
     def contains(self, x) -> bool:
-        i = self.space._index.get(_point(x))
-        return i is not None and bool(self.mask >> i & 1)
+        try:
+            return bool(self.mask >> self.space.index_of(x) & 1)
+        except OrderError:
+            return False
 
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
+    __contains__ = contains
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -203,7 +203,7 @@ def test_loading_and_making_a_product_table_builds_no_product(product_builds, tm
     assert product_builds == []
     assert [t.image() for t in (u, made, grid)] == [(0, 1, 2, 3), (0, 1, 3), (0, 1, 2, 3)]
     assert product_builds == []
-    assert u.value(["1", "2", "0"]) == 0 and product_builds == [u.poset]  # a point query reads the index
+    assert u.value(["1", "2", "0"]) == 0 and product_builds == []  # the index, read off the factors
 
 
 def test_a_missing_point_is_named_without_building_the_product(product_builds, tmp_path):
@@ -219,6 +219,40 @@ def test_a_point_named_twice_is_named_by_its_index(tmp_path):
     values[" 2,1,3"] = "1"
     with pytest.raises(io.InputError, match=r"^point '2,1,3' is named twice in 'values' \(again as ' 2,1,3'\)$"):
         io.utility_from_json(table_file(tmp_path, values))
+
+
+def test_keys_read_part_by_part_build_no_product(product_builds, tmp_path):
+    """A key that misses the offset lookups (JSON-number ids, a key spelled
+    with blanks) is read part by part on its factors, with no product built."""
+    numeric = {"elements": [0, 1, 2, 3], "covers": [[0, 1], [1, 2], [2, 3]]}
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps({"poset": {"product": [numeric] * 3}, "values": all_values()}))
+    by_number = io.utility_from_json(str(path))
+    by_string = io.utility_from_json(table_file(tmp_path, all_values()))
+    assert by_number.column == by_string.column and product_builds == []
+    values = all_values()
+    values[" 3, 3,3"] = "1"
+    with pytest.raises(io.InputError, match=r"^point '3,3,3' is named twice in 'values' \(again as ' 3, 3,3'\)$"):
+        io.utility_from_json(table_file(tmp_path, values))
+    assert product_builds == []
+
+
+def test_point_queries_on_a_product_table_build_no_product(product_builds, tmp_path):
+    u = io.utility_from_json(table_file(tmp_path, all_values()))
+    space = u.poset
+    assert u.value(("1", "2", "3")) == 1 and u.value(["3", "3", "2"]) == 2
+    with pytest.raises(q.DomainError, match=r"^point \['1', \['2'\], '3'\] outside domain$"):
+        u.value(["1", ["2"], "3"])
+    assert ("1", "2", "3") in space and ["1", "2", "3"] in space
+    assert ("1", "2", "4") not in space and "1,2,3" not in space and ["1", ["2"], "3"] not in space
+    S = q.product_downset(space, [q.DownSet.from_generators(f, [g]) for f, g in zip(space.factors, "231")])
+    assert S.contains(("2", "3", "1")) and ["1", "0", "0"] in S
+    assert not S.contains(("3", "0", "0")) and ["0", "0", "2"] not in S and "0,0,0" not in S
+    pu = q.partial_utility(u, ("1", "3"), 1)
+    assert pu.poset is space.factors[1] and pu.column == [0, 1, 1, 1]
+    slices = q.min_decompose(u, [("1", "2", "0"), ["2", "1", "0"]], ("2", "2", "3"))
+    assert [t.column for t in slices] == [[0, 1, 2, 2], [0, 1, 2, 2], [0, 1, 2, 2]]
+    assert product_builds == []
 
 
 def test_point_decodes_an_index_without_building_the_product(product_builds):

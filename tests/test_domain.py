@@ -20,7 +20,7 @@ import pytest
 import qleontief as q
 from qleontief import corpus, io
 from qleontief.cli import main
-from qleontief.order import FinitePoset, MAX_POINTS
+from qleontief.order import FinitePoset, MAX_POINTS, elem_key
 
 
 def reference(space):
@@ -152,13 +152,91 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     # ("1", "c") ^ (y, x) for (y, x) = ("1", "c"), ("2", "a"), ("2", "b"), ("2", "c"):
     # ("1", "c"), ("1", "a"), ("1", "a"), ("1", "c")
     assert list(space.meet_rows())[5] == [5, 3, 3, 5]
+    assert space.index_of(("1", "b")) == 4 and space.index_of(["2", "c"]) == 8
+    assert ("1", "b") in space and ("1", "d") not in space
     assert built == []
-    assert space.index_of(("1", "b")) == 4  # any other query builds the tables, once
-    assert space.elements[4] == ("1", "b")
+    assert space.elements[4] == ("1", "b")  # any other query builds the tables, once
     assert built == [True] and type(space) is q.ProductSpace
     assert space == twin and type(twin) is not q.ProductSpace
     # a product equals only a product, even a plain poset with its tables
     assert space != FinitePoset(space.elements, space._up)
+
+
+def random_nested_space(rng, depth=0):
+    """A product of one to three factors: chains and antichains of string or
+    numeric ids, and nested products, at most two deep."""
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 2 and rng.random() < 0.3:
+            factors.append(random_nested_space(rng, depth + 1))
+        else:
+            ids = rng.choice([["0", "1", "2"], [0, 1, 2], ["a", 1, "1.5"]])[:rng.randint(1, 3)]
+            factors.append(rng.choice([FinitePoset.chain, FinitePoset.antichain])(ids))
+    return q.ProductSpace(factors)
+
+
+def as_lists(x):
+    """The point x with every tuple in it, at any depth, a list."""
+    return [as_lists(c) for c in x] if isinstance(x, tuple) else x
+
+
+def dict_index_of(index, x):
+    """The index of x in a dict of the product points, as the poset read it
+    when it held one: a list reads as its tuple, and any other x that is not
+    a key (an unhashable one too) is an unknown element."""
+    try:
+        return index[tuple(x) if isinstance(x, list) else x]
+    except (KeyError, TypeError):
+        raise q.OrderError(f"unknown element {x!r}") from None
+
+
+def bad_points(x, space):
+    """Points that name nothing: a wrong arity, an unknown or unhashable
+    coordinate, a nested part of the wrong arity, and non-sequences."""
+    yield from (x[:-1], x + (x[0],), list(x[:-1]), 7, None, "0", elem_key(x), {})
+    for k, (c, f) in enumerate(zip(x, space.factors)):
+        for bad in ("zz", 9, [c], c[:-1] if isinstance(f, q.ProductSpace) else None):
+            yield x[:k] + (bad,) + x[k + 1:]
+            yield as_lists(x[:k]) + [bad] + as_lists(x[k + 1:])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_index_of_reads_the_factors(seed, monkeypatch):
+    """``index_of`` against a dict of ``points()``: every point, as a tuple, a
+    list, a tuple of lists or lists of lists, has its enumeration index, and
+    ``point`` decodes it back; every bad point raises the dict's error.  No
+    product table is built."""
+    space = random_nested_space(random.Random(seed))
+    points = list(space.points())
+    index = {p: k for k, p in enumerate(points)}
+    built = []
+    init = FinitePoset.__init__
+    monkeypatch.setattr(FinitePoset, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    for k, x in enumerate(points):
+        for form in (x, list(x), tuple(map(as_lists, x)), as_lists(x)):
+            assert space.index_of(form) == k and form in space
+        assert space.point(k) == x
+        for bad in bad_points(x, space):
+            with pytest.raises(q.OrderError) as got:
+                space.index_of(bad)
+            with pytest.raises(q.OrderError) as want:
+                dict_index_of(index, bad)
+            assert str(got.value) == str(want.value) and bad not in space
+    assert built == [] and type(space) is not q.ProductSpace
+
+
+def test_membership_of_unhashable_points():
+    """``in`` and ``index_of`` read a list as its tuple, and an unhashable
+    point is an unknown element, not a ``TypeError``."""
+    chain = FinitePoset.chain(["0", "1"])
+    assert [1] not in chain and {} not in chain and ["0"] not in chain and "0" in chain
+    with pytest.raises(q.OrderError, match=r"^unknown element \{\}$"):
+        chain.index_of({})
+    space = q.ProductSpace([chain, chain])
+    assert space.index_of(["0", "1"]) == space.index_of(("0", "1")) == 1
+    assert ["1", "1"] in space and ["1", ["1"]] not in space and {} not in space
+    tuples = FinitePoset.chain([(0, 0), (0, 1)])  # a plain poset of tuple points
+    assert tuples.index_of([0, 1]) == 1 and [0, 1] in tuples and [[0], 1] not in tuples
 
 
 DATA = Path(__file__).parent / "data"

@@ -1,12 +1,18 @@
+import contextlib
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction as F
+from io import StringIO
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qleontief as q
 from qleontief import io
+from qleontief.cli import main
 from qleontief.order import elem_key
 
 
@@ -339,10 +345,147 @@ def test_locate_reads_nested_product_points():
                         q.FinitePoset.from_covers(["lo", "l", "r"], [("lo", "l"), ("lo", "r")]),
                         q.FinitePoset.antichain(["p", 3]))
     space = q.ProductSpace([q.ProductSpace([chain, vee]), pair, q.ProductSpace([pair])])
-    read, width, locate = io._reader(space)
+    locate, width = io._reader(space)
     assert width == 4
     for i, x in enumerate(space.elements):
         (c, v), a, (b,) = x
         for token in (elem_key(x), f"{c}, {v},{a},{b}", [[c, v], a, [b]], [f"{c},{v}", str(a), str(b)]):
             assert locate(token) == i
-            assert read(token) == x
+            assert io.resolve_element(space, token) == x
+
+
+# -- fuzzed product keys --------------------------------------------------------
+# Chains with string ids, JSON-number ids, mixed ids, and ids that a blank
+# makes ambiguous (1 and "1").
+ID_CHAINS = [["0", "1", "2"], [0, 1, 2], ["a", 1, "1.5"], [1, "1"]]
+BLANKS = ["{}", " {}", "{} ", " {} "]
+
+
+def ref_point(space, token):
+    """The point a product token names, each part read by ``resolve_element``
+    on its own factor: a string's comma parts, or an array's entries."""
+    parts = token.split(",") if isinstance(token, str) else token
+    if not isinstance(parts, list) or len(parts) != len(space.factors):
+        raise io.InputError(f"point {token!r} has wrong arity")
+    return tuple(io.resolve_element(f, c) for f, c in zip(space.factors, parts))
+
+
+def ref_column(obj):
+    """The value column of a table file, each key placed by the position of
+    its point in ``points()``."""
+    space = io.poset_from_json(obj["poset"])
+    points = list(space.points())
+    column = [None] * len(points)
+    for key, raw in obj["values"].items():
+        p = ref_point(space, key)
+        i = points.index(p)
+        if column[i] is not None:
+            raise io.InputError(f"point {elem_key(p)!r} is named twice in 'values' (again as {key!r})")
+        column[i] = io.parse_rational(raw)
+    if None in column:
+        raise io.InputError(f"invalid utility: no value for element {points[column.index(None)]!r}")
+    return column
+
+
+def chain_json(ids):
+    return {"elements": ids, "covers": [[a, b] for a, b in zip(ids, ids[1:])]}
+
+
+def spelled(draw, chain):
+    """A part naming an element of ``chain``: its id, or its id as a string
+    with or without blanks."""
+    c = draw(st.sampled_from(chain))
+    return draw(st.sampled_from([c] + [b.format(c) for b in BLANKS]))
+
+
+@st.composite
+def product_tables(draw):
+    """A table file on a product of chains, valued min of the coordinate
+    ranks, so that a complete table passes ``check``.  A key spells each part
+    with or without blanks; a point may be missing, and extra keys name a
+    point again, have a wrong arity or an unknown part."""
+    chains = draw(st.lists(st.sampled_from(ID_CHAINS[:3] * 3 + ID_CHAINS[3:]), min_size=1, max_size=3))
+    points = list(product(*(range(len(c)) for c in chains)))
+
+    def spell(ranks, extra=()):
+        parts = [draw(st.sampled_from(BLANKS)).format(c[r]) for c, r in zip(chains, ranks)]
+        return ",".join(parts + list(extra))
+
+    missing = draw(st.sampled_from([None] * len(points) + points))
+    values = {spell(p): str(min(p)) for p in points if p != missing}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        p = draw(st.sampled_from(points))
+        kind = draw(st.sampled_from(["again", "arity", "unknown"]))
+        key = (spell(p) if kind == "again" else spell(p, ["0"]) if kind == "arity"
+               else spell(p[:-1], ["9"]))
+        values[key] = "0"
+    return {"poset": {"product": [chain_json(c) for c in chains]}, "values": values}
+
+
+def run_cli(argv):
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(product_tables())
+@settings(max_examples=150, deadline=2000)
+def test_fuzzed_product_keys(obj):
+    """``check`` on the table exits 0 or 2 with no traceback; on 0 the loaded
+    column is the reference column, on 2 the error is the reference's."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "u.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, _, err = run_cli(["check", path])
+    assert code in (0, 2) and "Traceback" not in err
+    try:
+        want = ref_column(obj)
+    except io.InputError as exc:
+        assert code == 2 and err == f"error: {exc}\n"
+    else:
+        assert code == 0 and io.utility_from_json(obj).column == want
+
+
+@st.composite
+def refine_starts(draw):
+    """Chains, and a ``--start`` token for their product: a comma-joined
+    string, an array of ids, strings or arrays, or an array nested in one
+    more array; mostly of the right arity, each part mostly an element."""
+    chains = draw(st.lists(st.sampled_from(ID_CHAINS[:3]), min_size=1, max_size=3))
+    arity = len(chains) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    junk = st.sampled_from(["9", "", "1,2", 9, ["1"], [], ["0", "1"]])
+    parts = [spelled(draw, chains[k % len(chains)]) if draw(st.integers(0, 3)) else draw(junk)
+             for k in range(arity)]
+    form = draw(st.sampled_from(["string", "array", "array", "nested"]))
+    if form == "string":
+        return chains, ",".join(p if isinstance(p, str) else json.dumps(p) for p in parts)
+    return chains, parts if form == "array" else [parts]
+
+
+@given(refine_starts())
+@settings(max_examples=150, deadline=2000)
+def test_fuzzed_refine_start(drawn):
+    """``refine --start`` on a constant table over the whole product, where
+    every point is a maximizer: exit 0 or 2 with no traceback; on 0 the
+    trace starts at the reference point, on 2 the error is the reference's."""
+    chains, token = drawn
+    space = {"product": [chain_json(c) for c in chains]}
+    values = {",".join(map(str, p)): "1" for p in product(*chains)}
+    with tempfile.TemporaryDirectory() as root:
+        paths = {}
+        for name, obj in [("u", {"poset": space, "values": values}), ("x", token),
+                          *((f"s{k}", {"generators": [c[-1]]}) for k, c in enumerate(chains))]:
+            paths[name] = os.path.join(root, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        sets = [paths[f"s{k}"] for k in range(len(chains))]
+        code, out, err = run_cli(["refine", "--json", paths["u"], "--sets", *sets, "--start", paths["x"]])
+    assert code in (0, 2) and "Traceback" not in err
+    try:
+        want = ref_point(io.poset_from_json(space), token)
+    except io.InputError as exc:
+        assert code == 2 and err == f"error: {exc}\n"
+    else:
+        assert code == 0 and json.loads(out)["trace"]["start"] == io.encode_elem(want)
