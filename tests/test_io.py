@@ -403,7 +403,9 @@ def product_tables(draw):
     """A table file on a product of chains, valued min of the coordinate
     ranks, so that a complete table passes ``check``.  A key spells each part
     with or without blanks; a point may be missing, and extra keys name a
-    point again, have a wrong arity or an unknown part."""
+    point again, have a wrong arity or an unknown part.  An extra key carries
+    its point's own value, so one that fills the missing point or repeats a
+    key's spelling still leaves a table that passes."""
     chains = draw(st.lists(st.sampled_from(ID_CHAINS[:3] * 3 + ID_CHAINS[3:]), min_size=1, max_size=3))
     points = list(product(*(range(len(c)) for c in chains)))
 
@@ -418,7 +420,7 @@ def product_tables(draw):
         kind = draw(st.sampled_from(["again", "arity", "unknown"]))
         key = (spell(p) if kind == "again" else spell(p, ["0"]) if kind == "arity"
                else spell(p[:-1], ["9"]))
-        values[key] = "0"
+        values[key] = str(min(p))
     return {"poset": {"product": [chain_json(c) for c in chains]}, "values": values}
 
 
