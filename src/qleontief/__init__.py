@@ -15,7 +15,6 @@ from .order import (
     Scale,
     check_partial_order,
     grid_space,
-    integer_grid,
     tolerant,
 )
 from .leontief import (
@@ -24,9 +23,7 @@ from .leontief import (
     DecompositionError,
     DomainError,
     DualDomainError,
-    HomogeneityError,
     LeastlessLevelSetError,
-    MinFormError,
     NotCertifiedError,
     PowerLeontief,
     PriceMatrixLeontief,
@@ -34,13 +31,9 @@ from .leontief import (
     UtilityError,
     affine_transform,
     classical_leontief,
-    constant_utility,
     min_decompose,
     min_pointwise,
     min_product,
-    power_leontief,
-    price_matrix_leontief,
-    recover_leontief_coefficients,
     restrict,
     tabulate,
 )
@@ -66,7 +59,6 @@ from .efficiency import (
     is_efficient_global,
     is_efficient_minimal,
     minimality_witness,
-    partial_dual_consistency,
     partial_utility,
 )
 from .maximize import (

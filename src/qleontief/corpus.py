@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .leontief import TabulatedUtility
 from .order import EXACT, DownSet, FinitePoset, ProductSpace, _bits
@@ -27,12 +27,11 @@ def random_poset(
     max_size: int = 16,
     *,
     with_bottom: bool = False,
-    edge_prob: Optional[float] = None,
 ) -> FinitePoset:
     """Random DAG on string ids, transitively closed; optional adjoined bottom."""
     budget = max_size - (1 if with_bottom else 0)
     n = rng.randint(2, max(2, budget))
-    p = edge_prob if edge_prob is not None else rng.uniform(0.15, 0.5)
+    p = rng.uniform(0.15, 0.5)
     els = [f"e{i}" for i in range(n)]
     covers = [
         (els[i], els[j])

@@ -160,7 +160,7 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
     if n > CHARPAR_LIMIT:
         order = random.Random(CHARPAR_SEED).sample(order, CHARPAR_LIMIT)
     axes = [(axis, stride, len(f), {})
-            for axis, (f, stride) in enumerate(zip(space.factors, space._strides()))]
+            for axis, (f, stride) in enumerate(zip(space.factors, space.strides))]
     t = u._ranks()
     level = [t.suffix[u._level_start(lam, r)] for r, lam in enumerate(t.image)]
     rank, down, elements = t.rank, u.poset._down, u.poset.elements
@@ -185,38 +185,3 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
             )
     return Certificate(True, "charpar", data={"points_checked": len(order)})
 
-
-def partial_dual_consistency(
-    u: TabulatedUtility, lam, rest_a: Sequence, rest_b: Sequence, axis: int
-) -> Certificate:
-    """For a globally certified utility, partial duals at one level agree with
-    the axis projection of the global dual, wherever both are defined.
-
-    Frozen rests whose partial level set is empty make the check vacuous; the
-    certificate reports it as skipped.
-    """
-    space = _require_space(u)
-    if not u.certified:
-        raise UtilityError("partial dual consistency needs a certified utility")
-    pa = certified_partial(u, tuple(rest_a), axis)
-    pb = certified_partial(u, tuple(rest_b), axis)
-    da = pa.dual(lam)
-    db = pb.dual(lam)
-    if da is None or db is None:
-        return Certificate(
-            True, "partial-dual-consistency", detail="skipped: empty partial level set"
-        )
-    glob = u.dual(lam)
-    if glob is None:
-        return Certificate(
-            True, "partial-dual-consistency", detail="skipped: empty global level set"
-        )
-    proj = glob[axis]
-    if da == db == proj:
-        return Certificate(True, "partial-dual-consistency")
-    return Certificate(
-        False,
-        "partial-dual-consistency",
-        witnesses=(da, db, proj),
-        detail=f"partial duals {da!r}, {db!r} vs projection {proj!r} at level {lam!r}",
-    )

@@ -37,13 +37,13 @@ from typing import Any, Callable, Tuple, Union
 from .leontief import (
     Box,
     BoxAxis,
+    PowerLeontief,
+    PriceMatrixLeontief,
     TabulatedUtility,
     UtilityError,
     affine_transform,
     classical_leontief,
     min_product,
-    power_leontief,
-    price_matrix_leontief,
     restrict,
     tabulate,
 )
@@ -167,7 +167,7 @@ def _reader(space: FinitePoset) -> Tuple[Callable[[Any], int], int]:
         width = elem_key(first).count(",") + 1 if isinstance(first, tuple) else 1
         return partial(_locate_plain, space), width
     locates, widths = zip(*map(_reader, space.factors))
-    ends, strides = list(accumulate(widths)), space._strides()
+    ends, strides = list(accumulate(widths)), space.strides
 
     def locate(raw):
         if isinstance(raw, str):
@@ -265,12 +265,12 @@ def utility_from_json(obj, *, base_dir: str = "."):
         if kind == "power":
             a = [parse_number(c) for c in _list(obj, "a")]
             alpha = [parse_number(c) for c in _list(obj, "alpha")]
-            return _on_grid(power_leontief(a, alpha, _box_from_json(obj["box"])))
+            return _on_grid(PowerLeontief(a, alpha, _box_from_json(obj["box"])))
         if kind == "price_matrix":
             P = obj["P"]
             if not isinstance(P, list) or not all(isinstance(r, list) and len(r) == len(P) for r in P):
                 raise InputError("price matrix 'P' must be a square list of rows")
-            return price_matrix_leontief([[parse_number(c) for c in row] for row in P])
+            return PriceMatrixLeontief([[parse_number(c) for c in row] for row in P])
         if kind == "affine":
             base = utility_from_json(obj["base"], base_dir=base_dir)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))

@@ -12,7 +12,10 @@ Every combinator maps tables to a table (``affine_transform``, ``restrict``,
 ``min_product``, ``min_pointwise``), so a combined table is certified like
 any other.  ``min_product`` and ``min_pointwise`` take tables only;
 ``affine_transform`` and ``restrict`` also wrap a closed form, and only
-those wrappers compute a dual by formula.
+those wrappers compute a dual by formula.  A table reads a point to its
+index through its poset's ``index_of``, so a product table made by
+``tabulate``, ``min_product`` or a table file builds no product tables until
+a query of the order needs them.
 """
 from __future__ import annotations
 
@@ -55,28 +58,6 @@ class DualDomainError(UtilityError):
 
 class DecompositionError(UtilityError):
     """Invalid upper bound or subset for a min-decomposition."""
-
-
-class HomogeneityError(UtilityError):
-    """Coefficient recovery found a homogeneity violation."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"homogeneity violated at {witness!r}")
-
-
-class MinFormError(UtilityError):
-    """Coefficient recovery found a point where u differs from min_i a_i x_i."""
-
-    def __init__(self, witness, coefficients, expected, got):
-        self.witness = witness
-        self.coefficients = tuple(coefficients)
-        self.expected = expected
-        self.got = got
-        super().__init__(
-            f"min-form identity fails at {witness!r}: "
-            f"u={expected!r} but min(a_i x_i)={got!r} with a={self.coefficients!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +401,9 @@ class TabulatedUtility(_Closure):
             raise LeastlessLevelSetError(lam, rec.witnesses)
         return rec.least
 
-    def admissible_levels(self, extra: Iterable = ()) -> Tuple:
-        """Probe levels (see ``probe_levels``) where the dual is defined."""
-        if not self.certified:
-            raise NotCertifiedError("dual requires a certified utility")
-        probes = self.probe_levels(extra)
-        return tuple(lam for lam, rec in zip(probes, self.level_sets(probes)) if rec.least is not None)
-
     def __repr__(self) -> str:
         tag = "certified" if self.certified else "uncertified"
         return f"TabulatedUtility({len(self.poset)} elements, {tag})"
-
-
-def constant_utility(poset: FinitePoset, level) -> TabulatedUtility:
-    """Constant map; only a poset with a bottom element admits one as quasi-Leontief."""
-    if poset.bottom() is None:
-        raise UtilityError("constant utility needs a domain with a bottom element")
-    return TabulatedUtility._of_column(poset, [level] * len(poset), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +458,6 @@ class Box:
     @classmethod
     def cube(cls, n: int, lo, hi, step=None) -> "Box":
         return cls([BoxAxis(lo, hi, step) for _ in range(n)])
-
-    @classmethod
-    def integer_grid(cls, n: int, lo: int, hi: int) -> "Box":
-        return cls([BoxAxis(lo, hi, 1) for _ in range(n)])
 
     @property
     def n_axes(self) -> int:
@@ -614,10 +577,6 @@ class PowerLeontief(_Closure):
             max(ax.lo, self._root(lam / c, e))
             for ax, c, e in zip(self.box.axes, self.a, self.alpha)
         )
-
-    def on_efficiency_locus(self, x: Sequence) -> bool:
-        terms = self._terms(x)
-        return all(self.scale.eq(terms[0], t) for t in terms[1:])
 
     def leq_points(self, x: Sequence, y: Sequence) -> bool:
         return _leq_pointwise(self.scale, self._check(x), self._check(y))
@@ -755,17 +714,6 @@ def classical_leontief(a: Sequence, box: Box, *, scale: Optional[Scale] = None) 
     return PowerLeontief(a, (1,) * len(a), box, scale=scale)
 
 
-def power_leontief(
-    a: Sequence, alpha: Sequence, box: Box, *, scale: Optional[Scale] = None
-) -> PowerLeontief:
-    """The power form; a box outside the nonnegative orthant needs every exponent 1."""
-    return PowerLeontief(a, alpha, box, scale=scale)
-
-
-def price_matrix_leontief(P: Sequence[Sequence[float]], *, scale: Optional[Scale] = None) -> PriceMatrixLeontief:
-    return PriceMatrixLeontief(P, scale=scale)
-
-
 def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
     """The scale of the first of ``utilities``, which must be nonempty and
     agree on exact versus tolerant."""
@@ -864,7 +812,7 @@ def _axis_slice(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtil
     factor = space.factors[axis]
     # the index of the slice's first point; u names a point off its domain
     base = u._index_of(space.substitute(rest, axis, factor.elements[0]))
-    step = space._strides()[axis]
+    step = space.strides[axis]
     return _sub_table(u, factor, range(base, base + len(factor) * step, step))
 
 
@@ -876,63 +824,3 @@ def _sub_table(u: TabulatedUtility, poset: FinitePoset, indices: Sequence[int]) 
     ranks = u._rank_table.restrict(indices) if u._rank_table is not None else None
     return TabulatedUtility._of_column(poset, column, u.scale, ranks)
 
-
-def recover_leontief_coefficients(
-    u,
-    probes: Iterable[Sequence],
-    top: Sequence,
-    *,
-    scale: Optional[Scale] = None,
-    homogeneity_factors: Sequence = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-    max_halvings: int = 60,
-) -> Tuple:
-    """Recover coefficients a with u(x) = min_i a_i x_i on a positive box.
-
-    Each a_i is read off the one-axis function t -> u(top with axis i at t):
-    the ratio u(.)/t is tracked down a halving sequence of t and accepted once
-    it stabilizes (exact for min-of-linear forms); if it never stabilizes the
-    ratio at the top is used and the min-form check below reports the witness.
-    Homogeneity of u is probed multiplicatively first.
-    """
-    value = u.value if hasattr(u, "value") else u
-    probes = [tuple(p) for p in probes]
-    top = tuple(top)
-    if any(t <= 0 for t in top):
-        raise UtilityError("recovery needs a strictly positive top corner")
-    sc = scale if scale is not None else getattr(u, "scale", _infer_scale(*top))
-
-    for x in probes:
-        ux = value(x)
-        for lam in homogeneity_factors:
-            scaled = tuple(lam * c for c in x)
-            lhs = value(scaled)
-            rhs = lam * ux
-            tol = max(sc.tolerance, 1e-9 * max(1, abs(rhs))) if sc.kind == "tolerant" else 0
-            if abs(lhs - rhs) > tol:
-                raise HomogeneityError((x, lam, lhs, rhs))
-
-    coeffs = []
-    for axis in range(len(top)):
-        def axis_value(t):
-            pt = top[:axis] + (t,) + top[axis + 1 :]
-            return value(pt)
-
-        t = top[axis]
-        first = axis_value(t) / t
-        ratio = first
-        found = None
-        for _ in range(max_halvings):
-            t2 = t / 2
-            r2 = axis_value(t2) / t2
-            if sc.eq(r2, ratio):
-                found = r2
-                break
-            ratio, t = r2, t2
-        coeffs.append(found if found is not None else first)
-
-    for x in probes:
-        got = min(c * t for c, t in zip(coeffs, x))
-        expected = value(x)
-        if not sc.eq(expected, got):
-            raise MinFormError(x, coeffs, expected, got)
-    return tuple(coeffs)

@@ -170,10 +170,6 @@ class RefinementTrace:
     order: Tuple[int, ...]
     checks: Dict[str, bool]
 
-    @property
-    def changed_axes(self) -> Tuple[int, ...]:
-        return tuple(s.axis for s in self.steps if s.before != s.after)
-
     def to_json(self) -> dict:
         from .io import encode_elem
 

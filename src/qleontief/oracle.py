@@ -128,7 +128,7 @@ def _is_regular(u: TabulatedUtility) -> bool:
     """``certify_regular(u).ok``, recorded on the rank table."""
     t = u._ranks()
     if t.regular is None:
-        t.regular = not any(level.fault for level in u.level_sets(u.probe_levels()))
+        certify_regular(u)
     return t.regular
 
 
@@ -358,15 +358,9 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
     )
 
 
-def verify_galois(
-    u: TabulatedUtility, dual_table: Optional[Dict[Any, Element]] = None
-) -> Certificate:
-    """Exhaustive two-sided adjunction check: x >= u#(lam) iff u(x) >= lam."""
-    if dual_table is None:
-        cert = certify_regular(u)
-        if not cert.ok:
-            raise OrderError("no dual table: utility is not regular")
-        dual_table = cert.dual_table
+def verify_galois(u: TabulatedUtility, dual_table: Dict[Any, Element]) -> Certificate:
+    """Exhaustive two-sided adjunction check of a dual table, such as a
+    passing ``certify_regular``'s: x >= u#(lam) iff u(x) >= lam."""
     poset = u.poset
     for (lam, d), level in zip(dual_table.items(), u.level_sets(dual_table)):
         up = poset._up[poset.index_of(d)]

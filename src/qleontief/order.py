@@ -58,11 +58,6 @@ class OrderReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json(self) -> dict:
-        if self.ok:
-            return {"verdict": "pass"}
-        return {"verdict": "fail", "axiom": self.axiom, "witness": list(self.witness)}
-
 
 def check_partial_order(
     elements: Sequence[Element], pairs: Iterable[Tuple[Element, Element]]
@@ -351,15 +346,6 @@ class FinitePoset:
         """All elements below x (inclusive)."""
         return frozenset(self._unmask(self._down[self.index_of(x)]))
 
-    def _down_mask(self, subset: Iterable[Element]) -> int:
-        m = 0
-        for x in subset:
-            m |= self._down[self.index_of(x)]
-        return m
-
-    def down_closure(self, subset: Iterable[Element]) -> FrozenSet[Element]:
-        return frozenset(self._unmask(self._down_mask(subset)))
-
     def interval(self, lo: Element, hi: Element) -> FrozenSet[Element]:
         """The set of x with lo <= x <= hi; empty when lo and hi are not so ordered."""
         m = self._up[self.index_of(lo)] & self._down[self.index_of(hi)]
@@ -532,15 +518,19 @@ class ProductSpace(FinitePoset):
     reads the element tuple and the tables, which ``as_poset`` builds once.
     """
 
-    __slots__ = ("factors", "_offsets")
+    __slots__ = ("factors", "strides", "_offsets")
 
     def __init__(self, factors: Sequence[FinitePoset]):
         if not factors:
             raise OrderError("empty factor list")
         self.factors: Tuple[FinitePoset, ...] = tuple(factors)
+        # the index step of each axis: point i has digit i // stride % len(f)
+        # on the axis of factor f, the last coordinate running fastest
+        sizes = [len(f) for f in self.factors[1:]]
+        self.strides: Tuple[int, ...] = tuple(math.prod(sizes[k:]) for k in range(len(self.factors)))
         # per plain factor, element -> its step in the index (element index x stride)
         self._offsets = [{} if isinstance(f, ProductSpace) else {e: i * s for i, e in enumerate(f.elements)}
-                         for f, s in zip(self.factors, self._strides())]
+                         for f, s in zip(self.factors, self.strides)]
         self.__class__ = _UnbuiltProduct
 
     def as_poset(self) -> "ProductSpace":
@@ -551,7 +541,7 @@ class ProductSpace(FinitePoset):
         the up-set of (c_1, ..., c_k) is up(c_1) x ... x up(c_k), and so is
         its down-set with down.  Spreading a mask (bit p to bit p*n) is a
         ring map on carry-free masks, so that product is the product of the
-        factor rows each spread once to its axis's stride (``_strides``; the
+        factor rows each spread once to its axis's stride (``strides``; the
         last axis, at stride 1, is not spread): the rows are multiplied in
         axis by axis, last coordinate fastest.  The first axis goes first so
         that the last multiplies, one per point, take an N-bit row by a short
@@ -560,7 +550,7 @@ class ProductSpace(FinitePoset):
         if isinstance(self, _UnbuiltProduct):
             points = list(self.points())
             up = down = [1]
-            for f, stride in zip(self.factors, self._strides()):
+            for f, stride in zip(self.factors, self.strides):
                 ups, downs = _spread_rows(f._up, stride), _spread_rows(f._down, stride)
                 up = [r * m for r in up for m in ups]
                 down = [r * m for r in down for m in downs]
@@ -641,22 +631,14 @@ class ProductSpace(FinitePoset):
             except (KeyError, TypeError):  # TypeError: a coordinate is unhashable
                 pass
             try:
-                return sum(f.index_of(c) * s for f, c, s in zip(self.factors, x, self._strides()))
+                return sum(f.index_of(c) * s for f, c, s in zip(self.factors, x, self.strides))
             except OrderError:
                 pass
         raise OrderError(f"unknown element {x!r}")
 
     def point(self, i: int) -> Tuple[Element, ...]:
-        """The point of index i, read off in mixed radix (``_strides``); builds no tables."""
-        return tuple(f.point(i // s % len(f)) for f, s in zip(self.factors, self._strides()))
-
-    def _strides(self) -> List[int]:
-        """The index step of each axis: point i has digit i // stride % len(f)
-        on the axis of factor f, the last coordinate running fastest."""
-        strides = [1] * len(self.factors)
-        for k in range(len(self.factors) - 1, 0, -1):
-            strides[k - 1] = strides[k] * len(self.factors[k])
-        return strides
+        """The point of index i, read off in mixed radix (``strides``); builds no tables."""
+        return tuple(f.point(i // s % len(f)) for f, s in zip(self.factors, self.strides))
 
     def _check_axis(self, axis: int) -> None:
         if not 0 <= axis < len(self.factors):
@@ -744,34 +726,27 @@ def grid_space(*ranges: Sequence[Element]) -> ProductSpace:
     return ProductSpace([FinitePoset.chain(r) for r in ranges])
 
 
-def integer_grid(n_axes: int, lo: int = 0, hi: int = 3) -> ProductSpace:
-    return grid_space(*(range(lo, hi + 1) for _ in range(n_axes)))
-
-
 class DownSet:
     """A comprehensive (downward closed) subset of a finite poset.
 
     ``mask`` marks the members by element index of ``space``, a
-    ``FinitePoset`` or a ``ProductSpace``.  Explicit mode validates downward
-    closure; generated mode takes the downward closure of finitely many
-    generators.
+    ``FinitePoset`` or a ``ProductSpace``.  ``from_members`` validates
+    downward closure; ``from_generators`` takes the downward closure of
+    finitely many generators.  Each reads a point to its index once.
     """
 
-    def __init__(self, space: FinitePoset, mask: int, generators: Optional[Tuple] = None):
+    def __init__(self, space: FinitePoset, mask: int):
         self.space = space
         self.mask = mask
-        self.generators = generators
         self._sorted: Optional[Tuple] = None
-
-    @property
-    def mode(self) -> str:
-        return "generated" if self.generators is not None else "explicit"
 
     @classmethod
     def from_members(cls, space: FinitePoset, members: Iterable) -> "DownSet":
-        members = tuple(members)
-        mask = space._mask(members)
-        missing = space._down_mask(members) & ~mask
+        mask = below = 0
+        for i in map(space.index_of, members):
+            mask |= 1 << i
+            below |= space._down[i]
+        missing = below & ~mask
         if missing:
             bad = space.elements[(missing & -missing).bit_length() - 1]
             raise OrderError(f"not comprehensive: {bad!r} is below a member but missing")
@@ -779,11 +754,10 @@ class DownSet:
 
     @classmethod
     def from_generators(cls, space: FinitePoset, generators: Iterable) -> "DownSet":
-        gens = tuple(space.point(space.index_of(g)) for g in generators)
-        return cls(space, space._down_mask(gens), gens)
-
-    def members(self) -> FrozenSet:
-        return frozenset(self.sorted_members())
+        mask = 0
+        for i in map(space.index_of, generators):
+            mask |= space._down[i]
+        return cls(space, mask)
 
     def sorted_members(self) -> Tuple:
         """Members in the ambient enumeration order (deterministic)."""
@@ -791,13 +765,11 @@ class DownSet:
             self._sorted = self.space._unmask(self.mask)
         return self._sorted
 
-    def contains(self, x) -> bool:
+    def __contains__(self, x) -> bool:
         try:
             return bool(self.mask >> self.space.index_of(x) & 1)
         except OrderError:
             return False
-
-    __contains__ = contains
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -91,7 +91,7 @@ def test_product_downset_is_the_product_of_the_factor_sets(spaces):
         rng = random.Random(k)
         sets = [q.DownSet.from_generators(f, rng.sample(f.elements, rng.randint(0, min(2, len(f)))))
                 for f in space.factors]
-        members = [s.members() for s in sets]
+        members = [frozenset(s) for s in sets]
         mask = sum(1 << i for i, x in enumerate(product(*(f.elements for f in space.factors)))
                    if all(c in m for c, m in zip(x, members)))
         assert q.product_downset(space, sets).mask == mask

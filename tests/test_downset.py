@@ -63,10 +63,9 @@ def test_from_members_matches_reference(kind):
                 )
                 continue
             s = q.DownSet.from_members(space, [list(m) for m in members])
-            assert s.mode == "explicit" and s.generators is None
-            assert s.members() == frozenset(members) and len(s) == len(members)
+            assert frozenset(s) == frozenset(members) and len(s) == len(members)
             assert s.sorted_members() == tuple(p for p in space.points() if p in members)
-            assert all(s.contains(list(p)) == (p in members) for p in space.points())
+            assert all((list(p) in s) == (p in members) for p in space.points())
 
 
 @pytest.mark.parametrize("kind", ["chains", "posets"])
@@ -77,8 +76,7 @@ def test_from_generators_matches_reference(kind):
         points = list(space.points())
         gens = rng.sample(points, rng.randint(0, min(3, len(points))))
         s = q.DownSet.from_generators(space, [list(g) for g in gens])
-        assert s.mode == "generated" and s.generators == tuple(gens)
-        assert s.members() == ref_generated(space, gens)
+        assert frozenset(s) == ref_generated(space, gens)
         assert s.space is space.as_poset()
 
 
@@ -90,7 +88,7 @@ def test_product_downset_matches_reference(kind):
         tops = [rng.choice(f.elements) for f in space.factors]
         sets = [q.DownSet.from_generators(f, [t]) for f, t in zip(space.factors, tops)]
         s = q.product_downset(space, sets)
-        assert s.members() == ref_generated(space, [tuple(tops)])
+        assert frozenset(s) == ref_generated(space, [tuple(tops)])
 
 
 def test_product_downset_rejects_set_in_wrong_factor():
@@ -121,3 +119,26 @@ def test_product_error_text_independent_of_hash_seed():
         )
         texts.add(run.stdout)
     assert texts == {"not comprehensive: ('a', 'x') is below a member but missing\n"}
+
+
+@pytest.mark.parametrize("kind", ["plain", "product"])
+def test_each_member_and_generator_is_read_to_its_index_once(monkeypatch, kind):
+    if kind == "plain":
+        space = q.FinitePoset.from_covers(["b", "l", "r", "t"], [("b", "l"), ("b", "r"), ("l", "t")])
+        members, gens = ["b", "l", "r"], ["t", "r"]
+    else:
+        space = q.grid_space(range(3), range(4))
+        members, gens = [(0, 0), (0, 1), (1, 0), (1, 1)], [(2, 1), (0, 3)]
+    read = []
+    for cls in (q.FinitePoset, q.ProductSpace):
+        def counted(self, x, index_of=cls.__dict__["index_of"]):
+            if self is space:
+                read.append(x)
+            return index_of(self, x)
+        monkeypatch.setattr(cls, "index_of", counted)
+    s = q.DownSet.from_members(space, members)
+    assert read == members and frozenset(s) == frozenset(members)
+    read.clear()
+    s = q.DownSet.from_generators(space, gens)
+    assert read == gens
+    assert frozenset(s) == {x for x in space.elements if any(space.leq(x, g) for g in gens)}

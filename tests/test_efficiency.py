@@ -16,6 +16,7 @@ from conftest import (
     certified,
     grid_utility,
     interior_table,
+    partial_dual_consistency,
     projected_interior,
     tuple_leq,
 )
@@ -42,7 +43,7 @@ def min_x1x3_x2(lo=1, hi=4):
 
 class TestEfficientSet:
     def test_diagonal_for_equal_coefficients(self):
-        u = q.classical_leontief([F(1), F(1)], q.Box.integer_grid(2, 0, 3))
+        u = q.classical_leontief([F(1), F(1)], q.Box.cube(2, 0, 3, 1))
         eff = q.efficient_set(u, product(range(4), repeat=2))
         assert set(eff.points) == {(k, k) for k in range(4)}
 
@@ -52,7 +53,7 @@ class TestEfficientSet:
         assert set(q.efficient_set(u).points) == set(range(4))
 
     def test_unbalanced_coefficients_grid_locus(self):
-        u = q.classical_leontief([F(1), F(2)], q.Box.integer_grid(2, 0, 4))
+        u = q.classical_leontief([F(1), F(2)], q.Box.cube(2, 0, 4, 1))
         eff = q.efficient_set(u, product(range(5), repeat=2))
         assert set(eff.points) == {(F(0), F(0)), (F(2), F(1)), (F(4), F(2))}
         # locus check: a1 x1 == a2 x2 on each one
@@ -88,7 +89,7 @@ class TestIsEfficientGlobal:
             assert q.is_efficient_global(min_on_4x4, min_on_4x4.interior(y))
 
     def test_off_locus_point(self):
-        u = q.classical_leontief([F(1), F(2)], q.Box.integer_grid(2, 0, 4))
+        u = q.classical_leontief([F(1), F(2)], q.Box.cube(2, 0, 4, 1))
         assert not q.is_efficient_global(u, (F(4), F(1)))
 
     def test_level_set_identity_form(self, min_on_4x4):
@@ -159,19 +160,19 @@ class TestPartialUtility:
 class TestPartialDualConsistency:
     def test_two_freezes_agree_with_projection(self, min_on_4x4):
         cu = q.certify_regular(min_on_4x4).utility
-        cert = q.partial_dual_consistency(cu, F(2), (2,), (3,), 0)
+        cert = partial_dual_consistency(cu, F(2), (2,), (3,), 0)
         assert cert.ok and not cert.detail
 
     def test_freeze_below_threshold_is_skipped(self, min_on_4x4):
         cu = q.certify_regular(min_on_4x4).utility
-        cert = q.partial_dual_consistency(cu, F(2), (1,), (3,), 0)
+        cert = partial_dual_consistency(cu, F(2), (1,), (3,), 0)
         assert cert.ok
         assert "skipped" in cert.detail
 
     def test_bottom_level(self, min_on_4x4):
         cu = q.certify_regular(min_on_4x4).utility
         lam = min(cu.image())
-        cert = q.partial_dual_consistency(cu, lam, (0,), (3,), 1)
+        cert = partial_dual_consistency(cu, lam, (0,), (3,), 1)
         assert cert.ok and not cert.detail
 
 

@@ -93,8 +93,8 @@ class TestDownsetAndPoints:
 
     def test_generators_comma_form(self):
         s = io.downset_from_json({"generators": ["1,2"]}, self.space)
-        assert ("1", "2") in s.members()
-        assert ("0", "0") in s.members()
+        assert ("1", "2") in s
+        assert ("0", "0") in s
 
     def test_members_validated(self):
         with pytest.raises(io.InputError, match="comprehensive"):

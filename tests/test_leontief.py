@@ -6,7 +6,18 @@ import pytest
 
 import qleontief as q
 
-from conftest import brute_least, certified, grid_utility, tuple_leq
+from conftest import (
+    HomogeneityError,
+    MinFormError,
+    admissible_levels,
+    brute_least,
+    certified,
+    constant_utility,
+    grid_utility,
+    on_efficiency_locus,
+    recover_leontief_coefficients,
+    tuple_leq,
+)
 
 
 def frac_box(n, lo, hi, step=None):
@@ -27,7 +38,7 @@ class TestEvaluate:
         assert u.value((F(8), F(3), F(1))) == min(terms) == 4
 
     def test_power_direct_substitution(self):
-        u = q.power_leontief([F(1), F(1)], [2, 1], frac_box(2, 0, 9))
+        u = q.PowerLeontief([F(1), F(1)], [2, 1], frac_box(2, 0, 9))
         assert u.value((F(3), F(4))) == min(F(3) ** 2, F(4)) == 4
 
     def test_value_preserved_at_interior(self):
@@ -122,7 +133,7 @@ class TestClosure:
 
     def test_idempotent_extensive_isotone(self, min_on_4x4):
         u = min_on_4x4
-        levels = u.admissible_levels()
+        levels = admissible_levels(u)
         closed = [u.closure(lam) for lam in levels]
         for lam, c in zip(levels, closed):
             assert q.EXACT.le(lam, c)
@@ -131,7 +142,7 @@ class TestClosure:
 
     def test_fixed_points_are_exactly_the_image(self, min_on_4x4):
         u = min_on_4x4
-        fixed = {lam for lam in u.admissible_levels() if u.closure(lam) == lam}
+        fixed = {lam for lam in admissible_levels(u) if u.closure(lam) == lam}
         assert fixed == set(u.image())
 
     def test_outside_dual_domain(self, min_on_4x4):
@@ -150,14 +161,14 @@ class TestClassicalConstructor:
         x = (F(3), F(2))
         assert u.value(x) == 6
         assert u.interior(x) == x
-        assert u.on_efficiency_locus(x)
+        assert on_efficiency_locus(u, x)
 
     def test_off_locus_example_with_brute_force(self):
         u = q.classical_leontief([F(1), F(2)], frac_box(2, 0, 4))
         x = (F(4), F(1))
         assert u.value(x) == 2
         assert u.interior(x) == (F(2), F(1))
-        assert not u.on_efficiency_locus(x)
+        assert not on_efficiency_locus(u, x)
         pts = [tuple(map(F, p)) for p in iproduct(range(5), repeat=2)]
         assert brute_grid_least_of_level(u, pts, F(2), q.EXACT.le) == (F(2), F(1))
 
@@ -169,7 +180,7 @@ class TestClassicalConstructor:
 class TestPowerForm:
     def test_exponent_one_reduces_to_classical(self):
         a = [F(2), F(3)]
-        up = q.power_leontief(a, [1, 1], frac_box(2, 0, 4))
+        up = q.PowerLeontief(a, [1, 1], frac_box(2, 0, 4))
         uc = q.classical_leontief(a, frac_box(2, 0, 4))
         for p in iproduct(range(5), repeat=2):
             x = tuple(map(F, p))
@@ -177,7 +188,7 @@ class TestPowerForm:
             assert up.interior(x) == uc.interior(x)
 
     def test_interior_with_dense_grid_oracle(self):
-        u = q.power_leontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, 0.0, 4.0))
+        u = q.PowerLeontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, 0.0, 4.0))
         x = (3.0, 4.0)
         got = u.interior(x)
         assert got == pytest.approx((2.0, 4.0))
@@ -191,31 +202,31 @@ class TestPowerForm:
         assert least == pytest.approx(got)
 
     def test_locus_points_fixed(self):
-        u = q.power_leontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, 0.0, 9.0))
+        u = q.PowerLeontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, 0.0, 9.0))
         x = (2.0, 4.0)  # x1^2 == x2
-        assert u.on_efficiency_locus(x)
+        assert on_efficiency_locus(u, x)
         assert u.interior(x) == pytest.approx(x)
 
     def test_invalid_parameters(self):
         with pytest.raises(q.UtilityError):
-            q.power_leontief([1.0], [0.0], q.Box.cube(1, 0.0, 1.0))
+            q.PowerLeontief([1.0], [0.0], q.Box.cube(1, 0.0, 1.0))
         # a negative lo is refused only when some exponent is not 1
         with pytest.raises(q.UtilityError, match="nonnegative orthant"):
-            q.power_leontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, -1.0, 1.0))
-        u = q.power_leontief([1.0], [1.0], q.Box.cube(1, -1.0, 1.0))
+            q.PowerLeontief([1.0, 1.0], [2.0, 1.0], q.Box.cube(2, -1.0, 1.0))
+        u = q.PowerLeontief([1.0], [1.0], q.Box.cube(1, -1.0, 1.0))
         assert u.value((-0.5,)) == -0.5 and u.dual(-0.5) == (-0.5,)
 
 
 class TestPriceMatrix:
     def test_identity_matrix_reduces_to_unit_classical(self):
-        u = q.price_matrix_leontief([[1.0, 0.0], [0.0, 1.0]])
+        u = q.PriceMatrixLeontief([[1.0, 0.0], [0.0, 1.0]])
         assert u.x_P == pytest.approx((1.0, 1.0))
         for p in iproduct(range(4), repeat=2):
             x = (float(p[0]), float(p[1]))
             assert u.value(x) == pytest.approx(min(x))
 
     def test_diagonal_example(self):
-        u = q.price_matrix_leontief([[2.0, 0.0], [0.0, 4.0]])
+        u = q.PriceMatrixLeontief([[2.0, 0.0], [0.0, 4.0]])
         assert u.x_P == pytest.approx((0.5, 0.25))
         x = (1.0, 1.0)
         assert u.value(x) == pytest.approx(2.0)
@@ -226,13 +237,13 @@ class TestPriceMatrix:
         assert u.leq_points(u.dual(2.0), x)
 
     def test_interior_idempotent_on_probes(self):
-        u = q.price_matrix_leontief([[1.0, 2.0], [3.0, 1.0]])
+        u = q.PriceMatrixLeontief([[1.0, 2.0], [3.0, 1.0]])
         for x in [(1.0, 1.0), (2.0, 0.5), (0.1, 3.0), (5.0, 5.0)]:
             ix = u.interior(x)
             assert u.interior(ix) == pytest.approx(ix)
 
     def test_adjunction_on_probes(self):
-        u = q.price_matrix_leontief([[1.0, 2.0], [3.0, 1.0]])
+        u = q.PriceMatrixLeontief([[1.0, 2.0], [3.0, 1.0]])
         probes = [(1.0, 1.0), (2.0, 0.5), (0.25, 4.0), (3.0, 3.0)]
         for x in probes:
             for lam in (0.5, 1.0, 2.0, 4.0):
@@ -240,11 +251,11 @@ class TestPriceMatrix:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(q.UtilityError, match="[Ss]ingular"):
-            q.price_matrix_leontief([[1.0, 1.0], [2.0, 2.0]])
+            q.PriceMatrixLeontief([[1.0, 1.0], [2.0, 2.0]])
 
     def test_negative_row_rejected(self):
         with pytest.raises(q.UtilityError):
-            q.price_matrix_leontief([[1.0, -1.0], [0.0, 1.0]])
+            q.PriceMatrixLeontief([[1.0, -1.0], [0.0, 1.0]])
 
 
 class TestAffine:
@@ -263,7 +274,7 @@ class TestAffine:
         u = certified(grid_utility(lambda a, b: F(min(a, b)), range(4), range(4)))
         v = q.affine_transform(u, F(2), F(5))
         v = q.certify_regular(v).utility
-        for lam in u.admissible_levels():
+        for lam in admissible_levels(u):
             assert v.dual(2 * lam + 5) == u.dual(lam)
 
     def test_interior_table_preserved_for_tabulated(self, min_on_4x4):
@@ -391,7 +402,7 @@ class TestMinPointwise:
             assert tab.dual(lam) == ref_pointwise_dual((u1, u2), lam)
 
     def test_constant_cap_is_regular_on_grid_with_bottom(self, min_on_4x4):
-        cap = certified(q.constant_utility(min_on_4x4.poset, F(2)))
+        cap = certified(constant_utility(min_on_4x4.poset, F(2)))
         m = q.min_pointwise(min_on_4x4, cap)
         cert = q.certify_regular(m)
         assert cert.ok
@@ -401,7 +412,7 @@ class TestMinPointwise:
     def test_constant_needs_bottom(self):
         antichain = q.FinitePoset.antichain(["a", "b"])
         with pytest.raises(q.UtilityError):
-            q.constant_utility(antichain, F(1))
+            constant_utility(antichain, F(1))
 
     def test_missing_join_under_an_empty_level_set(self):
         # two maximal points with no join: {bot < a, bot < b}
@@ -451,7 +462,7 @@ class TestRestrict:
         assert len(s) == 12
         r = q.certify_regular(q.restrict(tab, s)).utility
         assert r.dual(F(2)) == (F(2), F(2))
-        assert (F(2), F(2)) in s.members()
+        assert (F(2), F(2)) in s
         # closed-form path with generators
         rc = q.restrict(u, [(F(2), F(3))])
         assert rc.dual(F(2)) == (F(2), F(2))
@@ -506,21 +517,21 @@ class TestRecoverCoefficients:
     def test_classical_round_trip_exact(self):
         u = q.classical_leontief([F(2), F(3), F(5)], frac_box(3, 0, 4))
         probes = [tuple(map(F, p)) for p in iproduct(range(1, 5), repeat=3)]
-        a = q.recover_leontief_coefficients(u, probes, (F(4), F(4), F(4)))
+        a = recover_leontief_coefficients(u, probes, (F(4), F(4), F(4)))
         assert a == (F(2), F(3), F(5))
 
     def test_scaling_by_three_scales_coefficients(self):
         u = q.classical_leontief([F(2), F(3), F(5)], frac_box(3, 0, 4))
         v = q.affine_transform(u, F(3), F(0))
         probes = [tuple(map(F, p)) for p in iproduct(range(1, 5), repeat=3)]
-        a = q.recover_leontief_coefficients(v, probes, (F(4), F(4), F(4)))
+        a = recover_leontief_coefficients(v, probes, (F(4), F(4), F(4)))
         assert a == (F(6), F(9), F(15))
 
     def test_cobb_douglas_rejected_with_min_form_witness(self):
         cd = lambda x: math.sqrt(x[0] * x[1])
         probes = [(1.0, 1.0), (2.0, 2.0), (4.0, 1.0), (1.0, 4.0)]
-        with pytest.raises(q.MinFormError) as err:
-            q.recover_leontief_coefficients(
+        with pytest.raises(MinFormError) as err:
+            recover_leontief_coefficients(
                 cd, probes, (4.0, 4.0), scale=q.tolerant(1e-9)
             )
         assert err.value.coefficients == pytest.approx((1.0, 1.0))
@@ -528,8 +539,8 @@ class TestRecoverCoefficients:
 
     def test_homogeneity_violation_reported(self):
         fn = lambda x: min(x[0], x[1]) + 1
-        with pytest.raises(q.HomogeneityError):
-            q.recover_leontief_coefficients(
+        with pytest.raises(HomogeneityError):
+            recover_leontief_coefficients(
                 fn, [(2.0, 2.0)], (4.0, 4.0), scale=q.tolerant(1e-9)
             )
 
@@ -537,7 +548,7 @@ class TestRecoverCoefficients:
 class TestStructuralInvariants:
     def test_adjunction_exhaustive_on_tabulated(self, min_on_4x4):
         u = min_on_4x4
-        for lam in u.admissible_levels():
+        for lam in admissible_levels(u):
             d = u.dual(lam)
             for x in u.poset.elements:
                 assert u.poset.leq(d, x) == (lam <= u.value(x))
@@ -547,13 +558,13 @@ class TestStructuralInvariants:
         for x in u.poset.elements:
             assert u.interior(x) == u.dual(u.value(x))          # u° = u# ∘ u
             assert u.value(u.interior(x)) == u.value(x)          # u ∘ u# ∘ u = u
-        for lam in u.admissible_levels():
+        for lam in admissible_levels(u):
             d = u.dual(lam)
             assert u.dual(u.value(d)) == d                       # u# ∘ u ∘ u# = u#
 
     def test_recap_max_min_forms(self, min_on_4x4):
         u = min_on_4x4
-        levels = u.admissible_levels()
+        levels = admissible_levels(u)
         for x in u.poset.elements:
             attained = [lam for lam in levels if u.poset.leq(u.dual(lam), x)]
             assert max(attained) == u.value(x)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import qleontief as q
 from qleontief import corpus
 
-from conftest import interior_table, projected_interior
+from conftest import admissible_levels, interior_table, partial_dual_consistency, projected_interior
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -158,7 +158,7 @@ def test_partial_duals_project_from_the_global_dual(seed):
     for lam in table:
         for rest_a in rests:
             for rest_b in rests:
-                cert = q.partial_dual_consistency(u, lam, rest_a, rest_b, 0)
+                cert = partial_dual_consistency(u, lam, rest_a, rest_b, 0)
                 assert cert.ok, cert.detail
 
 
@@ -210,7 +210,7 @@ def test_admissible_levels_materialize_requested_points(seed):
     extra = [img[0] - F(1), img[-1] + F(1)]
     if len(img) > 1:
         extra.append((img[0] + img[1]) / 2)
-    levels = u.admissible_levels(extra=extra)
+    levels = admissible_levels(u, extra=extra)
     assert img[0] - F(1) in levels        # below the minimum: level set is X
     assert img[-1] + F(1) not in levels   # above the maximum: empty level set
     for lam in levels:
@@ -227,4 +227,4 @@ def test_maximal_argmax_is_maximal_and_optimal(seed):
     res = q.argmax_over_downset(u, s)
     mm = res.maximal_maximizer
     assert u.value(mm) == res.value
-    assert all(y == mm for y in poset.up_set(mm) if y in s.members())
+    assert all(y == mm for y in poset.up_set(mm) if y in s)
