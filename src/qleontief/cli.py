@@ -133,6 +133,12 @@ def _as_tabulated(u) -> TabulatedUtility:
     return u
 
 
+def _report(args, **fields) -> dict:
+    """A report on the utility file ``args.utility``: the schema, command and
+    input, then ``fields``."""
+    return {"schema": SCHEMA, "command": args.command, "input": args.utility, **fields}
+
+
 def _emit(report: dict, args, lines: List[str]) -> None:
     if args.json:
         sys.stdout.write(dumps_report(report))
@@ -160,13 +166,7 @@ def cmd_check(args) -> int:
         if u.poset.is_inf_semilattice():
             certs.append(oracle.check_meet_homomorphism(u))
     ok = all(c.ok for c in certs)
-    report = {
-        "schema": SCHEMA,
-        "command": "check",
-        "input": args.utility,
-        "certificates": [c.to_json() for c in certs],
-        "ok": ok,
-    }
+    report = _report(args, certificates=[c.to_json() for c in certs], ok=ok)
     lines = []
     for c in certs:
         tag = "PASS" if c.ok else "FAIL"
@@ -180,19 +180,9 @@ def cmd_check(args) -> int:
 
 def cmd_efficient(args) -> int:
     u = oracle.require_certified(_as_tabulated(_load_utility(args.utility, args.tolerance)))
-    subset = None
-    if args.subset is not None:
-        subset = downset_from_json(load_json(args.subset), u.poset).sorted_members()
-    eff = efficient_set(u, subset)
-    pts = [encode_elem(p) for p in eff.points]
-    report = {
-        "schema": SCHEMA,
-        "command": "efficient",
-        "input": args.utility,
-        "mode": "global-chain",
-        "points": pts,
-        "ok": True,
-    }
+    S = None if args.subset is None else downset_from_json(load_json(args.subset), u.poset)
+    pts = [encode_elem(p) for p in efficient_set(u) if S is None or p in S]
+    report = _report(args, mode="global-chain", points=pts, ok=True)
     _emit(report, args, [f"{len(pts)} efficient points", *(str(p) for p in pts)])
     return 0
 
@@ -206,13 +196,7 @@ def cmd_maximize(args) -> int:
             load_json(args.downset), "closed-form maximize needs a generated down-set"
         )
         res = argmax_via_generators(u, gens)
-        report = {
-            "schema": SCHEMA,
-            "command": "maximize",
-            "input": args.utility,
-            "result": res.to_json(),
-            "ok": True,
-        }
+        report = _report(args, result=res.to_json(), ok=True)
         _emit(report, args, [f"value {encode_value(res.value)}",
                              f"maximizers {[encode_elem(x) for x in res.maximizers]}"])
         return 0
@@ -220,14 +204,7 @@ def cmd_maximize(args) -> int:
     S = downset_from_json(load_json(args.downset), u.poset)
     res = argmax_over_downset(u, S)
     loc = check_argmax_localization(u, S, res)
-    report = {
-        "schema": SCHEMA,
-        "command": "maximize",
-        "input": args.utility,
-        "result": res.to_json(),
-        "localization": loc.to_json(),
-        "ok": loc.ok,
-    }
+    report = _report(args, result=res.to_json(), localization=loc.to_json(), ok=loc.ok)
     lines = [
         f"value {encode_value(res.value)}",
         f"maximizers {[encode_elem(x) for x in res.maximizers]}",
@@ -272,22 +249,10 @@ def cmd_refine(args) -> int:
     try:
         trace = efficient_refinement(cu, S, x_star, res, order=order)
     except (PreconditionError, UtilityError, InconsistencyError) as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": "refine",
-            "input": args.utility,
-            "ok": False,
-            "error": str(exc),
-        }
+        report = _report(args, ok=False, error=str(exc))
         _emit(report, args, [f"FAIL refinement: {exc}"])
         return 1
-    report = {
-        "schema": SCHEMA,
-        "command": "refine",
-        "input": args.utility,
-        "trace": trace.to_json(),
-        "ok": True,
-    }
+    report = _report(args, trace=trace.to_json(), ok=True)
     lines = [
         f"start {encode_elem(trace.start)}",
         *(
@@ -322,22 +287,20 @@ def cmd_decompose(args) -> int:
         got = min(p.value(c) for p, c in zip(parts, x))
         if not u.scale.eq(got, u.value(x)):
             bad.append((x, u.value(x), got))
-    report = {
-        "schema": SCHEMA,
-        "command": "decompose",
-        "input": args.utility,
-        "factors": [
+    report = _report(
+        args,
+        factors=[
             {elem_key(e): encode_value(v) for e, v in zip(p.poset.elements, p.column)} for p in parts
         ],
-        "identity": {
+        identity={
             "ok": not bad,
             "violations": [
                 {"point": encode_elem(x), "value": encode_value(v), "min_form": encode_value(g)}
                 for x, v, g in bad
             ],
         },
-        "ok": not bad,
-    }
+        ok=not bad,
+    )
     lines = [f"{len(parts)} axis utilities"]
     lines.append(("PASS" if not bad else "FAIL") + " min-identity on subset")
     _emit(report, args, lines)

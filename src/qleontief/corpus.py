@@ -75,24 +75,22 @@ def random_quasileontief_utility(
     every point takes the value of the highest chain element below it.  Upper
     level sets are then exactly the up-sets of chain elements.
     """
-    bot = poset.bottom()
+    up = poset._up
+    bot = poset._least_in((1 << len(poset)) - 1)
     if bot is None:
         raise ValueError("generator needs a poset with a bottom element")
     chain = [bot]
-    cur = bot
     while True:
-        ups = [y for y in poset.up_set(cur) if y != cur]
+        ups = list(_bits(up[chain[-1]] & ~(1 << chain[-1])))
         if not ups or rng.random() < 0.3:
             break
-        cur = rng.choice(sorted(ups, key=poset.index_of))
-        chain.append(cur)
+        chain.append(rng.choice(ups))
     level = Fraction(rng.randint(0, 2))
-    levels = []
-    for _ in chain:
-        levels.append(level)
+    column = [None] * len(poset)
+    for c in chain:  # ascending, so a point keeps the level of the last chain element below it
+        for i in _bits(up[c]):
+            column[i] = level
         level += Fraction(rng.randint(1, 3), 2)
-    column = [max([levels[i] for i, e in enumerate(chain) if poset.leq(e, x)])
-              for x in poset.elements]
     return TabulatedUtility._of_column(poset, column, EXACT)
 
 

@@ -22,7 +22,7 @@ from .leontief import (
     LeastlessLevelSetError, NotCertifiedError, TabulatedUtility, UtilityError, _axis_slice,
 )
 from .oracle import Certificate, InconsistencyError
-from .order import Element, ProductSpace
+from .order import Element, ProductSpace, _bits
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,10 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
         mask = efficient_mask(u)
         if subset is not None:
             mask &= sum({1 << i for i in map(u._index_of, subset)})
-        pts = sorted(u.poset._unmask(mask), key=u.value)
-        if not u.poset.is_chain(pts):
+        if not u.poset._chain_in(mask):
             raise InconsistencyError("efficient set of a certified utility is not a chain")
-        return EfficiencySet(tuple(pts))
+        order = sorted(_bits(mask), key=u._ranks().rank.__getitem__)
+        return EfficiencySet(tuple(map(u.poset.elements.__getitem__, order)))
     if subset is None:
         raise UtilityError("closed-form efficient set needs explicit probes")
     pts = tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))

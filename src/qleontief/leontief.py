@@ -370,18 +370,12 @@ class TabulatedUtility(_Closure):
         # have a least element without being upward closed.
         poset = self.poset
         mask = self._rank_table.suffix[s]
-        up = poset._up
-        least = None
-        for i in _bits(mask):
-            if mask & ~up[i] == 0:
-                least = i
-                break
+        least = poset._least_in(mask)
         if least is None:
-            down = poset._down
-            mins = [poset.elements[i] for i in _bits(mask) if mask & down[i] == 1 << i]
-            return LevelSet(mask, None, tuple(mins[:2]), "has no least element")
+            mins = poset._unmask(poset._minimal_in(mask))
+            return LevelSet(mask, None, mins[:2], "has no least element")
         m = poset.elements[least]
-        outside = up[least] & ~mask
+        outside = poset._up[least] & ~mask
         if outside:
             y = poset.elements[(outside & -outside).bit_length() - 1]
             return LevelSet(mask, m, (m, y), f"is not the up-set of {m!r}: "
@@ -776,8 +770,7 @@ def restrict(u, downset: Union[DownSet, Sequence]):
             raise UtilityError("tabulated restriction needs a DownSet")
         if downset.space != u.poset:
             raise UtilityError("down-set lives in a different poset")
-        sub = u.poset.induced(downset.sorted_members())
-        new = _sub_table(u, sub, list(_bits(downset.mask)))
+        new = _sub_table(u, u.poset._induced_on(downset.mask), list(_bits(downset.mask)))
         new.certified = u.certified
         return new
     return RestrictedUtility(u, downset)

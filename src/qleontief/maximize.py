@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .efficiency import certified_partial, efficient_mask, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
 from .oracle import Certificate, InconsistencyError
-from .order import DownSet, Element, OrderError, ProductSpace, _bits, product_mask
+from .order import DownSet, Element, OrderError, ProductSpace
 
 
 class PreconditionError(UtilityError):
@@ -91,8 +91,7 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     """
     best, maximizers = argmax_members(u, S)
     poset = S.space
-    efficient = efficient_mask(u) & S.mask
-    k = next((i for i in _bits(efficient) if efficient & ~poset._down[i] == 0), None)
+    k = poset._greatest_in(efficient_mask(u) & S.mask)
     if k is None:
         raise InconsistencyError("no largest efficient point inside a nonempty finite comprehensive set")
     tops = [poset.elements[i] for i in map(poset.index_of, maximizers)
@@ -189,10 +188,7 @@ def product_downset(space: ProductSpace, factor_sets: Sequence[DownSet]) -> Down
     for axis, (s, f) in enumerate(zip(factor_sets, space.factors)):
         if s.space != f:
             raise OrderError(f"factor set {axis} lives in the wrong poset")
-    mask = factor_sets[0].mask
-    for s in factor_sets[1:]:
-        mask = product_mask(mask, s.mask, len(s.space))
-    return DownSet(space, mask)
+    return DownSet(space, space._product_of([s.mask for s in factor_sets]))
 
 
 def efficient_refinement(

@@ -273,7 +273,7 @@ def check_lower_bounded_level_sets(
     return Certificate(
         False,
         "lower-bounded-level-sets",
-        witnesses=poset.minimal(poset.elements)[:2],
+        witnesses=poset._unmask(poset._minimal_in((1 << len(poset)) - 1))[:2],
         detail=f"level set at {lam!r} has no common lower bound",
     )
 

@@ -2,8 +2,12 @@
 
 Elements are opaque hashable ids.  A poset stores the full relation as
 per-element bitmasks over element indices, so comparability queries are O(1)
-and least, minimal and maximal elements of a subset are one mask test per
-member.  A meet is a constant number of big-int operations: along a linear
+and subset queries run on masks of element indices, one mask test per
+member: ``_least_in``, ``_greatest_in``, ``_minimal_in``, ``_chain_in`` and
+``_induced_on`` are the one implementation of each, which the public
+``least``, ``greatest``, ``minimal``, ``join``, ``bottom``, ``top``,
+``is_chain`` and ``induced`` decode, and which callers holding a mask call
+directly.  A meet is a constant number of big-int operations: along a linear
 extension the meet of x and y, when it exists, is the highest-numbered common
 lower bound (see ``FinitePoset._meet_index``).  A plain poset decides
 ``is_inf_semilattice`` one pair at a time and makes its upper meet rows
@@ -13,7 +17,7 @@ A ``ProductSpace`` is the product poset itself; it builds its tables only when
 a query needs them, from the factor tables: the up-set (down-set) of a product
 point is the product of the factor up-sets (down-sets).  Each factor row is
 spread once to its axis's stride, and a product of masks on different axes
-is a carry-free big-int multiply (``product_mask`` is one such step).  Meets
+is a carry-free big-int multiply (``_product_of`` takes one mask per axis).  Meets
 are taken coordinatewise, so a product is an inf-semilattice iff every factor
 is, and its meet rows are mixed-radix combinations of the factor meets;
 neither reads the product's own tables, and no meet table of more than N
@@ -257,7 +261,10 @@ class FinitePoset:
 
     def induced(self, subset: Iterable[Element]) -> "FinitePoset":
         """Sub-poset on ``subset`` with the restricted order."""
-        keep = self._mask(subset)
+        return self._induced_on(self._mask(subset))
+
+    def _induced_on(self, keep: int) -> "FinitePoset":
+        """Sub-poset on the members of the mask ``keep``, in index order."""
         idxs = list(_bits(keep))
         remap = {old: new for new, old in enumerate(idxs)}
         els = [self.elements[i] for i in idxs]
@@ -303,10 +310,8 @@ class FinitePoset:
     def index_of(self, x: Element) -> int:
         """The index of the element x; a list is read as its tuple."""
         try:
-            return self._index[x]
-        except (KeyError, TypeError):  # TypeError: x is unhashable, as a list is
-            if isinstance(x, list) and tuple(x) in self:
-                return self.index_of(tuple(x))
+            return self._index[tuple(x) if isinstance(x, list) else x]
+        except (KeyError, TypeError):  # TypeError: x, or a part of a list x, is unhashable
             raise OrderError(f"unknown element {x!r}") from None
 
     def _by_key(self) -> Dict[str, List[Element]]:
@@ -353,40 +358,53 @@ class FinitePoset:
 
     # -- extrema -----------------------------------------------------------
 
-    def least(self, subset: Iterable[Element]) -> Optional[Element]:
-        """The unique member below all of ``subset``, or None."""
-        m = self._mask(subset)
-        if m == 0:
-            return None
+    def _at(self, i: Optional[int]) -> Optional[Element]:
+        return None if i is None else self.elements[i]
+
+    def _least_in(self, m: int) -> Optional[int]:
+        """Index of the member of mask m below all of m, or None."""
+        up = self._up
         for i in _bits(m):
-            if m & ~self._up[i] == 0:
-                return self.elements[i]
+            if m & ~up[i] == 0:
+                return i
         return None
 
-    def greatest(self, subset: Iterable[Element]) -> Optional[Element]:
-        m = self._mask(subset)
-        if m == 0:
-            return None
+    def _greatest_in(self, m: int) -> Optional[int]:
+        """Index of the member of mask m above all of m, or None."""
+        down = self._down
         for i in _bits(m):
-            if m & ~self._down[i] == 0:
-                return self.elements[i]
+            if m & ~down[i] == 0:
+                return i
         return None
+
+    def _minimal_in(self, m: int) -> int:
+        """Mask of the minimal members of mask m."""
+        down, mins = self._down, 0
+        for i in _bits(m):
+            if m & down[i] == 1 << i:
+                mins |= 1 << i
+        return mins
+
+    def least(self, subset: Iterable[Element]) -> Optional[Element]:
+        """The unique member below all of ``subset``, or None."""
+        return self._at(self._least_in(self._mask(subset)))
+
+    def greatest(self, subset: Iterable[Element]) -> Optional[Element]:
+        return self._at(self._greatest_in(self._mask(subset)))
 
     def minimal(self, subset: Iterable[Element]) -> Tuple[Element, ...]:
         """Minimal members of ``subset``, in element order; empty only for empty input."""
-        m = self._mask(subset)
-        return tuple(self.elements[i] for i in _bits(m) if m & self._down[i] == 1 << i)
+        return self._unmask(self._minimal_in(self._mask(subset)))
 
     def maximal(self, subset: Iterable[Element]) -> Tuple[Element, ...]:
         m = self._mask(subset)
         return tuple(self.elements[i] for i in _bits(m) if m & self._up[i] == 1 << i)
 
     def bottom(self) -> Optional[Element]:
-        full = (1 << len(self.elements)) - 1  # the least element is below every element
-        return next((self.elements[i] for i, up in enumerate(self._up) if up == full), None)
+        return self._at(self._least_in((1 << len(self.elements)) - 1))
 
     def top(self) -> Optional[Element]:
-        return self.greatest(self.elements)
+        return self._at(self._greatest_in((1 << len(self.elements)) - 1))
 
     # -- meets and joins -----------------------------------------------------
 
@@ -436,17 +454,10 @@ class FinitePoset:
 
     def meet(self, x: Element, y: Element) -> Optional[Element]:
         """Greatest lower bound of {x, y}, or None when it does not exist."""
-        m = self._meet_index(self.index_of(x), self.index_of(y))
-        return None if m is None else self.elements[m]
+        return self._at(self._meet_index(self.index_of(x), self.index_of(y)))
 
     def join(self, x: Element, y: Element) -> Optional[Element]:
-        ups = self._up[self.index_of(x)] & self._up[self.index_of(y)]
-        if ups == 0:
-            return None
-        for i in _bits(ups):
-            if ups & ~self._up[i] == 0:
-                return self.elements[i]
-        return None
+        return self._at(self._least_in(self._up[self.index_of(x)] & self._up[self.index_of(y)]))
 
     def is_inf_semilattice(self) -> bool:
         """True iff every pair has a meet."""
@@ -482,9 +493,13 @@ class FinitePoset:
 
     def is_chain(self, subset: Iterable[Element]) -> bool:
         """True iff all pairs in ``subset`` are comparable; the empty set counts."""
-        m = self._mask(subset)
+        return self._chain_in(self._mask(subset))
+
+    def _chain_in(self, m: int) -> bool:
+        """True iff all members of mask m are pairwise comparable."""
+        up, down = self._up, self._down
         for i in _bits(m):
-            if m & ~(self._up[i] | self._down[i]):
+            if m & ~(up[i] | down[i]):
                 return False
         return True
 
@@ -557,6 +572,15 @@ class ProductSpace(FinitePoset):
             super().__init__(points, up, down)
             self.__class__ = ProductSpace
         return self
+
+    def _product_of(self, masks: Sequence[int]) -> int:
+        """Mask of the product of one subset per factor, given as factor
+        masks: each spread to its axis's stride and multiplied in, the ring
+        map ``as_poset`` builds its rows with.  Builds no tables."""
+        m = 1
+        for mask, stride in zip(masks, self.strides):
+            m *= _spread(mask, stride)
+        return m
 
     @property
     def n_axes(self) -> int:
@@ -699,21 +723,6 @@ def _meet_rows(leaves: Sequence[FinitePoset], size: int) -> Iterator[List[Option
 def _spread(outer: int, n: int) -> int:
     """``outer`` with bit p moved to bit p*n."""
     return int(("0" * (n - 1)).join(bin(outer)[2:]), 2)
-
-
-def product_mask(outer: int, inner: int, n_inner: int) -> int:
-    """Mask of the product of two subsets, ``outer`` over a poset P and
-    ``inner`` over a poset Q of ``n_inner`` elements, indexed over P x Q with
-    the Q coordinate fastest (the order of ``ProductSpace.points``).
-
-    Point (p, q) has index p*n_inner + q, so the mask is the sum of
-    ``inner << p*n_inner`` over the members p of ``outer``: one multiply of
-    the spread ``outer`` by ``inner``.  It never carries, since
-    ``inner < 2**n_inner`` and each copy fills its own n_inner-bit block.
-    ``ProductSpace.as_poset`` builds its rows the same way, with every factor
-    row spread once to its own axis's stride.
-    """
-    return _spread(outer, n_inner) * inner
 
 
 def _spread_rows(rows: Sequence[int], stride: int) -> Sequence[int]:

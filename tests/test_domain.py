@@ -239,6 +239,22 @@ def test_membership_of_unhashable_points():
     assert tuples.index_of([0, 1]) == 1 and [0, 1] in tuples and [[0], 1] not in tuples
 
 
+def test_a_list_point_is_read_with_one_lookup(monkeypatch):
+    """On a plain poset of tuple points a list point costs one ``index_of``
+    call, as its tuple does."""
+    tuples = q.grid_space(range(2), range(2)).as_poset().induced([(0, 0), (0, 1), (1, 1)])
+    calls = []
+
+    def counted(self, x, index_of=FinitePoset.index_of):
+        calls.append(x)
+        return index_of(self, x)
+    monkeypatch.setattr(FinitePoset, "index_of", counted)
+    assert tuples.index_of([0, 1]) == 1 and calls == [[0, 1]]
+    with pytest.raises(q.OrderError, match=r"^unknown element \[1, 0\]$"):
+        tuples.index_of([1, 0])
+    assert len(calls) == 2
+
+
 DATA = Path(__file__).parent / "data"
 
 

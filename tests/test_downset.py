@@ -34,6 +34,11 @@ def ref_first_missing(space, members):
 def random_space(rng, kind):
     if kind == "chains":
         return corpus.random_product_of_chains(rng)
+    if kind == "four-axes":
+        return q.ProductSpace([corpus.random_poset(rng, 3) for _ in range(4)])
+    if kind == "nested":
+        inner = q.ProductSpace([corpus.random_poset(rng, 3), q.FinitePoset.chain(range(rng.randint(1, 3)))])
+        return q.ProductSpace([corpus.random_poset(rng, 3), inner, corpus.random_poset(rng, 3)])
     n = rng.randint(1, 3)
     return q.ProductSpace([corpus.random_poset(rng, 4) for _ in range(n)])
 
@@ -80,7 +85,7 @@ def test_from_generators_matches_reference(kind):
         assert s.space is space.as_poset()
 
 
-@pytest.mark.parametrize("kind", ["chains", "posets"])
+@pytest.mark.parametrize("kind", ["chains", "posets", "four-axes", "nested"])
 def test_product_downset_matches_reference(kind):
     for i in range(40):
         rng = corpus.derive_rng(11, "product-downset", kind, i)

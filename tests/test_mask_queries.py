@@ -1,0 +1,113 @@
+"""The subset queries on masks against pairwise references.
+
+``FinitePoset._least_in``, ``_greatest_in``, ``_minimal_in``, ``_chain_in``
+and ``_induced_on`` answer each query on a mask of element indices, and the
+public ``least``, ``greatest``, ``minimal``, ``is_chain``, ``join``,
+``bottom``, ``top`` and ``induced`` decode them.  The references compare
+the points pair by pair with ``leq``, which a product answers factor by
+factor, so they read no mask.
+"""
+from __future__ import annotations
+
+import pytest
+
+import qleontief as q
+from qleontief import corpus
+from qleontief.order import FinitePoset
+
+from conftest import brute_least, brute_minimal
+
+KINDS = ("poset", "poset-with-bottom", "chains", "posets", "nested")
+
+
+def random_space(rng, kind):
+    if kind == "poset":
+        return corpus.random_poset(rng, 9)
+    if kind == "poset-with-bottom":
+        return corpus.random_poset(rng, 9, with_bottom=True)
+    if kind == "chains":
+        return corpus.random_product_of_chains(rng).as_poset()
+    if kind == "posets":
+        return q.ProductSpace([corpus.random_poset(rng, 4) for _ in range(rng.randint(2, 3))]).as_poset()
+    inner = q.ProductSpace([FinitePoset.chain(range(rng.randint(1, 3))), corpus.random_poset(rng, 3)])
+    return q.ProductSpace([inner, corpus.random_poset(rng, 3)]).as_poset()
+
+
+def random_chain(rng, poset):
+    """A mask of a chain: a random walk up the order from a random element."""
+    i = rng.randrange(len(poset))
+    m = 1 << i
+    while rng.random() < 0.7:
+        above = [j for j, y in enumerate(poset.elements) if j != i and poset.leq(poset.elements[i], y)]
+        if not above:
+            break
+        i = rng.choice(above)
+        m |= 1 << i
+    return m
+
+
+def masks(rng, poset):
+    """The empty mask, every singleton, the full mask, random subsets, up-
+    and down-sets, their intersections and chains."""
+    n = len(poset)
+    out = [0, (1 << n) - 1] + [1 << i for i in range(n)]
+    for _ in range(8):
+        out.append(sum(1 << i for i in range(n) if rng.random() < rng.choice((0.2, 0.5, 0.8))))
+        x, y = rng.randrange(n), rng.randrange(n)
+        out += [poset._up[x], poset._down[y], poset._up[x] & poset._down[y], poset._up[x] | poset._up[y]]
+        out.append(random_chain(rng, poset))
+    return out
+
+
+def is_chain_ref(points, leq):
+    return all(leq(a, b) or leq(b, a) for a in points for b in points)
+
+
+def geq(leq):
+    return lambda a, b: leq(b, a)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_helpers_match_pairwise_references(kind):
+    chains = 0
+    for seed in range(25):
+        rng = corpus.derive_rng(13, "mask-queries", kind, seed)
+        poset = random_space(rng, kind)
+        leq = poset.leq
+        for m in masks(rng, poset):
+            pts = list(poset._unmask(m))
+            least, greatest = brute_least(pts, leq), brute_least(pts, geq(leq))
+            assert poset._at(poset._least_in(m)) == least == poset.least(pts)
+            assert poset._at(poset._greatest_in(m)) == greatest == poset.greatest(pts)
+            mins = tuple(brute_minimal(pts, leq))
+            assert poset._unmask(poset._minimal_in(m)) == mins == poset.minimal(pts)
+            assert poset._minimal_in(m) & ~m == 0
+            chain = is_chain_ref(pts, leq)
+            assert poset._chain_in(m) == chain == poset.is_chain(pts)
+            chains += chain and len(pts) > 1
+            sub = poset._induced_on(m)
+            assert sub == poset.induced(pts)
+            assert sub.elements == tuple(pts)
+            assert all(sub.leq(a, b) == leq(a, b) for a in pts for b in pts)
+    assert chains > 100  # the chain test sees true cases beyond singletons
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_join_bottom_and_top_match_pairwise_references(kind):
+    for seed in range(25):
+        rng = corpus.derive_rng(13, "mask-decoders", kind, seed)
+        poset = random_space(rng, kind)
+        leq, els = poset.leq, poset.elements
+        assert poset.bottom() == brute_least(els, leq)
+        assert poset.top() == brute_least(els, geq(leq))
+        for _ in range(10):
+            x, y = rng.choice(els), rng.choice(els)
+            uppers = [z for z in els if leq(x, z) and leq(y, z)]
+            assert poset.join(x, y) == brute_least(uppers, leq)
+
+
+def test_empty_poset():
+    empty = FinitePoset([], [])
+    assert empty.bottom() is None and empty.top() is None
+    assert empty._least_in(0) is None and empty._minimal_in(0) == 0 and empty._chain_in(0)
+    assert len(empty._induced_on(0)) == 0
