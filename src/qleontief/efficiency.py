@@ -86,9 +86,8 @@ def efficient_mask(u: TabulatedUtility) -> int:
         rec = u._level(lam, r)
         if rec.least is None:
             raise LeastlessLevelSetError(lam, rec.witnesses)
-        i = u.poset.index_of(rec.least)
-        if t.rank[i] == r:
-            mask |= 1 << i
+        if t.rank[rec.index] == r:
+            mask |= 1 << rec.index
     return mask
 
 

@@ -88,15 +88,16 @@ class LevelSet(NamedTuple):
     """An upper level set {x : u(x) >= lam} of a tabulated utility.
 
     ``mask`` marks its members by element index and ``least`` is its least
-    element, if it has one.  ``fault`` is empty exactly when the set is
-    empty or equals up(least); otherwise it says why not, free of the level,
-    and ``witnesses`` replay it.
+    element, if it has one, at element index ``index``.  ``fault`` is empty
+    exactly when the set is empty or equals up(least); otherwise it says why
+    not, free of the level, and ``witnesses`` replay it.
     """
 
     mask: int
     least: Optional[Element]
     witnesses: Tuple = ()
     fault: str = ""
+    index: Optional[int] = None
 
     def detail(self, lam) -> str:
         """The fault as said of the level set at ``lam``; empty when none."""
@@ -379,8 +380,9 @@ class TabulatedUtility(_Closure):
         if outside:
             y = poset.elements[(outside & -outside).bit_length() - 1]
             return LevelSet(mask, m, (m, y), f"is not the up-set of {m!r}: "
-                                             f"{y!r} lies above it with a smaller value")
-        return LevelSet(mask, m)
+                                             f"{y!r} lies above it with a smaller value",
+                            index=least)
+        return LevelSet(mask, m, index=least)
 
     def dual(self, lam) -> Optional[Element]:
         """Least element of the level set at lam; None when the set is empty.

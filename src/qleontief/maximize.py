@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .efficiency import certified_partial, efficient_mask, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
 from .oracle import Certificate, InconsistencyError
-from .order import DownSet, Element, OrderError, ProductSpace
+from .order import DownSet, Element, OrderError, ProductSpace, _bits
 
 
 class PreconditionError(UtilityError):
@@ -53,9 +53,10 @@ class ArgmaxResult:
         }
 
 
-def argmax_members(u: TabulatedUtility, S: DownSet) -> Tuple[Any, Tuple]:
+def argmax_members(u: TabulatedUtility, S: DownSet, *, as_mask: bool = False) -> Tuple[Any, Any]:
     """The maximum of u over a nonempty comprehensive set and the members
-    that attain it on ``u.scale``, in member order.
+    that attain it on ``u.scale``, in member order; with ``as_mask``, those
+    members as a mask of element indices.
 
     Read off the rank table: the top rank that meets S holds the maximum,
     and the maximum is the value of the lowest-index member there (the one
@@ -79,7 +80,8 @@ def argmax_members(u: TabulatedUtility, S: DownSet) -> Tuple[Any, Tuple]:
     if u.scale.kind != "exact":
         while lo and u.scale.eq(image[lo - 1], best):
             lo -= 1
-    return best, poset._unmask(S.mask & suffix[lo])
+    mask = S.mask & suffix[lo]
+    return best, mask if as_mask else poset._unmask(mask)
 
 
 def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
@@ -89,16 +91,15 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     which lower-bounds every maximizer, and the maximizer that is maximal in
     the set (nothing else of S lies above it), ties broken by string form.
     """
-    best, maximizers = argmax_members(u, S)
+    best, mask = argmax_members(u, S, as_mask=True)
     poset = S.space
     k = poset._greatest_in(efficient_mask(u) & S.mask)
     if k is None:
         raise InconsistencyError("no largest efficient point inside a nonempty finite comprehensive set")
-    tops = [poset.elements[i] for i in map(poset.index_of, maximizers)
-            if S.mask & poset._up[i] == 1 << i]
+    tops = [poset.elements[i] for i in _bits(mask) if S.mask & poset._up[i] == 1 << i]
     if not tops:
         raise InconsistencyError("no maximizer is maximal in the down-set")
-    return ArgmaxResult(best, maximizers, poset.elements[k], min(tops, key=str))
+    return ArgmaxResult(best, poset._unmask(mask), poset.elements[k], min(tops, key=str))
 
 
 def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:

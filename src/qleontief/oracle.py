@@ -9,6 +9,12 @@ has a least element) is equivalent to isotone + common-lower-bound minima
 meet-homomorphism identity u(x ^ y) = min(u(x), u(y)).  On a finite domain
 the lowest level set is the whole domain, so lower-bounded level sets is one
 test for a least element.
+
+The CLI's ``check`` uses that fact: once ``certify_quasi_leontief`` and
+``certify_regular`` pass on the exact scale, or on a tolerant scale that
+orders the attained values strictly (``_strictly_ordered``), it lists
+property Phi and the meet identity as passed without their O(N^2) pair
+sweep.  Elsewhere, and in every certifier here, the sweep runs.
 """
 from __future__ import annotations
 

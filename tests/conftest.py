@@ -57,6 +57,24 @@ def grid_utility(fn, *ranges, scale=q.EXACT):
     return q.TabulatedUtility(space.as_poset(), values, scale=scale)
 
 
+def min_on_6_cubed():
+    """min(x1, x2, x3) on the product of three chains 0..5, certified."""
+    space = q.grid_space(range(6), range(6), range(6))
+    return certified(q.TabulatedUtility(space, {p: Fraction(min(p)) for p in space.points()}))
+
+
+def count_index_of(monkeypatch):
+    """The list of the points that every ``index_of`` call, on a plain poset
+    or a product, is asked for from now on."""
+    calls = []
+    for cls in (q.FinitePoset, q.ProductSpace):
+        def counted(self, x, index_of=cls.index_of):
+            calls.append(x)
+            return index_of(self, x)
+        monkeypatch.setattr(cls, "index_of", counted)
+    return calls
+
+
 def certified(u):
     cert = q.certify_quasi_leontief(u)
     assert cert.ok, cert.detail

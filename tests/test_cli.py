@@ -821,10 +821,11 @@ class TestHostileShapes:
 
 
 class TestLargeProduct:
-    """``efficient`` and ``maximize`` on a 10^4 table of u(x) = min_i a_i x_i,
-    checked against closed-form answers: a point is efficient iff it is the
-    least one at its level, x = (ceil(u(x)/a_i))_i, and the largest efficient
-    point of a down-set is (ceil(max/a_i))_i.  Each call has a time budget."""
+    """``check``, ``efficient`` and ``maximize`` on a 10^4 table of
+    u(x) = min_i a_i x_i, checked against closed-form answers: a point is
+    efficient iff it is the least one at its level, x = (ceil(u(x)/a_i))_i,
+    and the largest efficient point of a down-set is (ceil(max/a_i))_i.
+    Every certificate of ``check`` passes.  Each call has a time budget."""
 
     A = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1))
     BUDGET = 5.0
@@ -848,6 +849,12 @@ class TestLargeProduct:
         assert seconds < self.BUDGET, f"{argv[0]} took {seconds:.2f}s, budget {self.BUDGET}s"
         assert code == 0
         return json.loads(capsys.readouterr().out)
+
+    def test_check(self, table, capsys):
+        path, _ = table
+        report = self.timed(["check", "--json", path], capsys)
+        verdicts = {c["property"]: c["verdict"] for c in report["certificates"]}
+        assert set(verdicts.values()) == {"pass"} and "meet-homomorphism" in verdicts
 
     def test_efficient(self, table, capsys):
         path, values = table

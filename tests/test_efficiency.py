@@ -14,8 +14,10 @@ from qleontief.efficiency import efficient_mask
 from conftest import (
     brute_minimal,
     certified,
+    count_index_of,
     grid_utility,
     interior_table,
+    min_on_6_cubed,
     partial_dual_consistency,
     projected_interior,
     tuple_leq,
@@ -339,3 +341,13 @@ class TestEfficiencyStructure:
             global_eff = q.is_efficient_global(u, x)
             axiswise = axiswise_member(u, x)
             assert global_eff == axiswise
+
+
+def test_efficient_mask_reads_no_point_back(monkeypatch):
+    """A level record keeps the index of its least element, so the efficient
+    points of a certified 6^3 table cost no ``index_of`` call."""
+    u = min_on_6_cubed()
+    calls = count_index_of(monkeypatch)
+    mask = efficient_mask(u)
+    assert calls == []
+    assert u.poset._unmask(mask) == tuple((k, k, k) for k in range(6))

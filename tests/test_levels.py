@@ -73,6 +73,7 @@ def assert_record_matches_reference(u):
         level = ref_level_set(u, lam)
         assert rec.mask == sum(1 << u.poset.index_of(x) for x in level)
         assert rec.least == (brute_least(level, u.poset.leq) if level else None)
+        assert rec.index == (None if rec.least is None else u.poset.index_of(rec.least))
         least, failure = ref_least_of_upper_set(u, lam)
         if failure is None:
             assert (rec.witnesses, rec.detail(lam)) == ((), "")

@@ -6,7 +6,7 @@ import pytest
 import qleontief as q
 from qleontief import corpus
 
-from conftest import certified, changed_axes, grid_utility
+from conftest import certified, changed_axes, count_index_of, grid_utility, min_on_6_cubed
 
 
 def downset(poset, gens):
@@ -102,6 +102,19 @@ class TestArgmaxOverDownset:
         assert p.greatest(fixed) == res.largest_efficient
 
 
+def test_argmax_over_downset_reads_no_point_back(monkeypatch):
+    """The maximal maximizer is found on the bits of the maximizer mask, and
+    the largest efficient point on the efficient mask: on a 6^3 table no
+    maximizer or level's least element is read back by ``index_of``."""
+    u = min_on_6_cubed()
+    S = downset(u.poset, [(5, 5, 3), (3, 5, 5)])
+    calls = count_index_of(monkeypatch)
+    res = q.argmax_over_downset(u, S)
+    assert calls == []
+    assert res.maximizers == tuple(x for x in S.sorted_members() if min(x) == 3)
+    assert (res.value, res.largest_efficient, res.maximal_maximizer) == (3, (3, 3, 3), (3, 5, 5))
+
+
 def ref_argmax_members(u, S):
     """The walk over the members: the first maximal value in member order,
     and the members the scale counts equal to it."""
@@ -139,6 +152,8 @@ def test_argmax_members_matches_the_member_walk(seed):
             want_best, want = ref_argmax_members(table, S)
             assert maximizers == want
             assert best is want_best  # the same object: 1 and Fraction(1) print apart
+            mask = q.argmax_members(table, S, as_mask=True)[1]
+            assert mask == sum(1 << S.space.index_of(x) for x in want)
 
 
 def test_argmax_members_keeps_the_first_of_equal_values():

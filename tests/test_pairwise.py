@@ -26,6 +26,7 @@ from hypothesis import given, strategies as st
 import qleontief as q
 from qleontief import corpus
 from qleontief.cli import main
+from qleontief.io import utility_from_json
 from qleontief.oracle import _is_regular, _meet_failure, _strictly_ordered
 from qleontief.order import _bits
 
@@ -486,18 +487,57 @@ def plain_semilattice_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("space_class", [q.ProductSpace, q.FinitePoset])
-def test_check_sweeps_the_meet_rows_once(space_class, tmp_path, monkeypatch, capsys):
-    """One ``check`` on an inf-semilattice reads the meet rows once, for
-    property Phi and the meet identity alike."""
-    path = str(DATA / "min_grid.json") if space_class is q.ProductSpace else plain_semilattice_file(tmp_path)
+def count_meet_rows(space_class, monkeypatch):
+    """The list that each ``space_class.meet_rows`` call appends its space to."""
     calls = []
     meet_rows = space_class.meet_rows
     monkeypatch.setattr(space_class, "meet_rows", lambda self: calls.append(self) or meet_rows(self))
+    return calls
+
+
+@pytest.mark.parametrize("space_class", [q.ProductSpace, q.FinitePoset])
+def test_check_reads_no_meet_rows_on_a_regular_table(space_class, tmp_path, monkeypatch, capsys):
+    """On the exact scale a regular table implies property Phi and the meet
+    identity, so ``check`` lists both as passed without sweeping a pair."""
+    path = str(DATA / "min_grid.json") if space_class is q.ProductSpace else plain_semilattice_file(tmp_path)
+    calls = count_meet_rows(space_class, monkeypatch)
     assert main(["check", "--json", path]) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    verdicts = {c["property"]: c["verdict"] for c in certs}
+    assert verdicts["property-phi"] == verdicts["meet-homomorphism"] == "pass"
+    assert calls == []
+
+
+def tolerant_power_file(tmp_path, downset=None):
+    """min(x1^2, x2) on the grid {0, 1, 2} x {0, ..., 4} as a float power form,
+    so its table is on a tolerant scale; restricted to ``downset`` when one
+    is given, which makes the domain a plain poset."""
+    form = {"type": "power", "a": [1.0, 1.0], "alpha": [2.0, 1.0], "box": {"axes": [
+        {"lo": 0.0, "hi": 2.0, "step": 1.0}, {"lo": 0.0, "hi": 4.0, "step": 1.0}]}}
+    if downset is not None:
+        form = {"type": "restrict", "base": form, "downset": {"generators": downset}}
+    path = tmp_path / "tolerant.json"
+    path.write_text(json.dumps(form))
+    return str(path)
+
+
+@pytest.mark.parametrize("space_class", [q.ProductSpace, q.FinitePoset])
+def test_check_sweeps_the_meet_rows_once(space_class, tmp_path, monkeypatch, capsys):
+    """At tolerance 1 the attained values 0, 1, ..., 4 each lie within the
+    tolerance of the next, so regularity implies nothing about the pairs:
+    ``check`` sweeps the meet rows, once, for property Phi and the meet
+    identity alike."""
+    downset = None if space_class is q.ProductSpace else [[2.0, 2.0], [1.0, 4.0]]
+    path = tolerant_power_file(tmp_path, downset)
+    u = utility_from_json(json.loads(Path(path).read_text()))
+    u.scale = q.tolerant(1.0)
+    assert isinstance(u.poset, space_class) and u.poset.is_inf_semilattice()
+    assert q.certify_regular(u).ok and not _strictly_ordered(u)
+    calls = count_meet_rows(space_class, monkeypatch)
+    assert main(["check", "--json", "--tolerance", "1", path]) == 0
     props = [c["property"] for c in json.loads(capsys.readouterr().out)["certificates"]]
     assert "property-phi" in props and "meet-homomorphism" in props
-    assert len(calls) == 1 and type(calls[0]) is space_class
+    assert len(calls) == 1 and isinstance(calls[0], space_class)
 
 
 @pytest.mark.parametrize("seed", range(4))
