@@ -52,7 +52,6 @@ from .oracle import (
     verify_galois,
 )
 from .efficiency import (
-    EfficiencySet,
     certified_partial,
     check_charpar,
     efficient_set,

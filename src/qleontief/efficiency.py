@@ -14,7 +14,6 @@ tests a closed form (io keeps one only on a continuous box) at probe points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from . import oracle
@@ -23,22 +22,6 @@ from .leontief import (
 )
 from .oracle import Certificate, InconsistencyError
 from .order import Element, ProductSpace, _bits
-
-
-@dataclass(frozen=True)
-class EfficiencySet:
-    """Efficient points of one utility."""
-
-    points: Tuple
-
-    def __contains__(self, x) -> bool:
-        return x in self.points
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _require_space(u: TabulatedUtility) -> ProductSpace:
@@ -91,25 +74,25 @@ def efficient_mask(u: TabulatedUtility) -> int:
     return mask
 
 
-def efficient_set(u, subset: Optional[Iterable] = None) -> EfficiencySet:
-    """All points of ``subset`` fixed by the interior map; for a table the
-    subset defaults to the whole domain, a closed form needs explicit probes.
+def efficient_set(u, subset: Optional[Iterable] = None) -> Tuple:
+    """The points fixed by the interior map: of a table, every such point of
+    its domain, by ascending value; of a closed form, those among the probe
+    points ``subset``, which a table does not take.
 
     For a certified utility this set is totally ordered; the chain property is
     asserted and its violation raises InconsistencyError.
     """
     if isinstance(u, TabulatedUtility):
-        mask = efficient_mask(u)
         if subset is not None:
-            mask &= sum({1 << i for i in map(u._index_of, subset)})
+            raise UtilityError("a table's efficient set takes no probe points")
+        mask = efficient_mask(u)
         if not u.poset._chain_in(mask):
             raise InconsistencyError("efficient set of a certified utility is not a chain")
         order = sorted(_bits(mask), key=u._ranks().rank.__getitem__)
-        return EfficiencySet(tuple(map(u.poset.elements.__getitem__, order)))
+        return tuple(map(u.poset.elements.__getitem__, order))
     if subset is None:
         raise UtilityError("closed-form efficient set needs explicit probes")
-    pts = tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))
-    return EfficiencySet(pts)
+    return tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))
 
 
 def is_efficient_global(u, x) -> bool:

@@ -7,9 +7,9 @@ member: ``_least_in``, ``_greatest_in``, ``_minimal_in``, ``_chain_in`` and
 ``_induced_on`` are the one implementation of each, which the public
 ``least``, ``greatest``, ``minimal``, ``join``, ``bottom``, ``top``,
 ``is_chain`` and ``induced`` decode, and which callers holding a mask call
-directly.  A meet is a constant number of big-int operations: along a linear
-extension the meet of x and y, when it exists, is the highest-numbered common
-lower bound (see ``FinitePoset._meet_index``).  A plain poset decides
+directly.  A meet is one big-int AND and one dict lookup: m is the meet of x
+and y exactly when down(m) = down(x) & down(y), and distinct elements have
+distinct down-sets (see ``FinitePoset._meet_index``).  A plain poset decides
 ``is_inf_semilattice`` one pair at a time and makes its upper meet rows
 (``meet_rows``) one row at a time.
 
@@ -151,7 +151,7 @@ class FinitePoset:
     """
 
     __slots__ = (
-        "elements", "_index", "_up", "_down", "_meet_total", "_meet_frame", "_names",
+        "elements", "_index", "_up", "_down", "_meet_total", "_by_down", "_names",
     )
 
     def __init__(
@@ -179,7 +179,7 @@ class FinitePoset:
             down = list(_down_masks)
         self._down: List[int] = down
         self._meet_total: Optional[bool] = None
-        self._meet_frame: Optional[Tuple[List[int], Optional[List[int]]]] = None
+        self._by_down: Optional[Dict[int, int]] = None
         self._names: Optional[Dict[str, List[Element]]] = None
 
     # -- construction ----------------------------------------------------
@@ -408,49 +408,14 @@ class FinitePoset:
 
     # -- meets and joins -----------------------------------------------------
 
-    def _meet_masks(self) -> Tuple[List[int], Optional[List[int]]]:
-        """Down masks renumbered along a linear extension (cached).
-
-        Returns ``(down, order)``: ``down[i]`` is the down-set of element i
-        with each member j at bit ``label[j]``, and ``order[label]`` is the
-        element index of a label.  When the index order already is a linear
-        extension (no element has a larger index below it) the labels are the
-        indices, ``down`` is ``_down`` and ``order`` is None.
-        """
-        if self._meet_frame is None:
-            down = self._down
-            if all(d >> (i + 1) == 0 for i, d in enumerate(down)):
-                self._meet_frame = (down, None)
-            else:
-                order = self._extension_order()
-                label = [0] * len(order)
-                for k, i in enumerate(order):
-                    label[i] = k
-                renumbered = []
-                for d in down:
-                    m = 0
-                    for j in _bits(d):
-                        m |= 1 << label[j]
-                    renumbered.append(m)
-                self._meet_frame = (renumbered, order)
-        return self._meet_frame
-
     def _meet_index(self, i: int, j: int) -> Optional[int]:
-        """Element index of the meet of elements i and j, or None.
-
-        Along a linear extension every element below m carries a smaller label
-        than m.  So the meet, when it exists, is the common lower bound with the
-        highest label, and that candidate is the meet iff every common lower
-        bound lies below it.
-        """
-        down, order = self._meet_masks()
-        lows = down[i] & down[j]
-        if not lows:
-            return None
-        m = lows.bit_length() - 1
-        if order is not None:
-            m = order[m]
-        return m if lows & ~down[m] == 0 else None
+        """Element index of the meet of elements i and j, or None: m is their
+        meet exactly when down(m) = down(i) & down(j), and down-sets are
+        distinct, so one dict from down mask to index answers every meet."""
+        by_down = self._by_down
+        if by_down is None:
+            by_down = self._by_down = {d: k for k, d in enumerate(self._down)}
+        return by_down.get(self._down[i] & self._down[j])
 
     def meet(self, x: Element, y: Element) -> Optional[Element]:
         """Greatest lower bound of {x, y}, or None when it does not exist."""

@@ -145,14 +145,14 @@ class TestAcceptance:
             for u, table in certified_corpus:
                 poset = u.poset
                 eff = q.efficient_set(u)
-                assert poset.is_chain(eff.points)
+                assert poset.is_chain(eff)
                 if poset.is_inf_semilattice():
-                    for x in eff.points:
-                        for y in eff.points:
-                            assert poset.meet(x, y) in eff.points
+                    for x in eff:
+                        for y in eff:
+                            assert poset.meet(x, y) in eff
                 image = u.image()
                 duals = [u.dual(lam) for lam in image]
-                assert set(duals) == set(eff.points)
+                assert set(duals) == set(eff)
                 for l1, l2 in zip(image, image[1:]):
                     assert poset.lt(u.dual(l1), u.dual(l2))
                 for lam, d in zip(image, duals):

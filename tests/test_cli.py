@@ -1031,6 +1031,77 @@ class TestFuzzedFields:
             assert run_quietly(argv) in (0, 1, 2)
 
 
+MIN_GRID = os.path.join(os.path.dirname(__file__), "data", "min_grid.json")
+
+# Raw flag strings: arbitrary text, and comma-joined tokens that are near misses
+# of a number (signs, spaces, empty parts, other digit scripts, other bases).
+flag_strings = st.text(max_size=8) | st.lists(
+    st.sampled_from(["1", "2", "0", "3", "-1", "+2", " 2", "٢", "0x1", "1e0", "1.5", "inf", "nan", ""]),
+    max_size=3,
+).map(",".join)
+
+
+def run_flag(argv):
+    """(exit code, stdout, stderr) of one in-process call; argparse's usage
+    error exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_input_error(err, flag):
+    """One ``error:`` line, or argparse's usage line and its error on ``flag``."""
+    lines = err.splitlines()
+    assert (len(lines) == 1 and lines[0].startswith("error: ")
+            or len(lines) == 2 and lines[0].startswith("usage: ")
+            and lines[1].startswith(f"qleontief {flag[0]}: error: argument {flag[1]}: ")), err
+
+
+class TestFuzzedFlags:
+    """The raw string of a flag exits 0 or 2, never with a traceback: 0 exactly
+    when the flag reads as a number of the right kind, else one error line."""
+
+    @given(flag_strings)
+    @example("1,,2")
+    @example("2,1,")
+    @example("0x1,2")
+    @example("٢,1")
+    @settings(max_examples=150, deadline=2000)
+    def test_refine_order(self, raw):
+        with tempfile.TemporaryDirectory() as root:
+            s = TestFuzzedFields.files(root, s={"members": ["0", "1", "2", "3"]})["s"]
+            code, out, err = run_flag(["refine", "--json", MIN_GRID, "--sets", s, s, f"--order={raw}"])
+        try:
+            order = [int(tok) for tok in raw.split(",")]
+        except ValueError:
+            order = None
+        if order is not None and sorted(order) == [1, 2]:
+            assert code == 0 and json.loads(out)["trace"]["order"] == order
+        else:
+            assert code == 2 and out == ""
+            assert_input_error(err, ("refine", "--order"))
+
+    @given(flag_strings)
+    @example("1e400")
+    @example("-0")
+    @settings(max_examples=150, deadline=2000)
+    def test_check_tolerance(self, raw):
+        code, out, err = run_flag(["check", MIN_GRID, f"--tolerance={raw}"])
+        try:
+            ok = float(raw) >= 0
+        except ValueError:
+            ok = False
+        if ok:
+            assert code == 0 and err == ""  # an exact table ignores the tolerance
+        else:
+            assert code == 2 and out == ""
+            assert_input_error(err, ("check", "--tolerance"))
+
+
 # Point tokens for the domains of ``nested_forms``: factor ids, one- and two-axis
 # points, comma-joined product keys, and the Python form of a tuple, which names no point.
 nested_points = st.lists(st.sampled_from(

@@ -277,7 +277,6 @@ def test_list_points_on_a_restricted_product_table():
     sub = q.DownSet.from_generators(r.poset, [(2, 1)])
     assert [1, 1] in S and [1, 1] in sub
     assert r.value([1, 1]) == 1
-    assert q.efficient_set(r, [[1, 1], (2, 1), [1, 1]]).points == ((1, 1),)
     assert q.is_efficient_minimal(r, [1, 1]) and not q.is_efficient_minimal(r, [2, 1])
     assert q.is_efficient_global(r, [1, 1])
     with pytest.raises(q.DomainError, match=r"point \[2, 2\] outside domain"):

@@ -200,9 +200,9 @@ def test_certification_interior_and_efficient_set_match_reference(seed):
         for x in u.poset.elements:
             assert cu.interior(x) == ref_interior(u, x)
         elements = set(u.poset.elements)
-        assert q.efficient_set(cu).points == ref_efficient_set(u, elements)
+        assert q.efficient_set(cu) == ref_efficient_set(u, elements)
         half = set(u.poset.elements[::2])
-        assert q.efficient_set(cu, half).points == ref_efficient_set(u, half)
+        assert tuple(x for x in q.efficient_set(cu) if x in half) == ref_efficient_set(u, half)
 
 
 def levels_between(u):

@@ -270,7 +270,7 @@ class TestBeyondGridsAndNumbers:
         reg = q.certify_regular(u)
         assert reg.ok
         assert q.verify_galois(reg.utility, reg.dual_table).ok
-        assert set(q.efficient_set(reg.utility).points) == {(0, 0), (1, 1)}
+        assert set(q.efficient_set(reg.utility)) == {(0, 0), (1, 1)}
 
     def test_lexicographic_value_scale(self):
         # the value scale only needs a total order: tuples under

@@ -57,7 +57,7 @@ def test_closure_is_a_closure_operator(seed):
 @given(seeds)
 def test_efficient_set_is_the_dual_image(seed):
     u, table = certified_instance(seed)
-    eff = set(q.efficient_set(u).points)
+    eff = set(q.efficient_set(u))
     assert {u.dual(lam) for lam in table} == eff
     assert {u.dual(lam) for lam in u.image()} == eff
 
