@@ -68,9 +68,22 @@ _tolerance = _nonnegative(float, "number")
 _count = _nonnegative(int, "integer")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that ``--flag=--`` gives ``--flag`` the value "--".
+    argparse drops that "--" as the end of options and, with no value left,
+    would hand back an empty list, unconverted and unchecked."""
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache  # one shared parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qleontief",
         description="Certification and maximization of quasi-Leontief utilities on finite posets.",
     )

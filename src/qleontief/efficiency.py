@@ -6,7 +6,13 @@ when nothing strictly below it keeps the value (brute force, certification
 free).  For individually quasi-Leontief utilities the two agree with
 membership in the product of axis-wise efficient sets, and check_charpar
 sweeps that equivalence by point index: one mask test for minimality, and
-one bit of each axis slice's efficient mask for membership.
+one entry of each axis slice's interior record for membership.
+
+``_axis_interiors`` gives that record: the interior of every point of a
+one-axis slice, kept on the parent's rank table, so each slice is certified
+once per table.  On the exact scale it is read straight off the parent's
+rank row and no per-slice table is built.  ``maximize.efficient_refinement``
+reads its steps and its axis-efficiency checks off the same records.
 
 ``efficient_set`` reads a table's efficient points off its level records and
 tests a closed form (io keeps one only on a continuous box) at probe points.
@@ -14,7 +20,7 @@ tests a closed form (io keeps one only on a continuous box) at probe points.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import oracle
 from .leontief import (
@@ -58,20 +64,71 @@ def certified_partial(u: TabulatedUtility, rest: Sequence, axis: int) -> Tabulat
     return cert.utility
 
 
+def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...]:
+    """The interior record of the one-axis slice of a product table along
+    ``axis`` whose first point has element index ``base``: entry c is the
+    factor index of the interior of factor element c in the slice, so c is
+    axis-efficient exactly when entry c is c.  Built once per rank table
+    and kept there.
+
+    On the exact scale the level sets of the slice are the suffixes of the
+    parent's rank row ``rank[base::stride]``: walking its ranks down, each
+    must be the up-set of its least element, the interior of every point at
+    that rank.  A slice where one is not, and every slice on a tolerant
+    scale (whose level sets can reach lower ranks), is read through
+    ``certified_partial``, which raises the error of a slice that is not
+    quasi-Leontief.  A record does not depend on certification: every slice
+    of a certified table passes the oracle on its own, so the certified
+    copies that share the rank table share the records too.
+    """
+    t = u._ranks()
+    rec = t.slices.get((axis, base))
+    if rec is None:
+        rec = t.slices[axis, base] = _slice_interiors(u, axis, base)
+    return rec
+
+
+def _slice_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...]:
+    space = u.space
+    factor, stride = space.factors[axis], space.strides[axis]
+    row = u._ranks().rank[base:base + len(factor) * stride:stride]
+    if u.scale.kind == "exact":
+        at = {}
+        for c, r in enumerate(row):
+            at[r] = at.get(r, 0) | 1 << c
+        least_at, mask = {}, 0
+        for r in sorted(at, reverse=True):
+            mask |= at[r]
+            least = factor._least_in(mask)
+            if least is None or factor._up[least] & ~mask:
+                break
+            least_at[r] = least
+        else:
+            return tuple(map(least_at.__getitem__, row))
+    x = space.point(base)
+    pu = certified_partial(u, x[:axis] + x[axis + 1:], axis)
+    return tuple(map(_level_leasts(pu).__getitem__, pu._ranks().rank))
+
+
+def _level_leasts(u: TabulatedUtility) -> List[int]:
+    """The element index of the least element of the level set at each
+    attained value, by rank; LeastlessLevelSetError at the first without one."""
+    leasts = []
+    for r, lam in enumerate(u._ranks().image):
+        rec = u._level(lam, r)
+        if rec.least is None:
+            raise LeastlessLevelSetError(lam, rec.witnesses)
+        leasts.append(rec.index)
+    return leasts
+
+
 def efficient_mask(u: TabulatedUtility) -> int:
     """The efficient points of a certified table as a mask: the least element
     m of the level set at each attained value, kept when u(m) is that value."""
     if not u.certified:
         raise NotCertifiedError("dual requires a certified utility")
-    t = u._ranks()
-    mask = 0
-    for r, lam in enumerate(t.image):
-        rec = u._level(lam, r)
-        if rec.least is None:
-            raise LeastlessLevelSetError(lam, rec.witnesses)
-        if t.rank[rec.index] == r:
-            mask |= 1 << rec.index
-    return mask
+    rank = u._ranks().rank
+    return sum(1 << i for r, i in enumerate(_level_leasts(u)) if rank[i] == r)
 
 
 def efficient_set(u, subset: Optional[Iterable] = None) -> Tuple:
@@ -134,29 +191,26 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
     at its value, the suffix of the ranks from that level's start.  Its
     slice along an axis is keyed by i with that axis's digit set to 0 (the
     factor sizes are the mixed radix of the index); each slice is certified
-    the first time a point meets it, and its efficient mask is kept.
+    the first time a point meets it, and its interior record is kept (see
+    ``_axis_interiors``): the point is a member when every record fixes its
+    coordinate.
     """
     space = _require_space(u)
     n = len(space)
     order = range(n)
     if n > CHARPAR_LIMIT:
         order = random.Random(CHARPAR_SEED).sample(order, CHARPAR_LIMIT)
-    axes = [(axis, stride, len(f), {})
-            for axis, (f, stride) in enumerate(zip(space.factors, space.strides))]
+    axes = [(axis, stride, len(f)) for axis, (f, stride) in enumerate(zip(space.factors, space.strides))]
     t = u._ranks()
     level = [t.suffix[u._level_start(lam, r)] for r, lam in enumerate(t.image)]
     rank, down, elements = t.rank, u.poset._down, u.poset.elements
     for i in order:
         member = True
-        for axis, stride, size, masks in axes:
+        for axis, stride, size in axes:
             digit = i // stride % size
-            key = i - digit * stride
-            mask = masks.get(key)
-            if mask is None:
-                x = elements[i]
-                pu = certified_partial(u, x[:axis] + x[axis + 1:], axis)
-                mask = masks[key] = efficient_mask(pu)
-            member = member and bool(mask >> digit & 1)
+            # every slice is read, even once membership is decided, so a slice
+            # that is not quasi-Leontief raises at the first point to meet it
+            member = _axis_interiors(u, axis, i - digit * stride)[digit] == digit and member
         minimal = not down[i] & ~(1 << i) & level[rank[i]]
         if minimal != member:
             return Certificate(

@@ -129,11 +129,13 @@ class _Ranks:
     every level whose set starts there reads; the empty suffix, s =
     len(image), is the shared ``_EMPTY``.  The rest is filled in on first
     use: ``probes``, the default probe levels; ``regular``, whether every
-    level set at them is the up-set of its least element; and ``pairs``, the
-    oracle's first failing pairs of property Phi and of the meet identity.
+    level set at them is the up-set of its least element; ``pairs``, the
+    oracle's first failing pairs of property Phi and of the meet identity;
+    and ``slices``, the interior record of each one-axis slice of a product
+    table, keyed by (axis, index of the slice's first point).
     """
 
-    __slots__ = ("rank", "image", "suffix", "levels", "probes", "regular", "pairs")
+    __slots__ = ("rank", "image", "suffix", "levels", "probes", "regular", "pairs", "slices")
 
     def __init__(self, values: Sequence):
         distinct = keys = values
@@ -188,6 +190,7 @@ class _Ranks:
         self.probes: Optional[Tuple] = None
         self.regular: Optional[bool] = None
         self.pairs: Optional[Tuple] = None
+        self.slices: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def restrict(self, indices: Iterable[int]) -> "_Ranks":
         """The rank table of the values at ``indices``, listed in that order:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .efficiency import certified_partial, efficient_mask, is_efficient_minimal
+from .efficiency import _axis_interiors, efficient_mask, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
 from .oracle import Certificate, InconsistencyError
 from .order import DownSet, Element, OrderError, ProductSpace, _bits
@@ -238,23 +238,28 @@ def efficient_refinement(
         if sorted(order) != list(range(n)):
             raise OrderError(f"order {order!r} is not a permutation of the axes")
 
-    cur = x_star
+    def interior(i: int, axis: int) -> Tuple[int, int]:
+        # the digit of point i on ``axis`` and that of its interior in the slice through i
+        stride, size = space.strides[axis], len(space.factors[axis])
+        digit = i // stride % size
+        return digit, _axis_interiors(u, axis, i - digit * stride)[digit]
+
+    cur, i = x_star, space.index_of(x_star)
     steps: List[RefinementStep] = []
     for k, axis in enumerate(order):
         before = cur[axis]
-        rest = space.delete(cur, axis)
-        partial = certified_partial(u, rest, axis)
-        target = partial.interior(before)
-        cur = space.substitute(rest, axis, target)
+        digit, least = interior(i, axis)
+        target = space.factors[axis].elements[least]
+        i += (least - digit) * space.strides[axis]
+        cur = cur[:axis] + (target,) + cur[axis + 1:]
         steps.append(RefinementStep(axis, before, target))
         if not u.scale.eq(u.value(cur), opt):
             raise InconsistencyError(f"{cur!r} left the argmax during refinement")
         if not space.leq(cur, x_star):
             raise InconsistencyError(f"{cur!r} is not dominated by the start {x_star!r}")
         for a in order[: k + 1]:
-            # the axis just refined keeps its rest, so its slice is reused
-            p = partial if a == axis else certified_partial(u, space.delete(cur, a), a)
-            if p.interior(cur[a]) != cur[a]:
+            digit, least = interior(i, a)
+            if least != digit:
                 raise InconsistencyError(f"coordinate {a} of {cur!r} is not axis-efficient")
 
     if not is_efficient_minimal(u, cur):

@@ -18,12 +18,12 @@ a query needs them, from the factor tables: the up-set (down-set) of a product
 point is the product of the factor up-sets (down-sets).  Each factor row is
 spread once to its axis's stride, and a product of masks on different axes
 is a carry-free big-int multiply (``_product_of`` takes one mask per axis).  Meets
-are taken coordinatewise, so a product is an inf-semilattice iff every factor
-is, and its meet rows are mixed-radix combinations of the factor meets;
-neither reads the product's own tables, and no meet table of more than N
-entries is held.  A point's index is the mixed-radix number of its factor
-indices (``index_of``; ``point`` decodes it), so point queries build nothing.
-No domain larger than ``MAX_POINTS`` is enumerated.
+and joins are taken coordinatewise, so a product is an inf-semilattice iff
+every factor is, and its meet rows are mixed-radix combinations of the factor
+meets; none of these reads the product's own tables, and no meet table of
+more than N entries is held.  A point's index is the mixed-radix number of its
+factor indices (``index_of``; ``point`` decodes it), so point queries build
+nothing.  No domain larger than ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 
@@ -492,10 +492,11 @@ class ProductSpace(FinitePoset):
 
     Points are tuples of factor elements, enumerated with the last coordinate
     fastest.  ``factors``, ``len``, ``points``, ``index_of``, ``point``,
-    membership, ``leq``, equality, hashing and the one-axis calculus
-    ``delete``/``substitute`` are answered factor by factor, with no
-    ``_index``; a product equals only another product.  Every other query
-    reads the element tuple and the tables, which ``as_poset`` builds once.
+    membership, ``leq``, ``meet``, ``join``, equality, hashing and the
+    one-axis calculus ``delete``/``substitute`` are answered factor by
+    factor, with no ``_index``; a product equals only another product.
+    Every other query reads the element tuple and the tables, which
+    ``as_poset`` builds once.
     """
 
     __slots__ = ("factors", "strides", "_offsets")
@@ -568,6 +569,26 @@ class ProductSpace(FinitePoset):
         last coordinate fastest (see ``_meet_rows``); the product's own
         tables are not read."""
         return _meet_rows(self._leaves(), len(self))
+
+    def meet(self, x: Sequence[Element], y: Sequence[Element]) -> Optional[Tuple[Element, ...]]:
+        """The point of the factor meets, or None when a factor has none;
+        builds no tables."""
+        return self._by_factor(x, y, "meet")
+
+    def join(self, x: Sequence[Element], y: Sequence[Element]) -> Optional[Tuple[Element, ...]]:
+        """The point of the factor joins, or None when a factor has none;
+        builds no tables."""
+        return self._by_factor(x, y, "join")
+
+    def _by_factor(self, x, y, op: str) -> Optional[Tuple[Element, ...]]:
+        i, j = self.index_of(x), self.index_of(y)
+        out = []
+        for f, s in zip(self.factors, self.strides):
+            c = getattr(f, op)(f.point(i // s % len(f)), f.point(j // s % len(f)))
+            if c is None:
+                return None
+            out.append(c)
+        return tuple(out)
 
     def __len__(self) -> int:
         return math.prod(len(f) for f in self.factors)

@@ -3,20 +3,22 @@
 The reference is the sweep as it stood before the walk moved to point
 indices: points in order (or the seeded sample), each one's minimality by a
 pairwise scan, and per axis the slice u[x_-i] built point by point through
-``u.value``, certified by the oracle and cached by (axis, rest).  Only the
-efficient mask of a certified slice is shared with the library, so that a
-test-side fake of it reaches both sides.
+``u.value``, certified by the oracle, and read as its interior record (the
+factor index of each point's interior), cached by (axis, rest).  The record
+is the seam both sides share: ``flip_slice`` fakes the reference's
+``ref_slice_interiors`` and the library's ``_axis_interiors`` alike.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import qleontief as q
 import qleontief.efficiency as eff
-from qleontief import corpus
+from qleontief import corpus, leontief
 
 
 def ref_certified_slice(u, rest, axis):
@@ -36,6 +38,15 @@ def ref_certified_slice(u, rest, axis):
     return cert.utility
 
 
+def interiors_of(pu):
+    """The factor index of each point's interior in a certified slice table."""
+    return tuple(pu.poset.index_of(pu.interior(t)) for t in pu.poset.elements)
+
+
+def ref_slice_interiors(u, rest, axis):
+    return interiors_of(ref_certified_slice(u, rest, axis))
+
+
 def ref_minimal(u, x):
     leq, le, values = u.poset.leq, u.scale.le, u.values
     return not any(
@@ -48,14 +59,15 @@ def ref_check_charpar(u):
     pts = list(space.points())
     if len(pts) > eff.CHARPAR_LIMIT:
         pts = random.Random(eff.CHARPAR_SEED).sample(pts, eff.CHARPAR_LIMIT)
-    masks = {}
+    records = {}
     for x in pts:
         member = True
         for axis, f in enumerate(space.factors):
             rest = x[:axis] + x[axis + 1:]
-            if (axis, rest) not in masks:
-                masks[axis, rest] = eff.efficient_mask(ref_certified_slice(u, rest, axis))
-            member = member and bool(masks[axis, rest] >> f.index_of(x[axis]) & 1)
+            if (axis, rest) not in records:
+                records[axis, rest] = ref_slice_interiors(u, rest, axis)
+            digit = f.index_of(x[axis])
+            member = member and records[axis, rest][digit] == digit
         minimal = ref_minimal(u, x)
         if minimal != member:
             return q.Certificate(
@@ -160,15 +172,27 @@ def test_sampled_path(limit, monkeypatch):
 
 
 def flip_slice(monkeypatch, factor, values, bit):
-    """Fake efficient masks: the slice on ``factor`` with ``values`` gets
-    ``bit`` flipped."""
-    real = eff.efficient_mask
+    """Fake slice records on both sides: the slice on ``factor`` with
+    ``values`` gets the efficiency of its point ``bit`` flipped."""
 
-    def fake(pu):
-        m = real(pu)
-        return m ^ 1 << bit if pu.poset is factor and pu.values == values else m
+    def flip(u, axis, rec, value_at):
+        if u.space.factors[axis] is not factor or {t: value_at(t) for t in factor.elements} != values:
+            return rec
+        return rec[:bit] + (None if rec[bit] == bit else bit,) + rec[bit + 1:]
 
-    monkeypatch.setattr(eff, "efficient_mask", fake)
+    real_ref, real_lib = ref_slice_interiors, eff._axis_interiors
+
+    def fake_ref(u, rest, axis):
+        return flip(u, axis, real_ref(u, rest, axis),
+                    lambda t: u.value(u.space.substitute(rest, axis, t)))
+
+    def fake_lib(u, axis, base):
+        stride = u.space.strides[axis]
+        return flip(u, axis, real_lib(u, axis, base),
+                    lambda t: u.column[base + factor.index_of(t) * stride])
+
+    monkeypatch.setitem(globals(), "ref_slice_interiors", fake_ref)
+    monkeypatch.setattr(eff, "_axis_interiors", fake_lib)
 
 
 @pytest.mark.parametrize("axis, frozen, bit, witness, detail", [
@@ -195,3 +219,88 @@ def test_flipped_slice_mask_on_the_sampled_path(monkeypatch):
     assert assert_agrees(u) == (
         False, "charpar", ((1, 1, 3),), "minimal=False but coordinatewise membership=True", {}
     )
+
+
+# -- the slice record ---------------------------------------------------------
+
+
+def slice_outcome(read, u, axis, base):
+    try:
+        return read(u, axis, base)
+    except q.UtilityError as exc:
+        return type(exc), str(exc)
+
+
+def ref_interiors(u, axis, base):
+    """The record through ``certified_partial``: a table per slice, certified
+    by the oracle unless the parent is, read by ``interior``."""
+    x = u.space.point(base)
+    return interiors_of(eff.certified_partial(u, x[:axis] + x[axis + 1:], axis))
+
+
+def slice_bases(space, axis):
+    """The element index of the first point of every slice along ``axis``."""
+    stride, size = space.strides[axis], len(space.factors[axis])
+    return [i for i in range(len(space)) if i // stride % size == 0]
+
+
+def assert_records_agree(u):
+    """Every slice record of u against the reference; the outcomes, for counting."""
+    seen = []
+    for axis in range(u.space.n_axes):
+        for base in slice_bases(u.space, axis):
+            want = slice_outcome(ref_interiors, u, axis, base)
+            assert slice_outcome(eff._axis_interiors, u, axis, base) == want
+            seen.append(want)
+    return seen
+
+
+def chain_product_tables(seed):
+    """A corpus table on a product of chains, and the same space with values
+    drawn at random, which makes slices that are not quasi-Leontief."""
+    rng = corpus.derive_rng(seed, "slice-record")
+    space = corpus.random_product_of_chains(rng)
+    return [corpus.random_isotone_utility(rng, space),
+            q.TabulatedUtility._of_column(space, [F(rng.randint(0, 3)) for _ in range(len(space))], q.EXACT)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_slice_record_matches_certified_partial(seed):
+    for u in chain_product_tables(seed) + mixed_products(seed):
+        assert_records_agree(u)
+        cert = q.certify_quasi_leontief(u)
+        if cert.ok:
+            assert_records_agree(cert.utility)
+
+
+def test_slice_records_reach_both_outcomes():
+    seen = [s for seed in range(30) for u in chain_product_tables(seed) + mixed_products(seed)
+            for s in assert_records_agree(u)]
+    faults = [s for s in seen if s[0] is q.UtilityError]
+    assert faults and all("is not quasi-Leontief: witnesses" in s[1] for s in faults)
+    assert len(faults) < len(seen)
+
+
+def test_slice_records_are_built_once_and_build_no_table(monkeypatch):
+    """On the exact scale ``check_charpar`` and ``efficient_refinement`` over
+    every maximizer read each slice off the parent's rank row, once."""
+    built, tables = Counter(), []
+    build, sub_table = eff._slice_interiors, leontief._sub_table
+    monkeypatch.setattr(eff, "_slice_interiors", lambda u, axis, base: (
+        built.update([(id(u._ranks()), axis, base)]), build(u, axis, base))[1])
+    monkeypatch.setattr(leontief, "_sub_table", lambda *a: tables.append(a) or sub_table(*a))
+    shared, tables_seen = 0, []  # held, so that no rank table's id is reused
+    for seed in range(10):
+        rng = corpus.derive_rng(seed, "refinement", 0)
+        space = corpus.random_product_of_chains(rng)
+        u = corpus.random_isotone_utility(rng, space)
+        tables_seen.append(u)
+        S = q.product_downset(space, corpus.random_prefix_downsets(rng, space))
+        res = q.ArgmaxResult(*q.argmax_members(u, S))
+        assert q.check_charpar(u).ok
+        before = len(built)
+        for x_star in res.maximizers:
+            q.efficient_refinement(u, S, x_star, res)
+        shared += len(res.maximizers) > 1 and len(built) == before
+    assert built and set(built.values()) == {1} and tables == []
+    assert shared  # some table with several maximizers refined them off the records of its sweep

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qleontief import cli, maximize, oracle
 from qleontief.cli import main
@@ -1040,6 +1040,13 @@ flag_strings = st.text(max_size=8) | st.lists(
     max_size=3,
 ).map(",".join)
 
+# Raw integer strings: arbitrary text, and near misses of an integer glued
+# from signs, spaces, underscores, other digit scripts and other notations.
+int_strings = st.text(max_size=6) | st.lists(
+    st.sampled_from(["0", "1", "2", "9", "-", "+", " ", "_", "٢", "0x", "e", ".", "inf"]),
+    max_size=4,
+).map("".join)
+
 
 def run_flag(argv):
     """(exit code, stdout, stderr) of one in-process call; argparse's usage
@@ -1054,11 +1061,13 @@ def run_flag(argv):
 
 
 def assert_input_error(err, flag):
-    """One ``error:`` line, or argparse's usage line and its error on ``flag``."""
+    """One ``error:`` line, or argparse's usage (wrapped onto indented lines
+    when long) and its error on ``flag``."""
     lines = err.splitlines()
     assert (len(lines) == 1 and lines[0].startswith("error: ")
-            or len(lines) == 2 and lines[0].startswith("usage: ")
-            and lines[1].startswith(f"qleontief {flag[0]}: error: argument {flag[1]}: ")), err
+            or len(lines) >= 2 and lines[0].startswith("usage: ")
+            and all(line.startswith(" ") for line in lines[1:-1])
+            and lines[-1].startswith(f"qleontief {flag[0]}: error: argument {flag[1]}: ")), err
 
 
 class TestFuzzedFlags:
@@ -1088,6 +1097,7 @@ class TestFuzzedFlags:
     @given(flag_strings)
     @example("1e400")
     @example("-0")
+    @example("--")
     @settings(max_examples=150, deadline=2000)
     def test_check_tolerance(self, raw):
         code, out, err = run_flag(["check", MIN_GRID, f"--tolerance={raw}"])
@@ -1100,6 +1110,42 @@ class TestFuzzedFlags:
         else:
             assert code == 2 and out == ""
             assert_input_error(err, ("check", "--tolerance"))
+
+    @given(int_strings, int_strings)
+    @example("0", "-7")
+    @example("1_0", "0")
+    @example("٢", "+3")
+    @example(" 1", "9" * 30)
+    @example("-0", "1.0")
+    @example("--", "0")  # argparse alone read --n=-- as an empty list
+    @example("0", "--")
+    @settings(max_examples=100, deadline=2000)
+    def test_corpus_n_and_seed(self, n_raw, seed_raw):
+        n, seed = read_int(n_raw), read_int(seed_raw)
+        assume(n is None or n <= CORPUS_FUZZ_MAX_N)  # bounded run time
+        code, out, err = run_flag(["corpus", f"--n={n_raw}", f"--seed={seed_raw}"])
+        assert "Traceback" not in err
+        if n is not None and n >= 0 and seed is not None:
+            assert code == 0 and err == "" and out.endswith("PASS corpus (0 inconsistencies)\n")
+        else:
+            assert code == 2 and out == ""
+            assert_input_error(err, ("corpus", "--n" if n is None or n < 0 else "--seed"))
+
+    def test_a_file_flag_given_two_dashes(self):
+        code, out, err = run_flag(["maximize", MIN_GRID, "--downset=--"])
+        assert (code, out) == (2, "") and err == "error: --: no such file\n"
+
+
+# The largest ``corpus --n`` the fuzzed flags run; every larger count is rejected.
+CORPUS_FUZZ_MAX_N = 3
+
+
+def read_int(raw):
+    """``raw`` as argparse's ``int`` reads it, or None."""
+    try:
+        return int(raw)
+    except ValueError:
+        return None
 
 
 # Point tokens for the domains of ``nested_forms``: factor ids, one- and two-axis

@@ -125,6 +125,19 @@ def test_product_tables_match_pointwise_leq(k):
     assert (space._up, space._down) == (up, down)
 
 
+@pytest.mark.parametrize("k", range(len(small_factor_products())))
+def test_meet_and_join_match_the_built_poset(k):
+    """The factor-wise meet and join against the plain poset's, read off the
+    product's own tables, on every pair of points."""
+    space = small_factor_products()[k]
+    pts = list(space.points())
+    want = [(FinitePoset.meet(space.as_poset(), x, y), FinitePoset.join(space, x, y))
+            for x in pts for y in pts]
+    assert [(space.meet(x, y), space.join(x, y)) for x in pts for y in pts] == want
+    if any(len(f) == 2 for f in space._leaves()):  # the antichain: no meet, no join
+        assert any(m is None for m, _ in want) and any(j is None for _, j in want)
+
+
 def test_factorwise_queries_build_no_tables(monkeypatch):
     chain = FinitePoset.chain(["0", "1", "2"])
     vee = FinitePoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
@@ -154,6 +167,12 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert list(space.meet_rows())[5] == [5, 3, 3, 5]
     assert space.index_of(("1", "b")) == 4 and space.index_of(["2", "c"]) == 8
     assert ("1", "b") in space and ("1", "d") not in space
+    assert space.meet(("2", "b"), ["1", "c"]) == ("1", "a")
+    assert space.join(("0", "b"), ("1", "a")) == ("1", "b") and space.join(("0", "b"), ("0", "c")) is None
+    pairs = q.ProductSpace([chain, pair])
+    assert pairs.meet(("0", "b"), ("2", "c")) is None and pairs.join(("0", "b"), ("2", "b")) == ("2", "b")
+    with pytest.raises(q.OrderError, match="unknown element"):
+        space.meet(("0", "d"), ("0", "a"))
     assert built == []
     assert space.elements[4] == ("1", "b")  # any other query builds the tables, once
     assert built == [True] and type(space) is q.ProductSpace
