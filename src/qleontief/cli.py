@@ -174,12 +174,11 @@ def cmd_check(args) -> int:
         if reg.ok:
             certs.append(oracle.verify_galois(reg.utility, reg.dual_table))
         certs.append(oracle.check_isotone(u))
-        # Regular quasi-Leontief implies property Phi and, on an
-        # inf-semilattice, the meet identity wherever the scale orders the
-        # attained values strictly (always on the exact scale; on a tolerant
-        # one when no attained value lies within the tolerance of the next).
-        # There the O(N^2) pair sweep could only pass; elsewhere it runs.
-        implied = reg.ok and oracle._strictly_ordered(u)
+        # Regularity implies property Phi and, on an inf-semilattice, the
+        # meet identity on either scale (see the oracle module), so the
+        # O(N^2) pair sweep could only pass; on a table that is not regular
+        # it runs.
+        implied = reg.ok
         certs.append(oracle.Certificate(True, "property-phi") if implied
                      else oracle.check_property_phi(u))
         certs.append(oracle.check_lower_bounded_level_sets(u))

@@ -10,9 +10,10 @@ one entry of each axis slice's interior record for membership.
 
 ``_axis_interiors`` gives that record: the interior of every point of a
 one-axis slice, kept on the parent's rank table, so each slice is certified
-once per table.  On the exact scale it is read straight off the parent's
-rank row and no per-slice table is built.  ``maximize.efficient_refinement``
-reads its steps and its axis-efficiency checks off the same records.
+once per table.  It is read off the parent's rank row and tolerance band,
+and no per-slice table is built unless the slice fails.
+``maximize.efficient_refinement`` reads its steps and its axis-efficiency
+checks off the same records.
 
 ``efficient_set`` reads a table's efficient points off its level records and
 tests a closed form (io keeps one only on a continuous box) at probe points.
@@ -71,11 +72,11 @@ def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...
     axis-efficient exactly when entry c is c.  Built once per rank table
     and kept there.
 
-    On the exact scale the level sets of the slice are the suffixes of the
-    parent's rank row ``rank[base::stride]``: walking its ranks down, each
+    The slice's level set at the value of a point of parent rank r holds its
+    points of parent rank lo[r] or more (see ``_Ranks``).  So, walking the
+    ranks of the parent's row ``rank[base::stride]`` down, each level set
     must be the up-set of its least element, the interior of every point at
-    that rank.  A slice where one is not, and every slice on a tolerant
-    scale (whose level sets can reach lower ranks), is read through
+    that rank.  Only a slice where one is not goes through
     ``certified_partial``, which raises the error of a slice that is not
     quasi-Leontief.  A record does not depend on certification: every slice
     of a certified table passes the oracle on its own, so the certified
@@ -91,20 +92,25 @@ def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...
 def _slice_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...]:
     space = u.space
     factor, stride = space.factors[axis], space.strides[axis]
-    row = u._ranks().rank[base:base + len(factor) * stride:stride]
-    if u.scale.kind == "exact":
-        at = {}
-        for c, r in enumerate(row):
-            at[r] = at.get(r, 0) | 1 << c
-        least_at, mask = {}, 0
-        for r in sorted(at, reverse=True):
-            mask |= at[r]
-            least = factor._least_in(mask)
-            if least is None or factor._up[least] & ~mask:
-                break
-            least_at[r] = least
-        else:
-            return tuple(map(least_at.__getitem__, row))
+    t = u._ranks()
+    row, lo = t.rank[base:base + len(factor) * stride:stride], t.lo
+    at = {}
+    for c, r in enumerate(row):
+        at[r] = at.get(r, 0) | 1 << c
+    ranks = sorted(at, reverse=True)
+    rest = iter(ranks)  # the ranks not yet in the mask, highest first; -1 ends them
+    s = next(rest)
+    least_at, mask = {}, 0
+    for r in ranks:
+        while s >= lo[r]:
+            mask |= at[s]
+            s = next(rest, -1)
+        least = factor._least_in(mask)
+        if least is None or factor._up[least] & ~mask:
+            break
+        least_at[r] = least
+    else:
+        return tuple(map(least_at.__getitem__, row))
     x = space.point(base)
     pu = certified_partial(u, x[:axis] + x[axis + 1:], axis)
     return tuple(map(_level_leasts(pu).__getitem__, pu._ranks().rank))
@@ -202,7 +208,7 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
         order = random.Random(CHARPAR_SEED).sample(order, CHARPAR_LIMIT)
     axes = [(axis, stride, len(f)) for axis, (f, stride) in enumerate(zip(space.factors, space.strides))]
     t = u._ranks()
-    level = [t.suffix[u._level_start(lam, r)] for r, lam in enumerate(t.image)]
+    level = [t.suffix[s] for s in t.lo]
     rank, down, elements = t.rank, u.poset._down, u.poset.elements
     for i in order:
         member = True

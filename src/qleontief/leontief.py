@@ -133,11 +133,15 @@ class _Ranks:
     oracle's first failing pairs of property Phi and of the meet identity;
     and ``slices``, the interior record of each one-axis slice of a product
     table, keyed by (axis, index of the slice's first point).
+
+    On the table's scale, ``lo[r]`` starts the level set at image[r] (see
+    ``_band_starts``), and the ranks the scale counts equal to rank r run
+    from lo[r] to one past the last s with lo[s] <= r.
     """
 
-    __slots__ = ("rank", "image", "suffix", "levels", "probes", "regular", "pairs", "slices")
+    __slots__ = ("rank", "image", "suffix", "lo", "levels", "probes", "regular", "pairs", "slices")
 
-    def __init__(self, values: Sequence):
+    def __init__(self, values: Sequence, scale: Scale = EXACT):
         distinct = keys = values
         if len(values) > 3 and type(values[0]) is not float:
             objects = dict(zip(map(id, values), values))
@@ -172,9 +176,9 @@ class _Ranks:
             for i in reversed(order):
                 mask |= 1 << i
                 suffix[rank[i]] = mask
-        self._fill(rank, image, suffix)
+        self._fill(rank, image, suffix, scale)
 
-    def _fill(self, rank: List[int], image: Sequence, suffix: Optional[List[int]]) -> None:
+    def _fill(self, rank: List[int], image: Sequence, suffix: Optional[List[int]], scale: Scale) -> None:
         """Set the table; a ``suffix`` not given ORs up per rank, then down the ranks."""
         image = tuple(image)
         if suffix is None:
@@ -186,21 +190,39 @@ class _Ranks:
         self.rank = rank
         self.image = image
         self.suffix = suffix
+        self.lo = _band_starts(image, scale)
         self.levels: List[Optional[LevelSet]] = [None] * len(image)
         self.probes: Optional[Tuple] = None
         self.regular: Optional[bool] = None
         self.pairs: Optional[Tuple] = None
         self.slices: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
-    def restrict(self, indices: Iterable[int]) -> "_Ranks":
+    def restrict(self, indices: Iterable[int], scale: Scale = EXACT) -> "_Ranks":
         """The rank table of the values at ``indices``, listed in that order:
-        the ranks they meet, renumbered in order, with no value compared."""
+        the ranks they meet, renumbered in order, with no value sorted."""
         sub = [self.rank[i] for i in indices]
         met = sorted(set(sub))
         new = object.__new__(_Ranks)
         rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
-        new._fill(rank, map(self.image.__getitem__, met), None)
+        new._fill(rank, map(self.image.__getitem__, met), None, scale)
         return new
+
+
+def _band_starts(image: Sequence, scale: Scale) -> Sequence[int]:
+    """lo[r], the lowest rank s with le(image[r], image[s]), per rank r of
+    the sorted values ``image``: non-decreasing, as le is monotone in both
+    arguments (float addition rounds monotonically), so one walk finds it.
+    Where lo[r] is r for every r, as on the exact scale, it is the range of
+    the ranks and stores nothing."""
+    starts = range(len(image))
+    if scale.kind == "exact":
+        return starts
+    le, lo, s = scale.le, [], 0
+    for v in image:
+        while not le(v, image[s]):
+            s += 1
+        lo.append(s)
+    return starts if lo == list(starts) else lo
 
 
 class TabulatedUtility(_Closure):
@@ -282,7 +304,7 @@ class TabulatedUtility(_Closure):
         """The rank table of the values, built on first use and shared with
         certified copies."""
         if self._rank_table is None:
-            self._rank_table = _Ranks(self.column)
+            self._rank_table = _Ranks(self.column, self.scale)
         return self._rank_table
 
     def image(self) -> Tuple:
@@ -344,29 +366,25 @@ class TabulatedUtility(_Closure):
     def _level(self, lam, r: int) -> LevelSet:
         """The record of the level set at ``lam``, given r, the first rank at
         or above ``lam``: built on first use and cached by the rank where its
-        suffix starts."""
-        s = self._level_start(lam, r)
-        levels = self._rank_table.levels
-        if s == len(levels):
-            return _EMPTY
-        rec = levels[s]
-        if rec is None:
-            rec = levels[s] = self._build_level_set(s)
-        return rec
-
-    def _level_start(self, lam, r: int) -> int:
-        """The lowest rank in the level set at ``lam``, given r, the first
-        rank at or above ``lam``.
-
-        le(lam, v) is monotone in v on both scales (float addition rounds
-        monotonically), so the level set is a suffix of the sorted values.  On
-        the exact scale le is <=, so the suffix starts at r; a tolerant scale
-        can take in lower ranks, and a bisection below r finds the first.
-        """
+        suffix starts, lo[r] when ``lam`` is the attained value image[r].  On
+        a tolerant scale a level between ranks, such as a midpoint probe, can
+        take in lower ranks; le(lam, v) is monotone in v, so a bisection
+        below r finds its start."""
+        t = self._rank_table
+        img = t.image
         if self.scale.kind == "exact":
-            return r
-        le = self.scale.le
-        return bisect_left(self._ranks().image, True, 0, r, key=lambda v: le(lam, v))
+            s = r
+        elif r < len(img) and img[r] == lam:
+            s = t.lo[r]
+        else:
+            le = self.scale.le
+            s = bisect_left(img, True, 0, r, key=lambda v: le(lam, v))
+        if s == len(img):
+            return _EMPTY
+        rec = t.levels[s]
+        if rec is None:
+            rec = t.levels[s] = self._build_level_set(s)
+        return rec
 
     def _build_level_set(self, s: int) -> LevelSet:
         # The defining relation is the set equality u^-1(up(lam)) = up(m), not
@@ -819,6 +837,6 @@ def _sub_table(u: TabulatedUtility, poset: FinitePoset, indices: Sequence[int]) 
     in ``poset``'s element order; it reads u's ranks there too when u holds
     its rank table, so no value is compared."""
     column = list(map(u.column.__getitem__, indices))
-    ranks = u._rank_table.restrict(indices) if u._rank_table is not None else None
+    ranks = u._rank_table.restrict(indices, u.scale) if u._rank_table is not None else None
     return TabulatedUtility._of_column(poset, column, u.scale, ranks)
 

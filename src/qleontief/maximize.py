@@ -60,11 +60,11 @@ def argmax_members(u: TabulatedUtility, S: DownSet, *, as_mask: bool = False) ->
 
     Read off the rank table: the top rank that meets S holds the maximum,
     and the maximum is the value of the lowest-index member there (the one
-    ``max`` over the members would return).  The maximizers are the members
-    from the lowest rank the scale counts equal to it up: that rank itself
-    on the exact scale, and on a tolerant one the run below it, since
-    ``eq`` against the maximum is monotone in the value.  Reads values
-    only, so ``u`` need not be certified.
+    ``max`` over the members would return).  No member's value lies above
+    it, so the scale counts a member equal to it exactly when the maximum is
+    ``le`` that value: the maximizers are the members in the level set at
+    the maximum, from rank lo[top] up (see ``_Ranks``).  Reads values only,
+    so ``u`` need not be certified.
     """
     poset = S.space
     if poset != u.poset:
@@ -76,11 +76,7 @@ def argmax_members(u: TabulatedUtility, S: DownSet, *, as_mask: bool = False) ->
     top = bisect_left(range(len(image)), True, key=lambda r: not S.mask & suffix[r]) - 1
     first = S.mask & suffix[top]
     best = u.column[(first & -first).bit_length() - 1]
-    lo = top
-    if u.scale.kind != "exact":
-        while lo and u.scale.eq(image[lo - 1], best):
-            lo -= 1
-    mask = S.mask & suffix[lo]
+    mask = S.mask & suffix[t.lo[top]]
     return best, mask if as_mask else poset._unmask(mask)
 
 

@@ -10,15 +10,16 @@ meet-homomorphism identity u(x ^ y) = min(u(x), u(y)).  On a finite domain
 the lowest level set is the whole domain, so lower-bounded level sets is one
 test for a least element.
 
-The CLI's ``check`` uses that fact: once ``certify_quasi_leontief`` and
-``certify_regular`` pass on the exact scale, or on a tolerant scale that
-orders the attained values strictly (``_strictly_ordered``), it lists
-property Phi and the meet identity as passed without their O(N^2) pair
-sweep.  Elsewhere, and in every certifier here, the sweep runs.
+The CLI's ``check`` lists property Phi and the meet identity as passed,
+without their O(N^2) pair sweep, once ``certify_regular`` passes: as ``eq``
+is the symmetric part of ``le``, the least element m of the level set at
+min(u(x), u(y)) lies below x and y, and ``le`` holds both ways between u(m)
+and that minimum.  Only the converse needs a scale that orders the attained
+values strictly (``_strictly_ordered``).  Every certifier here sweeps.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -152,25 +153,6 @@ def check_isotone(u: TabulatedUtility) -> Certificate:
     return Certificate(True, "isotone")
 
 
-def _band_runs(u: TabulatedUtility) -> List[Tuple[int, int]]:
-    """Per rank r of the rank table, the run [lo, hi) of ranks whose values
-    the scale counts equal to image[r].
-
-    On the exact scale the run is r alone.  On a tolerant scale |v - t| <= tol
-    holds on an interval of v, so the run is found by bisection.
-    """
-    img = u.image()
-    if u.scale.kind == "exact":
-        return [(r, r + 1) for r in range(len(img))]
-    eq = u.scale.eq
-    runs = []
-    for r, t in enumerate(img):
-        lo = bisect_left(range(r), True, key=lambda s: eq(img[s], t))
-        hi = r + bisect_left(range(r, len(img)), True, key=lambda s: not eq(img[s], t))
-        runs.append((lo, hi))
-    return runs
-
-
 _Pair = Tuple[int, int]
 _Meet = Tuple[int, int, int]  # (i, j, index of the meet)
 
@@ -185,12 +167,12 @@ def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet
     Ranks order values like the values do, so min(u(x), u(y)) has rank
     w = min(rank(x), rank(y)), and the band of rank w is the mask of the
     elements whose value the scale counts equal to it, read off the suffix
-    masks of its run of ranks.  Phi holds at a pair iff down(x) & down(y)
-    meets that band.
+    masks of its run of ranks (see ``_Ranks``).  Phi holds at a pair iff
+    down(x) & down(y) meets that band.
     """
     t = u._ranks()
     if t.pairs is None:
-        runs = _band_runs(u)
+        runs = [(s, bisect_right(t.lo, r)) for r, s in enumerate(t.lo)]
         bands = [t.suffix[lo] ^ t.suffix[hi] for lo, hi in runs]
         if u.poset.is_inf_semilattice():
             t.pairs = _meet_sweep(u.poset, t.rank, runs, bands)
@@ -297,12 +279,9 @@ def _meet_failure(u: TabulatedUtility):
 
 
 def _strictly_ordered(u: TabulatedUtility) -> bool:
-    """Whether the scale orders the attained values strictly: no value lies
-    within the tolerance of the next (always so on the exact scale)."""
-    if u.scale.kind == "exact":
-        return True
-    img, le = u.image(), u.scale.le
-    return not any(le(b, a) for a, b in zip(img, img[1:]))
+    """Whether the scale orders the attained values strictly, so that the
+    rank table stores no tolerance band (always so on the exact scale)."""
+    return type(u._ranks().lo) is range
 
 
 def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:
@@ -311,8 +290,8 @@ def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:
     On finite inf-semilattices this identity is equivalent to regular
     quasi-Leontief certification where the scale orders the attained values
     strictly; there a mismatch raises InconsistencyError (a bug, never a
-    verdict).  Elsewhere ``eq`` and ``le`` can disagree on two values, and
-    the identity's verdict stands alone.
+    verdict).  Elsewhere the identity can hold on a table that is not
+    regular, and its verdict stands alone.
     """
     if not u.poset.is_inf_semilattice():
         raise OrderError("meet-homomorphism check needs a total meet")

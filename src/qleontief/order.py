@@ -776,10 +776,11 @@ class DownSet:
 class Scale:
     """Comparison policy for the totally ordered value scale.
 
-    Exact mode compares rationals directly; tolerant mode treats values
-    within ``tolerance`` of each other as equal.  Tolerant comparisons are
-    only transitive when the compared values keep gaps clear of the
-    tolerance band; fixtures are built that way.
+    Exact mode compares rationals directly; tolerant mode reads a <= b as
+    a <= b + tolerance.  On both, ``eq`` is the symmetric part of ``le``, so
+    a value band and a level set agree on a float at the tolerance's edge.
+    Tolerant comparisons are only transitive when the compared values keep
+    gaps clear of the tolerance band; fixtures are built that way.
     """
 
     __slots__ = ("kind", "tolerance")
@@ -795,7 +796,7 @@ class Scale:
     def eq(self, a, b) -> bool:
         if self.kind == "exact":
             return a == b
-        return abs(a - b) <= self.tolerance
+        return self.le(a, b) and self.le(b, a)
 
     def le(self, a, b) -> bool:
         if self.kind == "exact":

@@ -1,0 +1,129 @@
+"""The tolerance band of a rank table against brute force.
+
+A rank table keeps one band array, ``lo``: lo[r] is the lowest rank s with
+le(image[r], image[s]).  The level set at an attained value starts there, and
+the ranks the scale counts equal to rank r run from lo[r] to one more than
+the last s with lo[s] <= r.  The references here scan every pair of ranks
+with ``Scale.le`` and ``Scale.eq``, and read the bands that property Phi and
+the meet identity test from the arguments of the oracle's two sweeps.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import qleontief as q
+from qleontief import corpus, oracle
+from qleontief.efficiency import partial_utility
+from qleontief.order import _bits
+
+from test_levels import tolerant_steps, tolerant_table
+
+
+def ref_lo(u):
+    image, le = u.image(), u.scale.le
+    return [min(s for s in range(len(image)) if le(v, image[s])) for v in image]
+
+
+def ref_bands(u):
+    """Per rank r, the mask of the elements whose value the scale counts
+    equal to image[r]."""
+    image, eq = u.image(), u.scale.eq
+    return [sum(1 << i for i, w in enumerate(u.column) if eq(w, v)) for v in image]
+
+
+def boundary_tables(seed):
+    """Values k / 100 at tolerance 0.01, where (k + 1) / 100 <= k / 100 + 0.01
+    holds though the difference of the two rounds above 0.01, on a chain and
+    on a random poset with a bottom."""
+    rng = random.Random(seed)
+    chain = q.FinitePoset.chain(range(6))
+    poset = corpus.random_poset(rng, 8, with_bottom=True)
+    return [q.TabulatedUtility(dom, {e: rng.randint(86, 92) / 100 for e in dom.elements},
+                               scale=q.tolerant(0.01)) for dom in (chain, poset)]
+
+
+def exact_tables(seed):
+    rng = corpus.derive_rng(seed, "bands")
+    poset = corpus.random_poset(rng, 10, with_bottom=True)
+    space = corpus.random_product_of_chains(rng)
+    return [corpus.random_isotone_utility(rng, space),
+            q.TabulatedUtility(poset, {e: F(rng.randint(0, 4), 2) for e in poset.elements})]
+
+
+def tables(seed):
+    return [tolerant_table(seed)] + tolerant_steps(seed) + boundary_tables(seed) + exact_tables(seed)
+
+
+def swept_bands(u, monkeypatch):
+    """The bands and runs that property Phi's sweep reads for u: the runs
+    are None where the poset has no total meet and the scan takes masks only."""
+    seen = {}
+    meet_sweep, phi_scan = oracle._meet_sweep, oracle._phi_scan
+
+    def on_meets(poset, ranks, runs, bands):
+        seen.update(runs=runs, bands=bands)
+        return meet_sweep(poset, ranks, runs, bands)
+
+    def on_pairs(poset, ranks, bands):
+        seen.update(runs=None, bands=bands)
+        return phi_scan(poset, ranks, bands)
+
+    monkeypatch.setattr(oracle, "_meet_sweep", on_meets)
+    monkeypatch.setattr(oracle, "_phi_scan", on_pairs)
+    q.check_property_phi(u)
+    return seen["runs"], seen["bands"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lo_matches_the_pairwise_scan(seed):
+    for u in tables(seed):
+        lo = u._ranks().lo
+        assert list(lo) == ref_lo(u)
+        # nothing is stored where every rank starts its own level set
+        assert (type(lo) is range) == (ref_lo(u) == list(range(len(u.image()))))
+        if u.scale.kind == "exact":
+            assert type(lo) is range
+
+
+def test_the_tables_reach_every_case():
+    """Bands stored and not, each on a poset with a total meet (the meet
+    sweep) and without one (the pair scan)."""
+    seen = {(type(u._ranks().lo) is range, u.poset.is_inf_semilattice())
+            for seed in range(20) for u in tables(seed)}
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_phi_bands_match_the_pairwise_scan(seed, monkeypatch):
+    for u in tables(seed):
+        runs, bands = swept_bands(u, monkeypatch)
+        want = ref_bands(u)
+        assert bands == want
+        if runs is not None:
+            rank = u._ranks().rank
+            assert runs == [(min(rank[i] for i in _bits(b)), max(rank[i] for i in _bits(b)) + 1) for b in want]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sub_tables_carry_their_own_band(seed):
+    """A slice and a restriction read their ranks off the parent's rank table,
+    and their band off their own image."""
+    rng = random.Random(seed)
+    for u in [tolerant_table(seed)] + boundary_tables(seed):
+        u._ranks()
+        subs = [q.restrict(u, corpus.random_downset(rng, u.poset))]
+        if u.space is not None:
+            x = u.space.point(rng.randrange(len(u.space)))
+            subs += [partial_utility(u, x[:axis] + x[axis + 1:], axis) for axis in range(u.space.n_axes)]
+        for sub in subs:
+            assert sub._rank_table is not None
+            assert list(sub._ranks().lo) == ref_lo(sub)
+
+
+def test_a_boundary_table_stores_its_band():
+    u = q.TabulatedUtility(q.FinitePoset.chain("ab"), {"a": 0.89, "b": 0.9}, scale=q.tolerant(0.01))
+    assert u._ranks().lo == [0, 0]
+    assert u.level_of(1).mask == 0b11

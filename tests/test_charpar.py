@@ -282,13 +282,17 @@ def test_slice_records_reach_both_outcomes():
 
 
 def test_slice_records_are_built_once_and_build_no_table(monkeypatch):
-    """On the exact scale ``check_charpar`` and ``efficient_refinement`` over
-    every maximizer read each slice off the parent's rank row, once."""
-    built, tables = Counter(), []
-    build, sub_table = eff._slice_interiors, leontief._sub_table
+    """``check_charpar`` and ``efficient_refinement`` over every maximizer
+    read each slice off the parent's rank row, once, on the exact scale and
+    on the jittered tolerant products of ``mixed_products``.  Only a slice
+    that is not quasi-Leontief goes through ``certified_partial``, which
+    builds its table to raise."""
+    built, tables, partials = Counter(), [], []
+    build, sub_table, certified = eff._slice_interiors, leontief._sub_table, eff.certified_partial
     monkeypatch.setattr(eff, "_slice_interiors", lambda u, axis, base: (
         built.update([(id(u._ranks()), axis, base)]), build(u, axis, base))[1])
     monkeypatch.setattr(leontief, "_sub_table", lambda *a: tables.append(a) or sub_table(*a))
+    monkeypatch.setattr(eff, "certified_partial", lambda *a: partials.append(a) or certified(*a))
     shared, tables_seen = 0, []  # held, so that no rank table's id is reused
     for seed in range(10):
         rng = corpus.derive_rng(seed, "refinement", 0)
@@ -302,5 +306,26 @@ def test_slice_records_are_built_once_and_build_no_table(monkeypatch):
         for x_star in res.maximizers:
             q.efficient_refinement(u, S, x_star, res)
         shared += len(res.maximizers) > 1 and len(built) == before
-    assert built and set(built.values()) == {1} and tables == []
+    assert built and set(built.values()) == {1} and tables == partials == []
     assert shared  # some table with several maximizers refined them off the records of its sweep
+    outcomes = Counter()
+    for seed in range(40):
+        for u in mixed_products(seed)[2::3]:
+            assert u.scale.kind == "tolerant"
+            tables_seen.append(u)
+            try:
+                q.check_charpar(u)
+            except q.UtilityError:
+                assert len(partials) == len(tables) == 1  # the failing slice, at the end of the sweep
+                outcomes["raise"] += 1
+            else:
+                S = q.DownSet(u.poset, (1 << len(u.poset)) - 1)
+                res = q.ArgmaxResult(*q.argmax_members(u, S))
+                for x_star in res.maximizers:
+                    q.efficient_refinement(u, S, x_star, res)
+                assert tables == partials == []
+                outcomes[type(u._ranks().lo) is range] += 1
+            tables.clear()
+            partials.clear()
+    assert set(built.values()) == {1}
+    assert set(outcomes) == {"raise", True, False}  # passing tables with and without a stored band

@@ -214,6 +214,22 @@ class TestMaximize:
         assert main(["maximize", "--json", min_grid_utility, "--downset", s]) == 0
         assert len(calls) == 1
 
+    def test_values_on_the_tolerance_boundary(self, tmp_path, capsys):
+        """0.01 x on the points 89 and 90: 0.89 + 0.01 rounds to 0.9 though
+        0.9 - 0.89 rounds above 0.01, so the scale counts 0.89 and 0.9 equal,
+        and both points maximize, as the level set S & up(89) says."""
+        u = write(tmp_path, "u.json", {"type": "classical", "a": [0.01], "box": {
+            "axes": [{"lo": 89.0, "hi": 90.0, "step": 1.0}]}})
+        s = write(tmp_path, "s.json", {"members": [[89.0], [90.0]]})
+        assert main(["maximize", "--json", "--tolerance", "0.01", u, "--downset", s]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["maximizers"] == [[89.0], [90.0]]
+        assert report["result"]["largest_efficient"] == [89.0]
+        assert report["localization"]["verdict"] == "pass"
+        assert main(["maximize", "--tolerance", "0.01", u, "--downset", s]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "maximizers [[89.0], [90.0]]" in lines and "PASS argmax-localization" in lines
+
 
 class TestMaximizeClosedForm:
     def test_generator_reduction_on_continuous_box(self, tmp_path, capsys):

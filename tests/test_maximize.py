@@ -126,8 +126,8 @@ def ref_argmax_members(u, S):
 
 def argmax_tables(seed):
     """Exact isotone and arbitrary tables, tolerant tables whose values sit
-    within the tolerance of each other, and tables mixing equal ints and
-    Fractions, each with a few down-sets."""
+    within the tolerance of each other or on its rounding boundary, and
+    tables mixing equal ints and Fractions, each with a few down-sets."""
     rng = corpus.derive_rng(seed, "argmax-members")
     poset = corpus.random_poset(rng, 10, with_bottom=rng.random() < 0.5)
     space = corpus.random_product_of_chains(rng)
@@ -141,6 +141,10 @@ def argmax_tables(seed):
         for dom in (poset, space):
             vals = {e: rng.choice((0.0, 0.1, 0.2, 0.3, 0.35, 1.0, 1.1)) for e in dom.elements}
             tables.append(q.TabulatedUtility(dom, vals, scale=q.tolerant(tol)))
+    for dom in (poset, space):
+        # (k + 1) / 100 <= k / 100 + 0.01 holds though their difference rounds above 0.01
+        vals = {e: rng.randint(87, 91) / 100 for e in dom.elements}
+        tables.append(q.TabulatedUtility(dom, vals, scale=q.tolerant(0.01)))
     return [(u, corpus.random_downset(rng, u.poset)) for u in tables for _ in range(3)]
 
 

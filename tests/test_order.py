@@ -312,6 +312,14 @@ class TestScale:
         assert s.lt(1.0, 1.5)
         assert not s.lt(1.0, 1.05)
 
+    @pytest.mark.parametrize("a, b, tol", [(0.89, 0.9, 0.01), (1.0, 1.1, 0.1)])
+    def test_tolerant_eq_is_le_both_ways(self, a, b, tol):
+        # b - a rounds above tol while b <= a + tol holds: the pairs sit on the boundary
+        s = q.tolerant(tol)
+        for x, y in ((a, b), (b, a)):
+            assert s.eq(x, y) == (s.le(x, y) and s.le(y, x))
+            assert s.eq(x, y)
+
     def test_tolerant_transitive_on_separated_values(self):
         # pairwise gaps are either within tolerance or at least 3x tolerance
         s = q.tolerant(0.1)

@@ -457,31 +457,47 @@ def test_meet_sweep_matches_the_separate_references():
     assert disagree  # tables where the cross-check would raise are swept too
 
 
-def test_meet_check_on_values_within_the_tolerance():
-    """Values 1.1 and 1.0 at tolerance 0.1: ``le`` counts 1.1 <= 1.0, so the
-    table is regular, but ``eq`` tells them apart, so the meet identity fails
-    at (bot, a).  The check reports that failure instead of raising."""
+def boundary_diamond():
+    """Values 1.1 and 1.0 at tolerance 0.1: 1.1 <= 1.0 + 0.1 holds though
+    1.1 - 1.0 rounds above 0.1, so they sit on the tolerance's edge."""
     diamond = q.FinitePoset.from_covers(
         ["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
-    u = q.TabulatedUtility(diamond, {"bot": 1.1, "a": 1.0, "b": 1.1, "top": 2.2},
-                           scale=q.tolerant(0.1))
+    return q.TabulatedUtility(diamond, {"bot": 1.1, "a": 1.0, "b": 1.1, "top": 2.2},
+                              scale=q.tolerant(0.1))
+
+
+def dipping_chain():
+    """bot < e0 < e1 valued 0.2, 0.12 and 0.28 at tolerance 0.1, off the
+    rounding boundary: each value is within the tolerance of the next, but
+    0.28 is not within it of 0.12, so the level set at 0.28 is {bot, e1}
+    and the table is not regular, while the meet identity holds."""
+    chain = q.FinitePoset.chain(["bot", "e0", "e1"])
+    return q.TabulatedUtility(chain, {"bot": 0.2, "e0": 0.12, "e1": 0.28}, scale=q.tolerant(0.1))
+
+
+def test_meet_check_on_values_within_the_tolerance():
+    """On the diamond ``eq`` is ``le`` both ways, so 1.1 and 1.0 are equal:
+    the table is regular and the meet identity holds at (bot, a).  On the
+    dipping chain the identity holds where regularity fails, as it may where
+    the scale does not order the attained values strictly: the check
+    reports the identity instead of raising."""
+    u = boundary_diamond()
     assert q.certify_regular(u).ok and not _strictly_ordered(u)
-    cert = q.check_meet_homomorphism(u)
-    assert outcome(cert) == (False, ("bot", "a"), "u('bot' ^ 'a')=1.1 != 1.0")
+    assert outcome(q.check_meet_homomorphism(u)) == (True, (), "")
+    u = dipping_chain()
+    assert not q.certify_regular(u).ok and not _strictly_ordered(u)
+    assert outcome(q.check_meet_homomorphism(u)) == (True, (), "")
 
 
 def test_characterization_equivalence_on_values_within_the_tolerance():
-    """On the same diamond the three characterizations disagree, as they may
-    where the scale does not order the attained values strictly: the
-    cross-check passes and reports each side."""
-    diamond = q.FinitePoset.from_covers(
-        ["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
-    u = q.TabulatedUtility(diamond, {"bot": 1.1, "a": 1.0, "b": 1.1, "top": 2.2},
-                           scale=q.tolerant(0.1))
-    cert = q.check_characterization_equivalence(u)
-    sides = {"definition": True, "isotone+phi+lower-bounded": False, "meet-homomorphism": False}
-    assert (cert.ok, cert.witnesses, cert.data) == (True, (), {"sides": sides})
-    assert cert.detail == ", ".join(f"{k}={v}" for k, v in sides.items())
+    """On the diamond all three characterizations agree.  On the dipping
+    chain they disagree, as they may where the scale does not order the
+    attained values strictly: the cross-check passes and reports each side."""
+    for u, definition in ((boundary_diamond(), True), (dipping_chain(), False)):
+        cert = q.check_characterization_equivalence(u)
+        sides = {"definition": definition, "isotone+phi+lower-bounded": True, "meet-homomorphism": True}
+        assert (cert.ok, cert.witnesses, cert.data) == (True, (), {"sides": sides})
+        assert cert.detail == ", ".join(f"{k}={v}" for k, v in sides.items())
 
 
 def plain_semilattice_file(tmp_path):
@@ -508,19 +524,6 @@ def count_meet_rows(space_class, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("space_class", [q.ProductSpace, q.FinitePoset])
-def test_check_reads_no_meet_rows_on_a_regular_table(space_class, tmp_path, monkeypatch, capsys):
-    """On the exact scale a regular table implies property Phi and the meet
-    identity, so ``check`` lists both as passed without sweeping a pair."""
-    path = str(DATA / "min_grid.json") if space_class is q.ProductSpace else plain_semilattice_file(tmp_path)
-    calls = count_meet_rows(space_class, monkeypatch)
-    assert main(["check", "--json", path]) == 0
-    certs = json.loads(capsys.readouterr().out)["certificates"]
-    verdicts = {c["property"]: c["verdict"] for c in certs}
-    assert verdicts["property-phi"] == verdicts["meet-homomorphism"] == "pass"
-    assert calls == []
-
-
 def tolerant_power_file(tmp_path, downset=None):
     """min(x1^2, x2) on the grid {0, 1, 2} x {0, ..., 4} as a float power form,
     so its table is on a tolerant scale; restricted to ``downset`` when one
@@ -534,23 +537,37 @@ def tolerant_power_file(tmp_path, downset=None):
     return str(path)
 
 
-@pytest.mark.parametrize("space_class", [q.ProductSpace, q.FinitePoset])
-def test_check_sweeps_the_meet_rows_once(space_class, tmp_path, monkeypatch, capsys):
-    """At tolerance 1 the attained values 0, 1, ..., 4 each lie within the
-    tolerance of the next, so regularity implies nothing about the pairs:
-    ``check`` sweeps the meet rows, once, for property Phi and the meet
-    identity alike."""
-    downset = None if space_class is q.ProductSpace else [[2.0, 2.0], [1.0, 4.0]]
-    path = tolerant_power_file(tmp_path, downset)
-    u = utility_from_json(json.loads(Path(path).read_text()))
-    u.scale = q.tolerant(1.0)
-    assert isinstance(u.poset, space_class) and u.poset.is_inf_semilattice()
-    assert q.certify_regular(u).ok and not _strictly_ordered(u)
+def regular_table_file(space_class, tolerant, tmp_path):
+    """(path, extra check flags) of a regular table on ``space_class``: exact
+    min forms, or the tolerant power form at tolerance 1, where the attained
+    values 0, 1, ..., 4 each lie within the tolerance of the next."""
+    if tolerant:
+        downset = None if space_class is q.ProductSpace else [[2.0, 2.0], [1.0, 4.0]]
+        path = tolerant_power_file(tmp_path, downset)
+        u = utility_from_json(json.loads(Path(path).read_text()))
+        u.scale = q.tolerant(1.0)
+        assert q.certify_regular(u).ok and not _strictly_ordered(u)
+        return path, ["--tolerance", "1"]
+    path = str(DATA / "min_grid.json") if space_class is q.ProductSpace else plain_semilattice_file(tmp_path)
+    return path, []
+
+
+@pytest.mark.parametrize("space_class, tolerant", [
+    (q.ProductSpace, False), (q.FinitePoset, False), (q.ProductSpace, True), (q.FinitePoset, True),
+], ids=["ProductSpace", "FinitePoset", "ProductSpace-tolerance-1", "FinitePoset-tolerance-1"])
+def test_check_reads_no_meet_rows_on_a_regular_table(space_class, tolerant, tmp_path, monkeypatch, capsys):
+    """A regular table implies property Phi and the meet identity on either
+    scale, even where attained values lie within the tolerance of each
+    other, so ``check`` lists both as passed without sweeping a pair."""
+    path, flags = regular_table_file(space_class, tolerant, tmp_path)
+    poset = utility_from_json(json.loads(Path(path).read_text())).poset
+    assert isinstance(poset, space_class) and poset.is_inf_semilattice()
     calls = count_meet_rows(space_class, monkeypatch)
-    assert main(["check", "--json", "--tolerance", "1", path]) == 0
-    props = [c["property"] for c in json.loads(capsys.readouterr().out)["certificates"]]
-    assert "property-phi" in props and "meet-homomorphism" in props
-    assert len(calls) == 1 and isinstance(calls[0], space_class)
+    assert main(["check", "--json", *flags, path]) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    verdicts = {c["property"]: c["verdict"] for c in certs}
+    assert verdicts["property-phi"] == verdicts["meet-homomorphism"] == "pass"
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(4))

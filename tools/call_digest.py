@@ -4,8 +4,11 @@ Usage: python3 tools/call_digest.py <checkout> <workdir>
 
 Builds the three benchmark batteries at seed 5 with the checkout's
 ``perfbench/gen.py``, writing their inputs under ``<workdir>``, and adds
-``corpus --json --n 12`` at seeds 0-59, with and without ``--inject-fault``.
-Every call runs through the checkout's ``qleontief.cli.main`` in this one
+``corpus --json --n 12`` at seeds 0-59, with and without ``--inject-fault``:
+370 calls.  Then come ``check``, ``efficient``, ``maximize`` and ``refine``
+on the checkout's ``tests/data/tolerant_power.json``, copied under
+``<workdir>``, at its own tolerance and at ``--tolerance`` 0.5 and 1: its
+values are small integers held as floats.  Every call runs through the checkout's ``qleontief.cli.main`` in this one
 process.  Prints the number of calls and one SHA-256 over each call's argv,
 exit code, stdout and stderr.  Reports echo their input paths, so two
 checkouts compare equal only when both runs use the same ``<workdir>``.
@@ -22,7 +25,32 @@ import sys
 WORKLOADS = ("check-battery", "product-maximize", "corpus-sweep")
 
 
-def calls(gen, workdir: str):
+TOLERANT_INPUTS = {
+    "downset.json": {"generators": [[2.0, 3.0], [1.0, 4.0]]},
+    "axis1.json": {"members": [0.0, 1.0, 2.0]},
+    "axis2.json": {"members": [0.0, 1.0, 2.0, 3.0]},
+}
+
+
+def tolerant_calls(checkout: str, workdir: str):
+    """The calls on the tolerant power form, with their inputs written under
+    ``<workdir>/tolerant``."""
+    folder = os.path.join(workdir, "tolerant")
+    os.makedirs(folder, exist_ok=True)
+    with open(os.path.join(checkout, "tests", "data", "tolerant_power.json")) as src:
+        inputs = dict(TOLERANT_INPUTS, **{"tolerant_power.json": json.load(src)})
+    for name, obj in inputs.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    form, downset, axes = (os.path.join(folder, n) for n in ("tolerant_power.json", "downset.json", "axis"))
+    for flags in ([], ["--tolerance", "0.5"], ["--tolerance", "1"]):
+        yield ["check", "--json", *flags, form]
+        yield ["efficient", "--json", *flags, form]
+        yield ["maximize", "--json", *flags, form, "--downset", downset]
+        yield ["refine", "--json", *flags, form, "--sets", axes + "1.json", axes + "2.json"]
+
+
+def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
             yield call.argv
@@ -30,6 +58,7 @@ def calls(gen, workdir: str):
         argv = ["corpus", "--json", "--n", "12", "--seed", str(seed)]
         yield argv
         yield argv + ["--inject-fault"]
+    yield from tolerant_calls(checkout, workdir)
 
 
 def run(cli, argv):
@@ -58,7 +87,7 @@ def main(argv=None) -> int:
 
     digest = hashlib.sha256()
     count = 0
-    for call in calls(gen, workdir):
+    for call in calls(gen, checkout, workdir):
         code, out, err = run(cli, call)
         digest.update(json.dumps([call, code, out, err]).encode("utf-8"))
         count += 1
