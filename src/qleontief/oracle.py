@@ -10,12 +10,20 @@ meet-homomorphism identity u(x ^ y) = min(u(x), u(y)).  On a finite domain
 the lowest level set is the whole domain, so lower-bounded level sets is one
 test for a least element.
 
-The CLI's ``check`` lists property Phi and the meet identity as passed,
-without their O(N^2) pair sweep, once ``certify_regular`` passes: as ``eq``
-is the symmetric part of ``le``, the least element m of the level set at
-min(u(x), u(y)) lies below x and y, and ``le`` holds both ways between u(m)
-and that minimum.  Only the converse needs a scale that orders the attained
-values strictly (``_strictly_ordered``).  Every certifier here sweeps.
+The CLI's ``check`` runs ``certify_regular`` once ``certify_quasi_leontief``
+passes and lists every other certificate as passed, on either scale.  The
+quasi-Leontief certificate shows that each attained level set L(u(x)) is
+up(m_x), the up-set of its least element.  Then up(x) lies in L(u(x)), so u
+is isotone, and the lowest level set, the whole domain, is up(bottom).  For
+u(x) <= u(y), m = m_x lies below x and y, and x lies in L(u(m)) = up(m_u(m)),
+so ``le`` holds both ways between u(m) and u(x) (``eq`` is the symmetric part
+of ``le``): property Phi.  The same with p = x ^ y in place of m (m <= p <= x)
+gives the meet identity.  Each level record that regularity reads has shown
+mask == up(least), so its dual table passes ``verify_galois``.  Only
+regularity can fail after that, and only on a tolerant scale: where the
+scale orders the attained values strictly (``_strictly_ordered``), every
+level set is an attained one.  Every certifier here sweeps; they stay the
+independent reference of the ``corpus`` suites and the tests.
 """
 from __future__ import annotations
 

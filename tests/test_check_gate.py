@@ -1,13 +1,18 @@
 """``check`` against the full certifier battery, pair sweep included.
 
-Where a table is regular quasi-Leontief, ``check`` lists property Phi and
-the meet identity as passed without sweeping a pair, on either scale.  The
-reference here runs every certifier on a fresh copy of the table, as
-``check`` did before it read those two certificates off regularity, and the
-two certificate lists must agree in every verdict, witness and detail.  The tables cover corpus tables on chain products and
-random posets with and without a bottom, tables that are not isotone, and
-tolerant tables whose values are well apart or lie within the tolerance,
-and a tolerant table that is quasi-Leontief but not regular.
+Once a table is quasi-Leontief, ``check`` runs only ``certify_regular`` and
+lists isotonicity, property Phi, a least element, the meet identity and the
+adjunction of regular's dual table as passed, on either scale (the argument
+is in the ``oracle`` module docstring).  The reference here runs every
+certifier on a fresh copy of the table, as ``check`` did before it read
+those certificates off the quasi-Leontief records, and the two certificate
+lists must agree in every verdict, witness and detail.  The tables cover
+corpus tables on chain products and random posets with and without a
+bottom, tables that are not isotone, tolerant tables whose values are well
+apart or lie within the tolerance, and a tolerant table that is
+quasi-Leontief but not regular.  No input file gives that last table (a
+tabulated file is exact), so ``check`` reads every table through a patched
+``_load_utility``.
 """
 from __future__ import annotations
 
@@ -17,9 +22,9 @@ from fractions import Fraction as F
 import pytest
 
 import qleontief as q
-from qleontief import cli, corpus
+from qleontief import cli, corpus, oracle
 from qleontief.cli import main
-from qleontief.oracle import _is_regular, _strictly_ordered
+from qleontief.oracle import _strictly_ordered
 
 
 def with_values(u, values, scale):
@@ -58,10 +63,9 @@ def checked(u, monkeypatch, capsys):
 
 
 def gated(u) -> bool:
-    """Whether ``check`` reads property Phi and the meet identity off
-    regularity for u."""
-    u = copy(u)
-    return q.certify_quasi_leontief(u).ok and _is_regular(u)
+    """Whether ``check`` reads every certificate but regularity off the
+    quasi-Leontief records for u: whenever u is quasi-Leontief."""
+    return q.certify_quasi_leontief(copy(u)).ok
 
 
 def corrupted(rng, u):
@@ -93,7 +97,7 @@ def split_v():
     """bot below a and b, valued 0.0, 0.3 and 1.0 at tolerance 0.5: every
     attained level set is the up-set of its least element, but the level set
     at the midpoint 0.65 is {a, b}, so the table is quasi-Leontief and not
-    regular, and ``check`` sweeps its pairs."""
+    regular.  ``check`` sweeps none of its pairs."""
     poset = q.FinitePoset.from_covers(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
     return q.TabulatedUtility(poset, {"bot": 0.0, "a": 0.3, "b": 1.0}, scale=q.tolerant(0.5))
 
@@ -129,17 +133,38 @@ def test_check_matches_the_ungated_battery(seed, monkeypatch, capsys):
         assert code == (0 if all(c["verdict"] == "pass" for c in certs) else 1)
 
 
-def test_check_sweeps_within_the_tolerance(monkeypatch, capsys):
-    """The gate fires on the diamond, whose values lie within the tolerance
-    of each other: regularity holds and so do property Phi and the meet
-    identity.  On the table that is not regular ``check`` sweeps, and only
-    regularity fails."""
+SWEEPERS = ("check_isotone", "check_property_phi", "check_lower_bounded_level_sets",
+            "check_meet_homomorphism", "verify_galois", "_pair_failures")
+
+
+def test_check_calls_no_other_certifier(monkeypatch, capsys):
+    """With every certifier but the quasi-Leontief and regularity ones made to
+    raise, and the pair sweep too, ``check`` still lists exactly the
+    certificates of the ungated battery."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("check ran a certifier it reads off the quasi-Leontief records")
+
+    for u in [t for seed in range(30) for t in tables(seed)]:  # split_v included
+        want = ungated(copy(u))
+        with monkeypatch.context() as m:
+            for name in SWEEPERS:
+                m.setattr(oracle, name, refuse)
+            code, certs = checked(u, m, capsys)
+        assert certs == want
+        assert code == (0 if all(c["verdict"] == "pass" for c in certs) else 1)
+
+
+def test_check_does_not_sweep_within_the_tolerance(monkeypatch, capsys):
+    """On the diamond, whose values lie within the tolerance of each other,
+    regularity holds and so do property Phi and the meet identity.  On
+    split_v, which is quasi-Leontief and not regular, ``check`` sweeps no
+    pair either, and only regularity fails."""
     u = diamond()
     assert q.certify_regular(copy(u)).ok and not _strictly_ordered(copy(u)) and gated(u)
     code, certs = checked(u, monkeypatch, capsys)
     assert certs == ungated(copy(u)) and code == 0
     u = split_v()
-    assert q.certify_quasi_leontief(copy(u)).ok and not gated(u)
+    assert gated(u) and not q.certify_regular(copy(u)).ok
     code, certs = checked(u, monkeypatch, capsys)
     assert certs == ungated(copy(u)) and code == 1
     failed = {c["property"]: c["witnesses"] for c in certs if c["verdict"] == "fail"}
@@ -148,27 +173,27 @@ def test_check_sweeps_within_the_tolerance(monkeypatch, capsys):
 
 
 def test_the_tables_reach_every_branch():
-    """The seeds above cover the gate on inf-semilattices and on other posets,
-    on both scales, and sweeps.  A sweep runs only on a tolerant scale: on the
-    exact scale quasi-Leontief implies regular.  Where it runs, property Phi
-    passes: the least element of the level set at the smaller value lies
-    below both points, and an attained level set holds each point above its
-    least element."""
+    """The seeds above cover tables that are not quasi-Leontief and, on both
+    scales, quasi-Leontief tables on inf-semilattices and on other posets,
+    and tolerant ones that are not regular; on the exact scale
+    quasi-Leontief implies regular.  On every quasi-Leontief table the
+    library's pair sweep passes property Phi and, on an inf-semilattice, the
+    meet identity, as the ``oracle`` module docstring argues."""
     seen = set()
     for seed in range(30):
         for u in tables(seed):
-            if not q.certify_quasi_leontief(copy(u)).ok:
+            if not gated(u):
                 seen.add("not quasi-leontief")
                 continue
-            if gated(u):
-                seen.add(("gate", u.poset.is_inf_semilattice(), u.scale.kind))
-            else:
-                phi = q.check_property_phi(copy(u)).ok
-                seen.add(("sweep", phi, u.scale.kind))
+            lattice = u.poset.is_inf_semilattice()
+            assert q.check_property_phi(copy(u)).ok
+            if lattice:
+                assert q.check_meet_homomorphism(copy(u)).ok
+            seen.add((lattice, u.scale.kind, q.certify_regular(copy(u)).ok))
     assert {
         "not quasi-leontief",
-        ("gate", True, "exact"), ("gate", False, "exact"),
-        ("gate", True, "tolerant"), ("gate", False, "tolerant"),
-        ("sweep", True, "tolerant"),
+        (True, "exact", True), (False, "exact", True),
+        (True, "tolerant", True), (False, "tolerant", True),
+        (True, "tolerant", False),
     } <= seen
-    assert not any(tag[0] == "sweep" and (tag[2] == "exact" or not tag[1]) for tag in seen)
+    assert (True, "exact", False) not in seen and (False, "exact", False) not in seen
