@@ -45,13 +45,6 @@ from .order import OrderError, tolerant
 SCHEMA = 1
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("QL_SEED", "42"))
-    except ValueError:
-        return 42
-
-
 def _nonnegative(convert, noun: str):
     """An argument type: ``convert(raw)`` that is neither negative nor NaN
     (else exit 2)."""
@@ -125,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run the randomized equivalence sweeps")
     p.add_argument("--n", type=_count, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--inject-fault", action="store_true",
                    help="test mode: corrupt one dual entry and expect a failure")
     common(p)
@@ -144,6 +137,16 @@ def _as_tabulated(u) -> TabulatedUtility:
     if not isinstance(u, TabulatedUtility):
         raise InputError("this command needs a tabulated utility or a gridded closed form")
     return u
+
+
+def _refuse_chained_values(u: TabulatedUtility) -> None:
+    """Refuse a tolerance that chains the attained values: maximization
+    needs a scale that orders them, and such a tolerance is no order."""
+    chain = u.chained_values()
+    if chain:
+        v1, v2, v3 = map(encode_value, chain)
+        raise InputError(f"the tolerance chains the attained values {v1} ~ {v2} ~ {v3} "
+                         f"but not {v1} ~ {v3}")
 
 
 def _report(args, **fields) -> dict:
@@ -214,6 +217,7 @@ def cmd_maximize(args) -> int:
         _emit(report, args, [f"value {encode_value(res.value)}",
                              f"maximizers {[encode_elem(x) for x in res.maximizers]}"])
         return 0
+    _refuse_chained_values(u)
     u = oracle.require_certified(u)
     S = downset_from_json(load_json(args.downset), u.poset)
     res = argmax_over_downset(u, S)
@@ -252,6 +256,7 @@ def cmd_refine(args) -> int:
         for path, f in zip(args.sets, space.factors)
     ]
     S = product_downset(space, sets)
+    _refuse_chained_values(u)
     cert = oracle.certify_quasi_leontief(u)
     cu = cert.utility if cert.ok else u
     # the one argmax over S: the default start, the maximum the sweep keeps and
@@ -399,8 +404,7 @@ def _suite_refinement(seed: int, n: int) -> List[dict]:
 
 
 def cmd_corpus(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    n = args.n
+    seed, n = args.seed, args.n
     suites = []
     runs = [
         ("characterization-triangle", lambda: _suite_triangle(seed, n, args.inject_fault)),

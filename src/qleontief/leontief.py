@@ -333,6 +333,17 @@ class TabulatedUtility(_Closure):
         extra = tuple(extra)
         return sorted(set(t.probes).union(extra)) if extra else list(t.probes)
 
+    def chained_values(self) -> Optional[Tuple]:
+        """Three attained values v1 < v2 < v3 with v1 ~ v2 ~ v3 but not
+        v1 ~ v3 on the scale, or None when it chains none: a band start s =
+        lo[r] with lo[s] < s gives image[lo[s]], image[s] and image[r]."""
+        t = self._ranks()
+        lo = t.lo
+        for r, s in enumerate(lo):
+            if lo[s] < s:
+                return t.image[lo[s]], t.image[s], t.image[r]
+        return None
+
     def level_set(self, lam) -> LevelSet:
         """The level set at ``lam`` (see ``_level``)."""
         return self._level(lam, bisect_left(self._ranks().image, lam))
@@ -502,6 +513,16 @@ def _leq_pointwise(scale: Scale, x: Sequence, y: Sequence) -> bool:
     return all(scale.le(a, b) for a, b in zip(x, y))
 
 
+def _in_float_range(v, scale: Scale) -> bool:
+    """False only where the scale reads v as a float and that float is not
+    finite: v is a float, or the scale is tolerant and adds a float tolerance
+    to every value."""
+    try:
+        return (scale.kind != "tolerant" and not isinstance(v, float)) or math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _infer_scale(*numbers) -> Scale:
     for v in numbers:
         if isinstance(v, float):
@@ -566,11 +587,11 @@ class PowerLeontief(_Closure):
         x = self._check(x)
         try:
             terms = [c * self._pow(t, e) for c, t, e in zip(self.a, x, self.alpha)]
-            if self.scale.kind == "tolerant":
-                float(min(terms))  # the scale adds a float tolerance to every value
-            return terms
         except OverflowError:
-            raise UtilityError(f"the power form at {x!r} overflows a float") from None
+            terms = None
+        if terms is None or not _in_float_range(min(terms), self.scale):
+            raise UtilityError(f"the power form at {x!r} overflows a float")
+        return terms
 
     def value(self, x: Sequence):
         return min(self._terms(x))
@@ -640,7 +661,11 @@ class PriceMatrixLeontief(_Closure):
         return self._np.asarray(x, dtype=float)
 
     def value(self, x: Sequence) -> float:
-        return float((self.P @ self._check(x)).min())
+        with self._np.errstate(over="ignore", invalid="ignore"):
+            v = float((self.P @ self._check(x)).min())
+        if not math.isfinite(v):
+            raise UtilityError(f"the price form at {tuple(x)!r} overflows a float")
+        return v
 
     def dual(self, lam) -> Tuple:
         return tuple(float(lam) * t for t in self.x_P)
@@ -666,7 +691,10 @@ class AffineUtility(_Closure):
         self.scale = base.scale
 
     def value(self, x):
-        return self.a * self.base.value(x) + self.b
+        v = self.a * self.base.value(x) + self.b
+        if not _in_float_range(v, self.scale):
+            raise UtilityError(f"the affine transform at {tuple(x)!r} overflows a float")
+        return v
 
     def interior(self, x):
         # not dual(value(x)): (a * v + b - b) / a need not equal v in floats
@@ -775,7 +803,11 @@ def affine_transform(u, a, b):
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
     if isinstance(u, TabulatedUtility):
-        new = TabulatedUtility._of_column(u.poset, [a * v + b for v in u.column], u.scale)
+        column = [a * v + b for v in u.column]
+        bad = next((i for i, v in enumerate(column) if not _in_float_range(v, u.scale)), None)
+        if bad is not None:
+            raise UtilityError(f"the affine transform at {u.poset.point(bad)!r} overflows a float")
+        new = TabulatedUtility._of_column(u.poset, column, u.scale)
         new.certified = u.certified and u.scale.kind == "exact"
         return new
     return AffineUtility(u, a, b)

@@ -157,6 +157,21 @@ class TestToleranceFlag:
         assert captured.err.endswith(
             f"error: argument --tolerance: must be a nonnegative number: '{raw}'\n")
 
+    @pytest.mark.parametrize("command", ["maximize", "refine"])
+    def test_a_tolerance_that_chains_the_values_is_refused(self, command, tmp_path, capsys):
+        """At tolerance 1 the values 0, 1, ..., 4 of the power form chain, and
+        the scale orders no maximum; at 0.5 they lie apart."""
+        u = os.path.join(os.path.dirname(__file__), "data", "tolerant_power.json")
+        if command == "maximize":
+            extra = ["--downset", write(tmp_path, "s.json", {"generators": [[2.0, 3.0], [1.0, 4.0]]})]
+        else:
+            extra = ["--sets", write(tmp_path, "s1.json", {"members": [0.0, 1.0, 2.0]}),
+                     write(tmp_path, "s2.json", {"members": [0.0, 1.0, 2.0, 3.0]})]
+        assert main([command, "--tolerance", "1", u, *extra]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the tolerance chains the attained values 0.0 ~ 1.0 ~ 2.0 but not 0.0 ~ 2.0\n")
+        assert main([command, "--tolerance", "0.5", u, *extra]) == 0
+
 
 class TestEfficient:
     def test_tabulated_diagonal(self, min_grid_utility, capsys):
@@ -426,11 +441,12 @@ class TestCorpus:
             f["property"] == "galois-adjunction" for f in triangle["failures"]
         )
 
-    def test_env_seed_override(self, capsys, monkeypatch):
+    def test_env_seed_is_ignored(self, capsys, monkeypatch):
+        """Only ``--seed`` sets the seed; without it the corpus runs seed 42."""
         monkeypatch.setenv("QL_SEED", "123")
         assert main(["corpus", "--json", "--n", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["seed"] == 123
+        assert report["seed"] == 42
 
     def test_quiet_keeps_only_verdict_lines(self, min_grid_utility, capsys):
         assert main(["check", "--quiet", min_grid_utility]) == 0
@@ -932,6 +948,34 @@ class TestBounds:
         code, seconds, got = self.timed_check(u, capsys)
         assert code == 2 and seconds < 1
         assert got == f"error: {err}\n"
+
+    with open(os.path.join(os.path.dirname(__file__), "data", "tolerant_power.json")) as f:
+        TOLERANT_POWER = json.load(f)
+    HUGE_AXES = {"axes": [{"lo": 0.0, "hi": 1.5e308, "step": 0.5e308}] * 2}
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
+    @pytest.mark.parametrize("form, gens, err", [
+        ({"type": "price_matrix", "P": [[2.0, 1.0], [1.0, 2.0]]}, [[1e308, 1e308]],
+         "the price form at (1e+308, 1e+308) overflows a float"),
+        ({"type": "power", "a": [1e300, 1e300], "alpha": [2.0, 2.0],
+          "box": {"axes": [{"lo": 0.0, "hi": 1e10}] * 2}}, [[1e10, 1e10]],
+         "the power form at (10000000000.0, 10000000000.0) overflows a float"),
+        ({"type": "affine", "a": 1e308, "b": 0.0, "base": TOLERANT_POWER}, [[2.0, 4.0]],
+         "invalid utility: the affine transform at (2.0, 2.0) overflows a float"),
+        ({"type": "classical", "a": ["2", "2"], "box": HUGE_AXES}, None,
+         "the power form at (1e+308, 1e+308) overflows a float"),
+    ], ids=["price-matrix", "power", "affine-table", "classical-grid"])
+    def test_values_overflowing_a_float(self, form, gens, err, tmp_path, capsys):
+        """A value that leaves the float range is bad input, not Infinity in
+        the report nor a point lost from the efficient set."""
+        u = write(tmp_path, "u.json", form)
+        if gens is None:
+            argv = ["efficient", "--json", u]
+        else:
+            argv = ["maximize", "--json", u, "--downset",
+                    write(tmp_path, "gens.json", {"generators": gens})]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("command", ["check", "efficient"])
