@@ -951,7 +951,6 @@ class TestBounds:
 
     with open(os.path.join(os.path.dirname(__file__), "data", "tolerant_power.json")) as f:
         TOLERANT_POWER = json.load(f)
-    HUGE_AXES = {"axes": [{"lo": 0.0, "hi": 1.5e308, "step": 0.5e308}] * 2}
 
     @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
     @pytest.mark.parametrize("form, gens, err", [
@@ -962,7 +961,8 @@ class TestBounds:
          "the power form at (10000000000.0, 10000000000.0) overflows a float"),
         ({"type": "affine", "a": 1e308, "b": 0.0, "base": TOLERANT_POWER}, [[2.0, 4.0]],
          "invalid utility: the affine transform at (2.0, 2.0) overflows a float"),
-        ({"type": "classical", "a": ["2", "2"], "box": HUGE_AXES}, None,
+        ({"type": "classical", "a": ["2", "2"],
+          "box": {"axes": [{"lo": 0.0, "hi": 1.5e308, "step": 0.5e308}] * 2}}, None,
          "the power form at (1e+308, 1e+308) overflows a float"),
     ], ids=["price-matrix", "power", "affine-table", "classical-grid"])
     def test_values_overflowing_a_float(self, form, gens, err, tmp_path, capsys):
