@@ -128,18 +128,16 @@ class _Ranks:
     sort.  ``levels[s]`` caches the record of the suffix from rank s, which
     every level whose set starts there reads; the empty suffix, s =
     len(image), is the shared ``_EMPTY``.  The rest is filled in on first
-    use: ``probes``, the default probe levels; ``regular``, whether every
-    level set at them is the up-set of its least element; ``pairs``, the
-    oracle's first failing pairs of property Phi and of the meet identity;
-    and ``slices``, the interior record of each one-axis slice of a product
-    table, keyed by (axis, index of the slice's first point).
+    use: ``probes``, the default probe levels, and ``slices``, the interior
+    record of each one-axis slice of a product table, keyed by (axis, index
+    of the slice's first point).
 
     On the table's scale, ``lo[r]`` starts the level set at image[r] (see
     ``_band_starts``), and the ranks the scale counts equal to rank r run
     from lo[r] to one past the last s with lo[s] <= r.
     """
 
-    __slots__ = ("rank", "image", "suffix", "lo", "levels", "probes", "regular", "pairs", "slices")
+    __slots__ = ("rank", "image", "suffix", "lo", "levels", "probes", "slices")
 
     def __init__(self, values: Sequence, scale: Scale = EXACT):
         distinct = keys = values
@@ -193,8 +191,6 @@ class _Ranks:
         self.lo = _band_starts(image, scale)
         self.levels: List[Optional[LevelSet]] = [None] * len(image)
         self.probes: Optional[Tuple] = None
-        self.regular: Optional[bool] = None
-        self.pairs: Optional[Tuple] = None
         self.slices: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def restrict(self, indices: Iterable[int], scale: Scale = EXACT) -> "_Ranks":

@@ -22,8 +22,10 @@ gives the meet identity.  Each level record that regularity reads has shown
 mask == up(least), so its dual table passes ``verify_galois``.  Only
 regularity can fail after that, and only on a tolerant scale: where the
 scale orders the attained values strictly (``_strictly_ordered``), every
-level set is an attained one.  Every certifier here sweeps; they stay the
-independent reference of the ``corpus`` suites and the tests.
+level set is an attained one.  Every certifier here sweeps, and none keeps
+its verdict on the rank table; they stay the independent reference of the
+``corpus`` suites and the tests.  Property Phi and the meet identity are
+read off one plain pass over the index pairs (``_pair_failures``).
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .leontief import TabulatedUtility
-from .order import Element, FinitePoset, OrderError
+from .order import Element, OrderError
 
 
 class InconsistencyError(AssertionError):
@@ -131,20 +133,9 @@ def certify_regular(
             break
         if level.least is not None:
             table[lam] = level.least
-    t = u._ranks()
-    if len(probes) == len(t.probes):  # no extra level beyond the default probes
-        t.regular = failed is None
     if failed is not None:
         return Certificate(False, "regular", witnesses=failed.witnesses, detail=failed.detail(lam))
     return Certificate(True, "regular", dual_table=table, utility=u._certified_copy())
-
-
-def _is_regular(u: TabulatedUtility) -> bool:
-    """``certify_regular(u).ok``, recorded on the rank table."""
-    t = u._ranks()
-    if t.regular is None:
-        certify_regular(u)
-    return t.regular
 
 
 def check_isotone(u: TabulatedUtility) -> Certificate:
@@ -165,73 +156,49 @@ _Pair = Tuple[int, int]
 _Meet = Tuple[int, int, int]  # (i, j, index of the meet)
 
 
+def _value_bands(t) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """(runs, bands) of a rank table: per rank w, the run (lo, hi) of the
+    ranks the scale counts equal to rank w, and its band, the mask of the
+    elements whose rank lies in that run, read off the suffix masks (see
+    ``_Ranks``)."""
+    runs = [(s, bisect_right(t.lo, r)) for r, s in enumerate(t.lo)]
+    return runs, [t.suffix[lo] ^ t.suffix[hi] for lo, hi in runs]
+
+
 def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet]]:
-    """``(phi, meet)``, cached on the rank table: ``phi`` is the first index
-    pair (i, j), in row-major order of the pairs i <= j, at which property Phi
-    fails, and on an inf-semilattice ``meet`` is the first (i, j, m) with
-    u(m) != min(u(x_i), u(x_j)) at the meet m = x_i ^ x_j; None where the
-    property holds (``meet`` is None too on a poset without a total meet).
+    """``(phi, meet)``: ``phi`` is the first index pair (i, j), in row-major
+    order of the pairs i <= j, at which property Phi fails, and on an
+    inf-semilattice ``meet`` is the first (i, j, m) with u(m) != min(u(x_i),
+    u(x_j)) at the meet m = x_i ^ x_j; None where the property holds
+    (``meet`` is None too on a poset without a total meet).
 
     Ranks order values like the values do, so min(u(x), u(y)) has rank
-    w = min(rank(x), rank(y)), and the band of rank w is the mask of the
-    elements whose value the scale counts equal to it, read off the suffix
-    masks of its run of ranks (see ``_Ranks``).  Phi holds at a pair iff
-    down(x) & down(y) meets that band.
+    w = min(rank(x), rank(y)); the meet identity holds at a pair iff the rank
+    of the meet lies in the run of w, and Phi holds iff down(x) & down(y)
+    meets the band of w (``_value_bands``).  On an inf-semilattice down(x) &
+    down(y) is down(x ^ y), so Phi fails only where the identity fails: the
+    pass stops at the first Phi failure with the first meet failure found.
     """
     t = u._ranks()
-    if t.pairs is None:
-        runs = [(s, bisect_right(t.lo, r)) for r, s in enumerate(t.lo)]
-        bands = [t.suffix[lo] ^ t.suffix[hi] for lo, hi in runs]
-        if u.poset.is_inf_semilattice():
-            t.pairs = _meet_sweep(u.poset, t.rank, runs, bands)
-        else:
-            t.pairs = _phi_scan(u.poset, t.rank, bands), None
-    return t.pairs
-
-
-def _meet_sweep(poset: FinitePoset, ranks: List[int], runs: List[Tuple[int, int]],
-                bands: List[int]) -> Tuple[Optional[_Pair], Optional[_Meet]]:
-    """Both first failures of ``_pair_failures`` from one pass over the upper
-    meet rows (``meet_rows``; a product combines them from its factor meets).
-
-    The meet identity holds at (i, j) iff the rank of the meet lies in the run
-    of w = min(rank i, rank j), and the run holds w itself, so a row passes in
-    bulk when its meet ranks equal the minimum ranks; only a row that does not
-    is scanned pair by pair.  down(x) & down(y) is down(x ^ y), so where the
-    identity holds the meet itself attains the minimum and Phi holds; where
-    it fails, Phi is one test, down(m) & band(w).
-    """
-    meet = None
-    for i, row in enumerate(poset.meet_rows()):
-        ri = ranks[i]
-        got = list(map(ranks.__getitem__, row))
-        want = [r if r < ri else ri for r in ranks[i:]]
-        if got == want:
-            continue
-        for j, (g, w) in enumerate(zip(got, want), i):
-            lo, hi = runs[w]
-            if lo <= g < hi:
-                continue
-            m = row[j - i]
-            if meet is None:
-                meet = (i, j, m)
-            if not poset._down[m] & bands[w]:
-                return (i, j), meet
-    return None, meet
-
-
-def _phi_scan(poset: FinitePoset, ranks: List[int], bands: List[int]) -> Optional[_Pair]:
-    """The first pair of ``_pair_failures`` at which Phi fails, testing the
-    common lower bounds of every pair."""
+    runs, bands = _value_bands(t)
+    poset, ranks = u.poset, t.rank
     down = poset._down
+    meet_index = poset._meet_index if poset.is_inf_semilattice() else None
+    meet = None
     n = len(ranks)
     for i in range(n):
         ri, di = ranks[i], down[i]
         for j in range(i, n):
             rj = ranks[j]
-            if not di & down[j] & bands[rj if rj < ri else ri]:
-                return i, j
-    return None
+            w = rj if rj < ri else ri
+            if meet is None and meet_index is not None:
+                m = meet_index(i, j)
+                lo, hi = runs[w]
+                if not lo <= ranks[m] < hi:
+                    meet = (i, j, m)
+            if not di & down[j] & bands[w]:
+                return (i, j), meet
+    return None, meet
 
 
 def check_property_phi(u: TabulatedUtility) -> Certificate:
@@ -277,8 +244,8 @@ def check_lower_bounded_level_sets(
 def _meet_failure(u: TabulatedUtility):
     """The first pair (x, y), in row-major order of the index pairs i <= j,
     with u(x ^ y) != min(u(x), u(y)), as (x, y, u(x ^ y), min(u(x), u(y)));
-    None when the identity holds.  Needs a total meet; read off the meet
-    sweep of ``_pair_failures``."""
+    None when the identity holds.  Needs a total meet; read off
+    ``_pair_failures``."""
     meet = _pair_failures(u)[1]
     if meet is None:
         return None
@@ -314,7 +281,7 @@ def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:
             witnesses=(x, y),
             detail=f"u({x!r} ^ {y!r})={got!r} != {want!r}",
         )
-    if _strictly_ordered(u) and _is_regular(u) != verdict.ok:
+    if _strictly_ordered(u) and certify_regular(u).ok != verdict.ok:
         raise InconsistencyError(
             f"meet-homomorphism={verdict.ok} but regular-certification={not verdict.ok}"
         )
@@ -332,14 +299,12 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
     certificate passes iff all computed sides agree, and elsewhere it
     passes and only reports them.
     """
-    side_a = _is_regular(u)
-    iso = check_isotone(u)
-    phi = check_property_phi(u)
-    lbd = check_lower_bounded_level_sets(u)
-    side_b = iso.ok and phi.ok and lbd.ok
+    side_a = certify_regular(u).ok
+    phi, meet = _pair_failures(u)
+    side_b = check_isotone(u).ok and phi is None and check_lower_bounded_level_sets(u).ok
     sides = {"definition": side_a, "isotone+phi+lower-bounded": side_b}
     if u.poset.is_inf_semilattice():
-        sides["meet-homomorphism"] = _meet_failure(u) is None
+        sides["meet-homomorphism"] = meet is None
     ok = not _strictly_ordered(u) or len(set(sides.values())) == 1
     detail = ", ".join(f"{k}={v}" for k, v in sides.items())
     return Certificate(

@@ -10,8 +10,7 @@ member: ``_least_in``, ``_greatest_in``, ``_minimal_in``, ``_chain_in`` and
 directly.  A meet is one big-int AND and one dict lookup: m is the meet of x
 and y exactly when down(m) = down(x) & down(y), and distinct elements have
 distinct down-sets (see ``FinitePoset._meet_index``).  A plain poset decides
-``is_inf_semilattice`` one pair at a time and makes its upper meet rows
-(``meet_rows``) one row at a time.
+``is_inf_semilattice`` one pair at a time.
 
 A ``ProductSpace`` is the product poset itself; it builds its tables only when
 a query needs them, from the factor tables: the up-set (down-set) of a product
@@ -19,11 +18,9 @@ point is the product of the factor up-sets (down-sets).  Each factor row is
 spread once to its axis's stride, and a product of masks on different axes
 is a carry-free big-int multiply (``_product_of`` takes one mask per axis).  Meets
 and joins are taken coordinatewise, so a product is an inf-semilattice iff
-every factor is, and its meet rows are mixed-radix combinations of the factor
-meets; none of these reads the product's own tables, and no meet table of
-more than N entries is held.  A point's index is the mixed-radix number of its
-factor indices (``index_of``; ``point`` decodes it), so point queries build
-nothing.  No domain larger than ``MAX_POINTS`` is enumerated.
+every factor is; none of these reads the product's own tables.  A point's
+index is the mixed-radix number of its factor indices (``index_of``;
+``point`` decodes it), so point queries build nothing.  No domain larger than ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 
@@ -434,26 +431,6 @@ class FinitePoset:
             )
         return self._meet_total
 
-    def meet_rows(self) -> Iterator[List[Optional[int]]]:
-        """The upper meet rows in index order, made one at a time: row i lists
-        the element index of meet(i, j) for every j >= i, or None where there
-        is no meet."""
-        n = len(self.elements)
-        meet = self._meet_index
-        for i in range(n):
-            yield [meet(i, j) for j in range(i, n)]
-
-    def _meet_table(self) -> List[List[Optional[int]]]:
-        """``_meet_index(i, j)`` for every i and j, one call per unordered pair."""
-        n = len(self.elements)
-        meet = self._meet_index
-        table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            row = table[i]
-            for j in range(i, n):
-                row[j] = table[j][i] = meet(i, j)
-        return table
-
     # -- chains and filtering ------------------------------------------------
 
     def is_chain(self, subset: Iterable[Element]) -> bool:
@@ -556,20 +533,6 @@ class ProductSpace(FinitePoset):
         """True iff every factor is an inf-semilattice (an empty product is one)."""
         return len(self) == 0 or all(f.is_inf_semilattice() for f in self.factors)
 
-    def _leaves(self) -> List[FinitePoset]:
-        """The plain factors, those of a nested product in its place; a point's
-        index is the same mixed-radix number over these."""
-        return [g for f in self.factors
-                for g in (f._leaves() if isinstance(f, ProductSpace) else [f])]
-
-    def meet_rows(self) -> Iterator[List[Optional[int]]]:
-        """The upper meet rows in index order, made one at a time: row i lists
-        the element index of meet(i, j) for every j >= i, or None where there
-        is no meet.  They are combined in mixed radix from the factor meets,
-        last coordinate fastest (see ``_meet_rows``); the product's own
-        tables are not read."""
-        return _meet_rows(self._leaves(), len(self))
-
     def meet(self, x: Sequence[Element], y: Sequence[Element]) -> Optional[Tuple[Element, ...]]:
         """The point of the factor meets, or None when a factor has none;
         builds no tables."""
@@ -671,39 +634,6 @@ class _UnbuiltProduct(ProductSpace):
         if name in FinitePoset.__slots__:
             return getattr(self.as_poset(), name)
         raise AttributeError(f"'ProductSpace' object has no attribute {name!r}")
-
-
-def _meet_rows(leaves: Sequence[FinitePoset], size: int) -> Iterator[List[Optional[int]]]:
-    """Upper meet rows of the product of ``leaves``: the meet of two points is
-    the point of the factor meets, None when one is missing.
-
-    With the last leaf of n elements and point i = a*n + b, the points j >= i
-    are (a, d) for d >= b and (c, d) for c > a and every d, so row i reads the
-    upper row of a in the product of the other leaves and the full meet row
-    of b in the last leaf.  The first leaf gives its upper rows once each; a
-    later leaf gives its full rows once per point of the leaves before it.  Its
-    table is held only while it has at most ``size`` entries, and otherwise its
-    rows are made again each time, so no held table outgrows the product.
-    """
-    *outer, last = leaves
-    if not outer:
-        yield from last.meet_rows()
-        return
-    n = len(last)
-    table = last._meet_table() if n * n <= size else None
-    meet = last._meet_index
-    for a, up in enumerate(_meet_rows(outer, size)):
-        base, rest = a * n, up[1:]
-        rest_base = None if None in rest else [c * n for c in rest]
-        rows = table if table is not None else ([meet(k, d) for d in range(n)] for k in range(n))
-        for b, full in enumerate(rows):
-            if rest_base is not None and None not in full:
-                row = [base + m for m in full[b:]]
-                row += [c + m for c in rest_base for m in full]
-            else:
-                row = [None if m is None else base + m for m in full[b:]]
-                row += [None if c is None or m is None else c * n + m for c in rest for m in full]
-            yield row
 
 
 def _spread(outer: int, n: int) -> int:

@@ -4,8 +4,8 @@ A rank table keeps one band array, ``lo``: lo[r] is the lowest rank s with
 le(image[r], image[s]).  The level set at an attained value starts there, and
 the ranks the scale counts equal to rank r run from lo[r] to one more than
 the last s with lo[s] <= r.  The references here scan every pair of ranks
-with ``Scale.le`` and ``Scale.eq``, and read the bands that property Phi and
-the meet identity test from the arguments of the oracle's two sweeps.
+with ``Scale.le`` and ``Scale.eq``, and check the runs and bands that the
+oracle's pass over the pairs tests property Phi and the meet identity on.
 """
 from __future__ import annotations
 
@@ -58,23 +58,14 @@ def tables(seed):
 
 
 def swept_bands(u, monkeypatch):
-    """The bands and runs that property Phi's sweep reads for u: the runs
-    are None where the poset has no total meet and the scan takes masks only."""
-    seen = {}
-    meet_sweep, phi_scan = oracle._meet_sweep, oracle._phi_scan
-
-    def on_meets(poset, ranks, runs, bands):
-        seen.update(runs=runs, bands=bands)
-        return meet_sweep(poset, ranks, runs, bands)
-
-    def on_pairs(poset, ranks, bands):
-        seen.update(runs=None, bands=bands)
-        return phi_scan(poset, ranks, bands)
-
-    monkeypatch.setattr(oracle, "_meet_sweep", on_meets)
-    monkeypatch.setattr(oracle, "_phi_scan", on_pairs)
-    q.check_property_phi(u)
-    return seen["runs"], seen["bands"]
+    """The runs and bands that property Phi's pass over the pairs reads for u."""
+    seen = []
+    value_bands = oracle._value_bands
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_value_bands", lambda t: seen.append(value_bands(t)) or seen[-1])
+        q.check_property_phi(u)
+    (runs, bands), = seen
+    return runs, bands
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -89,8 +80,8 @@ def test_lo_matches_the_pairwise_scan(seed):
 
 
 def test_the_tables_reach_every_case():
-    """Bands stored and not, each on a poset with a total meet (the meet
-    sweep) and without one (the pair scan)."""
+    """Bands stored and not, each on a poset with a total meet (where the
+    pass tests the meet identity too) and without one."""
     seen = {(type(u._ranks().lo) is range, u.poset.is_inf_semilattice())
             for seed in range(20) for u in tables(seed)}
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -102,9 +93,8 @@ def test_phi_bands_match_the_pairwise_scan(seed, monkeypatch):
         runs, bands = swept_bands(u, monkeypatch)
         want = ref_bands(u)
         assert bands == want
-        if runs is not None:
-            rank = u._ranks().rank
-            assert runs == [(min(rank[i] for i in _bits(b)), max(rank[i] for i in _bits(b)) + 1) for b in want]
+        rank = u._ranks().rank
+        assert runs == [(min(rank[i] for i in _bits(b)), max(rank[i] for i in _bits(b)) + 1) for b in want]
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -125,6 +125,12 @@ def test_product_tables_match_pointwise_leq(k):
     assert (space._up, space._down) == (up, down)
 
 
+def plain_factors(space):
+    """The plain factors of a product, those of a nested product in its place."""
+    return [g for f in space.factors
+            for g in (plain_factors(f) if isinstance(f, q.ProductSpace) else [f])]
+
+
 @pytest.mark.parametrize("k", range(len(small_factor_products())))
 def test_meet_and_join_match_the_built_poset(k):
     """The factor-wise meet and join against the plain poset's, read off the
@@ -134,7 +140,7 @@ def test_meet_and_join_match_the_built_poset(k):
     want = [(FinitePoset.meet(space.as_poset(), x, y), FinitePoset.join(space, x, y))
             for x in pts for y in pts]
     assert [(space.meet(x, y), space.join(x, y)) for x in pts for y in pts] == want
-    if any(len(f) == 2 for f in space._leaves()):  # the antichain: no meet, no join
+    if any(len(f) == 2 for f in plain_factors(space)):  # the antichain: no meet, no join
         assert any(m is None for m, _ in want) and any(j is None for _, j in want)
 
 
@@ -164,7 +170,8 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert space.is_inf_semilattice() and not q.ProductSpace([chain, pair]).is_inf_semilattice()
     # ("1", "c") ^ (y, x) for (y, x) = ("1", "c"), ("2", "a"), ("2", "b"), ("2", "c"):
     # ("1", "c"), ("1", "a"), ("1", "a"), ("1", "c")
-    assert list(space.meet_rows())[5] == [5, 3, 3, 5]
+    assert [space.meet(("1", "c"), y) for y in (("1", "c"), ("2", "a"), ("2", "b"), ("2", "c"))] == [
+        ("1", "c"), ("1", "a"), ("1", "a"), ("1", "c")]
     assert space.index_of(("1", "b")) == 4 and space.index_of(["2", "c"]) == 8
     assert ("1", "b") in space and ("1", "d") not in space
     assert space.meet(("2", "b"), ["1", "c"]) == ("1", "a")
@@ -296,22 +303,24 @@ def test_check_on_a_product_meets_only_in_the_factor_tables(monkeypatch, capsys)
 
 @pytest.mark.parametrize("axes", [[("0", "63")], [("0", "1"), ("0", "31")], [("0", "31"), ("0", "1")]])
 def test_check_on_a_gridded_box_holds_no_large_meet_table(axes, monkeypatch, tmp_path, capsys):
-    """A gridded closed form whose size sits in one axis: ``check`` holds no
-    factor meet table with more than N entries, so never an N x N one."""
-    held = []
-    table = FinitePoset._meet_table
+    """A gridded closed form whose size sits in one axis: ``check`` asks
+    every meet of a factor, never of the product, so it never maps the
+    product's N down masks to their points."""
+    calls = []
+    meet_index = FinitePoset._meet_index
 
-    def recording_table(self):
-        held.append(len(self))
-        return table(self)
+    def counting(self, i, j):
+        calls.append(self)
+        return meet_index(self, i, j)
 
-    monkeypatch.setattr(FinitePoset, "_meet_table", recording_table)
+    monkeypatch.setattr(FinitePoset, "_meet_index", counting)
     path = tmp_path / "box.json"
     path.write_text(json.dumps({"type": "classical", "a": ["1"] * len(axes), "box": {
         "axes": [{"lo": lo, "hi": hi, "step": "1"} for lo, hi in axes]}}))
     assert main(["check", str(path)]) == 0
     assert "PASS meet-homomorphism" in capsys.readouterr().out
-    assert all(n * n <= 64 for n in held)
+    sizes = {int(hi) - int(lo) + 1 for lo, hi in axes}
+    assert calls and all(type(p) is FinitePoset and len(p) in sizes for p in calls)
 
 
 def test_check_does_not_import_numpy():

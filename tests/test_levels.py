@@ -519,26 +519,30 @@ class CountedSum(F):
 
 def test_probe_levels_and_regularity_are_made_once_per_rank_table(monkeypatch):
     """``certify_regular`` then ``check_meet_homomorphism`` on one table
-    build its midpoints once, and the meet check reads the regularity
-    verdict that ``certify_regular`` recorded instead of bisecting again."""
+    build its midpoints once, and the meet check's regularity cross-check
+    reads the level records that ``certify_regular`` built instead of
+    building new ones."""
     space = q.grid_space(range(3), range(4))
     u = q.TabulatedUtility(space, {p: CountedSum(min(p[0], 2 * p[1])) for p in space.points()})
     k = len(u.image())
     CountedSum.sums = 0
     assert q.certify_regular(u).ok
     assert CountedSum.sums == k - 1
-    looked_up = []
-    level_set, level_sets = q.TabulatedUtility.level_set, q.TabulatedUtility.level_sets
-    monkeypatch.setattr(q.TabulatedUtility, "level_set",
-                        lambda self, lam: looked_up.append(lam) or level_set(self, lam))
-    monkeypatch.setattr(q.TabulatedUtility, "level_sets",
-                        lambda self, levels: looked_up.append(levels) or level_sets(self, levels))
+    built = []
+    build = q.TabulatedUtility._build_level_set
+    monkeypatch.setattr(q.TabulatedUtility, "_build_level_set",
+                        lambda self, s: built.append(s) or build(self, s))
     assert q.check_meet_homomorphism(u).ok
-    assert CountedSum.sums == k - 1 and not looked_up
+    assert CountedSum.sums == k - 1 and not built
     probes = u.probe_levels()
     assert len(probes) == 2 * k - 1
     probes.clear()  # a caller's list is its own
     assert u.probe_levels() == sorted(u.probe_levels([F(99)]))[:-1] and len(u.probe_levels()) == 2 * k - 1
+
+
+def test_rank_table_holds_no_oracle_verdict():
+    """The oracle's certifiers keep nothing on the rank table: each call sweeps."""
+    assert not {"regular", "pairs"} & set(_Ranks.__slots__)
 
 
 def walks(u, rng):

@@ -5,10 +5,9 @@ every common lower bound or every element above x.  The library answers the
 same questions with a few big-int operations per pair: a meet is the element
 whose down-set is the intersection of the two down-sets, and property Phi and
 the meet identity test one value band per pair.  A product takes its semilattice
-verdict and its meets from the factors instead, and tests the meet identity
-a row of meets at a time.  On an inf-semilattice one sweep of the meet rows
-gives both property Phi and the meet identity.  Verdicts, witnesses and detail texts
-must agree exactly.  The pairwise filtering loop and the per-level common
+verdict and its meets from the factors instead.  On an inf-semilattice one
+pass over the pairs gives both property Phi and the meet identity.  Verdicts,
+witnesses and detail texts must agree exactly.  The pairwise filtering loop and the per-level common
 lower bound loop are kept too: the library asks for a least element instead.
 """
 from __future__ import annotations
@@ -24,10 +23,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qleontief as q
-from qleontief import corpus
+from qleontief import corpus, oracle
 from qleontief.cli import main
 from qleontief.io import utility_from_json
-from qleontief.oracle import _is_regular, _meet_failure, _strictly_ordered
+from qleontief.oracle import _meet_failure, _strictly_ordered
 from qleontief.order import _bits
 
 
@@ -277,53 +276,12 @@ def test_meet_homomorphism_matches_reference(seed, shape, table):
 # -- products: meets through the factors ---------------------------------------------
 
 
-def assert_meet_rows_match(space):
-    """Every upper meet row entry (row i, j >= i) is the index of the reference
-    meet, None where there is none."""
-    rows = list(space.meet_rows())
-    assert len(rows) == len(space)
-    for i, (row, x) in enumerate(zip(rows, space.elements)):
-        want = [ref_meet(space, x, y) for y in space.elements[i:]]
-        assert row == [None if m is None else space.index_of(m) for m in want]
-
-
-@given(st.integers(0, 2**32), st.sampled_from(SHAPES))
-def test_plain_meet_rows_match_reference(seed, shape):
-    assert_meet_rows_match(make_poset(corpus.derive_rng(seed, "pairwise-rows"), shape, size=10))
-
-
-def test_product_meet_rows_hold_only_small_tables(monkeypatch):
-    """The last factor's meet table is held when it has at most N entries;
-    a larger last factor makes its rows again for each point before it, and
-    the first factor only ever gives its upper rows, so no table has more
-    than N entries.  The rows are the same either way."""
-    held = []
-    table = q.FinitePoset._meet_table
-
-    def recording_table(self):
-        held.append(len(self))
-        return table(self)
-
-    monkeypatch.setattr(q.FinitePoset, "_meet_table", recording_table)
-    # six elements; a ^ b, c ^ d and d ^ f do not exist
-    wide = q.FinitePoset.from_covers(
-        "abcdef", [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "e"), ("d", "e"), ("c", "f")])
-    two, three = q.FinitePoset.chain(range(2)), q.FinitePoset.chain(range(3))
-    cases = [([wide], []), ([two, wide], []), ([wide, three], [3]),
-             ([q.ProductSpace([two, wide]), two], [2]), ([two, q.ProductSpace([three, three])], [3, 3])]
-    for factors, tables in cases:
-        held.clear()
-        space = q.ProductSpace(factors)
-        assert_meet_rows_match(space)
-        assert held == tables and all(n * n <= len(space) for n in held)
-
-
 @given(st.integers(0, 2**32), st.sampled_from(PRODUCT_SHAPES))
 def test_factorwise_meets_match_reference(seed, shape):
     space = make_poset(corpus.derive_rng(seed, "pairwise-product"), shape, size=8)
     verdict = space.is_inf_semilattice()  # read from the factors, before any table
     assert verdict == ref_is_inf_semilattice(space)
-    assert_meet_rows_match(space)
+    assert_meets_match(space)
 
 
 def test_product_shapes_give_both_verdicts():
@@ -362,7 +320,7 @@ def test_factorwise_meet_failure_on_semilattice_products():
     outcomes = set()
     for k, space in enumerate(spaces):
         assert space.is_inf_semilattice()
-        assert_meet_rows_match(space)
+        assert_meets_match(space)
         for i in range(20):
             rng = corpus.derive_rng(i, "pairwise-lattice-product", k)
             values = make_table(rng, space, rng.choice(("regular", "isotone", "arbitrary")))
@@ -375,7 +333,7 @@ def test_factorwise_meet_failure_on_semilattice_products():
     assert outcomes == {(kind, ok) for kind in ("exact", "tolerant") for ok in (True, False)}
 
 
-# -- one meet sweep for property Phi and the meet identity ---------------------------
+# -- one pass for property Phi and the meet identity --------------------------------
 
 
 DIVISORS = [d for d in range(1, 37) if 36 % d == 0]
@@ -411,7 +369,7 @@ def sweep_table(rng, space, kind):
 
 
 def test_meet_sweep_matches_the_separate_references():
-    """Property Phi and the meet identity read off one sweep of the meet rows
+    """Property Phi and the meet identity read off one pass over the pairs
     agree with the pairwise down-set reference and the pairwise meet
     reference, in verdict, witness and detail, on both scales; every pairing
     of the two verdicts that can occur does occur, and Phi never fails where
@@ -437,7 +395,7 @@ def test_meet_sweep_matches_the_separate_references():
                                            scale=q.tolerant(rng.choice(TOLERANCES)))),
             ]
             for transitive, u in tables:
-                meet_first = rng.random() < 0.5  # either certifier may run the sweep
+                meet_first = rng.random() < 0.5  # either certifier may run first
                 failure = _meet_failure(u) if meet_first else None
                 phi = q.check_property_phi(u)
                 failure = failure if meet_first else _meet_failure(u)
@@ -450,7 +408,7 @@ def test_meet_sweep_matches_the_separate_references():
                     x, y, got, want = failure
                     assert meet == (False, (x, y), f"u({x!r} ^ {y!r})={got!r} != {want!r}")
                 assert _strictly_ordered(u) or not transitive
-                disagree += _is_regular(u) != (failure is None)
+                disagree += q.certify_regular(u).ok != (failure is None)
                 seen.add((u.scale.kind, phi.ok, failure is None))
     assert seen == {(kind, phi, meet) for kind in ("exact", "tolerant")
                     for phi, meet in ((True, True), (True, False), (False, False))}
@@ -500,6 +458,17 @@ def test_characterization_equivalence_on_values_within_the_tolerance():
         assert cert.detail == ", ".join(f"{k}={v}" for k, v in sides.items())
 
 
+def test_characterization_equivalence_sweeps_the_pairs_once(monkeypatch):
+    """Property Phi and the meet identity, two of the cross-checked sides,
+    come from one pass over the pairs."""
+    calls = count_sweeps(monkeypatch)
+    u = make_utility(0, "bottom", "regular", "exact")
+    assert u.poset.is_inf_semilattice()
+    cert = q.check_characterization_equivalence(u)
+    assert cert.ok and len(cert.data["sides"]) == 3
+    assert calls == [u]
+
+
 def plain_semilattice_file(tmp_path):
     """The divisors of 36, a 3 x 3 grid given as a plain poset, with the
     regular table min(twos, threes)."""
@@ -516,11 +485,11 @@ def plain_semilattice_file(tmp_path):
     return str(path)
 
 
-def count_meet_rows(space_class, monkeypatch):
-    """The list that each ``space_class.meet_rows`` call appends its space to."""
+def count_sweeps(monkeypatch):
+    """The list that each ``oracle._pair_failures`` call appends its utility to."""
     calls = []
-    meet_rows = space_class.meet_rows
-    monkeypatch.setattr(space_class, "meet_rows", lambda self: calls.append(self) or meet_rows(self))
+    pair_failures = oracle._pair_failures
+    monkeypatch.setattr(oracle, "_pair_failures", lambda u: calls.append(u) or pair_failures(u))
     return calls
 
 
@@ -562,7 +531,7 @@ def test_check_reads_no_meet_rows_on_a_regular_table(space_class, tolerant, tmp_
     path, flags = regular_table_file(space_class, tolerant, tmp_path)
     poset = utility_from_json(json.loads(Path(path).read_text())).poset
     assert isinstance(poset, space_class) and poset.is_inf_semilattice()
-    calls = count_meet_rows(space_class, monkeypatch)
+    calls = count_sweeps(monkeypatch)
     assert main(["check", "--json", *flags, path]) == 0
     certs = json.loads(capsys.readouterr().out)["certificates"]
     verdicts = {c["property"]: c["verdict"] for c in certs}
