@@ -140,8 +140,9 @@ def _as_tabulated(u) -> TabulatedUtility:
 
 
 def _refuse_chained_values(u: TabulatedUtility) -> None:
-    """Refuse a tolerance that chains the attained values: maximization
-    needs a scale that orders them, and such a tolerance is no order."""
+    """Refuse a tolerance that chains the attained values: the efficient set
+    and maximization need a scale that orders them, and such a tolerance is
+    no order."""
     chain = u.chained_values()
     if chain:
         v1, v2, v3 = map(encode_value, chain)
@@ -196,7 +197,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_efficient(args) -> int:
-    u = oracle.require_certified(_as_tabulated(_load_utility(args.utility, args.tolerance)))
+    u = _as_tabulated(_load_utility(args.utility, args.tolerance))
+    _refuse_chained_values(u)
+    u = oracle.require_certified(u)
     S = None if args.subset is None else downset_from_json(load_json(args.subset), u.poset)
     pts = [encode_elem(p) for p in efficient_set(u) if S is None or p in S]
     report = _report(args, mode="global-chain", points=pts, ok=True)

@@ -78,9 +78,10 @@ def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...
     must be the up-set of its least element, the interior of every point at
     that rank.  Only a slice where one is not goes through
     ``certified_partial``, which raises the error of a slice that is not
-    quasi-Leontief.  A record does not depend on certification: every slice
-    of a certified table passes the oracle on its own, so the certified
-    copies that share the rank table share the records too.
+    quasi-Leontief; a slice it passes is an InconsistencyError.  A record
+    does not depend on certification: every slice of a certified table
+    passes the oracle on its own, so the certified copies that share the
+    rank table share the records too.
     """
     t = u._ranks()
     rec = t.slices.get((axis, base))
@@ -112,8 +113,10 @@ def _slice_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ..
     else:
         return tuple(map(least_at.__getitem__, row))
     x = space.point(base)
-    pu = certified_partial(u, x[:axis] + x[axis + 1:], axis)
-    return tuple(map(_level_leasts(pu).__getitem__, pu._ranks().rank))
+    rest = x[:axis] + x[axis + 1:]
+    certified_partial(u, rest, axis)  # raises: the oracle tests the same levels on the same bands
+    raise InconsistencyError(f"the slice on axis {axis} at {rest!r} passed certification, but its "
+                             "walk found a level set that is not the up-set of a least element")
 
 
 def _level_leasts(u: TabulatedUtility) -> List[int]:

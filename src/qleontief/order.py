@@ -20,7 +20,8 @@ is a carry-free big-int multiply (``_product_of`` takes one mask per axis).  Mee
 and joins are taken coordinatewise, so a product is an inf-semilattice iff
 every factor is; none of these reads the product's own tables.  A point's
 index is the mixed-radix number of its factor indices (``index_of``;
-``point`` decodes it), so point queries build nothing.  No domain larger than ``MAX_POINTS`` is enumerated.
+``point`` decodes it), so point queries build nothing.  No domain larger
+than ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 

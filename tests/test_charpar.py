@@ -18,7 +18,7 @@ import pytest
 
 import qleontief as q
 import qleontief.efficiency as eff
-from qleontief import corpus, leontief
+from qleontief import corpus, leontief, oracle
 
 
 def ref_certified_slice(u, rest, axis):
@@ -329,3 +329,17 @@ def test_slice_records_are_built_once_and_build_no_table(monkeypatch):
             partials.clear()
     assert set(built.values()) == {1}
     assert set(outcomes) == {"raise", True, False}  # passing tables with and without a stored band
+
+
+def test_a_slice_the_oracle_passes_and_the_walk_fails_is_an_inconsistency(monkeypatch):
+    """The slice walk and ``certified_partial`` test the same level sets on
+    the same bands, so a slice that one fails and the other passes is a bug,
+    not a record.  With the oracle made to pass every table, the slice
+    (0, 1, 0) of this 2 x 3 grid at x0 = 0 raises InconsistencyError."""
+    monkeypatch.setattr(oracle, "certify_quasi_leontief",
+                        lambda u: q.Certificate(True, "quasi-leontief", utility=u._certified_copy()))
+    space = q.grid_space(range(2), range(3))
+    rows = {0: (0, 1, 0), 1: (1, 1, 1)}
+    u = q.TabulatedUtility(space, {(a, b): F(rows[a][b]) for a, b in space.points()})
+    with pytest.raises(q.InconsistencyError, match=r"slice on axis 1 at \(0,\) passed certification"):
+        q.check_charpar(u)

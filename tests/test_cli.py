@@ -157,14 +157,15 @@ class TestToleranceFlag:
         assert captured.err.endswith(
             f"error: argument --tolerance: must be a nonnegative number: '{raw}'\n")
 
-    @pytest.mark.parametrize("command", ["maximize", "refine"])
+    @pytest.mark.parametrize("command", ["efficient", "maximize", "refine"])
     def test_a_tolerance_that_chains_the_values_is_refused(self, command, tmp_path, capsys):
         """At tolerance 1 the values 0, 1, ..., 4 of the power form chain, and
         the scale orders no maximum; at 0.5 they lie apart."""
         u = os.path.join(os.path.dirname(__file__), "data", "tolerant_power.json")
+        extra = []
         if command == "maximize":
             extra = ["--downset", write(tmp_path, "s.json", {"generators": [[2.0, 3.0], [1.0, 4.0]]})]
-        else:
+        elif command == "refine":
             extra = ["--sets", write(tmp_path, "s1.json", {"members": [0.0, 1.0, 2.0]}),
                      write(tmp_path, "s2.json", {"members": [0.0, 1.0, 2.0, 3.0]})]
         assert main([command, "--tolerance", "1", u, *extra]) == 2
