@@ -161,7 +161,8 @@ def _reader(space: FinitePoset) -> Tuple[Callable[[Any], int], int]:
     number of comma parts in the key of a point (one per coordinate of a tuple
     point).  On a product, a key's index is the sum of one lookup per part in
     the product's ``_offsets``, or on a miss of each part's factor ``locate``
-    x stride: no key is read as a point, and no product table is built."""
+    x stride: no key is read as a point, and no product table is built.  A
+    table file reads here only the keys that miss its ``_key_index``."""
     if not isinstance(space, ProductSpace):
         first = next(iter(space.elements), None)
         width = elem_key(first).count(",") + 1 if isinstance(first, tuple) else 1
@@ -206,17 +207,18 @@ def _locate_plain(space: FinitePoset, raw) -> int:
 
 
 def downset_from_json(obj, space) -> DownSet:
+    """The down-set of a ``generators`` or ``members`` object: each point is
+    read by ``locate`` to its index, which goes to ``DownSet.from_indices``
+    as it is, with no point decoded and read back."""
     if isinstance(obj, str):
         raise InputError("down-set must be inline JSON here")
     if isinstance(obj, dict):
         locate = _reader(space)[0]
         try:
-            if "generators" in obj:
-                gens = [space.point(locate(g)) for g in _list(obj, "generators")]
-                return DownSet.from_generators(space, gens)
-            if "members" in obj:
-                members = [space.point(locate(m)) for m in _list(obj, "members")]
-                return DownSet.from_members(space, members)
+            for field in ("generators", "members"):
+                if field in obj:
+                    indices = [locate(p) for p in _list(obj, field)]
+                    return DownSet.from_indices(space, indices, generated=field == "generators")
         except OrderError as exc:
             raise InputError(f"invalid down-set: {exc}") from exc
     raise InputError("down-set needs 'generators' or 'members'")
@@ -319,21 +321,40 @@ def _list(obj: dict, field: str) -> list:
 _EMPTY_SLOT = object()
 
 
+def _key_index(space: FinitePoset) -> dict:
+    """Each point's index by its canonical key, its ids comma-joined, on a
+    product of plain factors whose ids are all strings without a comma:
+    there ``locate`` reads that key by its ``_offsets`` lookup, to the same
+    index.  Empty on any other space, where the joined ids need not be a key
+    that ``locate`` reads to that point: a numeric id's string may name
+    another element, and a comma-bearing id splits into two parts."""
+    if not isinstance(space, ProductSpace) or not all(
+            not isinstance(f, ProductSpace) and all(isinstance(e, str) and "," not in e for e in f.elements)
+            for f in space.factors):
+        return {}
+    return dict(zip(map(",".join, space.points()), range(len(space))))
+
+
 def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     """The table of a ``values`` object, written by element index into one
     column: each key is read to its index (on a product of plain factors,
     the mixed-radix number of its factor indices), and an error names its
-    point by ``point``, with no product table built.  A slot is tested for a
-    value by identity: ``in`` would compare every value in the column."""
+    point by ``point``, with no product table built.  A key spelled the way
+    ``_key_index`` spells its point is read by one dict lookup, any other
+    spelling by ``locate``.  A slot is tested for a value by identity:
+    ``in`` would compare every value in the column."""
     space = poset_from_json(obj["poset"], base_dir=base_dir)
     raw_values = obj["values"]
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
     locate = _reader(space)[0]
     column = [_EMPTY_SLOT] * check_size(len(space))
+    index = _key_index(space)  # after check_size: no key of an oversized product is made
     parsed = {}  # each distinct raw value is parsed once; its type keeps true apart from 1
     for key, raw in raw_values.items():
-        i = locate(key)
+        i = index.get(key)
+        if i is None:
+            i = locate(key)
         if column[i] is not _EMPTY_SLOT:
             raise InputError(f"point {elem_key(space.point(i))!r} is named twice in 'values' "
                              f"(again as {key!r})")

@@ -656,9 +656,11 @@ class DownSet:
     """A comprehensive (downward closed) subset of a finite poset.
 
     ``mask`` marks the members by element index of ``space``, a
-    ``FinitePoset`` or a ``ProductSpace``.  ``from_members`` validates
-    downward closure; ``from_generators`` takes the downward closure of
-    finitely many generators.  Each reads a point to its index once.
+    ``FinitePoset`` or a ``ProductSpace``.  ``from_indices`` takes element
+    indices, as a file reader holds them: their downward closure, or
+    exactly those points, validated for downward closure.
+    ``from_generators`` and ``from_members`` read each point to its index
+    once and hand it on.
     """
 
     def __init__(self, space: FinitePoset, mask: int):
@@ -667,11 +669,16 @@ class DownSet:
         self._sorted: Optional[Tuple] = None
 
     @classmethod
-    def from_members(cls, space: FinitePoset, members: Iterable) -> "DownSet":
+    def from_indices(cls, space: FinitePoset, indices: Iterable[int], *, generated: bool) -> "DownSet":
+        """The down-set generated by the points at ``indices`` when
+        ``generated``, else the set of those points, which must be
+        comprehensive."""
         mask = below = 0
-        for i in map(space.index_of, members):
+        for i in indices:
             mask |= 1 << i
             below |= space._down[i]
+        if generated:
+            return cls(space, below)
         missing = below & ~mask
         if missing:
             bad = space.elements[(missing & -missing).bit_length() - 1]
@@ -679,11 +686,12 @@ class DownSet:
         return cls(space, mask)
 
     @classmethod
+    def from_members(cls, space: FinitePoset, members: Iterable) -> "DownSet":
+        return cls.from_indices(space, map(space.index_of, members), generated=False)
+
+    @classmethod
     def from_generators(cls, space: FinitePoset, generators: Iterable) -> "DownSet":
-        mask = 0
-        for i in map(space.index_of, generators):
-            mask |= space._down[i]
-        return cls(space, mask)
+        return cls.from_indices(space, map(space.index_of, generators), generated=True)
 
     def sorted_members(self) -> Tuple:
         """Members in the ambient enumeration order (deterministic)."""

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import qleontief as q
 from qleontief import io
 from qleontief.cli import main
-from qleontief.order import elem_key
+from qleontief.order import MAX_POINTS, elem_key
 
 
 class TestRationals:
@@ -289,19 +289,28 @@ FACTORS = [
     {"elements": [0, 1], "covers": [[0, 1]]},
     {"elements": ["lo", "l", "r"], "covers": [["lo", "l"], ["lo", "r"]]},
     {"elements": ["a", 1, "1.5"], "covers": []},
+    {"elements": ["a,b", "c"], "covers": [["a,b", "c"]]},  # no key names "a,b"
+    {"product": [{"elements": ["0", "1"], "covers": [["0", "1"]]}]},  # refused as a factor
 ]
 
 
+def factor_ids(factor):
+    return factor["elements"] if "elements" in factor else [
+        ",".join(p) for p in product(*map(factor_ids, factor["product"]))]
+
+
 def value_files(seed):
-    """Tables on products of one to three factors with string and numeric
-    ids, keyed in several spellings and orders, some with a point named
-    twice, a point missing, an unknown coordinate, a wrong arity or a bad
-    value."""
+    """Tables on products of one to three factors with string, numeric and
+    comma-bearing ids, keyed in several spellings and orders: every key
+    spelled as the product enumerates its points, every key spelled with
+    blanks, or a mix.  Some have a point named twice, a point missing, an
+    unknown coordinate, a wrong arity or a bad value."""
     rng = random.Random(seed)
-    factors = [rng.choice(FACTORS) for _ in range(rng.randint(1, 3))]
-    points = list(product(*(f["elements"] for f in factors)))
+    factors = [rng.choice(FACTORS[:4] * 3 + FACTORS[4:]) for _ in range(rng.randint(1, 3))]
+    points = list(product(*map(factor_ids, factors)))
     spell = [lambda cs: ",".join(cs), lambda cs: " " + ",".join(cs), lambda cs: ", ".join(cs)]
-    keys = [rng.choice(spell)([str(c) for c in p]) for p in points]
+    spellings = rng.choice([spell[:1], spell, spell[1:]])
+    keys = [rng.choice(spellings)([str(c) for c in p]) for p in points]
     fault = rng.choice(["none", "none", "twice", "missing", "unknown", "arity", "value"])
     if fault == "twice":
         keys.append(rng.choice(spell[1:])([str(c) for c in rng.choice(points)]))
@@ -318,7 +327,7 @@ def value_files(seed):
     return {"poset": {"product": factors}, "values": values}
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(150))
 def test_column_load_matches_the_keyed_loader(seed):
     obj = value_files(seed)
     assert load_outcome(io.utility_from_json, obj) == load_outcome(ref_load_table, obj)
@@ -352,6 +361,84 @@ def test_locate_reads_nested_product_points():
         for token in (elem_key(x), f"{c}, {v},{a},{b}", [[c, v], a, [b]], [f"{c},{v}", str(a), str(b)]):
             assert locate(token) == i
             assert io.resolve_element(space, token) == x
+
+
+def test_canonical_keys_are_read_without_locate(monkeypatch):
+    """A 6^4 table keyed as the product enumerates its points calls the
+    product's ``locate`` for no key; keyed with ", " it calls it once per
+    key, and both give the same column and image."""
+    chain = {"elements": [str(t) for t in range(6)], "covers": [[str(t), str(t + 1)] for t in range(5)]}
+    canonical = {",".join(map(str, p)): str(min(p[0], 2 * p[1], 3 * p[2], p[3]))
+                 for p in product(range(6), repeat=4)}
+    spaced = {k.replace(",", ", "): v for k, v in canonical.items()}
+    reader, located = io._reader, []
+
+    def spied(space):
+        locate, width = reader(space)
+        if not isinstance(space, q.ProductSpace):  # a factor's reader
+            return locate, width
+        return (lambda raw: located.append(raw) or locate(raw)), width
+
+    monkeypatch.setattr(io, "_reader", spied)
+    loads = []
+    for values in (canonical, spaced):
+        located.clear()
+        u = io.utility_from_json({"poset": {"product": [chain] * 4}, "values": values})
+        loads.append((list(located), u.column, u.image()))
+    assert loads[0][0] == [] and loads[1][0] == list(spaced)
+    assert loads[0][1:] == loads[1][1:]
+
+
+def test_oversized_product_makes_no_key(tmp_path, monkeypatch):
+    made = []
+    monkeypatch.setattr(io, "_key_index", lambda space: made.append(space) or {})
+    chain = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"poset": {"product": [chain] * 17}, "values": {",".join("0" * 17): "1"}}))
+    code, out, err = run_cli(["check", str(path)])
+    assert (code, out, made) == (2, "", [])
+    assert err == f"error: invalid utility: domain has 131072 points, over the limit of {MAX_POINTS}\n"
+
+
+def ref_downset(obj, space):
+    """The mask of a down-set file, each token read to its point by
+    ``ref_point`` and the set made by ``DownSet.from_generators`` or
+    ``from_members`` on those points; or the error text."""
+    field = "generators" if "generators" in obj else "members"
+    make = q.DownSet.from_generators if field == "generators" else q.DownSet.from_members
+    try:
+        return make(space, [ref_point(space, t) for t in obj[field]]).mask
+    except io.InputError as exc:
+        return str(exc)
+    except q.OrderError as exc:
+        return f"invalid down-set: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_downset_file_matches_the_point_reader(seed):
+    """Generators and members as canonical keys, spaced keys and arrays,
+    some naming an unknown point, and member lists that are closed or not."""
+    rng = random.Random(seed)
+    plain = [f for f in FACTORS if "elements" in f]
+    space = io.poset_from_json({"product": [rng.choice(plain) for _ in range(rng.randint(1, 3))]})
+    points = list(space.points())
+    spell = [lambda p: ",".join(map(str, p)), lambda p: " " + ", ".join(map(str, p)),
+             list, lambda p: [str(c) for c in p]]
+    field = rng.choice(["generators", "members"])
+    chosen = rng.sample(points, rng.randint(0, min(3, len(points))))
+    if field == "members" and rng.random() < 0.6:  # closed, or closed minus one point
+        chosen = sorted(q.DownSet.from_generators(space, chosen), key=points.index)
+        if chosen and rng.random() < 0.3:
+            chosen.pop(rng.randrange(len(chosen)))
+    tokens = [rng.choice(spell)(p) for p in chosen]
+    if rng.random() < 0.2:
+        tokens.insert(rng.randint(0, len(tokens)), ",".join(["9"] * len(space.factors)))
+    obj = {field: tokens}
+    try:
+        got = io.downset_from_json(obj, space).mask
+    except io.InputError as exc:
+        got = str(exc)
+    assert got == ref_downset(obj, space)
 
 
 # -- fuzzed product keys --------------------------------------------------------
@@ -491,3 +578,62 @@ def test_fuzzed_refine_start(drawn):
         assert code == 2 and err == f"error: {exc}\n"
     else:
         assert code == 0 and json.loads(out)["trace"]["start"] == io.encode_elem(want)
+
+
+# -- fuzzed plain-poset keys ----------------------------------------------------
+PLAIN_IDS = ["a", "b", "1", 1, 2, "2.5", 2.5, " c"]
+
+
+@st.composite
+def plain_tables(draw):
+    """JSON text of a table on a chain or an antichain of string and
+    numeric ids, and its keys: each element spelled exactly, as the string
+    of a numeric id, or with blanks.  A point may be missing, and extra keys
+    name a point again in another spelling, name no point, or repeat a key's
+    spelling in the text."""
+    ids = draw(st.lists(st.sampled_from(PLAIN_IDS), min_size=1, max_size=5, unique=True))
+    poset = chain_json(ids) if draw(st.booleans()) else {"elements": ids, "covers": []}
+
+    def spell(e):
+        return draw(st.sampled_from(BLANKS)).format(e)
+
+    missing = draw(st.sampled_from([None] * len(ids) + ids))
+    pairs = [(spell(e), draw(st.sampled_from(["0", "1", "2", "1/2", 1]))) for e in ids if e != missing]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["again", "unknown", "repeat"]))
+        key = (spell(draw(st.sampled_from(ids))) if kind == "again" else "zz" if kind == "unknown"
+               else draw(st.sampled_from(pairs))[0] if pairs else "zz")
+        pairs.append((key, "1"))
+    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    return '{"poset": ' + json.dumps(poset) + ', "values": ' + text + "}", pairs
+
+
+def ref_plain_outcome(poset, pairs):
+    """``load_outcome`` of ``ref_load_table``, after the repeated-key check
+    of the JSON reader."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return f"key {key!r} is named twice in one object"
+        seen.add(key)
+    return load_outcome(ref_load_table, {"poset": poset, "values": dict(pairs)})
+
+
+@given(plain_tables(), st.sampled_from(["check", "efficient"]))
+@settings(max_examples=150, deadline=2000)
+def test_fuzzed_plain_keys(drawn, command):
+    """``check`` and ``efficient`` on a plain-poset table exit 0, 1 or 2
+    with no traceback, and load what the keyed reference loader loads: on 2
+    the error is the reference's."""
+    text, pairs = drawn
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "u.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, _, err = run_cli([command, path])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    want = ref_plain_outcome(json.loads(text)["poset"], pairs)
+    if isinstance(want, str):
+        assert code == 2 and err == f"error: {want}\n"
+    else:
+        assert code in (0, 1) and load_outcome(io.utility_from_json, json.loads(text)) == want

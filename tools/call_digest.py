@@ -8,10 +8,15 @@ Builds the three benchmark batteries at seed 5 with the checkout's
 370 calls.  Then come ``check``, ``efficient``, ``maximize`` and ``refine``
 on the checkout's ``tests/data/tolerant_power.json``, copied under
 ``<workdir>``, at its own tolerance and at ``--tolerance`` 0.5 and 1: its
-values are small integers held as floats.  Every call runs through the checkout's ``qleontief.cli.main`` in this one
-process.  Prints the number of calls and one SHA-256 over each call's argv,
-exit code, stdout and stderr.  Reports echo their input paths, so two
-checkouts compare equal only when both runs use the same ``<workdir>``.
+values are small integers held as floats.  Last come ``efficient``,
+``maximize --downset`` and ``refine --sets`` on the checkout's
+``tests/data/product3.json`` and on a copy whose ``values`` keys are joined
+with ", " (both under ``<workdir>/rekeyed``): 388 calls.  Every call runs
+through the checkout's ``qleontief.cli.main`` in this one process.  Prints
+the number of calls and one SHA-256 over each call's argv, exit code, stdout
+and stderr.  Reports echo their input paths, so two checkouts compare equal
+only when both runs use the same ``<workdir>``.  Exits 1 when a re-keyed
+call's answer differs from the canonical call's by more than the input path.
 """
 from __future__ import annotations
 
@@ -48,6 +53,29 @@ def tolerant_calls(checkout: str, workdir: str):
         yield ["efficient", "--json", *flags, form]
         yield ["maximize", "--json", *flags, form, "--downset", downset]
         yield ["refine", "--json", *flags, form, "--sets", axes + "1.json", axes + "2.json"]
+
+
+def rekeyed_calls(checkout: str, workdir: str):
+    """Pairs of calls on ``product3.json`` as it is and re-keyed with ", ",
+    with their inputs written under ``<workdir>/rekeyed``, and the two
+    table paths."""
+    folder, data = os.path.join(workdir, "rekeyed"), os.path.join(checkout, "tests", "data")
+    os.makedirs(folder, exist_ok=True)
+    names = ["product3_members.json", *(f"product3_axis{k}.json" for k in (1, 2, 3))]
+    inputs = {}
+    for name in ["product3.json", *names]:
+        with open(os.path.join(data, name)) as src:
+            inputs[name] = json.load(src)
+    table = inputs["product3.json"]
+    inputs["product3_spaced.json"] = dict(table, values={
+        key.replace(",", ", "): v for key, v in table["values"].items()})
+    for name, obj in inputs.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    members, *axes = (os.path.join(folder, n) for n in names)
+    tables = [os.path.join(folder, n) for n in ("product3.json", "product3_spaced.json")]
+    for command, *rest in (["efficient"], ["maximize", "--downset", members], ["refine", "--sets", *axes]):
+        yield [[command, "--json", t, *rest] for t in tables], tables
 
 
 def calls(gen, checkout: str, workdir: str):
@@ -87,12 +115,25 @@ def main(argv=None) -> int:
 
     digest = hashlib.sha256()
     count = 0
-    for call in calls(gen, checkout, workdir):
-        code, out, err = run(cli, call)
-        digest.update(json.dumps([call, code, out, err]).encode("utf-8"))
+
+    def answer(call):
+        nonlocal count
+        got = run(cli, call)
+        digest.update(json.dumps([call, *got]).encode("utf-8"))
         count += 1
+        return got
+
+    for call in calls(gen, checkout, workdir):
+        answer(call)
+    differ = []
+    for pair, (canonical, spaced) in rekeyed_calls(checkout, workdir):
+        (code, out, err), got = map(answer, pair)
+        if got != (code, out.replace(canonical, spaced), err.replace(canonical, spaced)):
+            differ.append(pair[1])
     print(count, digest.hexdigest())
-    return 0
+    for call in differ:
+        print(f"re-keyed call differs from the canonical one: {call}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
