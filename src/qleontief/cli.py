@@ -183,16 +183,19 @@ def cmd_check(args) -> int:
         if u.poset.is_inf_semilattice():
             props.append("meet-homomorphism")
         certs += [oracle.Certificate(True, p) for p in props]
+    return _emit_certificates(args, certs)
+
+
+def _emit_certificates(args, certs) -> int:
+    """Report ``certs`` on the utility, one PASS or FAIL line each, and
+    return the exit code."""
     ok = all(c.ok for c in certs)
-    report = _report(args, certificates=[c.to_json() for c in certs], ok=ok)
-    lines = []
-    for c in certs:
-        tag = "PASS" if c.ok else "FAIL"
-        line = f"{tag} {c.prop}"
-        if not c.ok:
-            line += f": {c.detail} witnesses={[encode_elem(w) for w in c.witnesses]}"
-        lines.append(line)
-    _emit(report, args, lines)
+    lines = [
+        f"PASS {c.prop}" if c.ok
+        else f"FAIL {c.prop}: {c.detail} witnesses={[encode_elem(w) for w in c.witnesses]}"
+        for c in certs
+    ]
+    _emit(_report(args, certificates=[c.to_json() for c in certs], ok=ok), args, lines)
     return 0 if ok else 1
 
 
@@ -330,111 +333,82 @@ def cmd_decompose(args) -> int:
 
 
 # -- corpus suites -----------------------------------------------------------
+# Each check draws one instance from its rng and yields a (property, detail)
+# pair per inconsistency.  ``faults`` yields True once under --inject-fault:
+# the triangle check takes it for its first regular instance.
 
 
-def _suite_triangle(seed: int, n: int, inject: bool) -> List[dict]:
-    failures = []
-    fault_pending = inject
-    for i in range(n):
-        rng = corpus_mod.derive_rng(seed, "triangle", i)
-        poset = corpus_mod.random_poset(rng, 16, with_bottom=True)
-        u = corpus_mod.random_isotone_utility(rng, poset)
-        cert = oracle.check_characterization_equivalence(u)
-        if not cert.ok:
-            failures.append({"instance": i, "property": cert.prop, "detail": cert.detail})
-            continue
-        reg = oracle.certify_regular(u)
-        if reg.ok:
-            table = dict(reg.dual_table)
-            if fault_pending and table:
-                lam = sorted(table)[-1]
-                alt = next(e for e in poset.elements if e != table[lam])
-                table[lam] = alt
-                fault_pending = False
-            gal = oracle.verify_galois(reg.utility, table)
-            if not gal.ok:
-                failures.append(
-                    {"instance": i, "property": gal.prop, "detail": gal.detail}
-                )
-    return failures
+def _triangle(rng, faults):
+    poset = corpus_mod.random_poset(rng, 16, with_bottom=True)
+    u = corpus_mod.random_isotone_utility(rng, poset)
+    cert = oracle.check_characterization_equivalence(u)
+    if not cert.ok:
+        yield cert.prop, cert.detail
+        return
+    reg = oracle.certify_regular(u)
+    if reg.ok:
+        table = dict(reg.dual_table)
+        if table and next(faults, False):
+            lam = sorted(table)[-1]
+            table[lam] = next(e for e in poset.elements if e != table[lam])
+        gal = oracle.verify_galois(reg.utility, table)
+        if not gal.ok:
+            yield gal.prop, gal.detail
 
 
-def _suite_charpar(seed: int, n: int) -> List[dict]:
-    failures = []
-    for i in range(n):
-        rng = corpus_mod.derive_rng(seed, "charpar", i)
-        space = corpus_mod.random_product_of_chains(rng)
-        u = corpus_mod.random_isotone_utility(rng, space)
-        cert = check_charpar(u)
-        if not cert.ok:
-            failures.append({"instance": i, "property": cert.prop, "detail": cert.detail})
-    return failures
+def _charpar(rng, faults):
+    space = corpus_mod.random_product_of_chains(rng)
+    cert = check_charpar(corpus_mod.random_isotone_utility(rng, space))
+    if not cert.ok:
+        yield cert.prop, cert.detail
 
 
-def _suite_localization(seed: int, n: int) -> List[dict]:
-    failures = []
-    for i in range(n):
-        rng = corpus_mod.derive_rng(seed, "localization", i)
-        poset = corpus_mod.random_poset(rng, 12, with_bottom=True)
-        u = corpus_mod.random_quasileontief_utility(rng, poset)
-        cu = oracle.require_certified(u)
-        S = corpus_mod.random_downset(rng, poset)
-        # (b) and (c) imply that the largest efficient point is a maximizer
-        # and that every maximizer dominates it
-        loc = check_argmax_localization(cu, S, argmax_over_downset(cu, S))
-        if not loc.ok:
-            failures.append({"instance": i, "property": "maximization", "detail": loc.detail})
-    return failures
+def _localization(rng, faults):
+    poset = corpus_mod.random_poset(rng, 12, with_bottom=True)
+    cu = oracle.require_certified(corpus_mod.random_quasileontief_utility(rng, poset))
+    S = corpus_mod.random_downset(rng, poset)
+    # (b) and (c) imply that the largest efficient point is a maximizer
+    # and that every maximizer dominates it
+    loc = check_argmax_localization(cu, S, argmax_over_downset(cu, S))
+    if not loc.ok:
+        yield "maximization", loc.detail
 
 
-def _suite_refinement(seed: int, n: int) -> List[dict]:
-    failures = []
-    for i in range(n):
-        rng = corpus_mod.derive_rng(seed, "refinement", i)
-        space = corpus_mod.random_product_of_chains(rng)
-        u = corpus_mod.random_isotone_utility(rng, space)
-        sets = corpus_mod.random_prefix_downsets(rng, space)
-        S = product_downset(space, sets)
-        res = ArgmaxResult(*argmax_members(u, S))
-        for x_star in res.maximizers:
-            try:
-                efficient_refinement(u, S, x_star, res)
-            except (InconsistencyError, UtilityError) as exc:
-                failures.append(
-                    {"instance": i, "property": "refinement", "detail": str(exc)}
-                )
-    return failures
+def _refinement(rng, faults):
+    space = corpus_mod.random_product_of_chains(rng)
+    u = corpus_mod.random_isotone_utility(rng, space)
+    S = product_downset(space, corpus_mod.random_prefix_downsets(rng, space))
+    res = ArgmaxResult(*argmax_members(u, S))
+    for x_star in res.maximizers:
+        try:
+            efficient_refinement(u, S, x_star, res)
+        except (InconsistencyError, UtilityError) as exc:
+            yield "refinement", str(exc)
+
+
+_SUITES = (  # (report name, rng tag, check of one instance), in report order
+    ("characterization-triangle", "triangle", _triangle),
+    ("charpar", "charpar", _charpar),
+    ("argmax-localization", "localization", _localization),
+    ("refinement", "refinement", _refinement),
+)
 
 
 def cmd_corpus(args) -> int:
     seed, n = args.seed, args.n
+    faults = iter([True] * args.inject_fault)
     suites = []
-    runs = [
-        ("characterization-triangle", lambda: _suite_triangle(seed, n, args.inject_fault)),
-        ("charpar", lambda: _suite_charpar(seed, n)),
-        ("argmax-localization", lambda: _suite_localization(seed, n)),
-        ("refinement", lambda: _suite_refinement(seed, n)),
-    ]
-    total = 0
-    for name, run in runs:
-        failures = run()
-        total += len(failures)
-        suites.append(
-            {
-                "name": name,
-                "instances": n,
-                "inconsistencies": len(failures),
-                "failures": failures,
-            }
-        )
-    report = {
-        "schema": SCHEMA,
-        "command": "corpus",
-        "seed": seed,
-        "n": n,
-        "suites": suites,
-        "ok": total == 0,
-    }
+    for name, tag, check in _SUITES:
+        failures = [
+            {"instance": i, "property": prop, "detail": detail}
+            for i in range(n)
+            for prop, detail in check(corpus_mod.derive_rng(seed, tag, i), faults)
+        ]
+        suites.append({"name": name, "instances": n, "inconsistencies": len(failures),
+                       "failures": failures})
+    total = sum(s["inconsistencies"] for s in suites)
+    report = {"schema": SCHEMA, "command": "corpus", "seed": seed, "n": n,
+              "suites": suites, "ok": total == 0}
     lines = [
         f"{s['name']}: {s['instances']} instances, {s['inconsistencies']} inconsistencies"
         for s in suites
@@ -460,8 +434,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except oracle.CertificationError as exc:
         # a mathematical verdict, not an input problem
-        print(f"FAIL {exc}")
-        return 1
+        return _emit_certificates(args, [exc.certificate])
     except (InputError, OrderError, UtilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -490,9 +490,6 @@ class Box:
     def top(self) -> Tuple:
         return tuple(a.hi for a in self.axes)
 
-    def bottom(self) -> Tuple:
-        return tuple(a.lo for a in self.axes)
-
     def contains(self, x: Sequence, scale: Scale) -> bool:
         return len(x) == len(self.axes) and all(
             scale.le(a.lo, c) and scale.le(c, a.hi) for a, c in zip(self.axes, x)
@@ -829,10 +826,14 @@ def restrict(u, downset: Union[DownSet, Sequence]):
 
 def tabulate(u) -> TabulatedUtility:
     """Explicit table of a closed-form utility on its grid box, the product
-    of one chain per axis; every axis needs a step."""
+    of one chain per axis; every axis needs a step.  The table is on the exact
+    scale when every value is an int or a Fraction, else on u's scale; u
+    keeps its own scale either way."""
     check_size(math.prod(check_size(a.count()) for a in u.box.axes))  # before any chain is built
     space = ProductSpace([FinitePoset.chain(a.points()) for a in u.box.axes])
-    return TabulatedUtility._of_column(space, list(map(u.value, space.points())), u.scale)
+    column = list(map(u.value, space.points()))
+    scale = EXACT if set(map(type, column)) <= _RATIONAL else u.scale
+    return TabulatedUtility._of_column(space, column, scale)
 
 
 def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List[TabulatedUtility]:

@@ -716,8 +716,12 @@ class Scale:
     """Comparison policy for the totally ordered value scale.
 
     Exact mode compares rationals directly; tolerant mode reads a <= b as
-    a <= b + tolerance.  On both, ``eq`` is the symmetric part of ``le``, so
-    a value band and a level set agree on a float at the tolerance's edge.
+    a <= b or a <= b + tolerance.  For floats the first test adds nothing; on
+    an int or Fraction above 2**53, b + tolerance may round to a float below
+    b, and the first test keeps ``le`` reflexive there.  Both tests are
+    monotone, so ``le`` is too.  On both scales, ``eq`` is the symmetric part
+    of ``le``, so a value band and a level set agree on a float at the
+    tolerance's edge.
     Tolerant comparisons are only transitive when the compared values keep
     gaps clear of the tolerance band; fixtures are built that way.
     """
@@ -740,7 +744,7 @@ class Scale:
     def le(self, a, b) -> bool:
         if self.kind == "exact":
             return a <= b
-        return a <= b + self.tolerance
+        return a <= b or a <= b + self.tolerance
 
     def lt(self, a, b) -> bool:
         return not self.le(b, a)

@@ -117,3 +117,15 @@ def test_a_boundary_table_stores_its_band():
     u = q.TabulatedUtility(q.FinitePoset.chain("ab"), {"a": 0.89, "b": 0.9}, scale=q.tolerant(0.01))
     assert u._ranks().lo == [0, 0]
     assert u.level_of(1).mask == 0b11
+
+
+@pytest.mark.parametrize("big", [10**20 + 1, F(10**20 + 1, 3)])
+def test_rationals_past_two_to_the_53_on_a_tolerant_scale(big):
+    """v + 1e-9 rounds to a float below such a v, yet ``le`` stays reflexive,
+    and each value starts its own level set."""
+    scale = q.tolerant()
+    assert scale.le(big, big) and scale.eq(big, big)
+    chain = q.FinitePoset.chain([0, 1, 2])
+    u = q.TabulatedUtility(chain, {0: 0, 1: big, 2: 2 * big}, scale=scale)
+    assert ref_lo(u) == [0, 1, 2]
+    assert q.certify_regular(u).ok

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -402,6 +404,79 @@ class TestDecompose:
         )
         assert rc == 2
 
+    def test_failing_min_identity(self, tmp_path, capsys):
+        """Frozen at (1,1), both axis utilities of the 2x2 table are 1
+        everywhere, so their min misses u(0,0) = 0."""
+        u = write(tmp_path, "u.json", NOT_QL_2X2)
+        upper = write(tmp_path, "xbar.json", {"point": ["1", "1"]})
+        subset = write(tmp_path, "s.json", {"members": ["0,0", "0,1", "1,0", "1,1"]})
+        assert main(["decompose", "--json", u, "--upper", upper, "--subset", subset]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert report["identity"] == {"ok": False, "violations": [
+            {"point": ["0", "0"], "value": "0", "min_form": "1"}]}
+        assert main(["decompose", u, "--upper", upper, "--subset", subset]) == 1
+        assert capsys.readouterr().out == "2 axis utilities\nFAIL min-identity on subset\n"
+
+
+# u(0,0) = 0 and 1 elsewhere on two 2-chains: individually but not globally
+# quasi-Leontief, as the level set at 1 has no least element.
+NOT_QL_2X2 = {"poset": {"product": [chain_json(2), chain_json(2)]},
+              "values": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"}}
+# a min_product whose first factor falls from u(a) = 1 to u(b) = 0 with a < b
+NOT_QL_FACTOR = {"type": "min_product", "factors": [
+    {"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]}, "values": {"a": "1", "b": "0"}},
+    {"poset": {"elements": ["c"], "covers": []}, "values": {"c": "0"}}]}
+
+
+class TestCertificationFailure:
+    """A command that needs a certified table and is given one that fails
+    reports the failing certificate as ``check`` does: a JSON report with
+    ``ok: false`` under ``--json``, else ``check``'s FAIL line.  Exit 1."""
+
+    def argv(self, command, tmp_path, utility):
+        u = write(tmp_path, "u.json", utility)
+        extra = {"maximize": ["--downset", write(tmp_path, "s.json", {"generators": ["1,1"]})]}
+        return [command, u, *extra.get(command, [])]
+
+    @pytest.mark.parametrize("command, utility", [
+        ("efficient", NOT_QL_2X2), ("maximize", NOT_QL_2X2), ("check", NOT_QL_FACTOR)])
+    def test_json_report(self, command, utility, tmp_path, capsys):
+        argv = self.argv(command, tmp_path, utility)
+        assert main([*argv, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        (cert,) = report.pop("certificates")
+        assert report == {"schema": 1, "command": command, "input": argv[1], "ok": False}
+        assert cert["verdict"] == "fail" and cert["property"] == "quasi-leontief"
+        assert len(cert["witnesses"]) == 2
+
+    @pytest.mark.parametrize("command", ["efficient", "maximize"])
+    def test_text_is_the_check_line(self, command, tmp_path, capsys):
+        argv = self.argv(command, tmp_path, NOT_QL_2X2)
+        assert main(["check", argv[1]]) == 1
+        line = capsys.readouterr().out
+        assert line == ("FAIL quasi-leontief: for ('0', '1'): level set at Fraction(1, 1) has no "
+                        "least element witnesses=[['0', '1'], ['1', '0']]\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().out == line
+
+    def test_text_for_a_failing_factor(self, tmp_path, capsys):
+        assert main(self.argv("check", tmp_path, NOT_QL_FACTOR)) == 1
+        assert capsys.readouterr().out == (
+            "FAIL quasi-leontief: for 'a': level set at Fraction(1, 1) is not the up-set of 'a': "
+            "'b' lies above it with a smaller value witnesses=['a', 'b']\n")
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-m", "qleontief", "check", "--quiet",
+                               os.path.join(root, "tests", "data", "min_grid.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[0] == "PASS quasi-leontief"
+
 
 class TestCorpus:
     def test_small_run_passes(self, capsys):
@@ -466,6 +541,61 @@ class TestCorpus:
             "argmax-localization",
             "refinement",
         ]
+
+    @staticmethod
+    def failing(prop, calls):
+        """A certifier that fails every call, with a detail naming the call."""
+        def fake(*args):
+            calls.append(args)
+            return oracle.Certificate(False, prop, detail=f"call {len(calls)}")
+        return fake
+
+    def run_failing(self, capsys, suite):
+        """The report of a 3-instance run that must fail in ``suite`` alone."""
+        assert main(["corpus", "--json", "--n", "3", "--seed", "11"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["ok"]
+        assert [s["name"] for s in report["suites"] if s["failures"]] == [suite]
+        (failing,) = (s for s in report["suites"] if s["name"] == suite)
+        assert failing["inconsistencies"] == len(failing["failures"])
+        return failing["failures"]
+
+    def test_triangle_records_an_equivalence_failure(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(oracle, "check_characterization_equivalence",
+                            self.failing("characterization-equivalence", calls))
+        assert self.run_failing(capsys, "characterization-triangle") == [
+            {"instance": i, "property": "characterization-equivalence", "detail": f"call {i + 1}"}
+            for i in range(3)]
+
+    def test_charpar_records_its_certificate(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "check_charpar", self.failing("charpar", calls))
+        assert self.run_failing(capsys, "charpar") == [
+            {"instance": i, "property": "charpar", "detail": f"call {i + 1}"} for i in range(3)]
+
+    def test_localization_records_a_maximization_failure(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "check_argmax_localization",
+                            self.failing("argmax-localization", calls))
+        assert self.run_failing(capsys, "argmax-localization") == [
+            {"instance": i, "property": "maximization", "detail": f"call {i + 1}"} for i in range(3)]
+
+    def test_refinement_records_each_failing_start(self, monkeypatch, capsys):
+        """One record per maximizer the refinement starts from; an instance is
+        told apart by its argmax record, which all of its starts share."""
+        results, starts = [], []
+
+        def fake(u, S, x_star, res, order=None):
+            if not results or results[-1] is not res:
+                results.append(res)
+            starts.append((len(results) - 1, x_star))
+            raise oracle.InconsistencyError(f"start {x_star}")
+
+        monkeypatch.setattr(cli, "efficient_refinement", fake)
+        assert self.run_failing(capsys, "refinement") == [
+            {"instance": i, "property": "refinement", "detail": f"start {x}"} for i, x in starts]
+        assert [i for i, _ in starts][-1] == 2 and len(starts) > 3  # some instance has two maximizers
 
 
 class TestParserReuse:
@@ -1025,6 +1155,68 @@ class TestNonFiniteNumbers:
         assert capsys.readouterr() == ("", "error: not a finite number: nan\n")
 
 
+class TestExactPowerGrid:
+    """A gridded ``power`` form whose values are all ints or Fractions is
+    tabulated on the exact scale, as its ``classical`` twin is: no tolerance
+    merges its values, and ``--tolerance`` leaves it alone."""
+
+    @staticmethod
+    def form(kind, a, axes, alpha=None):
+        form = {"type": kind, "a": a, "box": {"axes": [{"lo": "0", "hi": str(axes[0] - 1),
+                                                          "step": "1"}] * len(axes)}}
+        return form if alpha is None else dict(form, alpha=alpha)
+
+    @pytest.mark.parametrize("flags", [[], ["--tolerance", "1"]])
+    def test_tiny_coefficients_keep_every_level(self, flags, tmp_path, capsys):
+        a = ["1/10000000000000"] * 2
+        got = []
+        for stem, form in (("power", self.form("power", a, [4, 4], ["1", "1"])),
+                           ("classical", self.form("classical", a, [4, 4]))):
+            assert main(["efficient", "--json", *flags, write(tmp_path, f"{stem}.json", form)]) == 0
+            got.append(json.loads(capsys.readouterr().out)["points"])
+        assert got[0] == got[1] == [[str(t)] * 2 for t in range(4)]
+
+    def test_values_past_two_to_the_53(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", self.form("power", [BIG], [3], ["1"]))
+        assert main(["check", "--quiet", u]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["efficient", "--json", u]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] == [["0"], ["1"], ["2"]]
+
+    def test_min_product_with_a_classical_grid(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "min_product", "factors": [
+            self.form("power", ["1"], [3], ["2"]), self.form("classical", ["1"], [3])]})
+        assert main(["efficient", "--json", u]) == 0
+        # each factor is a one-axis grid, so a point is a pair of 1-tuples
+        assert json.loads(capsys.readouterr().out)["points"] == [[[t], [t]] for t in "012"]
+
+
+class TestContinuousWrappers:
+    """``maximize`` on a ``restrict`` or an ``affine`` of a continuous form
+    evaluates the wrapper at the generators."""
+
+    BASE = {"type": "classical", "a": ["1", "2"], "box": CONTINUOUS_BOX}
+
+    @pytest.mark.parametrize("form, value", [
+        ({"type": "restrict", "base": BASE, "downset": {"generators": [["2", "1"], ["1", "2"]]}}, "2"),
+        ({"type": "affine", "a": "2", "b": "1", "base": BASE}, "5"),
+    ])
+    def test_maximize(self, form, value, tmp_path, capsys):
+        u = write(tmp_path, "u.json", form)
+        s = write(tmp_path, "s.json", {"generators": [["1", "1"], ["2", "1"], ["1/2", "2"]]})
+        assert main(["maximize", "--json", u, "--downset", s]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["value"], result["maximizers"]) == (value, [["2", "1"]])
+
+    def test_generator_off_the_restriction(self, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "restrict", "base": self.BASE,
+                                       "downset": {"generators": [["2", "1"], ["1", "2"]]}})
+        s = write(tmp_path, "s.json", {"generators": [["2", "2"]]})
+        assert main(["maximize", u, "--downset", s]) == 2
+        assert capsys.readouterr().err == (
+            "error: point (Fraction(2, 1), Fraction(2, 1)) outside the restricted domain\n")
+
+
 # Small JSON values: bounded numbers and a few tokens, so that no drawn
 # exponent or coefficient can make a value table expensive to build.
 json_values = st.recursive(
@@ -1039,9 +1231,12 @@ json_values = st.recursive(
 
 # Large exact numbers, as JSON integers and "p/q" strings, for coefficients and
 # exponents: the size guards must refuse what is too large to compute.
-big_numbers = st.integers(-10**12, 10**12) | st.builds(
-    "{}/{}".format, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+big_numbers = st.integers(-10**20, 10**20) | st.builds(
+    "{}/{}".format, st.integers(-10**20, 10**20), st.integers(1, 10**6))
 coefficient_values = json_values | st.lists(big_numbers | json_values, min_size=1, max_size=3)
+
+
+BIG = "100000000000000000001"  # 10**20 + 1, which a float does not hold
 
 
 def run_quietly(argv):
@@ -1050,9 +1245,10 @@ def run_quietly(argv):
 
 
 class TestFuzzedFields:
-    """Arbitrary JSON values in one field of a fixed 3x3 problem (small ones,
-    and large exact numbers for the coefficients and exponents) keep the
-    exit-code contract; an uncaught exception fails the test."""
+    """Arbitrary JSON values in one field or file of a fixed 3x3 problem
+    (small ones, and large exact numbers for the coefficients and exponents)
+    keep the exit-code contract; an uncaught exception, the only way to a
+    traceback, fails the test."""
 
     @staticmethod
     def files(root, **objs):
@@ -1064,6 +1260,8 @@ class TestFuzzedFields:
         return paths
 
     @given(st.sampled_from(["classical-a", "power-a", "power-alpha"]), coefficient_values)
+    @example("power-a", [BIG, BIG])  # exact values past 2**53
+    @example("power-a", [BIG, 1e20])  # ints past 2**53 among floats, on the tolerant scale
     @settings(max_examples=150, deadline=2000)
     def test_coefficients(self, field, value):
         kind, name = field.split("-")
@@ -1090,6 +1288,42 @@ class TestFuzzedFields:
                            s={"members": ["0", "1"]}, x=value)
             argv = ["refine", p["u"], "--sets", p["s"], p["s"], "--start", p["x"]]
             assert run_quietly(argv) in (0, 1, 2)
+
+    @given(st.sampled_from(["elements", "covers", "leq"]), json_values)
+    @settings(max_examples=150, deadline=2000)
+    def test_poset_field(self, field, value):
+        """One field of a 3-chain's poset; ``leq`` stands in for ``covers``."""
+        order = "leq" if field == "leq" else "covers"
+        poset = {"elements": ["0", "1", "2"], order: [["0", "1"], ["1", "2"]]}
+        poset[field] = value
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u={"poset": poset, "values": {"0": "0", "1": "1", "2": "2"}})
+            for command in ("check", "efficient"):
+                assert run_quietly([command, p["u"]]) in (0, 1, 2)
+
+    @given(json_values)
+    @settings(max_examples=150, deadline=2000)
+    def test_subset_file(self, value):
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u={"type": "classical", "a": ["1", "2"], "box": GRID_BOX}, s=value)
+            assert run_quietly(["efficient", p["u"], "--subset", p["s"]]) in (0, 1, 2)
+
+    @given(json_values, st.sampled_from([{"members": ["0", "1"]}, {"generators": ["2"]}]))
+    @settings(max_examples=150, deadline=2000)
+    def test_sets_file(self, value, other):
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u={"type": "classical", "a": ["1", "2"], "box": GRID_BOX},
+                           s=value, t=other)
+            assert run_quietly(["refine", p["u"], "--sets", p["s"], p["t"]]) in (0, 1, 2)
+            assert run_quietly(["refine", p["u"], "--sets", p["t"], p["s"]]) in (0, 1, 2)
+
+    @given(json_values)
+    @settings(max_examples=150, deadline=2000)
+    def test_upper_point_file(self, value):
+        with tempfile.TemporaryDirectory() as root:
+            p = self.files(root, u={"type": "classical", "a": ["1", "2"], "box": GRID_BOX},
+                           s={"generators": ["1,1"]}, x=value)
+            assert run_quietly(["decompose", p["u"], "--upper", p["x"], "--subset", p["s"]]) in (0, 1, 2)
 
 
 MIN_GRID = os.path.join(os.path.dirname(__file__), "data", "min_grid.json")

@@ -298,6 +298,17 @@ class TestAffine:
         with pytest.raises(q.UtilityError):
             q.affine_transform(min_on_4x4, F(0), F(1))
 
+    def test_closed_form_dual_and_order_are_the_base_ones(self):
+        u = q.classical_leontief([F(1), F(2)], frac_box(2, 0, 4))
+        v = q.affine_transform(u, F(2), F(5))
+        for lam in (F(0), F(1, 2), F(2), F(4), F(5)):
+            assert v.dual(2 * lam + 5) == u.dual(lam)
+        assert v.dual(F(2) * 5 + 5) is None  # above u's maximum 4
+        points = [tuple(map(F, p)) for p in iproduct(range(0, 5, 2), repeat=2)]
+        for x in points:
+            for y in points:
+                assert v.leq_points(x, y) == u.leq_points(x, y)
+
 
 def identity_chain_utility(n):
     chain = q.FinitePoset.chain(range(n))
@@ -475,6 +486,24 @@ class TestRestrict:
         assert r.dual(F(1)) is None
         rc = q.restrict(u, [(F(1), F(0))])
         assert rc.dual(F(1)) is None
+
+    def test_closed_form_answers_the_base_on_members(self):
+        """value and interior are the base form's on the generated set and
+        raise off it; the order is the base form's on the whole box."""
+        u = q.classical_leontief([F(1), F(2)], frac_box(2, 0, 4))
+        gens = [(F(3), F(1)), (F(1), F(3))]
+        r = q.restrict(u, gens)
+        points = [tuple(map(F, p)) for p in iproduct(range(5), repeat=2)]
+        for x in points:
+            if any(tuple_leq(x, g) for g in gens):
+                assert r.value(x) == u.value(x)
+                assert r.interior(x) == u.interior(x)
+            else:
+                for query in (r.value, r.interior):
+                    with pytest.raises(q.DomainError):
+                        query(x)
+            for y in points:
+                assert r.leq_points(x, y) == u.leq_points(x, y)
 
 
 class TestMinDecompose:
