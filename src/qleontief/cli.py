@@ -152,8 +152,10 @@ def _refuse_chained_values(u: TabulatedUtility) -> None:
 
 def _report(args, **fields) -> dict:
     """A report on the utility file ``args.utility``: the schema, command and
-    input, then ``fields``."""
-    return {"schema": SCHEMA, "command": args.command, "input": args.utility, **fields}
+    input, then ``fields``.  The input is null for ``corpus``, which reads no
+    file but reports a certification failure through here too."""
+    return {"schema": SCHEMA, "command": args.command,
+            "input": getattr(args, "utility", None), **fields}
 
 
 def _emit(report: dict, args, lines: List[str]) -> None:
@@ -350,7 +352,8 @@ def _triangle(rng, faults):
         table = dict(reg.dual_table)
         if table and next(faults, False):
             lam = sorted(table)[-1]
-            table[lam] = next(e for e in poset.elements if e != table[lam])
+            alt = next(e for e in poset.elements if e != table[lam])
+            table[lam] = alt
         gal = oracle.verify_galois(reg.utility, table)
         if not gal.ok:
             yield gal.prop, gal.detail
@@ -358,14 +361,16 @@ def _triangle(rng, faults):
 
 def _charpar(rng, faults):
     space = corpus_mod.random_product_of_chains(rng)
-    cert = check_charpar(corpus_mod.random_isotone_utility(rng, space))
+    u = corpus_mod.random_isotone_utility(rng, space)
+    cert = check_charpar(u)
     if not cert.ok:
         yield cert.prop, cert.detail
 
 
 def _localization(rng, faults):
     poset = corpus_mod.random_poset(rng, 12, with_bottom=True)
-    cu = oracle.require_certified(corpus_mod.random_quasileontief_utility(rng, poset))
+    u = corpus_mod.random_quasileontief_utility(rng, poset)
+    cu = oracle.require_certified(u)
     S = corpus_mod.random_downset(rng, poset)
     # (b) and (c) imply that the largest efficient point is a maximizer
     # and that every maximizer dominates it
@@ -377,7 +382,8 @@ def _localization(rng, faults):
 def _refinement(rng, faults):
     space = corpus_mod.random_product_of_chains(rng)
     u = corpus_mod.random_isotone_utility(rng, space)
-    S = product_downset(space, corpus_mod.random_prefix_downsets(rng, space))
+    sets = corpus_mod.random_prefix_downsets(rng, space)
+    S = product_downset(space, sets)
     res = ArgmaxResult(*argmax_members(u, S))
     for x_star in res.maximizers:
         try:
@@ -404,11 +410,23 @@ def cmd_corpus(args) -> int:
             for i in range(n)
             for prop, detail in check(corpus_mod.derive_rng(seed, tag, i), faults)
         ]
-        suites.append({"name": name, "instances": n, "inconsistencies": len(failures),
-                       "failures": failures})
+        suites.append(
+            {
+                "name": name,
+                "instances": n,
+                "inconsistencies": len(failures),
+                "failures": failures,
+            }
+        )
     total = sum(s["inconsistencies"] for s in suites)
-    report = {"schema": SCHEMA, "command": "corpus", "seed": seed, "n": n,
-              "suites": suites, "ok": total == 0}
+    report = {
+        "schema": SCHEMA,
+        "command": "corpus",
+        "seed": seed,
+        "n": n,
+        "suites": suites,
+        "ok": total == 0,
+    }
     lines = [
         f"{s['name']}: {s['instances']} instances, {s['inconsistencies']} inconsistencies"
         for s in suites

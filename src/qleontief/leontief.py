@@ -754,12 +754,20 @@ def classical_leontief(a: Sequence, box: Box, *, scale: Optional[Scale] = None) 
 
 def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
     """The scale of the first of ``utilities``, which must be nonempty and
-    agree on exact versus tolerant."""
+    agree on exact versus tolerant.  A table that ``tabulate`` read exact off
+    a tolerant form (its scale has a ``form``) agrees with a tolerant table
+    too: then the result is on the first one's tolerant scale, its ``form``
+    for such a table.  Next to a table that is exact without a ``form``, the
+    result is plain exact."""
     if not utilities:
         raise UtilityError(f"{name} needs at least one {noun}")
-    if len({u.scale.kind for u in utilities}) > 1:
+    scales = [u.scale for u in utilities]
+    forms = [s.form or s for s in scales]
+    if len({s.kind for s in scales}) == 1:
+        return scales[0] if len({s.kind for s in forms}) == 1 else EXACT
+    if len({s.kind for s in forms}) > 1:
         raise UtilityError(f"{noun}s mix exact and tolerant scales")
-    return utilities[0].scale
+    return forms[0]
 
 
 def min_product(*factors) -> TabulatedUtility:
@@ -826,13 +834,16 @@ def restrict(u, downset: Union[DownSet, Sequence]):
 
 def tabulate(u) -> TabulatedUtility:
     """Explicit table of a closed-form utility on its grid box, the product
-    of one chain per axis; every axis needs a step.  The table is on the exact
-    scale when every value is an int or a Fraction, else on u's scale; u
-    keeps its own scale either way."""
+    of one chain per axis; every axis needs a step.  The table is on u's
+    scale, but on the exact scale, whose ``form`` is u's, when u's is tolerant
+    and every value is an int or a Fraction; u keeps its own scale either
+    way."""
     check_size(math.prod(check_size(a.count()) for a in u.box.axes))  # before any chain is built
     space = ProductSpace([FinitePoset.chain(a.points()) for a in u.box.axes])
     column = list(map(u.value, space.points()))
-    scale = EXACT if set(map(type, column)) <= _RATIONAL else u.scale
+    scale = u.scale
+    if scale.kind == "tolerant" and set(map(type, column)) <= _RATIONAL:
+        scale = Scale("exact", form=scale)
     return TabulatedUtility._of_column(space, column, scale)
 
 

@@ -724,17 +724,23 @@ class Scale:
     tolerance's edge.
     Tolerant comparisons are only transitive when the compared values keep
     gaps clear of the tolerance band; fixtures are built that way.
+
+    ``form`` is set only on the exact scale of a table that ``tabulate`` read
+    off a closed form on a tolerant scale, because every value was rational:
+    it is that form's scale.  It enters no comparison; a min-product reads
+    such a table on it next to a tolerant factor.
     """
 
-    __slots__ = ("kind", "tolerance")
+    __slots__ = ("kind", "tolerance", "form")
 
-    def __init__(self, kind: str = "exact", tolerance: Any = 0):
+    def __init__(self, kind: str = "exact", tolerance: Any = 0, form: Optional["Scale"] = None):
         if kind not in ("exact", "tolerant"):
             raise ValueError(f"unknown scale kind {kind!r}")
         if not tolerance >= 0:
             raise ValueError("tolerance must be nonnegative")
         self.kind = kind
         self.tolerance = tolerance
+        self.form = form
 
     def eq(self, a, b) -> bool:
         if self.kind == "exact":

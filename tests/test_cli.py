@@ -467,6 +467,28 @@ class TestCertificationFailure:
             "'b' lies above it with a smaller value witnesses=['a', 'b']\n")
 
 
+    @pytest.mark.parametrize("flags, out", [
+        (["--json"], None),
+        ([], "FAIL quasi-leontief: planted witnesses=['a', 'b']\n"),
+    ])
+    def test_corpus_reports_a_failing_certification(self, flags, out, monkeypatch, capsys):
+        """``corpus`` reads no utility file, so its report has a null input."""
+        def refuse(u):
+            raise oracle.CertificationError(
+                oracle.Certificate(False, "quasi-leontief", ("a", "b"), detail="planted"))
+
+        monkeypatch.setattr(oracle, "require_certified", refuse)
+        assert main(["corpus", "--n", "1", "--seed", "3", *flags]) == 1
+        got = capsys.readouterr().out
+        if out is not None:
+            assert got == out
+            return
+        report = json.loads(got)
+        (cert,) = report.pop("certificates")
+        assert report == {"schema": 1, "command": "corpus", "input": None, "ok": False}
+        assert (cert["verdict"], cert["witnesses"]) == ("fail", ["a", "b"])
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1189,6 +1211,35 @@ class TestExactPowerGrid:
         assert main(["efficient", "--json", u]) == 0
         # each factor is a one-axis grid, so a point is a pair of 1-tuples
         assert json.loads(capsys.readouterr().out)["points"] == [[[t], [t]] for t in "012"]
+
+    @pytest.mark.parametrize("first, second, points", [
+        # x^2 is exact, x^(1/2) is not: both read on the tolerant scale
+        (("power", ["1"], [3], ["2"]), ("power", ["1"], [3], ["1/2"]), ["00", "11", "22"]),
+        # a float coefficient keeps the classical grid tolerant
+        (("power", ["1"], [3], ["2"]), ("classical", [1.5], [3]), ["00", "11", "21", "22"]),
+        (("classical", [1.5], [3]), ("power", ["1"], [3], ["2"]), ["00", "11", "12", "22"]),
+    ])
+    def test_min_product_with_a_tolerant_grid(self, first, second, points, tmp_path, capsys):
+        u = write(tmp_path, "u.json", {"type": "min_product",
+                                       "factors": [self.form(*first), self.form(*second)]})
+        assert main(["efficient", "--json", u]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] == [[[x], [y]] for x, y in points]
+
+    @pytest.mark.parametrize("first", [
+        ("classical", ["1"], [3]),
+        {"type": "min_product", "factors": [("power", ["1"], [3], ["2"]), ("classical", ["1"], [3])]},
+    ])
+    def test_exact_grid_with_a_tolerant_grid_is_refused(self, first, tmp_path, capsys):
+        """A table exact in its own right, alone or inside a product, does not
+        mix with a tolerant one."""
+        if isinstance(first, dict):
+            first = dict(first, factors=[self.form(*f) for f in first["factors"]])
+        else:
+            first = self.form(*first)
+        u = write(tmp_path, "u.json", {"type": "min_product", "factors": [
+            first, self.form("power", ["1"], [3], ["1/2"])]})
+        assert main(["efficient", u]) == 2
+        assert capsys.readouterr().err == "error: invalid utility: factors mix exact and tolerant scales\n"
 
 
 class TestContinuousWrappers:

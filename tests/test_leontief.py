@@ -387,6 +387,26 @@ class TestMinProduct:
         assert not m.certified
         assert not q.certify_quasi_leontief(m).ok
 
+    def test_scale_of_a_table_read_exact_off_a_tolerant_form(self):
+        """``tabulate`` reads x^2 on 0..2 exact, keeping its form's scale as
+        ``form``: next to a tolerant table the product is on that scale, next
+        to a table exact in its own right it is exact without a ``form``."""
+        box = q.Box.cube(1, 0, 2, 1)
+        square = q.tabulate(q.PowerLeontief([1], [2], box))
+        root = q.tabulate(q.PowerLeontief([1], [F(1, 2)], box))
+        line = q.tabulate(q.classical_leontief([1], box))
+        assert (square.scale.kind, root.scale.kind, line.scale.kind) == ("exact", "tolerant", "exact")
+        assert square.scale.form.kind == "tolerant" and line.scale.form is None
+        assert q.min_product(square, root).scale is square.scale.form
+        assert q.min_product(root, square).scale is root.scale
+        assert q.min_product(square, square).scale is square.scale
+        for factors in ((square, line), (line, square)):
+            scale = q.min_product(*factors).scale
+            assert scale.kind == "exact" and scale.form is None
+        for factors in ((line, root), (q.min_product(square, line), root)):
+            with pytest.raises(q.UtilityError, match="factors mix exact and tolerant scales"):
+                q.min_product(*factors)
+
     def test_mixed_factors_rejected(self):
         u = q.classical_leontief([F(2)], frac_box(1, 0, 4))
         for factors in ((identity_chain_utility(3), u), (u, identity_chain_utility(3)), (u, u)):
