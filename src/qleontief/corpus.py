@@ -57,7 +57,7 @@ def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedU
 
     The sweep counts in half-steps by element index; each distinct count
     becomes one shared ``Fraction``."""
-    down = poset._down
+    down = poset.as_poset()._down
     halves = [0] * len(poset)
     for i in poset._extension_order():
         below = max((halves[j] for j in _bits(down[i] & ~(1 << i))), default=0)
@@ -75,7 +75,7 @@ def random_quasileontief_utility(
     every point takes the value of the highest chain element below it.  Upper
     level sets are then exactly the up-sets of chain elements.
     """
-    up = poset._up
+    up = poset.as_poset()._up
     bot = poset._least_in((1 << len(poset)) - 1)
     if bot is None:
         raise ValueError("generator needs a poset with a bottom element")

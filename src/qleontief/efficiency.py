@@ -107,7 +107,7 @@ def _slice_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ..
             mask |= at[s]
             s = next(rest, -1)
         least = factor._least_in(mask)
-        if least is None or factor._up[least] & ~mask:
+        if least is None or factor._up_of(least) & ~mask:
             break
         least_at[r] = least
     else:
@@ -155,7 +155,7 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> Tuple:
         if not u.poset._chain_in(mask):
             raise InconsistencyError("efficient set of a certified utility is not a chain")
         order = sorted(_bits(mask), key=u._ranks().rank.__getitem__)
-        return tuple(map(u.poset.elements.__getitem__, order))
+        return tuple(map(u.poset.point, order))
     if subset is None:
         raise UtilityError("closed-form efficient set needs explicit probes")
     return tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))
@@ -164,7 +164,7 @@ def efficient_set(u, subset: Optional[Iterable] = None) -> Tuple:
 def is_efficient_global(u, x) -> bool:
     """True iff the interior map fixes x."""
     if isinstance(u, TabulatedUtility):
-        return u.interior(x) == u.poset.elements[u._index_of(x)]
+        return u.interior(x) == u.poset.point(u._index_of(x))
     ix = u.interior(x)
     return all(u.scale.eq(a, b) for a, b in zip(ix, tuple(x)))
 
@@ -182,8 +182,8 @@ def minimality_witness(u: TabulatedUtility, x) -> Optional[Element]:
     """The lowest-index point strictly below x with value >= u(x), or None
     when x is minimal."""
     poset, i = u.poset, u._index_of(x)
-    below = poset._down[i] & ~(1 << i) & u.level_of(i).mask
-    return poset.elements[(below & -below).bit_length() - 1] if below else None
+    below = poset._down_of(i) & ~(1 << i) & u.level_of(i).mask
+    return poset.point((below & -below).bit_length() - 1) if below else None
 
 
 CHARPAR_LIMIT = 10_000
@@ -212,7 +212,7 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
     axes = [(axis, stride, len(f)) for axis, (f, stride) in enumerate(zip(space.factors, space.strides))]
     t = u._ranks()
     level = [t.suffix[s] for s in t.lo]
-    rank, down, elements = t.rank, u.poset._down, u.poset.elements
+    rank, down_of, point = t.rank, u.poset._down_of, u.poset.point
     for i in order:
         member = True
         for axis, stride, size in axes:
@@ -220,12 +220,12 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
             # every slice is read, even once membership is decided, so a slice
             # that is not quasi-Leontief raises at the first point to meet it
             member = _axis_interiors(u, axis, i - digit * stride)[digit] == digit and member
-        minimal = not down[i] & ~(1 << i) & level[rank[i]]
+        minimal = not down_of(i) & ~(1 << i) & level[rank[i]]
         if minimal != member:
             return Certificate(
                 False,
                 "charpar",
-                witnesses=(elements[i],),
+                witnesses=(point(i),),
                 detail=f"minimal={minimal} but coordinatewise membership={member}",
             )
     return Certificate(True, "charpar", data={"points_checked": len(order)})

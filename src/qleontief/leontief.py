@@ -13,9 +13,9 @@ Every combinator maps tables to a table (``affine_transform``, ``restrict``,
 any other.  ``min_product`` and ``min_pointwise`` take tables only;
 ``affine_transform`` and ``restrict`` also wrap a closed form, and only
 those wrappers compute a dual by formula.  A table reads a point to its
-index through its poset's ``index_of``, so a product table made by
-``tabulate``, ``min_product`` or a table file builds no product tables until
-a query of the order needs them.
+index through its poset's ``index_of``, and a product table made by
+``tabulate``, ``min_product`` or a table file asks its order queries of the
+factors, so it builds no product tables.
 """
 from __future__ import annotations
 
@@ -244,7 +244,7 @@ class TabulatedUtility(_Closure):
         if space is not None and space is not poset:
             raise UtilityError("space must be the domain poset itself")
         try:
-            column = [values[e] for e in poset.elements]
+            column = [values[e] for e in poset]
         except KeyError as exc:
             raise UtilityError(f"no value for element {exc.args[0]!r}") from None
         if len(column) < len(values):  # every element has its value, so the rest are extra
@@ -272,7 +272,7 @@ class TabulatedUtility(_Closure):
     @property
     def values(self) -> Dict[Element, Any]:
         """The values keyed by element, in element order: a new dict on each read."""
-        return dict(zip(self.poset.elements, self.column))
+        return dict(zip(self.poset, self.column))
 
     @property
     def space(self) -> Optional[ProductSpace]:
@@ -313,7 +313,9 @@ class TabulatedUtility(_Closure):
 
         On a finite domain level sets only change at these thresholds; scales
         without arithmetic (any totally ordered values work) probe the attained
-        values alone, which already decides every verdict.  The default
+        values alone, which already decides every verdict.  The midpoint of
+        two ints is an exact Fraction: their true division rounds to a
+        float, and overflows past a float's range.  The default
         probes are made once per rank table; each call returns a new list.
         """
         t = self._ranks()
@@ -322,7 +324,8 @@ class TabulatedUtility(_Closure):
             probes = list(img)
             for a, b in zip(img, img[1:]):
                 try:
-                    probes.append((a + b) / 2)
+                    mid = a + b
+                    probes.append(Fraction(mid, 2) if type(mid) is int else mid / 2)
                 except TypeError:
                     break
             t.probes = tuple(sorted(set(probes)))
@@ -403,10 +406,10 @@ class TabulatedUtility(_Closure):
         if least is None:
             mins = poset._unmask(poset._minimal_in(mask))
             return LevelSet(mask, None, mins[:2], "has no least element")
-        m = poset.elements[least]
-        outside = poset._up[least] & ~mask
+        m = poset.point(least)
+        outside = poset._up_of(least) & ~mask
         if outside:
-            y = poset.elements[(outside & -outside).bit_length() - 1]
+            y = poset.point((outside & -outside).bit_length() - 1)
             return LevelSet(mask, m, (m, y), f"is not the up-set of {m!r}: "
                                              f"{y!r} lies above it with a smaller value",
                             index=least)
@@ -867,7 +870,7 @@ def _axis_slice(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtil
     space = u.space
     factor = space.factors[axis]
     # the index of the slice's first point; u names a point off its domain
-    base = u._index_of(space.substitute(rest, axis, factor.elements[0]))
+    base = u._index_of(space.substitute(rest, axis, factor.point(0)))
     step = space.strides[axis]
     return _sub_table(u, factor, range(base, base + len(factor) * step, step))
 

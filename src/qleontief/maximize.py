@@ -92,10 +92,10 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     k = poset._greatest_in(efficient_mask(u) & S.mask)
     if k is None:
         raise InconsistencyError("no largest efficient point inside a nonempty finite comprehensive set")
-    tops = [poset.elements[i] for i in _bits(mask) if S.mask & poset._up[i] == 1 << i]
+    tops = [poset.point(i) for i in _bits(mask) if S.mask & poset._up_of(i) == 1 << i]
     if not tops:
         raise InconsistencyError("no maximizer is maximal in the down-set")
-    return ArgmaxResult(best, poset._unmask(mask), poset.elements[k], min(tops, key=str))
+    return ArgmaxResult(best, poset._unmask(mask), poset.point(k), min(tops, key=str))
 
 
 def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:
@@ -128,7 +128,7 @@ def check_argmax_localization(u: TabulatedUtility, S: DownSet, res: ArgmaxResult
     i = poset.index_of(d)
     a = bool(S.mask >> i & 1)
     b = res.largest_efficient == d
-    c = S.mask & u.level_of(poset.index_of(x_hat)).mask == S.mask & poset._up[i]
+    c = S.mask & u.level_of(poset.index_of(x_hat)).mask == S.mask & poset._up_of(i)
     ok = a and b and c
     return Certificate(
         ok,
@@ -245,7 +245,7 @@ def efficient_refinement(
     for k, axis in enumerate(order):
         before = cur[axis]
         digit, least = interior(i, axis)
-        target = space.factors[axis].elements[least]
+        target = space.factors[axis].point(least)
         i += (least - digit) * space.strides[axis]
         cur = cur[:axis] + (target,) + cur[axis + 1:]
         steps.append(RefinementStep(axis, before, target))

@@ -109,7 +109,7 @@ def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
         level = u.level_of(i)
         detail = level.detail(t.image[t.rank[i]])  # 1 and an equal Fraction print apart
         return Certificate(False, "quasi-leontief", witnesses=level.witnesses,
-                           detail=f"for {u.poset.elements[i]!r}: {detail}")
+                           detail=f"for {u.poset.point(i)!r}: {detail}")
     return Certificate(True, "quasi-leontief", utility=u._certified_copy())
 
 
@@ -141,7 +141,7 @@ def certify_regular(
 def check_isotone(u: TabulatedUtility) -> Certificate:
     """Monotonicity over all comparable pairs: up(x) lies inside the level set
     at u(x).  The witness y is the first element of up(x) outside it."""
-    poset, column = u.poset, u.column
+    poset, column = u.poset.as_poset(), u.column
     for i, vx in enumerate(column):
         above = poset._up[i] & ~u.level_of(i).mask
         if above:
@@ -181,7 +181,7 @@ def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet
     """
     t = u._ranks()
     runs, bands = _value_bands(t)
-    poset, ranks = u.poset, t.rank
+    poset, ranks = u.poset.as_poset(), t.rank
     down = poset._down
     meet_index = poset._meet_index if poset.is_inf_semilattice() else None
     meet = None
@@ -208,7 +208,7 @@ def check_property_phi(u: TabulatedUtility) -> Certificate:
     phi = _pair_failures(u)[0]
     if phi is None:
         return Certificate(True, "property-phi")
-    x, y = (u.poset.elements[k] for k in phi)
+    x, y = map(u.poset.point, phi)
     target = min(map(u.column.__getitem__, phi))
     return Certificate(
         False,
@@ -229,9 +229,9 @@ def check_lower_bounded_level_sets(
     order: both lie in the level set at the lowest probe, and two distinct
     minimal elements have no common lower bound.
     """
-    poset = u.poset
-    if poset.is_filtered():
+    if u.poset.is_filtered():
         return Certificate(True, "lower-bounded-level-sets")
+    poset = u.poset.as_poset()
     lam = u.probe_levels(probe_levels)[0]
     return Certificate(
         False,
@@ -250,7 +250,7 @@ def _meet_failure(u: TabulatedUtility):
     if meet is None:
         return None
     (i, j, m), column = meet, u.column
-    return u.poset.elements[i], u.poset.elements[j], column[m], min(column[i], column[j])
+    return u.poset.point(i), u.poset.point(j), column[m], min(column[i], column[j])
 
 
 def _strictly_ordered(u: TabulatedUtility) -> bool:
@@ -310,7 +310,7 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
     return Certificate(
         ok,
         "characterization-equivalence",
-        witnesses=() if ok else tuple(u.poset.elements[:1]),
+        witnesses=() if ok else tuple(u.poset.as_poset().elements[:1]),
         detail=detail,
         data={"sides": sides},
     )
@@ -319,7 +319,7 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
 def verify_galois(u: TabulatedUtility, dual_table: Dict[Any, Element]) -> Certificate:
     """Exhaustive two-sided adjunction check of a dual table, such as a
     passing ``certify_regular``'s: x >= u#(lam) iff u(x) >= lam."""
-    poset = u.poset
+    poset = u.poset.as_poset()
     for (lam, d), level in zip(dual_table.items(), u.level_sets(dual_table)):
         up = poset._up[poset.index_of(d)]
         differ = up ^ level.mask

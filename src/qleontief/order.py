@@ -12,21 +12,24 @@ and y exactly when down(m) = down(x) & down(y), and distinct elements have
 distinct down-sets (see ``FinitePoset._meet_index``).  A plain poset decides
 ``is_inf_semilattice`` one pair at a time.
 
-A ``ProductSpace`` is the product poset itself; it builds its tables only when
-a query needs them, from the factor tables: the up-set (down-set) of a product
-point is the product of the factor up-sets (down-sets).  Each factor row is
-spread once to its axis's stride, and a product of masks on different axes
-is a carry-free big-int multiply (``_product_of`` takes one mask per axis).  Meets
-and joins are taken coordinatewise, so a product is an inf-semilattice iff
-every factor is; none of these reads the product's own tables.  A point's
-index is the mixed-radix number of its factor indices (``index_of``;
-``point`` decodes it), so point queries build nothing.  No domain larger
-than ``MAX_POINTS`` is enumerated.
+A ``ProductSpace`` is the product poset itself, and answers every query the
+commands make through its factors.  A point's index is the mixed-radix number
+of its factor indices (``index_of``; ``point`` decodes it).  Meets and joins
+are taken coordinatewise, so a product is an inf-semilattice iff every factor
+is.  The up-set (down-set) of a product point is the product of the factor
+up-sets (down-sets); a factor mask spread to its axis's stride makes a
+product of masks on different axes a carry-free big-int multiply
+(``_product_of`` takes one mask per axis).  So the mask queries read per-axis
+cylinder masks (see ``_UnbuiltProduct``) and never the product's own two
+N-bit tables, which only ``as_poset`` builds: the reference certifiers, the
+corpus generators and the tests call it.  No domain larger than
+``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -98,10 +101,12 @@ def check_partial_order(
 
 MAX_POINTS = 2 ** 16
 """The most points a grid or product may have (16^4), refused before
-enumeration.  Memory sets the limit, not time: each point of a built poset
-carries two N-bit masks, N^2/4 bytes in all (about 1 GB at 16^4), while
-multiplying the spread factor rows into them takes about 0.03 s at 10^4 and
-about a second at 16^4."""
+enumeration.  No command builds a product's tables any more: a product table
+holds its value column and N-bit masks per level set and per cylinder, so
+``check``, ``efficient`` and ``maximize`` peak under 100 MB at 16^4.  The
+limit still bounds ``as_poset``, which the reference certifiers call: each
+point of a built poset carries two N-bit masks, N^2/4 bytes in all (about
+1 GB at 16^4)."""
 
 
 def check_size(n: int) -> int:
@@ -265,11 +270,11 @@ class FinitePoset:
         """Sub-poset on the members of the mask ``keep``, in index order."""
         idxs = list(_bits(keep))
         remap = {old: new for new, old in enumerate(idxs)}
-        els = [self.elements[i] for i in idxs]
+        els = list(map(self.point, idxs))
         masks = []
         for i in idxs:
             m = 0
-            for j in _bits(self._up[i] & keep):
+            for j in _bits(self._up_of(i) & keep):
                 m |= 1 << remap[j]
             masks.append(m)
         return FinitePoset(els, masks)
@@ -330,6 +335,19 @@ class FinitePoset:
     def _unmask(self, mask: int) -> Tuple[Element, ...]:
         return tuple(self.elements[i] for i in _bits(mask))
 
+    def _up_of(self, i: int) -> int:
+        """The mask of up(x) for the element x of index i."""
+        return self._up[i]
+
+    def _down_of(self, i: int) -> int:
+        """The mask of down(x) for the element x of index i."""
+        return self._down[i]
+
+    def as_poset(self) -> "FinitePoset":
+        """The poset with its element tuple and mask tables: a plain poset
+        holds them already."""
+        return self
+
     def leq(self, x: Element, y: Element) -> bool:
         return bool(self._up[self.index_of(x)] >> self.index_of(y) & 1)
 
@@ -343,21 +361,21 @@ class FinitePoset:
 
     def up_set(self, x: Element) -> FrozenSet[Element]:
         """All elements above x (inclusive)."""
-        return frozenset(self._unmask(self._up[self.index_of(x)]))
+        return frozenset(self._unmask(self._up_of(self.index_of(x))))
 
     def down_set(self, x: Element) -> FrozenSet[Element]:
         """All elements below x (inclusive)."""
-        return frozenset(self._unmask(self._down[self.index_of(x)]))
+        return frozenset(self._unmask(self._down_of(self.index_of(x))))
 
     def interval(self, lo: Element, hi: Element) -> FrozenSet[Element]:
         """The set of x with lo <= x <= hi; empty when lo and hi are not so ordered."""
-        m = self._up[self.index_of(lo)] & self._down[self.index_of(hi)]
+        m = self._up_of(self.index_of(lo)) & self._down_of(self.index_of(hi))
         return frozenset(self._unmask(m))
 
     # -- extrema -----------------------------------------------------------
 
     def _at(self, i: Optional[int]) -> Optional[Element]:
-        return None if i is None else self.elements[i]
+        return None if i is None else self.point(i)
 
     def _least_in(self, m: int) -> Optional[int]:
         """Index of the member of mask m below all of m, or None."""
@@ -377,9 +395,9 @@ class FinitePoset:
 
     def _minimal_in(self, m: int) -> int:
         """Mask of the minimal members of mask m."""
-        down, mins = self._down, 0
+        down_of, mins = self._down_of, 0
         for i in _bits(m):
-            if m & down[i] == 1 << i:
+            if m & down_of(i) == 1 << i:
                 mins |= 1 << i
         return mins
 
@@ -396,13 +414,13 @@ class FinitePoset:
 
     def maximal(self, subset: Iterable[Element]) -> Tuple[Element, ...]:
         m = self._mask(subset)
-        return tuple(self.elements[i] for i in _bits(m) if m & self._up[i] == 1 << i)
+        return tuple(self.point(i) for i in _bits(m) if m & self._up_of(i) == 1 << i)
 
     def bottom(self) -> Optional[Element]:
-        return self._at(self._least_in((1 << len(self.elements)) - 1))
+        return self._at(self._least_in((1 << len(self)) - 1))
 
     def top(self) -> Optional[Element]:
-        return self._at(self._greatest_in((1 << len(self.elements)) - 1))
+        return self._at(self._greatest_in((1 << len(self)) - 1))
 
     # -- meets and joins -----------------------------------------------------
 
@@ -420,7 +438,7 @@ class FinitePoset:
         return self._at(self._meet_index(self.index_of(x), self.index_of(y)))
 
     def join(self, x: Element, y: Element) -> Optional[Element]:
-        return self._at(self._least_in(self._up[self.index_of(x)] & self._up[self.index_of(y)]))
+        return self._at(self._least_in(self._up_of(self.index_of(x)) & self._up_of(self.index_of(y))))
 
     def is_inf_semilattice(self) -> bool:
         """True iff every pair has a meet."""
@@ -440,9 +458,8 @@ class FinitePoset:
 
     def _chain_in(self, m: int) -> bool:
         """True iff all members of mask m are pairwise comparable."""
-        up, down = self._up, self._down
         for i in _bits(m):
-            if m & ~(up[i] | down[i]):
+            if m & ~(self._up_of(i) | self._down_of(i)):
                 return False
         return True
 
@@ -457,11 +474,28 @@ class FinitePoset:
 
     def linear_extension(self) -> Tuple[Element, ...]:
         """Elements in an order-compatible sequence (below comes before above)."""
-        return tuple(self.elements[i] for i in self._extension_order())
+        return tuple(map(self.point, self._extension_order()))
 
     def _extension_order(self) -> List[int]:
-        # a strictly smaller element has a strictly smaller down-set
-        return sorted(range(len(self.elements)), key=lambda i: (self._down[i].bit_count(), i))
+        # a strictly smaller element has a strictly smaller down-set; the
+        # sort is stable, so ties stay in index order
+        indices = range(len(self))
+        sizes = [down.bit_count() for down in map(self._down_of, indices)]
+        return sorted(indices, key=sizes.__getitem__)
+
+    # -- down-closure ----------------------------------------------------------
+
+    def _below(self, m: int) -> int:
+        """Mask of the points below some member of mask m."""
+        down_of, below = self._down_of, 0
+        for i in _bits(m):
+            below |= down_of(i)
+        return below
+
+    def _missing_below(self, m: int) -> int:
+        """Mask of the points below some member of mask m that m misses: 0
+        exactly when m is comprehensive."""
+        return self._below(m) & ~m
 
 
 class ProductSpace(FinitePoset):
@@ -469,15 +503,17 @@ class ProductSpace(FinitePoset):
     poset on all product points.
 
     Points are tuples of factor elements, enumerated with the last coordinate
-    fastest.  ``factors``, ``len``, ``points``, ``index_of``, ``point``,
-    membership, ``leq``, ``meet``, ``join``, equality, hashing and the
-    one-axis calculus ``delete``/``substitute`` are answered factor by
-    factor, with no ``_index``; a product equals only another product.
-    Every other query reads the element tuple and the tables, which
-    ``as_poset`` builds once.
+    fastest.  ``factors``, ``len``, iteration, ``points``, ``index_of``,
+    ``point``, membership, ``leq``, ``meet``, ``join``, equality, hashing
+    and the one-axis calculus ``delete``/``substitute`` are answered factor
+    by factor, with no ``_index``; a product equals only another product.
+    Until ``as_poset`` builds the element tuple and the mask tables, the
+    mask queries are answered factor by factor too (see ``_UnbuiltProduct``);
+    once built, a product answers them with ``FinitePoset``'s table methods,
+    the reference the factor-wise answers are tested against.
     """
 
-    __slots__ = ("factors", "strides", "_offsets")
+    __slots__ = ("factors", "strides", "_offsets", "_axes", "_ordered", "_cylinders", "_covers")
 
     def __init__(self, factors: Sequence[FinitePoset]):
         if not factors:
@@ -490,6 +526,14 @@ class ProductSpace(FinitePoset):
         # per plain factor, element -> its step in the index (element index x stride)
         self._offsets = [{} if isinstance(f, ProductSpace) else {e: i * s for i, e in enumerate(f.elements)}
                          for f, s in zip(self.factors, self.strides)]
+        # per axis, the factor's points, up rows and down rows by element index, and the stride
+        self._axes = tuple((tuple(f), *_rows(f), s) for f, s in zip(self.factors, self.strides))
+        # whether every factor lists its elements in a linear-extension order
+        # (nothing above an element has a smaller index), so the index order
+        # of the points is one too
+        self._ordered = all(not up & ((1 << c) - 1) for _, ups, _, _ in self._axes for c, up in enumerate(ups))
+        self._cylinders: List[Dict[int, int]] = [{} for _ in self.factors]
+        self._covers: Optional[List[Tuple[int, int, int, int]]] = None
         self.__class__ = _UnbuiltProduct
 
     def as_poset(self) -> "ProductSpace":
@@ -509,8 +553,8 @@ class ProductSpace(FinitePoset):
         if isinstance(self, _UnbuiltProduct):
             points = list(self.points())
             up = down = [1]
-            for f, stride in zip(self.factors, self.strides):
-                ups, downs = _spread_rows(f._up, stride), _spread_rows(f._down, stride)
+            for _, ups, downs, stride in self._axes:
+                ups, downs = [_spread(m, stride) for m in ups], [_spread(m, stride) for m in downs]
                 up = [r * m for r in up for m in ups]
                 down = [r * m for r in down for m in downs]
             super().__init__(points, up, down)
@@ -555,7 +599,10 @@ class ProductSpace(FinitePoset):
         return tuple(out)
 
     def __len__(self) -> int:
-        return math.prod(len(f) for f in self.factors)
+        return self.strides[0] * len(self.factors[0])
+
+    def __iter__(self) -> Iterator[Tuple[Element, ...]]:
+        return self.points()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ProductSpace) and self.factors == other.factors
@@ -565,7 +612,7 @@ class ProductSpace(FinitePoset):
 
     def points(self) -> Iterator[Tuple[Element, ...]]:
         check_size(len(self))
-        return _iproduct(*(f.elements for f in self.factors))
+        return _iproduct(*self.factors)
 
     def _check_point(self, x: Sequence[Element]) -> Tuple[Element, ...]:
         x = tuple(x)
@@ -612,7 +659,7 @@ class ProductSpace(FinitePoset):
 
     def point(self, i: int) -> Tuple[Element, ...]:
         """The point of index i, read off in mixed radix (``strides``); builds no tables."""
-        return tuple(f.point(i // s % len(f)) for f, s in zip(self.factors, self.strides))
+        return tuple([pts[i // s % len(pts)] for pts, _, _, s in self._axes])
 
     def _check_axis(self, axis: int) -> None:
         if not 0 <= axis < len(self.factors):
@@ -623,28 +670,120 @@ class ProductSpace(FinitePoset):
 
 
 class _UnbuiltProduct(ProductSpace):
-    """A ``ProductSpace`` whose element tuple and tables are not built yet; no
-    point query reads them.  Reading one builds them and makes the object a
-    plain ``ProductSpace``: with ``__getattr__`` on its class every attribute
-    read is slower, and the certifiers read the tables once per element or pair."""
+    """A ``ProductSpace`` whose element tuple and mask tables are not built;
+    it answers every mask query that the commands make factor by factor, and
+    reading a table (``elements``, ``_up``, ``_down``) raises AttributeError:
+    only ``as_poset`` builds them, so a build shows in a profile.
+
+    The up-set of a point is the set of points whose k-th coordinate lies in
+    up_k(c_k) for every axis k, so ``_up_of`` (``_down_of``) is the AND of
+    one cylinder mask per axis (``_cylinder``).  The least (greatest) member
+    of a mask, when there is one, is the point of the least (greatest)
+    elements of its projections on the factors, and it lies in the mask;
+    when every factor lists its elements in a linear-extension order, as a
+    chain does, the index order of the points is one too, and that point is
+    the mask's lowest-index (highest-index) member, tested against its
+    up-set (down-set).  ``_minimal_in``, ``_chain_in``, ``_below`` and
+    ``_induced_on`` are ``FinitePoset``'s, reading those rows;
+    ``_missing_below`` shifts the mask along each factor cover.
+    """
 
     __slots__ = ()
 
-    def __getattr__(self, name: str):
-        # reached only for an unset slot
-        if name in FinitePoset.__slots__:
-            return getattr(self.as_poset(), name)
-        raise AttributeError(f"'ProductSpace' object has no attribute {name!r}")
+    def _cylinder(self, axis: int, row: int) -> int:
+        """Mask of the points whose coordinate on ``axis`` lies in the factor
+        mask ``row``: the points whose coordinate there has index 0 (the
+        cylinder of row 1) times the row spread to the axis's stride, one
+        carry-free multiply.  Cached per axis by row."""
+        cylinders = self._cylinders[axis]
+        m = cylinders.get(row)
+        if m is None:
+            stride = self.strides[axis]
+            zero = cylinders.get(1)
+            if zero is None:
+                # the low ``stride`` bits of every period of len(factor) * stride
+                # bits: that block times the repunit of the periods in N bits
+                n, period = len(self), len(self.factors[axis]) * stride
+                zero = cylinders[1] = ((1 << stride) - 1) * (((1 << n) - 1) // ((1 << period) - 1)) if n else 0
+            m = cylinders[row] = zero * _spread(row, stride)
+        return m
+
+    def _up_of(self, i: int) -> int:
+        m = -1
+        for axis, (_, ups, _, stride) in enumerate(self._axes):
+            m &= self._cylinder(axis, ups[i // stride % len(ups)])
+        return m
+
+    def _down_of(self, i: int) -> int:
+        m = -1
+        for axis, (_, _, downs, stride) in enumerate(self._axes):
+            m &= self._cylinder(axis, downs[i // stride % len(downs)])
+        return m
+
+    def _least_in(self, m: int) -> Optional[int]:
+        if self._ordered:
+            i = (m & -m).bit_length() - 1
+            return i if m and not m & ~self._up_of(i) else None
+        return self._extreme_in(m, "_least_in")
+
+    def _greatest_in(self, m: int) -> Optional[int]:
+        if self._ordered:
+            i = m.bit_length() - 1
+            return i if m and not m & ~self._down_of(i) else None
+        return self._extreme_in(m, "_greatest_in")
+
+    def _extreme_in(self, m: int, query: str) -> Optional[int]:
+        """The point of the factors' answers to ``query`` on the projections
+        of mask m, if every factor has one and the point lies in m."""
+        i = 0
+        for axis, (f, stride) in enumerate(zip(self.factors, self.strides)):
+            projection = sum(1 << c for c in range(len(f)) if m & self._cylinder(axis, 1 << c))
+            c = getattr(f, query)(projection)
+            if c is None:
+                return None
+            i += c * stride
+        return i if m >> i & 1 else None
+
+    def _unmask(self, mask: int) -> Tuple[Tuple[Element, ...], ...]:
+        return tuple(map(self.point, _bits(mask)))
+
+    def _missing_below(self, m: int) -> int:
+        """A mask is comprehensive exactly when one step down any factor
+        cover, on any axis, keeps each member in it: for a cover a < b on
+        axis k, the members with k-th coordinate b, shifted to a, must lie
+        in the mask.  Only when one does not is the down-closure read."""
+        if self._covers is None:  # (axis, stride, a, b) per cover a < b of each factor
+            self._covers = [(axis, stride, a, b)
+                            for axis, (f, (_, ups, _, stride)) in enumerate(zip(self.factors, self._axes))
+                            for a, up in enumerate(ups) for b in _bits(f._minimal_in(up & ~(1 << a)))]
+        for axis, stride, a, b in self._covers:
+            moved = m & self._cylinder(axis, 1 << b)
+            moved = moved >> (b - a) * stride if b > a else moved << (a - b) * stride
+            if moved & ~m:
+                return self._below(m) & ~m
+        return 0
+
+
+def _rows(poset: FinitePoset) -> Tuple[Sequence[int], Sequence[int]]:
+    """The up rows and the down rows of ``poset`` by element index: its
+    tables, or of a product not built, its factor-wise rows."""
+    if isinstance(poset, _UnbuiltProduct):
+        indices = range(len(poset))
+        return list(map(poset._up_of, indices)), list(map(poset._down_of, indices))
+    return poset._up, poset._down
 
 
 def _spread(outer: int, n: int) -> int:
     """``outer`` with bit p moved to bit p*n."""
-    return int(("0" * (n - 1)).join(bin(outer)[2:]), 2)
-
-
-def _spread_rows(rows: Sequence[int], stride: int) -> Sequence[int]:
-    """Every row with bit p moved to bit p*stride."""
-    return rows if stride == 1 else [_spread(r, stride) for r in rows]
+    if n == 1:
+        return outer
+    m = p = 0
+    while outer:
+        if outer & 1:
+            m |= 1 << p
+        outer >>= 1
+        p += n
+    return m
 
 
 def grid_space(*ranges: Sequence[Element]) -> ProductSpace:
@@ -657,8 +796,9 @@ class DownSet:
 
     ``mask`` marks the members by element index of ``space``, a
     ``FinitePoset`` or a ``ProductSpace``.  ``from_indices`` takes element
-    indices, as a file reader holds them: their downward closure, or
-    exactly those points, validated for downward closure.
+    indices, as a file reader holds them: their downward closure (``_below``),
+    or exactly those points, validated for downward closure
+    (``_missing_below``); neither builds a product's tables.
     ``from_generators`` and ``from_members`` read each point to its index
     once and hand it on.
     """
@@ -673,15 +813,14 @@ class DownSet:
         """The down-set generated by the points at ``indices`` when
         ``generated``, else the set of those points, which must be
         comprehensive."""
-        mask = below = 0
+        mask = 0
         for i in indices:
             mask |= 1 << i
-            below |= space._down[i]
         if generated:
-            return cls(space, below)
-        missing = below & ~mask
+            return cls(space, space._below(mask))
+        missing = space._missing_below(mask)
         if missing:
-            bad = space.elements[(missing & -missing).bit_length() - 1]
+            bad = space.point((missing & -missing).bit_length() - 1)
             raise OrderError(f"not comprehensive: {bad!r} is below a member but missing")
         return cls(space, mask)
 
@@ -716,10 +855,10 @@ class Scale:
     """Comparison policy for the totally ordered value scale.
 
     Exact mode compares rationals directly; tolerant mode reads a <= b as
-    a <= b or a <= b + tolerance.  For floats the first test adds nothing; on
-    an int or Fraction above 2**53, b + tolerance may round to a float below
-    b, and the first test keeps ``le`` reflexive there.  Both tests are
-    monotone, so ``le`` is too.  On both scales, ``eq`` is the symmetric part
+    a <= b + tolerance, added in floats to a float b and exactly to any other
+    b: an int or Fraction b past a float's range would overflow in floats,
+    and one above 2**53 could round to a float below b.  The sum is monotone
+    in b, so ``le`` is too.  On both scales, ``eq`` is the symmetric part
     of ``le``, so a value band and a level set agree on a float at the
     tolerance's edge.
     Tolerant comparisons are only transitive when the compared values keep
@@ -750,7 +889,12 @@ class Scale:
     def le(self, a, b) -> bool:
         if self.kind == "exact":
             return a <= b
-        return a <= b or a <= b + self.tolerance
+        if a <= b:
+            return True
+        tolerance = self.tolerance
+        if isinstance(b, float):
+            return a <= b + tolerance
+        return tolerance == math.inf or a <= b + Fraction(tolerance)
 
     def lt(self, a, b) -> bool:
         return not self.le(b, a)

@@ -17,6 +17,13 @@ settings.register_profile("slowio", deadline=None, max_examples=60)
 settings.load_profile("slowio")
 
 
+def tables(poset):
+    """The poset with its element tuple and mask tables, for a reference to
+    read: of a product, a built twin, so that the product under test stays
+    unbuilt and answers its own queries factor by factor."""
+    return q.ProductSpace(poset.factors).as_poset() if isinstance(poset, q.ProductSpace) else poset
+
+
 def tuple_leq(x, y) -> bool:
     return all(a <= b for a, b in zip(x, y))
 

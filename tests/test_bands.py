@@ -129,3 +129,15 @@ def test_rationals_past_two_to_the_53_on_a_tolerant_scale(big):
     u = q.TabulatedUtility(chain, {0: 0, 1: big, 2: 2 * big}, scale=scale)
     assert ref_lo(u) == [0, 1, 2]
     assert q.certify_regular(u).ok
+
+
+@pytest.mark.parametrize("scale", [q.EXACT, q.tolerant()])
+def test_integers_past_a_floats_range(scale):
+    """Neither the tolerance nor a midpoint probe turns such a value into a
+    float, so the table certifies on both scales."""
+    big = 10**400
+    u = q.TabulatedUtility(q.FinitePoset.chain([0, 1, 2]), {0: 0, 1: big, 2: big + 1}, scale=scale)
+    assert scale.le(big, big + 1) and not scale.le(big + 1, big)
+    assert oracle.certify_quasi_leontief(u).ok
+    reg = oracle.certify_regular(u)
+    assert reg.ok and reg.dual_table == {0: 0, F(big, 2): 1, big: 1, big + F(1, 2): 2, big + 1: 2}

@@ -24,7 +24,7 @@ from qleontief import corpus, leontief, oracle
 def ref_certified_slice(u, rest, axis):
     space = u.space
     factor = space.factors[axis]
-    vals = {t: u.value(space.substitute(rest, axis, t)) for t in factor.elements}
+    vals = {t: u.value(space.substitute(rest, axis, t)) for t in factor}
     pu = q.TabulatedUtility(factor, vals, scale=u.scale)
     if u.certified:
         pu.certified = True
@@ -40,7 +40,7 @@ def ref_certified_slice(u, rest, axis):
 
 def interiors_of(pu):
     """The factor index of each point's interior in a certified slice table."""
-    return tuple(pu.poset.index_of(pu.interior(t)) for t in pu.poset.elements)
+    return tuple(pu.poset.index_of(pu.interior(t)) for t in pu.poset)
 
 
 def ref_slice_interiors(u, rest, axis):
@@ -50,7 +50,7 @@ def ref_slice_interiors(u, rest, axis):
 def ref_minimal(u, x):
     leq, le, values = u.poset.leq, u.scale.le, u.values
     return not any(
-        y != x and leq(y, x) and le(values[x], values[y]) for y in u.poset.elements
+        y != x and leq(y, x) and le(values[x], values[y]) for y in u.poset
     )
 
 
@@ -176,7 +176,7 @@ def flip_slice(monkeypatch, factor, values, bit):
     ``values`` gets the efficiency of its point ``bit`` flipped."""
 
     def flip(u, axis, rec, value_at):
-        if u.space.factors[axis] is not factor or {t: value_at(t) for t in factor.elements} != values:
+        if u.space.factors[axis] is not factor or {t: value_at(t) for t in factor} != values:
             return rec
         return rec[:bit] + (None if rec[bit] == bit else bit,) + rec[bit + 1:]
 
@@ -205,7 +205,7 @@ def test_flipped_slice_mask_pins_the_witness(
     raw = q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values)
     space = raw.space
     factor = space.factors[axis]
-    values = {t: raw.value(space.substitute((frozen,), axis, t)) for t in factor.elements}
+    values = {t: raw.value(space.substitute((frozen,), axis, t)) for t in factor}
     flip_slice(monkeypatch, factor, values, bit)
     for u in (raw, min_on_4x4):
         assert assert_agrees(u) == (False, "charpar", (witness,), detail, {})

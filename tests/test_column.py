@@ -32,9 +32,9 @@ def random_poset(rng):
 
 def random_table(rng, poset, scale=q.EXACT):
     if scale.kind == "exact":
-        return q.TabulatedUtility(poset, {e: rng.choice(MIXED) for e in poset.elements})
+        return q.TabulatedUtility(poset, {e: rng.choice(MIXED) for e in poset})
     return q.TabulatedUtility(poset, {e: rng.choice((0.5, 1.0, 1.0 + 4e-10, 2.25))
-                                      for e in poset.elements}, scale=scale)
+                                      for e in poset}, scale=scale)
 
 
 def assert_matches(u, ref, certified, *, fresh=False):
@@ -42,7 +42,7 @@ def assert_matches(u, ref, certified, *, fresh=False):
 
     With ``fresh`` the constructor makes new value objects, as the reference
     does; then the two must share their objects among the same points."""
-    assert list(u.values) == list(u.poset.elements) == list(ref)
+    assert list(u.values) == list(u.poset) == list(ref)
     assert u.values == ref and u.column == list(ref.values())
     if fresh:
         ours = {}
@@ -84,7 +84,7 @@ def test_min_product_and_min_pointwise(seed):
     ref = {p: min(v[c] for v, c in zip(keyed, p)) for p in nested.poset.points()}
     assert_matches(nested, ref, False)
     parts = [random_table(rng, factors[0].poset, scale) for _ in range(rng.randint(1, 3))]
-    ref = {e: min(p.values[e] for p in parts) for e in factors[0].poset.elements}
+    ref = {e: min(p.values[e] for p in parts) for e in factors[0].poset}
     assert_matches(q.min_pointwise(*parts), ref, False)
 
 

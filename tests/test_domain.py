@@ -22,6 +22,8 @@ from qleontief import corpus, io
 from qleontief.cli import main
 from qleontief.order import FinitePoset, MAX_POINTS, elem_key
 
+from conftest import tables
+
 
 def reference(space):
     """Plain poset on the product points; x <= y iff every coordinate is."""
@@ -71,18 +73,19 @@ def test_products_cover_the_shapes():
 def test_tables_and_queries_match_reference(spaces):
     for k, space in enumerate(spaces()):
         ref = reference(space)
-        assert space.elements == ref.elements
-        assert space.elements == tuple(product(*(f.elements for f in space.factors)))
-        assert space._up == ref._up and space._down == ref._down
         for x in ref.elements:
             for y in ref.elements:
                 assert space.leq(x, y) == ref.leq(x, y)
                 assert space.meet(x, y) == ref.meet(x, y)
         rng = random.Random(k)
-        for _ in range(20):
+        for _ in range(20):  # answered factor by factor: the tables are not built yet
             subset = rng.sample(ref.elements, rng.randint(0, len(ref)))
             assert space.least(subset) == ref.least(subset)
             assert space.minimal(subset) == ref.minimal(subset)
+        assert type(space) is not q.ProductSpace
+        assert space.as_poset().elements == ref.elements
+        assert space.elements == tuple(product(*(f.elements for f in space.factors)))
+        assert space._up == ref._up and space._down == ref._down
 
 
 @pytest.mark.parametrize("spaces", [chain_products, poset_products])
@@ -180,8 +183,15 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert pairs.meet(("0", "b"), ("2", "c")) is None and pairs.join(("0", "b"), ("2", "b")) == ("2", "b")
     with pytest.raises(q.OrderError, match="unknown element"):
         space.meet(("0", "d"), ("0", "a"))
+    assert space.bottom() == ("0", "a") and space.top() is None
+    assert space.least([("1", "b"), ("2", "b")]) == ("1", "b")
+    assert space.minimal([("1", "b"), ("1", "c")]) == (("1", "b"), ("1", "c"))
+    assert space.is_chain([("0", "a"), ("2", "c")]) and space.up_set(("2", "b")) == {("2", "b")}
+    assert q.DownSet.from_members(space, [("0", "a"), ("0", "b")]).mask == 0b11
     assert built == []
-    assert space.elements[4] == ("1", "b")  # any other query builds the tables, once
+    with pytest.raises(AttributeError):
+        space._up  # reading a table does not build it: only as_poset does
+    assert space.as_poset().elements[4] == ("1", "b")
     assert built == [True] and type(space) is q.ProductSpace
     assert space == twin and type(twin) is not q.ProductSpace
     # a product equals only a product, even a plain poset with its tables
@@ -344,7 +354,7 @@ def test_utility_domain_is_the_product():
 
 @pytest.mark.parametrize("other", [
     lambda space: q.grid_space(range(2), range(2)),  # an equal product, but not the domain
-    lambda space: FinitePoset(list(space.points()), space._up),
+    lambda space: FinitePoset(list(space.points()), tables(space)._up),
 ])
 def test_space_keyword_must_be_the_domain(other):
     space = q.grid_space(range(2), range(2))

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from qleontief.cli import main
+from qleontief.order import ProductSpace
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,3 +106,22 @@ def test_report_matches_golden(golden, monkeypatch, capsys):
     monkeypatch.chdir(DATA)
     assert main(argv) == code
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+PRODUCT_CALLS = {
+    "product3.check": ["check", "--json", "product3.json"],
+    **{golden[:-len(".out")]: CASES[golden][0] for golden in CASES if golden.startswith("product")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CALLS))
+def test_product_commands_build_no_product(name, monkeypatch, capsys):
+    """Every order query of these commands is answered factor by factor:
+    nothing calls ``as_poset``, and the product's tables stay unbuilt."""
+    builds = []
+    as_poset = ProductSpace.as_poset
+    monkeypatch.setattr(ProductSpace, "as_poset", lambda self: builds.append(self) or as_poset(self))
+    monkeypatch.chdir(DATA)
+    assert main(PRODUCT_CALLS[name]) == 0
+    capsys.readouterr()
+    assert builds == []

@@ -356,7 +356,7 @@ def test_locate_reads_nested_product_points():
     space = q.ProductSpace([q.ProductSpace([chain, vee]), pair, q.ProductSpace([pair])])
     locate, width = io._reader(space)
     assert width == 4
-    for i, x in enumerate(space.elements):
+    for i, x in enumerate(space):
         (c, v), a, (b,) = x
         for token in (elem_key(x), f"{c}, {v},{a},{b}", [[c, v], a, [b]], [f"{c},{v}", str(a), str(b)]):
             assert locate(token) == i

@@ -26,7 +26,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def ref_level_set(u, lam):
-    return tuple(x for x in u.poset.elements if u.scale.le(lam, u.values[x]))
+    return tuple(x for x in u.poset if u.scale.le(lam, u.values[x]))
 
 
 def ref_least_of_upper_set(u, lam):
@@ -40,7 +40,7 @@ def ref_least_of_upper_set(u, lam):
     if least is None:
         mins = brute_minimal(level, leq)
         return None, (tuple(mins[:2]), f"level set at {lam!r} has no least element")
-    for y in u.poset.elements:
+    for y in u.poset:
         if leq(least, y) and y not in level:
             return None, (
                 (least, y),
@@ -356,8 +356,8 @@ def test_slice_rank_table_matches_fresh_ranks(seed):
         for axis, factor in enumerate(space.factors):
             for x in space.points():
                 rest = space.delete(x, axis)
-                points = [space.substitute(rest, axis, t) for t in factor.elements]
-                subs.append((q.partial_utility(u, rest, axis), factor.elements, points))
+                points = [space.substitute(rest, axis, t) for t in factor]
+                subs.append((q.partial_utility(u, rest, axis), tuple(factor), points))
         points = list(space.points())
         for _ in range(4):
             S = q.DownSet.from_generators(space, rng.sample(points, rng.randint(1, min(3, len(points)))))

@@ -5,7 +5,9 @@ and ``_induced_on`` answer each query on a mask of element indices, and the
 public ``least``, ``greatest``, ``minimal``, ``is_chain``, ``join``,
 ``bottom``, ``top`` and ``induced`` decode them.  The references compare
 the points pair by pair with ``leq``, which a product answers factor by
-factor, so they read no mask.
+factor, so they read no mask.  A product that is not built answers the
+mask queries factor by factor; those answers are compared with the built
+tables of its twin.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import pytest
 
 import qleontief as q
 from qleontief import corpus
-from qleontief.order import FinitePoset
+from qleontief.order import DownSet, FinitePoset, _bits
 
-from conftest import brute_least, brute_minimal
+from conftest import brute_least, brute_minimal, tables
 
 KINDS = ("poset", "poset-with-bottom", "chains", "posets", "nested")
 
@@ -111,3 +113,58 @@ def test_empty_poset():
     assert empty.bottom() is None and empty.top() is None
     assert empty._least_in(0) is None and empty._minimal_in(0) == 0 and empty._chain_in(0)
     assert len(empty._induced_on(0)) == 0
+
+
+# -- a product's factor-wise answers against its built tables ----------------------
+
+
+def factorwise_products():
+    """Unbuilt products of chain, antichain and V-shaped factors, nested
+    products, and a factor whose element order is no linear extension."""
+    chain = FinitePoset.chain(["0", "1", "2"])
+    antichain = FinitePoset.antichain(["p", "q"])
+    vee = FinitePoset.from_covers(["lo", "l", "r"], [("lo", "l"), ("lo", "r")])
+    top_first = FinitePoset.from_covers(["top", "bot"], [("bot", "top")])
+    P = q.ProductSpace
+    return [
+        P([chain]), P([chain, chain, chain]), P([chain, antichain]), P([vee, chain]), P([antichain, vee]),
+        P([top_first]), P([top_first, chain]), P([chain, top_first, vee]),
+        P([P([vee, chain]), antichain]), P([chain, P([top_first, vee])]),
+        P([P([chain, chain]), P([vee, top_first])]),
+    ]
+
+
+def from_indices(space, m, generated):
+    """The mask ``DownSet.from_indices`` gives for the members of m, or its error text."""
+    try:
+        return DownSet.from_indices(space, _bits(m), generated=generated).mask
+    except q.OrderError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", range(len(factorwise_products())))
+def test_factorwise_answers_match_the_built_tables(k):
+    space = factorwise_products()[k]
+    ref = tables(space)
+    n = len(ref)
+    assert [space._up_of(i) for i in range(n)] == ref._up
+    assert [space._down_of(i) for i in range(n)] == ref._down
+    rng = corpus.derive_rng(17, "factorwise", k)
+    seen = set()
+    for m in masks(rng, ref) + [ref._below(ref._up[i]) for i in range(n)]:
+        least = space._least_in(m)
+        assert least == ref._least_in(m)
+        assert space._greatest_in(m) == ref._greatest_in(m)
+        assert space._minimal_in(m) == ref._minimal_in(m)
+        assert space._chain_in(m) == ref._chain_in(m)
+        assert space._unmask(m) == ref._unmask(m)
+        assert from_indices(space, m, True) == from_indices(ref, m, True)
+        members = from_indices(space, m, False)
+        assert members == from_indices(ref, m, False)  # a holed set names the same missing point
+        seen |= {"least" if least is not None else "leastless", "holed" if members != m else "comprehensive"}
+    assert len(seen) == 4
+    assert type(space) is not q.ProductSpace  # answered with no table built
+
+
+def test_factorwise_products_cover_both_index_orders():
+    assert {p._ordered for p in factorwise_products()} == {True, False}

@@ -29,6 +29,8 @@ from qleontief.io import utility_from_json
 from qleontief.oracle import _meet_failure, _strictly_ordered
 from qleontief.order import _bits
 
+from conftest import tables
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,6 +39,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def ref_meet(poset, x, y):
+    """The meet of x and y in ``poset``, which holds its tables."""
     lows = poset._down[poset.index_of(x)] & poset._down[poset.index_of(y)]
     for i in _bits(lows):
         if lows & ~poset._down[i] == 0:
@@ -45,19 +48,20 @@ def ref_meet(poset, x, y):
 
 
 def ref_is_inf_semilattice(poset):
+    poset = tables(poset)
     els = poset.elements
     return all(ref_meet(poset, x, y) is not None for i, x in enumerate(els) for y in els[i + 1:])
 
 
 def ref_is_filtered(poset):
     """Every pair of elements has a common lower bound."""
-    down = poset._down
+    down = tables(poset)._down
     return all(down[i] & down[j] for i in range(len(down)) for j in range(i + 1, len(down)))
 
 
 def ref_property_phi(u):
     """(ok, witnesses, detail) of property Phi by scanning every common lower bound."""
-    poset = u.poset
+    poset = tables(u.poset)
     n = len(poset.elements)
     for i in range(n):
         x = poset.elements[i]
@@ -71,7 +75,7 @@ def ref_property_phi(u):
 
 
 def ref_meet_failure(u):
-    poset = u.poset
+    poset = tables(u.poset)
     for i, x in enumerate(poset.elements):
         for y in poset.elements[i:]:
             got = u.values[ref_meet(poset, x, y)]
@@ -84,7 +88,7 @@ def ref_meet_failure(u):
 def ref_isotone(u):
     """(ok, witnesses, detail); the witness y is the first element above x, in
     element order, with a smaller value."""
-    poset = u.poset
+    poset = tables(u.poset)
     for x in poset.elements:
         vx = u.values[x]
         for y in poset.elements:
@@ -97,7 +101,7 @@ def ref_lower_bounded_level_sets(u, probe_levels=()):
     """(ok, witnesses, detail): every nonempty level set at a probe level has a
     common lower bound, found by intersecting its members' down-sets.  The
     witnesses of a failure are its first two minimal members."""
-    poset = u.poset
+    poset = tables(u.poset)
     for lam in u.probe_levels(probe_levels):
         idxs = list(_bits(u.level_set(lam).mask))
         if not idxs:
@@ -123,7 +127,7 @@ def relisted(poset, els):
 def shuffled(rng, poset):
     """The same order with the elements listed in a random sequence, so that the
     index order is in general not a linear extension."""
-    els = list(poset.elements)
+    els = list(poset)
     rng.shuffle(els)
     return relisted(poset, els)
 
@@ -166,7 +170,7 @@ def make_table(rng, poset, table):
         return corpus.random_quasileontief_utility(rng, poset).values
     if table in ("regular", "isotone"):
         return corpus.random_isotone_utility(rng, poset).values
-    return {e: F(rng.randint(0, 3), 2) for e in poset.elements}
+    return {e: F(rng.randint(0, 3), 2) for e in poset}
 
 
 # Float offsets and tolerances chosen so that bands overlap without being
@@ -205,9 +209,10 @@ def outcome(cert):
 
 
 def assert_meets_match(poset):
-    for x in poset.elements:
-        for y in poset.elements:
-            assert poset.meet(x, y) == ref_meet(poset, x, y)
+    ref = tables(poset)
+    for x in ref.elements:
+        for y in ref.elements:
+            assert poset.meet(x, y) == ref_meet(ref, x, y)
     assert poset.is_inf_semilattice() == ref_is_inf_semilattice(poset)
 
 
@@ -363,7 +368,7 @@ def sweep_table(rng, space, kind):
     if kind != "dip":
         return make_table(rng, space, kind)
     values = dict(make_table(rng, space, "regular"))
-    x = rng.choice(space.elements)
+    x = rng.choice(list(space))
     values[x] += F(rng.randint(1, 2), 2)
     return values
 

@@ -8,10 +8,14 @@ Builds the three benchmark batteries at seed 5 with the checkout's
 370 calls.  Then come ``check``, ``efficient``, ``maximize`` and ``refine``
 on the checkout's ``tests/data/tolerant_power.json``, copied under
 ``<workdir>``, at its own tolerance and at ``--tolerance`` 0.5 and 1: its
-values are small integers held as floats.  Last come ``efficient``,
+values are small integers held as floats.  Then come ``efficient``,
 ``maximize --downset`` and ``refine --sets`` on the checkout's
 ``tests/data/product3.json`` and on a copy whose ``values`` keys are joined
-with ", " (both under ``<workdir>/rekeyed``): 388 calls.  Every call runs
+with ", " (both under ``<workdir>/rekeyed``): 388 calls.  Last come
+``efficient``, ``maximize --downset`` (members and generators) and
+``refine --sets`` on a copy of ``product3.json`` whose second factor lists
+its elements top first, so that its element order is no linear extension
+(under ``<workdir>/reordered``): 392 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
@@ -78,6 +82,29 @@ def rekeyed_calls(checkout: str, workdir: str):
         yield [[command, "--json", t, *rest] for t in tables], tables
 
 
+def reordered_calls(checkout: str, workdir: str):
+    """The calls on ``product3.json`` with its second factor listed top
+    first, with their inputs written under ``<workdir>/reordered``."""
+    folder, data = os.path.join(workdir, "reordered"), os.path.join(checkout, "tests", "data")
+    os.makedirs(folder, exist_ok=True)
+    names = ["product3.json", "product3_members.json", "product3_generators.json",
+             *(f"product3_axis{k}.json" for k in (1, 2, 3))]
+    inputs = {}
+    for name in names:
+        with open(os.path.join(data, name)) as src:
+            inputs[name] = json.load(src)
+    factor = inputs["product3.json"]["poset"]["product"][1]
+    factor["elements"] = factor["elements"][::-1]
+    for name, obj in inputs.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    table, members, generators, *axes = (os.path.join(folder, n) for n in names)
+    yield ["efficient", "--json", table]
+    yield ["maximize", "--json", table, "--downset", members]
+    yield ["maximize", "--json", table, "--downset", generators]
+    yield ["refine", "--json", table, "--sets", *axes]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -130,6 +157,8 @@ def main(argv=None) -> int:
         (code, out, err), got = map(answer, pair)
         if got != (code, out.replace(canonical, spaced), err.replace(canonical, spaced)):
             differ.append(pair[1])
+    for call in reordered_calls(checkout, workdir):
+        answer(call)
     print(count, digest.hexdigest())
     for call in differ:
         print(f"re-keyed call differs from the canonical one: {call}", file=sys.stderr)
