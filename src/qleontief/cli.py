@@ -317,7 +317,7 @@ def cmd_decompose(args) -> int:
     report = _report(
         args,
         factors=[
-            {elem_key(e): encode_value(v) for e, v in zip(p.poset.elements, p.column)} for p in parts
+            {elem_key(e): encode_value(v) for e, v in zip(p.poset, p.column)} for p in parts
         ],
         identity={
             "ok": not bad,

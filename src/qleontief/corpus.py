@@ -97,7 +97,7 @@ def random_quasileontief_utility(
 def random_downset(rng: random.Random, poset: FinitePoset) -> DownSet:
     """Down-set generated by a small random nonempty antichain-ish sample."""
     k = rng.randint(1, min(3, len(poset)))
-    gens = rng.sample(list(poset.elements), k)
+    gens = rng.sample(list(poset), k)
     return DownSet.from_generators(poset, sorted(gens, key=poset.index_of))
 
 
@@ -117,5 +117,5 @@ def random_prefix_downsets(
     out = []
     for f in space.factors:
         k = rng.randint(1, len(f))
-        out.append(DownSet.from_members(f, f.elements[:k]))
+        out.append(DownSet.from_members(f, list(f)[:k]))
     return out

@@ -683,9 +683,11 @@ class _UnbuiltProduct(ProductSpace):
     when every factor lists its elements in a linear-extension order, as a
     chain does, the index order of the points is one too, and that point is
     the mask's lowest-index (highest-index) member, tested against its
-    up-set (down-set).  ``_minimal_in``, ``_chain_in``, ``_below`` and
-    ``_induced_on`` are ``FinitePoset``'s, reading those rows;
-    ``_missing_below`` shifts the mask along each factor cover.
+    up-set (down-set): one row in place of one cylinder per factor element.
+    ``_minimal_in``, ``_chain_in``, ``_below`` and ``_induced_on`` are
+    ``FinitePoset``'s, reading those rows; ``_missing_below`` shifts the
+    mask along each factor cover, one step per cover in place of one down
+    row per member.
     """
 
     __slots__ = ()
@@ -855,10 +857,12 @@ class Scale:
     """Comparison policy for the totally ordered value scale.
 
     Exact mode compares rationals directly; tolerant mode reads a <= b as
-    a <= b + tolerance, added in floats to a float b and exactly to any other
-    b: an int or Fraction b past a float's range would overflow in floats,
-    and one above 2**53 could round to a float below b.  The sum is monotone
-    in b, so ``le`` is too.  On both scales, ``eq`` is the symmetric part
+    a <= b or a <= b + tolerance.  For floats the first test adds nothing; on
+    an int or Fraction above 2**53, b + tolerance may round to a float below
+    b, and the first test keeps ``le`` reflexive there.  Only where b is past
+    a float's range, so that the float sum overflows, is the tolerance added
+    exactly, and every such b lies above every float.  Both tests are
+    monotone, so ``le`` is too.  On both scales, ``eq`` is the symmetric part
     of ``le``, so a value band and a level set agree on a float at the
     tolerance's edge.
     Tolerant comparisons are only transitive when the compared values keep
@@ -889,12 +893,10 @@ class Scale:
     def le(self, a, b) -> bool:
         if self.kind == "exact":
             return a <= b
-        if a <= b:
-            return True
-        tolerance = self.tolerance
-        if isinstance(b, float):
-            return a <= b + tolerance
-        return tolerance == math.inf or a <= b + Fraction(tolerance)
+        try:
+            return a <= b or a <= b + self.tolerance
+        except OverflowError:
+            return self.tolerance == math.inf or a <= b + Fraction(self.tolerance)
 
     def lt(self, a, b) -> bool:
         return not self.le(b, a)

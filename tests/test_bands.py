@@ -141,3 +141,16 @@ def test_integers_past_a_floats_range(scale):
     assert oracle.certify_quasi_leontief(u).ok
     reg = oracle.certify_regular(u)
     assert reg.ok and reg.dual_table == {0: 0, F(big, 2): 1, big: 1, big + F(1, 2): 2, big + 1: 2}
+
+
+def test_tolerant_le_is_monotone_over_mixed_kinds():
+    """For b1 <= b2 of any kinds, a <= b1 on the scale implies a <= b2:
+    the float 1 + 1e-9, which lies above the exact sum, against 1.0 and a
+    Fraction just above 1.0, and values on either side of a float's range."""
+    scale, big = q.tolerant(), 10**400
+    values = [0, 1.0, F(1) + F(1, 2**60), F(1) + F(1e-9), 1 + 1e-9, 1.5, 10**20 + 1, 1e308, big, big + 1]
+    assert values == sorted(values)
+    for a in values + [F(1) + F(1, 10**9) + F(1, 10**17)]:
+        for b1, b2 in zip(values, values[1:]):
+            assert scale.le(a, b2) or not scale.le(a, b1), (a, b1, b2)
+    assert scale.le(1 + 1e-9, 1.0) and scale.le(1 + 1e-9, F(1) + F(1, 2**60))

@@ -829,6 +829,19 @@ class TestMinProductFile:
         assert main(["maximize", u, "--downset", s]) == 2
         assert capsys.readouterr().err == "error: point '1,2' has wrong arity\n"
 
+    def test_nested_product_decomposes(self, tmp_path, capsys):
+        # the first axis slice is itself a product, read point by point
+        u = write(tmp_path, "nested.json", NESTED_MIN_PRODUCT)
+        s = write(tmp_path, "s.json", {"generators": [[["1", "2"], "1"]]})
+        upper = write(tmp_path, "upper.json", [["2", "2"], "2"])
+        assert main(["decompose", "--json", u, "--subset", s, "--upper", upper]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["identity"] == {"ok": True, "violations": []}
+        assert report["factors"] == [
+            {f"{a},{b}": str(min(int(a), int(b))) for a in "012" for b in "012"},
+            {t: t for t in "012"},
+        ]
+
     def test_nested_closed_form_restriction(self, tmp_path, capsys):
         u = write(tmp_path, "u.json", NESTED_RESTRICT)
         s = write(tmp_path, "s.json", {"generators": [["1"]]})

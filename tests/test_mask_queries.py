@@ -168,3 +168,13 @@ def test_factorwise_answers_match_the_built_tables(k):
 
 def test_factorwise_products_cover_both_index_orders():
     assert {p._ordered for p in factorwise_products()} == {True, False}
+
+
+def test_random_downset_on_an_unbuilt_product():
+    """The corpus down-set generator samples the product's points, builds
+    nothing, and draws what it draws on the built twin."""
+    for k, space in enumerate(factorwise_products()):
+        rng, twin_rng = (corpus.derive_rng(19, "random-downset", k) for _ in range(2))
+        S = corpus.random_downset(rng, space)
+        assert S.mask == corpus.random_downset(twin_rng, tables(space)).mask
+        assert type(space) is not q.ProductSpace
