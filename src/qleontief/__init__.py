@@ -26,7 +26,6 @@ from .leontief import (
     LeastlessLevelSetError,
     NotCertifiedError,
     PowerLeontief,
-    PriceMatrixLeontief,
     TabulatedUtility,
     UtilityError,
     affine_transform,
@@ -67,7 +66,6 @@ from .maximize import (
     RefinementTrace,
     argmax_members,
     argmax_over_downset,
-    argmax_via_generators,
     check_argmax_localization,
     efficient_refinement,
     product_downset,

@@ -23,7 +23,6 @@ from .io import (
     elem_key,
     encode_elem,
     encode_value,
-    generators_from_json,
     load_json,
     point_from_json,
     utility_from_json,
@@ -34,7 +33,6 @@ from .maximize import (
     PreconditionError,
     argmax_members,
     argmax_over_downset,
-    argmax_via_generators,
     check_argmax_localization,
     efficient_refinement,
     product_downset,
@@ -86,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--quiet", action="store_true", help="suppress detail lines")
         p.add_argument("--tolerance", type=_tolerance, default=None,
-                       help="tolerance override for closed-form utilities")
+                       help="tolerance override for a utility on the tolerant scale")
 
     p = sub.add_parser("check", help="run the certifier battery on a utility")
     p.add_argument("utility")
@@ -125,17 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_utility(path: str, tolerance: Optional[float]):
+def _load_utility(path: str, tolerance: Optional[float]) -> TabulatedUtility:
     u = utility_from_json(load_json(path), base_dir=os.path.dirname(path) or ".")
-    if tolerance is not None and getattr(u, "scale", None) is not None:
-        if u.scale.kind == "tolerant":
-            u.scale = tolerant(tolerance)
-    return u
-
-
-def _as_tabulated(u) -> TabulatedUtility:
-    if not isinstance(u, TabulatedUtility):
-        raise InputError("this command needs a tabulated utility or a gridded closed form")
+    if tolerance is not None and u.scale.kind == "tolerant":
+        u.scale = tolerant(tolerance)
     return u
 
 
@@ -169,7 +160,7 @@ def _emit(report: dict, args, lines: List[str]) -> None:
 
 
 def cmd_check(args) -> int:
-    u = _as_tabulated(_load_utility(args.utility, args.tolerance))
+    u = _load_utility(args.utility, args.tolerance)
     certs = []
     base = oracle.certify_quasi_leontief(u)
     certs.append(base)
@@ -202,7 +193,7 @@ def _emit_certificates(args, certs) -> int:
 
 
 def cmd_efficient(args) -> int:
-    u = _as_tabulated(_load_utility(args.utility, args.tolerance))
+    u = _load_utility(args.utility, args.tolerance)
     _refuse_chained_values(u)
     u = oracle.require_certified(u)
     S = None if args.subset is None else downset_from_json(load_json(args.subset), u.poset)
@@ -214,17 +205,6 @@ def cmd_efficient(args) -> int:
 
 def cmd_maximize(args) -> int:
     u = _load_utility(args.utility, args.tolerance)
-    if not isinstance(u, TabulatedUtility):
-        # continuous closed form: isotonicity pushes the maximum to the
-        # generators, so a generated down-set is enough
-        gens = generators_from_json(
-            load_json(args.downset), "closed-form maximize needs a generated down-set"
-        )
-        res = argmax_via_generators(u, gens)
-        report = _report(args, result=res.to_json(), ok=True)
-        _emit(report, args, [f"value {encode_value(res.value)}",
-                             f"maximizers {[encode_elem(x) for x in res.maximizers]}"])
-        return 0
     _refuse_chained_values(u)
     u = oracle.require_certified(u)
     S = downset_from_json(load_json(args.downset), u.poset)
@@ -253,7 +233,7 @@ def _parse_order(raw: str, n: int) -> List[int]:
 
 
 def cmd_refine(args) -> int:
-    u = _as_tabulated(_load_utility(args.utility, args.tolerance))
+    u = _load_utility(args.utility, args.tolerance)
     if u.space is None:
         raise InputError("refine needs a product-domain utility")
     space = u.space
@@ -299,7 +279,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    u = _as_tabulated(_load_utility(args.utility, args.tolerance))
+    u = _load_utility(args.utility, args.tolerance)
     if u.space is None:
         raise InputError("decompose needs a product-domain utility")
     space = u.space

@@ -15,13 +15,12 @@ and no per-slice table is built unless the slice fails.
 ``maximize.efficient_refinement`` reads its steps and its axis-efficiency
 checks off the same records.
 
-``efficient_set`` reads a table's efficient points off its level records and
-tests a closed form (io keeps one only on a continuous box) at probe points.
+``efficient_set`` reads a table's efficient points off its level records.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import oracle
 from .leontief import (
@@ -140,33 +139,23 @@ def efficient_mask(u: TabulatedUtility) -> int:
     return sum(1 << i for r, i in enumerate(_level_leasts(u)) if rank[i] == r)
 
 
-def efficient_set(u, subset: Optional[Iterable] = None) -> Tuple:
-    """The points fixed by the interior map: of a table, every such point of
-    its domain, by ascending value; of a closed form, those among the probe
-    points ``subset``, which a table does not take.
+def efficient_set(u: TabulatedUtility) -> Tuple:
+    """The points of a certified table's domain that the interior map fixes,
+    by ascending value.
 
     For a certified utility this set is totally ordered; the chain property is
     asserted and its violation raises InconsistencyError.
     """
-    if isinstance(u, TabulatedUtility):
-        if subset is not None:
-            raise UtilityError("a table's efficient set takes no probe points")
-        mask = efficient_mask(u)
-        if not u.poset._chain_in(mask):
-            raise InconsistencyError("efficient set of a certified utility is not a chain")
-        order = sorted(_bits(mask), key=u._ranks().rank.__getitem__)
-        return tuple(map(u.poset.point, order))
-    if subset is None:
-        raise UtilityError("closed-form efficient set needs explicit probes")
-    return tuple(x for x in map(tuple, subset) if is_efficient_global(u, x))
+    mask = efficient_mask(u)
+    if not u.poset._chain_in(mask):
+        raise InconsistencyError("efficient set of a certified utility is not a chain")
+    order = sorted(_bits(mask), key=u._ranks().rank.__getitem__)
+    return tuple(map(u.poset.point, order))
 
 
-def is_efficient_global(u, x) -> bool:
+def is_efficient_global(u: TabulatedUtility, x) -> bool:
     """True iff the interior map fixes x."""
-    if isinstance(u, TabulatedUtility):
-        return u.interior(x) == u.poset.point(u._index_of(x))
-    ix = u.interior(x)
-    return all(u.scale.eq(a, b) for a, b in zip(ix, tuple(x)))
+    return u.interior(x) == u.poset.point(u._index_of(x))
 
 
 def is_efficient_minimal(u: TabulatedUtility, x) -> bool:

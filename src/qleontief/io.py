@@ -4,13 +4,12 @@ Poset:     {"elements": ["e1", ...], "covers": [["a","b"], ...]} or {"leq": [...
 Product:   {"product": [<poset>, ...]}
 Down-set:  {"generators": [...]} or {"members": [...]}
 Utility:   tabulated {"poset": <poset-or-path>, "values": {"e1": "3/2", ...}}
-           or closed form {"type": "classical"|"power"|"price_matrix"|
-           "min_product"|"affine"|"restrict", ...}
+           or {"type": "classical"|"power"|"min_product"|"affine"|"restrict", ...}
 
-``utility_from_json`` alone picks table or formula: a classical or power
-form on a box gridded on every axis loads as its table, and combinators of
-tables give tables; a continuous box keeps the formula.  A ``min_product``
-takes tables only, so one with a continuous factor is refused at load.
+``utility_from_json`` always returns a table: a classical or power form
+loads as its table on its box, which needs a ``step`` on every axis, and
+the combinators map tables to tables.  A box axis without a step and the
+retired ``price_matrix`` form are input errors.
 
 Rationals are "p/q" strings; a closed form's numbers may also be floats, but
 not NaN or an infinity.  Product points appear either as arrays of
@@ -38,7 +37,6 @@ from .leontief import (
     Box,
     BoxAxis,
     PowerLeontief,
-    PriceMatrixLeontief,
     TabulatedUtility,
     UtilityError,
     affine_transform,
@@ -224,35 +222,19 @@ def downset_from_json(obj, space) -> DownSet:
     raise InputError("down-set needs 'generators' or 'members'")
 
 
-def generators_from_json(obj, missing: str) -> list:
-    """The points of a closed-form generated down-set, ``{"generators":
-    [[x1, ...], ...]}``, as tuples of numbers; ``missing`` is the error text
-    when ``obj`` has no generators."""
-    gens = obj.get("generators") if isinstance(obj, dict) else None
-    if gens is None:
-        raise InputError(missing)
-    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-        raise InputError("down-set 'generators' must be a list of points")
-    return [tuple(parse_number(c) for c in g) for g in gens]
-
-
 def _box_from_json(obj) -> Box:
     axes = obj.get("axes") if isinstance(obj, dict) else None
     if not isinstance(axes, list) or not axes:
         raise InputError("box needs a nonempty 'axes' list")
     if not all(isinstance(ax, dict) for ax in axes):
         raise InputError("box 'axes' must be a list of objects")
-    return Box([
-        BoxAxis(
-            parse_number(ax["lo"]),
-            parse_number(ax["hi"]),
-            parse_number(ax["step"]) if "step" in ax else None,
-        )
-        for ax in axes
-    ])
+    for k, ax in enumerate(axes, 1):
+        if "step" not in ax:
+            raise InputError(f"box axis {k} has no 'step': a closed form is read as its table on a grid")
+    return Box([BoxAxis(*(parse_number(ax[f]) for f in ("lo", "hi", "step"))) for ax in axes])
 
 
-def utility_from_json(obj, *, base_dir: str = "."):
+def utility_from_json(obj, *, base_dir: str = ".") -> TabulatedUtility:
     if isinstance(obj, str):
         return utility_from_json(load_json(os.path.join(base_dir, obj)), base_dir=base_dir)
     if not isinstance(obj, dict):
@@ -269,10 +251,7 @@ def utility_from_json(obj, *, base_dir: str = "."):
             alpha = [parse_number(c) for c in _list(obj, "alpha")]
             return _on_grid(PowerLeontief(a, alpha, _box_from_json(obj["box"])))
         if kind == "price_matrix":
-            P = obj["P"]
-            if not isinstance(P, list) or not all(isinstance(r, list) and len(r) == len(P) for r in P):
-                raise InputError("price matrix 'P' must be a square list of rows")
-            return PriceMatrixLeontief([[parse_number(c) for c in row] for row in P])
+            raise InputError("the price_matrix form is no longer read: give the utility as a table")
         if kind == "affine":
             base = utility_from_json(obj["base"], base_dir=base_dir)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))
@@ -280,18 +259,13 @@ def utility_from_json(obj, *, base_dir: str = "."):
             from .oracle import require_certified
 
             factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
-            product = min_product(*factors)  # refuses a closed-form factor
+            product = min_product(*factors)
             for f in factors:  # a factor that is not quasi-Leontief fails with its own witness
                 require_certified(f)
             return product
         if kind == "restrict":
             base = utility_from_json(obj["base"], base_dir=base_dir)
-            if isinstance(base, TabulatedUtility):
-                return restrict(base, downset_from_json(obj["downset"], base.poset))
-            gens = generators_from_json(
-                obj["downset"], "closed-form restriction needs generators"
-            )
-            return restrict(base, gens)
+            return restrict(base, downset_from_json(obj["downset"], base.poset))
     except KeyError as exc:
         raise InputError(f"utility object is missing field {exc}") from None
     except (OrderError, UtilityError) as exc:
@@ -299,10 +273,8 @@ def utility_from_json(obj, *, base_dir: str = "."):
     raise InputError(f"unknown utility type {kind!r}")
 
 
-def _on_grid(form):
-    """The table of a closed form on a fully gridded box, else the form."""
-    if not form.box.is_grid():
-        return form
+def _on_grid(form) -> TabulatedUtility:
+    """The table of a closed form on its gridded box."""
     try:
         return tabulate(form)
     except (OrderError, UtilityError) as exc:

@@ -3,19 +3,18 @@
 A utility u maps a partially ordered domain into a totally ordered scale.
 It is quasi-Leontief when every upper level set u^-1(up(u(x))) has a least
 element u°(x) (the interior map); it is regular when every nonempty level
-set u^-1(up(lam)) has one (the dual map u#).  Closed forms carry their dual
-in formula form; a table reads its dual off its cached level records once
-the oracle has certified it (see the oracle module).  Both read the interior
-off the dual, u° = u# ∘ u.  ``tabulate`` turns a closed form on a gridded
-box into its table.
-Every combinator maps tables to a table (``affine_transform``, ``restrict``,
-``min_product``, ``min_pointwise``), so a combined table is certified like
-any other.  ``min_product`` and ``min_pointwise`` take tables only;
-``affine_transform`` and ``restrict`` also wrap a closed form, and only
-those wrappers compute a dual by formula.  A table reads a point to its
-index through its poset's ``index_of``, and a product table made by
-``tabulate``, ``min_product`` or a table file asks its order queries of the
-factors, so it builds no product tables.
+set u^-1(up(lam)) has one (the dual map u#).  The closed forms
+(``PowerLeontief``, ``classical_leontief``) carry their dual in formula
+form; a table reads its dual off its cached level records once the oracle
+has certified it (see the oracle module).  Both read the interior off the
+dual, u° = u# ∘ u.  ``tabulate`` turns a closed form on a gridded box into
+its table, which is what every command reads.
+Every combinator takes tables and gives a table (``affine_transform``,
+``restrict``, ``min_product``, ``min_pointwise``), so a combined table is
+certified like any other; a closed form is refused.  A table reads a
+point to its index through its poset's ``index_of``, and a product table
+made by ``tabulate``, ``min_product`` or a table file asks its order
+queries of the factors, so it builds no product tables.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .order import DownSet, EXACT, Element, FinitePoset, OrderError, ProductSpace, Scale, _bits, check_size, tolerant
 
@@ -498,15 +497,8 @@ class Box:
             scale.le(a.lo, c) and scale.le(c, a.hi) for a, c in zip(self.axes, x)
         )
 
-    def is_grid(self) -> bool:
-        return all(a.step is not None for a in self.axes)
-
     def __repr__(self) -> str:
         return "Box(" + " x ".join(map(repr, self.axes)) + ")"
-
-
-def _leq_pointwise(scale: Scale, x: Sequence, y: Sequence) -> bool:
-    return all(scale.le(a, b) for a, b in zip(x, y))
 
 
 def _in_float_range(v, scale: Scale) -> bool:
@@ -612,133 +604,8 @@ class PowerLeontief(_Closure):
             for ax, c, e in zip(self.box.axes, self.a, self.alpha)
         )
 
-    def leq_points(self, x: Sequence, y: Sequence) -> bool:
-        return _leq_pointwise(self.scale, self._check(x), self._check(y))
-
     def __repr__(self) -> str:
         return f"PowerLeontief(a={self.a}, alpha={self.alpha})"
-
-
-class PriceMatrixLeontief(_Closure):
-    """u(x) = min_i p_i . x for linearly independent nonnegative price rows.
-
-    The domain is R^n ordered by x <=_P y iff P x <= P y componentwise.
-    The solved vector x_P with P x_P = 1 gives interior(x) = u(x) x_P and
-    dual(lam) = lam x_P.
-    """
-
-    def __init__(self, P: Sequence[Sequence[float]], *, scale: Optional[Scale] = None):
-        import numpy as np
-
-        self._np = np
-        mat = np.asarray(P, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise UtilityError("price matrix must be square")
-        if (mat < 0).any():
-            raise UtilityError("price rows must be nonnegative")
-        self.P = mat
-        self.scale = scale if scale is not None else tolerant()
-        ones = np.ones(mat.shape[0])
-        try:
-            xp = np.linalg.solve(mat, ones)
-        except np.linalg.LinAlgError as exc:
-            raise UtilityError(f"singular price matrix: {exc}") from exc
-        if not np.allclose(mat @ xp, ones, atol=max(self.scale.tolerance, 1e-12)):
-            raise UtilityError("linear solve failed to satisfy P x_P = 1")
-        self.x_P = tuple(float(t) for t in xp)
-
-    @property
-    def n_axes(self) -> int:
-        return self.P.shape[0]
-
-    def _check(self, x: Sequence) -> Any:
-        if len(x) != self.n_axes:
-            raise DomainError(f"point {x!r} has wrong arity")
-        return self._np.asarray(x, dtype=float)
-
-    def value(self, x: Sequence) -> float:
-        with self._np.errstate(over="ignore", invalid="ignore"):
-            v = float((self.P @ self._check(x)).min())
-        if not math.isfinite(v):
-            raise UtilityError(f"the price form at {tuple(x)!r} overflows a float")
-        return v
-
-    def dual(self, lam) -> Tuple:
-        return tuple(float(lam) * t for t in self.x_P)
-
-    def leq_points(self, x: Sequence, y: Sequence) -> bool:
-        px = self.P @ self._check(x)
-        py = self.P @ self._check(y)
-        return bool((px <= py + self.scale.tolerance).all())
-
-    def __repr__(self) -> str:
-        return f"PriceMatrixLeontief(n={self.n_axes})"
-
-
-class AffineUtility(_Closure):
-    """a * u + b with a > 0; shares the interior map of the base utility."""
-
-    def __init__(self, base, a, b):
-        if a <= 0:
-            raise UtilityError("affine factor must be strictly positive")
-        self.base = base
-        self.a = a
-        self.b = b
-        self.scale = base.scale
-
-    def value(self, x):
-        v = self.a * self.base.value(x) + self.b
-        if not _in_float_range(v, self.scale):
-            raise UtilityError(f"the affine transform at {tuple(x)!r} overflows a float")
-        return v
-
-    def interior(self, x):
-        # not dual(value(x)): (a * v + b - b) / a need not equal v in floats
-        return self.base.interior(x)
-
-    def dual(self, lam):
-        return self.base.dual((lam - self.b) / self.a)
-
-    def leq_points(self, x, y):
-        return self.base.leq_points(x, y)
-
-    def __repr__(self) -> str:
-        return f"AffineUtility({self.a} * {self.base!r} + {self.b})"
-
-
-class RestrictedUtility(_Closure):
-    """Restriction of a closed-form utility to a generated comprehensive subset."""
-
-    def __init__(self, base, generators: Sequence):
-        self.base = base
-        self.generators = tuple(tuple(g) for g in generators)
-        if not self.generators:
-            raise UtilityError("restriction needs at least one generator")
-        self.scale = base.scale
-
-    def _member(self, x) -> bool:
-        return any(self.base.leq_points(x, g) for g in self.generators)
-
-    def value(self, x):
-        if not self._member(x):
-            raise DomainError(f"point {x!r} outside the restricted domain")
-        return self.base.value(x)
-
-    def interior(self, x):
-        self.value(x)
-        return self.base.interior(x)
-
-    def dual(self, lam):
-        d = self.base.dual(lam)
-        if d is None or not self._member(d):
-            return None
-        return d
-
-    def leq_points(self, x, y):
-        return self.base.leq_points(x, y)
-
-    def __repr__(self) -> str:
-        return f"RestrictedUtility({self.base!r}, {len(self.generators)} generators)"
 
 
 # ---------------------------------------------------------------------------
@@ -773,12 +640,16 @@ def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
     return forms[0]
 
 
+def _require_tables(name: str, utilities: Sequence) -> None:
+    if not all(isinstance(u, TabulatedUtility) for u in utilities):
+        raise UtilityError(f"{name} needs tables; a closed form is a table only on a gridded box")
+
+
 def min_product(*factors) -> TabulatedUtility:
     """min_i u_i(x_i): the uncertified table on the ``ProductSpace`` of the
     factor posets.  Every factor must be a table; ``tabulate`` gives the
     table of a closed form on a gridded box."""
-    if not all(isinstance(f, TabulatedUtility) for f in factors):
-        raise UtilityError("min-product needs tables; a closed form is a table only on a gridded box")
+    _require_tables("min-product", factors)
     scale = _shared_scale(factors, "min-product", "factor")
     space = ProductSpace([f.poset for f in factors])
     check_size(len(space))
@@ -797,42 +668,34 @@ def min_pointwise(*parts) -> TabulatedUtility:
     return TabulatedUtility._of_column(parts[0].poset, column, scale)
 
 
-def affine_transform(u, a, b):
-    """a * u + b with a > 0; the interior map is unchanged.
-
-    Tabulated utilities are materialized with transformed values, certified
-    only on the exact scale (a tolerant one compares the rescaled gaps to the
-    same tolerance); closed forms get a wrapper.
-    """
+def affine_transform(u: TabulatedUtility, a, b) -> TabulatedUtility:
+    """a * u + b with a > 0: the table of the transformed values, whose
+    interior map is u's.  It is certified when u is and the scale is exact;
+    a tolerant one compares the rescaled gaps to the same tolerance."""
+    _require_tables("affine transform", [u])
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
-    if isinstance(u, TabulatedUtility):
-        column = [a * v + b for v in u.column]
-        bad = next((i for i, v in enumerate(column) if not _in_float_range(v, u.scale)), None)
-        if bad is not None:
-            raise UtilityError(f"the affine transform at {u.poset.point(bad)!r} overflows a float")
-        new = TabulatedUtility._of_column(u.poset, column, u.scale)
-        new.certified = u.certified and u.scale.kind == "exact"
-        return new
-    return AffineUtility(u, a, b)
+    column = [a * v + b for v in u.column]
+    bad = next((i for i, v in enumerate(column) if not _in_float_range(v, u.scale)), None)
+    if bad is not None:
+        raise UtilityError(f"the affine transform at {u.poset.point(bad)!r} overflows a float")
+    new = TabulatedUtility._of_column(u.poset, column, u.scale)
+    new.certified = u.certified and u.scale.kind == "exact"
+    return new
 
 
-def restrict(u, downset: Union[DownSet, Sequence]):
-    """Restrict u to a comprehensive subset.
-
-    Tabulated utilities are restricted to the induced sub-poset (certification
-    carries over: interiors of members stay inside a comprehensive set).
-    Closed forms take a finite generator list.
-    """
-    if isinstance(u, TabulatedUtility):
-        if not isinstance(downset, DownSet):
-            raise UtilityError("tabulated restriction needs a DownSet")
-        if downset.space != u.poset:
-            raise UtilityError("down-set lives in a different poset")
-        new = _sub_table(u, u.poset._induced_on(downset.mask), list(_bits(downset.mask)))
-        new.certified = u.certified
-        return new
-    return RestrictedUtility(u, downset)
+def restrict(u: TabulatedUtility, downset: DownSet) -> TabulatedUtility:
+    """The table of u on the sub-poset induced by a comprehensive subset.
+    Certification carries over: interiors of members stay inside a
+    comprehensive set."""
+    _require_tables("restriction", [u])
+    if not isinstance(downset, DownSet):
+        raise UtilityError("tabulated restriction needs a DownSet")
+    if downset.space != u.poset:
+        raise UtilityError("down-set lives in a different poset")
+    new = _sub_table(u, u.poset._induced_on(downset.mask), list(_bits(downset.mask)))
+    new.certified = u.certified
+    return new
 
 
 def tabulate(u) -> TabulatedUtility:

@@ -34,7 +34,8 @@ class ArgmaxResult:
     ``largest_efficient`` is the largest efficient point inside the set; it
     is itself a maximizer and every maximizer dominates it.
     ``maximal_maximizer`` is a maximizer that is maximal in the set.
-    ``argmax_over_downset`` fills both; ``argmax_via_generators`` neither.
+    ``argmax_over_downset`` fills both; a record built from
+    ``argmax_members`` alone leaves them None.
     """
 
     value: Any
@@ -96,21 +97,6 @@ def argmax_over_downset(u: TabulatedUtility, S: DownSet) -> ArgmaxResult:
     if not tops:
         raise InconsistencyError("no maximizer is maximal in the down-set")
     return ArgmaxResult(best, poset._unmask(mask), poset.point(k), min(tops, key=str))
-
-
-def argmax_via_generators(u, generators: Sequence) -> ArgmaxResult:
-    """Maximize over the down-set generated by finitely many points.
-
-    Isotonicity pushes the maximum to the generators, so only they are
-    evaluated; ties are broken by the string form of the generator.
-    """
-    gens = list(generators)
-    if not gens:
-        raise OrderError("empty generator list")
-    values = [(u.value(g), g) for g in gens]
-    best = max(v for v, _ in values)
-    winners = sorted((g for v, g in values if u.scale.eq(v, best)), key=str)
-    return ArgmaxResult(best, tuple(winners))
 
 
 def check_argmax_localization(u: TabulatedUtility, S: DownSet, res: ArgmaxResult) -> Certificate:

@@ -333,14 +333,28 @@ def test_check_on_a_gridded_box_holds_no_large_meet_table(axes, monkeypatch, tmp
     assert calls and all(type(p) is FinitePoset and len(p) in sizes for p in calls)
 
 
-def test_check_does_not_import_numpy():
+def test_check_does_not_import_numpy(tmp_path):
+    """The commands run in a process where ``import numpy`` fails, so no
+    module they load imports it."""
+    axis = tmp_path / "axis.json"
+    axis.write_text(json.dumps({"members": ["0", "1", "2"]}))
+    p3, cl = str(DATA / "product3.json"), str(DATA / "classical.json")
+    calls = [
+        ["check", p3],
+        ["efficient", p3],
+        ["maximize", p3, "--downset", str(DATA / "product3_members.json")],
+        ["refine", p3, "--sets", *(str(DATA / f"product3_axis{k}.json") for k in (1, 2, 3))],
+        ["check", cl],
+        ["efficient", cl],
+        ["maximize", cl, "--downset", str(DATA / "classical_generators.json")],
+        ["refine", cl, "--sets", str(axis), str(axis)],
+    ]
     src = str(Path(q.__file__).resolve().parents[1])
-    script = ("import sys; from qleontief.cli import main; "
-              f"code = main(['check', {str(DATA / 'min_grid.json')!r}]); "
-              "print(code, 'numpy' in sys.modules)")
+    script = ("import sys; sys.modules['numpy'] = None; from qleontief.cli import main; "
+              f"print([main(argv) for argv in {calls!r}])")
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=60, env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert run.stdout.splitlines()[-1] == "0 False"
+    assert run.stdout.splitlines()[-1] == str([0] * len(calls))
 
 
 def test_utility_domain_is_the_product():

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -43,10 +42,15 @@ def min_x1x3_x2(lo=1, hi=4):
     return q.TabulatedUtility(space.as_poset(), values)
 
 
+def grid_table(a, box):
+    """The certified table of min_i a_i x_i on the grid of ``box``."""
+    return q.certify_regular(q.tabulate(q.classical_leontief(a, box))).utility
+
+
 class TestEfficientSet:
     def test_diagonal_for_equal_coefficients(self):
-        u = q.classical_leontief([F(1), F(1)], q.Box.cube(2, 0, 3, 1))
-        eff = q.efficient_set(u, product(range(4), repeat=2))
+        u = grid_table([F(1), F(1)], q.Box.cube(2, 0, 3, 1))
+        eff = q.efficient_set(u)
         assert set(eff) == {(k, k) for k in range(4)}
 
     def test_identity_on_chain_every_point(self):
@@ -55,16 +59,13 @@ class TestEfficientSet:
         assert set(q.efficient_set(u)) == set(range(4))
 
     def test_unbalanced_coefficients_grid_locus(self):
-        u = q.classical_leontief([F(1), F(2)], q.Box.cube(2, 0, 4, 1))
-        eff = q.efficient_set(u, product(range(5), repeat=2))
+        # steps 2 and 1 put every least grid point of a level on the locus
+        u = grid_table([F(1), F(2)], q.Box([q.BoxAxis(0, 4, 2), q.BoxAxis(0, 2, 1)]))
+        eff = q.efficient_set(u)
         assert set(eff) == {(F(0), F(0)), (F(2), F(1)), (F(4), F(2))}
         # locus check: a1 x1 == a2 x2 on each one
         for x in eff:
             assert 1 * x[0] == 2 * x[1]
-
-    def test_table_takes_no_probe_points(self, min_on_4x4):
-        with pytest.raises(q.UtilityError, match="takes no probe points"):
-            q.efficient_set(min_on_4x4, [(1, 1)])
 
     def test_uncertified_table_raises(self, min_on_4x4):
         raw = q.TabulatedUtility(min_on_4x4.poset, min_on_4x4.values)
@@ -86,7 +87,7 @@ class TestIsEfficientGlobal:
             assert q.is_efficient_global(min_on_4x4, min_on_4x4.interior(y))
 
     def test_off_locus_point(self):
-        u = q.classical_leontief([F(1), F(2)], q.Box.cube(2, 0, 4, 1))
+        u = grid_table([F(1), F(2)], q.Box.cube(2, 0, 4, 1))
         assert not q.is_efficient_global(u, (F(4), F(1)))
 
     def test_level_set_identity_form(self, min_on_4x4):

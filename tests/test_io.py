@@ -135,14 +135,14 @@ class TestUtilityFiles:
                 "type": "power",
                 "a": ["1", "1"],
                 "alpha": ["2", "1"],
-                "box": {"axes": [{"lo": "0", "hi": "9"}, {"lo": "0", "hi": "9"}]},
+                "box": {"axes": [{"lo": "0", "hi": "9", "step": "1"}] * 2},
             }
         )
         assert u.value((F(3), F(4))) == 4
 
-    def test_price_matrix_form(self):
-        u = io.utility_from_json({"type": "price_matrix", "P": [[2.0, 0.0], [0.0, 4.0]]})
-        assert u.x_P == pytest.approx((0.5, 0.25))
+    def test_price_matrix_form_is_refused(self):
+        with pytest.raises(io.InputError, match="the price_matrix form is no longer read"):
+            io.utility_from_json({"type": "price_matrix", "P": [[2.0, 0.0], [0.0, 4.0]]})
 
     def test_affine_over_classical(self):
         u = io.utility_from_json(
@@ -153,7 +153,7 @@ class TestUtilityFiles:
                 "base": {
                     "type": "classical",
                     "a": ["1", "2"],
-                    "box": {"axes": [{"lo": "0", "hi": "4"}] * 2},
+                    "box": {"axes": [{"lo": "0", "hi": "4", "step": "1"}] * 2},
                 },
             }
         )

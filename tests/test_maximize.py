@@ -176,34 +176,6 @@ def test_argmax_members_on_a_tolerant_run_below_the_maximum():
     assert q.argmax_members(u, q.DownSet.from_generators(chain, ["c"])) == (0.9, ("b", "c"))
 
 
-class TestArgmaxViaGenerators:
-    def test_classical_two_generators(self):
-        u = q.classical_leontief([F(1), F(2)], q.Box.cube(2, 0, 4, 1))
-        res = q.argmax_via_generators(u, [(F(4), F(1)), (F(1), F(4))])
-        assert res.value == 2
-        assert res.maximizers == ((F(4), F(1)),)
-
-    def test_single_generator(self, min_on_4x4):
-        res = q.argmax_via_generators(min_on_4x4, [(1, 2)])
-        assert res.maximizers == ((1, 2),)
-        assert res.value == 1
-
-    def test_chain_of_generators_takes_the_top(self, min_on_4x4):
-        res = q.argmax_via_generators(min_on_4x4, [(0, 1), (1, 1), (3, 3)])
-        assert res.maximizers == ((3, 3),)
-
-    def test_agrees_with_downset_argmax(self, min_on_4x4):
-        gens = [(2, 3), (3, 1)]
-        via_gens = q.argmax_via_generators(min_on_4x4, gens)
-        via_set = q.argmax_over_downset(min_on_4x4, downset(min_on_4x4.poset, gens))
-        assert via_gens.value == via_set.value
-        assert set(via_gens.maximizers) <= set(via_set.maximizers)
-
-    def test_empty_generator_list_rejected(self, min_on_4x4):
-        with pytest.raises(q.OrderError):
-            q.argmax_via_generators(min_on_4x4, [])
-
-
 class TestMaximalArgmax:
     def test_grid_example(self, min_on_4x4):
         s = downset(min_on_4x4.poset, [(2, 3), (3, 1)])
