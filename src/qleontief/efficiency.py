@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import oracle
 from .leontief import (
-    LeastlessLevelSetError, NotCertifiedError, TabulatedUtility, UtilityError, _axis_slice,
+    LeastlessLevelSetError, NotCertifiedError, TabulatedUtility, UtilityError, _axis_slice, _require_tables,
 )
 from .oracle import Certificate, InconsistencyError
 from .order import Element, ProductSpace, _bits
@@ -133,6 +133,7 @@ def _level_leasts(u: TabulatedUtility) -> List[int]:
 def efficient_mask(u: TabulatedUtility) -> int:
     """The efficient points of a certified table as a mask: the least element
     m of the level set at each attained value, kept when u(m) is that value."""
+    _require_tables("the efficient set", [u])
     if not u.certified:
         raise NotCertifiedError("dual requires a certified utility")
     rank = u._ranks().rank
@@ -155,6 +156,7 @@ def efficient_set(u: TabulatedUtility) -> Tuple:
 
 def is_efficient_global(u: TabulatedUtility, x) -> bool:
     """True iff the interior map fixes x."""
+    _require_tables("the efficiency test", [u])
     return u.interior(x) == u.poset.point(u._index_of(x))
 
 

@@ -30,8 +30,8 @@ import math
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
-from typing import Any, Callable, Tuple, Union
+from itertools import accumulate, chain
+from typing import Any, Callable, Optional, Tuple, Union
 
 from .leontief import (
     Box,
@@ -39,6 +39,7 @@ from .leontief import (
     PowerLeontief,
     TabulatedUtility,
     UtilityError,
+    _Ranks,
     affine_transform,
     classical_leontief,
     min_product,
@@ -137,16 +138,17 @@ def poset_from_json(obj, *, base_dir: str = ".") -> FinitePoset:
     raise InputError("poset needs 'covers' or 'leq'")
 
 
-def _ids(raw, n=None) -> bool:  # arrays and objects are unhashable, null means no element
-    return isinstance(raw, list) and (n is None or len(raw) == n) and not any(
-        e is None or isinstance(e, (list, dict)) for e in raw)
+def _ids(raw) -> bool:
+    """A list of ids: arrays and objects are unhashable, and null names no element."""
+    return isinstance(raw, list) and not {type(None), list, dict} & set(map(type, raw))
 
 
 def _pairs(obj, field: str) -> list:
     pairs = obj[field]
-    if not isinstance(pairs, list) or not all(_ids(p, 2) for p in pairs):
+    if not (isinstance(pairs, list) and set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and _ids(list(chain.from_iterable(pairs)))):
         raise InputError(f"poset '{field}' must be a list of element pairs")
-    return [tuple(p) for p in pairs]
+    return list(map(tuple, pairs))
 
 
 def resolve_element(space: FinitePoset, raw):
@@ -290,56 +292,77 @@ def _list(obj: dict, field: str) -> list:
     return raw
 
 
-_EMPTY_SLOT = object()
+def _canonical_keys(space: FinitePoset) -> Optional[list]:
+    """Each point's key in index order: a plain poset's ids, or the ids
+    comma-joined on a product of plain factors whose ids are strings without
+    a comma.  None on any other product, where a numeric id's string may
+    name another element and a comma-bearing id splits in two."""
+    if not isinstance(space, ProductSpace):
+        return list(space.elements)
+    if all(not isinstance(f, ProductSpace) and all(isinstance(e, str) and "," not in e for e in f.elements)
+           for f in space.factors):
+        return list(map(",".join, space.points()))
+    return None
 
 
-def _key_index(space: FinitePoset) -> dict:
-    """Each point's index by its canonical key, its ids comma-joined, on a
-    product of plain factors whose ids are all strings without a comma:
-    there ``locate`` reads that key by its ``_offsets`` lookup, to the same
-    index.  Empty on any other space, where the joined ids need not be a key
-    that ``locate`` reads to that point: a numeric id's string may name
-    another element, and a comma-bearing id splits into two parts."""
-    if not isinstance(space, ProductSpace) or not all(
-            not isinstance(f, ProductSpace) and all(isinstance(e, str) and "," not in e for e in f.elements)
-            for f in space.factors):
-        return {}
-    return dict(zip(map(",".join, space.points()), range(len(space))))
+def _key_index(space: FinitePoset, keys: Optional[list]) -> dict:
+    """Each canonical key's point index, the one ``locate`` reads it to: on
+    a plain poset its ``_index``, which ``locate`` reads first."""
+    if not isinstance(space, ProductSpace):
+        return space._index
+    return dict(zip(keys, range(len(keys)))) if keys else {}
 
 
 def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
-    """The table of a ``values`` object, written by element index into one
-    column: each key is read to its index (on a product of plain factors,
-    the mixed-radix number of its factor indices), and an error names its
-    point by ``point``, with no product table built.  A key spelled the way
-    ``_key_index`` spells its point is read by one dict lookup, any other
-    spelling by ``locate``.  A slot is tested for a value by identity:
-    ``in`` would compare every value in the column."""
+    """The table of a ``values`` object, its column and rank table made in
+    a few passes with no Python step per key.  Keys listed as
+    ``_canonical_keys`` lists them take one list comparison; else each is
+    read by ``_key_index``, a miss by ``locate``, and one dict puts the
+    values in element order.  Only strings and ints are read, and no string
+    equals an int, so each distinct raw value is parsed once (``true`` is
+    never read as 1) and enters ``_Ranks`` past its id dedup.  A faulty file
+    is read again key by key for its error (``_first_fault``)."""
     space = poset_from_json(obj["poset"], base_dir=base_dir)
     raw_values = obj["values"]
     if not isinstance(raw_values, dict):
         raise InputError("tabulated 'values' must be an object")
-    locate = _reader(space)[0]
-    column = [_EMPTY_SLOT] * check_size(len(space))
-    index = _key_index(space)  # after check_size: no key of an oversized product is made
-    parsed = {}  # each distinct raw value is parsed once; its type keeps true apart from 1
+    n = check_size(len(space))
+    keys, raws = list(raw_values), list(raw_values.values())
+    canonical = _canonical_keys(space)  # after check_size: no key of an oversized product is made
+    try:
+        if keys != canonical:
+            index, locate = _key_index(space, canonical), _reader(space)[0]
+            ids = list(map(index.get, keys))
+            if None in ids:
+                ids = [locate(k) if i is None else i for k, i in zip(keys, ids)]
+            raws = list(map(dict(zip(ids, raws)).__getitem__, range(n)))  # KeyError: a point has no value
+        distinct = dict.fromkeys(raws)  # TypeError: an array or an object
+        objects = list(map(parse_rational, distinct))
+        fault = len(keys) > n or not set(map(type, raws)) <= {str, int}  # a point named twice, or true or a float
+    except (InputError, KeyError, TypeError):
+        fault = True
+    if fault:
+        raise _first_fault(space, raw_values)
+    ranks = object.__new__(_Ranks)
+    ranks._sort(objects, EXACT, distinct, raws)
+    column = list(map(dict(zip(distinct, objects)).__getitem__, raws))
+    return TabulatedUtility._of_column(space, column, EXACT, ranks)
+
+
+def _first_fault(space: FinitePoset, raw_values: dict) -> Exception:
+    """The first fault of ``values`` in file order, a key's before its
+    value's and a missing point last: a point named twice or missing is
+    returned, an unreadable key or value raises from its reader."""
+    locate, seen = _reader(space)[0], set()
     for key, raw in raw_values.items():
-        i = index.get(key)
-        if i is None:
-            i = locate(key)
-        if column[i] is not _EMPTY_SLOT:
-            raise InputError(f"point {elem_key(space.point(i))!r} is named twice in 'values' "
-                             f"(again as {key!r})")
-        try:
-            column[i] = parsed[type(raw), raw]
-        except KeyError:
-            column[i] = parsed[type(raw), raw] = parse_rational(raw)
-        except TypeError:  # an array or an object: refused with its own message
-            column[i] = parse_rational(raw)
-    if len(raw_values) < len(column):  # no key filled two slots, so some slot is empty
-        i = next(i for i, v in enumerate(column) if v is _EMPTY_SLOT)
-        raise UtilityError(f"no value for element {space.point(i)!r}")
-    return TabulatedUtility._of_column(space, column, EXACT)
+        i = locate(key)
+        if i in seen:
+            return InputError(f"point {elem_key(space.point(i))!r} is named twice in 'values' "
+                              f"(again as {key!r})")
+        seen.add(i)
+        parse_rational(raw)
+    i = next(i for i in range(len(space)) if i not in seen)
+    return UtilityError(f"no value for element {space.point(i)!r}")
 
 
 def point_from_json(obj, space):

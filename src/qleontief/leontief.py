@@ -114,22 +114,23 @@ class _Ranks:
     of its distinct value objects.
 
     ``image`` holds the sorted distinct values and ``rank[i]`` the position of
-    element i's value in it.  The values are deduplicated by ``id`` (the list
-    keeps every object alive, so ids stay unique), only the distinct objects
-    are sorted, and equal neighbours in the sort share a rank, so no value is
-    hashed; an element reads its rank back by the id of its value.  That pays
-    only where comparisons are dear, so a table of at most three values, or
-    one of floats (the tolerant scale; its first value decides), is sorted as
-    it stands.  Distinct Fractions and ints sort by a float key first, which
-    leaves Fraction comparisons to float ties.  ``suffix[r]`` masks the
-    elements of rank r or more, and ``suffix[len(image)]`` is 0: with shared
-    objects the masks OR up per rank, else one running mask follows the
-    sort.  ``levels[s]`` caches the record of the suffix from rank s, which
-    every level whose set starts there reads; the empty suffix, s =
-    len(image), is the shared ``_EMPTY``.  The rest is filled in on first
-    use: ``probes``, the default probe levels, and ``slices``, the interior
-    record of each one-axis slice of a product table, keyed by (axis, index
-    of the slice's first point).
+    element i's value in it.  The front end, ``__init__``, deduplicates the
+    values by ``id`` (the list keeps every object alive, so ids stay unique),
+    so no value is hashed; that pays only where comparisons are dear, so a
+    table of at most three values, or one of floats (the tolerant scale; its
+    first value decides), goes to the back end as it stands.  The back end,
+    ``_sort``, sorts the distinct objects, merges equal neighbours into one
+    rank, and gives each element the rank of its object; a table file's
+    loader enters there with its own distinct values.  Distinct Fractions
+    and ints sort by a float key first, which leaves Fraction comparisons to
+    float ties.  ``suffix[r]`` masks the elements of rank r or more, and
+    ``suffix[len(image)]`` is 0: with shared objects the masks OR up per
+    rank, else one running mask follows the sort.  ``levels[s]`` caches the
+    record of the suffix from rank s, which every level whose set starts
+    there reads; the empty suffix, s = len(image), is the shared ``_EMPTY``.
+    The rest is filled in on first use: ``probes``, the default probe
+    levels, and ``slices``, the interior record of each one-axis slice of a
+    product table, keyed by (axis, index of the slice's first point).
 
     On the table's scale, ``lo[r]`` starts the level set at image[r] (see
     ``_band_starts``), and the ranks the scale counts equal to rank r run
@@ -139,34 +140,44 @@ class _Ranks:
     __slots__ = ("rank", "image", "suffix", "lo", "levels", "probes", "slices")
 
     def __init__(self, values: Sequence, scale: Scale = EXACT):
-        distinct = keys = values
         if len(values) > 3 and type(values[0]) is not float:
             objects = dict(zip(map(id, values), values))
-            distinct = keys = list(objects.values())
-            if set(map(type, distinct)) <= _RATIONAL:
-                # float() rounds monotonically, so (float(v), v) sorts like v
-                # and compares exactly, with Fraction work only on float ties
-                try:
-                    keys = list(zip(map(float, distinct), distinct))
-                except OverflowError:
-                    pass
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        rank = [0] * len(keys)
+            if len(objects) < len(values):
+                self._sort(list(objects.values()), scale, objects, map(id, values))
+                return
+        self._sort(values, scale)
+
+    def _sort(self, distinct: Sequence, scale: Scale, keys: Optional[Iterable] = None,
+              members: Iterable = ()) -> None:
+        """Rank the value objects ``distinct`` and fill the table.  Without
+        ``keys`` they are the elements' own values, listed by element index;
+        else ``members`` gives each element's key, and ``keys`` lists the key
+        of each of ``distinct`` in turn."""
+        order_keys = distinct
+        if set(map(type, distinct)) <= _RATIONAL:
+            # float() rounds monotonically, so (float(v), v) sorts like v
+            # and compares exactly, with Fraction work only on float ties
+            try:
+                order_keys = list(zip(map(float, distinct), distinct))
+            except OverflowError:
+                pass
+        order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
+        rank = [0] * len(order_keys)
         image: List = []
         r = -1
         for i in order:
-            k = keys[i]
+            k = order_keys[i]
             if r < 0 or not k == prev:  # a Fraction's == is cheaper than its !=
                 image.append(distinct[i])
                 prev = k
                 r += 1
             rank[i] = r
         suffix = None
-        if len(distinct) < len(values):
+        if keys is not None:
             # each element takes its object's rank, with no second sort of the
             # elements; when no object is shared, the running mask below ORs
             # half as often as the masks of ``_fill``
-            rank = list(map(dict(zip(objects, rank)).__getitem__, map(id, values)))
+            rank = list(map(dict(zip(keys, rank)).__getitem__, members))
         else:
             suffix = [0] * (r + 2)
             mask = 0
@@ -401,12 +412,12 @@ class TabulatedUtility(_Closure):
         # have a least element without being upward closed.
         poset = self.poset
         mask = self._rank_table.suffix[s]
-        least = poset._least_in(mask)
+        least, up = poset._least_and_up(mask)
         if least is None:
             mins = poset._unmask(poset._minimal_in(mask))
             return LevelSet(mask, None, mins[:2], "has no least element")
         m = poset.point(least)
-        outside = poset._up_of(least) & ~mask
+        outside = up & ~mask
         if outside:
             y = poset.point((outside & -outside).bit_length() - 1)
             return LevelSet(mask, m, (m, y), f"is not the up-set of {m!r}: "

@@ -385,6 +385,11 @@ class FinitePoset:
                 return i
         return None
 
+    def _least_and_up(self, m: int) -> Tuple[Optional[int], int]:
+        """``_least_in(m)`` and the mask of its up-set, 0 when there is none."""
+        i = self._least_in(m)
+        return i, 0 if i is None else self._up_of(i)
+
     def _greatest_in(self, m: int) -> Optional[int]:
         """Index of the member of mask m above all of m, or None."""
         down = self._down
@@ -683,7 +688,8 @@ class _UnbuiltProduct(ProductSpace):
     when every factor lists its elements in a linear-extension order, as a
     chain does, the index order of the points is one too, and that point is
     the mask's lowest-index (highest-index) member, tested against its
-    up-set (down-set): one row in place of one cylinder per factor element.
+    up-set (down-set): one row in place of one cylinder per factor element,
+    which ``_least_and_up`` hands on, so a level record builds it once.
     ``_minimal_in``, ``_chain_in``, ``_below`` and ``_induced_on`` are
     ``FinitePoset``'s, reading those rows; ``_missing_below`` shifts the
     mask along each factor cover, one step per cover in place of one down
@@ -724,9 +730,15 @@ class _UnbuiltProduct(ProductSpace):
 
     def _least_in(self, m: int) -> Optional[int]:
         if self._ordered:
-            i = (m & -m).bit_length() - 1
-            return i if m and not m & ~self._up_of(i) else None
+            return self._least_and_up(m)[0]
         return self._extreme_in(m, "_least_in")
+
+    def _least_and_up(self, m: int) -> Tuple[Optional[int], int]:
+        if not self._ordered:
+            return FinitePoset._least_and_up(self, m)
+        i = (m & -m).bit_length() - 1
+        up = self._up_of(i) if m else 0
+        return (i, up) if m and not m & ~up else (None, 0)
 
     def _greatest_in(self, m: int) -> Optional[int]:
         if self._ordered:

@@ -80,6 +80,13 @@ class TestEfficientSet:
             efficient_mask(u)
         assert exc.value.witnesses == ("a", "b")
 
+    def test_closed_form_is_refused(self):
+        # a closed form counts as certified, but only its table has level records
+        form = q.classical_leontief([1], q.Box.cube(1, 0, 2, 1))
+        for read in (q.efficient_set, efficient_mask, lambda u: q.is_efficient_global(u, (F(1),))):
+            with pytest.raises(q.UtilityError, match="needs tables; a closed form is a table only on a"):
+                read(form)
+
 
 class TestIsEfficientGlobal:
     def test_interior_images_are_efficient(self, min_on_4x4):

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import operator
 import os
 import random
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import qleontief as q
 from qleontief import io
 from qleontief.cli import main
+from qleontief.leontief import _Ranks
 from qleontief.order import MAX_POINTS, elem_key
 
 
@@ -56,7 +58,9 @@ class TestPosetFiles:
                 }
             )
 
-    @pytest.mark.parametrize("covers", [[["a", ["b"]]], [["a", "b", "c"]], [{"a": "b"}], "ab"])
+    @pytest.mark.parametrize("covers", [[["a", ["b"]]], [["a", "b", "c"]], [{"a": "b"}], "ab",
+                                        [["a", "b"], ["b", None]], [["a", "b"], ["c"]], [["a", "b"], "bc"],
+                                        [["a", "b"], ["b", {"c": 1}]]])
     def test_malformed_pairs_are_input_errors(self, covers):
         with pytest.raises(io.InputError, match="'covers' must be a list of element pairs"):
             io.poset_from_json({"elements": ["a", "b", "c"], "covers": covers})
@@ -261,7 +265,8 @@ class TestDeterministicReports:
 
 def ref_load_table(obj):
     """The loader that keys each value by its point: every key read to its
-    element, the values gathered in a dict, and the table made from that."""
+    element of a plain poset or a product, in file order, the values gathered
+    in a dict, and the table made from that, which names a missing point."""
     space = io.poset_from_json(obj["poset"])
     values = {}
     for key, raw in obj["values"].items():
@@ -299,38 +304,64 @@ def factor_ids(factor):
         ",".join(p) for p in product(*map(factor_ids, factor["product"]))]
 
 
+FAULTS = ["twice", "missing", "unknown", "arity", "value"]
+BAD_VALUES = ["x", "1/0", True, 1.0, 1.5, None, ["1"]]
+
+
 def value_files(seed):
-    """Tables on products of one to three factors with string, numeric and
-    comma-bearing ids, keyed in several spellings and orders: every key
-    spelled as the product enumerates its points, every key spelled with
-    blanks, or a mix.  Some have a point named twice, a point missing, an
-    unknown coordinate, a wrong arity or a bad value."""
+    """Tables on plain posets and on products of one to three factors, with
+    string, numeric and comma-bearing ids, keyed in several spellings and
+    orders: every key spelled as the space enumerates its points, every key
+    spelled with blanks, or a mix.  Some have one or two faults: a point
+    named twice, a point missing, an unknown coordinate, a wrong arity or a
+    bad value, which may sit on a faulty key."""
     rng = random.Random(seed)
-    factors = [rng.choice(FACTORS[:4] * 3 + FACTORS[4:]) for _ in range(rng.randint(1, 3))]
-    points = list(product(*map(factor_ids, factors)))
+    if rng.random() < 0.3:  # a plain poset, its points read as 1-tuples
+        poset = rng.choice(FACTORS[:5])
+        factors, points = [poset], [(e,) for e in poset["elements"]]
+    else:
+        factors = [rng.choice(FACTORS[:4] * 3 + FACTORS[4:]) for _ in range(rng.randint(1, 3))]
+        poset, points = {"product": factors}, list(product(*map(factor_ids, factors)))
     spell = [lambda cs: ",".join(cs), lambda cs: " " + ",".join(cs), lambda cs: ", ".join(cs)]
     spellings = rng.choice([spell[:1], spell, spell[1:]])
     keys = [rng.choice(spellings)([str(c) for c in p]) for p in points]
-    fault = rng.choice(["none", "none", "twice", "missing", "unknown", "arity", "value"])
-    if fault == "twice":
+    faults = rng.choice([[], [], *([f] for f in FAULTS), rng.sample(FAULTS, 2)])
+    if "twice" in faults:
         keys.append(rng.choice(spell[1:])([str(c) for c in rng.choice(points)]))
-    elif fault == "missing":
+    if "missing" in faults:
         keys.pop(rng.randrange(len(keys)))
-    elif fault == "unknown":
+    if "unknown" in faults:
         keys.append(",".join(["9"] * len(factors)))
-    elif fault == "arity":
+    if "arity" in faults:
         keys.append(",".join(["0"] * (len(factors) + 1)))
     rng.shuffle(keys)
     values = {k: rng.choice(["0", "1/2", 1, "2/2", "3"]) for k in keys}
-    if fault == "value":
-        values[rng.choice(keys)] = "x"
-    return {"poset": {"product": factors}, "values": values}
+    if "value" in faults:
+        bad = rng.choice(BAD_VALUES)
+        if bad == 1:  # true or 1.0 next to the int 1, which equals it
+            values = dict.fromkeys(keys, 1)
+        values[rng.choice(keys)] = bad
+    return {"poset": poset, "values": values}
 
 
 @pytest.mark.parametrize("seed", range(150))
 def test_column_load_matches_the_keyed_loader(seed):
     obj = value_files(seed)
     assert load_outcome(io.utility_from_json, obj) == load_outcome(ref_load_table, obj)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_loaded_rank_table_is_the_columns(seed):
+    """The rank table the loader makes is the one ``_Ranks`` makes of the
+    loaded column, down to which of two equal values stands in the image."""
+    obj = value_files(seed)
+    try:
+        u = io.utility_from_json(obj)
+    except io.InputError:
+        return
+    got, fresh = u._rank_table, _Ranks(u.column)
+    assert (got.rank, got.suffix, got.lo) == (fresh.rank, fresh.suffix, fresh.lo)
+    assert len(got.image) == len(fresh.image) and all(map(operator.is_, got.image, fresh.image))
 
 
 @pytest.mark.parametrize("values, err", [
@@ -391,7 +422,8 @@ def test_canonical_keys_are_read_without_locate(monkeypatch):
 
 def test_oversized_product_makes_no_key(tmp_path, monkeypatch):
     made = []
-    monkeypatch.setattr(io, "_key_index", lambda space: made.append(space) or {})
+    for maker in ("_canonical_keys", "_key_index"):
+        monkeypatch.setattr(io, maker, lambda space, *keys: made.append(space) or {})
     chain = {"elements": ["0", "1"], "covers": [["0", "1"]]}
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"poset": {"product": [chain] * 17}, "values": {",".join("0" * 17): "1"}}))

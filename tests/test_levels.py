@@ -506,6 +506,22 @@ def test_corrupted_check_stops_at_the_first_bad_level(monkeypatch, capsys):
     assert len(built) < len(probes)
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_level_record_builds_one_up_set_on_a_chain_product(corrupt, monkeypatch):
+    """On an unbuilt chain product the least element's up-set is built once
+    per level record: the least-element test hands it to the record."""
+    space = q.grid_space(range(4), range(3), range(3))
+    values = {x: min(x[0], 2 * x[1], x[2]) for x in space}
+    if corrupt:  # (0, 1, 2) lies above (0, 1, 1), the least element of its level set, with a smaller value
+        values[0, 1, 1] = 2
+    u = q.TabulatedUtility(space, values)
+    up_of, calls = type(space)._up_of, []
+    monkeypatch.setattr(type(space), "_up_of", lambda self, i: calls.append(i) or up_of(self, i))
+    records = [u.level_set(lam) for lam in u.image()]
+    assert calls == [rec.index for rec in records]
+    assert any(rec.fault for rec in records) == corrupt
+
+
 class CountedSum(F):
     """A Fraction that counts the sums it takes, so the midpoints a probe
     list needs can be counted."""

@@ -11,16 +11,21 @@ on the checkout's ``tests/data/tolerant_power.json``, copied under
 values are small integers held as floats.  Then come ``efficient``,
 ``maximize --downset`` and ``refine --sets`` on the checkout's
 ``tests/data/product3.json`` and on a copy whose ``values`` keys are joined
-with ", " (both under ``<workdir>/rekeyed``): 388 calls.  Last come
+with ", " (both under ``<workdir>/rekeyed``): 388 calls.  Then come
 ``efficient``, ``maximize --downset`` (members and generators) and
 ``refine --sets`` on a copy of ``product3.json`` whose second factor lists
 its elements top first, so that its element order is no linear extension
-(under ``<workdir>/reordered``): 392 calls.  Every call runs
+(under ``<workdir>/reordered``): 392 calls.  Last come ``check``,
+``efficient`` and ``maximize --downset`` on a copy of ``product3.json``
+whose ``values`` keys are shuffled, and on a table over a plain poset with
+numeric ids, whose every key the loader reads by ``locate`` (both under
+``<workdir>/keypaths``): 398 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
-only when both runs use the same ``<workdir>``.  Exits 1 when a re-keyed
-call's answer differs from the canonical call's by more than the input path.
+only when both runs use the same ``<workdir>``.  Exits 1 when a re-keyed or
+shuffled call's answer differs from the canonical call's by more than the
+input path.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 WORKLOADS = ("check-battery", "product-maximize", "corpus-sweep")
@@ -105,6 +111,39 @@ def reordered_calls(checkout: str, workdir: str):
     yield ["refine", "--json", table, "--sets", *axes]
 
 
+NUMERIC_INPUTS = {
+    "numeric.json": {
+        "poset": {"elements": [0, 1, 2, 3, 4], "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4]]},
+        "values": {"0": "0", "1": "1", "2": "0", "3": "1", "4": "1"},
+    },
+    "numeric_downset.json": {"generators": [2, 3]},
+}
+
+
+def key_path_calls(checkout: str, workdir: str):
+    """The calls on a key-shuffled copy of ``product3.json`` and on the
+    numeric-id table, each with the call on ``product3.json`` itself that
+    must answer alike (None for the numeric table), with their inputs written
+    under ``<workdir>/keypaths``."""
+    folder, data = os.path.join(workdir, "keypaths"), os.path.join(checkout, "tests", "data")
+    os.makedirs(folder, exist_ok=True)
+    inputs = dict(NUMERIC_INPUTS)
+    for name in ("product3.json", "product3_members.json"):
+        with open(os.path.join(data, name)) as src:
+            inputs[name] = json.load(src)
+    items = list(inputs["product3.json"]["values"].items())
+    random.Random(0).shuffle(items)
+    inputs["product3_shuffled.json"] = dict(inputs["product3.json"], values=dict(items))
+    for name, obj in inputs.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    table, shuffled, members, numeric, downset = (os.path.join(folder, n) for n in (
+        "product3.json", "product3_shuffled.json", "product3_members.json", "numeric.json", "numeric_downset.json"))
+    for t, d, canonical in ((shuffled, members, table), (numeric, downset, None)):
+        for command, *rest in (["check"], ["efficient"], ["maximize", "--downset", d]):
+            yield [command, "--json", t, *rest], canonical and [command, "--json", canonical, *rest]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -159,6 +198,11 @@ def main(argv=None) -> int:
             differ.append(pair[1])
     for call in reordered_calls(checkout, workdir):
         answer(call)
+    for call, canonical in key_path_calls(checkout, workdir):
+        code, out, err = answer(call)
+        if canonical and run(cli, canonical) != (code, out.replace(call[2], canonical[2]),
+                                                 err.replace(call[2], canonical[2])):
+            differ.append(call)
     print(count, digest.hexdigest())
     for call in differ:
         print(f"re-keyed call differs from the canonical one: {call}", file=sys.stderr)
