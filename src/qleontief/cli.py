@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import corpus as corpus_mod
 from . import oracle
@@ -149,11 +149,13 @@ def _report(args, **fields) -> dict:
             "input": getattr(args, "utility", None), **fields}
 
 
-def _emit(report: dict, args, lines: List[str]) -> None:
+def _emit(report: dict, args, lines: Callable[[], List[str]]) -> None:
+    """Print ``report`` as JSON under ``--json``, else the text ``lines()``,
+    which only text mode builds."""
     if args.json:
         sys.stdout.write(dumps_report(report))
     else:
-        for line in lines:
+        for line in lines():
             if args.quiet and not (line.startswith("PASS") or line.startswith("FAIL")):
                 continue
             print(line)
@@ -161,34 +163,33 @@ def _emit(report: dict, args, lines: List[str]) -> None:
 
 def cmd_check(args) -> int:
     u = _load_utility(args.utility, args.tolerance)
-    certs = []
     base = oracle.certify_quasi_leontief(u)
-    certs.append(base)
+    certs = [base.to_json()]
     if base.ok:
         # the quasi-Leontief certificate implies the adjunction of regular's
         # own table, isotonicity, property Phi, a least element and the meet
         # identity on either scale (see the oracle module)
-        reg = oracle.certify_regular(base.utility)
+        reg = oracle.certify_regular(base.utility).to_json()
         certs.append(reg)
-        if reg.ok:
-            certs.append(oracle.Certificate(True, "galois-adjunction", dual_table=reg.dual_table))
+        if reg["verdict"] == "pass":
+            # the adjunction of the same table: its report differs in name only
+            certs.append(dict(reg, property="galois-adjunction"))
         props = ["isotone", "property-phi", "lower-bounded-level-sets"]
         if u.poset.is_inf_semilattice():
             props.append("meet-homomorphism")
-        certs += [oracle.Certificate(True, p) for p in props]
+        certs += [oracle.Certificate(True, p).to_json() for p in props]
     return _emit_certificates(args, certs)
 
 
-def _emit_certificates(args, certs) -> int:
-    """Report ``certs`` on the utility, one PASS or FAIL line each, and
-    return the exit code."""
-    ok = all(c.ok for c in certs)
-    lines = [
-        f"PASS {c.prop}" if c.ok
-        else f"FAIL {c.prop}: {c.detail} witnesses={[encode_elem(w) for w in c.witnesses]}"
+def _emit_certificates(args, certs: List[dict]) -> int:
+    """Report the certificates ``certs``, given as their JSON forms, on the
+    utility, one PASS or FAIL line each, and return the exit code."""
+    ok = all(c["verdict"] == "pass" for c in certs)
+    _emit(_report(args, certificates=certs, ok=ok), args, lambda: [
+        f"PASS {c['property']}" if c["verdict"] == "pass"
+        else f"FAIL {c['property']}: {c.get('detail', '')} witnesses={c['witnesses']}"
         for c in certs
-    ]
-    _emit(_report(args, certificates=[c.to_json() for c in certs], ok=ok), args, lines)
+    ])
     return 0 if ok else 1
 
 
@@ -199,7 +200,7 @@ def cmd_efficient(args) -> int:
     S = None if args.subset is None else downset_from_json(load_json(args.subset), u.poset)
     pts = [encode_elem(p) for p in efficient_set(u) if S is None or p in S]
     report = _report(args, mode="global-chain", points=pts, ok=True)
-    _emit(report, args, [f"{len(pts)} efficient points", *(str(p) for p in pts)])
+    _emit(report, args, lambda: [f"{len(pts)} efficient points", *map(str, pts)])
     return 0
 
 
@@ -210,15 +211,15 @@ def cmd_maximize(args) -> int:
     S = downset_from_json(load_json(args.downset), u.poset)
     res = argmax_over_downset(u, S)
     loc = check_argmax_localization(u, S, res)
-    report = _report(args, result=res.to_json(), localization=loc.to_json(), ok=loc.ok)
-    lines = [
-        f"value {encode_value(res.value)}",
-        f"maximizers {[encode_elem(x) for x in res.maximizers]}",
-        f"largest efficient {encode_elem(res.largest_efficient)}",
-        f"maximal maximizer {encode_elem(res.maximal_maximizer)}",
+    result = res.to_json()
+    report = _report(args, result=result, localization=loc.to_json(), ok=loc.ok)
+    _emit(report, args, lambda: [
+        f"value {result['value']}",
+        f"maximizers {result['maximizers']}",
+        f"largest efficient {result['largest_efficient']}",
+        f"maximal maximizer {result['maximal_maximizer']}",
         ("PASS" if loc.ok else "FAIL") + " argmax-localization",
-    ]
-    _emit(report, args, lines)
+    ])
     return 0 if loc.ok else 1
 
 
@@ -257,23 +258,26 @@ def cmd_refine(args) -> int:
         trace = efficient_refinement(cu, S, x_star, res, order=order)
     except (PreconditionError, UtilityError, InconsistencyError) as exc:
         report = _report(args, ok=False, error=str(exc))
-        _emit(report, args, [f"FAIL refinement: {exc}"])
+        _emit(report, args, lambda: [f"FAIL refinement: {report['error']}"])
         return 1
-    report = _report(args, trace=trace.to_json(), ok=True)
-    lines = [
-        f"start {encode_elem(trace.start)}",
-        *(
-            f"axis {s.axis + 1}: {encode_elem(s.before)} -> {encode_elem(s.after)}"
-            for s in trace.steps
-        ),
-        f"result {encode_elem(trace.result)}",
-        "PASS refinement (argmax, dominated, efficient)",
-    ]
+    record = trace.to_json()
+    report = _report(args, trace=record, ok=True)
     if cert.ok:
         xbar = res.largest_efficient
         report["largest_efficient"] = encode_elem(xbar)
         report["refined_equals_largest_efficient"] = xbar == trace.result
-        lines.append(f"largest efficient {encode_elem(xbar)}")
+
+    def lines():
+        out = [
+            f"start {record['start']}",
+            *(f"axis {s['axis']}: {s['from']} -> {s['to']}" for s in record["steps"]),
+            f"result {record['result']}",
+            "PASS refinement (argmax, dominated, efficient)",
+        ]
+        if cert.ok:
+            out.append(f"largest efficient {report['largest_efficient']}")
+        return out
+
     _emit(report, args, lines)
     return 0
 
@@ -308,9 +312,10 @@ def cmd_decompose(args) -> int:
         },
         ok=not bad,
     )
-    lines = [f"{len(parts)} axis utilities"]
-    lines.append(("PASS" if not bad else "FAIL") + " min-identity on subset")
-    _emit(report, args, lines)
+    _emit(report, args, lambda: [
+        f"{len(parts)} axis utilities",
+        ("PASS" if not bad else "FAIL") + " min-identity on subset",
+    ])
     return 0 if not bad else 1
 
 
@@ -407,12 +412,11 @@ def cmd_corpus(args) -> int:
         "suites": suites,
         "ok": total == 0,
     }
-    lines = [
-        f"{s['name']}: {s['instances']} instances, {s['inconsistencies']} inconsistencies"
-        for s in suites
-    ]
-    lines.append(("PASS" if total == 0 else "FAIL") + f" corpus ({total} inconsistencies)")
-    _emit(report, args, lines)
+    _emit(report, args, lambda: [
+        *(f"{s['name']}: {s['instances']} instances, {s['inconsistencies']} inconsistencies"
+          for s in suites),
+        ("PASS" if total == 0 else "FAIL") + f" corpus ({total} inconsistencies)",
+    ])
     return 0 if total == 0 else 1
 
 
@@ -432,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except oracle.CertificationError as exc:
         # a mathematical verdict, not an input problem
-        return _emit_certificates(args, [exc.certificate])
+        return _emit_certificates(args, [exc.certificate.to_json()])
     except (InputError, OrderError, UtilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -100,14 +100,18 @@ def parse_number(raw) -> Union[Fraction, float]:
     return parse_rational(raw)
 
 
+# The exact type tests come first: ``isinstance`` against Fraction, an ABC,
+# is the slow part of these two.
 def encode_value(v) -> Any:
-    return str(v) if isinstance(v, Fraction) else v
+    return str(v) if type(v) is Fraction or isinstance(v, Fraction) else v
 
 
 def encode_elem(e) -> Any:
+    if type(e) is str:
+        return e
     if isinstance(e, tuple):
         return [encode_elem(c) for c in e]
-    if isinstance(e, Fraction):
+    if type(e) is Fraction or isinstance(e, Fraction):
         return str(e)
     return e
 
@@ -374,5 +378,47 @@ def point_from_json(obj, space):
 
 
 def dumps_report(report: dict) -> str:
-    """Deterministic JSON text for a report object."""
-    return json.dumps(report, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic JSON text for a report object: the text of
+    ``json.dumps(report, sort_keys=True, indent=2, separators=(",", ": "))``
+    plus a newline, and the same exception where ``json.dumps`` refuses the
+    report (a report is a tree: a cycle is not detected).  ``json.dumps``
+    with an indent always runs the pure-Python encoder; this one pass joins
+    strings instead."""
+    return _encode(report, "\n") + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _key(k) -> str:
+    """A dict key as ``json.dumps`` writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` as ``dumps_report`` writes it, where ``newline`` is a newline
+    and the indent of the line ``obj`` starts on.  A str item is quoted in
+    place, with no call of its own."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else _encode(v, inner) for v in obj
+        ]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k if type(k) is str else _key(k)) + ": "
+            + (_quote(v) if type(v) is str else _encode(v, inner))
+            for k, v in sorted(obj.items())
+        ]) + newline + "}"
+    return json.dumps(obj)

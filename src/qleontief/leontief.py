@@ -325,20 +325,35 @@ class TabulatedUtility(_Closure):
         without arithmetic (any totally ordered values work) probe the attained
         values alone, which already decides every verdict.  The midpoint of
         two ints is an exact Fraction: their true division rounds to a
-        float, and overflows past a float's range.  The default
-        probes are made once per rank table; each call returns a new list.
+        float, and overflows past a float's range.  The default probes are
+        built in rank order, each midpoint after its lower neighbour, so no
+        value is hashed or sorted and each attained value is the image's own
+        object.  A float midpoint that rounds onto a neighbour is left out.
+        One that falls outside its neighbours (a sum that overflows to an
+        infinity, an int that rounds on its way to a float) is a stray, and
+        strays are merged in by one sort of the set.  The probes are made
+        once per rank table; each call returns a new list.
         """
         t = self._ranks()
         if t.probes is None:
             img = t.image
-            probes = list(img)
-            for a, b in zip(img, img[1:]):
+            probes, strays = [], []
+            for k in range(1, len(img)):
+                a, b = img[k - 1], img[k]
+                probes.append(a)
                 try:
                     mid = a + b
-                    probes.append(Fraction(mid, 2) if type(mid) is int else mid / 2)
+                    mid = Fraction(mid, 2) if type(mid) is int else mid / 2
                 except TypeError:
+                    probes += img[k:]
                     break
-            t.probes = tuple(sorted(set(probes)))
+                if type(mid) is not float or a < mid < b:
+                    probes.append(mid)
+                elif mid != a and mid != b:
+                    strays.append(mid)
+            else:
+                probes += img[-1:]
+            t.probes = tuple(sorted(set(probes).union(strays)) if strays else probes)
         extra = tuple(extra)
         return sorted(set(t.probes).union(extra)) if extra else list(t.probes)
 

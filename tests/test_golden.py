@@ -18,9 +18,12 @@ generator to integer half-steps.  The ``product4`` reports (``efficient``,
 ``maximize --downset`` with members, and ``refine`` from a start above the
 result, on a 5^4 table) were captured before a product's tables were
 multiplied from factor rows spread once, a table file was read into an index
-column, and the maximum was read off the rank table.  Commands run
-from inside ``tests/data`` so the ``input`` field of a report is the bare
-file name.
+column, and the maximum was read off the rank table.  Each ``*.txt`` file is
+the text output (no ``--json``) of ``efficient``, ``maximize``, ``refine``
+and ``check`` on ``product3.json``, ``corrupted.json`` and
+``plain_poset.json``, captured before text lines were built only in text
+mode.  Commands run from inside ``tests/data`` so the ``input`` field of a
+report is the bare file name.
 """
 from __future__ import annotations
 
@@ -103,6 +106,30 @@ CASES = {
 @pytest.mark.parametrize("golden", sorted(CASES))
 def test_report_matches_golden(golden, monkeypatch, capsys):
     argv, code = CASES[golden]
+    monkeypatch.chdir(DATA)
+    assert main(argv) == code
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+REFINE3 = ["refine", "product3.json", "--sets", "product3_axis1.json", "product3_axis2.json",
+           "product3_axis3.json"]
+
+# text output (no --json), pinned in the ``*.txt`` files
+TEXT_CASES = {
+    "product3.efficient.txt": (["efficient", "product3.json"], 0),
+    "product3.maximize_members.txt": (
+        ["maximize", "product3.json", "--downset", "product3_members.json"], 0),
+    "product3.refine.txt": (REFINE3 + ["--start", "product3_start.json", "--order", "3,1,2"], 0),
+    "product3.refine_quiet.txt": (REFINE3 + ["--quiet"], 0),
+    "corrupted.check.txt": (["check", "corrupted.json"], 1),
+    "corrupted.check_quiet.txt": (["check", "--quiet", "corrupted.json"], 1),
+    "plain_poset.check.txt": (["check", "plain_poset.json"], 0),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(TEXT_CASES))
+def test_text_matches_golden(golden, monkeypatch, capsys):
+    argv, code = TEXT_CASES[golden]
     monkeypatch.chdir(DATA)
     assert main(argv) == code
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")

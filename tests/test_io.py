@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import operator
 import os
 import random
@@ -7,6 +8,7 @@ import tempfile
 from fractions import Fraction as F
 from io import StringIO
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +263,66 @@ class TestDeterministicReports:
         b = io.dumps_report({"a": [2, 1], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+
+def ref_dumps_report(obj):
+    """The report writer's contract: ``json.dumps`` with sorted keys, an
+    indent of 2 and no blank before a comma, then a newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def written(dump, obj):
+    """What ``dump`` makes of obj: its text, or the type of what it raised."""
+    try:
+        return dump(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+JSON_STRINGS = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # lone surrogates included
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f600é'),
+), max_size=8)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2 ** 64, 2 ** 200), st.integers(-(2 ** 200), -(2 ** 64)),
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf]),
+    JSON_STRINGS,
+)
+
+
+def json_trees(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, kids, max_size=4),
+    ), max_leaves=20)
+
+
+@given(json_trees(JSON_SCALARS))
+@settings(max_examples=200, deadline=None)
+def test_report_writer_matches_json_dumps(obj):
+    assert written(io.dumps_report, obj) == written(ref_dumps_report, obj)
+
+
+@given(json_trees(st.one_of(JSON_SCALARS, st.fractions(), st.sets(st.integers(), max_size=2))))
+@settings(max_examples=100, deadline=None)
+def test_report_writer_refuses_what_json_dumps_refuses(obj):
+    assert written(io.dumps_report, obj) == written(ref_dumps_report, obj)
+
+
+@given(st.dictionaries(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),
+                                 st.tuples(st.integers())), JSON_SCALARS, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_report_writer_writes_scalar_keys_as_json_dumps(obj):
+    assert written(io.dumps_report, obj) == written(ref_dumps_report, obj)
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in (Path(__file__).parent / "data").glob("*.out")))
+def test_report_writer_rewrites_every_golden(golden):
+    text = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    obj = json.loads(text)
+    assert io.dumps_report(obj) == ref_dumps_report(obj) == text
 
 
 def ref_load_table(obj):

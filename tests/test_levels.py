@@ -6,6 +6,8 @@ touches the bitmasks the record is built from.
 """
 from __future__ import annotations
 
+import datetime
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -13,6 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qleontief as q
 from qleontief import corpus
@@ -554,6 +557,84 @@ def test_probe_levels_and_regularity_are_made_once_per_rank_table(monkeypatch):
     assert len(probes) == 2 * k - 1
     probes.clear()  # a caller's list is its own
     assert u.probe_levels() == sorted(u.probe_levels([F(99)]))[:-1] and len(u.probe_levels()) == 2 * k - 1
+
+
+def ref_probe_levels(u, extra=()):
+    """The probe levels as the sorted set of the image and the midpoint of
+    each pair of neighbours, up to the first pair without arithmetic,
+    merged with ``extra``."""
+    img = list(u.image())
+    midpoints = []
+    for a, b in zip(img, img[1:]):
+        try:
+            mid = a + b
+            midpoints.append(F(mid, 2) if type(mid) is int else mid / 2)
+        except TypeError:
+            break
+    probes = tuple(sorted(set(img + midpoints)))
+    return sorted(set(probes).union(extra)) if extra else list(probes)
+
+
+def assert_probes_match_reference(values, scale=q.EXACT, extra=()):
+    """``probe_levels`` equals the reference by value and type, and every
+    attained value in it is the image's own object, with and without
+    ``extra`` levels."""
+    chain = q.FinitePoset.chain(range(len(values)))
+    u = q.TabulatedUtility(chain, dict(enumerate(values)), scale=scale)
+    img = u.image()
+    for levels in ((), extra):
+        got, want = u.probe_levels(levels), ref_probe_levels(u, levels)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+        for v in img:
+            assert got[got.index(v)] is v and want[want.index(v)] is v
+
+
+RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(F(-20), F(20), max_denominator=12),
+    st.integers(2 ** 53 - 4, 2 ** 53 + 4),
+    st.integers(10 ** 400 - 3, 10 ** 400 + 3),
+)
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=12), st.lists(RATIONALS, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_probes_match_the_sorted_set_on_exact_tables(values, extra):
+    assert_probes_match_reference(values, q.EXACT, extra)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_probes_match_the_sorted_set_on_float_tables(values, extra):
+    assert_probes_match_reference(values, q.tolerant(0), extra)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, math.nextafter(1.0, 2)],  # the midpoint rounds onto a neighbour
+    [1.0, 1 + 2 ** -52, 1 + 2 ** -51, 2.0],
+    [1e308, 1.7e308],  # the sum overflows to inf, which sorts last
+    [0.0, 1e308, 1.5e308, 1.7e308],
+    [-1.7e308, -1e308, 0.0, 1e308, 1.7e308],  # -inf first, inf last
+    [5e-324, 1e-323, 0.0, -5e-324],
+    [2 ** 53, 2 ** 53 + 1, 2.0 ** 53 + 2],
+])
+def test_probes_match_the_sorted_set_at_float_edges(values):
+    assert_probes_match_reference(values, q.tolerant(0), [0.5, math.inf, -math.inf])
+    assert_probes_match_reference(values, q.EXACT, [1.0])
+
+
+@pytest.mark.parametrize("values", [
+    ["b", "a", "d", "c"],  # str sums exist, their halves do not
+    [datetime.date(2020, 1, d) for d in (3, 1, 2)],  # dates have no sum
+    ["only"],
+])
+def test_probes_of_values_without_arithmetic_are_the_image(values):
+    assert_probes_match_reference(values, q.EXACT, values[:1])
+    chain = q.FinitePoset.chain(range(len(values)))
+    u = q.TabulatedUtility(chain, dict(enumerate(values)))
+    assert u.probe_levels() == list(u.image())
 
 
 def test_rank_table_holds_no_oracle_verdict():

@@ -15,11 +15,14 @@ with ", " (both under ``<workdir>/rekeyed``): 388 calls.  Then come
 ``efficient``, ``maximize --downset`` (members and generators) and
 ``refine --sets`` on a copy of ``product3.json`` whose second factor lists
 its elements top first, so that its element order is no linear extension
-(under ``<workdir>/reordered``): 392 calls.  Last come ``check``,
+(under ``<workdir>/reordered``): 392 calls.  Then come ``check``,
 ``efficient`` and ``maximize --downset`` on a copy of ``product3.json``
 whose ``values`` keys are shuffled, and on a table over a plain poset with
 numeric ids, whose every key the loader reads by ``locate`` (both under
-``<workdir>/keypaths``): 398 calls.  Every call runs
+``<workdir>/keypaths``): 398 calls.  Last of all come ``check``,
+``efficient`` and ``maximize --downset`` on a table over a plain poset
+whose ids need JSON escapes (a non-ASCII letter, a quote, a backslash and
+a control character; under ``<workdir>/escaped``): 401 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
@@ -144,6 +147,31 @@ def key_path_calls(checkout: str, workdir: str):
             yield [command, "--json", t, *rest], canonical and [command, "--json", canonical, *rest]
 
 
+BOTTOM, LEFT, RIGHT, TOP = "\u00e9t\u00e9", 'say "hi"', "back\\slash", "tab\there"
+ESCAPED_INPUTS = {
+    "escaped.json": {
+        "poset": {"elements": [BOTTOM, LEFT, RIGHT, TOP],
+                  "covers": [[BOTTOM, LEFT], [BOTTOM, RIGHT], [LEFT, TOP], [RIGHT, TOP]]},
+        "values": {BOTTOM: "0", LEFT: "1", RIGHT: "0", TOP: "2"},
+    },
+    "escaped_downset.json": {"generators": [LEFT, RIGHT]},
+}
+
+
+def escaped_calls(workdir: str):
+    """The calls on the table whose ids need JSON escapes, with their inputs
+    written under ``<workdir>/escaped``."""
+    folder = os.path.join(workdir, "escaped")
+    os.makedirs(folder, exist_ok=True)
+    for name, obj in ESCAPED_INPUTS.items():
+        with open(os.path.join(folder, name), "w", encoding="utf-8") as out:
+            json.dump(obj, out)
+    table, downset = (os.path.join(folder, n) for n in ESCAPED_INPUTS)
+    yield ["check", "--json", table]
+    yield ["efficient", "--json", table]
+    yield ["maximize", "--json", table, "--downset", downset]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -203,6 +231,8 @@ def main(argv=None) -> int:
         if canonical and run(cli, canonical) != (code, out.replace(call[2], canonical[2]),
                                                  err.replace(call[2], canonical[2])):
             differ.append(call)
+    for call in escaped_calls(workdir):
+        answer(call)
     print(count, digest.hexdigest())
     for call in differ:
         print(f"re-keyed call differs from the canonical one: {call}", file=sys.stderr)
