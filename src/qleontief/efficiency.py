@@ -122,8 +122,9 @@ def _level_leasts(u: TabulatedUtility) -> List[int]:
     """The element index of the least element of the level set at each
     attained value, by rank; LeastlessLevelSetError at the first without one."""
     leasts = []
-    for r, lam in enumerate(u._ranks().image):
-        rec = u._level(lam, r)
+    t = u._ranks()
+    for lam, s in zip(t.image, t.lo):
+        rec = u._record(s)
         if rec.least is None:
             raise LeastlessLevelSetError(lam, rec.witnesses)
         leasts.append(rec.index)

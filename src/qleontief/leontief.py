@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .order import DownSet, EXACT, Element, FinitePoset, OrderError, ProductSpace, Scale, _bits, check_size, tolerant
 
@@ -124,13 +124,13 @@ class _Ranks:
     loader enters there with its own distinct values.  Distinct Fractions
     and ints sort by a float key first, which leaves Fraction comparisons to
     float ties.  ``suffix[r]`` masks the elements of rank r or more, and
-    ``suffix[len(image)]`` is 0: with shared objects the masks OR up per
-    rank, else one running mask follows the sort.  ``levels[s]`` caches the
-    record of the suffix from rank s, which every level whose set starts
-    there reads; the empty suffix, s = len(image), is the shared ``_EMPTY``.
-    The rest is filled in on first use: ``probes``, the default probe
-    levels, and ``slices``, the interior record of each one-axis slice of a
-    product table, keyed by (axis, index of the slice's first point).
+    ``suffix[len(image)]`` is 0; ``_fill`` builds them all in one pass.
+    ``levels[s]`` caches the record of the suffix from rank s, which every
+    level whose set starts there reads; the empty suffix, s = len(image), is
+    the shared ``_EMPTY``.  The rest is filled in on first use: ``probes``,
+    the default probe levels paired with their starts, and ``slices``, the
+    interior record of each one-axis slice of a product table, keyed by
+    (axis, index of the slice's first point).
 
     On the table's scale, ``lo[r]`` starts the level set at image[r] (see
     ``_band_starts``), and the ranks the scale counts equal to rank r run
@@ -172,29 +172,19 @@ class _Ranks:
                 prev = k
                 r += 1
             rank[i] = r
-        suffix = None
         if keys is not None:
-            # each element takes its object's rank, with no second sort of the
-            # elements; when no object is shared, the running mask below ORs
-            # half as often as the masks of ``_fill``
+            # each element takes its object's rank, with no second sort of the elements
             rank = list(map(dict(zip(keys, rank)).__getitem__, members))
-        else:
-            suffix = [0] * (r + 2)
-            mask = 0
-            for i in reversed(order):
-                mask |= 1 << i
-                suffix[rank[i]] = mask
-        self._fill(rank, image, suffix, scale)
+        self._fill(rank, image, scale)
 
-    def _fill(self, rank: List[int], image: Sequence, suffix: Optional[List[int]], scale: Scale) -> None:
-        """Set the table; a ``suffix`` not given ORs up per rank, then down the ranks."""
+    def _fill(self, rank: List[int], image: Sequence, scale: Scale) -> None:
+        """Set the table: the suffix masks OR up per rank, then down the ranks."""
         image = tuple(image)
-        if suffix is None:
-            suffix = [0] * (len(image) + 1)
-            for i, k in enumerate(rank):
-                suffix[k] |= 1 << i
-            for k in range(len(image) - 2, -1, -1):
-                suffix[k] |= suffix[k + 1]
+        suffix = [0] * (len(image) + 1)
+        for i, k in enumerate(rank):
+            suffix[k] |= 1 << i
+        for k in range(len(image) - 2, -1, -1):
+            suffix[k] |= suffix[k + 1]
         self.rank = rank
         self.image = image
         self.suffix = suffix
@@ -210,7 +200,7 @@ class _Ranks:
         met = sorted(set(sub))
         new = object.__new__(_Ranks)
         rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
-        new._fill(rank, map(self.image.__getitem__, met), None, scale)
+        new._fill(rank, map(self.image.__getitem__, met), scale)
         return new
 
 
@@ -319,43 +309,51 @@ class TabulatedUtility(_Closure):
 
     def probe_levels(self, extra: Iterable = ()) -> List:
         """Attained values plus midpoints between consecutive distinct values,
-        merged with ``extra``.
+        merged with ``extra``, in a new list: the levels of ``_probes``.  On a
+        finite domain level sets only change at these thresholds; scales
+        without arithmetic (any totally ordered values work) probe the
+        attained values alone, which already decides every verdict."""
+        return [lam for lam, _ in self._probes(extra)]
 
-        On a finite domain level sets only change at these thresholds; scales
-        without arithmetic (any totally ordered values work) probe the attained
-        values alone, which already decides every verdict.  The midpoint of
-        two ints is an exact Fraction: their true division rounds to a
-        float, and overflows past a float's range.  The default probes are
-        built in rank order, each midpoint after its lower neighbour, so no
-        value is hashed or sorted and each attained value is the image's own
-        object.  A float midpoint that rounds onto a neighbour is left out.
-        One that falls outside its neighbours (a sum that overflows to an
-        infinity, an int that rounds on its way to a float) is a stray, and
-        strays are merged in by one sort of the set.  The probes are made
-        once per rank table; each call returns a new list.
+    def _probes(self, extra: Iterable = ()) -> List[Tuple[Any, int]]:
+        """The probe levels, each paired with the rank where its level set
+        starts.  The default pairs are made once per rank table, in one walk
+        up the ranks that hashes and sorts no value and keeps each attained
+        value the image's own object: image[r] starts at lo[r], and the
+        midpoint of ranks k-1 and k at ``_start(mid, k)``.  The midpoint of
+        two ints is an exact Fraction (their true division rounds to a
+        float, and overflows past a float's range).  A float midpoint that
+        rounds onto a neighbour is left out; one that falls outside its
+        neighbours (a sum that overflows to an infinity, an int that rounds
+        on its way to a float) is a stray.  Strays and ``extra`` are merged
+        in by one sort of the set, each with its start from ``_start``.
         """
         t = self._ranks()
         if t.probes is None:
-            img = t.image
-            probes, strays = [], []
+            img, lo = t.image, t.lo
+            pairs, strays = [], []
             for k in range(1, len(img)):
                 a, b = img[k - 1], img[k]
-                probes.append(a)
+                pairs.append((a, lo[k - 1]))
                 try:
                     mid = a + b
                     mid = Fraction(mid, 2) if type(mid) is int else mid / 2
                 except TypeError:
-                    probes += img[k:]
+                    pairs += zip(img[k:], lo[k:])
                     break
                 if type(mid) is not float or a < mid < b:
-                    probes.append(mid)
+                    pairs.append((mid, self._start(mid, k)))
                 elif mid != a and mid != b:
                     strays.append(mid)
             else:
-                probes += img[-1:]
-            t.probes = tuple(sorted(set(probes).union(strays)) if strays else probes)
+                pairs += zip(img[-1:], lo[-1:])
+            t.probes = tuple(pairs)
+            if strays:
+                t.probes = tuple(self._probes(strays))
         extra = tuple(extra)
-        return sorted(set(t.probes).union(extra)) if extra else list(t.probes)
+        if not extra:
+            return list(t.probes)
+        return [(lam, self._start(lam)) for lam in sorted({lam for lam, _ in t.probes}.union(extra))]
 
     def chained_values(self) -> Optional[Tuple]:
         """Three attained values v1 < v2 < v3 with v1 ~ v2 ~ v3 but not
@@ -369,52 +367,32 @@ class TabulatedUtility(_Closure):
         return None
 
     def level_set(self, lam) -> LevelSet:
-        """The level set at ``lam`` (see ``_level``)."""
-        return self._level(lam, bisect_left(self._ranks().image, lam))
-
-    def level_sets(self, levels: Iterable) -> Iterator[LevelSet]:
-        """``level_set(lam)`` for each of ``levels``, in turn.
-
-        The first rank at or above a level is carried forward from the level
-        before, so ascending levels walk the image once: an attained value
-        (the image's own object) is found by identity, a level between two
-        ranks by a few comparisons, and a level below the one before by a
-        bisection below its rank.
-        """
-        img = self._ranks().image
-        r = 0
-        for lam in levels:
-            if r == len(img) or img[r] is not lam:
-                if r and not img[r - 1] < lam:
-                    r = bisect_left(img, lam, 0, r)
-                else:
-                    while r < len(img) and img[r] is not lam and img[r] < lam:
-                        r += 1
-            yield self._level(lam, r)
+        """The record of the level set at ``lam``, read where it starts."""
+        return self._record(self._start(lam))
 
     def level_of(self, i: int) -> LevelSet:
-        """The level set at the value of element index i, found by its rank."""
+        """The level set at the value of element index i: it starts at lo[rank[i]]."""
         t = self._ranks()
-        r = t.rank[i]
-        return self._level(t.image[r], r)
+        return self._record(t.lo[t.rank[i]])
 
-    def _level(self, lam, r: int) -> LevelSet:
-        """The record of the level set at ``lam``, given r, the first rank at
-        or above ``lam``: built on first use and cached by the rank where its
-        suffix starts, lo[r] when ``lam`` is the attained value image[r].  On
-        a tolerant scale a level between ranks, such as a midpoint probe, can
-        take in lower ranks; le(lam, v) is monotone in v, so a bisection
-        below r finds its start."""
-        t = self._rank_table
-        img = t.image
+    def _start(self, lam, r: Optional[int] = None) -> int:
+        """The rank where the level set at ``lam`` starts, given r, the first
+        rank at or above ``lam`` (bisected if not given): r on the exact scale.
+        On a tolerant one the set can take in lower ranks, and le(lam, v) is
+        monotone in v, so a bisection below r finds the start."""
+        img = self._ranks().image
+        if r is None:
+            r = bisect_left(img, lam)
         if self.scale.kind == "exact":
-            s = r
-        elif r < len(img) and img[r] == lam:
-            s = t.lo[r]
-        else:
-            le = self.scale.le
-            s = bisect_left(img, True, 0, r, key=lambda v: le(lam, v))
-        if s == len(img):
+            return r
+        le = self.scale.le
+        return bisect_left(img, True, 0, r, key=lambda v: le(lam, v))
+
+    def _record(self, s: int) -> LevelSet:
+        """The record of the level set that starts at rank s, built on first
+        use and cached by s; the empty suffix, s = len(image), is ``_EMPTY``."""
+        t = self._ranks()
+        if s == len(t.image):
             return _EMPTY
         rec = t.levels[s]
         if rec is None:

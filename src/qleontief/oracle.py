@@ -102,8 +102,8 @@ def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
     """
     t = u._ranks()
     bad = 0
-    for r, lam in enumerate(t.image):
-        if u._level(lam, r).fault:
+    for r, s in enumerate(t.lo):
+        if u._record(s).fault:
             bad |= t.suffix[r] ^ t.suffix[r + 1]
     if bad:
         i = (bad & -bad).bit_length() - 1
@@ -120,22 +120,20 @@ def certify_regular(
     """Check least elements of every nonempty level set over the probe levels.
 
     Probes default to the attained values plus midpoints between consecutive
-    ones (level sets only change there); extra levels are merged in.  On pass
-    the certificate carries the full dual table and a certified copy: on a
-    finite domain the attained values sit among the probes, so regularity
-    subsumes the quasi-Leontief property.
+    ones (level sets only change there); extra levels are merged in.  Each
+    level set is read at the rank where the probe walk found it to start
+    (``TabulatedUtility._probes``): on the exact scale no value is compared.
+    On pass the certificate carries the full dual table and a certified
+    copy: on a finite domain the attained values sit among the probes, so
+    regularity subsumes the quasi-Leontief property.
     """
-    probes = u.probe_levels(probe_levels)
     table: Dict[Any, Element] = {}
-    failed = None
-    for lam, level in zip(probes, u.level_sets(probes)):
+    for lam, s in u._probes(probe_levels):
+        level = u._record(s)
         if level.fault:
-            failed = level
-            break
+            return Certificate(False, "regular", witnesses=level.witnesses, detail=level.detail(lam))
         if level.least is not None:
             table[lam] = level.least
-    if failed is not None:
-        return Certificate(False, "regular", witnesses=failed.witnesses, detail=failed.detail(lam))
     return Certificate(True, "regular", dual_table=table, utility=u._certified_copy())
 
 
@@ -321,9 +319,9 @@ def verify_galois(u: TabulatedUtility, dual_table: Dict[Any, Element]) -> Certif
     """Exhaustive two-sided adjunction check of a dual table, such as a
     passing ``certify_regular``'s: x >= u#(lam) iff u(x) >= lam."""
     poset = u.poset.as_poset()
-    for (lam, d), level in zip(dual_table.items(), u.level_sets(dual_table)):
+    for lam, d in dual_table.items():
         up = poset._up[poset.index_of(d)]
-        differ = up ^ level.mask
+        differ = up ^ u.level_set(lam).mask
         if differ:
             i = (differ & -differ).bit_length() - 1
             x = poset.elements[i]

@@ -111,8 +111,7 @@ def admissible_levels(u, extra=()):
     dual is defined."""
     if not u.certified:
         raise q.NotCertifiedError("dual requires a certified utility")
-    probes = u.probe_levels(extra)
-    return tuple(lam for lam, rec in zip(probes, u.level_sets(probes)) if rec.least is not None)
+    return tuple(lam for lam in u.probe_levels(extra) if u.level_set(lam).least is not None)
 
 
 def on_efficiency_locus(u, x):
