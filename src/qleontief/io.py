@@ -74,6 +74,23 @@ def load_json(path: str) -> Any:
         raise InputError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except InputError:
+        raise
+    except ValueError as exc:  # an integer past the int-string limit, or bytes not in UTF-8
+        raise InputError(f"{path}: {str(exc).split(';')[0]}") from None
+    except RecursionError:
+        raise InputError(f"{path}: arrays or objects nested too deeply") from None
+
+
+def _open(name: str, base_dir: str, opened: frozenset) -> Tuple[Any, frozenset]:
+    """The JSON of the file at the path ``name`` under ``base_dir``, and
+    ``opened``, the files whose reading led to that path, with it added: a
+    path to one of them leads back to itself, which is an input error."""
+    path = os.path.join(base_dir, name)
+    real = os.path.realpath(path)
+    if real in opened:
+        raise InputError(f"{path}: the path leads back to itself")
+    return load_json(path), opened | {real}
 
 
 def parse_rational(raw) -> Fraction:
@@ -117,14 +134,20 @@ def encode_elem(e) -> Any:
 
 
 def poset_from_json(obj, *, base_dir: str = ".") -> FinitePoset:
+    return _poset(obj, base_dir, frozenset())
+
+
+def _poset(obj, base_dir: str, opened: frozenset) -> FinitePoset:
+    """``poset_from_json``, with ``opened`` the files read on the way here (see ``_open``)."""
     if isinstance(obj, str):
-        return poset_from_json(load_json(os.path.join(base_dir, obj)), base_dir=base_dir)
+        obj, opened = _open(obj, base_dir, opened)
+        return _poset(obj, base_dir, opened)
     if not isinstance(obj, dict):
         raise InputError("poset must be an object or a path string")
     if "product" in obj:
         factors = []
         for sub in obj["product"]:
-            p = poset_from_json(sub, base_dir=base_dir)
+            p = _poset(sub, base_dir, opened)
             if isinstance(p, ProductSpace):
                 raise InputError("product factors must be plain posets")
             factors.append(p)
@@ -241,8 +264,14 @@ def _box_from_json(obj) -> Box:
 
 
 def utility_from_json(obj, *, base_dir: str = ".") -> TabulatedUtility:
+    return _utility(obj, base_dir, frozenset())
+
+
+def _utility(obj, base_dir: str, opened: frozenset) -> TabulatedUtility:
+    """``utility_from_json``, with ``opened`` the files read on the way here (see ``_open``)."""
     if isinstance(obj, str):
-        return utility_from_json(load_json(os.path.join(base_dir, obj)), base_dir=base_dir)
+        obj, opened = _open(obj, base_dir, opened)
+        return _utility(obj, base_dir, opened)
     if not isinstance(obj, dict):
         raise InputError("utility must be an object or a path string")
     kind = obj.get("type", "tabulated" if "values" in obj else None)
@@ -259,18 +288,18 @@ def utility_from_json(obj, *, base_dir: str = ".") -> TabulatedUtility:
         if kind == "price_matrix":
             raise InputError("the price_matrix form is no longer read: give the utility as a table")
         if kind == "affine":
-            base = utility_from_json(obj["base"], base_dir=base_dir)
+            base = _utility(obj["base"], base_dir, opened)
             return affine_transform(base, parse_number(obj["a"]), parse_number(obj["b"]))
         if kind == "min_product":
             from .oracle import require_certified
 
-            factors = [utility_from_json(f, base_dir=base_dir) for f in _list(obj, "factors")]
+            factors = [_utility(f, base_dir, opened) for f in _list(obj, "factors")]
             product = min_product(*factors)
             for f in factors:  # a factor that is not quasi-Leontief fails with its own witness
                 require_certified(f)
             return product
         if kind == "restrict":
-            base = utility_from_json(obj["base"], base_dir=base_dir)
+            base = _utility(obj["base"], base_dir, opened)
             return restrict(base, downset_from_json(obj["downset"], base.poset))
     except KeyError as exc:
         raise InputError(f"utility object is missing field {exc}") from None

@@ -82,6 +82,34 @@ class TestCheck:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("raw, fault", [
+        ("9" * 5000, "integer string conversion"),  # past Python's int-string limit
+        ("[" * 100000 + "]" * 100000, "arrays or objects nested too deeply"),
+    ], ids=["long-int", "deep-array"])
+    def test_json_past_the_parser_limits_is_input_error(self, raw, fault, tmp_path, capsys):
+        u = tmp_path / "u.json"
+        u.write_text(f'{{"poset": {json.dumps(chain_json(2))}, "values": {{"0": "0", "1": {raw}}}}}')
+        s = tmp_path / "s.json"
+        s.write_text(f'{{"members": [{raw}]}}')
+        ok = write(tmp_path, "ok.json", {"poset": chain_json(2), "values": {"0": "0", "1": "1"}})
+        for argv, path in ((["check", str(u)], u), (["maximize", ok, "--downset", str(s)], s)):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and fault in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("files, top", [
+        ({"p.json": "p.json", "u.json": {"poset": "p.json", "values": {"0": "0"}}}, "p.json"),
+        ({"b.json": "b.json", "u.json": {"type": "affine", "base": "b.json", "a": "1", "b": "0"}}, "b.json"),
+        ({"u.json": {"type": "affine", "base": "u.json", "a": "1", "b": "0"}}, "u.json"),
+        ({"p.json": {"product": [chain_json(2), "q.json"]}, "q.json": "p.json",
+          "u.json": {"poset": "p.json", "values": {}}}, "p.json"),
+    ], ids=["poset-path", "affine-base-path", "affine-base-object", "product-factor-path"])
+    def test_path_leading_back_to_itself_is_input_error(self, files, top, tmp_path, capsys):
+        for name, obj in files.items():
+            write(tmp_path, name, obj)
+        assert main(["check", str(tmp_path / "u.json")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / top}: the path leads back to itself\n"
+
     def test_list_values_is_input_error(self, tmp_path, capsys):
         bad = write(tmp_path, "list.json", {"poset": chain_json(2), "values": ["1", "2"]})
         assert main(["check", bad]) == 2
