@@ -56,11 +56,24 @@ def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedU
     a product of chains every such table is individually quasi-Leontief.
 
     The sweep counts in half-steps by element index; each distinct count
-    becomes one shared ``Fraction``."""
+    becomes one shared ``Fraction``.
+
+    The maximum below a point is read by a walk over its strict down-set m:
+    take the highest-index member j, keep its count, and drop down(j) from
+    m.  The table swept so far is isotone, so the count at j is at least
+    that of everything below j, and dropping down(j) loses no larger count
+    in any listing order.  Where the index order is a linear extension, as
+    on every corpus poset, j is maximal in m, so the walk reads one down
+    row per lower cover of the point."""
     down = poset.as_poset()._down
     halves = [0] * len(poset)
     for i in poset._extension_order():
-        below = max((halves[j] for j in _bits(down[i] & ~(1 << i))), default=0)
+        m, below = down[i] & ~(1 << i), 0
+        while m:
+            j = m.bit_length() - 1
+            if halves[j] > below:
+                below = halves[j]
+            m &= ~down[j]
         halves[i] = below + rng.choice(_HALF_STEPS)
     value = {h: Fraction(h, 2) for h in set(halves)}
     return TabulatedUtility._of_column(poset, [value[h] for h in halves], EXACT)

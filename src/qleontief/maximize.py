@@ -196,6 +196,12 @@ def efficient_refinement(
     dominates it (so it stays in S), and every visited coordinate stays
     axis-efficient.  The final point is additionally checked to be minimally
     efficient; any violation raises InconsistencyError.
+
+    The sweep walks the point index: a step moves the index by the digit
+    change times the axis's stride, the value is read off ``u.column``, and
+    domination is tested factor by factor, the up row of each digit against
+    the start's digit.  Point tuples are built only for the steps, the
+    result and the error texts.
     """
     space = u.space
     if space is None:
@@ -204,13 +210,14 @@ def efficient_refinement(
         raise OrderError("down-set lives in a different poset")
     n = space.n_axes
     x_star = space._check_point(x_star)
-    if x_star not in S:
+    i = space.index_of(x_star)
+    if not S.mask >> i & 1:
         raise PreconditionError(f"start {x_star!r} is outside the feasible product")
 
-    opt = res.value
-    if not u.scale.eq(u.value(x_star), opt):
+    opt, column, eq = res.value, u.column, u.scale.eq
+    if not eq(column[i], opt):
         raise PreconditionError(
-            f"start {x_star!r} attains {u.value(x_star)!r}, maximum is {opt!r}"
+            f"start {x_star!r} attains {column[i]!r}, maximum is {opt!r}"
         )
 
     if order is None:
@@ -220,30 +227,33 @@ def efficient_refinement(
         if sorted(order) != list(range(n)):
             raise OrderError(f"order {order!r} is not a permutation of the axes")
 
+    # per axis: its factor's points, up rows, stride and size, and the start's digit
+    axes = [(pts, ups, stride, len(pts), i // stride % len(pts)) for pts, ups, _, stride in space._axes]
+
     def interior(i: int, axis: int) -> Tuple[int, int]:
         # the digit of point i on ``axis`` and that of its interior in the slice through i
-        stride, size = space.strides[axis], len(space.factors[axis])
+        _, _, stride, size, _ = axes[axis]
         digit = i // stride % size
         return digit, _axis_interiors(u, axis, i - digit * stride)[digit]
 
-    cur, i = x_star, space.index_of(x_star)
+    cur = list(x_star)  # the point as the sweep holds it, for the trace and the error texts
     steps: List[RefinementStep] = []
     for k, axis in enumerate(order):
-        before = cur[axis]
+        pts, _, stride, _, _ = axes[axis]
         digit, least = interior(i, axis)
-        target = space.factors[axis].point(least)
-        i += (least - digit) * space.strides[axis]
-        cur = cur[:axis] + (target,) + cur[axis + 1:]
-        steps.append(RefinementStep(axis, before, target))
-        if not u.scale.eq(u.value(cur), opt):
-            raise InconsistencyError(f"{cur!r} left the argmax during refinement")
-        if not space.leq(cur, x_star):
-            raise InconsistencyError(f"{cur!r} is not dominated by the start {x_star!r}")
+        i += (least - digit) * stride
+        cur[axis] = pts[least]
+        steps.append(RefinementStep(axis, x_star[axis], cur[axis]))
+        if not eq(column[i], opt):
+            raise InconsistencyError(f"{tuple(cur)!r} left the argmax during refinement")
+        if not all(ups[i // stride % size] >> start & 1 for _, ups, stride, size, start in axes):
+            raise InconsistencyError(f"{tuple(cur)!r} is not dominated by the start {x_star!r}")
         for a in order[: k + 1]:
             digit, least = interior(i, a)
             if least != digit:
-                raise InconsistencyError(f"coordinate {a} of {cur!r} is not axis-efficient")
+                raise InconsistencyError(f"coordinate {a} of {tuple(cur)!r} is not axis-efficient")
 
+    cur = tuple(cur)
     if not is_efficient_minimal(u, cur):
         raise InconsistencyError(f"refined point {cur!r} is not minimally efficient")
     checks = {"argmax": True, "dominated": True, "efficient": True}

@@ -131,7 +131,7 @@ def ref_isotone(rng, poset):
         below = [halves[y] for y in poset.down_set(x) if y != x]
         halves[x] = max(below, default=0) + rng.choice(corpus._HALF_STEPS)
     shared = {h: F(h, 2) for h in set(halves.values())}
-    return {x: shared[halves[x]] for x in poset.elements}
+    return {x: shared[halves[x]] for x in poset}
 
 
 def ref_quasileontief(rng, poset):
@@ -151,13 +151,33 @@ def ref_quasileontief(rng, poset):
     return {x: max(v for c, v in zip(chain, levels) if poset.leq(c, x)) for x in poset.elements}
 
 
+def top_first(poset):
+    """The same order listed along a linear extension backwards: every
+    element comes after all the elements above it."""
+    els = poset.linear_extension()[::-1]
+    return q.FinitePoset.from_leq(els, [(a, b) for a in els for b in els if poset.leq(a, b)])
+
+
+def generator_domains(seed):
+    """A corpus poset with a bottom, a product of chains, a product with one
+    chain listed top first, and a corpus poset relisted top first, where the
+    highest-index member of a down-set is often not a lower cover."""
+    rng = corpus.derive_rng(seed, "poset")
+    poset = corpus.random_poset(rng, 10, with_bottom=True)
+    chains = corpus.random_product_of_chains(rng)
+    factors = list(corpus.random_product_of_chains(rng, 3, 4).factors)
+    k = rng.randrange(len(factors))
+    factors[k] = top_first(q.FinitePoset.chain(range(rng.randint(2, 4))))
+    return poset, chains, q.ProductSpace(factors), top_first(corpus.random_poset(rng, 10, with_bottom=True))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_corpus_generators(seed):
-    poset = corpus.random_poset(corpus.derive_rng(seed, "poset"), 10, with_bottom=True)
-    for gen, ref in ((corpus.random_isotone_utility, ref_isotone),
-                     (corpus.random_quasileontief_utility, ref_quasileontief)):
-        u = gen(corpus.derive_rng(seed, "values"), poset)
-        assert_matches(u, ref(corpus.derive_rng(seed, "values"), poset), False, fresh=True)
+    for poset in generator_domains(seed):
+        for gen, ref in ((corpus.random_isotone_utility, ref_isotone),
+                         (corpus.random_quasileontief_utility, ref_quasileontief)):
+            u = gen(corpus.derive_rng(seed, "values"), poset)
+            assert_matches(u, ref(corpus.derive_rng(seed, "values"), poset), False, fresh=True)
 
 
 def test_values_is_a_new_view_of_the_column():

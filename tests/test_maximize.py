@@ -386,6 +386,33 @@ class TestEfficientRefinement:
         with pytest.raises(q.UtilityError, match="not quasi-Leontief"):
             q.efficient_refinement(u, S, ("top", 1), record(u, S))
 
+    @pytest.mark.parametrize("start, planted, message", [
+        # the interior record on axis 0 at b = 3 sends a = 2 to 0, below the maximum
+        ((2, 3), {(0, 3): (0, 0, 0, 0)}, "(0, 3) left the argmax during refinement"),
+        # the record on axis 1 at a = 2 sends b = 2 up to 3, which keeps the value
+        ((2, 2), {(1, 8): (0, 1, 3, 3)}, "(2, 3) is not dominated by the start (2, 2)"),
+        # the record on axis 1 at a = 2 sends b = 3 to 2, but does not fix 2
+        ((2, 3), {(1, 8): (0, 1, 0, 2)}, "coordinate 1 of (2, 2) is not axis-efficient"),
+    ])
+    def test_a_wrong_slice_record_is_an_inconsistency(self, min_on_4x4, start, planted, message):
+        S = prefix_set(min_on_4x4.space, 3, 4)
+        min_on_4x4._ranks().slices.update(planted)  # keyed (axis, index of the slice's first point)
+        with pytest.raises(q.InconsistencyError) as exc:
+            q.efficient_refinement(min_on_4x4, S, start, record(min_on_4x4, S))
+        assert str(exc.value) == message
+
+    def test_steps_read_no_point_back(self, monkeypatch):
+        """The sweep walks the point index: on a 6^3 table ``index_of`` is
+        asked for the start (coordinate by coordinate, then whole) and for
+        the result only, though two axes step."""
+        u = min_on_6_cubed()
+        S = prefix_set(u.space, 5, 6, 6)
+        res = record(u, S)
+        calls = count_index_of(monkeypatch)
+        trace = q.efficient_refinement(u, S, (4, 5, 5), res)
+        assert trace.result == (4, 4, 4) and changed_axes(trace) == (1, 2)
+        assert calls == [4, 5, 5, (4, 5, 5), (4, 4, 4)]
+
     def test_every_maximizer_refines_on_random_instances(self):
         for i in range(30):
             rng = corpus.derive_rng(37, "refine-unit", i)
