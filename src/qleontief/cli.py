@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=500)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--inject-fault", action="store_true",
-                   help="test mode: corrupt one dual entry and expect a failure")
+                   help="test mode: corrupt one dual entry and expect a failure "
+                        "(exit 2 when no instance is regular enough to take it)")
     common(p)
     return parser
 
@@ -322,7 +323,8 @@ def cmd_decompose(args) -> int:
 # -- corpus suites -----------------------------------------------------------
 # Each check draws one instance from its rng and yields a (property, detail)
 # pair per inconsistency.  ``faults`` yields True once under --inject-fault:
-# the triangle check takes it for its first regular instance.
+# the triangle check takes it for its first regular instance, and a run with
+# none is an input error, since it would pass without testing anything.
 
 
 def _triangle(rng, faults):
@@ -403,6 +405,8 @@ def cmd_corpus(args) -> int:
                 "failures": failures,
             }
         )
+    if next(faults, False):
+        raise InputError("--inject-fault: no regular characterization-triangle instance took the fault")
     total = sum(s["inconsistencies"] for s in suites)
     report = {
         "schema": SCHEMA,

@@ -145,7 +145,7 @@ def check_isotone(u: TabulatedUtility) -> Certificate:
         above = poset._up[i] & ~u.level_of(i).mask
         if above:
             j = (above & -above).bit_length() - 1
-            x, y = poset.elements[i], poset.elements[j]
+            x, y = poset.point(i), poset.point(j)
             return Certificate(False, "isotone", witnesses=(x, y),
                                detail=f"u({x!r})={vx!r} > u({y!r})={column[j]!r}")
     return Certificate(True, "isotone")
@@ -309,7 +309,7 @@ def check_characterization_equivalence(u: TabulatedUtility) -> Certificate:
     return Certificate(
         ok,
         "characterization-equivalence",
-        witnesses=() if ok else tuple(u.poset.as_poset().elements[:1]),
+        witnesses=() if ok else (u.poset.point(0),),
         detail=detail,
         data={"sides": sides},
     )
@@ -324,7 +324,7 @@ def verify_galois(u: TabulatedUtility, dual_table: Dict[Any, Element]) -> Certif
         differ = up ^ u.level_set(lam).mask
         if differ:
             i = (differ & -differ).bit_length() - 1
-            x = poset.elements[i]
+            x = poset.point(i)
             lhs = bool(up >> i & 1)
             return Certificate(
                 False,

@@ -12,17 +12,17 @@ and y exactly when down(m) = down(x) & down(y), and distinct elements have
 distinct down-sets (see ``FinitePoset._meet_index``).  A plain poset decides
 ``is_inf_semilattice`` one pair at a time.
 
-A ``ProductSpace`` is the product poset itself, and answers every query the
-commands make through its factors.  A point's index is the mixed-radix number
-of its factor indices (``index_of``; ``point`` decodes it).  Meets and joins
-are taken coordinatewise, so a product is an inf-semilattice iff every factor
-is.  The up-set (down-set) of a product point is the product of the factor
-up-sets (down-sets); a factor mask spread to its axis's stride makes a
-product of masks on different axes a carry-free big-int multiply
-(``_product_of`` takes one mask per axis).  So the mask queries read per-axis
-cylinder masks (see ``_UnbuiltProduct``) and never the product's own two
-N-bit tables, which only ``as_poset`` builds: the reference certifiers, the
-corpus generators and the tests call it.  No domain larger than
+A ``ProductSpace`` is the product poset itself, and answers every query
+through its factors.  A point's index is the mixed-radix number of its factor
+indices (``index_of``; ``point`` decodes it).  Meets and joins are taken
+coordinatewise, so a product is an inf-semilattice iff every factor is.  The
+up-set (down-set) of a product point is the product of the factor up-sets
+(down-sets); a factor mask spread to its axis's stride makes a product of
+masks on different axes a carry-free big-int multiply (``_product_of`` takes
+one mask per axis).  So the mask queries AND one cylinder mask per axis, or
+read the product's up and down rows where ``as_poset`` has filled them: the
+reference certifiers and the corpus generators, which sweep every row, call
+it, and of the commands only ``corpus`` does.  No domain larger than
 ``MAX_POINTS`` is enumerated.
 """
 from __future__ import annotations
@@ -101,12 +101,12 @@ def check_partial_order(
 
 MAX_POINTS = 2 ** 16
 """The most points a grid or product may have (16^4), refused before
-enumeration.  No command builds a product's tables any more: a product table
-holds its value column and N-bit masks per level set and per cylinder, so
-``check``, ``efficient`` and ``maximize`` peak under 100 MB at 16^4.  The
-limit still bounds ``as_poset``, which the reference certifiers call: each
-point of a built poset carries two N-bit masks, N^2/4 bytes in all (about
-1 GB at 16^4)."""
+enumeration.  No command but ``corpus`` fills a product's rows: a product
+table holds its value column and N-bit masks per level set and per
+cylinder, so ``check``, ``efficient`` and ``maximize`` peak under 100 MB at
+16^4.  The limit still bounds ``ProductSpace.as_poset``, which the
+reference certifiers call: its two row lists hold an N-bit up and down row
+per point, N^2/4 bytes in all (about 1 GB at 16^4)."""
 
 
 def check_size(n: int) -> int:
@@ -166,12 +166,11 @@ class FinitePoset:
         # ``_down_masks`` is for constructors that already hold the transpose
         # of ``up_masks``; every other caller gets it computed bit by bit
         self.elements: Tuple[Element, ...] = tuple(elements)
-        if not isinstance(self, ProductSpace):  # a product's points are distinct tuples
-            self._index: Dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
-            if len(self._index) != len(self.elements):
-                raise OrderError("duplicate elements in ground set")
-            if None in self._index:
-                raise OrderError("None is not an element: it stands for no element")
+        self._index: Dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise OrderError("duplicate elements in ground set")
+        if None in self._index:
+            raise OrderError("None is not an element: it stands for no element")
         self._up: List[int] = list(up_masks)
         if _down_masks is None:
             down = [0] * len(self.elements)
@@ -344,8 +343,8 @@ class FinitePoset:
         return self._down[i]
 
     def as_poset(self) -> "FinitePoset":
-        """The poset with its element tuple and mask tables: a plain poset
-        holds them already."""
+        """The poset with its ``_up`` and ``_down`` rows filled: a plain
+        poset holds them already."""
         return self
 
     def leq(self, x: Element, y: Element) -> bool:
@@ -505,17 +504,31 @@ class FinitePoset:
 
 class ProductSpace(FinitePoset):
     """Finite product of posets with the coordinatewise order; itself the
-    poset on all product points.
+    poset on all product points, answering every query factor by factor.
 
     Points are tuples of factor elements, enumerated with the last coordinate
-    fastest.  ``factors``, ``len``, iteration, ``points``, ``index_of``,
-    ``point``, membership, ``leq``, ``meet``, ``join``, equality, hashing
-    and the one-axis calculus ``delete``/``substitute`` are answered factor
-    by factor, with no ``_index``; a product equals only another product.
-    Until ``as_poset`` builds the element tuple and the mask tables, the
-    mask queries are answered factor by factor too (see ``_UnbuiltProduct``);
-    once built, a product answers them with ``FinitePoset``'s table methods,
-    the reference the factor-wise answers are tested against.
+    fastest; a product holds no element tuple and no ``_index``.
+    ``factors``, ``len``, iteration, ``points``, ``index_of``, ``point``,
+    membership, ``leq``, equality, hashing and the one-axis calculus
+    ``delete``/``substitute`` read the factors; a product equals only
+    another product.  A meet is the point of the factor meets
+    (``_meet_index``), and ``FinitePoset.join`` reads ``_least_in``.
+
+    The up-set of a point is the set of points whose k-th coordinate lies in
+    up_k(c_k) for every axis k, so ``_up_of`` (``_down_of``) is the AND of
+    one cylinder mask per axis (``_cylinder``), or, once ``as_poset`` has
+    filled the ``_up`` (``_down``) rows, the row it memoized.  The least
+    (greatest) member of a mask, when there is one, is the point of the least
+    (greatest) elements of its projections on the factors, and it lies in the
+    mask; when every factor lists its elements in a linear-extension order,
+    as a chain does, the index order of the points is one too, and that
+    point is the mask's lowest-index (highest-index) member, tested against
+    its up-set (down-set): one row in place of one cylinder per factor
+    element, which ``_least_and_up`` hands on, so a level record builds it
+    once.  ``_minimal_in``, ``_chain_in``, ``_below`` and ``_induced_on`` are
+    ``FinitePoset``'s, reading those rows; ``_missing_below`` shifts the
+    mask along each factor cover, one step per cover in place of one down
+    row per member.
     """
 
     __slots__ = ("factors", "strides", "_offsets", "_axes", "_ordered", "_cylinders", "_covers")
@@ -531,21 +544,22 @@ class ProductSpace(FinitePoset):
         # per plain factor, element -> its step in the index (element index x stride)
         self._offsets = [{} if isinstance(f, ProductSpace) else {e: i * s for i, e in enumerate(f.elements)}
                          for f, s in zip(self.factors, self.strides)]
-        # per axis, the factor's points, up rows and down rows by element index, and the stride
-        self._axes = tuple((tuple(f), *_rows(f), s) for f, s in zip(self.factors, self.strides))
+        # per axis, the factor's points, up rows and down rows by element index
+        # (a nested product's filled by its ``as_poset``), and the stride
+        self._axes = tuple((tuple(f), f.as_poset()._up, f._down, s) for f, s in zip(self.factors, self.strides))
         # whether every factor lists its elements in a linear-extension order
         # (nothing above an element has a smaller index), so the index order
         # of the points is one too
         self._ordered = all(not up & ((1 << c) - 1) for _, ups, _, _ in self._axes for c, up in enumerate(ups))
         self._cylinders: List[Dict[int, int]] = [{} for _ in self.factors]
         self._covers: Optional[List[Tuple[int, int, int, int]]] = None
-        self.__class__ = _UnbuiltProduct
+        self._up = self._down = None
 
     def as_poset(self) -> "ProductSpace":
-        """The product itself, with its element tuple and mask tables built
-        on first use.
+        """The product itself, with its up and down rows filled on first use,
+        for the readers that sweep every row.
 
-        Both tables are products of factor rows, so nothing is transposed:
+        Both rows are products of factor rows, so nothing is transposed:
         the up-set of (c_1, ..., c_k) is up(c_1) x ... x up(c_k), and so is
         its down-set with down.  Spreading a mask (bit p to bit p*n) is a
         ring map on carry-free masks, so that product is the product of the
@@ -555,21 +569,20 @@ class ProductSpace(FinitePoset):
         that the last multiplies, one per point, take an N-bit row by a short
         row of the last factor; the other way round they are N-bit by N/n-bit.
         """
-        if isinstance(self, _UnbuiltProduct):
-            points = list(self.points())
+        if self._up is None:
+            check_size(len(self))
             up = down = [1]
             for _, ups, downs, stride in self._axes:
                 ups, downs = [_spread(m, stride) for m in ups], [_spread(m, stride) for m in downs]
                 up = [r * m for r in up for m in ups]
                 down = [r * m for r in down for m in downs]
-            super().__init__(points, up, down)
-            self.__class__ = ProductSpace
+            self._up, self._down = up, down
         return self
 
     def _product_of(self, masks: Sequence[int]) -> int:
         """Mask of the product of one subset per factor, given as factor
         masks: each spread to its axis's stride and multiplied in, the ring
-        map ``as_poset`` builds its rows with.  Builds no tables."""
+        map ``as_poset`` builds its rows with.  Fills no rows."""
         m = 1
         for mask, stride in zip(masks, self.strides):
             m *= _spread(mask, stride)
@@ -583,25 +596,17 @@ class ProductSpace(FinitePoset):
         """True iff every factor is an inf-semilattice (an empty product is one)."""
         return len(self) == 0 or all(f.is_inf_semilattice() for f in self.factors)
 
-    def meet(self, x: Sequence[Element], y: Sequence[Element]) -> Optional[Tuple[Element, ...]]:
-        """The point of the factor meets, or None when a factor has none;
-        builds no tables."""
-        return self._by_factor(x, y, "meet")
-
-    def join(self, x: Sequence[Element], y: Sequence[Element]) -> Optional[Tuple[Element, ...]]:
-        """The point of the factor joins, or None when a factor has none;
-        builds no tables."""
-        return self._by_factor(x, y, "join")
-
-    def _by_factor(self, x, y, op: str) -> Optional[Tuple[Element, ...]]:
-        i, j = self.index_of(x), self.index_of(y)
-        out = []
+    def _meet_index(self, i: int, j: int) -> Optional[int]:
+        """Index of the meet of points i and j: the point of the factor
+        meets, or None when a factor has none."""
+        k = 0
         for f, s in zip(self.factors, self.strides):
-            c = getattr(f, op)(f.point(i // s % len(f)), f.point(j // s % len(f)))
+            n = len(f)
+            c = f._meet_index(i // s % n, j // s % n)
             if c is None:
                 return None
-            out.append(c)
-        return tuple(out)
+            k += c * s
+        return k
 
     def __len__(self) -> int:
         return self.strides[0] * len(self.factors[0])
@@ -650,7 +655,7 @@ class ProductSpace(FinitePoset):
     def index_of(self, x: Sequence[Element]) -> int:
         """The index of the point x, a tuple or a list: the sum of one
         ``_offsets`` lookup per coordinate, or on a miss (a nested factor, a
-        list coordinate) of each factor's index x stride; builds no tables."""
+        list coordinate) of each factor's index x stride."""
         if isinstance(x, (tuple, list)) and len(x) == len(self.factors):
             try:
                 return sum(map(dict.__getitem__, self._offsets, x))
@@ -663,7 +668,7 @@ class ProductSpace(FinitePoset):
         raise OrderError(f"unknown element {x!r}")
 
     def point(self, i: int) -> Tuple[Element, ...]:
-        """The point of index i, read off in mixed radix (``strides``); builds no tables."""
+        """The point of index i, read off in mixed radix (``strides``)."""
         return tuple([pts[i // s % len(pts)] for pts, _, _, s in self._axes])
 
     def _check_axis(self, axis: int) -> None:
@@ -672,31 +677,6 @@ class ProductSpace(FinitePoset):
 
     def __repr__(self) -> str:
         return f"ProductSpace({'x'.join(str(len(f)) for f in self.factors)})"
-
-
-class _UnbuiltProduct(ProductSpace):
-    """A ``ProductSpace`` whose element tuple and mask tables are not built;
-    it answers every mask query that the commands make factor by factor, and
-    reading a table (``elements``, ``_up``, ``_down``) raises AttributeError:
-    only ``as_poset`` builds them, so a build shows in a profile.
-
-    The up-set of a point is the set of points whose k-th coordinate lies in
-    up_k(c_k) for every axis k, so ``_up_of`` (``_down_of``) is the AND of
-    one cylinder mask per axis (``_cylinder``).  The least (greatest) member
-    of a mask, when there is one, is the point of the least (greatest)
-    elements of its projections on the factors, and it lies in the mask;
-    when every factor lists its elements in a linear-extension order, as a
-    chain does, the index order of the points is one too, and that point is
-    the mask's lowest-index (highest-index) member, tested against its
-    up-set (down-set): one row in place of one cylinder per factor element,
-    which ``_least_and_up`` hands on, so a level record builds it once.
-    ``_minimal_in``, ``_chain_in``, ``_below`` and ``_induced_on`` are
-    ``FinitePoset``'s, reading those rows; ``_missing_below`` shifts the
-    mask along each factor cover, one step per cover in place of one down
-    row per member.
-    """
-
-    __slots__ = ()
 
     def _cylinder(self, axis: int, row: int) -> int:
         """Mask of the points whose coordinate on ``axis`` lies in the factor
@@ -717,12 +697,16 @@ class _UnbuiltProduct(ProductSpace):
         return m
 
     def _up_of(self, i: int) -> int:
+        if self._up is not None:
+            return self._up[i]
         m = -1
         for axis, (_, ups, _, stride) in enumerate(self._axes):
             m &= self._cylinder(axis, ups[i // stride % len(ups)])
         return m
 
     def _down_of(self, i: int) -> int:
+        if self._down is not None:
+            return self._down[i]
         m = -1
         for axis, (_, _, downs, stride) in enumerate(self._axes):
             m &= self._cylinder(axis, downs[i // stride % len(downs)])
@@ -778,15 +762,6 @@ class _UnbuiltProduct(ProductSpace):
         return 0
 
 
-def _rows(poset: FinitePoset) -> Tuple[Sequence[int], Sequence[int]]:
-    """The up rows and the down rows of ``poset`` by element index: its
-    tables, or of a product not built, its factor-wise rows."""
-    if isinstance(poset, _UnbuiltProduct):
-        indices = range(len(poset))
-        return list(map(poset._up_of, indices)), list(map(poset._down_of, indices))
-    return poset._up, poset._down
-
-
 def _spread(outer: int, n: int) -> int:
     """``outer`` with bit p moved to bit p*n."""
     if n == 1:
@@ -812,7 +787,7 @@ class DownSet:
     ``FinitePoset`` or a ``ProductSpace``.  ``from_indices`` takes element
     indices, as a file reader holds them: their downward closure (``_below``),
     or exactly those points, validated for downward closure
-    (``_missing_below``); neither builds a product's tables.
+    (``_missing_below``); neither fills a product's rows.
     ``from_generators`` and ``from_members`` read each point to its index
     once and hand it on.
     """

@@ -19,9 +19,14 @@ settings.load_profile("slowio")
 
 def tables(poset):
     """The poset with its element tuple and mask tables, for a reference to
-    read: of a product, a built twin, so that the product under test stays
-    unbuilt and answers its own queries factor by factor."""
-    return q.ProductSpace(poset.factors).as_poset() if isinstance(poset, q.ProductSpace) else poset
+    read: of a product, a plain ``FinitePoset`` twin on the rows of a
+    separate product's ``as_poset``, so that the product under test keeps
+    its rows unfilled and the reference answers with ``FinitePoset``'s table
+    methods."""
+    if not isinstance(poset, q.ProductSpace):
+        return poset
+    twin = q.ProductSpace(poset.factors).as_poset()
+    return q.FinitePoset(tuple(poset), twin._up, twin._down)
 
 
 def tuple_leq(x, y) -> bool:

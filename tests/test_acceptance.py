@@ -217,7 +217,7 @@ class TestAcceptance:
                 poset = space.as_poset()
                 u = corpus.random_quasileontief_utility(rng, poset)
                 u = q.TabulatedUtility(poset, u.values)
-                gens = [rng.choice(poset.elements)]
+                gens = [rng.choice(tuple(poset))]
                 S = q.DownSet.from_generators(poset, gens)
                 members = S.sorted_members()
                 xbar = tuple(

@@ -28,7 +28,7 @@ from qleontief.oracle import _strictly_ordered
 
 
 def with_values(u, values, scale):
-    return q.TabulatedUtility(u.poset, dict(zip(u.poset.elements, values)), scale=scale)
+    return q.TabulatedUtility(u.poset, dict(zip(u.poset, values)), scale=scale)
 
 
 def copy(u):

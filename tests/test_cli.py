@@ -555,6 +555,20 @@ class TestCorpus:
             f["property"] == "galois-adjunction" for f in triangle["failures"]
         )
 
+    @pytest.mark.parametrize("argv", [["--n", "8", "--seed", "10"], ["--n", "8", "--seed", "12"],
+                                      ["--n", "8", "--seed", "28"], ["--n", "1", "--seed", "1"],
+                                      ["--n", "0"]])
+    def test_a_fault_no_instance_takes_exits_two(self, argv, capsys):
+        """No regular triangle instance takes the fault: the run tests nothing
+        and says so, rather than pass."""
+        assert main(["corpus", "--json", *argv]) == 0
+        capsys.readouterr()
+        assert main(["corpus", "--json", *argv, "--inject-fault"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --inject-fault: no regular characterization-triangle "
+                                "instance took the fault\n")
+
     def test_env_seed_is_ignored(self, capsys, monkeypatch):
         """Only ``--seed`` sets the seed; without it the corpus runs seed 42."""
         monkeypatch.setenv("QL_SEED", "123")

@@ -1,8 +1,8 @@
 """A ``ProductSpace`` is itself the product poset.
 
-Its element tuple and mask tables must equal those of a plain
-``FinitePoset`` built here from the coordinatewise order, and its
-factor-wise queries must never build those tables.
+Its points and the up and down rows that ``as_poset`` fills must equal
+those of a plain ``FinitePoset`` built here from the coordinatewise order,
+and its factor-wise queries must never fill those rows.
 """
 from __future__ import annotations
 
@@ -82,9 +82,9 @@ def test_tables_and_queries_match_reference(spaces):
             subset = rng.sample(ref.elements, rng.randint(0, len(ref)))
             assert space.least(subset) == ref.least(subset)
             assert space.minimal(subset) == ref.minimal(subset)
-        assert type(space) is not q.ProductSpace
-        assert space.as_poset().elements == ref.elements
-        assert space.elements == tuple(product(*(f.elements for f in space.factors)))
+        assert space._up is None
+        assert space.as_poset() is space
+        assert tuple(space) == ref.elements == tuple(product(*(f.elements for f in space.factors)))
         assert space._up == ref._up and space._down == ref._down
 
 
@@ -124,7 +124,7 @@ def test_product_tables_match_pointwise_leq(k):
     pts = list(space.points())
     up = [sum(1 << j for j, y in enumerate(pts) if space.leq(x, y)) for x in pts]
     down = [sum(1 << j for j, y in enumerate(pts) if space.leq(y, x)) for x in pts]
-    assert space.as_poset().elements == tuple(pts)
+    assert space.as_poset() is space
     assert (space._up, space._down) == (up, down)
 
 
@@ -136,12 +136,11 @@ def plain_factors(space):
 
 @pytest.mark.parametrize("k", range(len(small_factor_products())))
 def test_meet_and_join_match_the_built_poset(k):
-    """The factor-wise meet and join against the plain poset's, read off the
-    product's own tables, on every pair of points."""
+    """The factor-wise meet and join against a plain poset's, read off the
+    product's rows, on every pair of points."""
     space = small_factor_products()[k]
-    pts = list(space.points())
-    want = [(FinitePoset.meet(space.as_poset(), x, y), FinitePoset.join(space, x, y))
-            for x in pts for y in pts]
+    pts, ref = list(space.points()), tables(space)
+    want = [(ref.meet(x, y), ref.join(x, y)) for x in pts for y in pts]
     assert [(space.meet(x, y), space.join(x, y)) for x in pts for y in pts] == want
     if any(len(f) == 2 for f in plain_factors(space)):  # the antichain: no meet, no join
         assert any(m is None for m, _ in want) and any(j is None for _, j in want)
@@ -188,14 +187,12 @@ def test_factorwise_queries_build_no_tables(monkeypatch):
     assert space.minimal([("1", "b"), ("1", "c")]) == (("1", "b"), ("1", "c"))
     assert space.is_chain([("0", "a"), ("2", "c")]) and space.up_set(("2", "b")) == {("2", "b")}
     assert q.DownSet.from_members(space, [("0", "a"), ("0", "b")]).mask == 0b11
-    assert built == []
-    with pytest.raises(AttributeError):
-        space._up  # reading a table does not build it: only as_poset does
-    assert space.as_poset().elements[4] == ("1", "b")
-    assert built == [True] and type(space) is q.ProductSpace
-    assert space == twin and type(twin) is not q.ProductSpace
+    assert space._up is None  # no query fills the rows: only as_poset does
+    assert space.as_poset() is space and space.point(4) == ("1", "b")
+    assert built == [] and space._up is not None and type(space) is q.ProductSpace
+    assert space == twin and twin._up is None
     # a product equals only a product, even a plain poset with its tables
-    assert space != FinitePoset(space.elements, space._up)
+    assert space != FinitePoset(tuple(space), space._up)
 
 
 def random_nested_space(rng, depth=0):
@@ -258,7 +255,7 @@ def test_index_of_reads_the_factors(seed, monkeypatch):
             with pytest.raises(q.OrderError) as want:
                 dict_index_of(index, bad)
             assert str(got.value) == str(want.value) and bad not in space
-    assert built == [] and type(space) is not q.ProductSpace
+    assert built == [] and space._up is None
 
 
 def test_membership_of_unhashable_points():

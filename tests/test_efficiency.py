@@ -90,7 +90,7 @@ class TestEfficientSet:
 
 class TestIsEfficientGlobal:
     def test_interior_images_are_efficient(self, min_on_4x4):
-        for y in min_on_4x4.poset.elements:
+        for y in min_on_4x4.poset:
             assert q.is_efficient_global(min_on_4x4, min_on_4x4.interior(y))
 
     def test_off_locus_point(self):
@@ -100,10 +100,10 @@ class TestIsEfficientGlobal:
     def test_level_set_identity_form(self, min_on_4x4):
         u = min_on_4x4
         p = u.poset
-        for x in p.elements:
+        for x in p:
             eff = q.is_efficient_global(u, x)
             identity = p.up_set(x) == frozenset(
-                y for y in p.elements if u.value(y) >= u.value(x)
+                y for y in p if u.value(y) >= u.value(x)
             )
             assert eff == identity
 

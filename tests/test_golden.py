@@ -144,7 +144,7 @@ PRODUCT_CALLS = {
 @pytest.mark.parametrize("name", sorted(PRODUCT_CALLS))
 def test_product_commands_build_no_product(name, monkeypatch, capsys):
     """Every order query of these commands is answered factor by factor:
-    nothing calls ``as_poset``, and the product's tables stay unbuilt."""
+    nothing calls ``as_poset``, and the product's rows stay unfilled."""
     builds = []
     as_poset = ProductSpace.as_poset
     monkeypatch.setattr(ProductSpace, "as_poset", lambda self: builds.append(self) or as_poset(self))

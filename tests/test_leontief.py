@@ -107,7 +107,7 @@ class TestDual:
 
     def test_dual_at_value_equals_interior(self):
         u = certified(grid_utility(lambda a, b: F(min(a, b)), range(4), range(4)))
-        for x in u.poset.elements:
+        for x in u.poset:
             assert u.dual(u.value(x)) == u.interior(x)
 
     def test_leastless_level_reports_witnesses(self):
@@ -239,7 +239,7 @@ class TestAffine:
     def test_interior_table_preserved_for_tabulated(self, min_on_4x4):
         v = q.affine_transform(min_on_4x4, F(3), F(-1))
         assert v.certified
-        for x in v.poset.elements:
+        for x in v.poset:
             assert v.interior(x) == min_on_4x4.interior(x)
 
     def test_tolerant_table_comes_back_uncertified(self):
@@ -370,7 +370,7 @@ class TestMinProduct:
 class TestMinPointwise:
     def test_single_part(self, min_on_4x4):
         m = q.min_pointwise(min_on_4x4)
-        for x in min_on_4x4.poset.elements:
+        for x in min_on_4x4.poset:
             assert m.value(x) == min_on_4x4.value(x)
 
     def test_join_of_duals(self):
@@ -390,7 +390,7 @@ class TestMinPointwise:
         m = q.min_pointwise(min_on_4x4, cap)
         cert = q.certify_regular(m)
         assert cert.ok
-        for x in min_on_4x4.poset.elements:
+        for x in min_on_4x4.poset:
             assert m.value(x) == min(min_on_4x4.value(x), F(2))
 
     def test_constant_needs_bottom(self):
@@ -434,7 +434,7 @@ class TestMinPointwise:
 
 class TestRestrict:
     def test_whole_domain_restriction_is_identity(self, min_on_4x4):
-        s = q.DownSet.from_members(min_on_4x4.poset, min_on_4x4.poset.elements)
+        s = q.DownSet.from_members(min_on_4x4.poset, min_on_4x4.poset)
         r = q.restrict(min_on_4x4, s)
         assert r.values == min_on_4x4.values
         assert r.certified
@@ -535,12 +535,12 @@ class TestStructuralInvariants:
         u = min_on_4x4
         for lam in admissible_levels(u):
             d = u.dual(lam)
-            for x in u.poset.elements:
+            for x in u.poset:
                 assert u.poset.leq(d, x) == (lam <= u.value(x))
 
     def test_dual_identities(self, min_on_4x4):
         u = min_on_4x4
-        for x in u.poset.elements:
+        for x in u.poset:
             assert u.interior(x) == u.dual(u.value(x))          # u° = u# ∘ u
             assert u.value(u.interior(x)) == u.value(x)          # u ∘ u# ∘ u = u
         for lam in admissible_levels(u):
@@ -550,18 +550,18 @@ class TestStructuralInvariants:
     def test_recap_max_min_forms(self, min_on_4x4):
         u = min_on_4x4
         levels = admissible_levels(u)
-        for x in u.poset.elements:
+        for x in u.poset:
             attained = [lam for lam in levels if u.poset.leq(u.dual(lam), x)]
             assert max(attained) == u.value(x)
         for lam in levels:
-            level = [x for x in u.poset.elements if u.value(x) >= lam]
+            level = [x for x in u.poset if u.value(x) >= lam]
             assert brute_least(level, lambda a, b: u.poset.leq(a, b)) == u.dual(lam)
 
     def test_certified_utility_is_meet_homomorphism(self, min_on_4x4):
         u = min_on_4x4
         p = u.poset
-        for x in p.elements:
-            for y in p.elements:
+        for x in p:
+            for y in p:
                 m = p.meet(x, y)
                 assert u.value(m) == min(u.value(x), u.value(y))
 

@@ -154,7 +154,7 @@ def test_record_matches_reference_on_tolerant_scale(seed):
 def ref_certify_quasi_leontief(u):
     """``(witnesses, detail)`` for the first element, in element order, whose
     raw level set is not the up-set of a least element; None when none is."""
-    for x in u.poset.elements:
+    for x in u.poset:
         _, failure = ref_least_of_upper_set(u, u.values[x])
         if failure is not None:
             witnesses, detail = failure
@@ -170,7 +170,7 @@ def ref_interior(u, x):
 def ref_efficient_set(u, subset):
     """The points of ``subset`` that are their own interior, by value, ties in
     element order."""
-    pts = [x for x in u.poset.elements if x in subset and ref_interior(u, x) == x]
+    pts = [x for x in u.poset if x in subset and ref_interior(u, x) == x]
     return tuple(sorted(pts, key=lambda x: u.values[x]))
 
 
@@ -200,11 +200,11 @@ def test_certification_interior_and_efficient_set_match_reference(seed):
             continue
         cu = cert.utility
         assert cert.ok and cu.certified
-        for x in u.poset.elements:
+        for x in u.poset:
             assert cu.interior(x) == ref_interior(u, x)
-        elements = set(u.poset.elements)
+        elements = set(u.poset)
         assert q.efficient_set(cu) == ref_efficient_set(u, elements)
-        half = set(u.poset.elements[::2])
+        half = set(tuple(u.poset)[::2])
         assert tuple(x for x in q.efficient_set(cu) if x in half) == ref_efficient_set(u, half)
 
 
@@ -437,7 +437,7 @@ def test_dual_keeps_bare_least_element_test():
 def ref_galois_failure(u, dual_table):
     """First (x, lam) where x >= u#(lam) and u(x) >= lam disagree, with its detail."""
     for lam, d in dual_table.items():
-        for x in u.poset.elements:
+        for x in u.poset:
             lhs = u.poset.leq(d, x)
             rhs = u.scale.le(lam, u.values[x])
             if lhs != rhs:
@@ -453,7 +453,7 @@ def test_galois_matches_reference_on_corrupted_tables(seed):
             continue
         assert q.verify_galois(reg.utility, reg.dual_table).ok
         for lam in reg.dual_table:
-            for alt in u.poset.elements:
+            for alt in u.poset:
                 table = dict(reg.dual_table)
                 table[lam] = alt
                 cert = q.verify_galois(reg.utility, table)
@@ -714,7 +714,7 @@ def test_galois_reads_each_level_in_any_key_order(seed):
         assert all(q.verify_galois(reg.utility, dict(order)).ok for order in orders)
         k = rng.randrange(len(items))
         lam, d = items[k]
-        wrong = next(x for x in u.poset.elements if x != d)
+        wrong = next(x for x in u.poset if x != d)
         bad = [(lam, wrong) if i == k else item for i, item in enumerate(items)]
         got = {(c.ok, c.witnesses, c.detail)
                for c in (q.verify_galois(reg.utility, dict(order))

@@ -5,9 +5,9 @@ and ``_induced_on`` answer each query on a mask of element indices, and the
 public ``least``, ``greatest``, ``minimal``, ``is_chain``, ``join``,
 ``bottom``, ``top`` and ``induced`` decode them.  The references compare
 the points pair by pair with ``leq``, which a product answers factor by
-factor, so they read no mask.  A product that is not built answers the
-mask queries factor by factor; those answers are compared with the built
-tables of its twin.
+factor, so they read no mask.  A product answers the mask queries factor
+by factor, from cylinder masks or from the rows ``as_poset`` filled; those
+answers are compared with a plain poset on the rows of its twin.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ def random_chain(rng, poset):
     i = rng.randrange(len(poset))
     m = 1 << i
     while rng.random() < 0.7:
-        above = [j for j, y in enumerate(poset.elements) if j != i and poset.leq(poset.elements[i], y)]
+        above = [j for j, y in enumerate(poset) if j != i and poset.leq(poset.point(i), y)]
         if not above:
             break
         i = rng.choice(above)
@@ -99,7 +99,7 @@ def test_join_bottom_and_top_match_pairwise_references(kind):
     for seed in range(25):
         rng = corpus.derive_rng(13, "mask-decoders", kind, seed)
         poset = random_space(rng, kind)
-        leq, els = poset.leq, poset.elements
+        leq, els = poset.leq, tuple(poset)
         assert poset.bottom() == brute_least(els, leq)
         assert poset.top() == brute_least(els, geq(leq))
         for _ in range(10):
@@ -119,8 +119,8 @@ def test_empty_poset():
 
 
 def factorwise_products():
-    """Unbuilt products of chain, antichain and V-shaped factors, nested
-    products, and a factor whose element order is no linear extension."""
+    """Products of chain, antichain and V-shaped factors, nested products,
+    and a factor whose element order is no linear extension, top first."""
     chain = FinitePoset.chain(["0", "1", "2"])
     antichain = FinitePoset.antichain(["p", "q"])
     vee = FinitePoset.from_covers(["lo", "l", "r"], [("lo", "l"), ("lo", "r")])
@@ -142,10 +142,17 @@ def from_indices(space, m, generated):
         return str(exc)
 
 
-@pytest.mark.parametrize("k", range(len(factorwise_products())))
-def test_factorwise_answers_match_the_built_tables(k):
+@pytest.mark.parametrize("k, filled", [
+    *(pytest.param(k, False, id=str(k)) for k in range(len(factorwise_products()))),
+    *(pytest.param(k, True, id=f"{k}-filled") for k in range(len(factorwise_products()))),
+])
+def test_factorwise_answers_match_the_built_tables(k, filled):
+    """The same answers with the rows unfilled, from cylinder masks, and
+    with the rows ``as_poset`` filled."""
     space = factorwise_products()[k]
     ref = tables(space)
+    if filled:
+        assert space.as_poset() is space
     n = len(ref)
     assert [space._up_of(i) for i in range(n)] == ref._up
     assert [space._down_of(i) for i in range(n)] == ref._down
@@ -163,7 +170,7 @@ def test_factorwise_answers_match_the_built_tables(k):
         assert members == from_indices(ref, m, False)  # a holed set names the same missing point
         seen |= {"least" if least is not None else "leastless", "holed" if members != m else "comprehensive"}
     assert len(seen) == 4
-    assert type(space) is not q.ProductSpace  # answered with no table built
+    assert (space._up is None) != filled  # no query fills the rows
 
 
 def test_factorwise_products_cover_both_index_orders():
@@ -171,10 +178,10 @@ def test_factorwise_products_cover_both_index_orders():
 
 
 def test_random_downset_on_an_unbuilt_product():
-    """The corpus down-set generator samples the product's points, builds
-    nothing, and draws what it draws on the built twin."""
+    """The corpus down-set generator samples the product's points, fills no
+    rows, and draws what it draws on the plain twin."""
     for k, space in enumerate(factorwise_products()):
         rng, twin_rng = (corpus.derive_rng(19, "random-downset", k) for _ in range(2))
         S = corpus.random_downset(rng, space)
         assert S.mask == corpus.random_downset(twin_rng, tables(space)).mask
-        assert type(space) is not q.ProductSpace
+        assert space._up is None

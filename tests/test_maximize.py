@@ -139,11 +139,11 @@ def argmax_tables(seed):
     ]
     for tol in (0.1, 0.25):
         for dom in (poset, space):
-            vals = {e: rng.choice((0.0, 0.1, 0.2, 0.3, 0.35, 1.0, 1.1)) for e in dom.elements}
+            vals = {e: rng.choice((0.0, 0.1, 0.2, 0.3, 0.35, 1.0, 1.1)) for e in dom}
             tables.append(q.TabulatedUtility(dom, vals, scale=q.tolerant(tol)))
     for dom in (poset, space):
         # (k + 1) / 100 <= k / 100 + 0.01 holds though their difference rounds above 0.01
-        vals = {e: rng.randint(87, 91) / 100 for e in dom.elements}
+        vals = {e: rng.randint(87, 91) / 100 for e in dom}
         tables.append(q.TabulatedUtility(dom, vals, scale=q.tolerant(0.01)))
     return [(u, corpus.random_downset(rng, u.poset)) for u in tables for _ in range(3)]
 
@@ -354,7 +354,7 @@ class TestEfficientRefinement:
                   (("a", "a"), F(2)), (("top", "top"), F(3))]
         values = {
             p: max(v for e, v in ladder if poset.leq(e, p))
-            for p in poset.elements
+            for p in poset
         }
         u = certified(q.TabulatedUtility(poset, values))
         S = q.product_downset(space, [
@@ -377,7 +377,7 @@ class TestEfficientRefinement:
         space = q.ProductSpace([diamond, chain])
         poset = space.as_poset()
         rank = {"bot": 0, "a": 1, "b": 1, "top": 2}
-        values = {p: F(rank[p[0]]) for p in poset.elements}
+        values = {p: F(rank[p[0]]) for p in poset}
         u = q.TabulatedUtility(poset, values)
         S = q.product_downset(space, [
             q.DownSet.from_members(diamond, diamond.elements),

@@ -37,7 +37,7 @@ class TestCertifyQuasiLeontief:
         p = u.poset
         # both witnesses sit in one level set and are incomparable minimal points
         lam = min(u.value(w1), u.value(w2))
-        level = [x for x in p.elements if u.value(x) >= lam]
+        level = [x for x in p if u.value(x) >= lam]
         assert w1 in level and w2 in level
         assert not p.comparable(w1, w2)
 
@@ -262,7 +262,7 @@ class TestBeyondGridsAndNumbers:
         # {(a, b) : a + b <= 3} is an inf-semilattice that is not a lattice:
         # meets are componentwise, but e.g. (0,3) and (3,0) have no join
         full = q.grid_space(range(4), range(4)).as_poset()
-        tri = full.induced([p for p in full.elements if p[0] + p[1] <= 3])
+        tri = full.induced([p for p in full if p[0] + p[1] <= 3])
         assert tri.is_inf_semilattice()
         assert tri.join((0, 3), (3, 0)) is None
         u = q.TabulatedUtility(tri, {p: F(min(p)) for p in tri.elements})

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import qleontief as q
 import qleontief.cli as cli
 from qleontief.order import ProductSpace
 
@@ -64,3 +65,29 @@ def test_feasible_set_walks_per_command(argv, walks, records, monkeypatch, capsy
     assert code == 0
     assert names.count("maximize.argmax_members") == walks
     assert names.count("maximize.argmax_over_downset") == records
+
+
+def test_as_poset_fills_the_product_itself():
+    """The benchmark patches ``ProductSpace.as_poset`` by name, times it on
+    fresh products, and hands its result to ``TabulatedUtility`` next to
+    ``space=space``: it stays a method of the class that returns the product
+    itself, with its rows filled."""
+    assert "as_poset" in ProductSpace.__dict__
+    space = q.grid_space(range(3), range(2))
+    assert type(space) is ProductSpace and space._up is None
+    assert space.as_poset() is space
+    assert type(space) is ProductSpace and space._up is not None
+    vals = {p: min(p) for p in space.points()}
+    assert q.TabulatedUtility(space.as_poset(), vals, space=space).poset is space
+
+
+@pytest.mark.parametrize("argv, fills", [
+    (["corpus", "--n", "8", "--seed", "3"], True),
+    (["check", "product3.json"], False),
+    (["efficient", "product3.json"], False),
+])
+def test_only_the_corpus_fills_product_rows(argv, fills, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    code, names, _ = traced(argv)
+    assert code == 0
+    assert ("order.ProductSpace.as_poset" in names) == fills
