@@ -6,7 +6,6 @@ in isolation and whole sweeps are reproducible byte for byte.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from typing import List
@@ -17,6 +16,8 @@ from .order import EXACT, DownSet, FinitePoset, ProductSpace, _bits
 
 def derive_rng(seed: int, *tags) -> random.Random:
     """Independent RNG for one (seed, tag...) coordinate."""
+    import hashlib  # here, not at the top: no other command reads a seed
+
     text = "|".join([str(seed), *map(str, tags)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

@@ -72,6 +72,8 @@ def load_json(path: str) -> Any:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except InputError:

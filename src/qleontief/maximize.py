@@ -14,8 +14,7 @@ maximizers and the largest efficient point.  The localization check and
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .efficiency import _axis_interiors, efficient_mask, is_efficient_minimal
 from .leontief import TabulatedUtility, UtilityError
@@ -27,8 +26,7 @@ class PreconditionError(UtilityError):
     """A stated precondition (e.g. the starting point maximizes) fails."""
 
 
-@dataclass(frozen=True)
-class ArgmaxResult:
+class ArgmaxResult(NamedTuple):
     """Maximum value, all maximizers, and the distinguished points.
 
     ``largest_efficient`` is the largest efficient point inside the set; it
@@ -126,8 +124,7 @@ def check_argmax_localization(u: TabulatedUtility, S: DownSet, res: ArgmaxResult
     )
 
 
-@dataclass(frozen=True)
-class RefinementStep:
+class RefinementStep(NamedTuple):
     axis: int
     before: Element
     after: Element
@@ -142,8 +139,7 @@ class RefinementStep:
         }
 
 
-@dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(NamedTuple):
     """Axis-by-axis record of one refinement run, with the checks it passed."""
 
     start: Tuple

@@ -30,8 +30,7 @@ read off one plain pass over the index pairs (``_pair_failures``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .leontief import TabulatedUtility
 from .order import Element, OrderError
@@ -52,22 +51,33 @@ class CertificationError(ValueError):
         )
 
 
-@dataclass
-class Certificate:
+class _CertificateFields(NamedTuple):
+    ok: bool
+    prop: str
+    witnesses: Tuple
+    dual_table: Optional[Dict[Any, Element]]
+    detail: str
+    utility: Optional[TabulatedUtility]
+    data: Dict[str, Any]
+
+
+class Certificate(_CertificateFields):
     """Verdict of one certifier run.
 
     A failing certificate always carries witnesses re-checkable against the
     property named in ``prop``; a passing regularity certificate carries the
-    dual table it built.
+    dual table it built.  A certificate made without ``data`` gets a dict of
+    its own.
     """
 
-    ok: bool
-    prop: str
-    witnesses: Tuple = ()
-    dual_table: Optional[Dict[Any, Element]] = None
-    detail: str = ""
-    utility: Optional[TabulatedUtility] = None
-    data: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, ok: bool, prop: str, witnesses: Tuple = (),
+                dual_table: Optional[Dict[Any, Element]] = None, detail: str = "",
+                utility: Optional[TabulatedUtility] = None,
+                data: Optional[Dict[str, Any]] = None) -> "Certificate":
+        return super().__new__(cls, ok, prop, witnesses, dual_table, detail, utility,
+                               {} if data is None else data)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -28,10 +28,9 @@ it, and of the commands only ``corpus`` does.  No domain larger than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Element = Hashable
 
@@ -48,8 +47,7 @@ class OrderError(ValueError):
     """Invalid order-theoretic input: unknown element, bad relation, empty factor list."""
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Outcome of a partial-order axiom check.
 
     ``axiom`` is one of ``reflexivity``, ``antisymmetry``, ``transitivity``

@@ -82,6 +82,19 @@ class TestCheck:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("where", ["utility", "downset", "nested-poset"])
+    def test_directory_path_is_input_error(self, where, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        ok = write(tmp_path, "ok.json", {"poset": chain_json(2), "values": {"0": "0", "1": "1"}})
+        argv = {
+            "utility": ["check", str(folder)],
+            "downset": ["maximize", ok, "--downset", str(folder)],
+            "nested-poset": ["check", write(tmp_path, "u.json", {"poset": str(folder), "values": {}})],
+        }[where]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+
     @pytest.mark.parametrize("raw, fault", [
         ("9" * 5000, "integer string conversion"),  # past Python's int-string limit
         ("[" * 100000 + "]" * 100000, "arrays or objects nested too deeply"),

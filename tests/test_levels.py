@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qleontief as q
-from qleontief import corpus
+from qleontief import corpus, leontief
 from qleontief.cli import main
 from qleontief.io import load_json, utility_from_json
 from qleontief.leontief import _Ranks
@@ -415,6 +415,57 @@ def test_ranks_sort_only_the_distinct_objects():
     t = _Ranks(values)
     d = len(t.image)
     assert d == 8 and CountedValue.calls <= d * d.bit_length() + d
+
+
+def dense_ranks(rng, n, m):
+    """n ranks that meet each of 0..m-1, shuffled, as a rank table's are."""
+    rank = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+    rng.shuffle(rank)
+    return rank
+
+
+@pytest.mark.parametrize("n, m", [
+    (0, 0), (1, 1), (300, 1), (40, 39), (40, 40), (300, 255), (1296, 8), (1296, 255),
+], ids=lambda v: str(v))
+def test_suffix_masks_by_rank_match_the_per_element_build(n, m):
+    rank = dense_ranks(random.Random(n * 1000 + m), n, m)
+    ref = [sum(1 << i for i, k in enumerate(rank) if k >= r) for r in range(m + 1)]
+    assert leontief._suffix_by_element(rank, m) == ref
+    assert leontief._suffix_by_rank(rank, m) == ref
+    assert leontief._suffix_masks(rank, m) == ref
+
+
+def test_suffix_masks_past_a_byte_take_the_per_element_build(monkeypatch):
+    """At this size the costs alone would pick the per-rank build."""
+    rank = dense_ranks(random.Random(256), 100000, 256)
+    monkeypatch.setattr(leontief, "_suffix_by_rank", None)  # a call would raise
+    assert leontief._suffix_masks(rank, 256) == leontief._suffix_by_element(rank, 256)
+
+
+@pytest.mark.parametrize("n, distinct, by_rank", [
+    (1296, 8, True), (625, 6, True), (100, 4, True),
+    (64, 20, False), (16, 4, False), (8, 2, False),
+])
+@pytest.mark.parametrize("scale", ["exact", "tolerant"])
+def test_rank_tables_switch_their_suffix_build_by_size(n, distinct, by_rank, scale, monkeypatch):
+    """Few ranks against many elements build per rank, a corpus-sized table
+    per element; exact and tolerant tables, and their restrictions, match
+    the reference either way."""
+    rng = random.Random(n + distinct)
+    pool = [F(v, 3) for v in range(distinct)]
+    values = [pool[k] for k in dense_ranks(rng, n, distinct)]
+    if scale == "tolerant":
+        values = [float(v) for v in values]
+    calls = []
+    real = leontief._suffix_by_rank
+    monkeypatch.setattr(leontief, "_suffix_by_rank", lambda *a: calls.append(a) or real(*a))
+    sc = q.tolerant(1e-9) if scale == "tolerant" else q.EXACT
+    t = _Ranks(values, sc)
+    assert (t.rank, t.suffix) == ref_ranks(values)[::2]
+    assert bool(calls) == by_rank
+    indices = rng.sample(range(n), n // 2)
+    sub = t.restrict(indices, sc)
+    assert (sub.rank, sub.suffix) == ref_ranks([values[i] for i in indices])[::2]
 
 
 def test_dual_keeps_bare_least_element_test():
