@@ -336,10 +336,14 @@ class TabulatedUtility(_Closure):
 
     def probe_levels(self, extra: Iterable = ()) -> List:
         """Attained values plus midpoints between consecutive distinct values,
-        merged with ``extra``, in a new list: the levels of ``_probes``.  On a
-        finite domain level sets only change at these thresholds; scales
-        without arithmetic (any totally ordered values work) probe the
-        attained values alone, which already decides every verdict."""
+        merged with ``extra``, in a new list: the levels of ``_probes``.  On
+        the exact scale a level set only changes at an attained value, so
+        these decide every level; scales without arithmetic (any totally
+        ordered values work) probe the attained values alone.  On a tolerant
+        scale a level set also changes at v + tolerance for an attained v,
+        which no probe need hit: with 0.0 < 1.0 < 1.2 < 3.0 on a < b < c,
+        b < d and tolerance 0.5, every probe's set has a least element, but
+        the set at 1.65 is {c, d}."""
         return [lam for lam, _ in self._probes(extra)]
 
     def _probes(self, extra: Iterable = ()) -> List[Tuple[Any, int]]:
@@ -368,6 +372,8 @@ class TabulatedUtility(_Closure):
                 except TypeError:
                     pairs += zip(img[k:], lo[k:])
                     break
+                except OverflowError:  # a float next to an int past a float's range
+                    mid = (Fraction(a) + Fraction(b)) / 2
                 if type(mid) is not float or a < mid < b:
                     pairs.append((mid, self._start(mid, k)))
                 elif mid != a and mid != b:
@@ -484,19 +490,31 @@ class BoxAxis:
 
     def count(self) -> int:
         """Number of grid points, from ``lo``, ``hi`` and ``step`` alone."""
+        return self._top()[0] + 1
+
+    def _top(self) -> Tuple[int, Any]:
+        """n and the top point: the grid is lo + i * step for i < n, then the
+        top.  Where a bound is a float and n steps reach ``hi`` up to rounding
+        (n is ``math.isclose`` to the span in steps), the top is ``hi``
+        itself when lo + n * step rounds off it, above or below."""
         if self.step is None:
             raise UtilityError("axis has no grid step")
         span = (self.hi - self.lo) / self.step
         if isinstance(span, float) and not math.isfinite(span):
             raise UtilityError(f"axis {self!r} has no finite number of grid points")
         n = int(round(span)) if isinstance(span, float) else int(span)
+        if float in {type(self.lo), type(self.hi), type(self.step)} and math.isclose(n, span):
+            top = self.lo + n * self.step
+            return n, top if top == self.hi else self.hi
         while self.lo + n * self.step > self.hi:
             n -= 1
-        return n + 1
+        return n, self.lo + n * self.step
 
     def points(self) -> Tuple:
+        n, top = self._top()
+        check_size(n + 1)
         # index arithmetic avoids float accumulation drift
-        return tuple(self.lo + i * self.step for i in range(check_size(self.count())))
+        return tuple(self.lo + i * self.step for i in range(n)) + (top,)
 
     def __repr__(self) -> str:
         if self.step is None:
@@ -542,11 +560,13 @@ def _in_float_range(v, scale: Scale) -> bool:
         return False
 
 
-def _infer_scale(*numbers) -> Scale:
-    for v in numbers:
-        if isinstance(v, float):
-            return tolerant()
-    return EXACT
+def _scale_of(values: Iterable, scales: Iterable[Scale] = ()) -> Scale:
+    """The one scale rule of a made table: exact when every one of ``values``
+    is an int or a Fraction, else the first tolerant one of ``scales`` (those
+    of its inputs), else ``tolerant()``."""
+    if set(map(type, values)) <= _RATIONAL:
+        return EXACT
+    return next((s for s in scales if s.kind == "tolerant"), None) or tolerant()
 
 
 # ---------------------------------------------------------------------------
@@ -646,29 +666,9 @@ class PowerLeontief(_Closure):
 
 def classical_leontief(a: Sequence, box: Box, *, scale: Optional[Scale] = None) -> PowerLeontief:
     """u(x) = min_i a_i x_i: the power form with every exponent 1.  The scale
-    is exact unless a coefficient is a float."""
+    is exact unless a coefficient is not rational (``_scale_of``)."""
     a = tuple(a)
-    if scale is None:
-        scale = _infer_scale(*a)
-    return PowerLeontief(a, (1,) * len(a), box, scale=scale)
-
-
-def _shared_scale(utilities: Sequence, name: str, noun: str) -> Scale:
-    """The scale of the first of ``utilities``, which must be nonempty and
-    agree on exact versus tolerant.  A table that ``tabulate`` read exact off
-    a tolerant form (its scale has a ``form``) agrees with a tolerant table
-    too: then the result is on the first one's tolerant scale, its ``form``
-    for such a table.  Next to a table that is exact without a ``form``, the
-    result is plain exact."""
-    if not utilities:
-        raise UtilityError(f"{name} needs at least one {noun}")
-    scales = [u.scale for u in utilities]
-    forms = [s.form or s for s in scales]
-    if len({s.kind for s in scales}) == 1:
-        return scales[0] if len({s.kind for s in forms}) == 1 else EXACT
-    if len({s.kind for s in forms}) > 1:
-        raise UtilityError(f"{noun}s mix exact and tolerant scales")
-    return forms[0]
+    return PowerLeontief(a, (1,) * len(a), box, scale=scale if scale is not None else _scale_of(a))
 
 
 def _require_tables(name: str, utilities: Sequence) -> None:
@@ -678,40 +678,46 @@ def _require_tables(name: str, utilities: Sequence) -> None:
 
 def min_product(*factors) -> TabulatedUtility:
     """min_i u_i(x_i): the uncertified table on the ``ProductSpace`` of the
-    factor posets.  Every factor must be a table; ``tabulate`` gives the
+    factor posets, on the scale ``_scale_of`` reads off its values and the
+    factors' scales.  Every factor must be a table; ``tabulate`` gives the
     table of a closed form on a gridded box."""
+    if not factors:
+        raise UtilityError("min-product needs at least one factor")
     _require_tables("min-product", factors)
-    scale = _shared_scale(factors, "min-product", "factor")
     space = ProductSpace([f.poset for f in factors])
     check_size(len(space))
     # the factor columns in mixed radix, last fastest: the order of ``points``
     column = list(map(min, _iproduct(*(f.column for f in factors))))
-    return TabulatedUtility._of_column(space, column, scale)
+    return TabulatedUtility._of_column(space, column, _scale_of(column, (f.scale for f in factors)))
 
 
 def min_pointwise(*parts) -> TabulatedUtility:
     """min_i u_i(x): the uncertified table of the minimum of tables on one
-    domain poset."""
+    domain poset, on the scale ``_scale_of`` reads off its values and the
+    parts' scales."""
+    if not parts:
+        raise UtilityError("pointwise min needs at least one part")
     if not all(isinstance(p, TabulatedUtility) and p.poset == parts[0].poset for p in parts):
         raise UtilityError("pointwise min needs tables that share one domain poset")
-    scale = _shared_scale(parts, "pointwise min", "part")
     column = list(map(min, zip(*(p.column for p in parts))))
-    return TabulatedUtility._of_column(parts[0].poset, column, scale)
+    return TabulatedUtility._of_column(parts[0].poset, column, _scale_of(column, (p.scale for p in parts)))
 
 
 def affine_transform(u: TabulatedUtility, a, b) -> TabulatedUtility:
     """a * u + b with a > 0: the table of the transformed values, whose
-    interior map is u's.  It is certified when u is and the scale is exact;
-    a tolerant one compares the rescaled gaps to the same tolerance."""
+    interior map is u's, on the scale ``_scale_of`` reads off them and u's
+    scale.  It is certified when u is and both scales are exact; a tolerant
+    one compares the rescaled gaps to the same tolerance."""
     _require_tables("affine transform", [u])
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
     column = [a * v + b for v in u.column]
-    bad = next((i for i, v in enumerate(column) if not _in_float_range(v, u.scale)), None)
+    scale = _scale_of(column, [u.scale])
+    bad = next((i for i, v in enumerate(column) if not _in_float_range(v, scale)), None)
     if bad is not None:
         raise UtilityError(f"the affine transform at {u.poset.point(bad)!r} overflows a float")
-    new = TabulatedUtility._of_column(u.poset, column, u.scale)
-    new.certified = u.certified and u.scale.kind == "exact"
+    new = TabulatedUtility._of_column(u.poset, column, scale)
+    new.certified = u.certified and u.scale.kind == scale.kind == "exact"
     return new
 
 
@@ -731,17 +737,12 @@ def restrict(u: TabulatedUtility, downset: DownSet) -> TabulatedUtility:
 
 def tabulate(u) -> TabulatedUtility:
     """Explicit table of a closed-form utility on its grid box, the product
-    of one chain per axis; every axis needs a step.  The table is on u's
-    scale, but on the exact scale, whose ``form`` is u's, when u's is tolerant
-    and every value is an int or a Fraction; u keeps its own scale either
-    way."""
+    of one chain per axis; every axis needs a step.  The table is on the
+    scale ``_scale_of`` reads off its values and u's scale; u keeps its own."""
     check_size(math.prod(check_size(a.count()) for a in u.box.axes))  # before any chain is built
     space = ProductSpace([FinitePoset.chain(a.points()) for a in u.box.axes])
     column = list(map(u.value, space.points()))
-    scale = u.scale
-    if scale.kind == "tolerant" and set(map(type, column)) <= _RATIONAL:
-        scale = Scale("exact", form=scale)
-    return TabulatedUtility._of_column(space, column, scale)
+    return TabulatedUtility._of_column(space, column, _scale_of(column, [u.scale]))
 
 
 def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List[TabulatedUtility]:

@@ -130,7 +130,11 @@ def certify_regular(
     """Check least elements of every nonempty level set over the probe levels.
 
     Probes default to the attained values plus midpoints between consecutive
-    ones (level sets only change there); extra levels are merged in.  Each
+    ones; extra levels are merged in.  On the exact scale level sets only
+    change at attained values, so the default probes see every one; on a
+    tolerant scale they also change at v + tolerance, which the probes need
+    not hit (``TabulatedUtility.probe_levels`` has an example), so a pass
+    vouches for the probed levels alone.  Each
     level set is read at the rank where the probe walk found it to start
     (``TabulatedUtility._probes``): on the exact scale no value is compared.
     On pass the certificate carries the full dual table and a certified

@@ -143,6 +143,16 @@ def test_integers_past_a_floats_range(scale):
     assert reg.ok and reg.dual_table == {0: 0, F(big, 2): 1, big: 1, big + F(1, 2): 2, big + 1: 2}
 
 
+def test_a_float_next_to_an_integer_past_a_floats_range():
+    """Their float sum overflows, so the probe between them is their exact
+    midpoint, and no certifier raises ``OverflowError``."""
+    big = 10**400
+    u = q.TabulatedUtility(q.FinitePoset.chain([0, 1]), {0: 1.5, 1: big}, scale=q.tolerant())
+    reg = oracle.certify_regular(u)
+    assert reg.ok and reg.dual_table == {1.5: 0, (F(1.5) + big) / 2: 1, big: 1}
+    assert oracle.check_characterization_equivalence(u).ok
+
+
 def test_tolerant_le_is_monotone_over_mixed_kinds():
     """For b1 <= b2 of any kinds, a <= b1 on the scale implies a <= b2:
     the float 1 + 1e-9, which lies above the exact sum, against 1.0 and a

@@ -1283,21 +1283,60 @@ class TestExactPowerGrid:
         assert main(["efficient", "--json", u]) == 0
         assert json.loads(capsys.readouterr().out)["points"] == [[[x], [y]] for x, y in points]
 
-    @pytest.mark.parametrize("first", [
-        ("classical", ["1"], [3]),
-        {"type": "min_product", "factors": [("power", ["1"], [3], ["2"]), ("classical", ["1"], [3])]},
-    ])
-    def test_exact_grid_with_a_tolerant_grid_is_refused(self, first, tmp_path, capsys):
-        """A table exact in its own right, alone or inside a product, does not
-        mix with a tolerant one."""
+    @pytest.mark.parametrize("first, point", [
+        (("classical", ["1"], [3]), lambda t: [t]),
+        ({"type": "min_product", "factors": [("power", ["1"], [3], ["2"]), ("classical", ["1"], [3])]},
+         lambda t: [[t], [t]]),
+    ], ids=["table", "product"])
+    def test_exact_grid_with_a_tolerant_grid_loads(self, first, point, tmp_path, capsys):
+        """A table exact in its own right, alone or inside a product, next to
+        a tolerant one: the product takes floats from x^(1/2), so it is on
+        that factor's tolerant scale, where ``--tolerance`` merges 1 and 2^(1/2)."""
         if isinstance(first, dict):
             first = dict(first, factors=[self.form(*f) for f in first["factors"]])
         else:
             first = self.form(*first)
         u = write(tmp_path, "u.json", {"type": "min_product", "factors": [
             first, self.form("power", ["1"], [3], ["1/2"])]})
-        assert main(["efficient", u]) == 2
-        assert capsys.readouterr().err == "error: invalid utility: factors mix exact and tolerant scales\n"
+        assert main(["check", "--quiet", u]) == 0
+        assert capsys.readouterr().err == ""
+        for flags, top in (([], 3), (["--tolerance", "0.5"], 2)):
+            assert main(["efficient", "--json", *flags, u]) == 0
+            assert json.loads(capsys.readouterr().out)["points"] == [[point(t), [t]] for t in "012"[:top]]
+
+
+class TestScaleRule:
+    """A loaded table is exact iff every value is an int or a Fraction, else
+    on the first tolerant scale among its inputs, where ``--tolerance`` applies."""
+
+    def efficient(self, u, capsys, *flags):
+        assert main(["efficient", "--json", *flags, u]) == 0
+        return json.loads(capsys.readouterr().out)["points"]
+
+    def test_float_grid_of_a_rational_form_is_tolerant(self, tmp_path, capsys):
+        """x on 0..0.3 by 0.1 holds floats, and its top point is 0.3 itself."""
+        u = write(tmp_path, "u.json", {"type": "classical", "a": ["1", "1"], "box": {"axes": [
+            {"lo": 0.0, "hi": 0.3, "step": 0.1}, {"lo": "0", "hi": "3", "step": "1"}]}})
+        assert main(["check", "--quiet", u]) == 0
+        assert capsys.readouterr().err == ""
+        assert self.efficient(u, capsys) == [[0.0, "0"], [0.1, "1"], [0.2, "1"], [0.3, "1"]]
+        assert self.efficient(u, capsys, "--tolerance", "0.5") == [[0.0, "0"]]
+
+    def test_float_affine_of_an_exact_table_is_tolerant(self, tmp_path, capsys):
+        base = {"poset": chain_json(3), "values": {"0": "0", "1": "1", "2": "2"}}
+        u = write(tmp_path, "u.json", {"type": "affine", "a": 0.1, "b": "0", "base": base})
+        assert main(["check", "--quiet", u]) == 0
+        assert capsys.readouterr().err == ""
+        assert self.efficient(u, capsys) == ["0", "1", "2"]
+        assert self.efficient(u, capsys, "--tolerance", "0.5") == ["0"]
+
+    def test_tolerant_factor_that_never_wins_the_min_is_exact(self, tmp_path, capsys):
+        """10.5y on 1..2 never falls below x^2 on 0..2, so every value is an
+        int or a Fraction: a tolerance of 1 does not merge 0, 1 and 4."""
+        square = TestExactPowerGrid.form("power", ["1"], [3], ["2"])
+        wide = {"type": "classical", "a": [10.5], "box": {"axes": [{"lo": "1", "hi": "2", "step": "1"}]}}
+        u = write(tmp_path, "u.json", {"type": "min_product", "factors": [square, wide]})
+        assert self.efficient(u, capsys, "--tolerance", "1") == [[[t], ["1"]] for t in "012"]
 
 
 # Small JSON values: bounded numbers and a few tokens, so that no drawn

@@ -22,8 +22,13 @@ column, and the maximum was read off the rank table.  Each ``*.txt`` file is
 the text output (no ``--json``) of ``efficient``, ``maximize``, ``refine``
 and ``check`` on ``product3.json``, ``corrupted.json`` and
 ``plain_poset.json``, captured before text lines were built only in text
-mode.  Commands run from inside ``tests/data`` so the ``input`` field of a
-report is the bare file name.
+mode.  The ``mix_*`` reports (``check``, ``efficient`` and ``maximize``
+on four ``min_product`` files of two one-axis grids 0..2: x^2 with x^(1/2),
+x^2 with 1.5x, 1.5x with x^2, and x^2 with x, and ``efficient --tolerance
+0.5`` on the first) were captured before a table's scale was read off its
+values alone, with no ``form`` on the exact scale.  Commands run from
+inside ``tests/data`` so the ``input`` field of a report is the bare file
+name.
 """
 from __future__ import annotations
 
@@ -100,6 +105,14 @@ CASES = {
          "--start", "product4_start.json", "--order", "4,2,1,3"],
         0,
     ),
+    **{
+        f"{mix}.{name}.out": (argv[:1] + ["--json", f"{mix}.json"] + argv[1:], 0)
+        for mix in ("mix_square_root", "mix_square_float", "mix_float_square", "mix_square_line")
+        for name, argv in (("check", ["check"]), ("efficient", ["efficient"]),
+                           ("maximize_generators", ["maximize", "--downset", "mix_downset.json"]))
+    },
+    "mix_square_root.efficient_tolerance.out": (
+        ["efficient", "--json", "--tolerance", "0.5", "mix_square_root.json"], 0),
 }
 
 

@@ -263,6 +263,80 @@ class TestAffine:
             q.affine_transform(u, F(2), F(5))
 
 
+class TestScaleRule:
+    """A made table is exact iff every value is an int or a Fraction, else on
+    the first tolerant scale among its inputs, else on ``tolerant()``."""
+
+    def test_classical_form_reads_its_coefficients(self):
+        box = q.Box.cube(1, 0, 2, 1)
+        assert q.classical_leontief([1, F(1, 2)], q.Box.cube(2, 0, 2, 1)).scale is q.EXACT
+        assert q.classical_leontief([1.5], box).scale.kind == "tolerant"
+        assert q.classical_leontief([1.5], box, scale=q.EXACT).scale is q.EXACT
+
+    def test_float_grid_of_a_rational_form_is_tolerant(self):
+        box = q.Box([q.BoxAxis(0.0, 0.3, 0.1), q.BoxAxis(F(0), F(3), F(1))])
+        u = q.classical_leontief([F(1), F(1)], box)
+        tab = q.tabulate(u)
+        assert tab.scale.kind == "tolerant" and u.scale is q.EXACT
+        assert tab.image() == (0, 0.1, 0.2, 0.3)
+        assert tab.value((0.3, F(3))) == 0.3
+
+    def test_affine_is_exact_only_on_rational_values(self):
+        exact = certified(grid_utility(lambda a, b: F(min(a, b)), range(3), range(3)))
+        v = q.affine_transform(exact, 0.1, F(0))
+        assert v.scale.kind == "tolerant" and not v.certified
+        assert sorted(v.column) == [0.0] * 5 + [0.1] * 3 + [0.2]
+        w = q.affine_transform(exact, F(2), 1)
+        assert w.scale is q.EXACT and w.certified
+        # a tolerant table of rational values comes back exact, but uncertified
+        chain = q.FinitePoset.chain([0, 1])
+        tol = certified(q.TabulatedUtility(chain, {0: F(0), 1: F(1)}, scale=q.tolerant(0.5)))
+        x = q.affine_transform(tol, F(2), F(0))
+        assert x.scale is q.EXACT and not x.certified
+        y = q.affine_transform(tol, 0.5, F(0))
+        assert y.scale is tol.scale and not y.certified
+
+    def test_pointwise_min(self):
+        exact = grid_utility(lambda a, b: F(a), range(2), range(2))
+        floats = q.TabulatedUtility(exact.poset, {p: 0.5 + p[1] for p in exact.poset},
+                                    scale=q.tolerant(0.25))
+        high = q.TabulatedUtility(exact.poset, {p: 9.5 for p in exact.poset}, scale=q.tolerant())
+        assert q.min_pointwise(exact, floats).scale is floats.scale
+        assert q.min_pointwise(high, floats).scale is high.scale
+        # 9.5 never wins the min against 0 and 1
+        assert q.min_pointwise(exact, high).scale is q.EXACT
+
+    def test_restriction_keeps_the_scale_it_is_given(self):
+        chain = q.FinitePoset.chain([0, 1, 2])
+        u = q.TabulatedUtility(chain, {0: F(0), 1: F(1), 2: 2.5}, scale=q.tolerant())
+        r = q.restrict(u, q.DownSet.from_generators(chain, [1]))
+        assert r.scale is u.scale and set(map(type, r.column)) == {F}
+
+
+class TestBoxAxis:
+    @pytest.mark.parametrize("axis, points", [
+        # lo + n * step rounds above hi, so the top is hi itself
+        (q.BoxAxis(0, 0.3, 0.1), (0.0, 0.1, 0.2, 0.3)),
+        (q.BoxAxis(0.0, 0.7, 0.1), (0.0, 0.1, 0.2, 0.1 * 3, 0.4, 0.5, 0.1 * 6, 0.7)),
+        # ... or below it
+        (q.BoxAxis(0.0, 0.9, 0.3), (0.0, 0.3, 0.6, 0.9)),
+        (q.BoxAxis(0.0, 1.0, 0.1), tuple(i * 0.1 for i in range(11))),
+        (q.BoxAxis(0.0, 0.25, 0.1), (0.0, 0.1, 0.2)),
+        (q.BoxAxis(F(0), F(1), F(1, 3)), (F(0), F(1, 3), F(2, 3), F(1))),
+        (q.BoxAxis(F(0), F(7, 6), F(1, 3)), (F(0), F(1, 3), F(2, 3), F(1))),
+        (q.BoxAxis(0, 5, 2), (0, 2, 4)),
+    ])
+    def test_grid_points(self, axis, points):
+        got = axis.points()
+        assert got == points and axis.count() == len(points)
+        assert list(map(type, got)) == list(map(type, points))
+
+    def test_top_is_the_bound_itself(self):
+        assert q.BoxAxis(0, 0.3, 0.1).points()[-1] == 0.3 != 0.1 * 3
+        top = q.BoxAxis(0, 1, 0.1).points()[-1]  # reached exactly: left as computed
+        assert top == 1 and type(top) is float
+
+
 def identity_chain_utility(n):
     chain = q.FinitePoset.chain(range(n))
     return certified(q.TabulatedUtility(chain, {t: F(t) for t in range(n)}))
@@ -340,25 +414,23 @@ class TestMinProduct:
         assert not m.certified
         assert not q.certify_quasi_leontief(m).ok
 
-    def test_scale_of_a_table_read_exact_off_a_tolerant_form(self):
-        """``tabulate`` reads x^2 on 0..2 exact, keeping its form's scale as
-        ``form``: next to a tolerant table the product is on that scale, next
-        to a table exact in its own right it is exact without a ``form``."""
+    def test_scale_of_a_product_is_read_off_its_values(self):
+        """Exact when every value is an int or a Fraction, else the first
+        tolerant factor's scale: x^2 and x on 0..2 are exact, x^(1/2) is not,
+        and 10.5x on 1..2 is not either, but it never wins a min against x^2."""
         box = q.Box.cube(1, 0, 2, 1)
         square = q.tabulate(q.PowerLeontief([1], [2], box))
         root = q.tabulate(q.PowerLeontief([1], [F(1, 2)], box))
         line = q.tabulate(q.classical_leontief([1], box))
-        assert (square.scale.kind, root.scale.kind, line.scale.kind) == ("exact", "tolerant", "exact")
-        assert square.scale.form.kind == "tolerant" and line.scale.form is None
-        assert q.min_product(square, root).scale is square.scale.form
-        assert q.min_product(root, square).scale is root.scale
-        assert q.min_product(square, square).scale is square.scale
-        for factors in ((square, line), (line, square)):
-            scale = q.min_product(*factors).scale
-            assert scale.kind == "exact" and scale.form is None
-        for factors in ((line, root), (q.min_product(square, line), root)):
-            with pytest.raises(q.UtilityError, match="factors mix exact and tolerant scales"):
-                q.min_product(*factors)
+        wide = q.tabulate(q.classical_leontief([10.5], q.Box.cube(1, 1, 2, 1)))
+        assert square.scale is line.scale is q.EXACT
+        assert root.scale.kind == wide.scale.kind == "tolerant"
+        assert q.Scale.__slots__ == ("kind", "tolerance")
+        for factors in ((square, root), (root, square), (line, root), (q.min_product(square, line), root)):
+            assert q.min_product(*factors).scale is root.scale
+        assert q.min_product(wide, root).scale is wide.scale
+        for factors in ((square, square), (square, line), (line, square), (square, wide), (wide, square)):
+            assert q.min_product(*factors).scale is q.EXACT
 
     def test_mixed_factors_rejected(self):
         u = q.classical_leontief([F(2)], frac_box(1, 0, 4))
