@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import List
 
-from .leontief import TabulatedUtility
+from .leontief import TabulatedUtility, _Ranks
 from .order import EXACT, DownSet, FinitePoset, ProductSpace, _bits
 
 
@@ -57,7 +57,9 @@ def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedU
     a product of chains every such table is individually quasi-Leontief.
 
     The sweep counts in half-steps by element index; each distinct count
-    becomes one shared ``Fraction``.
+    becomes one shared ``Fraction``.  The table comes with its rank table:
+    one sort of the distinct counts ranks them, and the shared Fractions
+    are its image.
 
     The maximum below a point is read by a walk over its strict down-set m:
     take the highest-index member j, keep its count, and drop down(j) from
@@ -76,8 +78,10 @@ def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedU
                 below = halves[j]
             m &= ~down[j]
         halves[i] = below + rng.choice(_HALF_STEPS)
-    value = {h: Fraction(h, 2) for h in set(halves)}
-    return TabulatedUtility._of_column(poset, [value[h] for h in halves], EXACT)
+    counts = sorted(set(halves))
+    rank = list(map({h: r for r, h in enumerate(counts)}.__getitem__, halves))
+    image = [Fraction(h, 2) for h in counts]
+    return TabulatedUtility._of_column(poset, list(map(image.__getitem__, rank)), EXACT, _Ranks.of(rank, image))
 
 
 def random_quasileontief_utility(
@@ -87,7 +91,10 @@ def random_quasileontief_utility(
 
     A random ascending chain from the bottom gets strictly increasing values;
     every point takes the value of the highest chain element below it.  Upper
-    level sets are then exactly the up-sets of chain elements.
+    level sets are then exactly the up-sets of chain elements.  So a point's
+    rank is the chain position that sets its value: chain element k keeps
+    its own, so every level is attained, and the table comes with its rank
+    table.
     """
     up = poset.as_poset()._up
     bot = poset._least_in((1 << len(poset)) - 1)
@@ -100,12 +107,13 @@ def random_quasileontief_utility(
             break
         chain.append(rng.choice(ups))
     level = Fraction(rng.randint(0, 2))
-    column = [None] * len(poset)
-    for c in chain:  # ascending, so a point keeps the level of the last chain element below it
+    rank, image = [0] * len(poset), []
+    for k, c in enumerate(chain):  # ascending, so a point keeps the rank of the last chain element below it
         for i in _bits(up[c]):
-            column[i] = level
+            rank[i] = k
+        image.append(level)
         level += Fraction(rng.randint(1, 3), 2)
-    return TabulatedUtility._of_column(poset, column, EXACT)
+    return TabulatedUtility._of_column(poset, list(map(image.__getitem__, rank)), EXACT, _Ranks.of(rank, image))
 
 
 def random_downset(rng: random.Random, poset: FinitePoset) -> DownSet:

@@ -75,7 +75,8 @@ def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...
     points of parent rank lo[r] or more (see ``_Ranks``).  So, walking the
     ranks of the parent's row ``rank[base::stride]`` down, each level set
     must be the up-set of its least element, the interior of every point at
-    that rank.  Only a slice where one is not goes through
+    that rank: the factor's dict from up-set masks to indices
+    (``_by_up_row``) finds it.  Only a slice where one is not goes through
     ``certified_partial``, which raises the error of a slice that is not
     quasi-Leontief; a slice it passes is an InconsistencyError.  A record
     does not depend on certification: every slice of a certified table
@@ -100,13 +101,13 @@ def _slice_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ..
     ranks = sorted(at, reverse=True)
     rest = iter(ranks)  # the ranks not yet in the mask, highest first; -1 ends them
     s = next(rest)
-    least_at, mask = {}, 0
+    least_at, mask, by_up = {}, 0, factor._by_up_row()
     for r in ranks:
         while s >= lo[r]:
             mask |= at[s]
             s = next(rest, -1)
-        least = factor._least_in(mask)
-        if least is None or factor._up_of(least) & ~mask:
+        least = by_up.get(mask)  # the level set must be up(least)
+        if least is None:
             break
         least_at[r] = least
     else:

@@ -40,6 +40,7 @@ from .leontief import (
     TabulatedUtility,
     UtilityError,
     _Ranks,
+    _rank_objects,
     affine_transform,
     classical_leontief,
     min_product,
@@ -355,7 +356,7 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     read by ``_key_index``, a miss by ``locate``, and one dict puts the
     values in element order.  Only strings and ints are read, and no string
     equals an int, so each distinct raw value is parsed once (``true`` is
-    never read as 1) and enters ``_Ranks`` past its id dedup.  A faulty file
+    never read as 1) and ranked once by ``_rank_objects``.  A faulty file
     is read again key by key for its error (``_first_fault``)."""
     space = poset_from_json(obj["poset"], base_dir=base_dir)
     raw_values = obj["values"]
@@ -378,10 +379,10 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
         fault = True
     if fault:
         raise _first_fault(space, raw_values)
-    ranks = object.__new__(_Ranks)
-    ranks._sort(objects, EXACT, distinct, raws)
+    rank, image = _rank_objects(objects)
+    rank = list(map(dict(zip(distinct, rank)).__getitem__, raws))  # each point takes its raw value's rank
     column = list(map(dict(zip(distinct, objects)).__getitem__, raws))
-    return TabulatedUtility._of_column(space, column, EXACT, ranks)
+    return TabulatedUtility._of_column(space, column, EXACT, _Ranks.of(rank, image))
 
 
 def _first_fault(space: FinitePoset, raw_values: dict) -> Exception:

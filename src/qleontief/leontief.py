@@ -15,13 +15,21 @@ certified like any other; a closed form is refused.  A table reads a
 point to its index through its poset's ``index_of``, and a product table
 made by ``tabulate``, ``min_product`` or a table file asks its order
 queries of the factors, so it builds no product tables.
+A made table arrives with its rank table, and no value is sorted per
+point: ``min_product`` and ``min_pointwise`` merge their parts' images in
+one sort and take each point's rank as the least of its parts' ranks;
+``tabulate`` is the min-product of one table per axis, each term computed
+once; ``restrict`` and an exact ``affine_transform`` keep their input's
+ranks; the corpus generators rank their own draws.  Only a table given by
+hand, or a tolerant affine transform, sorts its values, on first use.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import count, product as _iproduct, repeat
+from operator import add, floordiv, mod
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .order import DownSet, EXACT, Element, FinitePoset, OrderError, ProductSpace, Scale, _bits, check_size, tolerant
@@ -110,27 +118,20 @@ _RATIONAL = {Fraction, int}
 
 
 class _Ranks:
-    """The ranks of a table's values, listed by element index, from one sort
-    of its distinct value objects.
+    """The ranks of a table's values, listed by element index.
 
     ``image`` holds the sorted distinct values and ``rank[i]`` the position of
-    element i's value in it.  The front end, ``__init__``, deduplicates the
-    values by ``id`` (the list keeps every object alive, so ids stay unique),
-    so no value is hashed; that pays only where comparisons are dear, so a
-    table of at most three values, or one of floats (the tolerant scale; its
-    first value decides), goes to the back end as it stands.  The back end,
-    ``_sort``, sorts the distinct objects, merges equal neighbours into one
-    rank, and gives each element the rank of its object; a table file's
-    loader enters there with its own distinct values.  Distinct Fractions
-    and ints sort by a float key first, which leaves Fraction comparisons to
-    float ties.  ``suffix[r]`` masks the elements of rank r or more, and
-    ``suffix[len(image)]`` is 0; ``_suffix_masks`` builds them all.
-    ``levels[s]`` caches the record of the suffix from rank s, which every
-    level whose set starts there reads; the empty suffix, s = len(image), is
-    the shared ``_EMPTY``.  The rest is filled in on first use: ``probes``,
-    the default probe levels paired with their starts, and ``slices``, the
-    interior record of each one-axis slice of a product table, keyed by
-    (axis, index of the slice's first point).
+    element i's value in it.  A table made by the library is handed its rank
+    table by its maker, through ``of``; ``__init__`` ranks the values of a
+    table given by hand with ``_rank_objects``, and a table file's loader
+    ranks its distinct values there too.  ``suffix[r]`` masks the elements of
+    rank r or more, and ``suffix[len(image)]`` is 0; ``_suffix_masks`` builds
+    them all.  ``levels[s]`` caches the record of the suffix from rank s,
+    which every level whose set starts there reads; the empty suffix, s =
+    len(image), is the shared ``_EMPTY``.  The rest is filled in on first
+    use: ``probes``, the default probe levels paired with their starts, and
+    ``slices``, the interior record of each one-axis slice of a product
+    table, keyed by (axis, index of the slice's first point).
 
     On the table's scale, ``lo[r]`` starts the level set at image[r] (see
     ``_band_starts``), and the ranks the scale counts equal to rank r run
@@ -140,44 +141,17 @@ class _Ranks:
     __slots__ = ("rank", "image", "suffix", "lo", "levels", "probes", "slices")
 
     def __init__(self, values: Sequence, scale: Scale = EXACT):
-        if len(values) > 3 and type(values[0]) is not float:
-            objects = dict(zip(map(id, values), values))
-            if len(objects) < len(values):
-                self._sort(list(objects.values()), scale, objects, map(id, values))
-                return
-        self._sort(values, scale)
+        self._fill(*_rank_objects(values), scale)
 
-    def _sort(self, distinct: Sequence, scale: Scale, keys: Optional[Iterable] = None,
-              members: Iterable = ()) -> None:
-        """Rank the value objects ``distinct`` and fill the table.  Without
-        ``keys`` they are the elements' own values, listed by element index;
-        else ``members`` gives each element's key, and ``keys`` lists the key
-        of each of ``distinct`` in turn."""
-        order_keys = distinct
-        if set(map(type, distinct)) <= _RATIONAL:
-            # float() rounds monotonically, so (float(v), v) sorts like v
-            # and compares exactly, with Fraction work only on float ties
-            try:
-                order_keys = list(zip(map(float, distinct), distinct))
-            except OverflowError:
-                pass
-        order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
-        rank = [0] * len(order_keys)
-        image: List = []
-        r = -1
-        for i in order:
-            k = order_keys[i]
-            if r < 0 or not k == prev:  # a Fraction's == is cheaper than its !=
-                image.append(distinct[i])
-                prev = k
-                r += 1
-            rank[i] = r
-        if keys is not None:
-            # each element takes its object's rank, with no second sort of the elements
-            rank = list(map(dict(zip(keys, rank)).__getitem__, members))
-        self._fill(rank, image, scale)
+    @classmethod
+    def of(cls, rank: List[int], image: Iterable, scale: Scale = EXACT) -> "_Ranks":
+        """The rank table with the ranks ``rank``, listed by element index, of
+        the sorted distinct values ``image``."""
+        new = object.__new__(cls)
+        new._fill(rank, image, scale)
+        return new
 
-    def _fill(self, rank: List[int], image: Sequence, scale: Scale) -> None:
+    def _fill(self, rank: List[int], image: Iterable, scale: Scale) -> None:
         """Set the table, with the suffix masks from ``_suffix_masks``."""
         image = tuple(image)
         self.rank = rank
@@ -193,10 +167,47 @@ class _Ranks:
         the ranks they meet, renumbered in order, with no value sorted."""
         sub = [self.rank[i] for i in indices]
         met = sorted(set(sub))
-        new = object.__new__(_Ranks)
         rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
-        new._fill(rank, map(self.image.__getitem__, met), scale)
-        return new
+        return _Ranks.of(rank, map(self.image.__getitem__, met), scale)
+
+
+def _rank_objects(objects: Sequence) -> Tuple[List[int], List]:
+    """The rank of each of ``objects`` and the sorted distinct values, from
+    one sort: equal neighbours merge into one rank, which the first of them
+    in ``objects`` stands for in the image.  Fractions, with any ints, sort
+    by a float key first, which leaves Fraction comparisons to float ties."""
+    order_keys = objects
+    types = set(map(type, objects))
+    if Fraction in types and types <= _RATIONAL:
+        # float() rounds monotonically, so (float(v), v) sorts like v
+        # and compares exactly, with Fraction work only on float ties
+        try:
+            order_keys = list(zip(map(float, objects), objects))
+        except OverflowError:
+            pass
+    order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
+    rank = [0] * len(order_keys)
+    image: List = []
+    r = -1
+    for i in order:
+        k = order_keys[i]
+        if r < 0 or not k == prev:  # a Fraction's == is cheaper than its !=
+            image.append(objects[i])
+            prev = k
+            r += 1
+        rank[i] = r
+    return rank, image
+
+
+def _ranks_of(column: List, rank: List[int], scale: Scale) -> _Ranks:
+    """The rank table of ``column`` from ranks that order its values but may
+    skip some: the ranks met are renumbered in order, and each stands in the
+    image by its object at the lowest index, the one ``_rank_objects`` picks."""
+    first = dict(zip(reversed(rank), range(len(rank) - 1, -1, -1)))  # the last write is the lowest index
+    met = sorted(first)
+    if met and met[-1] >= len(met):
+        rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, rank))
+    return _Ranks.of(rank, [column[first[r]] for r in met], scale)
 
 
 def _suffix_masks(rank: List[int], m: int) -> List[int]:
@@ -282,9 +293,22 @@ class TabulatedUtility(_Closure):
     def _fill(self, poset, column, scale, ranks=None) -> None:
         self.poset = poset
         self.column: List = column
-        self.scale = scale
+        self._scale = scale
         self.certified = False
         self._rank_table: Optional[_Ranks] = ranks
+
+    @property
+    def scale(self) -> Scale:
+        """The value scale.  Setting it bands a rank table already made anew
+        on the new scale; its ranks stand, as they do not read the scale."""
+        return self._scale
+
+    @scale.setter
+    def scale(self, scale: Scale) -> None:
+        self._scale = scale
+        t = self._rank_table
+        if t is not None:
+            self._rank_table = _Ranks.of(t.rank, t.image, scale)
 
     @classmethod
     def _of_column(cls, poset: FinitePoset, column: List, scale: Scale,
@@ -353,8 +377,10 @@ class TabulatedUtility(_Closure):
         value the image's own object: image[r] starts at lo[r], and the
         midpoint of ranks k-1 and k at ``_start(mid, k)``.  The midpoint of
         two ints is an exact Fraction (their true division rounds to a
-        float, and overflows past a float's range).  A float midpoint that
-        rounds onto a neighbour is left out; one that falls outside its
+        float, and overflows past a float's range), and so is that of a float
+        and an int past a float's range, unless the float is infinite: the
+        midpoint is then the infinity.  A float midpoint that rounds onto a
+        neighbour is left out; one that falls outside its
         neighbours (a sum that overflows to an infinity, an int that rounds
         on its way to a float) is a stray.  Strays and ``extra`` are merged
         in by one sort of the set, each with its start from ``_start``.
@@ -373,7 +399,8 @@ class TabulatedUtility(_Closure):
                     pairs += zip(img[k:], lo[k:])
                     break
                 except OverflowError:  # a float next to an int past a float's range
-                    mid = (Fraction(a) + Fraction(b)) / 2
+                    inf = [v for v in (a, b) if v in (math.inf, -math.inf)]
+                    mid = inf[0] if inf else (Fraction(a) + Fraction(b)) / 2  # an infinity is left out below
                 if type(mid) is not float or a < mid < b:
                     pairs.append((mid, self._start(mid, k)))
                 elif mid != a and mid != b:
@@ -679,35 +706,65 @@ def _require_tables(name: str, utilities: Sequence) -> None:
 def min_product(*factors) -> TabulatedUtility:
     """min_i u_i(x_i): the uncertified table on the ``ProductSpace`` of the
     factor posets, on the scale ``_scale_of`` reads off its values and the
-    factors' scales.  Every factor must be a table; ``tabulate`` gives the
-    table of a closed form on a gridded box."""
+    factors' scales, with its rank table from ``_min_table``.  Every factor
+    must be a table; ``tabulate`` gives the table of a closed form on a
+    gridded box."""
     if not factors:
         raise UtilityError("min-product needs at least one factor")
     _require_tables("min-product", factors)
     space = ProductSpace([f.poset for f in factors])
     check_size(len(space))
     # the factor columns in mixed radix, last fastest: the order of ``points``
-    column = list(map(min, _iproduct(*(f.column for f in factors))))
-    return TabulatedUtility._of_column(space, column, _scale_of(column, (f.scale for f in factors)))
+    return _min_table(space, factors, _iproduct, [f.scale for f in factors])
 
 
 def min_pointwise(*parts) -> TabulatedUtility:
     """min_i u_i(x): the uncertified table of the minimum of tables on one
     domain poset, on the scale ``_scale_of`` reads off its values and the
-    parts' scales."""
+    parts' scales, with its rank table from ``_min_table``."""
     if not parts:
         raise UtilityError("pointwise min needs at least one part")
     if not all(isinstance(p, TabulatedUtility) and p.poset == parts[0].poset for p in parts):
         raise UtilityError("pointwise min needs tables that share one domain poset")
-    column = list(map(min, zip(*(p.column for p in parts))))
-    return TabulatedUtility._of_column(parts[0].poset, column, _scale_of(column, (p.scale for p in parts)))
+    return _min_table(parts[0].poset, parts, zip, [p.scale for p in parts])
+
+
+def _min_table(poset: FinitePoset, parts: Sequence[TabulatedUtility], combine, scales) -> TabulatedUtility:
+    """The table of the minimum of ``parts`` at each point of ``poset``,
+    where ``combine`` (``zip`` or ``product``) lists each point's entries,
+    one per part, and its rank table, with no value compared per point.
+
+    One sort merges the parts' images (the whole column of a part with no
+    rank table yet).  Entry i of the parts' columns, listed one after the
+    other (n entries), gets the key merged rank * n + i, so the least key
+    at a point names its least value and, among equal ones, the first,
+    the object ``min`` picks; ``_ranks_of`` drops the ranks no point
+    attains."""
+    entries = [v for p in parts for v in p.column]
+    n = len(entries)
+    ranked = [(p.column, range(len(p.column))) if p._rank_table is None
+              else (p._rank_table.image, p._rank_table.rank) for p in parts]
+    merged, _ = _rank_objects([v for image, _ in ranked for v in image])
+    keys, at, i = [], 0, 0
+    for image, rank in ranked:
+        scaled = [r * n for r in merged[at:at + len(image)]]
+        keys.append(list(map(add, map(scaled.__getitem__, rank), count(i))))
+        at, i = at + len(image), i + len(rank)
+    least = list(map(min, combine(*keys)))
+    column = list(map(entries.__getitem__, map(mod, least, repeat(n))))
+    scale = _scale_of(column, scales)
+    rank = list(map(floordiv, least, repeat(n)))
+    return TabulatedUtility._of_column(poset, column, scale, _ranks_of(column, rank, scale))
 
 
 def affine_transform(u: TabulatedUtility, a, b) -> TabulatedUtility:
     """a * u + b with a > 0: the table of the transformed values, whose
     interior map is u's, on the scale ``_scale_of`` reads off them and u's
     scale.  It is certified when u is and both scales are exact; a tolerant
-    one compares the rescaled gaps to the same tolerance."""
+    one compares the rescaled gaps to the same tolerance.  On the exact
+    scale every value is rational and the map strictly increasing, so the
+    table keeps u's ranks; on a tolerant one rounding may merge values, and
+    they are sorted."""
     _require_tables("affine transform", [u])
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
@@ -716,7 +773,8 @@ def affine_transform(u: TabulatedUtility, a, b) -> TabulatedUtility:
     bad = next((i for i, v in enumerate(column) if not _in_float_range(v, scale)), None)
     if bad is not None:
         raise UtilityError(f"the affine transform at {u.poset.point(bad)!r} overflows a float")
-    new = TabulatedUtility._of_column(u.poset, column, scale)
+    ranks = _ranks_of(column, u._ranks().rank, scale) if scale.kind == "exact" else None
+    new = TabulatedUtility._of_column(u.poset, column, scale, ranks)
     new.certified = u.certified and u.scale.kind == scale.kind == "exact"
     return new
 
@@ -737,12 +795,29 @@ def restrict(u: TabulatedUtility, downset: DownSet) -> TabulatedUtility:
 
 def tabulate(u) -> TabulatedUtility:
     """Explicit table of a closed-form utility on its grid box, the product
-    of one chain per axis; every axis needs a step.  The table is on the
-    scale ``_scale_of`` reads off its values and u's scale; u keeps its own."""
+    of one chain per axis; every axis needs a step.  It is ``_min_table`` of
+    one table per axis, so each axis term a_i t^alpha_i is computed once and
+    the table comes with its ranks.  The table is on the scale ``_scale_of``
+    reads off its values and u's scale; u keeps its own.  Where a grid point
+    leaves the box or a term fails (a power over ``MAX_POWER_BITS``, a float
+    overflow), the table is made point by point, which raises at the first
+    point that fails."""
     check_size(math.prod(check_size(a.count()) for a in u.box.axes))  # before any chain is built
-    space = ProductSpace([FinitePoset.chain(a.points()) for a in u.box.axes])
-    column = list(map(u.value, space.points()))
-    return TabulatedUtility._of_column(space, column, _scale_of(column, [u.scale]))
+    chains = [FinitePoset.chain(a.points()) for a in u.box.axes]
+    space = ProductSpace(chains)
+    le = u.scale.le
+    try:
+        axes = [TabulatedUtility._of_column(chain, [c * u._pow(t, e) for t in chain.elements], u.scale)
+                for chain, c, e in zip(chains, u.a, u.alpha)]
+        table = _min_table(space, axes, _iproduct, [u.scale])
+        fault = not all(le(ax.lo, t) and le(t, ax.hi) for ax, chain in zip(u.box.axes, chains)
+                        for t in chain.elements) or not all(_in_float_range(v, u.scale) for v in table.image())
+    except (OverflowError, UtilityError):
+        fault = True
+    if fault:
+        column = list(map(u.value, space.points()))
+        return TabulatedUtility._of_column(space, column, _scale_of(column, [u.scale]))
+    return table
 
 
 def min_decompose(u: TabulatedUtility, subset: Iterable, xbar: Sequence) -> List[TabulatedUtility]:

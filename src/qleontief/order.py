@@ -152,7 +152,7 @@ class FinitePoset:
     """
 
     __slots__ = (
-        "elements", "_index", "_up", "_down", "_meet_total", "_by_down", "_names",
+        "elements", "_index", "_up", "_down", "_meet_total", "_by_down", "_by_up", "_names",
     )
 
     def __init__(
@@ -180,6 +180,7 @@ class FinitePoset:
         self._down: List[int] = down
         self._meet_total: Optional[bool] = None
         self._by_down: Optional[Dict[int, int]] = None
+        self._by_up: Optional[Dict[int, int]] = None
         self._names: Optional[Dict[str, List[Element]]] = None
 
     # -- construction ----------------------------------------------------
@@ -435,6 +436,15 @@ class FinitePoset:
             by_down = self._by_down = {d: k for k, d in enumerate(self._down)}
         return by_down.get(self._down[i] & self._down[j])
 
+    def _by_up_row(self) -> Dict[int, int]:
+        """The dict from each element's up-set mask to its index, built on
+        first use: up-sets are distinct, and a mask is up(m) exactly when m
+        is its least member and up(m) lies inside it.  A product's rows are
+        filled by its ``as_poset``."""
+        if self._by_up is None:
+            self._by_up = {u: k for k, u in enumerate(self.as_poset()._up)}
+        return self._by_up
+
     def meet(self, x: Element, y: Element) -> Optional[Element]:
         """Greatest lower bound of {x, y}, or None when it does not exist."""
         return self._at(self._meet_index(self.index_of(x), self.index_of(y)))
@@ -551,7 +561,7 @@ class ProductSpace(FinitePoset):
         self._ordered = all(not up & ((1 << c) - 1) for _, ups, _, _ in self._axes for c, up in enumerate(ups))
         self._cylinders: List[Dict[int, int]] = [{} for _ in self.factors]
         self._covers: Optional[List[Tuple[int, int, int, int]]] = None
-        self._up = self._down = None
+        self._up = self._down = self._by_up = None
 
     def as_poset(self) -> "ProductSpace":
         """The product itself, with its up and down rows filled on first use,

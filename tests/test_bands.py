@@ -9,6 +9,7 @@ oracle's pass over the pairs tests property Phi and the meet identity on.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -151,6 +152,19 @@ def test_a_float_next_to_an_integer_past_a_floats_range():
     reg = oracle.certify_regular(u)
     assert reg.ok and reg.dual_table == {1.5: 0, (F(1.5) + big) / 2: 1, big: 1}
     assert oracle.check_characterization_equivalence(u).ok
+
+
+@pytest.mark.parametrize("values, scale", [
+    ((10**400, math.inf), q.tolerant()),
+    ((-math.inf, 10**400), q.EXACT),
+])
+def test_an_infinity_next_to_an_integer_past_a_floats_range(values, scale):
+    """Their sum overflows and the infinity has no exact value, so the
+    midpoint is the infinity itself, which is left out as a neighbour."""
+    u = q.TabulatedUtility(q.FinitePoset.chain([0, 1]), dict(enumerate(values)), scale=scale)
+    assert u.probe_levels() == list(values)
+    reg = oracle.certify_regular(u)
+    assert reg.ok and reg.dual_table == {values[0]: 0, values[1]: 1}
 
 
 def test_tolerant_le_is_monotone_over_mixed_kinds():

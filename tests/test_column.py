@@ -8,6 +8,7 @@ product table, or naming a bad point of one, fills no product's rows.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from fractions import Fraction as F
 
@@ -37,14 +38,20 @@ def random_table(rng, poset, scale=q.EXACT):
                                       for e in poset}, scale=scale)
 
 
-def assert_matches(u, ref, certified, *, fresh=False):
+def assert_matches(u, ref, certified, *, fresh=False, shared=False):
     """``u`` against ``ref``, its values keyed by element in element order.
 
     With ``fresh`` the constructor makes new value objects, as the reference
-    does; then the two must share their objects among the same points."""
+    does; then the two must share their objects among the same points.  With
+    ``shared`` the reference makes a new object per point, and the
+    constructor holds values of the same types, one object per distinct
+    value."""
     assert list(u.values) == list(u.poset) == list(ref)
     assert u.values == ref and u.column == list(ref.values())
-    if fresh:
+    if shared:
+        assert list(map(type, u.column)) == list(map(type, ref.values()))
+        assert len(set(map(id, u.column))) == len(set(ref.values()))
+    elif fresh:
         ours = {}
         for e, v in ref.items():
             assert ours.setdefault(id(v), u.values[e]) is u.values[e]
@@ -53,6 +60,17 @@ def assert_matches(u, ref, certified, *, fresh=False):
         assert all(u.values[e] is v for e, v in ref.items())
     assert list(u.image()) == sorted(set(ref.values()))
     assert u.certified is certified
+    if u._rank_table is not None:
+        assert_handed_ranks(u)
+
+
+def assert_handed_ranks(u):
+    """``u`` holds a rank table, and it is the one ``_Ranks`` sorts from its
+    column, down to which of two equal values stands in the image."""
+    got, fresh = u._rank_table, _Ranks(u.column, u.scale)
+    assert got is not None
+    assert (got.rank, got.suffix, list(got.lo)) == (fresh.rank, fresh.suffix, list(fresh.lo))
+    assert len(got.image) == len(fresh.image) and all(map(operator.is_, got.image, fresh.image))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -78,6 +96,7 @@ def test_min_product_and_min_pointwise(seed):
     keyed = [f.values for f in factors]
     ref = {p: min(v[c] for v, c in zip(keyed, p)) for p in u.poset.points()}
     assert_matches(u, ref, False)
+    assert u._rank_table is not None  # so ``nested`` merges u's image, not its column
     last = random_table(rng, random_poset(rng), scale)
     nested = q.min_product(u, last)
     keyed = [u.values, last.values]
@@ -85,7 +104,9 @@ def test_min_product_and_min_pointwise(seed):
     assert_matches(nested, ref, False)
     parts = [random_table(rng, factors[0].poset, scale) for _ in range(rng.randint(1, 3))]
     ref = {e: min(p.values[e] for p in parts) for e in factors[0].poset}
-    assert_matches(q.min_pointwise(*parts), ref, False)
+    pointwise = q.min_pointwise(*parts)
+    assert_matches(pointwise, ref, False)
+    assert pointwise._rank_table is not None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -97,7 +118,10 @@ def test_affine_transform(seed):
         for base in (u, u._certified_copy()):
             ref = {e: a * v + b for e, v in base.values.items()}
             certified = base.certified and scale.kind == "exact"
-            assert_matches(q.affine_transform(base, a, b), ref, certified, fresh=True)
+            new = q.affine_transform(base, a, b)
+            # exact: u's ranks carried over; tolerant: rounding may merge values, so they are sorted
+            assert (new._rank_table is None) is (scale.kind == "tolerant")
+            assert_matches(new, ref, certified, fresh=True)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -120,7 +144,7 @@ def test_tabulate():
     form = q.classical_leontief([F(1, 2), 3, F(5, 4)], q.Box([
         q.BoxAxis(0, 3, 1), q.BoxAxis(F(1, 2), 2, F(1, 2)), q.BoxAxis(1, 2, 1)]))
     u = q.tabulate(form)
-    assert_matches(u, {p: form.value(p) for p in u.poset.points()}, False, fresh=True)
+    assert_matches(u, {p: form.value(p) for p in u.poset.points()}, False, shared=True)
 
 
 def ref_isotone(rng, poset):

@@ -388,35 +388,6 @@ def test_slice_of_an_unranked_table_ranks_nothing():
     ]
 
 
-class CountedValue:
-    """A totally ordered value that counts its comparisons."""
-
-    calls = 0
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        CountedValue.calls += 1
-        return self.v < other.v
-
-    def __eq__(self, other):
-        CountedValue.calls += 1
-        return self.v == other.v
-
-
-def test_ranks_sort_only_the_distinct_objects():
-    rng = random.Random(0)
-    pool = [CountedValue(v) for v in range(8)]
-    values = [rng.choice(pool) for _ in range(1296)]
-    CountedValue.calls = 0
-    assert_ranks_match_reference(values)  # the reference compares too: count the build alone
-    CountedValue.calls = 0
-    t = _Ranks(values)
-    d = len(t.image)
-    assert d == 8 and CountedValue.calls <= d * d.bit_length() + d
-
-
 def dense_ranks(rng, n, m):
     """n ranks that meet each of 0..m-1, shuffled, as a rank table's are."""
     rank = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]

@@ -19,10 +19,15 @@ its elements top first, so that its element order is no linear extension
 ``efficient`` and ``maximize --downset`` on a copy of ``product3.json``
 whose ``values`` keys are shuffled, and on a table over a plain poset with
 numeric ids, whose every key the loader reads by ``locate`` (both under
-``<workdir>/keypaths``): 398 calls.  Last of all come ``check``,
+``<workdir>/keypaths``): 398 calls.  Then come ``check``,
 ``efficient`` and ``maximize --downset`` on a table over a plain poset
 whose ids need JSON escapes (a non-ASCII letter, a quote, a backslash and
-a control character; under ``<workdir>/escaped``): 401 calls.  Every call runs
+a control character; under ``<workdir>/escaped``): 401 calls.  Last of all
+come ``check``, ``efficient`` and ``maximize --downset`` on the checkout's
+``tests/data/classical.json`` (a closed form), ``min_grid.json`` (its
+table) and the four ``mix_*.json`` min-products of closed forms, copied
+under ``<workdir>/forms``, so that the tables ``tabulate`` and
+``min_product`` make are covered: 419 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
@@ -172,6 +177,28 @@ def escaped_calls(workdir: str):
     yield ["maximize", "--json", table, "--downset", downset]
 
 
+FORMS = {  # each table with the down-set file its ``maximize`` call reads
+    "classical.json": "classical_generators.json",
+    "min_grid.json": "mix_downset.json",
+    **{f"mix_{mix}.json": "mix_downset.json" for mix in ("float_square", "square_float", "square_line", "square_root")},
+}
+
+
+def form_calls(checkout: str, workdir: str):
+    """The calls on the closed forms and min-products of ``tests/data``,
+    with their inputs copied under ``<workdir>/forms``."""
+    folder, data = os.path.join(workdir, "forms"), os.path.join(checkout, "tests", "data")
+    os.makedirs(folder, exist_ok=True)
+    for name in {*FORMS, *FORMS.values()}:
+        with open(os.path.join(data, name)) as src, open(os.path.join(folder, name), "w") as out:
+            out.write(src.read())
+    for table, downset in FORMS.items():
+        table, downset = os.path.join(folder, table), os.path.join(folder, downset)
+        yield ["check", "--json", table]
+        yield ["efficient", "--json", table]
+        yield ["maximize", "--json", table, "--downset", downset]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -232,6 +259,8 @@ def main(argv=None) -> int:
                                                  err.replace(call[2], canonical[2])):
             differ.append(call)
     for call in escaped_calls(workdir):
+        answer(call)
+    for call in form_calls(checkout, workdir):
         answer(call)
     print(count, digest.hexdigest())
     for call in differ:
