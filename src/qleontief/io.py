@@ -31,7 +31,7 @@ import os
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from .leontief import (
     Box,
@@ -97,12 +97,19 @@ def _open(name: str, base_dir: str, opened: frozenset) -> Tuple[Any, frozenset]:
 
 
 def parse_rational(raw) -> Fraction:
+    """An int, or a string that ``Fraction`` reads, as a Fraction.  A string
+    of decimal digits, or two of them around a slash, is read by ``int``,
+    which takes the digits ``Fraction``'s pattern takes, with no pattern
+    match."""
     if isinstance(raw, bool):
         raise InputError(f"not a rational: {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        num, slash, den = raw.partition("/")
         try:
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"not a rational: {raw!r}") from None
@@ -413,10 +420,11 @@ def dumps_report(report: dict) -> str:
     """Deterministic JSON text for a report object: the text of
     ``json.dumps(report, sort_keys=True, indent=2, separators=(",", ": "))``
     plus a newline, and the same exception where ``json.dumps`` refuses the
-    report (a report is a tree: a cycle is not detected).  ``json.dumps``
-    with an indent always runs the pure-Python encoder; this one pass joins
-    strings instead."""
-    return _encode(report, "\n") + "\n"
+    report (a cycle is not detected).  ``json.dumps`` with an indent always
+    runs the pure-Python encoder; this one pass joins strings instead, and
+    writes a dict or list that the report holds more than once (such as a
+    dual table two certificates share) once per indent."""
+    return _encode(report, "\n", {}) + "\n"
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -431,26 +439,31 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _encode(obj, newline: str) -> str:
+def _encode(obj, newline: str, memo: Dict[Tuple[int, int], str]) -> str:
     """``obj`` as ``dumps_report`` writes it, where ``newline`` is a newline
     and the indent of the line ``obj`` starts on.  A str item is quoted in
-    place, with no call of its own."""
+    place, with no call of its own.  ``memo`` holds the text of each
+    nonempty dict or list written so far, by its id and indent: one call's
+    report keeps every object it holds alive, so no id is reused."""
     if isinstance(obj, str):
         return _quote(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    key = (id(obj), len(newline))
+    text = memo.get(key)
+    if text is None:
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else _encode(v, inner) for v in obj
-        ]) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            _quote(k if type(k) is str else _key(k)) + ": "
-            + (_quote(v) if type(v) is str else _encode(v, inner))
-            for k, v in sorted(obj.items())
-        ]) + newline + "}"
-    return json.dumps(obj)
+        if isinstance(obj, dict):
+            text = "{" + inner + ("," + inner).join([
+                _quote(k if type(k) is str else _key(k)) + ": "
+                + (_quote(v) if type(v) is str else _encode(v, inner, memo))
+                for k, v in sorted(obj.items())
+            ]) + newline + "}"
+        else:
+            text = "[" + inner + ("," + inner).join([
+                _quote(v) if type(v) is str else _encode(v, inner, memo) for v in obj
+            ]) + newline + "]"
+        memo[key] = text
+    return text

@@ -376,13 +376,14 @@ class TabulatedUtility(_Closure):
         up the ranks that hashes and sorts no value and keeps each attained
         value the image's own object: image[r] starts at lo[r], and the
         midpoint of ranks k-1 and k at ``_start(mid, k)``.  The midpoint of
-        two ints is an exact Fraction (their true division rounds to a
-        float, and overflows past a float's range), and so is that of a float
-        and an int past a float's range, unless the float is infinite: the
-        midpoint is then the infinity.  A float midpoint that rounds onto a
-        neighbour is left out; one that falls outside its
-        neighbours (a sum that overflows to an infinity, an int that rounds
-        on its way to a float) is a stray.  Strays and ``extra`` are merged
+        two Fractions p/q and r/s is made as (ps + rq)/2qs, one normalisation
+        in place of a sum's and a division's; that of two ints is an exact
+        Fraction (their true division rounds to a float, and overflows past
+        a float's range), and so is that of a float and an int past a
+        float's range, unless the float is infinite: the midpoint is then
+        the infinity.  A float midpoint that rounds onto a neighbour is left
+        out; one that falls outside its neighbours (a sum that overflows to
+        an infinity, an int that rounds on its way to a float) is a stray.  Strays and ``extra`` are merged
         in by one sort of the set, each with its start from ``_start``.
         """
         t = self._ranks()
@@ -393,8 +394,12 @@ class TabulatedUtility(_Closure):
                 a, b = img[k - 1], img[k]
                 pairs.append((a, lo[k - 1]))
                 try:
-                    mid = a + b
-                    mid = Fraction(mid, 2) if type(mid) is int else mid / 2
+                    if type(a) is Fraction and type(b) is Fraction:
+                        (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+                        mid = Fraction(p * s + r * q, 2 * q * s)
+                    else:
+                        mid = a + b
+                        mid = Fraction(mid, 2) if type(mid) is int else mid / 2
                 except TypeError:
                     pairs += zip(img[k:], lo[k:])
                     break

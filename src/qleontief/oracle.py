@@ -86,7 +86,8 @@ class Certificate(_CertificateFields):
         """The certificate as a report object.  Nothing is sorted: the report
         writer orders every object's keys.  A dual table's key is its level's
         string form (``encode_value``'s, for a Fraction), and distinct levels
-        have distinct ones."""
+        have distinct ones; each distinct least point is encoded once, and
+        the levels it answers share its encoding."""
         from .io import encode_elem
 
         out: Dict[str, Any] = {
@@ -95,7 +96,8 @@ class Certificate(_CertificateFields):
             "witnesses": [encode_elem(w) for w in self.witnesses],
         }
         if self.dual_table is not None:
-            out["dual_table"] = {str(lam): encode_elem(x) for lam, x in self.dual_table.items()}
+            encoded = {x: encode_elem(x) for x in set(self.dual_table.values())}
+            out["dual_table"] = {str(lam): encoded[x] for lam, x in self.dual_table.items()}
         if self.detail:
             out["detail"] = self.detail
         if self.data:
@@ -191,12 +193,15 @@ def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet
     meets the band of w (``_value_bands``).  On an inf-semilattice down(x) &
     down(y) is down(x ^ y), so Phi fails only where the identity fails: the
     pass stops at the first Phi failure with the first meet failure found.
+    The meet of x and y is the point whose down row is down(x) & down(y),
+    read from the poset's dict of down rows (``_by_down_row``), on a product
+    too, once ``as_poset`` has filled its rows.
     """
     t = u._ranks()
     runs, bands = _value_bands(t)
     poset, ranks = u.poset.as_poset(), t.rank
     down = poset._down
-    meet_index = poset._meet_index if poset.is_inf_semilattice() else None
+    by_down = poset._by_down_row() if poset.is_inf_semilattice() else None
     meet = None
     n = len(ranks)
     for i in range(n):
@@ -204,8 +209,8 @@ def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet
         for j in range(i, n):
             rj = ranks[j]
             w = rj if rj < ri else ri
-            if meet is None and meet_index is not None:
-                m = meet_index(i, j)
+            if meet is None and by_down is not None:
+                m = by_down[di & down[j]]
                 lo, hi = runs[w]
                 if not lo <= ranks[m] < hi:
                     meet = (i, j, m)

@@ -10,7 +10,7 @@ member: ``_least_in``, ``_greatest_in``, ``_minimal_in``, ``_chain_in`` and
 directly.  A meet is one big-int AND and one dict lookup: m is the meet of x
 and y exactly when down(m) = down(x) & down(y), and distinct elements have
 distinct down-sets (see ``FinitePoset._meet_index``).  A plain poset decides
-``is_inf_semilattice`` one pair at a time.
+``is_inf_semilattice`` one pair at a time, unless it is a chain.
 
 A ``ProductSpace`` is the product poset itself, and answers every query
 through its factors.  A point's index is the mixed-radix number of its factor
@@ -206,14 +206,19 @@ class FinitePoset:
     ) -> "FinitePoset":
         """Build the reflexive-transitive closure of cover pairs (a covered-by b).
 
-        One topological pass (Kahn's algorithm; a pair (a, a) is ignored)
-        closes both tables: along the order reversed, an element's up-set is
-        its own bit OR the up-sets of its covers; forwards, the down-sets
-        flow the same way.  When the pass cannot order every element there is
-        a cycle, and the witness is its lowest-index element with the
-        lowest-index other element on a cycle through it.
+        A cover list that is exactly the consecutive pairs of ``elements``, a
+        chain listed bottom first, is built as ``chain`` builds it: the same
+        masks and errors without the pass.  Otherwise one topological pass
+        (Kahn's algorithm; a pair (a, a) is ignored) closes both tables:
+        along the order reversed, an element's up-set is its own bit OR the
+        up-sets of its covers; forwards, the down-sets flow the same way.
+        When the pass cannot order every element there is a cycle, and the
+        witness is its lowest-index element with the lowest-index other
+        element on a cycle through it.
         """
-        els = list(elements)
+        els, covers = list(elements), list(covers)
+        if covers == list(zip(els, els[1:])):
+            return cls.chain(els)
         index = {e: i for i, e in enumerate(els)}
         if len(index) != len(els):
             raise OrderError("duplicate elements in ground set")
@@ -433,8 +438,15 @@ class FinitePoset:
         distinct, so one dict from down mask to index answers every meet."""
         by_down = self._by_down
         if by_down is None:
-            by_down = self._by_down = {d: k for k, d in enumerate(self._down)}
+            by_down = self._by_down_row()
         return by_down.get(self._down[i] & self._down[j])
+
+    def _by_down_row(self) -> Dict[int, int]:
+        """The dict from each element's down-set mask to its index, built on
+        first use; a product's rows are filled by its ``as_poset``."""
+        if self._by_down is None:
+            self._by_down = {d: k for k, d in enumerate(self.as_poset()._down)}
+        return self._by_down
 
     def _by_up_row(self) -> Dict[int, int]:
         """The dict from each element's up-set mask to its index, built on
@@ -453,11 +465,12 @@ class FinitePoset:
         return self._at(self._least_in(self._up_of(self.index_of(x)) & self._up_of(self.index_of(y))))
 
     def is_inf_semilattice(self) -> bool:
-        """True iff every pair has a meet."""
+        """True iff every pair has a meet: a chain answers with no pair
+        asked, any other poset sweeps its pairs once."""
         if self._meet_total is None:
             n = len(self.elements)
             meet = self._meet_index
-            self._meet_total = all(
+            self._meet_total = self._chain_in((1 << n) - 1) or all(
                 meet(i, j) is not None for i in range(n) for j in range(i + 1, n)
             )
         return self._meet_total
@@ -561,7 +574,7 @@ class ProductSpace(FinitePoset):
         self._ordered = all(not up & ((1 << c) - 1) for _, ups, _, _ in self._axes for c, up in enumerate(ups))
         self._cylinders: List[Dict[int, int]] = [{} for _ in self.factors]
         self._covers: Optional[List[Tuple[int, int, int, int]]] = None
-        self._up = self._down = self._by_up = None
+        self._up = self._down = self._by_up = self._by_down = None
 
     def as_poset(self) -> "ProductSpace":
         """The product itself, with its up and down rows filled on first use,

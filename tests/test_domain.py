@@ -291,9 +291,9 @@ def test_a_list_point_is_read_with_one_lookup(monkeypatch):
 DATA = Path(__file__).parent / "data"
 
 
-def test_check_on_a_product_meets_only_in_the_factor_tables(monkeypatch, capsys):
-    """``check`` on a 4 x 4 product asks each factor for its meets, at most
-    n_k^2 of them, and never for a meet of two product points."""
+def counted_meets(monkeypatch):
+    """The posets of every ``FinitePoset._meet_index`` call from now on, in
+    a list that fills as they are made."""
     calls = []
     meet_index = FinitePoset._meet_index
 
@@ -302,32 +302,54 @@ def test_check_on_a_product_meets_only_in_the_factor_tables(monkeypatch, capsys)
         return meet_index(self, i, j)
 
     monkeypatch.setattr(FinitePoset, "_meet_index", counting)
+    return calls
+
+
+def vee_by_chains(path, sizes):
+    """A table file on V x chains of ``sizes``, u = min(f(v), c_1, ..., c_k)
+    with f 1 at the arm ``l`` and 0 elsewhere, which passes ``check``: its
+    first factor is no chain."""
+    f = {"lo": 0, "l": 1, "r": 0}
+    factors = [{"elements": list(f), "covers": [["lo", "l"], ["lo", "r"]]}] + [
+        {"elements": list(map(str, range(n))), "covers": [[str(c), str(c + 1)] for c in range(n - 1)]}
+        for n in sizes]
+    values = {",".join([v, *map(str, cs)]): str(min(f[v], *cs)) for v in f for cs in product(*map(range, sizes))}
+    path.write_text(json.dumps({"type": "tabulated", "poset": {"product": factors}, "values": values}))
+    return str(path)
+
+
+def test_check_on_a_product_meets_only_in_the_factor_tables(monkeypatch, tmp_path, capsys):
+    """``check`` on a 4 x 4 chain product asks no meet at all: a chain
+    factor is an inf-semilattice without one.  On V x 4 it asks the V for
+    its meets, at most n^2 of them, and never for a meet of two product
+    points."""
+    calls = counted_meets(monkeypatch)
     assert main(["check", str(DATA / "min_grid.json")]) == 0
     assert "PASS meet-homomorphism" in capsys.readouterr().out
-    assert calls and all(type(p) is FinitePoset and len(p) == 4 for p in calls)
-    assert len(calls) <= 2 * 4 ** 2
+    assert calls == []
+    assert main(["check", vee_by_chains(tmp_path / "vee.json", [4])]) == 0
+    assert "PASS meet-homomorphism" in capsys.readouterr().out
+    assert calls and all(type(p) is FinitePoset and len(p) == 3 for p in calls)
+    assert len(calls) <= 3 ** 2
 
 
 @pytest.mark.parametrize("axes", [[("0", "63")], [("0", "1"), ("0", "31")], [("0", "31"), ("0", "1")]])
 def test_check_on_a_gridded_box_holds_no_large_meet_table(axes, monkeypatch, tmp_path, capsys):
-    """A gridded closed form whose size sits in one axis: ``check`` asks
-    every meet of a factor, never of the product, so it never maps the
-    product's N down masks to their points."""
-    calls = []
-    meet_index = FinitePoset._meet_index
-
-    def counting(self, i, j):
-        calls.append(self)
-        return meet_index(self, i, j)
-
-    monkeypatch.setattr(FinitePoset, "_meet_index", counting)
+    """A gridded closed form whose size sits in one axis: ``check`` asks no
+    meet of a chain factor and none of the product, so it never maps the
+    product's N down masks to their points.  With a V put before the same
+    chains, only the V is asked."""
+    calls = counted_meets(monkeypatch)
     path = tmp_path / "box.json"
     path.write_text(json.dumps({"type": "classical", "a": ["1"] * len(axes), "box": {
         "axes": [{"lo": lo, "hi": hi, "step": "1"} for lo, hi in axes]}}))
     assert main(["check", str(path)]) == 0
     assert "PASS meet-homomorphism" in capsys.readouterr().out
-    sizes = {int(hi) - int(lo) + 1 for lo, hi in axes}
-    assert calls and all(type(p) is FinitePoset and len(p) in sizes for p in calls)
+    assert calls == []
+    sizes = [int(hi) - int(lo) + 1 for lo, hi in axes]
+    assert main(["check", vee_by_chains(tmp_path / "vee.json", sizes)]) == 0
+    assert "PASS meet-homomorphism" in capsys.readouterr().out
+    assert calls and all(type(p) is FinitePoset and len(p) == 3 for p in calls)
 
 
 def test_check_does_not_import_numpy(tmp_path):

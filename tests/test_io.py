@@ -34,6 +34,34 @@ class TestRationals:
         with pytest.raises(io.InputError):
             io.parse_rational("1/0")
 
+    @staticmethod
+    def assert_parses_as_fraction(raw):
+        """``parse_rational`` gives ``Fraction``'s reading of the string, or
+        refuses it where ``Fraction`` does."""
+        try:
+            want = F(raw)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(io.InputError, match=r"^not a rational: "):
+                io.parse_rational(raw)
+        else:
+            got = io.parse_rational(raw)
+            assert type(got) is F and got == want
+
+    @given(st.one_of(
+        st.text(st.sampled_from("0123456789/-+ ._e\u0663\u0669\uff11\u00b2"), max_size=8),
+        st.tuples(st.integers(0, 10 ** 30), st.integers(0, 10 ** 30)).map(lambda p: f"{p[0]}/{p[1]}"),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_fraction_on_strings(self, raw):
+        """Decimal digit strings, with a slash or without, take ``int``: the
+        value and every refusal are ``Fraction``'s, Unicode digits included."""
+        self.assert_parses_as_fraction(raw)
+
+    @pytest.mark.parametrize("raw", ["7" * 5000, "1/" + "3" * 5000, "1e10000", "0/0", "00012/0008", "\u0663/\u0669"])
+    def test_parse_matches_fraction_at_the_edges(self, raw):
+        """Past the int-string digit limit both refuse; a zero denominator is refused."""
+        self.assert_parses_as_fraction(raw)
+
     def test_encode_round_trip(self):
         for v in (F(3, 2), F(-1, 4), F(5)):
             assert io.parse_rational(io.encode_value(v)) == v
@@ -316,6 +344,15 @@ def test_report_writer_refuses_what_json_dumps_refuses(obj):
 @settings(max_examples=100, deadline=None)
 def test_report_writer_writes_scalar_keys_as_json_dumps(obj):
     assert written(io.dumps_report, obj) == written(ref_dumps_report, obj)
+
+
+def test_report_writer_writes_shared_objects_as_json_dumps():
+    """A dict and a list held twice, once at one depth and once at two."""
+    table, point = {"1/2": ["a", "b"], "1": [0, 1.5, None]}, ["x", {"k": []}]
+    same_depth = {"first": {"table": table, "point": point}, "second": {"table": table, "point": point}}
+    other_depths = {"table": table, "point": point, "certificates": [{"table": table, "point": [point]}]}
+    for report in (same_depth, other_depths, [table, table, [table]]):
+        assert io.dumps_report(report) == ref_dumps_report(report)
 
 
 @pytest.mark.parametrize("golden", sorted(p.name for p in (Path(__file__).parent / "data").glob("*.out")))

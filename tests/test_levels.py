@@ -633,6 +633,34 @@ def test_probes_match_the_sorted_set_on_float_tables(values, extra):
     assert_probes_match_reference(values, q.tolerant(0), extra)
 
 
+HUGE = 10 ** 400
+FRACTIONS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(F(-20), F(20), max_denominator=12),
+    st.builds(F, st.integers(-HUGE - 3, HUGE + 3), st.integers(HUGE - 3, HUGE + 3)),
+    st.builds(F, st.integers(-HUGE - 3, HUGE + 3), st.integers(1, 7)),
+    st.builds(F, st.integers(-7, 7), st.integers(HUGE - 3, HUGE + 3)),
+)
+
+
+@given(st.lists(FRACTIONS, min_size=1, max_size=12), st.lists(FRACTIONS, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_probes_of_fractions_match_the_sorted_set(values, extra):
+    """Neighbouring Fractions take their midpoint from one normalisation:
+    negative ones, numerators and denominators near 10**400, and ints among
+    them."""
+    assert_probes_match_reference(values, q.EXACT, extra)
+
+
+@given(st.lists(st.one_of(st.fractions(F(-20), F(20), max_denominator=12), st.floats(-1e6, 1e6)),
+                min_size=1, max_size=12),
+       st.lists(st.fractions(F(-20), F(20), max_denominator=12), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_probes_of_fraction_float_mixes_match_the_sorted_set(values, extra):
+    assert_probes_match_reference(values, q.EXACT, extra)
+    assert_probes_match_reference(values, q.tolerant(0), extra)
+
+
 @pytest.mark.parametrize("values", [
     [1.0, math.nextafter(1.0, 2)],  # the midpoint rounds onto a neighbour
     [1.0, 1 + 2 ** -52, 1 + 2 ** -51, 2.0],

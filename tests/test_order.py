@@ -109,6 +109,55 @@ class TestFromCovers:
             FinitePoset.from_covers(list(els), covers)
         assert str(info.value) == f"antisymmetry violated, witness {witness}"
 
+    @staticmethod
+    def chain_calls(monkeypatch):
+        """The element lists that ``FinitePoset.chain`` is called with from now on."""
+        calls, chain = [], FinitePoset.chain
+        monkeypatch.setattr(FinitePoset, "chain", classmethod(lambda cls, vals: calls.append(vals) or chain(vals)))
+        return calls
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 11])
+    def test_chain_listing_matches_the_closure(self, n, monkeypatch):
+        """A cover list of exactly the consecutive pairs is built as a chain,
+        with the closure's masks and index."""
+        calls = self.chain_calls(monkeypatch)
+        els = [f"e{i}" for i in range(n)]
+        poset = FinitePoset.from_covers(els, list(zip(els, els[1:])))
+        assert calls == [els]
+        assert (poset._up, poset._down) == ref_closure(n, [(i, i + 1) for i in range(n - 1)])
+        assert poset._index == {e: i for i, e in enumerate(els)}
+        assert poset.elements == tuple(els)
+
+    @pytest.mark.parametrize("els, covers", [
+        ("cba", [("b", "c"), ("a", "b")]),  # listed top first
+        ("abc", [("a", "b"), ("b", "c"), ("a", "c")]),  # a redundant cover
+        ("abc", [("a", "b"), ("b", "c"), ("a", "b")]),  # a repeated cover
+        ("abc", [("a", "b"), ("b", "b"), ("b", "c")]),  # a self-pair
+        ("abc", [("b", "c"), ("a", "b")]),  # the consecutive pairs out of order
+    ])
+    def test_near_chain_listings_take_the_closure(self, els, covers, monkeypatch):
+        calls = self.chain_calls(monkeypatch)
+        index = {e: i for i, e in enumerate(els)}
+        poset = FinitePoset.from_covers(list(els), covers)
+        assert calls == []
+        assert (poset._up, poset._down) == ref_closure(len(els), [(index[a], index[b]) for a, b in covers])
+
+    @pytest.mark.parametrize("els, covers, error", [
+        ("abc", [("a", "b"), ("b", "z")], "cover mentions unknown element 'b' or 'z'"),
+        ("abb", [("a", "b")], "duplicate elements in ground set"),
+        ("ab", [("a", "b"), ("b", "a")], "antisymmetry violated, witness ('a', 'b')"),
+    ])
+    def test_near_chain_listings_raise_the_closure_errors(self, els, covers, error, monkeypatch):
+        calls = self.chain_calls(monkeypatch)
+        with pytest.raises(q.OrderError) as info:
+            FinitePoset.from_covers(list(els), covers)
+        assert str(info.value) == error and calls == []
+
+    def test_a_chain_listing_of_repeated_elements_raises_the_closure_error(self):
+        """It is built as a chain, whose constructor refuses it with the same text."""
+        with pytest.raises(q.OrderError, match=r"^duplicate elements in ground set$"):
+            FinitePoset.from_covers(list("aba"), [("a", "b"), ("b", "a")])
+
 
 class TestUpDownSets:
     def test_up_set_in_square_grid(self, grid22):

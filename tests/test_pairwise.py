@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qleontief as q
-from qleontief import corpus, oracle
+from qleontief import corpus, io, oracle
 from qleontief.cli import main
 from qleontief.io import utility_from_json
 from qleontief.oracle import _meet_failure, _strictly_ordered
@@ -221,6 +221,38 @@ def test_meets_match_reference(seed, shape):
     assert_meets_match(make_poset(corpus.derive_rng(seed, "pairwise-meet"), shape))
 
 
+def data_posets():
+    """The poset of every table file in ``tests/data``, and each factor of a
+    product one."""
+    for path in sorted(DATA.glob("*.json")):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if "poset" in obj:
+            poset = io.poset_from_json(obj["poset"], base_dir=str(DATA))
+            yield poset
+            yield from getattr(poset, "factors", ())
+
+
+def test_is_inf_semilattice_matches_the_pair_sweep():
+    """Chains, antichains, corpus posets with and without a bottom, and the
+    posets of the data files, each built afresh for its verdict."""
+    posets = [q.FinitePoset.chain(range(n)) for n in range(5)] + [q.FinitePoset.antichain(range(n)) for n in range(4)]
+    for i in range(100):
+        rng = corpus.derive_rng(i, "pairwise-semilattice")
+        posets.append(corpus.random_poset(rng, rng.randint(1, 12), with_bottom=rng.random() < 0.5))
+    posets += data_posets()
+    verdicts = [p.is_inf_semilattice() for p in posets]
+    assert verdicts == [ref_is_inf_semilattice(p) for p in posets]
+    assert {True, False} <= set(verdicts) and len(posets) > 120
+
+
+def test_a_chain_is_an_inf_semilattice_without_a_meet_asked(monkeypatch):
+    """However it is built or listed, a chain asks no meet for its verdict."""
+    chains = [q.FinitePoset.chain(range(11)), q.FinitePoset.from_covers(list("cba"), [("b", "c"), ("a", "b")]),
+              relisted(q.FinitePoset.chain(range(5)), [3, 1, 4, 0, 2])]
+    monkeypatch.setattr(q.FinitePoset, "_meet_index", lambda self, i, j: pytest.fail("a meet was asked"))
+    assert all(p.is_inf_semilattice() for p in chains)
+
+
 def test_is_filtered_matches_reference():
     posets = [q.FinitePoset([], []), q.FinitePoset.antichain(["a"])]
     for i in range(300):
@@ -336,6 +368,49 @@ def test_factorwise_meet_failure_on_semilattice_products():
                 assert failure == ref_meet_failure(u)
                 outcomes.add((u.scale.kind, failure is None))
     assert outcomes == {(kind, ok) for kind in ("exact", "tolerant") for ok in (True, False)}
+
+
+def factorwise_meet_failure(u):
+    """The first (i, j, m), in row-major order of the index pairs i <= j, with
+    u(m) != min(u(x_i), u(x_j)) at the meet m that the product takes factor
+    by factor (``ProductSpace._meet_index``)."""
+    column, n = u.column, len(u.column)
+    for i in range(n):
+        for j in range(i, n):
+            m = u.poset._meet_index(i, j)
+            if not u.scale.eq(column[m], min(column[i], column[j])):
+                return i, j, m
+    return None
+
+
+def test_meets_from_the_down_rows_match_the_factorwise_meets():
+    """On chain products and products with a V or a diamond factor, the
+    pair sweep's meets, read from the product's dict of down rows, are the
+    points of the factor meets, and so is its first meet failure."""
+    vee = q.FinitePoset.from_covers(["lo", "l", "r"], [("lo", "l"), ("lo", "r")])
+    diamond = q.FinitePoset.from_covers(
+        ["top", "a", "b", "bot"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+    chain = q.FinitePoset.chain(range(3))
+    spaces = [q.grid_space(range(3), range(4)), q.grid_space(range(2), range(3), range(2)),
+              q.ProductSpace([vee, chain]), q.ProductSpace([chain, diamond]),
+              q.ProductSpace([q.ProductSpace([vee, chain]), chain])]
+    failures = set()
+    for k, space in enumerate(spaces):
+        rows = q.ProductSpace(space.factors).as_poset()
+        by_down, n = rows._by_down_row(), len(rows)
+        assert [by_down.get(rows._down[i] & rows._down[j]) for i in range(n) for j in range(n)] == [
+            space._meet_index(i, j) for i in range(n) for j in range(n)]
+        for i in range(12):
+            rng = corpus.derive_rng(i, "pairwise-down-row-meets", k)
+            values = make_table(rng, space, rng.choice(("regular", "isotone", "arbitrary")))
+            for u in (q.TabulatedUtility(q.ProductSpace(space.factors), values),
+                      q.TabulatedUtility(q.ProductSpace(space.factors),
+                                         {e: float(v) + rng.choice(JITTER) for e, v in values.items()},
+                                         scale=q.tolerant(rng.choice(TOLERANCES)))):
+                meet = oracle._pair_failures(u)[1]
+                assert meet == factorwise_meet_failure(u)
+                failures.add(meet is None)
+    assert failures == {True, False}
 
 
 # -- one pass for property Phi and the meet identity --------------------------------

@@ -27,17 +27,22 @@ come ``check``, ``efficient`` and ``maximize --downset`` on the checkout's
 ``tests/data/classical.json`` (a closed form), ``min_grid.json`` (its
 table) and the four ``mix_*.json`` min-products of closed forms, copied
 under ``<workdir>/forms``, so that the tables ``tabulate`` and
-``min_product`` make are covered: 419 calls.  Every call runs
+``min_product`` make are covered: 419 calls.  Last come ``check``,
+``efficient`` and ``maximize --downset`` on a copy of ``product3.json``
+whose first factor lists a redundant cover, so that its covers are no
+chain listing and take the general closure (under ``<workdir>/redundant``):
+422 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
-only when both runs use the same ``<workdir>``.  Exits 1 when a re-keyed or
-shuffled call's answer differs from the canonical call's by more than the
-input path.
+only when both runs use the same ``<workdir>``.  Exits 1 when a re-keyed,
+shuffled or redundantly covered call's answer differs from the canonical
+call's by more than the input path.
 """
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -199,6 +204,28 @@ def form_calls(checkout: str, workdir: str):
         yield ["maximize", "--json", table, "--downset", downset]
 
 
+def redundant_cover_calls(checkout: str, workdir: str):
+    """The calls on a copy of ``product3.json`` whose first factor lists the
+    redundant cover ("0", "2"), each with the call on ``product3.json``
+    itself that must answer alike, with their inputs written under
+    ``<workdir>/redundant``."""
+    folder, data = os.path.join(workdir, "redundant"), os.path.join(checkout, "tests", "data")
+    os.makedirs(folder, exist_ok=True)
+    inputs = {}
+    for name in ("product3.json", "product3_members.json"):
+        with open(os.path.join(data, name)) as src:
+            inputs[name] = json.load(src)
+    table = copy.deepcopy(inputs["product3.json"])
+    table["poset"]["product"][0]["covers"].append(["0", "2"])
+    inputs["product3_redundant.json"] = table
+    for name, obj in inputs.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    canonical, members, redundant = (os.path.join(folder, n) for n in inputs)
+    for command, *rest in (["check"], ["efficient"], ["maximize", "--downset", members]):
+        yield [command, "--json", redundant, *rest], [command, "--json", canonical, *rest]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -262,9 +289,13 @@ def main(argv=None) -> int:
         answer(call)
     for call in form_calls(checkout, workdir):
         answer(call)
+    for call, canonical in redundant_cover_calls(checkout, workdir):
+        code, out, err = answer(call)
+        if run(cli, canonical) != (code, out.replace(call[2], canonical[2]), err.replace(call[2], canonical[2])):
+            differ.append(call)
     print(count, digest.hexdigest())
     for call in differ:
-        print(f"re-keyed call differs from the canonical one: {call}", file=sys.stderr)
+        print(f"call differs from its canonical one: {call}", file=sys.stderr)
     return 1 if differ else 0
 
 
