@@ -81,7 +81,7 @@ def random_isotone_utility(rng: random.Random, poset: FinitePoset) -> TabulatedU
     counts = sorted(set(halves))
     rank = list(map({h: r for r, h in enumerate(counts)}.__getitem__, halves))
     image = [Fraction(h, 2) for h in counts]
-    return TabulatedUtility._of_column(poset, list(map(image.__getitem__, rank)), EXACT, _Ranks.of(rank, image))
+    return TabulatedUtility._of_column(poset, list(map(image.__getitem__, rank)), EXACT, _Ranks(rank, image))
 
 
 def random_quasileontief_utility(
@@ -113,7 +113,7 @@ def random_quasileontief_utility(
             rank[i] = k
         image.append(level)
         level += Fraction(rng.randint(1, 3), 2)
-    return TabulatedUtility._of_column(poset, list(map(image.__getitem__, rank)), EXACT, _Ranks.of(rank, image))
+    return TabulatedUtility._of_column(poset, list(map(image.__getitem__, rank)), EXACT, _Ranks(rank, image))
 
 
 def random_downset(rng: random.Random, poset: FinitePoset) -> DownSet:

@@ -83,7 +83,7 @@ def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...
     passes the oracle on its own, so the certified copies that share the
     rank table share the records too.
     """
-    t = u._ranks()
+    t = u._rank_table
     rec = t.slices.get((axis, base))
     if rec is None:
         rec = t.slices[axis, base] = _slice_interiors(u, axis, base)
@@ -93,7 +93,7 @@ def _axis_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...
 def _slice_interiors(u: TabulatedUtility, axis: int, base: int) -> Tuple[int, ...]:
     space = u.space
     factor, stride = space.factors[axis], space.strides[axis]
-    t = u._ranks()
+    t = u._rank_table
     row, lo = t.rank[base:base + len(factor) * stride:stride], t.lo
     at = {}
     for c, r in enumerate(row):
@@ -123,7 +123,7 @@ def _level_leasts(u: TabulatedUtility) -> List[int]:
     """The element index of the least element of the level set at each
     attained value, by rank; LeastlessLevelSetError at the first without one."""
     leasts = []
-    t = u._ranks()
+    t = u._rank_table
     for lam, s in zip(t.image, t.lo):
         rec = u._record(s)
         if rec.least is None:
@@ -138,7 +138,7 @@ def efficient_mask(u: TabulatedUtility) -> int:
     _require_tables("the efficient set", [u])
     if not u.certified:
         raise NotCertifiedError("dual requires a certified utility")
-    rank = u._ranks().rank
+    rank = u._rank_table.rank
     return sum(1 << i for r, i in enumerate(_level_leasts(u)) if rank[i] == r)
 
 
@@ -152,7 +152,7 @@ def efficient_set(u: TabulatedUtility) -> Tuple:
     mask = efficient_mask(u)
     if not u.poset._chain_in(mask):
         raise InconsistencyError("efficient set of a certified utility is not a chain")
-    order = sorted(_bits(mask), key=u._ranks().rank.__getitem__)
+    order = sorted(_bits(mask), key=u._rank_table.rank.__getitem__)
     return tuple(map(u.poset.point, order))
 
 
@@ -203,7 +203,7 @@ def check_charpar(u: TabulatedUtility) -> Certificate:
     if n > CHARPAR_LIMIT:
         order = random.Random(CHARPAR_SEED).sample(order, CHARPAR_LIMIT)
     axes = [(axis, stride, len(f)) for axis, (f, stride) in enumerate(zip(space.factors, space.strides))]
-    t = u._ranks()
+    t = u._rank_table
     level = [t.suffix[s] for s in t.lo]
     rank, down_of, point = t.rank, u.poset._down_of, u.poset.point
     for i in order:

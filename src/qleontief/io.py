@@ -389,7 +389,7 @@ def _tabulated_from_json(obj, base_dir: str) -> TabulatedUtility:
     rank, image = _rank_objects(objects)
     rank = list(map(dict(zip(distinct, rank)).__getitem__, raws))  # each point takes its raw value's rank
     column = list(map(dict(zip(distinct, objects)).__getitem__, raws))
-    return TabulatedUtility._of_column(space, column, EXACT, _Ranks.of(rank, image))
+    return TabulatedUtility._of_column(space, column, EXACT, _Ranks(rank, image))
 
 
 def _first_fault(space: FinitePoset, raw_values: dict) -> Exception:

@@ -19,9 +19,11 @@ A made table arrives with its rank table, and no value is sorted per
 point: ``min_product`` and ``min_pointwise`` merge their parts' images in
 one sort and take each point's rank as the least of its parts' ranks;
 ``tabulate`` is the min-product of one table per axis, each term computed
-once; ``restrict`` and an exact ``affine_transform`` keep their input's
-ranks; the corpus generators rank their own draws.  Only a table given by
-hand, or a tolerant affine transform, sorts its values, on first use.
+once; ``restrict``, ``min_decompose`` and an exact ``affine_transform``
+read their ranks off their input's (``_ranks_of``); the corpus generators
+rank their own draws.  Only a table given by hand, a tolerant affine
+transform and each axis table of ``tabulate`` sort their values, when
+they are made.
 """
 from __future__ import annotations
 
@@ -121,17 +123,18 @@ class _Ranks:
     """The ranks of a table's values, listed by element index.
 
     ``image`` holds the sorted distinct values and ``rank[i]`` the position of
-    element i's value in it.  A table made by the library is handed its rank
-    table by its maker, through ``of``; ``__init__`` ranks the values of a
-    table given by hand with ``_rank_objects``, and a table file's loader
-    ranks its distinct values there too.  ``suffix[r]`` masks the elements of
-    rank r or more, and ``suffix[len(image)]`` is 0; ``_suffix_masks`` builds
-    them all.  ``levels[s]`` caches the record of the suffix from rank s,
-    which every level whose set starts there reads; the empty suffix, s =
-    len(image), is the shared ``_EMPTY``.  The rest is filled in on first
-    use: ``probes``, the default probe levels paired with their starts, and
-    ``slices``, the interior record of each one-axis slice of a product
-    table, keyed by (axis, index of the slice's first point).
+    element i's value in it.  Every table gets its rank table when it is made
+    (``TabulatedUtility._fill``): a maker that knows the order of its values
+    hands it in, the rest rank their column with ``_rank_objects``, and a
+    table of some of another's values takes its parent's ranks through
+    ``_ranks_of``.  ``suffix[r]`` masks the elements of rank r or more, and
+    ``suffix[len(image)]`` is 0; ``_suffix_masks`` builds them all.
+    ``levels[s]`` caches the record of the suffix from rank s, which every
+    level whose set starts there reads; the empty suffix, s = len(image), is
+    the shared ``_EMPTY``.  The rest is filled in on first use: ``probes``,
+    the default probe levels paired with their starts, and ``slices``, the
+    interior record of each one-axis slice of a product table, keyed by
+    (axis, index of the slice's first point).
 
     On the table's scale, ``lo[r]`` starts the level set at image[r] (see
     ``_band_starts``), and the ranks the scale counts equal to rank r run
@@ -140,19 +143,9 @@ class _Ranks:
 
     __slots__ = ("rank", "image", "suffix", "lo", "levels", "probes", "slices")
 
-    def __init__(self, values: Sequence, scale: Scale = EXACT):
-        self._fill(*_rank_objects(values), scale)
-
-    @classmethod
-    def of(cls, rank: List[int], image: Iterable, scale: Scale = EXACT) -> "_Ranks":
+    def __init__(self, rank: List[int], image: Iterable, scale: Scale = EXACT):
         """The rank table with the ranks ``rank``, listed by element index, of
         the sorted distinct values ``image``."""
-        new = object.__new__(cls)
-        new._fill(rank, image, scale)
-        return new
-
-    def _fill(self, rank: List[int], image: Iterable, scale: Scale) -> None:
-        """Set the table, with the suffix masks from ``_suffix_masks``."""
         image = tuple(image)
         self.rank = rank
         self.image = image
@@ -161,14 +154,6 @@ class _Ranks:
         self.levels: List[Optional[LevelSet]] = [None] * len(image)
         self.probes: Optional[Tuple] = None
         self.slices: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-    def restrict(self, indices: Iterable[int], scale: Scale = EXACT) -> "_Ranks":
-        """The rank table of the values at ``indices``, listed in that order:
-        the ranks they meet, renumbered in order, with no value sorted."""
-        sub = [self.rank[i] for i in indices]
-        met = sorted(set(sub))
-        rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, sub))
-        return _Ranks.of(rank, map(self.image.__getitem__, met), scale)
 
 
 def _rank_objects(objects: Sequence) -> Tuple[List[int], List]:
@@ -207,7 +192,7 @@ def _ranks_of(column: List, rank: List[int], scale: Scale) -> _Ranks:
     met = sorted(first)
     if met and met[-1] >= len(met):
         rank = list(map({r: k for k, r in enumerate(met)}.__getitem__, rank))
-    return _Ranks.of(rank, [column[first[r]] for r in met], scale)
+    return _Ranks(rank, [column[first[r]] for r in met], scale)
 
 
 def _suffix_masks(rank: List[int], m: int) -> List[int]:
@@ -266,9 +251,10 @@ class TabulatedUtility(_Closure):
     ``ProductSpace`` for a product domain (``space``, if given, must be it).
     Interior and dual queries require certification; the oracle module
     produces certified copies, it never mutates.  Every question about the
-    order of the values reads one rank table (``_ranks``): the image, the
-    level sets and the oracle's value bands.  The values are held once, as
-    ``column``, listed by element index; ``values`` is a keyed view of it.
+    order of the values reads one rank table (``_rank_table``), made with
+    the table: the image, the level sets and the oracle's value bands.  The
+    values are held once, as ``column``, listed by element index; ``values``
+    is a keyed view of it.
     """
 
     def __init__(
@@ -291,31 +277,34 @@ class TabulatedUtility(_Closure):
         self._fill(poset, column, scale)
 
     def _fill(self, poset, column, scale, ranks=None) -> None:
+        """Set the table, with ``ranks`` as its rank table, else the one a
+        sort of ``column`` gives."""
         self.poset = poset
         self.column: List = column
         self._scale = scale
         self.certified = False
-        self._rank_table: Optional[_Ranks] = ranks
+        self._rank_table = ranks if ranks is not None else _Ranks(*_rank_objects(column), scale)
 
     @property
     def scale(self) -> Scale:
-        """The value scale.  Setting it bands a rank table already made anew
-        on the new scale; its ranks stand, as they do not read the scale."""
+        """The value scale.  Setting it bands the rank table anew on the new
+        scale, whose ranks stand, as they do not read the scale; the table is
+        no longer certified, as its level sets may change."""
         return self._scale
 
     @scale.setter
     def scale(self, scale: Scale) -> None:
         self._scale = scale
+        self.certified = False
         t = self._rank_table
-        if t is not None:
-            self._rank_table = _Ranks.of(t.rank, t.image, scale)
+        self._rank_table = _Ranks(t.rank, t.image, scale)
 
     @classmethod
     def _of_column(cls, poset: FinitePoset, column: List, scale: Scale,
                    ranks: Optional[_Ranks] = None) -> "TabulatedUtility":
         """The table whose values are listed by element index in ``column``,
         which is complete by construction; ``ranks`` is its rank table, if
-        known."""
+        its maker knows it, else ``_fill`` sorts the column."""
         new = object.__new__(cls)
         new._fill(poset, column, scale, ranks)
         return new
@@ -347,16 +336,9 @@ class TabulatedUtility(_Closure):
     def value(self, x: Element):
         return self.column[self._index_of(x)]
 
-    def _ranks(self) -> _Ranks:
-        """The rank table of the values, built on first use and shared with
-        certified copies."""
-        if self._rank_table is None:
-            self._rank_table = _Ranks(self.column, self.scale)
-        return self._rank_table
-
     def image(self) -> Tuple:
         """Sorted distinct attained values."""
-        return self._ranks().image
+        return self._rank_table.image
 
     def probe_levels(self, extra: Iterable = ()) -> List:
         """Attained values plus midpoints between consecutive distinct values,
@@ -386,7 +368,7 @@ class TabulatedUtility(_Closure):
         an infinity, an int that rounds on its way to a float) is a stray.  Strays and ``extra`` are merged
         in by one sort of the set, each with its start from ``_start``.
         """
-        t = self._ranks()
+        t = self._rank_table
         if t.probes is None:
             img, lo = t.image, t.lo
             pairs, strays = [], []
@@ -424,7 +406,7 @@ class TabulatedUtility(_Closure):
         """Three attained values v1 < v2 < v3 with v1 ~ v2 ~ v3 but not
         v1 ~ v3 on the scale, or None when it chains none: a band start s =
         lo[r] with lo[s] < s gives image[lo[s]], image[s] and image[r]."""
-        t = self._ranks()
+        t = self._rank_table
         lo = t.lo
         for r, s in enumerate(lo):
             if lo[s] < s:
@@ -437,7 +419,7 @@ class TabulatedUtility(_Closure):
 
     def level_of(self, i: int) -> LevelSet:
         """The level set at the value of element index i: it starts at lo[rank[i]]."""
-        t = self._ranks()
+        t = self._rank_table
         return self._record(t.lo[t.rank[i]])
 
     def _start(self, lam, r: Optional[int] = None) -> int:
@@ -445,7 +427,7 @@ class TabulatedUtility(_Closure):
         rank at or above ``lam`` (bisected if not given): r on the exact scale.
         On a tolerant one the set can take in lower ranks, and le(lam, v) is
         monotone in v, so a bisection below r finds the start."""
-        img = self._ranks().image
+        img = self._rank_table.image
         if r is None:
             r = bisect_left(img, lam)
         if self.scale.kind == "exact":
@@ -456,7 +438,7 @@ class TabulatedUtility(_Closure):
     def _record(self, s: int) -> LevelSet:
         """The record of the level set that starts at rank s, built on first
         use and cached by s; the empty suffix, s = len(image), is ``_EMPTY``."""
-        t = self._ranks()
+        t = self._rank_table
         if s == len(t.image):
             return _EMPTY
         rec = t.levels[s]
@@ -739,22 +721,20 @@ def _min_table(poset: FinitePoset, parts: Sequence[TabulatedUtility], combine, s
     where ``combine`` (``zip`` or ``product``) lists each point's entries,
     one per part, and its rank table, with no value compared per point.
 
-    One sort merges the parts' images (the whole column of a part with no
-    rank table yet).  Entry i of the parts' columns, listed one after the
-    other (n entries), gets the key merged rank * n + i, so the least key
-    at a point names its least value and, among equal ones, the first,
-    the object ``min`` picks; ``_ranks_of`` drops the ranks no point
-    attains."""
+    One sort merges the parts' images.  Entry i of the parts' columns,
+    listed one after the other (n entries), gets the key merged rank * n + i,
+    so the least key at a point names its least value and, among equal ones,
+    the first, the object ``min`` picks; ``_ranks_of`` drops the ranks no
+    point attains."""
     entries = [v for p in parts for v in p.column]
     n = len(entries)
-    ranked = [(p.column, range(len(p.column))) if p._rank_table is None
-              else (p._rank_table.image, p._rank_table.rank) for p in parts]
-    merged, _ = _rank_objects([v for image, _ in ranked for v in image])
+    tables = [p._rank_table for p in parts]
+    merged, _ = _rank_objects([v for t in tables for v in t.image])
     keys, at, i = [], 0, 0
-    for image, rank in ranked:
-        scaled = [r * n for r in merged[at:at + len(image)]]
-        keys.append(list(map(add, map(scaled.__getitem__, rank), count(i))))
-        at, i = at + len(image), i + len(rank)
+    for t in tables:
+        scaled = [r * n for r in merged[at:at + len(t.image)]]
+        keys.append(list(map(add, map(scaled.__getitem__, t.rank), count(i))))
+        at, i = at + len(t.image), i + len(t.rank)
     least = list(map(min, combine(*keys)))
     column = list(map(entries.__getitem__, map(mod, least, repeat(n))))
     scale = _scale_of(column, scales)
@@ -768,8 +748,8 @@ def affine_transform(u: TabulatedUtility, a, b) -> TabulatedUtility:
     scale.  It is certified when u is and both scales are exact; a tolerant
     one compares the rescaled gaps to the same tolerance.  On the exact
     scale every value is rational and the map strictly increasing, so the
-    table keeps u's ranks; on a tolerant one rounding may merge values, and
-    they are sorted."""
+    table keeps u's ranks; on a tolerant one rounding may merge values, so
+    the new table sorts its column when it is made."""
     _require_tables("affine transform", [u])
     if a <= 0:
         raise UtilityError("affine factor must be strictly positive")
@@ -778,16 +758,16 @@ def affine_transform(u: TabulatedUtility, a, b) -> TabulatedUtility:
     bad = next((i for i, v in enumerate(column) if not _in_float_range(v, scale)), None)
     if bad is not None:
         raise UtilityError(f"the affine transform at {u.poset.point(bad)!r} overflows a float")
-    ranks = _ranks_of(column, u._ranks().rank, scale) if scale.kind == "exact" else None
+    ranks = _ranks_of(column, u._rank_table.rank, scale) if scale.kind == "exact" else None
     new = TabulatedUtility._of_column(u.poset, column, scale, ranks)
     new.certified = u.certified and u.scale.kind == scale.kind == "exact"
     return new
 
 
 def restrict(u: TabulatedUtility, downset: DownSet) -> TabulatedUtility:
-    """The table of u on the sub-poset induced by a comprehensive subset.
-    Certification carries over: interiors of members stay inside a
-    comprehensive set."""
+    """The table of u on the sub-poset induced by a comprehensive subset,
+    with its rank table read off u's (``_sub_table``).  Certification
+    carries over: interiors of members stay inside a comprehensive set."""
     _require_tables("restriction", [u])
     if not isinstance(downset, DownSet):
         raise UtilityError("tabulated restriction needs a DownSet")
@@ -801,9 +781,10 @@ def restrict(u: TabulatedUtility, downset: DownSet) -> TabulatedUtility:
 def tabulate(u) -> TabulatedUtility:
     """Explicit table of a closed-form utility on its grid box, the product
     of one chain per axis; every axis needs a step.  It is ``_min_table`` of
-    one table per axis, so each axis term a_i t^alpha_i is computed once and
-    the table comes with its ranks.  The table is on the scale ``_scale_of``
-    reads off its values and u's scale; u keeps its own.  Where a grid point
+    one table per axis, so each axis term a_i t^alpha_i is computed and
+    sorted once, with its axis table, and the table comes with its ranks.
+    The table is on the scale ``_scale_of`` reads off its values and u's
+    scale; u keeps its own.  Where a grid point
     leaves the box or a term fails (a power over ``MAX_POWER_BITS``, a float
     overflow), the table is made point by point, which raises at the first
     point that fails."""
@@ -852,9 +833,10 @@ def _axis_slice(u: TabulatedUtility, rest: Sequence, axis: int) -> TabulatedUtil
 
 def _sub_table(u: TabulatedUtility, poset: FinitePoset, indices: Sequence[int]) -> TabulatedUtility:
     """The uncertified table on ``poset`` of u's values at ``indices``, listed
-    in ``poset``'s element order; it reads u's ranks there too when u holds
-    its rank table, so no value is compared."""
+    in ``poset``'s element order.  Its rank table is ``_ranks_of`` u's ranks
+    there, so no value is compared, and each rank stands in the image by
+    the sub-table's own object at its lowest index, as a sort would pick."""
     column = list(map(u.column.__getitem__, indices))
-    ranks = u._rank_table.restrict(indices, u.scale) if u._rank_table is not None else None
-    return TabulatedUtility._of_column(poset, column, u.scale, ranks)
+    rank = list(map(u._rank_table.rank.__getitem__, indices))
+    return TabulatedUtility._of_column(poset, column, u.scale, _ranks_of(column, rank, u.scale))
 

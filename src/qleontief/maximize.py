@@ -70,7 +70,7 @@ def argmax_members(u: TabulatedUtility, S: DownSet, *, as_mask: bool = False) ->
         raise OrderError("down-set lives in a different poset")
     if not S.mask:
         raise OrderError("empty down-set")
-    t = u._ranks()
+    t = u._rank_table
     suffix, image = t.suffix, t.image
     top = bisect_left(range(len(image)), True, key=lambda r: not S.mask & suffix[r]) - 1
     first = S.mask & suffix[top]

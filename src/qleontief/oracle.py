@@ -112,7 +112,7 @@ def certify_quasi_leontief(u: TabulatedUtility) -> Certificate:
     A failure reports the lowest-index element whose record fails; on pass
     the certificate carries a certified copy of the utility.
     """
-    t = u._ranks()
+    t = u._rank_table
     bad = 0
     for r, s in enumerate(t.lo):
         if u._record(s).fault:
@@ -197,7 +197,7 @@ def _pair_failures(u: TabulatedUtility) -> Tuple[Optional[_Pair], Optional[_Meet
     read from the poset's dict of down rows (``_by_down_row``), on a product
     too, once ``as_poset`` has filled its rows.
     """
-    t = u._ranks()
+    t = u._rank_table
     runs, bands = _value_bands(t)
     poset, ranks = u.poset.as_poset(), t.rank
     down = poset._down
@@ -274,7 +274,7 @@ def _meet_failure(u: TabulatedUtility):
 def _strictly_ordered(u: TabulatedUtility) -> bool:
     """Whether the scale orders the attained values strictly, so that the
     rank table stores no tolerance band (always so on the exact scale)."""
-    return type(u._ranks().lo) is range
+    return type(u._rank_table.lo) is range
 
 
 def check_meet_homomorphism(u: TabulatedUtility) -> Certificate:

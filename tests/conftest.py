@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 import qleontief as q
+from qleontief.leontief import _Ranks, _rank_objects
 
 settings.register_profile("slowio", deadline=None, max_examples=60)
 settings.load_profile("slowio")
@@ -27,6 +28,12 @@ def tables(poset):
         return poset
     twin = q.ProductSpace(poset.factors).as_poset()
     return q.FinitePoset(tuple(poset), twin._up, twin._down)
+
+
+def fresh_ranks(values, scale=q.EXACT):
+    """The rank table one sort of ``values`` gives, the reference a made
+    table's handed or inherited rank table is checked against."""
+    return _Ranks(*_rank_objects(values), scale)
 
 
 def tuple_leq(x, y) -> bool:

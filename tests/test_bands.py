@@ -72,7 +72,7 @@ def swept_bands(u, monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_lo_matches_the_pairwise_scan(seed):
     for u in tables(seed):
-        lo = u._ranks().lo
+        lo = u._rank_table.lo
         assert list(lo) == ref_lo(u)
         # nothing is stored where every rank starts its own level set
         assert (type(lo) is range) == (ref_lo(u) == list(range(len(u.image()))))
@@ -83,7 +83,7 @@ def test_lo_matches_the_pairwise_scan(seed):
 def test_the_tables_reach_every_case():
     """Bands stored and not, each on a poset with a total meet (where the
     pass tests the meet identity too) and without one."""
-    seen = {(type(u._ranks().lo) is range, u.poset.is_inf_semilattice())
+    seen = {(type(u._rank_table.lo) is range, u.poset.is_inf_semilattice())
             for seed in range(20) for u in tables(seed)}
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -94,7 +94,7 @@ def test_phi_bands_match_the_pairwise_scan(seed, monkeypatch):
         runs, bands = swept_bands(u, monkeypatch)
         want = ref_bands(u)
         assert bands == want
-        rank = u._ranks().rank
+        rank = u._rank_table.rank
         assert runs == [(min(rank[i] for i in _bits(b)), max(rank[i] for i in _bits(b)) + 1) for b in want]
 
 
@@ -104,19 +104,17 @@ def test_sub_tables_carry_their_own_band(seed):
     and their band off their own image."""
     rng = random.Random(seed)
     for u in [tolerant_table(seed)] + boundary_tables(seed):
-        u._ranks()
         subs = [q.restrict(u, corpus.random_downset(rng, u.poset))]
         if u.space is not None:
             x = u.space.point(rng.randrange(len(u.space)))
             subs += [partial_utility(u, x[:axis] + x[axis + 1:], axis) for axis in range(u.space.n_axes)]
         for sub in subs:
-            assert sub._rank_table is not None
-            assert list(sub._ranks().lo) == ref_lo(sub)
+            assert list(sub._rank_table.lo) == ref_lo(sub)
 
 
 def test_a_boundary_table_stores_its_band():
     u = q.TabulatedUtility(q.FinitePoset.chain("ab"), {"a": 0.89, "b": 0.9}, scale=q.tolerant(0.01))
-    assert u._ranks().lo == [0, 0]
+    assert u._rank_table.lo == [0, 0]
     assert u.level_of(1).mask == 0b11
 
 

@@ -290,7 +290,7 @@ def test_slice_records_are_built_once_and_build_no_table(monkeypatch):
     built, tables, partials = Counter(), [], []
     build, sub_table, certified = eff._slice_interiors, leontief._sub_table, eff.certified_partial
     monkeypatch.setattr(eff, "_slice_interiors", lambda u, axis, base: (
-        built.update([(id(u._ranks()), axis, base)]), build(u, axis, base))[1])
+        built.update([(id(u._rank_table), axis, base)]), build(u, axis, base))[1])
     monkeypatch.setattr(leontief, "_sub_table", lambda *a: tables.append(a) or sub_table(*a))
     monkeypatch.setattr(eff, "certified_partial", lambda *a: partials.append(a) or certified(*a))
     shared, tables_seen = 0, []  # held, so that no rank table's id is reused
@@ -324,7 +324,7 @@ def test_slice_records_are_built_once_and_build_no_table(monkeypatch):
                 for x_star in res.maximizers:
                     q.efficient_refinement(u, S, x_star, res)
                 assert tables == partials == []
-                outcomes[type(u._ranks().lo) is range] += 1
+                outcomes[type(u._rank_table.lo) is range] += 1
             tables.clear()
             partials.clear()
     assert set(built.values()) == {1}

@@ -183,6 +183,20 @@ class TestCheck:
         assert main(["check", bad]) == 2
         assert capsys.readouterr().err == "error: box 'axes' must be a list of objects\n"
 
+    @pytest.mark.parametrize("generator, keys", [
+        (["c0", ["0"]], ["0"]), (["c0", ["1"]], ["0"]), (["c1", ["0"]], ["0.0"]),
+    ])
+    def test_restriction_prints_levels_its_points_hold(self, generator, keys, tmp_path, capsys):
+        """A restriction's dual table is keyed by the value its first point at
+        each level holds, not by an equal value of a point cut away: here
+        Fraction(0) at (c0, 0), where (c2, 0) above it holds 0.0."""
+        with open(os.path.join(os.path.dirname(__file__), "data", "restrict_mix.json")) as f:
+            obj = json.load(f)
+        obj["downset"] = {"generators": [generator]}
+        assert main(["check", "--json", write(tmp_path, "r.json", obj)]) == 0
+        tables = [c["dual_table"] for c in json.loads(capsys.readouterr().out)["certificates"] if "dual_table" in c]
+        assert [list(t) for t in tables] == [keys, keys]
+
     def test_json_report_structure(self, min_grid_utility, capsys):
         assert main(["check", "--json", min_grid_utility]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -16,9 +16,9 @@ import pytest
 
 import qleontief as q
 from qleontief import corpus, io
-from qleontief.leontief import _Ranks
+from qleontief.leontief import _ranks_of
 
-from conftest import constant_utility
+from conftest import constant_utility, fresh_ranks
 
 MIXED = (0, 1, F(1), F(2, 2), F(1, 3), F(1, 3) + F(1, 10**30), 2, F(5, 2))
 
@@ -60,15 +60,13 @@ def assert_matches(u, ref, certified, *, fresh=False, shared=False):
         assert all(u.values[e] is v for e, v in ref.items())
     assert list(u.image()) == sorted(set(ref.values()))
     assert u.certified is certified
-    if u._rank_table is not None:
-        assert_handed_ranks(u)
+    assert_handed_ranks(u)
 
 
 def assert_handed_ranks(u):
-    """``u`` holds a rank table, and it is the one ``_Ranks`` sorts from its
-    column, down to which of two equal values stands in the image."""
-    got, fresh = u._rank_table, _Ranks(u.column, u.scale)
-    assert got is not None
+    """``u``'s rank table is the one a sort of its column gives, down to
+    which of two equal values stands in the image."""
+    got, fresh = u._rank_table, fresh_ranks(u.column, u.scale)
     assert (got.rank, got.suffix, list(got.lo)) == (fresh.rank, fresh.suffix, list(fresh.lo))
     assert len(got.image) == len(fresh.image) and all(map(operator.is_, got.image, fresh.image))
 
@@ -96,7 +94,6 @@ def test_min_product_and_min_pointwise(seed):
     keyed = [f.values for f in factors]
     ref = {p: min(v[c] for v, c in zip(keyed, p)) for p in u.poset.points()}
     assert_matches(u, ref, False)
-    assert u._rank_table is not None  # so ``nested`` merges u's image, not its column
     last = random_table(rng, random_poset(rng), scale)
     nested = q.min_product(u, last)
     keyed = [u.values, last.values]
@@ -106,7 +103,6 @@ def test_min_product_and_min_pointwise(seed):
     ref = {e: min(p.values[e] for p in parts) for e in factors[0].poset}
     pointwise = q.min_pointwise(*parts)
     assert_matches(pointwise, ref, False)
-    assert pointwise._rank_table is not None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -119,9 +115,9 @@ def test_affine_transform(seed):
             ref = {e: a * v + b for e, v in base.values.items()}
             certified = base.certified and scale.kind == "exact"
             new = q.affine_transform(base, a, b)
-            # exact: u's ranks carried over; tolerant: rounding may merge values, so they are sorted
-            assert (new._rank_table is None) is (scale.kind == "tolerant")
             assert_matches(new, ref, certified, fresh=True)
+            if scale.kind == "exact":  # u's ranks carried over; a tolerant table sorts, as rounding may merge values
+                assert new._rank_table.rank == base._rank_table.rank
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -130,14 +126,10 @@ def test_restrict(seed):
     space = q.ProductSpace([random_poset(rng) for _ in range(rng.randint(1, 3))])
     points = list(space.points())
     S = q.DownSet.from_generators(space, rng.sample(points, rng.randint(1, min(3, len(points)))))
-    for ranked in (False, True):
-        u = random_table(rng, space)
-        if ranked:
-            u._ranks()
-        for base in (u, u._certified_copy()):
-            r = q.restrict(base, S)
-            assert (r._rank_table is None) is not ranked  # read off the parent's, if any
-            assert_matches(r, {p: base.values[p] for p in S.sorted_members()}, base.certified)
+    u = random_table(rng, space)
+    for base in (u, u._certified_copy()):
+        r = q.restrict(base, S)  # its ranks read off the parent's
+        assert_matches(r, {p: base.values[p] for p in S.sorted_members()}, base.certified)
 
 
 def test_tabulate():
@@ -324,10 +316,16 @@ def test_list_points_on_a_restricted_product_table():
 
 
 def test_ranks_restrict_matches_fresh_ranks():
+    """The parent's ranks at some indices, renumbered by ``_ranks_of`` as a
+    sub-table's are, give the sub-column's fresh rank table, down to the
+    object that stands for each rank."""
     rng = random.Random(7)
     for _ in range(50):
         column = [rng.choice(MIXED) for _ in range(rng.randint(1, 12))]
         indices = sorted(rng.sample(range(len(column)), rng.randint(1, len(column))))
-        got, fresh = _Ranks(column).restrict(indices), _Ranks([column[i] for i in indices])
-        assert (got.rank, got.suffix, got.image) == (fresh.rank, fresh.suffix, fresh.image)
+        sub = [column[i] for i in indices]
+        rank = fresh_ranks(column).rank
+        got, fresh = _ranks_of(sub, [rank[i] for i in indices], q.EXACT), fresh_ranks(sub)
+        assert (got.rank, got.suffix) == (fresh.rank, fresh.suffix)
+        assert len(got.image) == len(fresh.image) and all(map(operator.is_, got.image, fresh.image))
         assert got.levels == [None] * len(got.image)

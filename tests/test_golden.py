@@ -26,9 +26,14 @@ mode.  The ``mix_*`` reports (``check``, ``efficient`` and ``maximize``
 on four ``min_product`` files of two one-axis grids 0..2: x^2 with x^(1/2),
 x^2 with 1.5x, 1.5x with x^2, and x^2 with x, and ``efficient --tolerance
 0.5`` on the first) were captured before a table's scale was read off its
-values alone, with no ``form`` on the exact scale.  Commands run from
-inside ``tests/data`` so the ``input`` field of a report is the bare file
-name.
+values alone, with no ``form`` on the exact scale.  The ``restrict_mix``
+report (``check`` on a ``restrict`` of the min-product of a chain table
+listed top first with the float form 2.0x, to the point (c0, 0)) was
+captured when a sub-table's image began to take the sub-table's own
+objects: its dual table is keyed ``"0"``, the ``Fraction(0)`` its one
+point holds, where the parent's stand-in ``0.0`` was printed before.
+Commands run from inside ``tests/data`` so the ``input`` field of a report
+is the bare file name.
 """
 from __future__ import annotations
 
@@ -113,6 +118,7 @@ CASES = {
     },
     "mix_square_root.efficient_tolerance.out": (
         ["efficient", "--json", "--tolerance", "0.5", "mix_square_root.json"], 0),
+    "restrict_mix.check.out": (["check", "--json", "restrict_mix.json"], 0),
 }
 
 

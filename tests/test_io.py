@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 import qleontief as q
 from qleontief import io
 from qleontief.cli import main
-from qleontief.leontief import _Ranks
 from qleontief.order import MAX_POINTS, elem_key
+
+from conftest import fresh_ranks
 
 
 class TestRationals:
@@ -266,7 +267,7 @@ class TestUtilityFiles:
         poset = {"elements": ["a", "b", "c", "d"], "covers": []}
         u = io.utility_from_json({"poset": poset, "values": {"a": "1", "b": 1, "c": "2/2", "d": "3"}})
         assert u.image() == (F(1), F(3))
-        assert u._ranks().rank == [0, 0, 0, 1]
+        assert u._rank_table.rank == [0, 0, 0, 1]
 
     def test_each_distinct_value_is_parsed_once(self, monkeypatch):
         chain = {"elements": [str(t) for t in range(6)],
@@ -451,14 +452,14 @@ def test_column_load_matches_the_keyed_loader(seed):
 
 @pytest.mark.parametrize("seed", range(150))
 def test_loaded_rank_table_is_the_columns(seed):
-    """The rank table the loader makes is the one ``_Ranks`` makes of the
-    loaded column, down to which of two equal values stands in the image."""
+    """The rank table the loader makes is the one a sort of the loaded
+    column gives, down to which of two equal values stands in the image."""
     obj = value_files(seed)
     try:
         u = io.utility_from_json(obj)
     except io.InputError:
         return
-    got, fresh = u._rank_table, _Ranks(u.column)
+    got, fresh = u._rank_table, fresh_ranks(u.column)
     assert (got.rank, got.suffix, got.lo) == (fresh.rank, fresh.suffix, fresh.lo)
     assert len(got.image) == len(fresh.image) and all(map(operator.is_, got.image, fresh.image))
 

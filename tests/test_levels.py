@@ -21,9 +21,8 @@ import qleontief as q
 from qleontief import corpus, leontief
 from qleontief.cli import main
 from qleontief.io import load_json, utility_from_json
-from qleontief.leontief import _Ranks
 
-from conftest import brute_least, brute_minimal
+from conftest import brute_least, brute_minimal, fresh_ranks
 
 DATA = Path(__file__).parent / "data"
 
@@ -295,7 +294,7 @@ def ref_ranks(values):
 
 
 def assert_ranks_match_reference(values):
-    t = _Ranks(values)
+    t = fresh_ranks(values)
     rank, image, suffix = ref_ranks(values)
     assert (t.rank, t.suffix, len(t.levels)) == (rank, suffix, len(image))
     assert len(t.image) == len(image) and all(a is b for a, b in zip(t.image, image))
@@ -354,7 +353,6 @@ def test_slice_rank_table_matches_fresh_ranks(seed):
     rng = random.Random(seed)
     for u in slice_tables(seed):
         space = u.space
-        u._ranks()
         subs = []
         for axis, factor in enumerate(space.factors):
             for x in space.points():
@@ -369,23 +367,9 @@ def test_slice_rank_table_matches_fresh_ranks(seed):
         for pu, elements, points in subs:
             assert list(pu.values) == list(elements)
             assert all(pu.values[t] is keyed[p] for t, p in zip(elements, points))
-            got, fresh = pu._rank_table, _Ranks(list(pu.values.values()))
+            got, fresh = pu._rank_table, fresh_ranks(list(pu.values.values()), pu.scale)
             assert (got.rank, got.suffix, got.levels) == (fresh.rank, fresh.suffix, fresh.levels)
             assert got.image == fresh.image
-
-
-def test_slice_of_an_unranked_table_ranks_nothing():
-    u = q.TabulatedUtility(q.grid_space(range(3), range(4)), {
-        p: F(min(p)) for p in q.grid_space(range(3), range(4)).points()
-    })
-    pu = q.partial_utility(u, (2,), 0)
-    parts = q.min_decompose(u, [(1, 1)], (2, 3))
-    assert u._rank_table is None and pu._rank_table is None
-    assert all(p._rank_table is None for p in parts)
-    assert [pu.value(t) for t in range(3)] == [F(0), F(1), F(2)]
-    assert [[p.value(t) for t in p.poset.elements] for p in parts] == [
-        [F(0), F(1), F(2)], [F(0), F(1), F(2), F(2)]
-    ]
 
 
 def dense_ranks(rng, n, m):
@@ -431,11 +415,11 @@ def test_rank_tables_switch_their_suffix_build_by_size(n, distinct, by_rank, sca
     real = leontief._suffix_by_rank
     monkeypatch.setattr(leontief, "_suffix_by_rank", lambda *a: calls.append(a) or real(*a))
     sc = q.tolerant(1e-9) if scale == "tolerant" else q.EXACT
-    t = _Ranks(values, sc)
+    t = fresh_ranks(values, sc)
     assert (t.rank, t.suffix) == ref_ranks(values)[::2]
     assert bool(calls) == by_rank
     indices = rng.sample(range(n), n // 2)
-    sub = t.restrict(indices, sc)
+    sub = leontief._ranks_of([values[i] for i in indices], [t.rank[i] for i in indices], sc)
     assert (sub.rank, sub.suffix) == ref_ranks([values[i] for i in indices])[::2]
 
 
@@ -517,7 +501,7 @@ def test_check_builds_each_distinct_level_set_once(name, monkeypatch, capsys):
     built = count_builds(monkeypatch)
     assert main(["check", "--json", f"{name}.json"]) == 0
     capsys.readouterr()
-    assert {u._ranks().suffix[s] for s in built} == masks - {0}
+    assert {u._rank_table.suffix[s] for s in built} == masks - {0}
     assert len(built) == DISTINCT_LEVEL_SETS[name] and set(built.values()) == {1}
 
 
@@ -689,7 +673,7 @@ def test_probes_of_values_without_arithmetic_are_the_image(values):
 
 def test_rank_table_holds_no_oracle_verdict():
     """The oracle's certifiers keep nothing on the rank table: each call sweeps."""
-    assert not {"regular", "pairs"} & set(_Ranks.__slots__)
+    assert not {"regular", "pairs"} & set(leontief._Ranks.__slots__)
 
 
 def extras(u, rng):

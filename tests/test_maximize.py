@@ -396,7 +396,7 @@ class TestEfficientRefinement:
     ])
     def test_a_wrong_slice_record_is_an_inconsistency(self, min_on_4x4, start, planted, message):
         S = prefix_set(min_on_4x4.space, 3, 4)
-        min_on_4x4._ranks().slices.update(planted)  # keyed (axis, index of the slice's first point)
+        min_on_4x4._rank_table.slices.update(planted)  # keyed (axis, index of the slice's first point)
         with pytest.raises(q.InconsistencyError) as exc:
             q.efficient_refinement(min_on_4x4, S, start, record(min_on_4x4, S))
         assert str(exc.value) == message

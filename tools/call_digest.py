@@ -22,16 +22,22 @@ numeric ids, whose every key the loader reads by ``locate`` (both under
 ``<workdir>/keypaths``): 398 calls.  Then come ``check``,
 ``efficient`` and ``maximize --downset`` on a table over a plain poset
 whose ids need JSON escapes (a non-ASCII letter, a quote, a backslash and
-a control character; under ``<workdir>/escaped``): 401 calls.  Last of all
+a control character; under ``<workdir>/escaped``): 401 calls.  Then
 come ``check``, ``efficient`` and ``maximize --downset`` on the checkout's
 ``tests/data/classical.json`` (a closed form), ``min_grid.json`` (its
 table) and the four ``mix_*.json`` min-products of closed forms, copied
 under ``<workdir>/forms``, so that the tables ``tabulate`` and
-``min_product`` make are covered: 419 calls.  Last come ``check``,
+``min_product`` make are covered: 419 calls.  Then come ``check``,
 ``efficient`` and ``maximize --downset`` on a copy of ``product3.json``
 whose first factor lists a redundant cover, so that its covers are no
 chain listing and take the general closure (under ``<workdir>/redundant``):
-422 calls.  Every call runs
+422 calls.  Last come ``check``, ``efficient`` and ``maximize --downset``
+on a ``restrict`` of ``product3.json`` by the generators of
+``product3_generators.json``, given inline, and on two ``affine``
+transforms of ``min_grid.json``: a = 3/2, b = -1/3 on the exact scale and
+a = 0.5, b = 0, which is tolerant (under ``<workdir>/combinators``), so
+that the tables ``restrict`` and ``affine_transform`` make are covered:
+431 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
@@ -226,6 +232,31 @@ def redundant_cover_calls(checkout: str, workdir: str):
         yield [command, "--json", redundant, *rest], [command, "--json", canonical, *rest]
 
 
+def combinator_calls(checkout: str, workdir: str):
+    """The calls on a restriction of ``product3.json`` and on two affine
+    transforms of ``min_grid.json``, with their inputs written under
+    ``<workdir>/combinators``."""
+    folder, data = os.path.join(workdir, "combinators"), os.path.join(checkout, "tests", "data")
+    os.makedirs(folder, exist_ok=True)
+    inputs = {}
+    for name in ("product3.json", "product3_generators.json", "min_grid.json", "mix_downset.json"):
+        with open(os.path.join(data, name)) as src:
+            inputs[name] = json.load(src)
+    inputs["restrict.json"] = {"type": "restrict", "base": "product3.json",
+                               "downset": inputs["product3_generators.json"]}
+    inputs["affine_exact.json"] = {"type": "affine", "base": "min_grid.json", "a": "3/2", "b": "-1/3"}
+    inputs["affine_tolerant.json"] = {"type": "affine", "base": "min_grid.json", "a": 0.5, "b": 0}
+    for name, obj in inputs.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    for table, downset in (("restrict.json", "product3_generators.json"), ("affine_exact.json", "mix_downset.json"),
+                           ("affine_tolerant.json", "mix_downset.json")):
+        table, downset = os.path.join(folder, table), os.path.join(folder, downset)
+        yield ["check", "--json", table]
+        yield ["efficient", "--json", table]
+        yield ["maximize", "--json", table, "--downset", downset]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -293,6 +324,8 @@ def main(argv=None) -> int:
         code, out, err = answer(call)
         if run(cli, canonical) != (code, out.replace(call[2], canonical[2]), err.replace(call[2], canonical[2])):
             differ.append(call)
+    for call in combinator_calls(checkout, workdir):
+        answer(call)
     print(count, digest.hexdigest())
     for call in differ:
         print(f"call differs from its canonical one: {call}", file=sys.stderr)
