@@ -2,15 +2,20 @@
 
 Elements are opaque hashable ids.  A poset stores the full relation as
 per-element bitmasks over element indices, so comparability queries are O(1)
-and subset queries run on masks of element indices, one mask test per
-member: ``_least_in``, ``_greatest_in``, ``_minimal_in``, ``_chain_in`` and
-``_induced_on`` are the one implementation of each, which the public
-``least``, ``greatest``, ``minimal``, ``join``, ``bottom``, ``top``,
+and subset queries run on masks of element indices, reading only the up and
+down rows (``_up_of``, ``_down_of``): ``_least_in``, ``_greatest_in``,
+``_minimal_in``, ``_chain_in`` and ``_induced_on`` are the one
+implementation of each, for plain posets and products alike, which the
+public ``least``, ``greatest``, ``minimal``, ``join``, ``bottom``, ``top``,
 ``is_chain`` and ``induced`` decode, and which callers holding a mask call
-directly.  A meet is one big-int AND and one dict lookup: m is the meet of x
-and y exactly when down(m) = down(x) & down(y), and distinct elements have
-distinct down-sets (see ``FinitePoset._meet_index``).  A plain poset decides
-``is_inf_semilattice`` one pair at a time, unless it is a chain.
+directly.  The least (greatest) member is a walk down (up) from the
+lowest-index (highest-index) member; on an index order that is a linear
+extension it takes no step, so a passing test reads one row and a failing
+one a row more.  A meet is one big-int AND and one dict lookup: m is the
+meet of x and y exactly when down(m) = down(x) & down(y), and distinct
+elements have distinct down-sets (see ``FinitePoset._meet_index``).  A
+plain poset decides ``is_inf_semilattice`` one pair at a time, unless it is
+a chain.
 
 A ``ProductSpace`` is the product poset itself, and answers every query
 through its factors.  A point's index is the mixed-radix number of its factor
@@ -355,7 +360,8 @@ class FinitePoset:
         return bool(self._up[self.index_of(x)] >> self.index_of(y) & 1)
 
     def lt(self, x: Element, y: Element) -> bool:
-        return x != y and self.leq(x, y)
+        # compared by index, as ``index_of`` reads a list as its tuple
+        return self.index_of(x) != self.index_of(y) and self.leq(x, y)
 
     def comparable(self, x: Element, y: Element) -> bool:
         return self.leq(x, y) or self.leq(y, x)
@@ -382,23 +388,36 @@ class FinitePoset:
 
     def _least_in(self, m: int) -> Optional[int]:
         """Index of the member of mask m below all of m, or None."""
-        up = self._up
-        for i in _bits(m):
-            if m & ~up[i] == 0:
-                return i
-        return None
+        return self._least_and_up(m)[0]
 
     def _least_and_up(self, m: int) -> Tuple[Optional[int], int]:
-        """``_least_in(m)`` and the mask of its up-set, 0 when there is none."""
-        i = self._least_in(m)
-        return i, 0 if i is None else self._up_of(i)
+        """The least member of mask m and the mask of its up-set, or (None, 0):
+        a walk from the lowest-index member that, while the up-set misses
+        part of m, steps to the highest-index member strictly below (on a
+        top-first listing, a minimal one).  At a minimal member it stops, as
+        a least member is the only minimal one."""
+        i = (m & -m).bit_length() - 1
+        while m:
+            up = self._up_of(i)
+            if not m & ~up:
+                return i, up
+            below = m & self._down_of(i) & ~(1 << i)
+            if not below:
+                break
+            i = below.bit_length() - 1
+        return None, 0
 
     def _greatest_in(self, m: int) -> Optional[int]:
-        """Index of the member of mask m above all of m, or None."""
-        down = self._down
-        for i in _bits(m):
-            if m & ~down[i] == 0:
+        """Index of the member of mask m above all of m, or None: the walk of
+        ``_least_and_up`` mirrored, from the highest-index member up."""
+        i = m.bit_length() - 1
+        while m:
+            if not m & ~self._down_of(i):
                 return i
+            above = m & self._up_of(i) & ~(1 << i)
+            if not above:
+                break
+            i = (above & -above).bit_length() - 1
         return None
 
     def _minimal_in(self, m: int) -> int:
@@ -493,7 +512,7 @@ class FinitePoset:
 
         A finite poset is downward directed iff it has a least element (a
         common lower bound of all elements, found pair by pair), so this is
-        one scan for the bottom; the empty poset counts as filtered.
+        one walk for the bottom; the empty poset counts as filtered.
         """
         return len(self) == 0 or self.bottom() is not None
 
@@ -538,21 +557,17 @@ class ProductSpace(FinitePoset):
     The up-set of a point is the set of points whose k-th coordinate lies in
     up_k(c_k) for every axis k, so ``_up_of`` (``_down_of``) is the AND of
     one cylinder mask per axis (``_cylinder``), or, once ``as_poset`` has
-    filled the ``_up`` (``_down``) rows, the row it memoized.  The least
-    (greatest) member of a mask, when there is one, is the point of the least
-    (greatest) elements of its projections on the factors, and it lies in the
-    mask; when every factor lists its elements in a linear-extension order,
-    as a chain does, the index order of the points is one too, and that
-    point is the mask's lowest-index (highest-index) member, tested against
-    its up-set (down-set): one row in place of one cylinder per factor
-    element, which ``_least_and_up`` hands on, so a level record builds it
-    once.  ``_minimal_in``, ``_chain_in``, ``_below`` and ``_induced_on`` are
-    ``FinitePoset``'s, reading those rows; ``_missing_below`` shifts the
-    mask along each factor cover, one step per cover in place of one down
-    row per member.
+    filled the ``_up`` (``_down``) rows, the row it memoized.  The extremum
+    walks, ``_minimal_in``, ``_chain_in``, ``_below`` and ``_induced_on`` are
+    ``FinitePoset``'s, reading those rows; when every factor lists its
+    elements along a linear extension, as a chain does, so do the points,
+    and a passing least test reads the one up row that ``_least_and_up``
+    hands on to the level record.  ``_missing_below`` shifts the mask along
+    each factor cover, one step per cover in place of one down row per
+    member.
     """
 
-    __slots__ = ("factors", "strides", "_offsets", "_axes", "_ordered", "_cylinders", "_covers")
+    __slots__ = ("factors", "strides", "_offsets", "_axes", "_cylinders", "_covers")
 
     def __init__(self, factors: Sequence[FinitePoset]):
         if not factors:
@@ -568,10 +583,6 @@ class ProductSpace(FinitePoset):
         # per axis, the factor's points, up rows and down rows by element index
         # (a nested product's filled by its ``as_poset``), and the stride
         self._axes = tuple((tuple(f), f.as_poset()._up, f._down, s) for f, s in zip(self.factors, self.strides))
-        # whether every factor lists its elements in a linear-extension order
-        # (nothing above an element has a smaller index), so the index order
-        # of the points is one too
-        self._ordered = all(not up & ((1 << c) - 1) for _, ups, _, _ in self._axes for c, up in enumerate(ups))
         self._cylinders: List[Dict[int, int]] = [{} for _ in self.factors]
         self._covers: Optional[List[Tuple[int, int, int, int]]] = None
         self._up = self._down = self._by_up = self._by_down = None
@@ -732,36 +743,6 @@ class ProductSpace(FinitePoset):
         for axis, (_, _, downs, stride) in enumerate(self._axes):
             m &= self._cylinder(axis, downs[i // stride % len(downs)])
         return m
-
-    def _least_in(self, m: int) -> Optional[int]:
-        if self._ordered:
-            return self._least_and_up(m)[0]
-        return self._extreme_in(m, "_least_in")
-
-    def _least_and_up(self, m: int) -> Tuple[Optional[int], int]:
-        if not self._ordered:
-            return FinitePoset._least_and_up(self, m)
-        i = (m & -m).bit_length() - 1
-        up = self._up_of(i) if m else 0
-        return (i, up) if m and not m & ~up else (None, 0)
-
-    def _greatest_in(self, m: int) -> Optional[int]:
-        if self._ordered:
-            i = m.bit_length() - 1
-            return i if m and not m & ~self._down_of(i) else None
-        return self._extreme_in(m, "_greatest_in")
-
-    def _extreme_in(self, m: int, query: str) -> Optional[int]:
-        """The point of the factors' answers to ``query`` on the projections
-        of mask m, if every factor has one and the point lies in m."""
-        i = 0
-        for axis, (f, stride) in enumerate(zip(self.factors, self.strides)):
-            projection = sum(1 << c for c in range(len(f)) if m & self._cylinder(axis, 1 << c))
-            c = getattr(f, query)(projection)
-            if c is None:
-                return None
-            i += c * stride
-        return i if m >> i & 1 else None
 
     def _unmask(self, mask: int) -> Tuple[Tuple[Element, ...], ...]:
         return tuple(map(self.point, _bits(mask)))

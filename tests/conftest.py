@@ -13,6 +13,7 @@ from hypothesis import settings
 
 import qleontief as q
 from qleontief.leontief import _Ranks, _rank_objects
+from qleontief.order import _bits
 
 settings.register_profile("slowio", deadline=None, max_examples=60)
 settings.load_profile("slowio")
@@ -47,6 +48,33 @@ def brute_least(points, leq):
         if all(leq(p, r) for r in pts):
             return p
     return None
+
+
+def scan_least(poset, m):
+    """Index of the member of mask m whose up row holds all of m, or None:
+    one row per member in index order, the reference for the least-member
+    walk."""
+    for i in _bits(m):
+        if not m & ~poset._up_of(i):
+            return i
+    return None
+
+
+def scan_greatest(poset, m):
+    """``scan_least`` on the down rows: the member above all of m, or None."""
+    for i in _bits(m):
+        if not m & ~poset._down_of(i):
+            return i
+    return None
+
+
+def ladder(n, top_first=True):
+    """The ladder on 0..n-1: 0 below 1 and covers i < i+2, so the evens and
+    the odds are two chains joined at the bottom.  Listed top first, every
+    element comes after all those above it."""
+    els = list(range(n))
+    covers = [(0, 1)] + [(i, i + 2) for i in range(n - 2)]
+    return q.FinitePoset.from_covers(els[::-1] if top_first else els, covers)
 
 
 def brute_minimal(points, leq):

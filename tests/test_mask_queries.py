@@ -5,9 +5,11 @@ and ``_induced_on`` answer each query on a mask of element indices, and the
 public ``least``, ``greatest``, ``minimal``, ``is_chain``, ``join``,
 ``bottom``, ``top`` and ``induced`` decode them.  The references compare
 the points pair by pair with ``leq``, which a product answers factor by
-factor, so they read no mask.  A product answers the mask queries factor
-by factor, from cylinder masks or from the rows ``as_poset`` filled; those
-answers are compared with a plain poset on the rows of its twin.
+factor, so they read no mask; the least and greatest walks are also
+compared with ``conftest``'s member scans, on listings where they step.  A
+product answers the mask queries from cylinder masks or from the rows
+``as_poset`` filled; those answers are compared with a plain poset on the
+rows of its twin.
 """
 from __future__ import annotations
 
@@ -17,14 +19,23 @@ import qleontief as q
 from qleontief import corpus
 from qleontief.order import DownSet, FinitePoset, _bits
 
-from conftest import brute_least, brute_minimal, tables
+from conftest import brute_least, brute_minimal, ladder, scan_greatest, scan_least, tables
 
-KINDS = ("poset", "poset-with-bottom", "chains", "posets", "nested")
+KINDS = ("poset", "poset-with-bottom", "shuffled", "ladder", "chains", "posets", "nested")
 
 
 def random_space(rng, kind):
+    """A poset of the kind: a corpus poset, listed as drawn or in a shuffled
+    element order, the N = 40 ladder listed top first, or a product's rows."""
     if kind == "poset":
         return corpus.random_poset(rng, 9)
+    if kind == "shuffled":
+        drawn = corpus.random_poset(rng, 9)
+        els = list(drawn)
+        rng.shuffle(els)
+        return FinitePoset.from_leq(els, [(x, y) for x in els for y in els if drawn.leq(x, y)])
+    if kind == "ladder":
+        return ladder(40)
     if kind == "poset-with-bottom":
         return corpus.random_poset(rng, 9, with_bottom=True)
     if kind == "chains":
@@ -71,7 +82,7 @@ def geq(leq):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_mask_helpers_match_pairwise_references(kind):
-    chains = 0
+    chains = steps = 0
     for seed in range(25):
         rng = corpus.derive_rng(13, "mask-queries", kind, seed)
         poset = random_space(rng, kind)
@@ -79,8 +90,12 @@ def test_mask_helpers_match_pairwise_references(kind):
         for m in masks(rng, poset):
             pts = list(poset._unmask(m))
             least, greatest = brute_least(pts, leq), brute_least(pts, geq(leq))
-            assert poset._at(poset._least_in(m)) == least == poset.least(pts)
-            assert poset._at(poset._greatest_in(m)) == greatest == poset.greatest(pts)
+            i = scan_least(poset, m)
+            assert poset._least_in(m) == i and poset._at(i) == least == poset.least(pts)
+            assert poset._least_and_up(m) == (i, 0 if i is None else poset._up[i])
+            k = scan_greatest(poset, m)
+            assert poset._greatest_in(m) == k and poset._at(k) == greatest == poset.greatest(pts)
+            steps += bool(m & -m & ~poset._minimal_in(m))  # the least walk steps down
             mins = tuple(brute_minimal(pts, leq))
             assert poset._unmask(poset._minimal_in(m)) == mins == poset.minimal(pts)
             assert poset._minimal_in(m) & ~m == 0
@@ -92,6 +107,7 @@ def test_mask_helpers_match_pairwise_references(kind):
             assert sub.elements == tuple(pts)
             assert all(sub.leq(a, b) == leq(a, b) for a in pts for b in pts)
     assert chains > 100  # the chain test sees true cases beyond singletons
+    assert (steps > 100) == (kind in ("shuffled", "ladder"))  # only these listings are no linear extension
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -160,8 +176,9 @@ def test_factorwise_answers_match_the_built_tables(k, filled):
     seen = set()
     for m in masks(rng, ref) + [ref._below(ref._up[i]) for i in range(n)]:
         least = space._least_in(m)
-        assert least == ref._least_in(m)
-        assert space._greatest_in(m) == ref._greatest_in(m)
+        assert least == ref._least_in(m) == scan_least(ref, m)
+        assert space._least_and_up(m) == ref._least_and_up(m)
+        assert space._greatest_in(m) == ref._greatest_in(m) == scan_greatest(ref, m)
         assert space._minimal_in(m) == ref._minimal_in(m)
         assert space._chain_in(m) == ref._chain_in(m)
         assert space._unmask(m) == ref._unmask(m)
@@ -174,7 +191,13 @@ def test_factorwise_answers_match_the_built_tables(k, filled):
 
 
 def test_factorwise_products_cover_both_index_orders():
-    assert {p._ordered for p in factorwise_products()} == {True, False}
+    """Some products list their points along a linear extension (nothing
+    above a point has a smaller index), where the extremum walks take no
+    step, and some do not."""
+    def extension(space):
+        return not any(up & ((1 << i) - 1) for i, up in enumerate(tables(space)._up))
+
+    assert {extension(p) for p in factorwise_products()} == {True, False}
 
 
 def test_random_downset_on_an_unbuilt_product():
@@ -184,4 +207,45 @@ def test_random_downset_on_an_unbuilt_product():
         rng, twin_rng = (corpus.derive_rng(19, "random-downset", k) for _ in range(2))
         S = corpus.random_downset(rng, space)
         assert S.mask == corpus.random_downset(twin_rng, tables(space)).mask
+        assert space._up is None
+
+
+# -- what the walks read where the index order is a linear extension ---------------
+
+
+def count_rows(monkeypatch):
+    """The counts of up and down rows that ``_up_of`` and ``_down_of``, on a
+    plain poset or a product, are asked for from now on."""
+    reads = {"up": 0, "down": 0}
+    for cls in (FinitePoset, q.ProductSpace):
+        for kind in reads:
+            def counted(self, i, kind=kind, row=getattr(cls, f"_{kind}_of")):
+                reads[kind] += 1
+                return row(self, i)
+            monkeypatch.setattr(cls, f"_{kind}_of", counted)
+    return reads
+
+
+@pytest.mark.parametrize("kind", ["product", "poset"])
+def test_walks_read_one_row_on_a_linear_extension(kind, monkeypatch):
+    """On an unbuilt 6^3 chain product and on a corpus poset, both listed
+    along a linear extension, a passing least test reads one up row and a
+    passing greatest test one down row; a failing least test reads a down
+    row more."""
+    rng = corpus.derive_rng(23, "walk-rows")
+    space = q.grid_space(range(6), range(6), range(6)) if kind == "product" else corpus.random_poset(rng, 12)
+    n = len(space)
+    ups, downs = [space._up_of(i) for i in range(n)], [space._down_of(i) for i in range(n)]
+    leastless = [m for m in (ups[i] | ups[j] for i in range(n) for j in range(i)) if space._least_in(m) is None]
+    assert leastless
+    reads = count_rows(monkeypatch)
+    for i in range(n):
+        assert space._least_and_up(ups[i]) == (i, ups[i]) and reads == {"up": 1, "down": 0}
+        reads.update(up=0)
+        assert space._greatest_in(downs[i]) == i and reads == {"up": 0, "down": 1}
+        reads.update(down=0)
+    for m in leastless:
+        assert space._least_and_up(m) == (None, 0) and reads == {"up": 1, "down": 1}
+        reads.update(up=0, down=0)
+    if kind == "product":
         assert space._up is None

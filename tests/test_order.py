@@ -189,6 +189,16 @@ class TestUpDownSets:
         with pytest.raises(q.OrderError):
             grid22.as_poset().up_set((7, 7))
 
+    def test_lt_reads_a_list_as_its_tuple(self, grid22):
+        """A point given once as a list and once as a tuple is one point, so
+        neither lies strictly below the other."""
+        pairs = FinitePoset.from_covers([("a", 1), ("a", 2)], [(("a", 1), ("a", 2))])
+        for poset, x, y in ((grid22, (0, 1), (1, 1)), (grid22.as_poset(), (0, 1), (1, 1)),
+                            (pairs, ("a", 1), ("a", 2))):
+            assert not poset.lt(list(x), x) and not poset.lt(x, list(x))
+            assert poset.lt(list(x), y) and poset.lt(x, list(y))
+            assert not poset.lt(list(y), x)
+
 
 class TestExtrema:
     def test_least_of_comparable_pair(self, grid22):

@@ -31,13 +31,16 @@ under ``<workdir>/forms``, so that the tables ``tabulate`` and
 ``efficient`` and ``maximize --downset`` on a copy of ``product3.json``
 whose first factor lists a redundant cover, so that its covers are no
 chain listing and take the general closure (under ``<workdir>/redundant``):
-422 calls.  Last come ``check``, ``efficient`` and ``maximize --downset``
+422 calls.  Then come ``check``, ``efficient`` and ``maximize --downset``
 on a ``restrict`` of ``product3.json`` by the generators of
 ``product3_generators.json``, given inline, and on two ``affine``
 transforms of ``min_grid.json``: a = 3/2, b = -1/3 on the exact scale and
 a = 0.5, b = 0, which is tolerant (under ``<workdir>/combinators``), so
 that the tables ``restrict`` and ``affine_transform`` make are covered:
-431 calls.  Every call runs
+431 calls.  Last come ``check``, ``efficient`` and ``maximize --downset``
+on the N = 40 ladder (0 below 1, covers i < i+2) listed top first, a
+passing table and a failing one (under ``<workdir>/ladder``), so that the
+least and greatest walks step: 437 calls.  Every call runs
 through the checkout's ``qleontief.cli.main`` in this one process.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code, stdout
 and stderr.  Reports echo their input paths, so two checkouts compare equal
@@ -257,6 +260,33 @@ def combinator_calls(checkout: str, workdir: str):
         yield ["maximize", "--json", table, "--downset", downset]
 
 
+LADDER = [str(i) for i in range(40)]
+LADDER_POSET = {"elements": LADDER[::-1],
+                "covers": [["0", "1"]] + [[a, b] for a, b in zip(LADDER, LADDER[2:])]}
+LADDER_INPUTS = {
+    "ladder.json": {"poset": LADDER_POSET, "values": {e: str(0 if i % 2 else i // 2) for i, e in enumerate(LADDER)}},
+    "ladder_failing.json": {"poset": LADDER_POSET, "values": {e: str(i // 2) for i, e in enumerate(LADDER)}},
+    "ladder_downset.json": {"generators": ["20", "31"]},
+}
+
+
+def ladder_calls(workdir: str):
+    """The calls on the N = 40 ladder listed top first, so that the least
+    and greatest walks step, with their inputs written under
+    ``<workdir>/ladder``: valued i/2 at an even i and 0 at an odd one, which
+    passes, and valued floor(i/2), whose level set at 1 has no least element."""
+    folder = os.path.join(workdir, "ladder")
+    os.makedirs(folder, exist_ok=True)
+    for name, obj in LADDER_INPUTS.items():
+        with open(os.path.join(folder, name), "w") as out:
+            json.dump(obj, out)
+    passing, failing, downset = (os.path.join(folder, n) for n in LADDER_INPUTS)
+    for table in (passing, failing):
+        yield ["check", "--json", table]
+        yield ["efficient", "--json", table]
+        yield ["maximize", "--json", table, "--downset", downset]
+
+
 def calls(gen, checkout: str, workdir: str):
     for workload in WORKLOADS:
         for call in gen.build(workload, 5, os.path.join(workdir, workload)):
@@ -325,6 +355,8 @@ def main(argv=None) -> int:
         if run(cli, canonical) != (code, out.replace(call[2], canonical[2]), err.replace(call[2], canonical[2])):
             differ.append(call)
     for call in combinator_calls(checkout, workdir):
+        answer(call)
+    for call in ladder_calls(workdir):
         answer(call)
     print(count, digest.hexdigest())
     for call in differ:
